@@ -39,7 +39,9 @@ from .local_structures import (
     gaussian_response,
     local_frame,
     mbls_distance,
+    mbls_matrix,
     normalize_image,
+    tbls_matrix,
 )
 from .matching import (
     MatchScore,
@@ -59,7 +61,15 @@ from .model_store import (
     save_model,
 )
 from .protocol import ProtocolReport, compute_eer, fvc_pairs
-from .subspace_fusion import FusedVector, PcaModel, fuse, project, train_pca, znorm
+from .subspace_fusion import (
+    FusedVector,
+    PcaModel,
+    fuse,
+    fuse_matrix,
+    project,
+    train_pca,
+    znorm,
+)
 from .template_io import (
     GrayImage,
     Minutia,

@@ -111,12 +111,6 @@ class Codebook:
         return self.centroids.shape[1]
 
 
-def _as_matrix(vectors: Sequence[FusedVector] | np.ndarray) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        return np.asarray(vectors, dtype=np.float64)
-    return stack_fused(list(vectors))
-
-
 def _distances(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Plain Euclidean distance matrix, rows = vectors, columns = clusters."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against rounding
@@ -174,7 +168,7 @@ def kmeans_train(
     ``trace``, when given, receives the objective after every update step;
     it is non-increasing.
     """
-    x = _as_matrix(pool)
+    x = stack_fused(pool)
     n = x.shape[0]
     if k < 1:
         raise PoolTooSmall(f"k must be >= 1, got {k}")
@@ -233,7 +227,7 @@ def estimate_radii(
     Raises:
         DegeneratePool: some cluster has no external vector at all.
     """
-    x = _as_matrix(pool)
+    x = stack_fused(pool)
     if n_boundary < 1:
         raise ValueError(f"n_boundary must be >= 1, got {n_boundary}")
     d = _distances(x, centroids)
@@ -274,7 +268,7 @@ def cluster_cardinalities(
     radii: np.ndarray,
 ) -> np.ndarray:
     """How many pool vectors each cluster claims under adjusted assignment."""
-    x = _as_matrix(pool)
+    x = stack_fused(pool)
     adj = _distances(x, centroids) - radii[None, :]
     return np.bincount(adj.argmin(axis=1), minlength=centroids.shape[0])
 
@@ -312,18 +306,16 @@ def encode_bitstring(
     if gate_mode not in (GATE_PER_CANDIDATE, GATE_BEST_ONLY):
         raise ValueError(f"unknown gate mode {gate_mode!r}")
     bits = np.zeros(codebook.k, dtype=bool)
-    x = _as_matrix(vectors)
+    x = stack_fused(vectors)
     if x.size == 0:
         return BitString(bits)
     adj = _distances(x, codebook.centroids) - codebook.radii[None, :]
-    top = min(codebook.top_t, codebook.k)
-    for row in adj:
-        order = np.argsort(row, kind="stable")[:top]
-        for rank, d in enumerate(order):
-            if gate_mode == GATE_BEST_ONLY and rank > 0:
-                bits[d] = True
-            elif row[d] < codebook.tau_s:
-                bits[d] = True
+    # ties in adjusted distance nominate the smaller cluster index first
+    nominated = np.argsort(adj, axis=1, kind="stable")[:, : codebook.top_t]
+    passes = np.take_along_axis(adj, nominated, axis=1) < codebook.tau_s
+    if gate_mode == GATE_BEST_ONLY:
+        passes[:, 1:] = True
+    bits[nominated[passes]] = True
     return BitString(bits)
 
 
@@ -338,7 +330,7 @@ def distance_vector(
     Raises:
         EmptyImage: the impression produced no fused vectors.
     """
-    x = _as_matrix(vectors)
+    x = stack_fused(vectors)
     if x.size == 0:
         raise EmptyImage("impression has no fused vectors to measure")
     d = _distances(x, codebook.centroids)

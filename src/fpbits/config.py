@@ -9,6 +9,7 @@ carries the exact configuration it was built with.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,14 +58,34 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_p < 2:
-            raise MalformedHeader(f"n_p must be >= 2, got {self.n_p}")
-        if self.K < 1:
-            raise MalformedHeader(f"K must be >= 1, got {self.K}")
-        if self.top_t < 1:
-            raise MalformedHeader(f"top_t must be >= 1, got {self.top_t}")
-        if self.enroll_size < 1:
-            raise MalformedHeader(f"enroll_size must be >= 1, got {self.enroll_size}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise MalformedHeader(f"{f.name} must be finite, got {value}")
+        # comparisons are written so that they fail on NaN as well
+        for name in ("r_m", "r_t", "sigma_t0", "sigma_t_slope", "sigma_r0", "sigma_r_slope"):
+            if not getattr(self, name) > 0.0:
+                raise MalformedHeader(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.downscale_area >= 1.0:
+            raise MalformedHeader(
+                f"downscale_area must be >= 1, got {self.downscale_area}"
+            )
+        if not self.sigma_t_slope >= self.sigma_r_slope:
+            raise MalformedHeader(
+                f"sigma_t_slope ({self.sigma_t_slope}) must be >= sigma_r_slope "
+                f"({self.sigma_r_slope})"
+            )
+        minimums = (
+            ("n_p", 2), ("K", 1), ("N_c", 1), ("top_t", 1), ("kmeans_max_iters", 1),
+            ("augment_pool", 0), ("enroll_size", 1), ("min_nL", 1),
+        )
+        for name, low in minimums:
+            if getattr(self, name) < low:
+                raise MalformedHeader(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.max_nL < self.min_nL:
+            raise MalformedHeader(
+                f"max_nL ({self.max_nL}) must be >= min_nL ({self.min_nL})"
+            )
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,

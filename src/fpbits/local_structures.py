@@ -194,6 +194,99 @@ def build_mbls(
     return acc / np.linalg.norm(acc)
 
 
+# Block sizes, in float64 elements, of the (rows x lattice points) temporaries
+# of the matrix extractors. They bound memory on dense templates and keep the
+# temporaries cache-resident; texture blocks also stay under the allocator's
+# default mmap threshold (128 KiB), so they are not page-faulted in afresh.
+_MBLS_BLOCK_ELEMENTS = 1 << 16
+_TBLS_BLOCK_ELEMENTS = 1 << 14
+
+
+def _minutia_arrays(minutiae: Sequence[Minutia]) -> Tuple[np.ndarray, ...]:
+    """Positions plus direction cosines/sines, the latter via ``math`` per minutia."""
+    x = np.array([m.x for m in minutiae], dtype=np.float64)
+    y = np.array([m.y for m in minutiae], dtype=np.float64)
+    cos = np.array([math.cos(m.theta) for m in minutiae], dtype=np.float64)
+    sin = np.array([math.sin(m.theta) for m in minutiae], dtype=np.float64)
+    return x, y, cos, sin
+
+
+def mbls_matrix(
+    minutiae: Sequence[Minutia],
+    geometry: StructureGeometry,
+    spread: SpreadModel,
+) -> np.ndarray:
+    """Minutia descriptors of a whole impression, one row per minutia.
+
+    Row ``i`` is :func:`build_mbls` of ``minutiae[i]`` up to rounding. Every
+    (reference, neighbor) pair within ``r_m`` is found at once; each bump's
+    exponent ``a dx^2 + 2b dx dy + c dy^2`` is expanded into six per-pair
+    coefficients against the fixed lattice monomials
+    ``[X^2, XY, Y^2, X, Y, 1]``, so all bumps of a block of pairs come from a
+    single matrix product. The expansion rounds differently from the direct
+    form; the error is about float64 eps times ``r_m^2 / (2 sigma_r0^2)``.
+    """
+    out = np.zeros((len(minutiae), geometry.n_m), dtype=np.float64)
+    x, y, cos, sin = _minutia_arrays(minutiae)
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    rho = np.hypot(dx, dy)
+    near = rho <= geometry.r_m
+    np.fill_diagonal(near, False)
+    ref, nbr = np.nonzero(near)  # grouped by reference, neighbors in order
+    if ref.size == 0:
+        return out
+
+    dx = dx[ref, nbr]
+    dy = dy[ref, nbr]
+    rho = rho[ref, nbr]
+    c, s = cos[ref], sin[ref]
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    scale = geometry.position_scale
+    mx = u * scale
+    my = v * scale
+    sig_t = (spread.sigma_t0 + spread.sigma_t_slope * rho) * scale
+    sig_r = (spread.sigma_r0 + spread.sigma_r_slope * rho) * scale
+    theta_i = np.arctan2(v, u) + math.pi / 2.0
+
+    # the quadratic form of gaussian_response, per pair
+    sx2 = 2.0 * sig_t * sig_t
+    sy2 = 2.0 * sig_r * sig_r
+    cos_t, sin_t = np.cos(theta_i), np.sin(theta_i)
+    sin_2t = np.sin(2.0 * theta_i)
+    a = cos_t * cos_t / sx2 + sin_t * sin_t / sy2
+    b = -sin_2t / (2.0 * sx2) + sin_2t / (2.0 * sy2)
+    cq = sin_t * sin_t / sx2 + cos_t * cos_t / sy2
+    # negated, so the product is the exponent itself
+    coeffs = -np.stack(
+        [
+            a,
+            2.0 * b,
+            cq,
+            -2.0 * (a * mx + b * my),
+            -2.0 * (b * mx + cq * my),
+            a * mx * mx + 2.0 * b * mx * my + cq * my * my,
+        ],
+        axis=1,
+    )
+    lat = geometry.lattice_m.astype(np.float64)
+    lx, ly = lat[:, 0], lat[:, 1]
+    basis = np.stack([lx * lx, lx * ly, ly * ly, lx, ly, np.ones_like(lx)])
+
+    step = max(1, _MBLS_BLOCK_ELEMENTS // geometry.n_m)
+    for lo in range(0, ref.size, step):
+        hi = min(lo + step, ref.size)
+        bumps = coeffs[lo:hi] @ basis
+        np.exp(bumps, out=bumps)
+        block_ref = ref[lo:hi]
+        starts = np.flatnonzero(np.r_[True, block_ref[1:] != block_ref[:-1]])
+        out[block_ref[starts]] += np.add.reduceat(bumps, starts, axis=0)
+
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+    return np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
+
+
 def mbls_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between two minutia-descriptor vectors."""
     a = np.asarray(a, dtype=np.float64)
@@ -222,32 +315,45 @@ def normalize_image(
 def bilinear_sample(
     img: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: float
 ) -> np.ndarray:
-    """Sample ``img`` at real coordinates; points off the pixel grid get ``fill``."""
+    """Sample ``img`` at real coordinates; points off the pixel grid get ``fill``.
+
+    ``xs`` and ``ys`` may have any (matching) shape; the result has it too.
+    Off-grid points are interpolated at the origin and then replaced, so
+    every point goes through one flat gather per corner.
+    """
     h, w = img.shape
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     inside = (xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1)
-
-    out = np.full(xs.shape, fill, dtype=np.float64)
     if not inside.any():
-        return out
-    x = xs[inside]
-    y = ys[inside]
+        return np.full(xs.shape, fill, dtype=np.float64)
+    x = np.where(inside, xs, 0.0)
+    y = np.where(inside, ys, 0.0)
     # clip the base corner so x0+1 stays a valid column even at the far edge
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0 = np.minimum(np.floor(x), max(w - 2, 0))
+    y0 = np.minimum(np.floor(y), max(h - 2, 0))
     tx = x - x0
     ty = y - y0
-    val = (
-        img[y0, x0] * (1.0 - tx) * (1.0 - ty)
-        + img[y0, x1] * tx * (1.0 - ty)
-        + img[y1, x0] * (1.0 - tx) * ty
-        + img[y1, x1] * tx * ty
-    )
-    out[inside] = val
-    return out
+    one_tx = 1.0 - tx
+    one_ty = 1.0 - ty
+    corner = (y0 * w + x0).astype(np.intp)
+    step_x = 1 if w > 1 else 0
+    step_y = w if h > 1 else 0
+    flat = np.ascontiguousarray(img, dtype=np.float64).ravel()
+
+    val = flat.take(corner)
+    val *= one_tx
+    val *= one_ty
+    for offset, wx, wy in (
+        (step_x, tx, one_ty),
+        (step_y, one_tx, ty),
+        (step_x + step_y, tx, ty),
+    ):
+        term = flat.take(corner + offset)
+        term *= wx
+        term *= wy
+        val += term
+    return np.where(inside, val, fill)
 
 
 def extract_tbls(
@@ -268,3 +374,31 @@ def extract_tbls(
     xs = ref.x + lat[:, 0] * c - lat[:, 1] * s
     ys = ref.y + lat[:, 0] * s + lat[:, 1] * c
     return bilinear_sample(np.asarray(image, dtype=np.float64), xs, ys, fill)
+
+
+def tbls_matrix(
+    minutiae: Sequence[Minutia],
+    image: np.ndarray,
+    geometry: StructureGeometry,
+    fill: float = 0.0,
+) -> np.ndarray:
+    """Texture descriptors of a whole impression, one row per minutia.
+
+    Row ``i`` equals :func:`extract_tbls` of ``minutiae[i]`` exactly: the
+    sample coordinates are formed with the same operations in the same
+    order. Rows are sampled a few at a time so the temporaries stay in cache.
+    """
+    n = len(minutiae)
+    out = np.empty((n, geometry.n_t), dtype=np.float64)
+    img = np.asarray(image, dtype=np.float64)
+    x, y, cos, sin = _minutia_arrays(minutiae)
+    lat = geometry.lattice_t.astype(np.float64)
+    lx, ly = lat[:, 0], lat[:, 1]
+    step = max(1, _TBLS_BLOCK_ELEMENTS // geometry.n_t)
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        c, s = cos[rows, None], sin[rows, None]
+        xs = x[rows, None] + lx * c - ly * s
+        ys = y[rows, None] + lx * s + ly * c
+        out[rows] = bilinear_sample(img, xs, ys, fill)
+    return out

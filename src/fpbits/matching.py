@@ -81,8 +81,8 @@ def lgs_score(
     :func:`lgs_pair_budget` is filled or vectors run out. The score is the
     mean distance of the taken pairs; ``short`` marks an underfilled budget.
     """
-    a = _matrix(vectors_a)
-    b = _matrix(vectors_b)
+    a = stack_fused(vectors_a)
+    b = stack_fused(vectors_b)
     n_a = a.shape[0] if a.size else 0
     n_b = b.shape[0] if b.size else 0
     budget = lgs_pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
@@ -120,12 +120,6 @@ def lgs_score(
         support=len(picked),
         short=len(picked) < budget,
     )
-
-
-def _matrix(vectors) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        return np.asarray(vectors, dtype=np.float64)
-    return stack_fused(list(vectors))
 
 
 def intersection_score(a: BitString, b: BitString) -> MatchScore:

@@ -37,8 +37,9 @@ from .local_structures import (
     SpreadModel,
     StructureGeometry,
     build_mbls,
-    extract_tbls,
+    mbls_matrix,
     normalize_image,
+    tbls_matrix,
 )
 from .matching import (
     MatchScore,
@@ -55,7 +56,7 @@ from .protocol import (
     compute_eer,
     fvc_pairs,
 )
-from .subspace_fusion import FusedVector, fuse, project, train_pca
+from .subspace_fusion import fuse_matrix, project, train_pca
 from .synth import keyed_rng
 from .template_io import GrayImage, Minutia, MinutiaTemplate
 
@@ -83,32 +84,25 @@ def raw_structures(
     image: GrayImage,
     geometry: StructureGeometry,
     spread: SpreadModel,
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-minutia descriptor vectors of both families, pre-projection."""
-    norm = normalize_image(image)
-    mbls = [build_mbls(m, template.minutiae, geometry, spread) for m in template.minutiae]
-    tbls = [extract_tbls(m, norm, geometry, fill=0.0) for m in template.minutiae]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Descriptors of both families, pre-projection: ``(n, n_m)`` and ``(n, n_t)``.
+
+    Row ``i`` of each belongs to ``template.minutiae[i]``.
+    """
+    mbls = mbls_matrix(template.minutiae, geometry, spread)
+    tbls = tbls_matrix(template.minutiae, normalize_image(image), geometry, fill=0.0)
     return mbls, tbls
 
 
 def fused_vectors(
     template: MinutiaTemplate, image: GrayImage, model: PipelineModel
-) -> List[FusedVector]:
-    """Project and fuse every minutia of an impression."""
+) -> np.ndarray:
+    """Project and fuse every minutia: the ``(n_minutiae, 2 * n_p)`` fused matrix."""
     cfg = model.config
     mbls, tbls = raw_structures(template, image, model.geometry, model.spread)
-    out = []
-    for idx, (mb, tb) in enumerate(zip(mbls, tbls)):
-        out.append(
-            fuse(
-                project(model.pca_m, mb),
-                project(model.pca_t, tb),
-                cfg.omega_M,
-                cfg.omega_T,
-                source=(template.subject_id, template.impression_id, idx),
-            )
-        )
-    return out
+    return fuse_matrix(
+        project(model.pca_m, mbls), project(model.pca_t, tbls), cfg.omega_M, cfg.omega_T
+    )
 
 
 def _subsample(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
@@ -120,15 +114,17 @@ def _subsample(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
 
 
 def _augment_structures(
-    count: int,
+    out: np.ndarray,
     geometry: StructureGeometry,
     spread: SpreadModel,
     seed: int,
-) -> List[np.ndarray]:
-    """Random minutia constellations, for padding thin clustering pools."""
+) -> None:
+    """Fill ``out``'s rows with random minutia constellations' descriptors.
+
+    They pad thin clustering pools.
+    """
     rng = keyed_rng(seed, _STREAM_AUGMENT)
-    out = []
-    for _ in range(count):
+    for row in out:
         ref = Minutia(0.0, 0.0, float(rng.uniform(0.0, 2.0 * math.pi)))
         n = int(rng.integers(1, 9))
         rho = rng.uniform(5.0, geometry.r_m, size=n)
@@ -141,8 +137,7 @@ def _augment_structures(
             )
             for r, a in zip(rho, ang)
         ]
-        out.append(build_mbls(ref, [ref] + others, geometry, spread))
-    return out
+        row[:] = build_mbls(ref, [ref] + others, geometry, spread)
 
 
 def train_model(
@@ -167,23 +162,21 @@ def train_model(
             f"extracting descriptors for {len(keys)} impressions "
             f"(n_m={geometry.n_m}, n_t={geometry.n_t})"
         )
-    all_mbls: List[np.ndarray] = []
-    all_tbls: List[np.ndarray] = []
-    counts: List[int] = []
-    for key in keys:
+    counts = [len(items[key][0].minutiae) for key in keys]
+    n_real = sum(counts)
+    # augmented minutia structures follow the real rows of m_matrix; they
+    # have no texture rows
+    m_matrix = np.empty((n_real + config.augment_pool, geometry.n_m))
+    t_matrix = np.empty((n_real, geometry.n_t))
+    offset = 0
+    for key, n in zip(keys, counts):
         template, image = items[key]
-        mbls, tbls = raw_structures(template, image, geometry, spread)
-        all_mbls.extend(mbls)
-        all_tbls.extend(tbls)
-        counts.append(len(mbls))
-
-    if config.augment_pool > 0:
-        all_mbls.extend(
-            _augment_structures(config.augment_pool, geometry, spread, config.seed)
+        rows = slice(offset, offset + n)
+        m_matrix[rows], t_matrix[rows] = raw_structures(
+            template, image, geometry, spread
         )
-
-    m_matrix = np.stack(all_mbls) if all_mbls else np.zeros((0, geometry.n_m))
-    t_matrix = np.stack(all_tbls) if all_tbls else np.zeros((0, geometry.n_t))
+        offset += n
+    _augment_structures(m_matrix[n_real:], geometry, spread, config.seed)
 
     if verbose:
         print(f"fitting subspaces (n_p={config.n_p}) on {m_matrix.shape[0]} vectors")
@@ -196,19 +189,12 @@ def train_model(
 
     # fuse the full pool (augmented minutia structures pair with a zero
     # texture projection: they carry no texture evidence)
-    fused: List[FusedVector] = []
-    n_real = sum(counts)
-    for i in range(m_matrix.shape[0]):
-        fm = project(pca_m, m_matrix[i])
-        ft = (
-            project(pca_t, t_matrix[i])
-            if i < n_real
-            else np.zeros(config.n_p, dtype=np.float64)
-        )
-        fused.append(fuse(fm, ft, config.omega_M, config.omega_T))
+    proj_t = np.zeros((m_matrix.shape[0], config.n_p))
+    proj_t[:n_real] = project(pca_t, t_matrix)
+    fused = fuse_matrix(project(pca_m, m_matrix), proj_t, config.omega_M, config.omega_T)
 
     if verbose:
-        print(f"clustering {len(fused)} fused vectors into K={config.K}")
+        print(f"clustering {fused.shape[0]} fused vectors into K={config.K}")
     centroids = kmeans_train(
         fused, config.K, max_iters=config.kmeans_max_iters, seed=config.seed
     )

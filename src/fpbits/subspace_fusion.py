@@ -3,18 +3,25 @@
 Both descriptor families are projected into low-dimensional principal
 subspaces (one model per family, same target dimension), z-normalized per
 vector, weighted, and concatenated into a single fused vector per minutia.
+An impression travels as matrices, one row per minutia: :func:`project`
+takes an ``(n, dim)`` matrix and :func:`fuse_matrix` returns the
+``(n, 2 * n_p)`` fused matrix. :func:`fuse` and :func:`project` on a single
+vector are the per-minutia reference forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from .errors import LengthMismatch, RankDeficient, TooFewSamples
 
 _RANK_TOL = 1e-10
+# float64 elements of the centred row block :func:`project` forms at a time,
+# so projecting a large training matrix never copies all of it
+_PROJECT_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -101,15 +108,33 @@ def train_pca(samples: Sequence[np.ndarray] | np.ndarray, n_components: int) -> 
         basis = evecs[:, order]
         variance = np.maximum(evals[order], 0.0)
 
-    return PcaModel(mean=mean, basis=_fix_signs(basis), explained_variance=variance)
+    # C order, as a reloaded model has it: the memory layout picks the BLAS
+    # kernel, and a different kernel rounds projections differently
+    basis = np.ascontiguousarray(_fix_signs(basis))
+    return PcaModel(mean=mean, basis=basis, explained_variance=variance)
 
 
-def project(model: PcaModel, vector: np.ndarray) -> np.ndarray:
-    """Center a vector on the model mean and project onto the basis."""
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.shape[0] != model.dim:
-        raise LengthMismatch(f"vector length {v.shape[0]} != model dim {model.dim}")
-    return model.basis.T @ (v - model.mean)
+def project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
+    """Center on the model mean and project onto the basis.
+
+    A vector gives its ``n_components`` coordinates. An ``(n, dim)`` matrix
+    gives ``(n, n_components)``, computed as ``(x - mean) @ basis`` over row
+    blocks so no full-size centred copy is made.
+    """
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.ndim != 2:
+        v = x.ravel()
+        if v.shape[0] != model.dim:
+            raise LengthMismatch(f"vector length {v.shape[0]} != model dim {model.dim}")
+        return model.basis.T @ (v - model.mean)
+    if x.shape[1] != model.dim:
+        raise LengthMismatch(f"vector length {x.shape[1]} != model dim {model.dim}")
+    out = np.empty((x.shape[0], model.n_components), dtype=np.float64)
+    step = max(1, _PROJECT_BLOCK_ELEMENTS // model.dim)
+    for lo in range(0, x.shape[0], step):
+        rows = slice(lo, lo + step)
+        out[rows] = (x[rows] - model.mean) @ model.basis
+    return out
 
 
 def znorm(vector: np.ndarray) -> np.ndarray:
@@ -126,16 +151,18 @@ def znorm(vector: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / std
 
 
+def _znorm_rows(matrix: np.ndarray) -> np.ndarray:
+    """:func:`znorm` applied to every row; a constant row maps to zeros."""
+    centred = matrix - matrix.mean(axis=1, keepdims=True)
+    std = matrix.std(axis=1, keepdims=True)
+    return np.divide(centred, std, out=np.zeros_like(centred), where=std != 0.0)
+
+
 @dataclass
 class FusedVector:
-    """Weighted concatenation of both projected descriptors for one minutia.
-
-    ``source`` optionally records (subject_id, impression_id, minutia_index)
-    so pooled training vectors stay traceable.
-    """
+    """Weighted concatenation of both projected descriptors for one minutia."""
 
     values: np.ndarray
-    source: Optional[Tuple[str, str, int]] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
@@ -149,7 +176,6 @@ def fuse(
     texture_part: np.ndarray,
     weight_m: float = 0.6,
     weight_t: float = 0.4,
-    source: Optional[Tuple[str, str, int]] = None,
 ) -> FusedVector:
     """Fuse the two projected descriptors of one minutia.
 
@@ -163,13 +189,39 @@ def fuse(
         raise LengthMismatch(
             f"projected parts differ in length: {a.shape[0]} vs {b.shape[0]}"
         )
-    return FusedVector(
-        np.concatenate([weight_m * znorm(a), weight_t * znorm(b)]), source=source
-    )
+    return FusedVector(np.concatenate([weight_m * znorm(a), weight_t * znorm(b)]))
 
 
-def stack_fused(vectors: Sequence[FusedVector]) -> np.ndarray:
-    """Stack fused vectors into an (n, dim) matrix (empty -> (0, 0))."""
-    if len(vectors) == 0:
+def fuse_matrix(
+    minutia_part: np.ndarray,
+    texture_part: np.ndarray,
+    weight_m: float = 0.6,
+    weight_t: float = 0.4,
+) -> np.ndarray:
+    """Fuse the projected descriptors of a whole impression, row by row.
+
+    Row ``i`` is :func:`fuse` of row ``i`` of both ``(n, n_p)`` parts.
+    """
+    a = np.asarray(minutia_part, dtype=np.float64)
+    b = np.asarray(texture_part, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise LengthMismatch(
+            f"projected parts must be matrices of one shape: {a.shape} vs {b.shape}"
+        )
+    if a.shape[1] < 2:
+        raise LengthMismatch(f"z-normalization needs length >= 2, got {a.shape[1]}")
+    return np.concatenate([weight_m * _znorm_rows(a), weight_t * _znorm_rows(b)], axis=1)
+
+
+def stack_fused(vectors: Sequence[FusedVector] | np.ndarray) -> np.ndarray:
+    """Fused vectors as an (n, dim) float matrix.
+
+    An array passes through (as float64); a sequence of :class:`FusedVector`
+    is stacked, the empty sequence giving shape (0, 0).
+    """
+    if isinstance(vectors, np.ndarray):
+        return np.asarray(vectors, dtype=np.float64)
+    vectors = list(vectors)
+    if not vectors:
         return np.zeros((0, 0), dtype=np.float64)
     return np.stack([fv.values for fv in vectors])

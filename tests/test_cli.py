@@ -176,6 +176,16 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_invalid_config_value_exits_2_with_one_line(tmp_path, capsys):
+    assert main(["train", "--dataset", str(tmp_path),
+                 "--out", str(tmp_path / "m.fpbm"),
+                 "--set", "r_m=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "r_m" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "m.fpbm").exists()
+
+
 def test_bad_config_override(tmp_path, capsys):
     assert main(["train", "--dataset", str(tmp_path),
                  "--out", str(tmp_path / "m.fpbm"),

@@ -235,6 +235,23 @@ def test_encode_exhaustive_oracle_both_modes():
                 assert np.array_equal(got.bits, encode_oracle(x, cb, gate))
 
 
+def test_encode_best_only_ties_nominate_smaller_index():
+    # the query at 0 sits exactly between centroid pairs, so adjusted
+    # distances tie in pairs: (0, 1) at 0.5 and (2, 3) at 1.5
+    centroids = [[1.0], [-1.0], [2.0], [-2.0], [9.0]]
+    x = np.zeros((1, 1))
+    for top_t in (1, 2, 3, 5):
+        for tau_s in (0.0, 1.0):  # rank-1 gate shut, then open
+            cb = make_codebook(centroids, [0.5] * 5, tau_s=tau_s, top_t=top_t)
+            got = encode_bitstring(x, cb, gate_mode=GATE_BEST_ONLY)
+            assert np.array_equal(got.bits, encode_oracle(x, cb, GATE_BEST_ONLY))
+    cb = make_codebook(centroids, [0.5] * 5, tau_s=0.0, top_t=3)
+    # rank 1 (cluster 0) fails the gate; ranks 2 and 3 are set outright
+    assert encode_bitstring(x, cb, GATE_BEST_ONLY).bits.tolist() == [
+        False, True, True, False, False
+    ]
+
+
 def test_encode_gate_blocks_distant_vectors():
     cb = make_codebook([[0.0], [10.0]], [0.5, 0.5], tau_s=-0.05, top_t=2)
     out = encode_bitstring(np.array([[5.0]]), cb)

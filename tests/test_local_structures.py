@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fpbits.local_structures as local_structures
 from fpbits.local_structures import (
     SpreadModel,
     StructureGeometry,
@@ -14,7 +15,9 @@ from fpbits.local_structures import (
     gaussian_response,
     local_frame,
     mbls_distance,
+    mbls_matrix,
     normalize_image,
+    tbls_matrix,
 )
 from fpbits.template_io import GrayImage, Minutia
 
@@ -312,3 +315,164 @@ def test_extract_tbls_fill_outside():
     out = extract_tbls(ref, img, geom, fill=0.0)
     assert (out == 0.0).sum() > 0
     assert (out == 1.0).sum() > 0
+
+
+def bilinear_point(img, x, y, fill):
+    """Scalar bilinear interpolation, one point at a time."""
+    h, w = img.shape
+    if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
+        return fill
+    x0 = min(int(math.floor(x)), max(w - 2, 0))
+    y0 = min(int(math.floor(y)), max(h - 2, 0))
+    x1 = min(x0 + 1, w - 1)
+    y1 = min(y0 + 1, h - 1)
+    tx, ty = x - x0, y - y0
+    return (
+        img[y0, x0] * (1.0 - tx) * (1.0 - ty)
+        + img[y0, x1] * tx * (1.0 - ty)
+        + img[y1, x0] * (1.0 - tx) * ty
+        + img[y1, x1] * tx * ty
+    )
+
+
+@pytest.mark.parametrize("shape", [(9, 13), (1, 7), (6, 1), (1, 1)])
+def test_bilinear_sample_matches_scalar_oracle(shape):
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    img = rng.normal(size=shape)
+    h, w = shape
+    xs = rng.uniform(-1.5, w + 0.5, size=(4, 25))
+    ys = rng.uniform(-1.5, h + 0.5, size=(4, 25))
+    xs[0, :4] = [0.0, w - 1, 0.0, w - 1]  # the grid's corners exactly
+    ys[0, :4] = [0.0, 0.0, h - 1, h - 1]
+    xs[1, :3] = [np.nan, np.inf, 0.0]  # non-finite coordinates are off-grid
+    ys[1, :3] = [0.0, 0.0, -np.inf]
+    got = bilinear_sample(img, xs, ys, fill=-3.0)
+    want = np.array(
+        [bilinear_point(img, x, y, -3.0) for x, y in zip(xs.ravel(), ys.ravel())]
+    ).reshape(xs.shape)
+    assert got.shape == xs.shape
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# whole-impression matrices against the per-minutia oracles
+# ---------------------------------------------------------------------------
+
+# mbls_matrix expands each bump's exponent into monomials, which rounds
+# differently from gaussian_response. The exponent's terms reach
+# r_m^2 / (2 sigma_r0^2) (about 356 at the defaults), so the error is about
+# float64 eps times that, 8e-14; the bound leaves room for the few roundings
+# per term.
+MBLS_TOL = 1e-12
+
+
+def mbls_oracle(minutiae, geom, spread):
+    return np.array(
+        [build_mbls(m, minutiae, geom, spread) for m in minutiae]
+    ).reshape(len(minutiae), geom.n_m)
+
+
+def tbls_oracle(minutiae, img, geom, fill=0.0):
+    return np.array(
+        [extract_tbls(m, img, geom, fill) for m in minutiae]
+    ).reshape(len(minutiae), geom.n_t)
+
+
+def random_minutiae(rng, n, lo, hi):
+    return [
+        Minutia(float(x), float(y), float(t))
+        for x, y, t in zip(
+            rng.uniform(lo, hi, n), rng.uniform(lo, hi, n), rng.uniform(0, 2 * math.pi, n)
+        )
+    ]
+
+
+def default_geometry():
+    return StructureGeometry.create(r_m=80.0, r_t=40.0, downscale_area=10.0)
+
+
+def test_mbls_matrix_matches_build_mbls_at_defaults():
+    rng = np.random.default_rng(41)
+    geom, spread = default_geometry(), SpreadModel()
+    for n in (2, 5, 40):
+        minutiae = random_minutiae(rng, n, 0.0, 256.0)
+        got = mbls_matrix(minutiae, geom, spread)
+        assert got.shape == (n, geom.n_m)
+        assert np.max(np.abs(got - mbls_oracle(minutiae, geom, spread))) <= MBLS_TOL
+
+
+def test_mbls_matrix_blocks_split_references(monkeypatch):
+    # three pairs per block, so most references straddle a block boundary
+    rng = np.random.default_rng(43)
+    geom, spread = small_geometry(), SpreadModel()
+    minutiae = random_minutiae(rng, 12, 30.0, 70.0)
+    whole = mbls_matrix(minutiae, geom, spread)
+    monkeypatch.setattr(local_structures, "_MBLS_BLOCK_ELEMENTS", 3 * geom.n_m)
+    blocked = mbls_matrix(minutiae, geom, spread)
+    assert np.max(np.abs(blocked - whole)) <= MBLS_TOL
+    assert np.max(np.abs(blocked - mbls_oracle(minutiae, geom, spread))) <= MBLS_TOL
+
+
+def test_mbls_matrix_edge_cases():
+    geom, spread = small_geometry(), SpreadModel()
+    assert mbls_matrix([], geom, spread).shape == (0, geom.n_m)
+    single = mbls_matrix([Minutia(50.0, 50.0, 0.3)], geom, spread)
+    assert single.shape == (1, geom.n_m) and not single.any()
+
+    # nobody within r_m of anybody: all rows zero, like the oracle
+    apart = [Minutia(0.0, 0.0, 0.0), Minutia(100.0, 0.0, 1.0), Minutia(0.0, 100.0, 2.0)]
+    assert not mbls_matrix(apart, geom, spread).any()
+
+    # one isolated minutia among neighbors keeps a zero row
+    mixed = [Minutia(50.0, 50.0, 0.0), Minutia(60.0, 52.0, 1.0), Minutia(200.0, 200.0, 2.0)]
+    got = mbls_matrix(mixed, geom, spread)
+    assert got[:2].any() and not got[2].any()
+    assert np.max(np.abs(got - mbls_oracle(mixed, geom, spread))) <= MBLS_TOL
+
+    # two distinct minutiae at one position see each other at distance 0
+    twins = [Minutia(50.0, 50.0, 0.0), Minutia(50.0, 50.0, 1.0), Minutia(58.0, 47.0, 2.5)]
+    got = mbls_matrix(twins, geom, spread)
+    assert got.all(axis=1).any()
+    assert np.max(np.abs(got - mbls_oracle(twins, geom, spread))) <= MBLS_TOL
+
+
+def test_mbls_matrix_dense_template_within_tolerance():
+    # 100 minutiae packed into one disc: every pair is in range
+    rng = np.random.default_rng(47)
+    geom, spread = default_geometry(), SpreadModel()
+    minutiae = random_minutiae(rng, 100, 100.0, 150.0)
+    got = mbls_matrix(minutiae, geom, spread)
+    assert np.max(np.abs(got - mbls_oracle(minutiae, geom, spread))) <= MBLS_TOL
+    assert np.allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
+
+
+def test_tbls_matrix_equals_extract_tbls_exactly():
+    rng = np.random.default_rng(53)
+    geom = default_geometry()
+    img = normalize_image(GrayImage(rng.integers(0, 256, size=(120, 150), dtype=np.uint8)))
+    # inside, straddling every border, on the border lines, and off the image
+    minutiae = random_minutiae(rng, 30, -20.0, 160.0) + [
+        Minutia(0.0, 0.0, 0.0),
+        Minutia(149.0, 119.0, 1.0),
+        Minutia(0.0, 60.0, math.pi / 2),
+        Minutia(149.0, 0.0, math.pi),
+        Minutia(-500.0, 40.0, 0.7),
+    ]
+    for fill in (0.0, -2.0):
+        got = tbls_matrix(minutiae, img, geom, fill)
+        assert got.shape == (len(minutiae), geom.n_t)
+        assert np.array_equal(got, tbls_oracle(minutiae, img, geom, fill))
+    assert (got[-1] == -2.0).all()
+
+
+def test_tbls_matrix_edge_cases(monkeypatch):
+    geom = small_geometry()
+    img = np.arange(40.0).reshape(40, 1)  # one pixel wide
+    assert tbls_matrix([], img, geom).shape == (0, geom.n_t)
+    minutiae = [Minutia(0.0, 10.0, 0.0), Minutia(0.0, 20.0, math.pi / 2), Minutia(0.0, 39.0, 1.0)]
+    want = tbls_oracle(minutiae, img, geom)
+    assert np.array_equal(tbls_matrix(minutiae, img, geom), want)
+    assert np.array_equal(tbls_matrix(minutiae[:1], img, geom), want[:1])
+    # one row per block gives the same rows
+    monkeypatch.setattr(local_structures, "_TBLS_BLOCK_ELEMENTS", 1)
+    assert np.array_equal(tbls_matrix(minutiae, img, geom), want)

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import fpbits.subspace_fusion as subspace_fusion
 from fpbits.errors import LengthMismatch, RankDeficient, TooFewSamples
 from fpbits.subspace_fusion import (
     FusedVector,
     PcaModel,
     fuse,
+    fuse_matrix,
     project,
     stack_fused,
     train_pca,
@@ -151,11 +153,10 @@ def test_fuse_layout_and_weights():
     rng = np.random.default_rng(79)
     a = rng.normal(size=10)
     b = rng.normal(size=10)
-    fused = fuse(a, b, 0.6, 0.4, source=("s1", "01", 4))
+    fused = fuse(a, b, 0.6, 0.4)
     assert len(fused) == 20
     assert np.allclose(fused.values[:10], 0.6 * znorm(a), rtol=1e-12)
     assert np.allclose(fused.values[10:], 0.4 * znorm(b), rtol=1e-12)
-    assert fused.source == ("s1", "01", 4)
 
 
 def test_fuse_length_mismatch():
@@ -168,3 +169,63 @@ def test_stack_fused():
     m = stack_fused(vs)
     assert m.shape == (2, 4)
     assert stack_fused([]).shape == (0, 0)
+    ints = np.arange(6).reshape(3, 2)
+    passed = stack_fused(ints)
+    assert passed.dtype == np.float64 and np.array_equal(passed, ints)
+
+
+# ---------------------------------------------------------------------------
+# whole-impression matrices against the per-vector oracles
+# ---------------------------------------------------------------------------
+
+def projection_tol(x, model):
+    # a dot product of length dim summed in another order: dim * eps per
+    # unit of |x - mean| (the basis columns have unit norm)
+    scale = np.abs(np.asarray(x) - model.mean).sum(axis=-1).max()
+    return model.dim * np.finfo(np.float64).eps * scale
+
+
+@pytest.mark.parametrize("n_samples", [12, 80])  # Gram and covariance branches
+def test_basis_is_c_contiguous(n_samples):
+    rng = np.random.default_rng(83)
+    model = train_pca(rng.normal(size=(n_samples, 30)), 5)
+    assert model.basis.flags.c_contiguous
+
+
+def test_project_matrix_matches_rows(monkeypatch):
+    rng = np.random.default_rng(89)
+    model = train_pca(rng.normal(size=(60, 9)), 4)
+    x = rng.normal(loc=2.0, size=(25, 9))
+    want = np.array([project(model, row) for row in x])
+    got = project(model, x)
+    assert got.shape == (25, 4)
+    assert np.max(np.abs(got - want)) <= projection_tol(x, model)
+    # row blocks of 2 give the same coordinates
+    monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", 2 * 9)
+    assert np.max(np.abs(project(model, x) - want)) <= projection_tol(x, model)
+    assert project(model, np.zeros((0, 9))).shape == (0, 4)
+    with pytest.raises(LengthMismatch):
+        project(model, np.zeros((3, 8)))
+
+
+def test_fuse_matrix_matches_fuse_rows():
+    rng = np.random.default_rng(97)
+    a = rng.normal(size=(15, 6))
+    b = rng.normal(scale=3.0, size=(15, 6))
+    a[4] = 2.5  # constant rows map to zeros, as znorm does
+    b[7] = 0.0
+    got = fuse_matrix(a, b, 0.6, 0.4)
+    want = np.array([fuse(ra, rb, 0.6, 0.4).values for ra, rb in zip(a, b)])
+    assert got.shape == (15, 12)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+    assert not got[4, :6].any() and not got[7, 6:].any()
+    assert fuse_matrix(np.zeros((0, 6)), np.zeros((0, 6))).shape == (0, 12)
+
+
+def test_fuse_matrix_shape_errors():
+    with pytest.raises(LengthMismatch):
+        fuse_matrix(np.zeros((3, 5)), np.zeros((3, 6)))
+    with pytest.raises(LengthMismatch):
+        fuse_matrix(np.zeros((3, 5)), np.zeros((2, 5)))
+    with pytest.raises(LengthMismatch):
+        fuse_matrix(np.zeros((3, 1)), np.zeros((3, 1)))
