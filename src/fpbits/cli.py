@@ -18,6 +18,7 @@ nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -158,23 +159,20 @@ def cmd_encode(args) -> int:
 def cmd_enroll(args) -> int:
     model = load_model_file(args.model)
     if args.enroll_size is not None:
-        model.config.enroll_size = args.enroll_size
+        # replace() validates the new value as the config file's would be
+        model.config = dataclasses.replace(model.config, enroll_size=args.enroll_size)
     items = load_dataset(args.dataset)
     encoded = pipeline.encode_dataset(items, model)
-
-    by_subject: Dict[str, List[Tuple[str, str]]] = {}
-    for key in sorted(encoded.keys()):
-        by_subject.setdefault(key[0], []).append(key)
+    split = pipeline._split_keys(encoded, model.config.enroll_size)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for sid, keys in sorted(by_subject.items()):
-        enroll_keys = keys[: model.config.enroll_size]
+    for sid, (enroll_keys, _) in sorted(split.items()):
         finger, reference = pipeline.enroll_subject(
             [encoded[k] for k in enroll_keys], model
         )
         path = os.path.join(args.out_dir, f"{sid}.fpfm")
         write_file_atomic(path, save_finger(finger, reference))
-    print(f"enrolled {len(by_subject)} fingers under {args.out_dir}")
+    print(f"enrolled {len(split)} fingers under {args.out_dir}")
     return 0
 
 

@@ -14,9 +14,12 @@ Writing the same artifact twice produces the same bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
+import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -47,6 +50,19 @@ class PipelineModel:
     codebook: Codebook
 
 
+def geometry_from_config(config: PipelineConfig) -> StructureGeometry:
+    return StructureGeometry.create(config.r_m, config.r_t, config.downscale_area)
+
+
+def spread_from_config(config: PipelineConfig) -> SpreadModel:
+    return SpreadModel(
+        sigma_t0=config.sigma_t0,
+        sigma_t_slope=config.sigma_t_slope,
+        sigma_r0=config.sigma_r0,
+        sigma_r_slope=config.sigma_r_slope,
+    )
+
+
 # ---------------------------------------------------------------------------
 # generic container
 # ---------------------------------------------------------------------------
@@ -70,7 +86,37 @@ def _pack(magic: bytes, meta: dict, arrays: List[Tuple[str, np.ndarray, str]]) -
     return bytes(out)
 
 
-def _unpack(magic: bytes, data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
+def _check_meta(meta: dict, schema: Dict[str, type]) -> None:
+    """Every schema key present with its type; a float must be finite."""
+    for key, kind in schema.items():
+        value = meta.get(key)
+        # JSON true/false load as bool, a subclass of int: only accept it
+        # where a bool is asked for. The bound rejects NaN, infinities and
+        # integers too large for a float.
+        if kind is float:
+            ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        else:
+            ok = type(value) is kind
+        if not ok:
+            raise MalformedHeader(
+                f"header field {key!r} must be a {kind.__name__}, got {value!r}"
+            )
+
+
+def _unpack(
+    magic: bytes,
+    data: bytes,
+    meta_schema: Dict[str, type],
+    array_schema: Dict[str, Tuple[str, Tuple]],
+    optional: Tuple[str, ...] = (),
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Parse a container and check its header against a schema.
+
+    ``array_schema`` maps each array name to its dtype code and shape. A
+    shape entry is an int, or a name that binds to the first size seen for
+    it and must repeat wherever else it appears. Every array is required
+    except those in ``optional``, and no other may appear.
+    """
     if len(data) < 4 or data[:4] != magic:
         raise BadMagic(f"expected magic {magic!r}, got {data[:4]!r}")
     if len(data) < 12:
@@ -83,31 +129,79 @@ def _unpack(magic: bytes, data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
         raise TruncatedRecord("container JSON header truncated")
     try:
         header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and integers past Python's
+    # digit limit; RecursionError covers absurdly deep nesting
+    except (ValueError, RecursionError) as exc:
         raise MalformedHeader(f"container header is not valid JSON: {exc}") from None
+    if (
+        not isinstance(header, dict)
+        or not isinstance(header.get("meta"), dict)
+        or not isinstance(header.get("arrays"), list)
+    ):
+        raise MalformedHeader("container header needs a 'meta' object and an 'arrays' list")
+    meta = header["meta"]
+    _check_meta(meta, meta_schema)
 
     arrays: Dict[str, np.ndarray] = {}
+    sizes: Dict[str, int] = {}
     pos = 12 + hlen
-    for spec in header.get("arrays", []):
-        code = spec["dtype"]
-        if code not in _DTYPES:
-            raise MalformedHeader(f"unknown array dtype {code!r}")
+    for spec in header["arrays"]:
+        name = spec.get("name") if isinstance(spec, dict) else None
+        if name not in array_schema or name in arrays:
+            raise MalformedHeader(f"unexpected or repeated array {name!r}")
+        code, dims = array_schema[name]
+        shape = spec.get("shape")
+        if (
+            spec.get("dtype") != code
+            or not isinstance(shape, list)
+            or len(shape) != len(dims)
+            or any(type(n) is not int or n < 0 for n in shape)
+        ):
+            raise MalformedHeader(
+                f"array {name!r} must be {code} of rank {len(dims)}, got "
+                f"{spec.get('dtype')!r} {shape!r}"
+            )
+        for dim, n in zip(dims, shape):
+            expected = sizes.setdefault(dim, n) if isinstance(dim, str) else dim
+            if n != expected:
+                raise MalformedHeader(f"array {name!r} has shape {shape}, expected {dims}")
         dtype = np.dtype(_DTYPES[code])
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        nbytes = count * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if pos + nbytes > len(data):
-            raise TruncatedRecord(f"array {spec['name']!r} truncated")
-        arr = np.frombuffer(data[pos : pos + nbytes], dtype=dtype).reshape(spec["shape"])
-        arrays[spec["name"]] = arr.copy()
+            raise TruncatedRecord(f"array {name!r} truncated")
+        arr = np.frombuffer(data[pos : pos + nbytes], dtype=dtype).reshape(shape)
+        arrays[name] = arr.copy()
         pos += nbytes
-    return header["meta"], arrays
+    missing = set(array_schema) - set(optional) - set(arrays)
+    if missing:
+        raise MalformedHeader(f"container lacks arrays {sorted(missing)}")
+    if pos != len(data):
+        raise MalformedHeader(f"{len(data) - pos} bytes follow the last array")
+    return meta, arrays
 
 
 def write_file_atomic(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Replace ``path`` with ``data`` so a reader sees the old or the new file.
+
+    The bytes go to a unique temporary file in the same directory, reach
+    the disk (fsync), and are then renamed over ``path``. On any failure the
+    temporary file is removed and ``path`` is left as it was.
+    """
+    directory, base = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -143,41 +237,67 @@ def save_model(model: PipelineModel) -> bytes:
     return _pack(MODEL_MAGIC, meta, arrays)
 
 
+_MODEL_META = {
+    "kind": str,
+    "config": str,
+    "tau_s": float,
+    "top_t": int,
+    "n_boundary": int,
+    "has_global_mean": bool,
+}
+# n_m / n_t: lattice points per family, p: components kept, K: clusters
+_MODEL_ARRAYS = {
+    "lattice_m": ("i8", ("n_m", 2)),
+    "lattice_t": ("i8", ("n_t", 2)),
+    "pca_m_mean": ("f8", ("n_m",)),
+    "pca_m_basis": ("f8", ("n_m", "p")),
+    "pca_m_variance": ("f8", ("p",)),
+    "pca_t_mean": ("f8", ("n_t",)),
+    "pca_t_basis": ("f8", ("n_t", "p")),
+    "pca_t_variance": ("f8", ("p",)),
+    "centroids": ("f8", ("K", "fused")),
+    "radii": ("f8", ("K",)),
+    "cardinalities": ("i8", ("K",)),
+    "weights": ("f8", ("K",)),
+    "global_mean": ("f8", ("K",)),
+}
+
+
 def load_model(data: bytes) -> PipelineModel:
-    meta, arrays = _unpack(MODEL_MAGIC, data)
-    if meta.get("kind") != "pipeline-model":
-        raise MalformedHeader(f"not a pipeline model container: {meta.get('kind')!r}")
+    meta, arrays = _unpack(
+        MODEL_MAGIC, data, _MODEL_META, _MODEL_ARRAYS, optional=("global_mean",)
+    )
+    if meta["kind"] != "pipeline-model":
+        raise MalformedHeader(f"not a pipeline model container: {meta['kind']!r}")
+    if meta["has_global_mean"] != ("global_mean" in arrays):
+        raise MalformedHeader("has_global_mean disagrees with the arrays present")
+    if meta["top_t"] < 1 or meta["n_boundary"] < 1:
+        raise MalformedHeader("top_t and n_boundary must be >= 1")
     config = parse_config(meta["config"])
-    geometry = StructureGeometry(
-        r_m=config.r_m,
-        r_t=config.r_t,
-        downscale_area=config.downscale_area,
-        lattice_m=arrays["lattice_m"],
-        lattice_t=arrays["lattice_t"],
-    )
-    spread = SpreadModel(
-        sigma_t0=config.sigma_t0,
-        sigma_t_slope=config.sigma_t_slope,
-        sigma_r0=config.sigma_r0,
-        sigma_r_slope=config.sigma_r_slope,
-    )
+    geometry = geometry_from_config(config)
+    basis_m, centroids = arrays["pca_m_basis"], arrays["centroids"]
+    if (
+        not np.array_equal(arrays["lattice_m"], geometry.lattice_m)
+        or not np.array_equal(arrays["lattice_t"], geometry.lattice_t)
+        or basis_m.shape[1] != config.n_p
+        or centroids.shape != (config.K, 2 * config.n_p)
+    ):
+        raise MalformedHeader("model arrays disagree with the model's config")
     codebook = Codebook(
-        centroids=arrays["centroids"],
+        centroids=centroids,
         radii=arrays["radii"],
         cardinalities=arrays["cardinalities"],
         weights=arrays["weights"],
         tau_s=float(meta["tau_s"]),
-        top_t=int(meta["top_t"]),
-        n_boundary=int(meta["n_boundary"]),
+        top_t=meta["top_t"],
+        n_boundary=meta["n_boundary"],
         global_mean=arrays.get("global_mean"),
     )
     return PipelineModel(
         config=config,
         geometry=geometry,
-        spread=spread,
-        pca_m=PcaModel(
-            arrays["pca_m_mean"], arrays["pca_m_basis"], arrays["pca_m_variance"]
-        ),
+        spread=spread_from_config(config),
+        pca_m=PcaModel(arrays["pca_m_mean"], basis_m, arrays["pca_m_variance"]),
         pca_t=PcaModel(
             arrays["pca_t_mean"], arrays["pca_t_basis"], arrays["pca_t_variance"]
         ),
@@ -218,12 +338,18 @@ def load_bitstring(data: bytes) -> BitString:
         raise UnsupportedVersion(f"bit-string version {version} not supported")
     template_length = int.from_bytes(data[8:12], "little")
     fold_length = int.from_bytes(data[12:16], "little")
+    if fold_length > template_length:
+        raise MalformedHeader(
+            f"fold length {fold_length} exceeds template length {template_length}"
+        )
     nbytes = (fold_length + 7) // 8
     raw = data[16 : 16 + nbytes]
     if len(raw) < nbytes:
         raise TruncatedRecord(
             f"bit-string payload holds {len(raw)} bytes, needs {nbytes}"
         )
+    if len(data) > 16 + nbytes:
+        raise MalformedHeader(f"{len(data) - 16 - nbytes} bytes follow the payload")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:fold_length].astype(bool)
     return BitString(bits, template_length=template_length)
 
@@ -250,12 +376,34 @@ def save_finger(model: FingerModel, enrolled: BitString) -> bytes:
     return _pack(FINGER_MAGIC, meta, arrays)
 
 
+_FINGER_META = {
+    "kind": str,
+    "finger_id": str,
+    "n_mean": float,
+    "alpha": float,
+    "beta": float,
+    "template_length": int,
+}
+# K: bit positions
+_FINGER_ARRAYS = {
+    "power": ("f8", ("K",)),
+    "reliability": ("f8", ("K",)),
+    "mask": ("u1", ("K",)),
+    "enrolled": ("u1", ("K",)),
+}
+
+
 def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
-    meta, arrays = _unpack(FINGER_MAGIC, data)
-    if meta.get("kind") != "finger-model":
-        raise MalformedHeader(f"not a finger model container: {meta.get('kind')!r}")
+    meta, arrays = _unpack(FINGER_MAGIC, data, _FINGER_META, _FINGER_ARRAYS)
+    if meta["kind"] != "finger-model":
+        raise MalformedHeader(f"not a finger model container: {meta['kind']!r}")
+    if meta["template_length"] < len(arrays["enrolled"]):
+        raise MalformedHeader(
+            f"template length {meta['template_length']} is below the enrolled "
+            f"string's {len(arrays['enrolled'])} bits"
+        )
     model = FingerModel(
-        finger_id=str(meta["finger_id"]),
+        finger_id=meta["finger_id"],
         power=arrays["power"],
         reliability=arrays["reliability"],
         mask=arrays["mask"].astype(bool),
@@ -264,7 +412,6 @@ def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
         beta=float(meta["beta"]),
     )
     enrolled = BitString(
-        arrays["enrolled"].astype(bool),
-        template_length=int(meta["template_length"]),
+        arrays["enrolled"].astype(bool), template_length=meta["template_length"]
     )
     return model, enrolled

@@ -48,7 +48,11 @@ from .matching import (
     lgs_score,
     masked_score,
 )
-from .model_store import PipelineModel
+from .model_store import (
+    PipelineModel,
+    geometry_from_config,
+    spread_from_config,
+)
 from .protocol import (
     POLARITY_DISSIMILARITY,
     POLARITY_SIMILARITY,
@@ -64,19 +68,6 @@ DatasetDict = Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]]
 
 _STREAM_PCA_SUBSAMPLE = 101
 _STREAM_AUGMENT = 102
-
-
-def geometry_from_config(config: PipelineConfig) -> StructureGeometry:
-    return StructureGeometry.create(config.r_m, config.r_t, config.downscale_area)
-
-
-def spread_from_config(config: PipelineConfig) -> SpreadModel:
-    return SpreadModel(
-        sigma_t0=config.sigma_t0,
-        sigma_t_slope=config.sigma_t_slope,
-        sigma_r0=config.sigma_r0,
-        sigma_r_slope=config.sigma_r_slope,
-    )
 
 
 def raw_structures(

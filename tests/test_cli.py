@@ -186,6 +186,16 @@ def test_invalid_config_value_exits_2_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "m.fpbm").exists()
 
 
+def test_enroll_size_zero_exits_2_with_one_line(workdir, tmp_path, capsys):
+    out_dir = tmp_path / "fingers"
+    assert main(["enroll", "--dataset", workdir["data"], "--model", workdir["model"],
+                 "--out-dir", str(out_dir), "--enroll-size", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "enroll_size" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_bad_config_override(tmp_path, capsys):
     assert main(["train", "--dataset", str(tmp_path),
                  "--out", str(tmp_path / "m.fpbm"),

@@ -1,5 +1,6 @@
 """Binary artifact containers: byte determinism, round-trips, corruption."""
 
+import json
 import os
 
 import numpy as np
@@ -8,8 +9,14 @@ import pytest
 from fpbits.bit_training import FingerModel
 from fpbits.codebook import BitString
 from fpbits.config import PipelineConfig, serialize_config
-from fpbits.errors import BadMagic, MalformedHeader, TruncatedRecord, UnsupportedVersion
-from fpbits.matching import fold_compress
+from fpbits.errors import (
+    BadMagic,
+    FpbitsError,
+    MalformedHeader,
+    TruncatedRecord,
+    UnsupportedVersion,
+)
+from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.model_store import (
     load_bitstring,
     load_finger,
@@ -154,3 +161,170 @@ def test_write_file_atomic_replaces(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read() == b"second"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_write_file_atomic_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "out.bin")
+    write_file_atomic(path, b"first")
+
+    def broken_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", broken_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        write_file_atomic(path, b"second, never durable")
+    with open(path, "rb") as fh:
+        assert fh.read() == b"first"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_write_file_atomic_mode_follows_umask(tmp_path):
+    path = str(tmp_path / "out.bin")
+    old = os.umask(0o027)
+    try:
+        write_file_atomic(path, b"data")
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o640
+
+
+# ---------------------------------------------------------------------------
+# header schema checks
+# ---------------------------------------------------------------------------
+
+def _finger(k=8, power_len=None):
+    rng = np.random.default_rng(223)
+    finger = FingerModel(
+        finger_id="s001",
+        power=rng.uniform(0, 2, power_len or k),
+        reliability=rng.uniform(0, 1, k),
+        mask=rng.random(k) < 0.5,
+        n_mean=20.0,
+    )
+    return finger, BitString(rng.random(k) < 0.5)
+
+
+def _repack(blob, magic, edit):
+    """Re-pack a container after ``edit(header)`` changed its JSON header."""
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + hlen])
+    edit(header)
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return magic + blob[4:8] + len(hjson).to_bytes(4, "little") + hjson + blob[12 + hlen :]
+
+
+def test_finger_array_lengths_must_agree():
+    finger, enrolled = _finger(k=8, power_len=9)
+    with pytest.raises(MalformedHeader):
+        load_finger(save_finger(finger, enrolled))
+
+
+def test_finger_template_length_not_below_string():
+    finger, enrolled = _finger()
+    blob = _repack(save_finger(finger, enrolled), b"FPFM",
+                   lambda h: h["meta"].update(template_length=7))
+    with pytest.raises(MalformedHeader):
+        load_finger(blob)
+
+
+def test_bitstring_fold_length_above_template_length():
+    blob = bytearray(save_bitstring(BitString(np.ones(10, dtype=bool))))
+    blob[8:12] = (9).to_bytes(4, "little")  # template length 9 < 10 bits
+    with pytest.raises(MalformedHeader):
+        load_bitstring(bytes(blob))
+
+
+@pytest.mark.parametrize("loader, blob", [
+    (load_bitstring, save_bitstring(BitString(np.ones(10, dtype=bool)))),
+    (load_finger, save_finger(*_finger())),
+], ids=["fpbs", "fpfm"])
+def test_trailing_bytes_rejected(loader, blob):
+    loader(blob)
+    with pytest.raises(MalformedHeader):
+        loader(blob + b"\0")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["meta"].pop("top_t"),
+    lambda h: h["meta"].update(top_t=True),
+    lambda h: h["meta"].update(tau_s="x"),
+    lambda h: h["meta"].update(has_global_mean=False),
+    lambda h: h["meta"].update(config="r_m = 81\n"),  # lattice from r_m = 81
+    lambda h: h.update(meta=[]),
+    lambda h: h["arrays"].append(h["arrays"][0]),
+    lambda h: h["arrays"][0].update(name="lattice_q"),
+    lambda h: h["arrays"][0].update(dtype="f8"),
+    lambda h: h["arrays"][0].update(shape=[-1, 2]),
+    lambda h: h["arrays"][0].update(shape=[2.5, 2]),
+])
+def test_model_header_schema(edit):
+    _, model = tiny_model()
+    blob = save_model(model)
+    with pytest.raises(MalformedHeader):
+        load_model(_repack(blob, b"FPBM", edit))
+
+
+@pytest.mark.parametrize("header", [
+    b'{"meta":{},"arrays":[],"x":' + b"9" * 5000 + b"}",  # past the digit limit
+    b"[" * 100000 + b"]" * 100000,  # past the recursion limit
+    b'{"meta":{"kind":"finger-model","finger_id":"x","n_mean":1' + b"0" * 400
+    + b',"alpha":0.4,"beta":0.4,"template_length":1},"arrays":[]}',  # > float max
+], ids=["long-int", "deep", "huge-float-field"])
+def test_crafted_headers_rejected(header):
+    blob = b"FPFM" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header
+    with pytest.raises(MalformedHeader):
+        load_finger(blob)
+
+
+# ---------------------------------------------------------------------------
+# header fuzzing: every mutated container is loaded or rejected with a typed
+# error (criterion 13's bar, applied to the binary containers)
+# ---------------------------------------------------------------------------
+
+def _fuzz_model():
+    params = SynthParams(n_subjects=3, n_impressions=3, width=96, height=96,
+                         n_minutiae=10, seed=5)
+    items = synth_dataset(params)
+    config = PipelineConfig(r_m=30.0, r_t=10.0, K=8, n_p=4, N_c=10, seed=1)
+    return items, train_model(items, config)
+
+
+def _fuzz(blob, header_end, load, use, seed):
+    """3000 loads of ``blob`` with 1-3 random bytes of its header replaced."""
+    rng = np.random.default_rng(seed)
+    crashes = []
+    loaded = 0
+    for _ in range(3000):
+        out = bytearray(blob)
+        for _ in range(int(rng.integers(1, 4))):
+            out[int(rng.integers(header_end))] = int(rng.integers(256))
+        try:
+            result = load(bytes(out))
+        except FpbitsError:
+            continue
+        except Exception as exc:  # anything untyped is a crash
+            crashes.append(f"{type(exc).__name__}: {exc}")
+            continue
+        loaded += 1
+        use(result)  # what loads must also work
+    assert not crashes, f"{len(crashes)} untyped, first: {crashes[0]}"
+    return loaded
+
+
+def test_fuzz_model_headers():
+    items, model = _fuzz_model()
+    blob = save_model(model)
+    template, image = items[sorted(items)[0]]
+    _fuzz(blob, 12 + int.from_bytes(blob[8:12], "little"), load_model,
+          lambda m: encode_impression(template, image, m), seed=1301)
+
+
+def test_fuzz_finger_headers():
+    blob = save_finger(*_finger())
+    _fuzz(blob, 12 + int.from_bytes(blob[8:12], "little"), load_finger,
+          lambda fe: masked_score(fe[1], fe[1], fe[0]), seed=1302)
+
+
+def test_fuzz_bitstring_headers():
+    blob = save_bitstring(fold_compress(BitString(np.ones(20, dtype=bool)), 11))
+    _fuzz(blob, 16, load_bitstring, lambda bs: intersection_score(bs, bs), seed=1303)

@@ -175,6 +175,120 @@ def test_stack_fused():
 
 
 # ---------------------------------------------------------------------------
+# truncated (Lanczos) eigensolver against the full dense eigh
+# ---------------------------------------------------------------------------
+
+def dense_pca(x, k):
+    """train_pca's variances and sign-fixed basis from the full ``eigh``."""
+    n, dim = x.shape
+    xc = x - x.mean(axis=0)
+    if n < dim:
+        evals, evecs = np.linalg.eigh(xc @ xc.T)
+        variance = evals[::-1][:k] / (n - 1)
+        basis = xc.T @ evecs[:, ::-1][:, :k]
+        basis /= np.linalg.norm(basis, axis=0)
+    else:
+        evals, evecs = np.linalg.eigh(xc.T @ xc / (n - 1))
+        variance = np.maximum(evals[::-1][:k], 0.0)
+        basis = evecs[:, ::-1][:, :k].copy()
+    for j in range(k):
+        if basis[np.argmax(np.abs(basis[:, j])), j] < 0.0:
+            basis[:, j] *= -1.0
+    return variance, basis
+
+
+def spectrum_samples(rng, n, dim, rank=15, noise=0.05):
+    """Samples with ``rank`` well-separated leading directions plus noise."""
+    scales = np.geomspace(10.0, 1.0, rank)
+    signal = (rng.normal(size=(n, rank)) * scales) @ rng.normal(size=(rank, dim))
+    return 3.0 + signal + noise * rng.normal(size=(n, dim))
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Counts calls to scipy's ``eigsh``; ``raise_no_convergence`` fails them."""
+    import scipy.sparse.linalg as sla
+
+    real = sla.eigsh
+    state = {"calls": 0, "raise_no_convergence": False}
+
+    def spy(*args, **kwargs):
+        state["calls"] += 1
+        state["v0"] = kwargs.get("v0")
+        if state["raise_no_convergence"]:
+            raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", spy)
+    return state
+
+
+def assert_matches_dense(model, x, k):
+    variance, basis = dense_pca(x, k)
+    assert np.allclose(model.explained_variance, variance, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(model.basis - basis)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "n, dim",
+    [(120, 300), (400, 80)],  # Gram (n < dim) and covariance branches
+)
+def test_lanczos_matches_dense_eigh(eigsh_calls, n, dim):
+    x = spectrum_samples(np.random.default_rng(101), n, dim)
+    model = train_pca(x, 10)
+    assert eigsh_calls["calls"] == 1  # 4 * 10 < min(n, dim): Lanczos side
+    assert_matches_dense(model, x, 10)
+
+
+def test_lanczos_with_ones_in_the_null_space(eigsh_calls):
+    # mean-free rows make the all-ones vector a null vector of the
+    # covariance (as it always is of the centred Gram matrix): a Lanczos
+    # start there breaks down at the first step
+    x = spectrum_samples(np.random.default_rng(103), 300, 60)
+    x -= x.mean(axis=1, keepdims=True)
+    xc = x - x.mean(axis=0)
+    ones = np.ones(60) / math.sqrt(60)
+    assert np.linalg.norm(xc.T @ xc @ ones) < 1e-9 * np.linalg.norm(xc) ** 2
+    model = train_pca(x, 8)
+    assert eigsh_calls["calls"] == 1
+    v0 = eigsh_calls["v0"]
+    assert abs(v0 @ ones) < 0.5 * np.linalg.norm(v0)
+    assert_matches_dense(model, x, 8)
+
+
+def test_lanczos_fit_repeats_bit_for_bit(eigsh_calls):
+    x = spectrum_samples(np.random.default_rng(107), 100, 250)
+    a = train_pca(x, 12)
+    b = train_pca(x.copy(), 12)
+    assert eigsh_calls["calls"] == 2
+    for name in ("mean", "basis", "explained_variance"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_lanczos_rank_deficient(eigsh_calls):
+    # rank 5 (after centring at most 5 nonzero eigenvalues), 12 requested
+    x = spectrum_samples(np.random.default_rng(109), 100, 300, rank=5, noise=0.0)
+    with pytest.raises(RankDeficient):
+        train_pca(x, 12)
+    assert eigsh_calls["calls"] == 1
+
+
+def test_lanczos_no_convergence_falls_back_to_dense(eigsh_calls):
+    eigsh_calls["raise_no_convergence"] = True
+    x = spectrum_samples(np.random.default_rng(113), 120, 300)
+    model = train_pca(x, 10)
+    assert eigsh_calls["calls"] == 1
+    assert_matches_dense(model, x, 10)
+
+
+def test_small_matrix_takes_dense_path(eigsh_calls):
+    x = spectrum_samples(np.random.default_rng(127), 30, 90, rank=10)
+    model = train_pca(x, 8)  # Gram order 30 <= 4 * 8
+    assert eigsh_calls["calls"] == 0
+    assert_matches_dense(model, x, 8)
+
+
+# ---------------------------------------------------------------------------
 # whole-impression matrices against the per-vector oracles
 # ---------------------------------------------------------------------------
 
