@@ -45,11 +45,14 @@ from .local_structures import (
 )
 from .matching import (
     MatchScore,
+    fold_bits,
     fold_compress,
     intersection_score,
+    intersection_scores,
     lgs_pair_budget,
     lgs_score,
     masked_score,
+    masked_scores,
 )
 from .model_store import (
     PipelineModel,
@@ -60,7 +63,7 @@ from .model_store import (
     save_finger,
     save_model,
 )
-from .protocol import ProtocolReport, compute_eer, fvc_pairs
+from .protocol import ProtocolReport, compute_eer, fvc_pair_rows, fvc_pairs
 from .subspace_fusion import (
     FusedVector,
     PcaModel,

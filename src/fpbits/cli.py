@@ -29,7 +29,7 @@ from . import pipeline
 from .codebook import BitString
 from .config import PipelineConfig, load_config, parse_config, serialize_config
 from .errors import FpbitsError, ModelMissing
-from .matching import fold_compress, intersection_score, lgs_score, masked_score
+from .matching import apply_mask, lgs_score, score_string_pairs
 from .model_store import (
     load_bitstring,
     load_finger,
@@ -233,23 +233,24 @@ def cmd_match(args) -> int:
                 steepness=cfg.tau_P,
             )
             lines.append(_score_line(sa, ia, sb, ib, score))
-    elif args.kind == "bits":
+    else:
         bits = _load_bits_dir(args.bits_dir)
-        for sa, ia, sb, ib in pairs:
-            score = intersection_score(_get(bits, sa, ia), _get(bits, sb, ib))
-            lines.append(_score_line(sa, ia, sb, ib, score))
-    else:  # masked: side a names the enrolled finger, side b the query string
-        bits = _load_bits_dir(args.bits_dir)
-        for sa, ia, sb, ib in pairs:
-            fpath = os.path.join(args.fingers_dir, f"{sa}.fpfm")
-            if not os.path.exists(fpath):
-                raise ModelMissing(f"finger model {fpath!r} does not exist")
-            with open(fpath, "rb") as fh:
-                finger, reference = load_finger(fh.read())
-            score = masked_score(
-                _get(bits, sb, ib), reference, finger, mask_both=not args.mask_enrolled_only
-            )
-            lines.append(_score_line(sa, ia, sb, ib, score))
+        string_pairs = []
+        if args.kind == "bits":
+            for sa, ia, sb, ib in pairs:
+                string_pairs.append((_get(bits, sa, ia), _get(bits, sb, ib)))
+        else:  # masked: side a names the enrolled finger, side b the query string
+            fingers = {}
+            for sa, ia, sb, ib in pairs:
+                if sa not in fingers:
+                    fingers[sa] = _load_finger_file(args.fingers_dir, sa)
+                finger, reference = fingers[sa]
+                string_pairs.append(apply_mask(
+                    _get(bits, sb, ib), reference, finger,
+                    mask_both=not args.mask_enrolled_only,
+                ))
+        scores = score_string_pairs(string_pairs)
+        lines += [_score_line(*pair, score) for pair, score in zip(pairs, scores)]
 
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -258,6 +259,14 @@ def cmd_match(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _load_finger_file(fingers_dir: str, finger_id: str):
+    fpath = os.path.join(fingers_dir, f"{finger_id}.fpfm")
+    if not os.path.exists(fpath):
+        raise ModelMissing(f"finger model {fpath!r} does not exist")
+    with open(fpath, "rb") as fh:
+        return load_finger(fh.read())
 
 
 def _get(bits: Dict[Tuple[str, str], BitString], sid: str, iid: str) -> BitString:

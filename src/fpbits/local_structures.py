@@ -58,13 +58,9 @@ class SpreadModel:
 def _disc_lattice(radius: float) -> np.ndarray:
     """Integer points with x^2 + y^2 <= radius^2, row-major by y then x."""
     r = int(math.floor(radius))
-    pts = []
-    r2 = radius * radius
-    for y in range(-r, r + 1):
-        for x in range(-r, r + 1):
-            if x * x + y * y <= r2:
-                pts.append((x, y))
-    return np.array(pts, dtype=np.int64).reshape(-1, 2)
+    ys, xs = np.mgrid[-r : r + 1, -r : r + 1].astype(np.int64)
+    inside = xs * xs + ys * ys <= radius * radius
+    return np.stack([xs[inside], ys[inside]], axis=1)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,18 @@ pair budget adapts to how many minutiae both impressions offer). The
 post-conversion matcher compares bit-strings by a size-normalized count of
 common set bits (a similarity in [0, 1]), optionally restricted to a trained
 per-finger mask, and works unchanged on fold-compressed strings.
+
+Whole pair sets are scored by :func:`intersection_scores`, which packs the
+strings into 64-bit words and counts bits with ``np.bitwise_count``;
+:func:`intersection_score` and :func:`masked_score` are its one-pair forms
+and its oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +127,14 @@ def lgs_score(
     )
 
 
+def _check_lengths(a: BitString, b: BitString) -> None:
+    if len(a) != len(b) or a.template_length != b.template_length:
+        raise LengthMismatch(
+            f"bit-strings disagree in length: {len(a)}/{a.template_length} vs "
+            f"{len(b)}/{b.template_length}"
+        )
+
+
 def intersection_score(a: BitString, b: BitString) -> MatchScore:
     """Size-normalized common-bit similarity in [0, 1].
 
@@ -133,11 +146,7 @@ def intersection_score(a: BitString, b: BitString) -> MatchScore:
     Raises:
         LengthMismatch: strings of different current or original lengths.
     """
-    if len(a) != len(b) or a.template_length != b.template_length:
-        raise LengthMismatch(
-            f"bit-strings disagree in length: {len(a)}/{a.template_length} vs "
-            f"{len(b)}/{b.template_length}"
-        )
+    _check_lengths(a, b)
     n_a = a.ones
     n_b = b.ones
     if n_a == 0 and n_b == 0:
@@ -145,6 +154,30 @@ def intersection_score(a: BitString, b: BitString) -> MatchScore:
     common = int(np.logical_and(a.bits, b.bits).sum())
     value = (n_a + n_b) * common / (n_a * n_a + n_b * n_b)
     return MatchScore(value=float(value), kind=KIND_INTERSECTION, support=common)
+
+
+def apply_mask(
+    query: BitString,
+    enrolled: BitString,
+    model: FingerModel,
+    mask_both: bool = True,
+) -> Tuple[BitString, BitString]:
+    """The two strings :func:`masked_score` compares: query and enrolled, gated.
+
+    Raises:
+        LengthMismatch: mask length does not fit the strings.
+    """
+    if model.k != len(query) or model.k != len(enrolled):
+        raise LengthMismatch(
+            f"mask of length {model.k} cannot gate strings of lengths "
+            f"{len(query)} and {len(enrolled)}"
+        )
+    masked_enrolled = BitString(enrolled.bits & model.mask, enrolled.template_length)
+    if mask_both:
+        masked_query = BitString(query.bits & model.mask, query.template_length)
+    else:
+        masked_query = query
+    return masked_query, masked_enrolled
 
 
 def masked_score(
@@ -162,17 +195,132 @@ def masked_score(
     Raises:
         LengthMismatch: mask length does not fit the strings.
     """
-    if model.k != len(query) or model.k != len(enrolled):
+    return intersection_score(*apply_mask(query, enrolled, model, mask_both))
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """``(n, K)`` bools as ``(n, ceil(K / 64))`` uint64 words, zero-padded."""
+    n, k = bits.shape
+    padded = np.zeros((n, -(-k // 64) * 64), dtype=bool)
+    padded[:, :k] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def intersection_scores(
+    a: np.ndarray,
+    b: np.ndarray,
+    template_length_a: Optional[int] = None,
+    template_length_b: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`intersection_score` of row ``i`` of ``a`` against row ``i`` of ``b``.
+
+    ``a`` and ``b`` are ``(n, K)`` bool matrices, one string per row; the
+    template lengths (default ``K``) are the lengths before any folding.
+    Returns the float64 values and the int64 common-bit counts, equal to
+    the one-pair function's ``value`` and ``support`` for every row.
+
+    Raises:
+        LengthMismatch: row counts, string lengths or template lengths differ.
+    """
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
+    tl_a = a.shape[1] if template_length_a is None else int(template_length_a)
+    tl_b = b.shape[1] if template_length_b is None else int(template_length_b)
+    if a.shape[1] != b.shape[1] or tl_a != tl_b:
         raise LengthMismatch(
-            f"mask of length {model.k} cannot gate strings of lengths "
-            f"{len(query)} and {len(enrolled)}"
+            f"bit-strings disagree in length: {a.shape[1]}/{tl_a} vs "
+            f"{b.shape[1]}/{tl_b}"
         )
-    masked_enrolled = BitString(enrolled.bits & model.mask, enrolled.template_length)
+    if a.shape[0] != b.shape[0]:
+        raise LengthMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
+    words_a = pack_words(a)
+    words_b = pack_words(b)
+    n_a = np.bitwise_count(words_a).sum(axis=1, dtype=np.int64)
+    n_b = np.bitwise_count(words_b).sum(axis=1, dtype=np.int64)
+    common = np.bitwise_count(words_a & words_b).sum(axis=1, dtype=np.int64)
+    # the integers stay far below 2**53, so the division of their float64
+    # images rounds exactly as the one-pair Python division does
+    den = n_a * n_a + n_b * n_b
+    values = np.zeros(a.shape[0], dtype=np.float64)
+    np.divide((n_a + n_b) * common, den, out=values, where=den > 0)
+    return values, common
+
+
+def masked_scores(
+    query: np.ndarray,
+    enrolled: np.ndarray,
+    masks: np.ndarray,
+    mask_both: bool = True,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`masked_score` row by row: ``masks[i]`` gates pair ``i``.
+
+    Raises:
+        LengthMismatch: mask length does not fit the strings.
+    """
+    if masks.shape[1] != query.shape[1] or masks.shape[1] != enrolled.shape[1]:
+        raise LengthMismatch(
+            f"mask of length {masks.shape[1]} cannot gate strings of lengths "
+            f"{query.shape[1]} and {enrolled.shape[1]}"
+        )
     if mask_both:
-        masked_query = BitString(query.bits & model.mask, query.template_length)
-    else:
-        masked_query = query
-    return intersection_score(masked_query, masked_enrolled)
+        query = query & masks
+    return intersection_scores(query, enrolled & masks)
+
+
+def stack_bits(strings: Sequence[BitString]) -> Tuple[np.ndarray, int]:
+    """One ``(n, K)`` bool matrix of equal-length strings, and their template length.
+
+    Raises:
+        LengthMismatch: two strings disagree in current or template length.
+    """
+    if not strings:
+        return np.zeros((0, 0), dtype=bool), 0
+    for other in strings[1:]:
+        _check_lengths(strings[0], other)
+    return np.array([s.bits for s in strings]), strings[0].template_length
+
+
+def score_string_pairs(
+    pairs: Sequence[Tuple[BitString, BitString]],
+) -> List[MatchScore]:
+    """:func:`intersection_score` of every pair, one batch call per string length.
+
+    Raises:
+        LengthMismatch: at the first pair whose strings disagree in length.
+    """
+    groups: dict = {}
+    for i, (a, b) in enumerate(pairs):
+        _check_lengths(a, b)
+        groups.setdefault((len(a), a.template_length), []).append(i)
+    out: List[Optional[MatchScore]] = [None] * len(pairs)
+    for (_, template_length), rows in groups.items():
+        values, common = intersection_scores(
+            np.array([pairs[i][0].bits for i in rows]),
+            np.array([pairs[i][1].bits for i in rows]),
+            template_length,
+            template_length,
+        )
+        for i, v, c in zip(rows, values.tolist(), common.tolist()):
+            out[i] = MatchScore(value=v, kind=KIND_INTERSECTION, support=c)
+    return out
+
+
+def fold_bits(bits: np.ndarray, length: int) -> np.ndarray:
+    """OR-fold every row of an ``(n, K)`` bool matrix modulo ``length``.
+
+    The rows are zero-padded to a multiple of ``length`` and reshaped to
+    ``(n, ceil(K / length), length)``, so output bit j is the OR over the
+    column of positions congruent to j.
+
+    Raises:
+        BadLength: ``length`` outside [1, K].
+    """
+    n, k = bits.shape
+    if not (1 <= length <= k):
+        raise BadLength(f"fold length {length} outside [1, {k}]")
+    padded = np.zeros((n, -(-k // length) * length), dtype=bool)
+    padded[:, :k] = bits
+    return padded.reshape(n, -1, length).any(axis=1)
 
 
 def fold_compress(bitstring: BitString, length: int) -> BitString:
@@ -186,9 +334,5 @@ def fold_compress(bitstring: BitString, length: int) -> BitString:
     Raises:
         BadLength: ``length`` outside [1, len(bitstring)].
     """
-    k = len(bitstring)
-    if not (1 <= length <= k):
-        raise BadLength(f"fold length {length} outside [1, {k}]")
-    out = np.zeros(length, dtype=bool)
-    np.logical_or.at(out, np.arange(k) % length, bitstring.bits)
+    out = fold_bits(bitstring.bits[None, :], length)[0]
     return BitString(out, template_length=bitstring.template_length)

@@ -32,7 +32,7 @@ from .codebook import (
     kmeans_train,
 )
 from .config import PipelineConfig
-from .errors import EmptyTrainingSet
+from .errors import EmptyScores, EmptyTrainingSet
 from .local_structures import (
     SpreadModel,
     StructureGeometry,
@@ -42,11 +42,11 @@ from .local_structures import (
     tbls_matrix,
 )
 from .matching import (
-    MatchScore,
-    fold_compress,
-    intersection_score,
+    fold_bits,
+    intersection_scores,
     lgs_score,
-    masked_score,
+    masked_scores,
+    stack_bits,
 )
 from .model_store import (
     PipelineModel,
@@ -58,7 +58,7 @@ from .protocol import (
     POLARITY_SIMILARITY,
     ProtocolReport,
     compute_eer,
-    fvc_pairs,
+    fvc_pair_rows,
 )
 from .subspace_fusion import fuse_matrix, project, train_pca
 from .synth import keyed_rng
@@ -322,23 +322,29 @@ def evaluate_fvc_bits(
     fold_to: Optional[int] = None,
 ) -> ProtocolReport:
     """Competition pairing over per-impression bit-strings (similarity)."""
-    index, subjects, impressions = _index_grid(encoded)
-    genuine_pairs, impostor_pairs = fvc_pairs(len(subjects), len(impressions))
+    return _fvc_bit_reports(encoded, [fold_to])[0]
 
-    strings: Dict[Tuple[int, int], BitString] = {}
-    for (si, ii), key in index.items():
-        bs = encoded[key].bits
-        if fold_to is not None:
-            bs = fold_compress(bs, fold_to)
-        strings[(si, ii)] = bs
 
-    genuine = [
-        intersection_score(strings[a], strings[b]).value for a, b in genuine_pairs
-    ]
-    impostor = [
-        intersection_score(strings[a], strings[b]).value for a, b in impostor_pairs
-    ]
-    return compute_eer(genuine, impostor, POLARITY_SIMILARITY)
+def _fvc_bit_reports(
+    encoded: Dict[Tuple[str, str], EncodedImpression],
+    lengths: Sequence[Optional[int]],
+) -> List[ProtocolReport]:
+    """One competition-pairing report per fold length (``None``: unfolded).
+
+    The grid's strings form one subject-major bit matrix; every length
+    scores all genuine and impostor attempts in one batch call.
+    """
+    keys, n_subjects, n_impressions = _grid_keys(encoded)
+    genuine, impostor = fvc_pair_rows(n_subjects, n_impressions)
+    grid, _ = stack_bits([encoded[key].bits for key in keys])
+    pairs = np.concatenate([genuine, impostor])
+    n_g = genuine.shape[0]
+    reports = []
+    for length in lengths:
+        bits = grid if length is None else fold_bits(grid, length)
+        values, _ = intersection_scores(bits[pairs[:, 0]], bits[pairs[:, 1]])
+        reports.append(compute_eer(values[:n_g], values[n_g:], POLARITY_SIMILARITY))
+    return reports
 
 
 def evaluate_fvc_lgs(
@@ -349,22 +355,22 @@ def evaluate_fvc_lgs(
         key: fused_vectors(items[key][0], items[key][1], model)
         for key in sorted(items.keys())
     }
-    index, subjects, impressions = _index_grid(vectors)
-    genuine_pairs, impostor_pairs = fvc_pairs(len(subjects), len(impressions))
+    keys, n_subjects, n_impressions = _grid_keys(vectors)
+    genuine_rows, impostor_rows = fvc_pair_rows(n_subjects, n_impressions)
     cfg = model.config
 
     def score(a, b) -> float:
         return lgs_score(
-            vectors[index[a]],
-            vectors[index[b]],
+            vectors[keys[a]],
+            vectors[keys[b]],
             min_pairs=cfg.min_nL,
             max_pairs=cfg.max_nL,
             midpoint=cfg.mu_P,
             steepness=cfg.tau_P,
         ).value
 
-    genuine = [score(a, b) for a, b in genuine_pairs]
-    impostor = [score(a, b) for a, b in impostor_pairs]
+    genuine = [score(a, b) for a, b in genuine_rows.tolist()]
+    impostor = [score(a, b) for a, b in impostor_rows.tolist()]
     return compute_eer(genuine, impostor, POLARITY_DISSIMILARITY)
 
 
@@ -392,6 +398,8 @@ def evaluate_split(
     computed on exactly the same attempt list.
     """
     split = _split_keys(encoded, model.config.enroll_size)
+    if not split:
+        raise EmptyScores("no subjects to enroll and verify")
     fingers: Dict[str, FingerModel] = {}
     enrolled: Dict[str, BitString] = {}
     tests: Dict[str, List[Tuple[str, str]]] = {}
@@ -406,32 +414,34 @@ def evaluate_split(
         tests[s] = test_keys
 
     subjects = sorted(split.keys())
-    mask_both = model.config.mask_both
-    g_trained: List[float] = []
-    g_plain: List[float] = []
-    i_trained: List[float] = []
-    i_plain: List[float] = []
-    for s in subjects:
-        for key in tests[s]:
-            query = encoded[key].bits
-            g_trained.append(
-                masked_score(query, enrolled[s], fingers[s], mask_both).value
-            )
-            g_plain.append(intersection_score(query, enrolled[s]).value)
-        for t in subjects:
-            if t == s:
-                continue
-            query = encoded[tests[t][0]].bits
-            i_trained.append(
-                masked_score(query, enrolled[s], fingers[s], mask_both).value
-            )
-            i_plain.append(intersection_score(query, enrolled[s]).value)
+    n_s = len(subjects)
+    references, reference_length = stack_bits([enrolled[s] for s in subjects])
+    masks = np.array([fingers[s].mask for s in subjects])
+    test_keys = [key for s in subjects for key in tests[s]]
+    queries, query_length = stack_bits([encoded[key].bits for key in test_keys])
+    counts = [len(tests[s]) for s in subjects]
+    # genuine: every held-out impression against its own subject's reference
+    g_query = np.arange(len(test_keys))
+    g_ref = np.repeat(np.arange(n_s), counts)
+    # impostor: reference s against every other subject t's first held-out
+    # impression, s-major as the attempts are listed
+    i_ref, other = np.nonzero(~np.eye(n_s, dtype=bool))
+    i_query = np.cumsum([0] + counts[:-1], dtype=np.int64)[other]
+    query = queries[np.concatenate([g_query, i_query])]
+    ref = np.concatenate([g_ref, i_ref])
+    plain, _ = intersection_scores(
+        query, references[ref], query_length, reference_length
+    )
+    trained, _ = masked_scores(
+        query, references[ref], masks[ref], model.config.mask_both
+    )
 
+    n_g = g_query.size
     return SplitEvaluation(
-        trained=compute_eer(g_trained, i_trained, POLARITY_SIMILARITY),
-        untrained=compute_eer(g_plain, i_plain, POLARITY_SIMILARITY),
-        n_genuine=len(g_trained),
-        n_impostor=len(i_trained),
+        trained=compute_eer(trained[:n_g], trained[n_g:], POLARITY_SIMILARITY),
+        untrained=compute_eer(plain[:n_g], plain[n_g:], POLARITY_SIMILARITY),
+        n_genuine=n_g,
+        n_impostor=i_ref.size,
         fingers=fingers,
     )
 
@@ -441,21 +451,25 @@ def compression_sweep(
     lengths: Sequence[int],
 ) -> List[Tuple[int, float]]:
     """Bit-string matcher EER at each folded length (competition pairing)."""
-    return [
-        (length, evaluate_fvc_bits(encoded, fold_to=length).eer) for length in lengths
-    ]
+    reports = _fvc_bit_reports(encoded, lengths)
+    return [(length, report.eer) for length, report in zip(lengths, reports)]
 
 
-def _index_grid(mapping: Dict[Tuple[str, str], object]):
-    """Map (subject index, impression index) onto dataset keys, validating a grid."""
+def _grid_keys(mapping: Dict[Tuple[str, str], object]):
+    """Dataset keys in subject-major grid order, validating a full grid.
+
+    Returns ``(keys, n_subjects, n_impressions)``; impression ``ii`` of
+    subject ``si`` is ``keys[si * n_impressions + ii]``, the row numbering
+    of :func:`~fpbits.protocol.fvc_pair_rows`.
+    """
     subjects = sorted({k[0] for k in mapping})
     impressions = sorted({k[1] for k in mapping})
-    index: Dict[Tuple[int, int], Tuple[str, str]] = {}
-    for si, s in enumerate(subjects):
-        for ii, i in enumerate(impressions):
+    keys: List[Tuple[str, str]] = []
+    for s in subjects:
+        for i in impressions:
             if (s, i) not in mapping:
                 raise EmptyTrainingSet(
                     f"dataset is not a full grid: missing impression {i!r} of {s!r}"
                 )
-            index[(si, ii)] = (s, i)
-    return index, subjects, impressions
+            keys.append((s, i))
+    return keys, len(subjects), len(impressions)

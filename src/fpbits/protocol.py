@@ -63,34 +63,66 @@ class ProtocolReport:
     polarity: str = POLARITY_SIMILARITY
 
 
+def fvc_pair_rows(n_subjects: int, n_impressions: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`fvc_pairs` as row indices into a subject-major grid.
+
+    Impression ``i`` of subject ``s`` is row ``s * n_impressions + i``.
+    Returns ``(genuine, impostor)``, ``(n, 2)`` int64 arrays whose rows list
+    the attempts in :func:`fvc_pairs` order.
+    """
+    if n_subjects < 1 or n_impressions < 1:
+        raise EmptyScores(
+            f"cannot pair {n_subjects} subjects x {n_impressions} impressions"
+        )
+    first, second = np.triu_indices(n_impressions, 1)
+    base = np.arange(n_subjects, dtype=np.int64)[:, None] * n_impressions
+    genuine = np.stack([(base + first).ravel(), (base + second).ravel()], axis=1)
+    a, b = np.triu_indices(n_subjects, 1)
+    impostor = np.stack([a, b], axis=1).astype(np.int64) * n_impressions
+    return genuine, impostor
+
+
 def _operating_points(
     genuine: np.ndarray, impostor: np.ndarray, polarity: str
 ) -> Tuple[List[Tuple[float, float, float]], np.ndarray]:
-    """Swept staircase plus the full corner set for hull interpolation."""
+    """Swept staircase plus the full corner set for hull interpolation.
+
+    Both score sets are sorted once; at every threshold, the counts of
+    scores below (``left``) and not above (``right``) it come from binary
+    searches.
+    """
     thresholds = np.unique(np.concatenate([genuine, impostor]))
     if polarity == POLARITY_DISSIMILARITY:
         sweep = thresholds[::-1]  # tightening = lowering the acceptance bar
     else:
         sweep = thresholds
 
-    roc: List[Tuple[float, float, float]] = []
-    corners = [(1.0, 0.0), (0.0, 1.0)]  # accept-everything / reject-everything
-    n_g, n_i = genuine.size, impostor.size
-    for th in sweep:
-        if polarity == POLARITY_SIMILARITY:
-            far = float((impostor >= th).sum()) / n_i
-            frr = float((genuine < th).sum()) / n_g
-            far_x = float((impostor > th).sum()) / n_i
-            frr_x = float((genuine <= th).sum()) / n_g
-        else:
-            far = float((impostor <= th).sum()) / n_i
-            frr = float((genuine > th).sum()) / n_g
-            far_x = float((impostor < th).sum()) / n_i
-            frr_x = float((genuine >= th).sum()) / n_g
-        roc.append((far, frr, float(th)))
-        corners.append((far, frr))
-        corners.append((far_x, frr_x))
-    return roc, np.unique(np.array(corners, dtype=np.float64), axis=0)
+    g = np.sort(genuine, axis=None)
+    im = np.sort(impostor, axis=None)
+    n_g, n_i = g.size, im.size
+    g_below = np.searchsorted(g, sweep, side="left")
+    g_upto = np.searchsorted(g, sweep, side="right")
+    i_below = np.searchsorted(im, sweep, side="left")
+    i_upto = np.searchsorted(im, sweep, side="right")
+    if polarity == POLARITY_SIMILARITY:
+        far = (n_i - i_below) / n_i  # impostor >= th
+        frr = g_below / n_g  # genuine < th
+        far_x = (n_i - i_upto) / n_i  # impostor > th
+        frr_x = g_upto / n_g  # genuine <= th
+    else:
+        far = i_upto / n_i  # impostor <= th
+        frr = (n_g - g_upto) / n_g  # genuine > th
+        far_x = i_below / n_i  # impostor < th
+        frr_x = (n_g - g_below) / n_g  # genuine >= th
+
+    roc = list(zip(far.tolist(), frr.tolist(), sweep.tolist()))
+    # accept-everything / reject-everything, then both conventions per threshold
+    corners = np.concatenate([
+        np.array([[1.0, 0.0], [0.0, 1.0]]),
+        np.stack([far, frr], axis=1),
+        np.stack([far_x, frr_x], axis=1),
+    ])
+    return roc, np.unique(corners, axis=0)
 
 
 def _hull_eer(points: np.ndarray) -> float:
@@ -120,6 +152,13 @@ def _hull_eer(points: np.ndarray) -> float:
     return float(hull[-1][0])
 
 
+def _score_array(scores: Sequence[float]) -> np.ndarray:
+    """A float64 copy of any score sequence (an array is not unpacked first)."""
+    if not isinstance(scores, np.ndarray):
+        scores = list(scores)
+    return np.array(scores, dtype=np.float64)
+
+
 def compute_eer(
     genuine: Sequence[float],
     impostor: Sequence[float],
@@ -136,8 +175,8 @@ def compute_eer(
     """
     if polarity not in (POLARITY_SIMILARITY, POLARITY_DISSIMILARITY):
         raise ValueError(f"unknown polarity {polarity!r}")
-    g = np.asarray(list(genuine), dtype=np.float64)
-    i = np.asarray(list(impostor), dtype=np.float64)
+    g = _score_array(genuine)
+    i = _score_array(impostor)
     if g.size == 0 or i.size == 0:
         raise EmptyScores("both genuine and impostor score lists must be non-empty")
     if not (np.isfinite(g).all() and np.isfinite(i).all()):

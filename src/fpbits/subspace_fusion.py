@@ -123,17 +123,19 @@ def train_pca(samples: Sequence[np.ndarray] | np.ndarray, n_components: int) -> 
         # Gram trick: eigenvectors of (Xc Xc^T) map onto covariance
         # eigenvectors through Xc^T, sharing the nonzero spectrum.
         lead, vecs = _top_eigenpairs(xc @ xc.T, n_components)
-        if lead[-1] <= _RANK_TOL * max(lead[0], 1.0):
-            raise RankDeficient(
-                f"{n_components} components requested but the samples' numerical "
-                f"rank is lower"
-            )
+    else:
+        lead, vecs = _top_eigenpairs((xc.T @ xc) / (n - 1), n_components)
+    if lead[-1] <= _RANK_TOL * max(lead[0], 1.0):
+        raise RankDeficient(
+            f"{n_components} components requested but the samples' numerical "
+            f"rank is lower"
+        )
+    if n < dim:
         basis = xc.T @ vecs
         basis /= np.linalg.norm(basis, axis=0)
         variance = lead / (n - 1)
     else:
-        lead, basis = _top_eigenpairs((xc.T @ xc) / (n - 1), n_components)
-        variance = np.maximum(lead, 0.0)
+        basis, variance = vecs, lead
 
     # C order, as a reloaded model has it: the memory layout picks the BLAS
     # kernel, and a different kernel rounds projections differently

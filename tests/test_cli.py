@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from fpbits import cli
 from fpbits.cli import load_dataset, main, save_dataset
-from fpbits.model_store import load_model_file
+from fpbits.matching import intersection_score, masked_score
+from fpbits.model_store import load_bitstring, load_finger, load_model_file
 from fpbits.synth import SynthParams, synth_dataset
 
 
@@ -102,6 +104,66 @@ def test_match_masked(workdir, tmp_path, capsys):
                  "--fingers-dir", workdir["fingers"]]) == 0
     out = capsys.readouterr().out
     assert "intersection" in out
+
+
+def _oracle_line(sa, ia, sb, ib, score):
+    return f"{sa} {ia} {sb} {ib} {score.kind} {score.value:.6f}"
+
+
+def _all_pairs_file(tmp_path, keys, first_side):
+    pairs = [(first_side(a), b) for a in keys for b in keys]
+    path = tmp_path / "pairs.txt"
+    path.write_text("".join(f"{a[0]} {a[1]} {b[0]} {b[1]}\n" for a, b in pairs))
+    return path, pairs
+
+
+def test_match_bits_lines_match_one_pair_oracle(workdir, tmp_path, capsys):
+    bits = {}
+    for name in sorted(os.listdir(workdir["bits"])):
+        sid, iid = name[: -len(".fpbs")].split("_")
+        with open(os.path.join(workdir["bits"], name), "rb") as fh:
+            bits[(sid, iid)] = load_bitstring(fh.read())
+    path, pairs = _all_pairs_file(tmp_path, sorted(bits), lambda key: key)
+    assert main(["match", "--kind", "bits", "--pairs", str(path),
+                 "--bits-dir", workdir["bits"]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        _oracle_line(*a, *b, intersection_score(bits[a], bits[b])) for a, b in pairs
+    ]
+
+
+@pytest.mark.parametrize("enrolled_only", [False, True])
+def test_match_masked_lines_match_one_pair_oracle(
+    workdir, tmp_path, capsys, monkeypatch, enrolled_only
+):
+    bits = {}
+    for name in sorted(os.listdir(workdir["bits"])):
+        sid, iid = name[: -len(".fpbs")].split("_")
+        with open(os.path.join(workdir["bits"], name), "rb") as fh:
+            bits[(sid, iid)] = load_bitstring(fh.read())
+    fingers = {}
+    for sid in sorted({key[0] for key in bits}):
+        with open(os.path.join(workdir["fingers"], f"{sid}.fpfm"), "rb") as fh:
+            fingers[sid] = load_finger(fh.read())
+    loads = []
+
+    def counting_load_finger(blob):
+        loads.append(blob)
+        return load_finger(blob)
+
+    monkeypatch.setattr(cli, "load_finger", counting_load_finger)
+    path, pairs = _all_pairs_file(tmp_path, sorted(bits), lambda key: (key[0], "x"))
+    argv = ["match", "--kind", "masked", "--pairs", str(path),
+            "--bits-dir", workdir["bits"], "--fingers-dir", workdir["fingers"]]
+    assert main(argv + (["--mask-enrolled-only"] if enrolled_only else [])) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = []
+    for a, b in pairs:
+        finger, reference = fingers[a[0]]
+        score = masked_score(bits[b], reference, finger, mask_both=not enrolled_only)
+        want.append(_oracle_line(*a, *b, score))
+    assert lines == want
+    assert len(loads) == len(fingers)  # one load per finger, not per pair
 
 
 def test_match_lgs(workdir, tmp_path, capsys):

@@ -130,6 +130,29 @@ def test_lattice_row_major_order():
     assert ((lat[:, 0] ** 2 + lat[:, 1] ** 2) <= 9.0).all()
 
 
+def loop_lattice(radius):
+    """The lattice as a double loop: y outer, x inner, float comparison."""
+    r = int(math.floor(radius))
+    pts = [
+        (x, y)
+        for y in range(-r, r + 1)
+        for x in range(-r, r + 1)
+        if x * x + y * y <= radius * radius
+    ]
+    return np.array(pts, dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "radius",
+    [0.5, 1.0, math.sqrt(2.0), 2.9, 25.3, 80.0 / math.sqrt(10.0), 40.0],
+)
+def test_disc_lattice_matches_loop_oracle(radius):
+    got = local_structures._disc_lattice(radius)
+    want = loop_lattice(radius)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_spread_model_validation():
     with pytest.raises(ValueError):
         SpreadModel(sigma_t0=0.0)

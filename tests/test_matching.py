@@ -9,11 +9,18 @@ from fpbits.bit_training import FingerModel
 from fpbits.codebook import BitString
 from fpbits.errors import BadLength, LengthMismatch
 from fpbits.matching import (
+    apply_mask,
+    fold_bits,
     fold_compress,
     intersection_score,
+    intersection_scores,
     lgs_pair_budget,
     lgs_score,
     masked_score,
+    masked_scores,
+    pack_words,
+    score_string_pairs,
+    stack_bits,
 )
 
 
@@ -257,3 +264,126 @@ def test_fold_length_validation():
         fold_compress(bs, 0)
     with pytest.raises(BadLength):
         fold_compress(bs, 9)
+
+
+# ---------------------------------------------------------------------------
+# batch scoring against the one-pair oracles
+# ---------------------------------------------------------------------------
+
+def random_rows(rng, n, k):
+    """Rows of mixed density, including empty and full ones."""
+    rows = rng.random((n, k)) < rng.uniform(0.0, 1.0, size=(n, 1))
+    rows[0] = False
+    rows[1] = False
+    rows[2] = True
+    return rows
+
+
+def assert_matches_pairwise(values, common, want):
+    assert values.dtype == np.float64 and common.dtype == np.int64
+    assert values.tolist() == [w.value for w in want]  # bit-identical floats
+    assert common.tolist() == [w.support for w in want]
+
+
+@pytest.mark.parametrize("k", [1, 7, 63, 64, 65, 100, 128, 200, 257])
+def test_intersection_scores_match_one_pair_oracle(k):
+    rng = np.random.default_rng(1000 + k)
+    a = random_rows(rng, 60, k)
+    b = random_rows(rng, 60, k)
+    b[3] = a[3]  # identical strings score exactly 1
+    # rows 0/1: empty vs empty; rows 0/2 of b against a: empty vs nonempty
+    b[4] = False
+    values, common = intersection_scores(a, b)
+    want = [intersection_score(BitString(x), BitString(y)) for x, y in zip(a, b)]
+    assert_matches_pairwise(values, common, want)
+    assert values[0] == 0.0 and common[0] == 0
+    if a[3].any():
+        assert values[3] == 1.0
+
+
+def test_pack_words_layout():
+    rows = np.zeros((2, 70), dtype=bool)
+    rows[0, [0, 63, 64, 69]] = True
+    words = pack_words(rows)
+    assert words.dtype == np.uint64 and words.shape == (2, 2)
+    assert words[0].tolist() == [(1 << 0) | (1 << 63), (1 << 0) | (1 << 5)]
+    assert words[1].tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("mask_both", [True, False])
+@pytest.mark.parametrize("k", [5, 64, 100, 130])
+def test_masked_scores_match_one_pair_oracle(k, mask_both):
+    rng = np.random.default_rng(2000 + k)
+    query = random_rows(rng, 40, k)
+    enrolled = random_rows(rng, 40, k)
+    masks = rng.random((40, k)) < rng.uniform(0.0, 1.0, size=(40, 1))
+    masks[5] = False  # a mask that keeps nothing
+    values, common = masked_scores(query, enrolled, masks, mask_both)
+    want = [
+        masked_score(BitString(q), BitString(e), finger_with_mask(m), mask_both)
+        for q, e, m in zip(query, enrolled, masks)
+    ]
+    assert_matches_pairwise(values, common, want)
+
+
+def test_batch_length_checks():
+    with pytest.raises(LengthMismatch):  # current lengths
+        intersection_scores(np.zeros((3, 10), bool), np.zeros((3, 12), bool))
+    with pytest.raises(LengthMismatch):  # template lengths
+        intersection_scores(np.zeros((3, 10), bool), np.zeros((3, 10), bool), 10, 20)
+    with pytest.raises(LengthMismatch):  # row counts
+        intersection_scores(np.zeros((3, 10), bool), np.zeros((4, 10), bool))
+    with pytest.raises(LengthMismatch):
+        masked_scores(np.zeros((3, 4), bool), np.zeros((3, 4), bool),
+                      np.zeros((3, 3), bool))
+    with pytest.raises(LengthMismatch):
+        stack_bits([bits(0, k=10), bits(0, k=10, template_length=20)])
+    with pytest.raises(LengthMismatch):
+        stack_bits([bits(0, k=10), bits(0, k=12)])
+
+
+def test_score_string_pairs_groups_lengths():
+    rng = np.random.default_rng(211)
+    pairs = []
+    for length in (40, 17, 40, 9, 17, 40):
+        a = fold_compress(BitString(rng.random(40) < 0.3), length)
+        b = fold_compress(BitString(rng.random(40) < 0.3), length)
+        pairs.append((a, b))
+    pairs.append((BitString(np.zeros(40, bool)), BitString(np.zeros(40, bool))))
+    got = score_string_pairs(pairs)
+    assert got == [intersection_score(a, b) for a, b in pairs]
+    assert score_string_pairs([]) == []
+    with pytest.raises(LengthMismatch):
+        score_string_pairs(pairs + [(pairs[0][0], pairs[1][0])])
+
+
+@pytest.mark.parametrize("mask_both", [True, False])
+def test_apply_mask_is_what_masked_score_compares(mask_both):
+    query = bits(0, 1, 2, 3, k=6)
+    enrolled = bits(1, 2, 4, k=6)
+    finger = finger_with_mask([0, 1, 1, 1, 0, 0])
+    gated = apply_mask(query, enrolled, finger, mask_both)
+    assert score_string_pairs([gated]) == [masked_score(query, enrolled, finger, mask_both)]
+    with pytest.raises(LengthMismatch):
+        apply_mask(bits(0, k=4), bits(1, k=4), finger_with_mask([1, 0, 1]))
+
+
+def fold_oracle(row, length):
+    out = np.zeros(length, dtype=bool)
+    np.logical_or.at(out, np.arange(row.shape[0]) % length, row)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 13, 64, 100])
+def test_fold_bits_matches_logical_or_at_for_every_length(k):
+    rng = np.random.default_rng(3000 + k)
+    rows = random_rows(rng, 6, k) if k >= 3 else rng.random((6, k)) < 0.5
+    for length in range(1, k + 1):
+        folded = fold_bits(rows, length)
+        assert folded.shape == (6, length) and folded.dtype == bool
+        want = np.array([fold_oracle(r, length) for r in rows])
+        assert np.array_equal(folded, want)
+    with pytest.raises(BadLength):
+        fold_bits(rows, 0)
+    with pytest.raises(BadLength):
+        fold_bits(rows, k + 1)

@@ -1,17 +1,29 @@
-"""The whole-impression matrix path against the per-minutia oracles."""
+"""The matrix paths against the per-minutia and per-pair oracles."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from fpbits.codebook import BitString, DistanceVector
+
 from fpbits.config import PipelineConfig
 from fpbits.local_structures import build_mbls, extract_tbls, normalize_image
 from fpbits.model_store import load_model, save_model
+from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.pipeline import (
+    EncodedImpression,
+    compression_sweep,
+    encode_dataset,
     encode_impression,
+    enroll_subject,
+    evaluate_fvc_bits,
+    evaluate_split,
     fused_vectors,
     raw_structures,
     train_model,
 )
+from fpbits.protocol import POLARITY_SIMILARITY, compute_eer, fvc_pairs
 from fpbits.subspace_fusion import fuse, project
 from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import MinutiaTemplate
@@ -89,3 +101,122 @@ def test_empty_and_single_minutia_impressions(small_run):
                              template.subject_id, template.impression_id)
     enc = encode_impression(single, image, model)
     assert enc.n_minutiae == 1 and len(enc.distances) == model.codebook.k
+
+
+# ---------------------------------------------------------------------------
+# batch pair scoring against the per-pair loops it replaced
+# ---------------------------------------------------------------------------
+
+def loop_fvc_bits(encoded, fold_to=None):
+    subjects = sorted({k[0] for k in encoded})
+    impressions = sorted({k[1] for k in encoded})
+    genuine_pairs, impostor_pairs = fvc_pairs(len(subjects), len(impressions))
+    strings = {}
+    for si, s in enumerate(subjects):
+        for ii, i in enumerate(impressions):
+            bs = encoded[(s, i)].bits
+            strings[(si, ii)] = bs if fold_to is None else fold_compress(bs, fold_to)
+    genuine = [intersection_score(strings[a], strings[b]).value for a, b in genuine_pairs]
+    impostor = [intersection_score(strings[a], strings[b]).value for a, b in impostor_pairs]
+    return compute_eer(genuine, impostor, POLARITY_SIMILARITY)
+
+
+def loop_split(encoded, model):
+    by_subject = {}
+    for key in sorted(encoded):
+        by_subject.setdefault(key[0], []).append(key)
+    size = model.config.enroll_size
+    subjects = sorted(by_subject)
+    enrolled = {
+        s: enroll_subject([encoded[k] for k in by_subject[s][:size]], model)
+        for s in subjects
+    }
+    tests = {s: by_subject[s][size:] for s in subjects}
+    mask_both = model.config.mask_both
+    g_t, g_p, i_t, i_p = [], [], [], []
+    for s in subjects:
+        finger, reference = enrolled[s]
+        for key in tests[s]:
+            query = encoded[key].bits
+            g_t.append(masked_score(query, reference, finger, mask_both).value)
+            g_p.append(intersection_score(query, reference).value)
+        for t in subjects:
+            if t != s:
+                query = encoded[tests[t][0]].bits
+                i_t.append(masked_score(query, reference, finger, mask_both).value)
+                i_p.append(intersection_score(query, reference).value)
+    return (compute_eer(g_t, i_t, POLARITY_SIMILARITY),
+            compute_eer(g_p, i_p, POLARITY_SIMILARITY))
+
+
+def assert_same_report(got, want):
+    for name in ("genuine_scores", "impostor_scores"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.roc == want.roc
+    assert got.eer == want.eer
+    assert got.polarity == want.polarity
+
+
+def random_grid(rng, n_subjects, n_impressions, k):
+    """Encoded impressions with random strings of mixed density."""
+    out = {}
+    for s in range(n_subjects):
+        base = rng.random(k) < 0.3
+        for i in range(n_impressions):
+            flip = rng.random(k) < rng.uniform(0.0, 0.4)
+            bits = base ^ flip if i else base.copy()
+            if (s, i) == (2, 1):
+                bits[:] = False  # one empty string
+            key = (f"s{s:03d}", f"{i:02d}")
+            out[key] = EncodedImpression(
+                key[0], key[1], BitString(bits),
+                DistanceVector(np.zeros(k), key[0], key[1]), 20,
+            )
+    return out
+
+
+@pytest.mark.parametrize("k", [100, 130])
+def test_fvc_bits_and_sweep_match_pair_loop_on_random_grid(k):
+    encoded = random_grid(np.random.default_rng(k), 15, 5, k)
+    assert_same_report(evaluate_fvc_bits(encoded), loop_fvc_bits(encoded))
+    lengths = [k, k // 2, k // 4, 7, 1]
+    for length in lengths:
+        assert_same_report(
+            evaluate_fvc_bits(encoded, fold_to=length), loop_fvc_bits(encoded, length)
+        )
+    assert compression_sweep(encoded, lengths) == [
+        (length, loop_fvc_bits(encoded, length).eer) for length in lengths
+    ]
+
+
+@pytest.fixture(scope="module")
+def encoded_run(small_run):
+    items, model = small_run
+    return encode_dataset(items, model), model
+
+
+def test_fvc_bits_and_sweep_match_pair_loop_on_encodings(encoded_run):
+    encoded, model = encoded_run
+    k = model.codebook.k
+    assert_same_report(evaluate_fvc_bits(encoded), loop_fvc_bits(encoded))
+    lengths = [k, k // 2, 5]
+    assert compression_sweep(encoded, lengths) == [
+        (length, loop_fvc_bits(encoded, length).eer) for length in lengths
+    ]
+
+
+@pytest.mark.parametrize("mask_both", [True, False])
+@pytest.mark.parametrize("enroll_size", [1, 2, 3])
+def test_split_matches_pair_loop(encoded_run, mask_both, enroll_size):
+    encoded, model = encoded_run
+    config = dataclasses.replace(model.config, mask_both=mask_both,
+                                 enroll_size=enroll_size)
+    model = dataclasses.replace(model, config=config)
+    got = evaluate_split(encoded, model)
+    trained, plain = loop_split(encoded, model)
+    assert_same_report(got.trained, trained)
+    assert_same_report(got.untrained, plain)
+    assert got.n_genuine == trained.genuine_scores.size
+    assert got.n_impostor == trained.impostor_scores.size
+    assert sorted(got.fingers) == sorted({key[0] for key in encoded})

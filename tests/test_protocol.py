@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from fpbits import protocol
 from fpbits.errors import EmptyScores
 from fpbits.protocol import (
     POLARITY_DISSIMILARITY,
     POLARITY_SIMILARITY,
     compute_eer,
+    fvc_pair_rows,
     fvc_pairs,
 )
 
@@ -44,6 +46,24 @@ def test_pair_errors():
         fvc_pairs(0, 5)
     with pytest.raises(EmptyScores):
         fvc_pairs(5, 0)
+    with pytest.raises(EmptyScores):
+        fvc_pair_rows(0, 5)
+    with pytest.raises(EmptyScores):
+        fvc_pair_rows(5, 0)
+
+
+@pytest.mark.parametrize("s, m", [(1, 1), (1, 4), (5, 1), (3, 2), (7, 5), (12, 8)])
+def test_pair_rows_list_fvc_pairs_in_order(s, m):
+    genuine, impostor = fvc_pairs(s, m)
+    rows_g, rows_i = fvc_pair_rows(s, m)
+    assert rows_g.dtype == rows_i.dtype == np.int64
+    assert rows_g.shape == (len(genuine), 2) and rows_i.shape == (len(impostor), 2)
+
+    def row(endpoint):
+        return endpoint[0] * m + endpoint[1]
+
+    assert rows_g.tolist() == [[row(a), row(b)] for a, b in genuine]
+    assert rows_i.tolist() == [[row(a), row(b)] for a, b in impostor]
 
 
 # ---------------------------------------------------------------------------
@@ -151,3 +171,89 @@ def test_eer_input_validation():
         compute_eer([0.5], [float("inf")])
     with pytest.raises(ValueError):
         compute_eer([0.5], [0.4], polarity="sideways")
+
+
+# ---------------------------------------------------------------------------
+# sorted sweep against the per-threshold loop
+# ---------------------------------------------------------------------------
+
+def loop_operating_points(genuine, impostor, polarity):
+    """Four full-array comparisons per threshold: the sweep before sorting."""
+    thresholds = np.unique(np.concatenate([genuine, impostor]))
+    sweep = thresholds[::-1] if polarity == POLARITY_DISSIMILARITY else thresholds
+    roc = []
+    corners = [(1.0, 0.0), (0.0, 1.0)]
+    n_g, n_i = genuine.size, impostor.size
+    for th in sweep:
+        if polarity == POLARITY_SIMILARITY:
+            far = float((impostor >= th).sum()) / n_i
+            frr = float((genuine < th).sum()) / n_g
+            far_x = float((impostor > th).sum()) / n_i
+            frr_x = float((genuine <= th).sum()) / n_g
+        else:
+            far = float((impostor <= th).sum()) / n_i
+            frr = float((genuine > th).sum()) / n_g
+            far_x = float((impostor < th).sum()) / n_i
+            frr_x = float((genuine >= th).sum()) / n_g
+        roc.append((far, frr, float(th)))
+        corners.append((far, frr))
+        corners.append((far_x, frr_x))
+    return roc, np.unique(np.array(corners, dtype=np.float64), axis=0)
+
+
+def assert_matches_loop(genuine, impostor, polarity):
+    g = np.asarray(genuine, dtype=np.float64)
+    im = np.asarray(impostor, dtype=np.float64)
+    want_roc, want_corners = loop_operating_points(g, im, polarity)
+    roc, corners = protocol._operating_points(g, im, polarity)
+    assert roc == want_roc
+    assert all(type(x) is float for point in roc for x in point)
+    assert corners.tobytes() == want_corners.tobytes()
+    report = compute_eer(genuine, impostor, polarity)
+    assert report.roc == want_roc
+    assert report.eer == protocol._hull_eer(want_corners)
+
+
+@pytest.mark.parametrize("polarity", [POLARITY_SIMILARITY, POLARITY_DISSIMILARITY])
+def test_sorted_sweep_matches_loop(polarity):
+    rng = np.random.default_rng(197)
+    for trial in range(60):
+        n_g = int(rng.integers(1, 400))
+        n_i = int(rng.integers(1, 400))
+        # few decimals: heavy ties within and across the two sets
+        decimals = int(rng.integers(0, 3))
+        g = np.round(rng.normal(0.6, 0.2, n_g), decimals)
+        im = np.round(rng.normal(0.4, 0.2, n_i), decimals)
+        assert_matches_loop(g, im, polarity)
+
+
+@pytest.mark.parametrize("polarity", [POLARITY_SIMILARITY, POLARITY_DISSIMILARITY])
+def test_sorted_sweep_matches_loop_on_ties(polarity):
+    assert_matches_loop([0.5] * 7, [0.5] * 3, polarity)
+    assert_matches_loop([1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0], polarity)
+    assert_matches_loop([0.25], [0.75], polarity)
+    assert_matches_loop([-0.0, 0.0, 0.5], [0.0, -0.0], polarity)
+    # unsorted input, as the protocol hands it over
+    assert_matches_loop([0.9, 0.1, 0.5, 0.5, 0.3], [0.5, 0.2, 0.9, 0.2], polarity)
+
+
+def test_sorted_sweep_leaves_inputs_and_scores_alone():
+    g = np.array([0.9, 0.1, 0.5])
+    im = np.array([0.4, 0.8])
+    report = compute_eer(g, im)
+    assert g.tolist() == [0.9, 0.1, 0.5] and im.tolist() == [0.4, 0.8]
+    assert report.genuine_scores.tolist() == [0.9, 0.1, 0.5]
+    assert report.genuine_scores is not g
+    assert compute_eer(iter([0.9, 0.8]), iter([0.2])).eer == 0.0
+
+
+@pytest.mark.parametrize("polarity", [POLARITY_SIMILARITY, POLARITY_DISSIMILARITY])
+def test_sorted_sweep_empty_scores(polarity):
+    for genuine, impostor in [
+        (np.array([]), np.array([0.5])),
+        (np.array([0.5]), np.array([])),
+        (np.array([0.5, np.nan]), np.array([0.5])),
+        (np.array([0.5]), np.array([-np.inf])),
+    ]:
+        with pytest.raises(EmptyScores):
+            compute_eer(genuine, impostor, polarity)

@@ -273,6 +273,19 @@ def test_lanczos_rank_deficient(eigsh_calls):
     assert eigsh_calls["calls"] == 1
 
 
+@pytest.mark.parametrize("n, k", [(50, 6), (400, 12)])  # dense and Lanczos sides
+def test_covariance_branch_rank_deficient(eigsh_calls, n, k):
+    # n >= dim: the covariance branch. Rank 3 cannot supply k directions;
+    # the trailing eigenvalues are round-off, not variance
+    rng = np.random.default_rng(131)
+    dim = 10 if n == 50 else 60
+    x = rng.normal(size=(n, 3)) @ rng.normal(size=(3, dim))
+    with pytest.raises(RankDeficient):
+        train_pca(x, k)
+    assert eigsh_calls["calls"] == (1 if 4 * k < dim else 0)
+    assert train_pca(x, 3).explained_variance[-1] > 0.0
+
+
 def test_lanczos_no_convergence_falls_back_to_dense(eigsh_calls):
     eigsh_calls["raise_no_convergence"] = True
     x = spectrum_samples(np.random.default_rng(113), 120, 300)
