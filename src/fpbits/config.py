@@ -146,4 +146,8 @@ def _convert(val: str, target: type):
 
 def load_config(path: str) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedHeader(f"config {path}: not UTF-8 text: {exc.reason}") from None
+    return parse_config(text)

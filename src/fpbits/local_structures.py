@@ -270,14 +270,20 @@ def mbls_matrix(
     lx, ly = lat[:, 0], lat[:, 1]
     basis = np.stack([lx * lx, lx * ly, ly * ly, lx, ly, np.ones_like(lx)])
 
-    step = max(1, _MBLS_BLOCK_ELEMENTS // geometry.n_m)
+    # at most n_m pairs per block, so a block's segment matrix (below) is
+    # never larger than the output
+    step = max(1, min(_MBLS_BLOCK_ELEMENTS // geometry.n_m, geometry.n_m))
     for lo in range(0, ref.size, step):
         hi = min(lo + step, ref.size)
         bumps = coeffs[lo:hi] @ basis
         np.exp(bumps, out=bumps)
+        # sum each reference's bumps with one product: a 0/1 matrix with one
+        # row per reference from the block's first to its last (a reference
+        # without pairs in between gets a zero row) and one column per pair
         block_ref = ref[lo:hi]
-        starts = np.flatnonzero(np.r_[True, block_ref[1:] != block_ref[:-1]])
-        out[block_ref[starts]] += np.add.reduceat(bumps, starts, axis=0)
+        owners = np.arange(block_ref[0], block_ref[-1] + 1)
+        segments = (owners[:, None] == block_ref).astype(np.float64)
+        out[owners[0] : owners[-1] + 1] += segments @ bumps
 
     norms = np.sqrt(np.einsum("ij,ij->i", out, out))
     return np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
@@ -372,6 +378,64 @@ def extract_tbls(
     return bilinear_sample(np.asarray(image, dtype=np.float64), xs, ys, fill)
 
 
+def _sample_rows(
+    img: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    fill: float,
+    out: np.ndarray,
+    border: bool,
+) -> None:
+    """:func:`bilinear_sample` of a C-contiguous image, written into ``out``.
+
+    ``xs`` and ``ys`` are overwritten. The arithmetic is that of
+    :func:`bilinear_sample`, done in place and in the same order, so the
+    values are equal (a ``-0.0`` coordinate can at most flip the sign of a
+    zero sample). The floor is a cast to ``intp``, exact on the non-negative
+    coordinates it is taken of. Without ``border`` every point must lie in
+    ``[0, w - 2] x [0, h - 2]``: then the off-grid mask and the far-edge
+    clamp change nothing and are skipped.
+    """
+    h, w = img.shape
+    flat = img.ravel()
+    if border:
+        outside = ~((xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1))
+        np.copyto(xs, 0.0, where=outside)
+        np.copyto(ys, 0.0, where=outside)
+    x0 = xs.astype(np.intp)
+    y0 = ys.astype(np.intp)
+    if border:
+        np.minimum(x0, max(w - 2, 0), out=x0)
+        np.minimum(y0, max(h - 2, 0), out=y0)
+    tx = np.subtract(xs, x0, out=xs)
+    ty = np.subtract(ys, y0, out=ys)
+    one_tx = 1.0 - tx
+    one_ty = 1.0 - ty
+    corner = np.multiply(y0, w, out=y0)
+    corner += x0
+    step_x = 1 if w > 1 else 0
+    step_y = w if h > 1 else 0
+
+    # each corner's pixels are a gather from the image shifted by its offset;
+    # the base corner plus every offset stays on the grid, so "clip" (which
+    # also skips take's buffered copy) never clips
+    flat.take(corner, out=out, mode="clip")
+    out *= one_tx
+    out *= one_ty
+    term = np.empty_like(out)
+    for offset, wx, wy in (
+        (step_x, tx, one_ty),
+        (step_y, one_tx, ty),
+        (step_x + step_y, tx, ty),
+    ):
+        flat[offset:].take(corner, out=term, mode="clip")
+        term *= wx
+        term *= wy
+        out += term
+    if border:
+        np.copyto(out, fill, where=outside)
+
+
 def tbls_matrix(
     minutiae: Sequence[Minutia],
     image: np.ndarray,
@@ -382,19 +446,36 @@ def tbls_matrix(
 
     Row ``i`` equals :func:`extract_tbls` of ``minutiae[i]`` exactly: the
     sample coordinates are formed with the same operations in the same
-    order. Rows are sampled a few at a time so the temporaries stay in cache.
+    order, and sampled as :func:`bilinear_sample` samples. Rows whose disc
+    plus a 1 px margin lies inside the image are sampled first, in blocks
+    that skip the off-grid handling; the rest follow with it. Rows are
+    sampled a few at a time so the temporaries stay in cache.
     """
     n = len(minutiae)
     out = np.empty((n, geometry.n_t), dtype=np.float64)
-    img = np.asarray(image, dtype=np.float64)
+    img = np.ascontiguousarray(image, dtype=np.float64)
+    h, w = img.shape
     x, y, cos, sin = _minutia_arrays(minutiae)
     lat = geometry.lattice_t.astype(np.float64)
     lx, ly = lat[:, 0], lat[:, 1]
+    # a rotated lattice offset is within r_t of its minutia up to rounding,
+    # which the margin absorbs (NaN positions compare False: border rows)
+    reach = geometry.r_t + 1.0
+    interior = (x >= reach) & (x <= w - 1 - reach) & (y >= reach) & (y <= h - 1 - reach)
     step = max(1, _TBLS_BLOCK_ELEMENTS // geometry.n_t)
-    for lo in range(0, n, step):
-        rows = slice(lo, min(lo + step, n))
-        c, s = cos[rows, None], sin[rows, None]
-        xs = x[rows, None] + lx * c - ly * s
-        ys = y[rows, None] + lx * s + ly * c
-        out[rows] = bilinear_sample(img, xs, ys, fill)
+    block = np.empty((step, geometry.n_t), dtype=np.float64)
+    for border in (False, True):
+        rows = np.flatnonzero(interior != border)
+        for lo in range(0, rows.size, step):
+            idx = rows[lo : lo + step]
+            c, s = cos[idx, None], sin[idx, None]
+            xs = lx * c
+            xs += x[idx, None]
+            xs -= ly * s
+            ys = lx * s
+            ys += y[idx, None]
+            ys += ly * c
+            samples = block[: idx.size]
+            _sample_rows(img, xs, ys, fill, samples, border)
+            out[idx] = samples
     return out

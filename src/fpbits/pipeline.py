@@ -60,7 +60,7 @@ from .protocol import (
     compute_eer,
     fvc_pair_rows,
 )
-from .subspace_fusion import fuse_matrix, project, train_pca
+from .subspace_fusion import fuse_matrix, project, train_pca_inplace
 from .synth import keyed_rng
 from .template_io import GrayImage, Minutia, MinutiaTemplate
 
@@ -97,8 +97,9 @@ def fused_vectors(
 
 
 def _subsample(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
+    """At most ``cap`` rows of ``matrix`` (all when ``cap`` is 0), as a new array."""
     if cap <= 0 or matrix.shape[0] <= cap:
-        return matrix
+        return matrix.copy()
     rng = keyed_rng(seed, _STREAM_PCA_SUBSAMPLE)
     idx = np.sort(rng.choice(matrix.shape[0], size=cap, replace=False))
     return matrix[idx]
@@ -171,18 +172,22 @@ def train_model(
 
     if verbose:
         print(f"fitting subspaces (n_p={config.n_p}) on {m_matrix.shape[0]} vectors")
-    pca_m = train_pca(
+    # one family at a time, each descriptor matrix dropped once projected:
+    # the texture fit, the largest, runs without the minutia matrix alive
+    pca_m = train_pca_inplace(
         _subsample(m_matrix, config.pca_subsample, config.seed), config.n_p
     )
-    pca_t = train_pca(
+    proj_m = project(pca_m, m_matrix)
+    del m_matrix
+    pca_t = train_pca_inplace(
         _subsample(t_matrix, config.pca_subsample, config.seed), config.n_p
     )
-
     # fuse the full pool (augmented minutia structures pair with a zero
     # texture projection: they carry no texture evidence)
-    proj_t = np.zeros((m_matrix.shape[0], config.n_p))
+    proj_t = np.zeros_like(proj_m)
     proj_t[:n_real] = project(pca_t, t_matrix)
-    fused = fuse_matrix(project(pca_m, m_matrix), proj_t, config.omega_M, config.omega_T)
+    del t_matrix
+    fused = fuse_matrix(proj_m, proj_t, config.omega_M, config.omega_T)
 
     if verbose:
         print(f"clustering {fused.shape[0]} fused vectors into K={config.K}")

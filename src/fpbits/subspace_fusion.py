@@ -94,16 +94,26 @@ def train_pca(samples: Sequence[np.ndarray] | np.ndarray, n_components: int) -> 
     samples than dimensions the eigenproblem is solved on the samples' Gram
     matrix instead of the full covariance, which is exact for the nonzero
     spectrum and far smaller. Only the ``n_components`` leading eigenpairs
-    are computed (see :func:`_top_eigenpairs`).
+    are computed (see :func:`_top_eigenpairs`). ``samples`` is not modified:
+    the fit centres a copy (see :func:`train_pca_inplace`).
 
     Raises:
         TooFewSamples: fewer than 2 samples.
         RankDeficient: ``n_components`` exceeds what the samples can span
             (never more than ``min(n_samples - 1, dim)``).
     """
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.array(samples, dtype=np.float64)
     if x.ndim != 2:
         x = np.vstack([np.asarray(s, dtype=np.float64).ravel() for s in samples])
+    return train_pca_inplace(x, n_components)
+
+
+def train_pca_inplace(x: np.ndarray, n_components: int) -> PcaModel:
+    """:func:`train_pca` of an ``(n, dim)`` float64 matrix, centred in place.
+
+    The caller hands ``x`` over: on return it holds the centred samples. No
+    centred copy is made, so a large fit holds one sample matrix, not two.
+    """
     n, dim = x.shape
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
@@ -117,7 +127,8 @@ def train_pca(samples: Sequence[np.ndarray] | np.ndarray, n_components: int) -> 
         )
 
     mean = x.mean(axis=0)
-    xc = x - mean
+    xc = x
+    xc -= mean  # in place, as the caller allowed
 
     if n < dim:
         # Gram trick: eigenvectors of (Xc Xc^T) map onto covariance

@@ -1,6 +1,7 @@
 """Descriptor geometry: local frames, Gaussian bumps, rasterization, patches."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -499,3 +500,185 @@ def test_tbls_matrix_edge_cases(monkeypatch):
     # one row per block gives the same rows
     monkeypatch.setattr(local_structures, "_TBLS_BLOCK_ELEMENTS", 1)
     assert np.array_equal(tbls_matrix(minutiae, img, geom), want)
+
+
+# ---------------------------------------------------------------------------
+# the texture sampler's interior fast path and the minutia segment sum
+# ---------------------------------------------------------------------------
+
+def spy_sampled_rows(monkeypatch):
+    """Record ``(border, rows)`` of every block ``tbls_matrix`` samples."""
+    calls = []
+    sample = local_structures._sample_rows
+
+    def spy(img, xs, ys, fill, out, border):
+        calls.append((border, xs.shape[0]))
+        sample(img, xs, ys, fill, out, border)
+
+    monkeypatch.setattr(local_structures, "_sample_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3, 100])
+def test_tbls_matrix_mixed_interior_and_border_rows(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(59)
+    geom = default_geometry()
+    img = normalize_image(GrayImage(rng.integers(0, 256, size=(140, 170), dtype=np.uint8)))
+    inner = random_minutiae(rng, 7, 45.0, 95.0)
+    outer = random_minutiae(rng, 7, -30.0, 30.0)
+    # alternate, so every block of the input order holds both kinds
+    minutiae = [m for pair in zip(inner, outer) for m in pair]
+    monkeypatch.setattr(
+        local_structures, "_TBLS_BLOCK_ELEMENTS", rows_per_block * geom.n_t
+    )
+    calls = spy_sampled_rows(monkeypatch)
+    got = tbls_matrix(minutiae, img, geom, fill=-1.0)
+    assert np.array_equal(got, tbls_oracle(minutiae, img, geom, fill=-1.0))
+    # interior rows go first, and each kind is sampled on its own path
+    assert sum(rows for border, rows in calls if not border) == 7
+    assert sum(rows for border, rows in calls if border) == 7
+    assert [border for border, _ in calls] == sorted(border for border, _ in calls)
+
+
+def test_tbls_matrix_rows_follow_input_order():
+    rng = np.random.default_rng(61)
+    geom = small_geometry()
+    img = rng.normal(size=(60, 80))
+    minutiae = random_minutiae(rng, 12, -5.0, 85.0)
+    want = tbls_matrix(minutiae, img, geom)
+    order = rng.permutation(len(minutiae))
+    got = tbls_matrix([minutiae[i] for i in order], img, geom)
+    assert np.array_equal(got, want[order])
+
+
+def test_tbls_matrix_interior_margin(monkeypatch):
+    # the fast path takes a minutia whose disc plus 1 px lies inside the
+    # image; probe exactly that position and one pixel either side of it,
+    # on each of the four edges, at several directions
+    geom = small_geometry()
+    h, w = 50, 60
+    img = np.random.default_rng(67).normal(size=(h, w))
+    reach = geom.r_t + 1.0
+    mid_x, mid_y = w / 2.0, h / 2.0
+    minutiae, expect_interior = [], []
+    for theta in (0.0, 0.3, math.pi / 4, math.pi / 2, 2.0, math.pi):
+        for shift in (-1.0, 0.0, 1.0):
+            for x, y, inside in (
+                (reach + shift, mid_y, shift >= 0.0),
+                (w - 1 - reach - shift, mid_y, shift >= 0.0),
+                (mid_x, reach + shift, shift >= 0.0),
+                (mid_x, h - 1 - reach - shift, shift >= 0.0),
+            ):
+                minutiae.append(Minutia(x, y, theta))
+                expect_interior.append(inside)
+    calls = spy_sampled_rows(monkeypatch)
+    got = tbls_matrix(minutiae, img, geom, fill=7.0)
+    assert np.array_equal(got, tbls_oracle(minutiae, img, geom, fill=7.0))
+    assert sum(rows for border, rows in calls if not border) == sum(expect_interior)
+
+
+def test_tbls_matrix_one_row_per_block_with_fast_path(monkeypatch):
+    rng = np.random.default_rng(71)
+    geom = default_geometry()
+    img = rng.normal(size=(130, 160))
+    minutiae = random_minutiae(rng, 9, -10.0, 170.0) + random_minutiae(rng, 4, 50.0, 80.0)
+    want = tbls_oracle(minutiae, img, geom)
+    monkeypatch.setattr(local_structures, "_TBLS_BLOCK_ELEMENTS", 1)
+    calls = spy_sampled_rows(monkeypatch)
+    assert np.array_equal(tbls_matrix(minutiae, img, geom), want)
+    assert all(rows == 1 for _, rows in calls) and len(calls) == len(minutiae)
+    assert any(not border for border, _ in calls)
+
+
+def test_tbls_matrix_non_finite_positions_fill():
+    geom = small_geometry()
+    img = np.random.default_rng(73).normal(size=(60, 60))
+    odd = [
+        Minutia(math.nan, 30.0, 0.0),
+        Minutia(30.0, math.nan, 1.0),
+        Minutia(math.inf, 30.0, 0.5),
+        Minutia(30.0, -math.inf, 2.0),
+    ]
+    minutiae = odd + [Minutia(30.0, 30.0, 0.4), Minutia(-0.0, 20.0, math.pi)]
+    got = tbls_matrix(minutiae, img, geom, fill=-4.0)
+    assert (got[: len(odd)] == -4.0).all()
+    assert np.array_equal(got, tbls_oracle(minutiae, img, geom, fill=-4.0))
+
+
+def mbls_pair_count(minutiae, geom):
+    return sum(
+        1
+        for i, a in enumerate(minutiae)
+        for j, b in enumerate(minutiae)
+        if i != j and math.hypot(a.x - b.x, a.y - b.y) <= geom.r_m
+    )
+
+
+def test_mbls_matrix_every_block_size(monkeypatch):
+    # from one pair per block (each block owned by a single reference) to
+    # all pairs in one block; one reference sits among three close neighbors,
+    # one minutia is isolated, so blocks also span a reference with no pairs
+    geom, spread = small_geometry(), SpreadModel()
+    minutiae = [
+        Minutia(50.0, 50.0, 0.2),
+        Minutia(60.0, 52.0, 1.0),
+        Minutia(44.0, 58.0, 2.2),
+        Minutia(150.0, 150.0, 0.7),
+        Minutia(52.0, 41.0, 4.0),
+        Minutia(75.0, 55.0, 5.5),
+    ]
+    want = mbls_oracle(minutiae, geom, spread)
+    n_pairs = mbls_pair_count(minutiae, geom)
+    assert n_pairs == 18
+    for rows in range(1, n_pairs + 1):
+        monkeypatch.setattr(local_structures, "_MBLS_BLOCK_ELEMENTS", rows * geom.n_m)
+        got = mbls_matrix(minutiae, geom, spread)
+        assert np.max(np.abs(got - want)) <= MBLS_TOL, rows
+    assert not got[3].any()
+
+
+def test_mbls_matrix_tiny_lattice_caps_block_rows():
+    # 9 lattice points: a block is capped at 9 pairs, so its segment matrix
+    # stays within the output's size; the sums are unchanged
+    rng = np.random.default_rng(79)
+    geom, spread = StructureGeometry.create(r_m=5.0, r_t=2.0, downscale_area=10.0), SpreadModel()
+    assert geom.n_m == 9
+    minutiae = random_minutiae(rng, 40, 0.0, 20.0)
+    got = mbls_matrix(minutiae, geom, spread)
+    assert np.max(np.abs(got - mbls_oracle(minutiae, geom, spread))) <= MBLS_TOL
+
+    # 400 minutiae along a strip: the per-pair arrays take about 4 MiB; an
+    # uncapped block (7281 pairs) would add segment matrices of about 6 MiB
+    strip = [
+        Minutia(float(x), float(y), 0.0)
+        for x, y in zip(rng.uniform(0, 20, 400), rng.uniform(0, 200, 400))
+    ]
+    tracemalloc.start()
+    try:
+        mbls_matrix(strip, geom, spread)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, peak
+
+
+@pytest.mark.parametrize("kernel", ["mbls", "tbls"])
+def test_matrix_kernels_peak_memory(kernel):
+    # 100 minutiae packed into one disc: 9900 pairs. A pairs x lattice
+    # temporary would be about 150 MiB; the blocked kernels need their output
+    # plus a few MiB
+    rng = np.random.default_rng(83)
+    geom, spread = default_geometry(), SpreadModel()
+    minutiae = random_minutiae(rng, 100, 100.0, 150.0)
+    assert mbls_pair_count(minutiae, geom) == 9900
+    img = rng.normal(size=(256, 256))
+    tracemalloc.start()
+    try:
+        if kernel == "mbls":
+            out = mbls_matrix(minutiae, geom, spread)
+        else:
+            out = tbls_matrix(minutiae, img, geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 2**20, (peak, out.nbytes)

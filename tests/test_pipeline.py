@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fpbits.codebook import BitString, DistanceVector
+from fpbits.codebook import (
+    GATE_BEST_ONLY,
+    GATE_PER_CANDIDATE,
+    BitString,
+    DistanceVector,
+    encode_bitstring,
+)
 
 from fpbits.config import PipelineConfig
 from fpbits.local_structures import build_mbls, extract_tbls, normalize_image
@@ -13,6 +19,7 @@ from fpbits.model_store import load_model, save_model
 from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.pipeline import (
     EncodedImpression,
+    _subsample,
     compression_sweep,
     encode_dataset,
     encode_impression,
@@ -89,6 +96,45 @@ def test_fused_matrix_matches_per_row_project_and_fuse(small_run):
         assert got.shape == (len(template.minutiae), 2 * cfg.n_p)
         # projections differ in summation order only; z-scores are O(1)
         assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_encode_impression_matches_per_minutia_oracle_path(small_run):
+    # the whole encode against the slow path it replaced: per-minutia
+    # descriptors, per-vector projection and fusion, then the bit-string
+    items, model = small_run
+    cfg, geom = model.config, model.geometry
+    gate = GATE_PER_CANDIDATE if cfg.gate_all else GATE_BEST_ONLY
+    for key in sorted(items):
+        template, image = items[key]
+        norm = normalize_image(image)
+        ms = template.minutiae
+        vectors = np.array([
+            fuse(
+                project(model.pca_m, build_mbls(m, ms, geom, model.spread)),
+                project(model.pca_t, extract_tbls(m, norm, geom, fill=0.0)),
+                cfg.omega_M,
+                cfg.omega_T,
+            ).values
+            for m in ms
+        ])
+        want = encode_bitstring(vectors, model.codebook, gate_mode=gate)
+        assert encode_impression(template, image, model).bits == want, key
+
+
+@pytest.mark.parametrize("cap", [0, 12, 30, 31])
+def test_subsample_is_a_new_array(cap):
+    # the subspace fit centres its subsample in place, so even an uncapped
+    # subsample must not share memory with the matrix projected afterwards
+    matrix = np.arange(30 * 4, dtype=np.float64).reshape(30, 4)
+    sub = _subsample(matrix, cap, seed=3)
+    assert not np.shares_memory(sub, matrix)
+    if cap in (0, 30, 31):
+        assert np.array_equal(sub, matrix)
+    else:
+        assert sub.shape == (cap, 4)
+        rows = [int(r[0]) // 4 for r in sub]
+        assert rows == sorted(set(rows))
+        assert np.array_equal(sub, matrix[rows])
 
 
 def test_empty_and_single_minutia_impressions(small_run):

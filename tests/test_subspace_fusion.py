@@ -15,6 +15,7 @@ from fpbits.subspace_fusion import (
     project,
     stack_fused,
     train_pca,
+    train_pca_inplace,
     znorm,
 )
 
@@ -113,6 +114,25 @@ def test_training_errors():
     dup = np.stack([row * t for t in (1.0, 2.0, 3.0)])
     with pytest.raises(RankDeficient):
         train_pca(dup, 2)
+
+
+@pytest.mark.parametrize("n_samples", [12, 80])  # Gram and covariance branches
+def test_train_pca_leaves_its_argument_alone(n_samples):
+    rng = np.random.default_rng(69)
+    x = rng.normal(loc=3.0, size=(n_samples, 30))
+    before = x.copy()
+    model = train_pca(x, 5)
+    assert np.array_equal(x, before)
+    # the list-of-vectors form too
+    rows = list(x)
+    train_pca(rows, 5)
+    assert all(np.array_equal(r, b) for r, b in zip(rows, before))
+    # the in-place fit gives the same model and leaves the centred samples
+    owned = x.copy()
+    inplace = train_pca_inplace(owned, 5)
+    for name in ("mean", "basis", "explained_variance"):
+        assert np.array_equal(getattr(inplace, name), getattr(model, name)), name
+    assert np.array_equal(owned, x - model.mean)
 
 
 def test_project_checks_length():
