@@ -45,6 +45,7 @@ from .template_io import (
     MinutiaTemplate,
     parse_text_template,
     read_pgm,
+    read_text,
     serialize_text_template,
     write_pgm,
 )
@@ -89,8 +90,9 @@ def load_dataset(root: str) -> pipeline.DatasetDict:
         image_path = os.path.join(idir, stem + ".pgm")
         if not os.path.exists(image_path):
             raise ModelMissing(f"image {image_path!r} missing for template {name!r}")
-        with open(os.path.join(tdir, name), "r", encoding="utf-8") as fh:
-            template = parse_text_template(fh.read(), subject_id=sid, impression_id=iid)
+        template = parse_text_template(
+            read_text(os.path.join(tdir, name)), subject_id=sid, impression_id=iid
+        )
         with open(image_path, "rb") as fh:
             image = read_pgm(fh.read())
         items[(sid, iid)] = (template, image)
@@ -178,17 +180,17 @@ def cmd_enroll(args) -> int:
 
 def _read_pairs(path: str) -> List[Tuple[str, str, str, str]]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ModelMissing(
-                    f"pairs file line {lineno}: expected 4 fields, got {len(parts)}"
-                )
-            pairs.append((parts[0], parts[1], parts[2], parts[3]))
+    # text mode has already turned every line ending into "\n"
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ModelMissing(
+                f"pairs file line {lineno}: expected 4 fields, got {len(parts)}"
+            )
+        pairs.append((parts[0], parts[1], parts[2], parts[3]))
     return pairs
 
 

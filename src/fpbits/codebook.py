@@ -29,8 +29,10 @@ from .errors import (
 )
 from .subspace_fusion import FusedVector, stack_fused
 
-GATE_PER_CANDIDATE = "per-candidate"
-GATE_BEST_ONLY = "best-only"
+# the expanded squared distance ||x||^2 - 2 x.c + ||c||^2 rounds by at most
+# about 2 (dim + 2) eps (||x||^2 + ||c||^2). k-means++ recomputes in direct
+# form every one within twice that, this factor times (dim + 2) eps, of 0
+_EXPANDED_ROUNDING = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -111,35 +113,92 @@ class Codebook:
         return self.centroids.shape[1]
 
 
-def _distances(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Plain Euclidean distance matrix, rows = vectors, columns = clusters."""
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against rounding
-    sq = (
-        (matrix * matrix).sum(axis=1)[:, None]
-        - 2.0 * matrix @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+def _sq_norms(matrix: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row."""
+    return (matrix * matrix).sum(axis=1)
+
+
+def _distances(
+    matrix: np.ndarray,
+    centroids: np.ndarray,
+    sq_norms: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Plain Euclidean distance matrix, rows = vectors, columns = clusters.
+
+    ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2``, clipped at 0 against
+    rounding, evaluated in place in one ``(n, K)`` array: ``out`` when given.
+    ``sq_norms`` are the rows' squared norms (:func:`_sq_norms`), when the
+    caller already has them. Scaling the product by -2 after the matmul
+    rather than before is exact, so the values do not depend on ``out``.
+    """
+    # the memory layout picks the BLAS kernel: keep the one rows always had
+    matrix = np.ascontiguousarray(matrix)
+    if sq_norms is None:
+        sq_norms = _sq_norms(matrix)
+    d = np.matmul(matrix, centroids.T, out=out)
+    d *= -2.0
+    d += sq_norms[:, None]
+    d += _sq_norms(centroids)[None, :]
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
 
 
 # ---------------------------------------------------------------------------
 # K-means
 # ---------------------------------------------------------------------------
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = x[first]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+def _kmeanspp_init(
+    x: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007).
+
+    The first centroid is a uniform draw. Each next one is drawn with
+    probability proportional to the squared distance to the nearest centroid
+    chosen so far; when every point coincides with a chosen centroid, the
+    draw is uniform again.
+
+    Each new centroid's squared distances come in expanded form, one matvec
+    against the cached ``sq_norms`` clamped at 0, rather than from an
+    ``(n, dim)`` difference matrix. A row whose expanded value is within its
+    rounding bound ``_EXPANDED_ROUNDING * (dim + 2) * eps * (||x||^2 +
+    ||c||^2)`` of 0 may be an exact copy of the centroid, and is recomputed
+    from the difference: a point equal to a chosen centroid therefore gets
+    exactly 0, as in the direct form. Every other distance differs from the
+    direct form ``((x - c) ** 2).sum(axis=1)`` only in its last bits, and each
+    draw consumes the same random numbers. A different index than the direct
+    form would pick can only come from a uniform draw that falls within that
+    rounding of a cumulative-probability boundary.
+    """
+    n, dim = x.shape
+    centroids = np.empty((k, dim), dtype=np.float64)
+    rounding = _EXPANDED_ROUNDING * (dim + 2) * np.finfo(np.float64).eps
+    norm_bound = rounding * sq_norms
+    d2 = np.empty(n, dtype=np.float64)
+    new = np.empty(n, dtype=np.float64)
+    idx = int(rng.integers(n))
+    for j in range(k):
+        if j:
+            total = float(d2.sum())
+            if total <= 0.0:
+                idx = int(rng.integers(n))
+            else:
+                idx = int(rng.choice(n, p=d2 / total))
+        c = centroids[j] = x[idx]
+        if j == k - 1:
+            break
+        dist = d2 if j == 0 else new
+        np.matmul(x, c, out=dist)
+        dist *= -2.0
+        dist += sq_norms
+        dist += sq_norms[idx]
+        np.maximum(dist, 0.0, out=dist)
+        near = np.flatnonzero(dist <= norm_bound + rounding * sq_norms[idx])
+        if near.size:
+            diff = x[near] - c
+            dist[near] = (diff * diff).sum(axis=1)
+        if j:
+            np.minimum(d2, new, out=d2)
     return centroids
 
 
@@ -168,24 +227,26 @@ def kmeans_train(
     ``trace``, when given, receives the objective after every update step;
     it is non-increasing.
     """
-    x = stack_fused(pool)
+    x = np.ascontiguousarray(stack_fused(pool))
     n = x.shape[0]
     if k < 1:
         raise PoolTooSmall(f"k must be >= 1, got {k}")
     if n < k:
         raise PoolTooSmall(f"pool of {n} vectors cannot support {k} clusters")
 
+    sq_norms = _sq_norms(x)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    centroids = _kmeanspp_init(x, k, rng)
+    centroids = _kmeanspp_init(x, sq_norms, k, rng)
 
+    d = np.empty((n, k), dtype=np.float64)  # every iteration's distances
     prev_assign: Optional[np.ndarray] = None
     for _ in range(max_iters):
-        d = _distances(x, centroids)
+        _distances(x, centroids, sq_norms, out=d)
         assign = d.argmin(axis=1)  # ties resolve to the smallest index
 
         counts = np.bincount(assign, minlength=k)
         if (counts == 0).any():
-            own = d[np.arange(n), assign].copy()
+            own = d[np.arange(n), assign]
             for empty in np.flatnonzero(counts == 0):
                 eligible = counts[assign] >= 2
                 if not eligible.any():
@@ -201,8 +262,12 @@ def kmeans_train(
             break
         prev_assign = assign
 
-        for j in range(k):
-            centroids[j] = x[assign == j].mean(axis=0)
+        # a stable sort keeps each cluster's members in pool order, so every
+        # slice averages the same rows in the same order as x[assign == j]
+        members = x[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        for j, (lo, hi) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+            centroids[j] = members[lo:hi].mean(axis=0)
         if trace is not None:
             trace.append(kmeans_objective(x, centroids))
 
@@ -293,18 +358,16 @@ def cardinality_weights(cardinalities: np.ndarray) -> np.ndarray:
 def encode_bitstring(
     vectors: Sequence[FusedVector] | np.ndarray,
     codebook: Codebook,
-    gate_mode: str = GATE_PER_CANDIDATE,
+    gate_all: bool = True,
 ) -> BitString:
     """Convert one impression's fused vectors into a K-bit string.
 
     Each vector ranks clusters by adjusted distance and nominates the best
-    ``top_t``. In ``per-candidate`` mode every nominated cluster's bit is set
-    only when its own adjusted distance is below ``tau_s``; in ``best-only``
-    mode just the rank-1 nomination is gated and the rest are set outright.
+    ``top_t``. With ``gate_all`` every nominated cluster's bit is set only
+    when its own adjusted distance is below ``tau_s``; without it just the
+    rank-1 nomination is gated and the rest are set outright.
     An impression with no vectors maps to the all-zero string.
     """
-    if gate_mode not in (GATE_PER_CANDIDATE, GATE_BEST_ONLY):
-        raise ValueError(f"unknown gate mode {gate_mode!r}")
     bits = np.zeros(codebook.k, dtype=bool)
     x = stack_fused(vectors)
     if x.size == 0:
@@ -313,7 +376,7 @@ def encode_bitstring(
     # ties in adjusted distance nominate the smaller cluster index first
     nominated = np.argsort(adj, axis=1, kind="stable")[:, : codebook.top_t]
     passes = np.take_along_axis(adj, nominated, axis=1) < codebook.tau_s
-    if gate_mode == GATE_BEST_ONLY:
+    if not gate_all:
         passes[:, 1:] = True
     bits[nominated[passes]] = True
     return BitString(bits)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import MalformedHeader
+from .template_io import read_text
 
 
 @dataclass
@@ -145,9 +146,4 @@ def _convert(val: str, target: type):
 
 
 def load_config(path: str) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise MalformedHeader(f"config {path}: not UTF-8 text: {exc.reason}") from None
-    return parse_config(text)
+    return parse_config(read_text(path))

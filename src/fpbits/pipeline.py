@@ -21,8 +21,6 @@ from .codebook import (
     BitString,
     Codebook,
     DistanceVector,
-    GATE_BEST_ONLY,
-    GATE_PER_CANDIDATE,
     cardinality_weights,
     cluster_cardinalities,
     distance_vector,
@@ -36,7 +34,6 @@ from .errors import EmptyScores, EmptyTrainingSet
 from .local_structures import (
     SpreadModel,
     StructureGeometry,
-    build_mbls,
     mbls_matrix,
     normalize_image,
     tbls_matrix,
@@ -129,7 +126,7 @@ def _augment_structures(
             )
             for r, a in zip(rho, ang)
         ]
-        row[:] = build_mbls(ref, [ref] + others, geometry, spread)
+        row[:] = mbls_matrix([ref] + others, geometry, spread)[0]
 
 
 def train_model(
@@ -249,8 +246,7 @@ def encode_impression(
 ) -> EncodedImpression:
     """Template + image -> bit-string, distance vector, minutia count."""
     vectors = fused_vectors(template, image, model)
-    gate = GATE_PER_CANDIDATE if model.config.gate_all else GATE_BEST_ONLY
-    bits = encode_bitstring(vectors, model.codebook, gate_mode=gate)
+    bits = encode_bitstring(vectors, model.codebook, model.config.gate_all)
     distances = distance_vector(
         vectors,
         model.codebook,

@@ -63,20 +63,29 @@ def _top_eigenpairs(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Implicitly restarted Lanczos (ARPACK) with ``tol=0`` iterates until the
     Ritz residuals reach machine precision, and never forms the eigenvectors
-    that are thrown away. When ``k`` is a large share of the matrix order,
-    or when Lanczos does not converge, the dense ``eigh`` solves instead.
+    that are thrown away. Its matrix-vector product is BLAS ``dsymv`` on one
+    triangle of ``sym``, which reads half the memory of a full product. When
+    ``k`` is a large share of the matrix order, or when Lanczos does not
+    converge, the dense ``eigh`` solves instead.
     """
     # imported here: scipy.sparse.linalg adds about 0.3 s to the start of
     # every command, and only fitting needs it
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.linalg import blas
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     m = sym.shape[0]
     if 4 * k < m:
+        # the transpose of the C-ordered symmetric matrix is itself, in the
+        # Fortran order BLAS takes without a copy
+        sym_f = sym.T
+        op = LinearOperator(
+            (m, m), matvec=lambda v: blas.dsymv(1.0, sym_f, v.ravel()), dtype=np.float64
+        )
         # a random start: the all-ones vector lies in the null space of every
         # centred Gram matrix
         v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
         try:
-            evals, evecs = eigsh(sym, k=k, which="LA", tol=0, v0=v0)
+            evals, evecs = eigsh(op, k=k, which="LA", tol=0, v0=v0)
         except ArpackNoConvergence:
             pass
         else:

@@ -151,6 +151,19 @@ def _check_bounds(x: float, y: float, width: int, height: int, line: int | None 
 # native text format
 # ---------------------------------------------------------------------------
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file, line endings as text mode reads them.
+
+    Raises:
+        MalformedHeader: the file is not UTF-8; the message names it.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedHeader(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def parse_text_template(
     text: str, subject_id: str = "", impression_id: str = ""
 ) -> MinutiaTemplate:

@@ -7,9 +7,20 @@ import pytest
 
 from fpbits import cli
 from fpbits.cli import load_dataset, main, save_dataset
+from fpbits.errors import FpbitsError
 from fpbits.matching import intersection_score, masked_score
 from fpbits.model_store import load_bitstring, load_finger, load_model_file
 from fpbits.synth import SynthParams, synth_dataset
+from fpbits.template_io import (
+    GrayImage,
+    parse_iso19794_2,
+    parse_text_template,
+    read_pgm,
+    read_text,
+    serialize_iso19794_2,
+    serialize_text_template,
+    write_pgm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +274,79 @@ def test_bad_config_override(tmp_path, capsys):
                  "--out", str(tmp_path / "m.fpbm"),
                  "--set", "K=abc"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def assert_one_error_line(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(name in err for name in names), err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_train_non_utf8_template_exits_2_with_one_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    save_dataset(synth_dataset(SynthParams(n_subjects=2, n_impressions=2, width=96,
+                                           height=96, n_minutiae=8, seed=3)), str(data))
+    bad = sorted((data / "templates").iterdir())[1]
+    bad.write_bytes(bad.read_bytes().rstrip(b"\n") + b"\xff\n")
+    assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "m.fpbm"),
+                 "--quiet"]) == 2
+    assert_one_error_line(capsys, bad.name, "UTF-8")
+    assert not (tmp_path / "m.fpbm").exists()
+
+
+def test_match_non_utf8_pairs_exits_2_with_one_line(workdir, tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_bytes(b"# subject impression subject impression\ns0 1 s1 1\xff\n")
+    assert main(["match", "--kind", "bits", "--pairs", str(pairs),
+                 "--bits-dir", workdir["bits"]]) == 2
+    assert_one_error_line(capsys, "pairs.txt", "UTF-8")
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: every mutated file loads or is rejected with a typed error
+# ---------------------------------------------------------------------------
+
+def _fuzz_case(kind, path):
+    """Seed bytes and the loader that reads them, as a command would."""
+    (template, image), = synth_dataset(SynthParams(
+        n_subjects=1, n_impressions=1, width=96, height=96, n_minutiae=12, seed=4,
+    )).values()
+
+    def through_file(read):
+        def load(data):
+            path.write_bytes(data)
+            return read(str(path))
+        return load
+
+    if kind == "template":  # load_dataset's path: UTF-8 text, then the parser
+        return (serialize_text_template(template).encode("ascii"),
+                through_file(lambda p: parse_text_template(read_text(p), "s", "1")))
+    if kind == "pgm":  # a small image, so that most mutations hit the header
+        return write_pgm(GrayImage(image.pixels[:6, :5])), read_pgm
+    if kind == "iso":
+        return serialize_iso19794_2(template), parse_iso19794_2
+    return (b"# subject impression subject impression\ns1 1 s2 1\r\ns1 2 s3 4\n",
+            through_file(cli._read_pairs))
+
+
+@pytest.mark.parametrize("kind", ["template", "pgm", "iso", "pairs"])
+def test_fuzz_file_loaders_zero_untyped(kind, tmp_path):
+    blob, load = _fuzz_case(kind, tmp_path / "payload")
+    load(blob)  # the seed itself loads
+    rng = np.random.default_rng(1306)
+    crashes = []
+    loaded = 0
+    for _ in range(3000):
+        out = bytearray(blob)
+        for _ in range(int(rng.integers(1, 4))):
+            out[int(rng.integers(len(out)))] = int(rng.integers(256))
+        try:
+            load(bytes(out))
+        except FpbitsError:
+            continue
+        except Exception as exc:  # anything untyped is a crash
+            crashes.append(f"{type(exc).__name__}: {exc}")
+            continue
+        loaded += 1
+    assert not crashes, f"{len(crashes)} untyped, first: {crashes[0]}"
+    assert loaded > 0

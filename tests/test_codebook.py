@@ -7,8 +7,9 @@ from fpbits.codebook import (
     BitString,
     Codebook,
     DistanceVector,
-    GATE_BEST_ONLY,
-    GATE_PER_CANDIDATE,
+    _distances,
+    _kmeanspp_init,
+    _sq_norms,
     cardinality_weights,
     cluster_cardinalities,
     distance_vector,
@@ -26,6 +27,7 @@ from fpbits.errors import (
     LengthMismatch,
     PoolTooSmall,
 )
+from oracles import distances_oracle, kmeans_train_oracle, kmeanspp_init_oracle
 
 
 def brute_distances(x, centroids):
@@ -111,6 +113,71 @@ def test_kmeans_survives_duplicate_heavy_pool():
     assert centroids.shape == (5, 2)
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
     assert np.isfinite(centroids).all()
+
+
+# ---------------------------------------------------------------------------
+# k-means against the direct-form oracles: identical to the last bit
+# ---------------------------------------------------------------------------
+
+def random_pool(n, dim, seed):
+    return np.random.default_rng(seed).normal(size=(n, dim))
+
+
+def duplicate_pool(n, dim, levels, seed):
+    """Coordinates on a grid of multiples of 0.1 (not exactly representable),
+    so most rows repeat others exactly."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-levels, levels + 1, size=(n, dim)) * 0.1
+
+
+def few_distinct_pool():
+    # 3 distinct points for K = 5: seeding runs out of distance mass (the
+    # uniform fallback) and Lloyd must reseed empty clusters
+    base = np.array([[0.3, 0.1], [1.1, 0.7], [0.1, 1.9]])
+    return np.repeat(base, 10, axis=0)
+
+
+ORACLE_POOLS = [
+    pytest.param(random_pool(60, 3, 1), 4, id="random-60x3-k4"),
+    pytest.param(random_pool(300, 8, 2), 12, id="random-300x8-k12"),
+    pytest.param(random_pool(500, 20, 3), 30, id="random-500x20-k30"),
+    pytest.param(random_pool(40, 1, 4), 6, id="random-40x1-k6"),
+    pytest.param(duplicate_pool(200, 3, 2, 5), 10, id="dup-200x3-k10"),
+    pytest.param(duplicate_pool(400, 6, 1, 6), 25, id="dup-400x6-k25"),
+    pytest.param(few_distinct_pool(), 5, id="few-distinct-k5"),
+    pytest.param(random_pool(2000, 40, 7), 100, id="random-2000x40-k100"),
+]
+
+
+@pytest.mark.parametrize("x, k", ORACLE_POOLS)
+def test_kmeanspp_init_matches_direct_form_oracle(x, k):
+    for seed in range(3):
+        want = kmeanspp_init_oracle(x, k, np.random.default_rng(seed))
+        got = _kmeanspp_init(x, _sq_norms(x), k, np.random.default_rng(seed))
+        assert np.array_equal(got, want), seed
+
+
+@pytest.mark.parametrize("x, k", ORACLE_POOLS)
+def test_kmeans_train_matches_lloyd_oracle(x, k):
+    for seed in range(2):
+        trace, want_trace = [], []
+        got = kmeans_train(x, k, seed=seed, trace=trace)
+        want = kmeans_train_oracle(x, k, seed=seed, trace=want_trace)
+        assert np.array_equal(got, want), seed
+        assert np.array_equal(trace, want_trace), seed
+        assert np.array_equal(_distances(x, got), distances_oracle(x, got))
+
+
+@pytest.mark.parametrize("max_iters", [1, 2])
+@pytest.mark.parametrize(
+    "x, k", [(random_pool(300, 8, 11), 12), (few_distinct_pool(), 5)]
+)
+def test_kmeans_train_cut_at_max_iters_matches_oracle(x, k, max_iters):
+    trace, want_trace = [], []
+    got = kmeans_train(x, k, max_iters=max_iters, seed=4, trace=trace)
+    want = kmeans_train_oracle(x, k, max_iters=max_iters, seed=4, trace=want_trace)
+    assert np.array_equal(got, want)
+    assert trace == want_trace and len(trace) <= max_iters
 
 
 def test_kmeans_pool_errors():
@@ -205,7 +272,7 @@ def test_cardinality_weights_endpoints():
 # bit conversion
 # ---------------------------------------------------------------------------
 
-def encode_oracle(x, codebook, gate_mode):
+def encode_oracle(x, codebook, gate_all):
     bits = np.zeros(codebook.k, dtype=bool)
     for v in x:
         adj = [
@@ -214,7 +281,7 @@ def encode_oracle(x, codebook, gate_mode):
         ]
         adj.sort()
         for rank, (value, j) in enumerate(adj[: codebook.top_t]):
-            if gate_mode == GATE_BEST_ONLY and rank > 0:
+            if not gate_all and rank > 0:
                 bits[j] = True
             elif value < codebook.tau_s:
                 bits[j] = True
@@ -229,10 +296,10 @@ def test_encode_exhaustive_oracle_both_modes():
         radii = rng.uniform(0.5, 2.0, size=12)
         x = rng.normal(size=(15, dim))
         for top_t in (1, 3, 5):
-            for gate in (GATE_PER_CANDIDATE, GATE_BEST_ONLY):
+            for gate_all in (True, False):
                 cb = make_codebook(centroids, radii, tau_s=0.2, top_t=top_t)
-                got = encode_bitstring(x, cb, gate_mode=gate)
-                assert np.array_equal(got.bits, encode_oracle(x, cb, gate))
+                got = encode_bitstring(x, cb, gate_all=gate_all)
+                assert np.array_equal(got.bits, encode_oracle(x, cb, gate_all))
 
 
 def test_encode_best_only_ties_nominate_smaller_index():
@@ -243,11 +310,11 @@ def test_encode_best_only_ties_nominate_smaller_index():
     for top_t in (1, 2, 3, 5):
         for tau_s in (0.0, 1.0):  # rank-1 gate shut, then open
             cb = make_codebook(centroids, [0.5] * 5, tau_s=tau_s, top_t=top_t)
-            got = encode_bitstring(x, cb, gate_mode=GATE_BEST_ONLY)
-            assert np.array_equal(got.bits, encode_oracle(x, cb, GATE_BEST_ONLY))
+            got = encode_bitstring(x, cb, gate_all=False)
+            assert np.array_equal(got.bits, encode_oracle(x, cb, False))
     cb = make_codebook(centroids, [0.5] * 5, tau_s=0.0, top_t=3)
     # rank 1 (cluster 0) fails the gate; ranks 2 and 3 are set outright
-    assert encode_bitstring(x, cb, GATE_BEST_ONLY).bits.tolist() == [
+    assert encode_bitstring(x, cb, False).bits.tolist() == [
         False, True, True, False, False
     ]
 
@@ -264,12 +331,6 @@ def test_encode_empty_input():
     cb = make_codebook([[0.0], [1.0]], [0.1, 0.1])
     out = encode_bitstring([], cb)
     assert len(out) == 2 and out.ones == 0
-
-
-def test_encode_rejects_unknown_mode():
-    cb = make_codebook([[0.0]], [0.1])
-    with pytest.raises(ValueError):
-        encode_bitstring(np.zeros((1, 1)), cb, gate_mode="sometimes")
 
 
 def test_distance_vector_oracle():

@@ -1,13 +1,14 @@
 """The matrix paths against the per-minutia and per-pair oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import fpbits.pipeline as pipeline
+
 from fpbits.codebook import (
-    GATE_BEST_ONLY,
-    GATE_PER_CANDIDATE,
     BitString,
     DistanceVector,
     encode_bitstring,
@@ -18,7 +19,9 @@ from fpbits.local_structures import build_mbls, extract_tbls, normalize_image
 from fpbits.model_store import load_model, save_model
 from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.pipeline import (
+    _STREAM_AUGMENT,
     EncodedImpression,
+    _augment_structures,
     _subsample,
     compression_sweep,
     encode_dataset,
@@ -32,8 +35,9 @@ from fpbits.pipeline import (
 )
 from fpbits.protocol import POLARITY_SIMILARITY, compute_eer, fvc_pairs
 from fpbits.subspace_fusion import fuse, project
-from fpbits.synth import SynthParams, synth_dataset
-from fpbits.template_io import MinutiaTemplate
+from fpbits.synth import SynthParams, keyed_rng, synth_dataset
+from fpbits.template_io import Minutia, MinutiaTemplate
+from oracles import kmeans_train_oracle
 
 # as in tests/test_local_structures.py: eps times the largest bump exponent
 # term, r_m^2 / (2 sigma_r0^2), with room for a few roundings
@@ -103,7 +107,6 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
     # descriptors, per-vector projection and fusion, then the bit-string
     items, model = small_run
     cfg, geom = model.config, model.geometry
-    gate = GATE_PER_CANDIDATE if cfg.gate_all else GATE_BEST_ONLY
     for key in sorted(items):
         template, image = items[key]
         norm = normalize_image(image)
@@ -117,8 +120,44 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
             ).values
             for m in ms
         ])
-        want = encode_bitstring(vectors, model.codebook, gate_mode=gate)
+        want = encode_bitstring(vectors, model.codebook, cfg.gate_all)
         assert encode_impression(template, image, model).bits == want, key
+
+
+def test_fit_with_oracle_kmeans_saves_identical_bytes(small_run, monkeypatch):
+    # the whole fit once more with the direct-form k-means++ and Lloyd loop
+    items, model = small_run
+    monkeypatch.setattr(pipeline, "kmeans_train", kmeans_train_oracle)
+    assert save_model(train_model(items, model.config)) == save_model(model)
+
+
+def augment_oracle(n_rows, geometry, spread, seed):
+    """Augmented rows from per-row ``build_mbls``, drawn as the pipeline draws."""
+    rng = keyed_rng(seed, _STREAM_AUGMENT)
+    rows = []
+    for _ in range(n_rows):
+        ref = Minutia(0.0, 0.0, float(rng.uniform(0.0, 2.0 * math.pi)))
+        n = int(rng.integers(1, 9))
+        rho = rng.uniform(5.0, geometry.r_m, size=n)
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        others = [
+            Minutia(
+                float(r * math.cos(a)),
+                float(r * math.sin(a)),
+                float(rng.uniform(0.0, 2.0 * math.pi)),
+            )
+            for r, a in zip(rho, ang)
+        ]
+        rows.append(build_mbls(ref, [ref] + others, geometry, spread))
+    return np.array(rows)
+
+
+def test_augmented_rows_match_build_mbls(small_run):
+    _, model = small_run
+    out = np.empty((40, model.geometry.n_m))
+    _augment_structures(out, model.geometry, model.spread, seed=9)
+    want = augment_oracle(40, model.geometry, model.spread, seed=9)
+    assert np.max(np.abs(out - want)) <= MBLS_TOL
 
 
 @pytest.mark.parametrize("cap", [0, 12, 30, 31])

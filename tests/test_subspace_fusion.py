@@ -226,11 +226,16 @@ def spectrum_samples(rng, n, dim, rank=15, noise=0.05):
 
 @pytest.fixture
 def eigsh_calls(monkeypatch):
-    """Counts calls to scipy's ``eigsh``; ``raise_no_convergence`` fails them."""
+    """Counts calls to scipy's ``eigsh``; ``raise_no_convergence`` fails them.
+
+    ``dsymv`` counts the one-triangle matrix-vector products the Lanczos
+    operator ran.
+    """
+    import scipy.linalg.blas as blas
     import scipy.sparse.linalg as sla
 
-    real = sla.eigsh
-    state = {"calls": 0, "raise_no_convergence": False}
+    real, real_dsymv = sla.eigsh, blas.dsymv
+    state = {"calls": 0, "dsymv": 0, "raise_no_convergence": False}
 
     def spy(*args, **kwargs):
         state["calls"] += 1
@@ -239,7 +244,12 @@ def eigsh_calls(monkeypatch):
             raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
         return real(*args, **kwargs)
 
+    def dsymv_spy(*args, **kwargs):
+        state["dsymv"] += 1
+        return real_dsymv(*args, **kwargs)
+
     monkeypatch.setattr(sla, "eigsh", spy)
+    monkeypatch.setattr(blas, "dsymv", dsymv_spy)
     return state
 
 
@@ -257,6 +267,7 @@ def test_lanczos_matches_dense_eigh(eigsh_calls, n, dim):
     x = spectrum_samples(np.random.default_rng(101), n, dim)
     model = train_pca(x, 10)
     assert eigsh_calls["calls"] == 1  # 4 * 10 < min(n, dim): Lanczos side
+    assert eigsh_calls["dsymv"] > 10  # every Lanczos step ran the operator
     assert_matches_dense(model, x, 10)
 
 
