@@ -44,6 +44,7 @@ from .template_io import (
     GrayImage,
     MinutiaTemplate,
     parse_text_template,
+    read_bytes,
     read_pgm,
     read_text,
     serialize_text_template,
@@ -93,8 +94,7 @@ def load_dataset(root: str) -> pipeline.DatasetDict:
         template = parse_text_template(
             read_text(os.path.join(tdir, name)), subject_id=sid, impression_id=iid
         )
-        with open(image_path, "rb") as fh:
-            image = read_pgm(fh.read())
+        image = read_pgm(read_bytes(image_path))
         items[(sid, iid)] = (template, image)
     if not items:
         raise ModelMissing(f"dataset {root!r} holds no templates")
@@ -203,8 +203,11 @@ def _load_bits_dir(path: str) -> Dict[Tuple[str, str], BitString]:
             continue
         stem = name[: -len(".fpbs")]
         sid, _, iid = stem.rpartition("_")
-        with open(os.path.join(path, name), "rb") as fh:
-            out[(sid, iid)] = load_bitstring(fh.read())
+        if not sid or not iid:
+            raise ModelMissing(
+                f"bit-string filename {name!r} is not <subject>_<impression>.fpbs"
+            )
+        out[(sid, iid)] = load_bitstring(read_bytes(os.path.join(path, name)))
     return out
 
 
@@ -264,11 +267,7 @@ def cmd_match(args) -> int:
 
 
 def _load_finger_file(fingers_dir: str, finger_id: str):
-    fpath = os.path.join(fingers_dir, f"{finger_id}.fpfm")
-    if not os.path.exists(fpath):
-        raise ModelMissing(f"finger model {fpath!r} does not exist")
-    with open(fpath, "rb") as fh:
-        return load_finger(fh.read())
+    return load_finger(read_bytes(os.path.join(fingers_dir, f"{finger_id}.fpfm")))
 
 
 def _get(bits: Dict[Tuple[str, str], BitString], sid: str, iid: str) -> BitString:
@@ -375,14 +374,12 @@ def cmd_inspect(args) -> int:
         for line in serialize_config(model.config).strip().splitlines():
             print(f"    {line}")
     if args.bits:
-        with open(args.bits, "rb") as fh:
-            bs = load_bitstring(fh.read())
+        bs = load_bitstring(read_bytes(args.bits))
         print(f"bit-string: {args.bits}")
         print(f"  length: {len(bs)} (template length {bs.template_length})")
         print(f"  set bits: {bs.ones}")
     if args.finger:
-        with open(args.finger, "rb") as fh:
-            finger, reference = load_finger(fh.read())
+        finger, reference = load_finger(read_bytes(args.finger))
         print(f"finger model: {args.finger}")
         print(f"  finger id: {finger.finger_id}")
         print(f"  mask keeps: {int(finger.mask.sum())} of {finger.k}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,6 +211,7 @@ def mbls_matrix(
     minutiae: Sequence[Minutia],
     geometry: StructureGeometry,
     spread: SpreadModel,
+    refs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Minutia descriptors of a whole impression, one row per minutia.
 
@@ -221,21 +222,29 @@ def mbls_matrix(
     ``[X^2, XY, Y^2, X, Y, 1]``, so all bumps of a block of pairs come from a
     single matrix product. The expansion rounds differently from the direct
     form; the error is about float64 eps times ``r_m^2 / (2 sigma_r0^2)``.
+
+    ``refs`` (indices into ``minutiae``) asks for those references' rows
+    only, row ``j`` for ``minutiae[refs[j]]``; neighbors still come from the
+    whole impression. All indices in order give the same bits as ``None``.
+    A subset moves the pair-block boundaries, so its rows may differ from
+    the full matrix's in the last bits.
     """
-    out = np.zeros((len(minutiae), geometry.n_m), dtype=np.float64)
     x, y, cos, sin = _minutia_arrays(minutiae)
-    dx = x[None, :] - x[:, None]
-    dy = y[None, :] - y[:, None]
+    sel = np.arange(len(minutiae)) if refs is None else np.asarray(refs, dtype=np.intp)
+    out = np.zeros((sel.size, geometry.n_m), dtype=np.float64)
+    dx = x[None, :] - x[sel, None]
+    dy = y[None, :] - y[sel, None]
     rho = np.hypot(dx, dy)
     near = rho <= geometry.r_m
-    np.fill_diagonal(near, False)
-    ref, nbr = np.nonzero(near)  # grouped by reference, neighbors in order
-    if ref.size == 0:
+    near[np.arange(sel.size), sel] = False  # a minutia is not its own neighbor
+    row, nbr = np.nonzero(near)  # grouped by output row, neighbors in order
+    if row.size == 0:
         return out
 
-    dx = dx[ref, nbr]
-    dy = dy[ref, nbr]
-    rho = rho[ref, nbr]
+    dx = dx[row, nbr]
+    dy = dy[row, nbr]
+    rho = rho[row, nbr]
+    ref = sel[row]
     c, s = cos[ref], sin[ref]
     u = c * dx + s * dy
     v = -s * dx + c * dy
@@ -273,16 +282,16 @@ def mbls_matrix(
     # at most n_m pairs per block, so a block's segment matrix (below) is
     # never larger than the output
     step = max(1, min(_MBLS_BLOCK_ELEMENTS // geometry.n_m, geometry.n_m))
-    for lo in range(0, ref.size, step):
-        hi = min(lo + step, ref.size)
+    for lo in range(0, row.size, step):
+        hi = min(lo + step, row.size)
         bumps = coeffs[lo:hi] @ basis
         np.exp(bumps, out=bumps)
         # sum each reference's bumps with one product: a 0/1 matrix with one
-        # row per reference from the block's first to its last (a reference
+        # row per output row from the block's first to its last (a row
         # without pairs in between gets a zero row) and one column per pair
-        block_ref = ref[lo:hi]
-        owners = np.arange(block_ref[0], block_ref[-1] + 1)
-        segments = (owners[:, None] == block_ref).astype(np.float64)
+        block_row = row[lo:hi]
+        owners = np.arange(block_row[0], block_row[-1] + 1)
+        segments = (owners[:, None] == block_row).astype(np.float64)
         out[owners[0] : owners[-1] + 1] += segments @ bumps
 
     norms = np.sqrt(np.einsum("ij,ij->i", out, out))

@@ -29,6 +29,7 @@ from .config import PipelineConfig, parse_config, serialize_config
 from .errors import BadMagic, MalformedHeader, TruncatedRecord, UnsupportedVersion
 from .local_structures import SpreadModel, StructureGeometry
 from .subspace_fusion import PcaModel
+from .template_io import read_bytes
 
 MODEL_MAGIC = b"FPBM"
 BITS_MAGIC = b"FPBS"
@@ -306,12 +307,8 @@ def load_model(data: bytes) -> PipelineModel:
 
 
 def load_model_file(path: str) -> PipelineModel:
-    from .errors import ModelMissing
-
-    if not os.path.exists(path):
-        raise ModelMissing(f"model file {path!r} does not exist")
-    with open(path, "rb") as fh:
-        return load_model(fh.read())
+    """:func:`load_model` of a file; an unreadable path raises ``ModelMissing``."""
+    return load_model(read_bytes(path))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,13 @@ from .protocol import (
     compute_eer,
     fvc_pair_rows,
 )
-from .subspace_fusion import fuse_matrix, project, train_pca_inplace
+from .subspace_fusion import (
+    PcaModel,
+    fuse_matrix,
+    project,
+    project_centred,
+    train_pca_inplace,
+)
 from .synth import keyed_rng
 from .template_io import GrayImage, Minutia, MinutiaTemplate
 
@@ -93,13 +99,17 @@ def fused_vectors(
     )
 
 
-def _subsample(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
-    """At most ``cap`` rows of ``matrix`` (all when ``cap`` is 0), as a new array."""
-    if cap <= 0 or matrix.shape[0] <= cap:
-        return matrix.copy()
+def _subsample_rows(n_rows: int, cap: int, seed: int) -> np.ndarray:
+    """Sorted indices of the rows a subspace fit sees.
+
+    All ``n_rows`` when ``cap`` is 0 or not below ``n_rows``; otherwise
+    ``cap`` of them, drawn without replacement from the seed alone, so the
+    indices are known before any row is extracted.
+    """
+    if cap <= 0 or n_rows <= cap:
+        return np.arange(n_rows)
     rng = keyed_rng(seed, _STREAM_PCA_SUBSAMPLE)
-    idx = np.sort(rng.choice(matrix.shape[0], size=cap, replace=False))
-    return matrix[idx]
+    return np.sort(rng.choice(n_rows, size=cap, replace=False))
 
 
 def _augment_structures(
@@ -129,61 +139,112 @@ def _augment_structures(
         row[:] = mbls_matrix([ref] + others, geometry, spread)[0]
 
 
+def _fit_family(
+    segments: Sequence[Tuple[int, Callable[[np.ndarray], np.ndarray]]],
+    dim: int,
+    config: PipelineConfig,
+) -> Tuple[PcaModel, np.ndarray]:
+    """Fit one descriptor family's subspace and project every one of its rows.
+
+    The family's rows come in ``segments``: ``(n, rows_at)`` holds ``n``
+    consecutive rows, and ``rows_at(local)`` returns the ``(len(local),
+    dim)`` rows at the local indices ``local``. Each row is computed once.
+    Pass 1 computes the subsample's rows straight into the fit matrix, which
+    the fit centres in place and which is kept. Pass 2 centres the other
+    rows segment by segment and streams all rows, in order, into the row
+    blocks of :func:`project`. The centred values are bitwise those of
+    ``x - mean``, so the projections are those of ``project`` on the whole
+    matrix, which is never held: memory is the fit matrix, the fit's Gram or
+    covariance matrix, one projection block and one segment.
+    """
+    sizes = [n for n, _ in segments]
+    starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    n_rows = int(starts[-1])
+    sub = _subsample_rows(n_rows, config.pca_subsample, config.seed)
+    # segment i's subsample rows are x[pos[i]:pos[i + 1]]
+    pos = np.searchsorted(sub, starts)
+
+    x = np.empty((sub.size, dim), dtype=np.float64)
+    for (_, rows_at), lo, a, b in zip(segments, starts, pos[:-1], pos[1:]):
+        if b > a:
+            x[a:b] = rows_at(sub[a:b] - lo)
+    pca = train_pca_inplace(x, config.n_p)
+
+    in_sub = np.zeros(n_rows, dtype=bool)
+    in_sub[sub] = True
+    buf = np.empty((max(sizes, default=0), dim), dtype=np.float64)
+
+    def centred():
+        for (n, rows_at), lo, a, b in zip(segments, starts, pos[:-1], pos[1:]):
+            if b - a == n:
+                yield x[a:b]
+                continue
+            mine = in_sub[lo : lo + n]
+            fresh = rows_at(np.flatnonzero(~mine))
+            fresh -= pca.mean
+            rows = buf[:n]
+            rows[mine] = x[a:b]
+            rows[~mine] = fresh
+            yield rows
+
+    return pca, project_centred(pca, n_rows, centred())
+
+
 def train_model(
     items: DatasetDict, config: PipelineConfig, verbose: bool = False
 ) -> PipelineModel:
     """Fit subspaces and codebook on every impression in ``items``.
 
-    Stages: extract both descriptor families for all impressions, fit one
-    subspace model per family (on an optionally capped subsample), fuse,
-    cluster the pooled fused vectors, place boundary radii, count
-    cardinalities under adjusted assignment, and finally average each
-    finger's distance vectors into the population mean.
+    Stages: fit one subspace model per descriptor family on an optionally
+    capped row subsample and project every row (see :func:`_fit_family`;
+    each descriptor row is extracted once, and memory depends on the cap,
+    not on the number of rows), fuse, cluster the pooled fused vectors,
+    place boundary radii, count cardinalities under adjusted assignment,
+    and finally average each finger's distance vectors into the population
+    mean.
     """
     if not items:
         raise EmptyTrainingSet("training dataset is empty")
     geometry = geometry_from_config(config)
     spread = spread_from_config(config)
     keys = sorted(items.keys())
+    counts = [len(items[key][0].minutiae) for key in keys]
+    n_real = sum(counts)
+
+    # one impression's rows of either family at the given minutia indices
+    def minutia_rows(template, _):
+        return lambda local: mbls_matrix(template.minutiae, geometry, spread, refs=local)
+
+    def texture_rows(template, image):
+        return lambda local: tbls_matrix(
+            [template.minutiae[i] for i in local], normalize_image(image), geometry, fill=0.0
+        )
 
     if verbose:
         print(
-            f"extracting descriptors for {len(keys)} impressions "
-            f"(n_m={geometry.n_m}, n_t={geometry.n_t})"
+            f"fitting subspaces (n_p={config.n_p}) on {len(keys)} impressions, "
+            f"{n_real} minutiae (n_m={geometry.n_m}, n_t={geometry.n_t})"
         )
-    counts = [len(items[key][0].minutiae) for key in keys]
-    n_real = sum(counts)
-    # augmented minutia structures follow the real rows of m_matrix; they
-    # have no texture rows
-    m_matrix = np.empty((n_real + config.augment_pool, geometry.n_m))
-    t_matrix = np.empty((n_real, geometry.n_t))
-    offset = 0
-    for key, n in zip(keys, counts):
-        template, image = items[key]
-        rows = slice(offset, offset + n)
-        m_matrix[rows], t_matrix[rows] = raw_structures(
-            template, image, geometry, spread
-        )
-        offset += n
-    _augment_structures(m_matrix[n_real:], geometry, spread, config.seed)
-
-    if verbose:
-        print(f"fitting subspaces (n_p={config.n_p}) on {m_matrix.shape[0]} vectors")
-    # one family at a time, each descriptor matrix dropped once projected:
-    # the texture fit, the largest, runs without the minutia matrix alive
-    pca_m = train_pca_inplace(
-        _subsample(m_matrix, config.pca_subsample, config.seed), config.n_p
+    # augmented minutia structures follow the real minutia rows; they have
+    # no texture rows. One family at a time: the texture fit, the largest,
+    # runs without the minutia fit matrix alive.
+    augmented = np.empty((config.augment_pool, geometry.n_m))
+    _augment_structures(augmented, geometry, spread, config.seed)
+    pca_m, proj_m = _fit_family(
+        [(n, minutia_rows(*items[key])) for key, n in zip(keys, counts)]
+        + [(config.augment_pool, augmented.__getitem__)],
+        geometry.n_m,
+        config,
     )
-    proj_m = project(pca_m, m_matrix)
-    del m_matrix
-    pca_t = train_pca_inplace(
-        _subsample(t_matrix, config.pca_subsample, config.seed), config.n_p
+    pca_t, proj_real_t = _fit_family(
+        [(n, texture_rows(*items[key])) for key, n in zip(keys, counts)],
+        geometry.n_t,
+        config,
     )
     # fuse the full pool (augmented minutia structures pair with a zero
     # texture projection: they carry no texture evidence)
     proj_t = np.zeros_like(proj_m)
-    proj_t[:n_real] = project(pca_t, t_matrix)
-    del t_matrix
+    proj_t[:n_real] = proj_real_t
     fused = fuse_matrix(proj_m, proj_t, config.omega_M, config.omega_T)
 
     if verbose:

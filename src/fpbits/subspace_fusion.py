@@ -12,7 +12,7 @@ vector are the per-minutia reference forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,10 +179,50 @@ def project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
     if x.shape[1] != model.dim:
         raise LengthMismatch(f"vector length {x.shape[1]} != model dim {model.dim}")
     out = np.empty((x.shape[0], model.n_components), dtype=np.float64)
-    step = max(1, _PROJECT_BLOCK_ELEMENTS // model.dim)
+    step = _project_step(model)
     for lo in range(0, x.shape[0], step):
         rows = slice(lo, lo + step)
         out[rows] = (x[rows] - model.mean) @ model.basis
+    return out
+
+
+def _project_step(model: PcaModel) -> int:
+    """Rows per block of a matrix projection."""
+    return max(1, _PROJECT_BLOCK_ELEMENTS // model.dim)
+
+
+def project_centred(
+    model: PcaModel, n_rows: int, chunks: Iterable[np.ndarray]
+) -> np.ndarray:
+    """:func:`project` of an ``(n_rows, dim)`` matrix ``x`` that never exists whole.
+
+    ``chunks`` yields ``x - model.mean`` for consecutive rows of ``x``, in
+    pieces of any size. They are gathered into the row blocks
+    :func:`project` multiplies, so the result is bitwise ``project(model,
+    x)`` while at most one block of centred rows is held.
+    """
+    out = np.empty((n_rows, model.n_components), dtype=np.float64)
+    step = _project_step(model)
+    block = np.empty((min(step, n_rows), model.dim), dtype=np.float64)
+    lo = filled = 0
+    for chunk in chunks:
+        if chunk.shape[1:] != (model.dim,) or lo + filled + chunk.shape[0] > n_rows:
+            raise LengthMismatch(
+                f"chunk of shape {chunk.shape} does not fit {n_rows - lo - filled} "
+                f"remaining rows of dimension {model.dim}"
+            )
+        while chunk.shape[0]:
+            size = min(step, n_rows - lo)
+            take = min(size - filled, chunk.shape[0])
+            block[filled : filled + take] = chunk[:take]
+            chunk = chunk[take:]
+            filled += take
+            if filled == size:
+                out[lo : lo + size] = block[:size] @ model.basis
+                lo += size
+                filled = 0
+    if lo != n_rows:
+        raise LengthMismatch(f"chunks held {lo + filled} of {n_rows} rows")
     return out
 
 

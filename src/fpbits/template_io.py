@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     FieldOutOfRange,
     MalformedHeader,
+    ModelMissing,
     TruncatedRecord,
     UnsupportedVersion,
 )
@@ -151,17 +152,33 @@ def _check_bounds(x: float, y: float, width: int, height: int, line: int | None 
 # native text format
 # ---------------------------------------------------------------------------
 
+def read_bytes(path: str) -> bytes:
+    """The bytes of a file: the one way the command line reads an input file.
+
+    Raises:
+        ModelMissing: the file cannot be read (missing, a directory, not
+            permitted, ...); the message names it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ModelMissing(f"cannot read {path!r}: {exc.strerror or exc}") from None
+
+
 def read_text(path: str) -> str:
     """The UTF-8 text of a file, line endings as text mode reads them.
 
     Raises:
+        ModelMissing: the file cannot be read (see :func:`read_bytes`).
         MalformedHeader: the file is not UTF-8; the message names it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise MalformedHeader(f"{path}: not UTF-8 text: {exc.reason}") from None
+    try:
+        text = read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"{path}: not UTF-8 text: {exc.reason}") from None
+    # universal newlines: "\r\n" and a lone "\r" end a line as "\n" does
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_text_template(

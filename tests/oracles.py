@@ -1,19 +1,39 @@
 """Slow-path oracles that the tests compare the production code against.
 
-These are the k-means solver's former implementations: the direct-form
-k-means++ seeding and the Lloyd loop that recomputes its distance matrix and
-boolean member masks every iteration. ``fpbits.codebook.kmeans_train`` must
-reproduce them bit for bit.
+* The k-means solver's former implementations: the direct-form k-means++
+  seeding and the Lloyd loop that recomputes its distance matrix and boolean
+  member masks every iteration. ``fpbits.codebook.kmeans_train`` must
+  reproduce them bit for bit.
+* The one-pass fit: ``train_model_oracle`` extracts every descriptor row of
+  both families into two full matrices and fits each subspace on a copied
+  row subsample. ``fpbits.pipeline.train_model`` must save the same bytes
+  when every row is subsampled.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from fpbits.errors import PoolTooSmall
-from fpbits.subspace_fusion import stack_fused
+from fpbits.codebook import (
+    Codebook,
+    cardinality_weights,
+    cluster_cardinalities,
+    distance_vector,
+    estimate_radii,
+    global_mean,
+    kmeans_train,
+)
+from fpbits.errors import EmptyTrainingSet, PoolTooSmall
+from fpbits.model_store import PipelineModel, geometry_from_config, spread_from_config
+from fpbits.pipeline import (
+    _STREAM_PCA_SUBSAMPLE,
+    _augment_structures,
+    raw_structures,
+)
+from fpbits.subspace_fusion import fuse_matrix, project, stack_fused, train_pca_inplace
+from fpbits.synth import keyed_rng
 
 
 def distances_oracle(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -91,3 +111,76 @@ def kmeans_train_oracle(
             trace.append(float((distances_oracle(x, centroids).min(axis=1) ** 2).sum()))
 
     return centroids
+
+
+def subsample_oracle(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
+    """At most ``cap`` rows of ``matrix`` (all when ``cap`` is 0), as a new array."""
+    if cap <= 0 or matrix.shape[0] <= cap:
+        return matrix.copy()
+    rng = keyed_rng(seed, _STREAM_PCA_SUBSAMPLE)
+    idx = np.sort(rng.choice(matrix.shape[0], size=cap, replace=False))
+    return matrix[idx]
+
+
+def train_model_oracle(items, config) -> PipelineModel:
+    """The one-pass fit: both full descriptor matrices, then one family at a time."""
+    if not items:
+        raise EmptyTrainingSet("training dataset is empty")
+    geometry = geometry_from_config(config)
+    spread = spread_from_config(config)
+    keys = sorted(items.keys())
+    counts = [len(items[key][0].minutiae) for key in keys]
+    n_real = sum(counts)
+    m_matrix = np.empty((n_real + config.augment_pool, geometry.n_m))
+    t_matrix = np.empty((n_real, geometry.n_t))
+    offset = 0
+    for key, n in zip(keys, counts):
+        template, image = items[key]
+        rows = slice(offset, offset + n)
+        m_matrix[rows], t_matrix[rows] = raw_structures(template, image, geometry, spread)
+        offset += n
+    _augment_structures(m_matrix[n_real:], geometry, spread, config.seed)
+
+    pca_m = train_pca_inplace(
+        subsample_oracle(m_matrix, config.pca_subsample, config.seed), config.n_p
+    )
+    proj_m = project(pca_m, m_matrix)
+    del m_matrix
+    pca_t = train_pca_inplace(
+        subsample_oracle(t_matrix, config.pca_subsample, config.seed), config.n_p
+    )
+    proj_t = np.zeros_like(proj_m)
+    proj_t[:n_real] = project(pca_t, t_matrix)
+    del t_matrix
+    fused = fuse_matrix(proj_m, proj_t, config.omega_M, config.omega_T)
+
+    centroids = kmeans_train(
+        fused, config.K, max_iters=config.kmeans_max_iters, seed=config.seed
+    )
+    radii = estimate_radii(fused, centroids, config.N_c)
+    cardinalities = cluster_cardinalities(fused, centroids, radii)
+    codebook = Codebook(
+        centroids=centroids,
+        radii=radii,
+        cardinalities=cardinalities,
+        weights=cardinality_weights(cardinalities),
+        tau_s=config.tau_s,
+        top_t=config.top_t,
+        n_boundary=config.N_c,
+    )
+    model = PipelineModel(
+        config=config, geometry=geometry, spread=spread,
+        pca_m=pca_m, pca_t=pca_t, codebook=codebook,
+    )
+    groups: Dict[str, list] = {}
+    offset = 0
+    for key, n in zip(keys, counts):
+        vals = fused[offset : offset + n]
+        offset += n
+        if n == 0:
+            continue
+        groups.setdefault(key[0], []).append(
+            distance_vector(vals, codebook, subject_id=key[0], impression_id=key[1])
+        )
+    codebook.global_mean = global_mean([groups[s] for s in sorted(groups.keys())])
+    return model

@@ -302,6 +302,114 @@ def test_match_non_utf8_pairs_exits_2_with_one_line(workdir, tmp_path, capsys):
     assert_one_error_line(capsys, "pairs.txt", "UTF-8")
 
 
+def _unreadable(tmp_path, how, name):
+    """A path that cannot be read as a file: absent, or a directory."""
+    path = tmp_path / name
+    if how == "directory":
+        path.mkdir()
+    return str(path)
+
+
+UNREADABLE_ARGS = {
+    "inspect --model": lambda wd, bad: ["inspect", "--model", bad],
+    "inspect --bits": lambda wd, bad: ["inspect", "--bits", bad],
+    "inspect --finger": lambda wd, bad: ["inspect", "--finger", bad],
+    "encode --model": lambda wd, bad: ["encode", "--dataset", wd["data"], "--model", bad,
+                                       "--out-dir", bad + ".out"],
+    "enroll --model": lambda wd, bad: ["enroll", "--dataset", wd["data"], "--model", bad,
+                                       "--out-dir", bad + ".out"],
+    "evaluate --model": lambda wd, bad: ["evaluate", "--dataset", wd["data"], "--model", bad,
+                                         "--out-dir", bad + ".out"],
+    "compress --model": lambda wd, bad: ["compress", "--dataset", wd["data"], "--model", bad,
+                                         "--lengths", "8"],
+    "match --model": lambda wd, bad: ["match", "--kind", "lgs", "--pairs", wd["pairs"],
+                                      "--dataset", wd["data"], "--model", bad],
+    "train --config": lambda wd, bad: ["train", "--dataset", wd["data"], "--config", bad,
+                                       "--out", bad + ".fpbm"],
+    "match --pairs": lambda wd, bad: ["match", "--kind", "bits", "--pairs", bad,
+                                      "--bits-dir", wd["bits"]],
+}
+
+
+@pytest.mark.parametrize("how", ["missing", "directory"])
+@pytest.mark.parametrize("command", sorted(UNREADABLE_ARGS))
+def test_unreadable_input_exits_2_with_one_line(workdir, tmp_path, capsys, command, how):
+    bad = _unreadable(tmp_path, how, "input.bin")
+    paths = dict(workdir, pairs=_pairs(tmp_path, "s001 01 s001 02\n"))
+    assert main(UNREADABLE_ARGS[command](paths, bad)) == 2
+    assert_one_error_line(capsys, bad)
+
+
+def _copy_tree(src, dst):
+    os.makedirs(dst)
+    for name in sorted(os.listdir(src)):
+        path = os.path.join(src, name)
+        if os.path.isdir(path):
+            _copy_tree(path, os.path.join(dst, name))
+        else:
+            with open(path, "rb") as fh, open(os.path.join(dst, name), "wb") as out:
+                out.write(fh.read())
+
+
+@pytest.mark.parametrize("subdir, name", [("templates", "s009_01.fpt"),
+                                          ("images", "s001_02.pgm")])
+def test_dataset_entry_that_is_a_directory_exits_2(workdir, tmp_path, capsys, subdir, name):
+    data = str(tmp_path / "data")
+    _copy_tree(workdir["data"], data)
+    entry = os.path.join(data, subdir, name)
+    if os.path.exists(entry):
+        os.remove(entry)
+    os.mkdir(entry)
+    if subdir == "templates":  # a template needs its image to be looked at
+        os.mkdir(os.path.join(data, "images", "s009_01.pgm"))
+    assert main(["train", "--dataset", data, "--out", str(tmp_path / "m.fpbm"),
+                 "--quiet"]) == 2
+    assert_one_error_line(capsys, name)
+
+
+def _pairs(tmp_path, text):
+    path = tmp_path / "pairs.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def test_bits_entry_that_is_a_directory_exits_2(workdir, tmp_path, capsys):
+    bits = str(tmp_path / "bits")
+    _copy_tree(workdir["bits"], bits)
+    os.mkdir(os.path.join(bits, "s009_01.fpbs"))
+    pairs = _pairs(tmp_path, "s001 01 s001 02\n")
+    assert main(["match", "--kind", "bits", "--pairs", pairs, "--bits-dir", bits]) == 2
+    assert_one_error_line(capsys, "s009_01.fpbs")
+
+
+@pytest.mark.parametrize("how", ["missing", "directory"])
+def test_unreadable_finger_model_exits_2(workdir, tmp_path, capsys, how):
+    fingers = str(tmp_path / "fingers")
+    _copy_tree(workdir["fingers"], fingers)
+    os.remove(os.path.join(fingers, "s002.fpfm"))
+    if how == "directory":
+        os.mkdir(os.path.join(fingers, "s002.fpfm"))
+    pairs = _pairs(tmp_path, "s002 x s002 04\n")
+    assert main(["match", "--kind", "masked", "--pairs", pairs,
+                 "--bits-dir", workdir["bits"], "--fingers-dir", fingers]) == 2
+    assert_one_error_line(capsys, "s002.fpfm")
+
+
+def test_bits_filename_without_impression_exits_2(workdir, tmp_path, capsys):
+    # "foo.fpbs" has no <subject>_ part; load_dataset rejects such a stem too
+    bits = str(tmp_path / "bits")
+    _copy_tree(workdir["bits"], bits)
+    with open(os.path.join(workdir["bits"], "s001_01.fpbs"), "rb") as fh:
+        data = fh.read()
+    with open(os.path.join(bits, "foo.fpbs"), "wb") as fh:
+        fh.write(data)
+    pairs = _pairs(tmp_path, "s001 01 s001 02\n")
+    assert main(["match", "--kind", "bits", "--pairs", pairs, "--bits-dir", bits]) == 2
+    assert_one_error_line(capsys, "foo.fpbs")
+    with pytest.raises(FpbitsError, match="foo.fpbs"):
+        cli._load_bits_dir(bits)
+
+
 # ---------------------------------------------------------------------------
 # loader fuzzing: every mutated file loads or is rejected with a typed error
 # ---------------------------------------------------------------------------

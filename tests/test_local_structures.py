@@ -460,6 +460,53 @@ def test_mbls_matrix_edge_cases():
     assert np.max(np.abs(got - mbls_oracle(twins, geom, spread))) <= MBLS_TOL
 
 
+def test_mbls_matrix_refs_all_rows_is_bit_identical():
+    rng = np.random.default_rng(59)
+    geom, spread = default_geometry(), SpreadModel()
+    for n in (0, 1, 2, 40):
+        minutiae = random_minutiae(rng, n, 0.0, 256.0)
+        whole = mbls_matrix(minutiae, geom, spread)
+        for refs in (np.arange(n), list(range(n))):
+            assert np.array_equal(mbls_matrix(minutiae, geom, spread, refs=refs), whole)
+
+
+@pytest.mark.parametrize("pairs_per_block", [1, 3, None])
+def test_mbls_matrix_refs_subset_rows(monkeypatch, pairs_per_block):
+    # any subset, in any order, with repeats: row j is minutiae[refs[j]]'s,
+    # neighbors taken from the whole impression, also when blocks split
+    # references differently from the full call
+    rng = np.random.default_rng(61)
+    geom, spread = small_geometry(), SpreadModel()
+    minutiae = random_minutiae(rng, 14, 30.0, 90.0) + [Minutia(250.0, 250.0, 1.0)]
+    whole = mbls_matrix(minutiae, geom, spread)
+    want = mbls_oracle(minutiae, geom, spread)
+    if pairs_per_block is not None:
+        monkeypatch.setattr(
+            local_structures, "_MBLS_BLOCK_ELEMENTS", pairs_per_block * geom.n_m
+        )
+    for refs in ([0], [7], [14], [3, 5, 6, 11], [14, 2, 9], [4, 4, 1], list(range(1, 15, 2))):
+        got = mbls_matrix(minutiae, geom, spread, refs=np.array(refs))
+        assert got.shape == (len(refs), geom.n_m)
+        assert np.max(np.abs(got - whole[refs])) <= MBLS_TOL, refs
+        assert np.max(np.abs(got - want[refs])) <= MBLS_TOL, refs
+    # the last minutia has no neighbor in range: a zero row
+    assert not mbls_matrix(minutiae, geom, spread, refs=[14]).any()
+
+
+def test_mbls_matrix_refs_edge_cases():
+    geom, spread = small_geometry(), SpreadModel()
+    empty_refs = np.array([], dtype=np.intp)
+    assert mbls_matrix([], geom, spread, refs=empty_refs).shape == (0, geom.n_m)
+    pair = [Minutia(50.0, 50.0, 0.0), Minutia(60.0, 52.0, 1.0)]
+    assert mbls_matrix(pair, geom, spread, refs=empty_refs).shape == (0, geom.n_m)
+    # one reference: its neighbor is not itself a reference
+    one = mbls_matrix(pair, geom, spread, refs=[1])
+    assert one.any()
+    assert np.max(np.abs(one[0] - build_mbls(pair[1], pair, geom, spread))) <= MBLS_TOL
+    # a lone minutia asked for by itself
+    assert not mbls_matrix([Minutia(5.0, 5.0, 2.0)], geom, spread, refs=[0]).any()
+
+
 def test_mbls_matrix_dense_template_within_tolerance():
     # 100 minutiae packed into one disc: every pair is in range
     rng = np.random.default_rng(47)

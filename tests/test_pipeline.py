@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fpbits.pipeline as pipeline
+import fpbits.subspace_fusion as subspace_fusion
 
 from fpbits.codebook import (
     BitString,
@@ -16,13 +18,13 @@ from fpbits.codebook import (
 
 from fpbits.config import PipelineConfig
 from fpbits.local_structures import build_mbls, extract_tbls, normalize_image
-from fpbits.model_store import load_model, save_model
+from fpbits.model_store import geometry_from_config, load_model, save_model
 from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.pipeline import (
     _STREAM_AUGMENT,
     EncodedImpression,
     _augment_structures,
-    _subsample,
+    _subsample_rows,
     compression_sweep,
     encode_dataset,
     encode_impression,
@@ -37,7 +39,7 @@ from fpbits.protocol import POLARITY_SIMILARITY, compute_eer, fvc_pairs
 from fpbits.subspace_fusion import fuse, project
 from fpbits.synth import SynthParams, keyed_rng, synth_dataset
 from fpbits.template_io import Minutia, MinutiaTemplate
-from oracles import kmeans_train_oracle
+from oracles import kmeans_train_oracle, subsample_oracle, train_model_oracle
 
 # as in tests/test_local_structures.py: eps times the largest bump exponent
 # term, r_m^2 / (2 sigma_r0^2), with room for a few roundings
@@ -162,18 +164,89 @@ def test_augmented_rows_match_build_mbls(small_run):
 
 @pytest.mark.parametrize("cap", [0, 12, 30, 31])
 def test_subsample_is_a_new_array(cap):
-    # the subspace fit centres its subsample in place, so even an uncapped
-    # subsample must not share memory with the matrix projected afterwards
+    # the index helper picks exactly the rows the old copying subsample
+    # picked, from the row count and the seed alone; the fit matrix built
+    # from them is a new array
     matrix = np.arange(30 * 4, dtype=np.float64).reshape(30, 4)
-    sub = _subsample(matrix, cap, seed=3)
+    idx = _subsample_rows(30, cap, seed=3)
+    assert idx.dtype.kind == "i" and np.array_equal(idx, np.unique(idx))
+    assert idx.size == (30 if cap in (0, 30, 31) else cap)
+    sub = matrix[idx]
     assert not np.shares_memory(sub, matrix)
-    if cap in (0, 30, 31):
-        assert np.array_equal(sub, matrix)
-    else:
-        assert sub.shape == (cap, 4)
-        rows = [int(r[0]) // 4 for r in sub]
-        assert rows == sorted(set(rows))
-        assert np.array_equal(sub, matrix[rows])
+    assert np.array_equal(sub, subsample_oracle(matrix, cap, seed=3))
+
+
+def test_uncapped_fit_saves_the_one_pass_oracle_bytes(small_run):
+    # every row subsampled: the two-pass fit is the one-pass fit, byte for
+    # byte, with and without augmented minutia rows
+    items, model = small_run
+    assert save_model(train_model_oracle(items, model.config)) == save_model(model)
+    config = dataclasses.replace(model.config, augment_pool=25, pca_subsample=505)
+    assert save_model(train_model(items, config)) == save_model(
+        train_model_oracle(items, config)
+    )
+
+
+@pytest.fixture(scope="module")
+def capped_run():
+    """A fit whose subsample holds well under half of each family's rows."""
+    items = synth_dataset(SynthParams(n_subjects=16, n_impressions=4, width=160,
+                                      height=160, n_minutiae=24, seed=13))
+    config = PipelineConfig(r_m=40.0, r_t=16.0, K=16, n_p=8, N_c=20,
+                            pca_subsample=300, augment_pool=20, seed=7)
+    n_rows = sum(len(t.minutiae) for t, _ in items.values())
+    assert n_rows > 4 * config.pca_subsample
+    return items, config
+
+
+def test_capped_fit_encodes_like_the_one_pass_oracle(capped_run):
+    items, config = capped_run
+    got, want = train_model(items, config), train_model_oracle(items, config)
+    # the texture rows are extracted exactly, so the texture fit is identical;
+    # minutia rows from a reference subset differ in their last bits only
+    assert np.array_equal(got.pca_t.basis, want.pca_t.basis)
+    assert np.array_equal(got.pca_t.mean, want.pca_t.mean)
+    assert np.max(np.abs(got.pca_m.mean - want.pca_m.mean)) <= MBLS_TOL
+    assert np.max(np.abs(got.codebook.centroids - want.codebook.centroids)) <= 1e-9
+    for key in sorted(items):
+        template, image = items[key]
+        assert (encode_impression(template, image, got).bits
+                == encode_impression(template, image, want).bits), key
+
+
+def fit_peak_bytes(fit, items, config):
+    # the fit imports its eigensolver lazily; module objects are not fit memory
+    import scipy.linalg.blas  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        fit(items, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_capped_fit_memory_depends_on_the_subsample(capped_run, monkeypatch):
+    # bound: both families' subsample matrices, the larger Gram or covariance
+    # matrix, one projection block of the larger family, and 2 MiB of slack
+    # (per-impression rows, k-means buffers, the small projected matrices).
+    # Projection blocks of 2^14 elements keep that fixed term small next to
+    # the descriptor matrices.
+    items, config = capped_run
+    monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", 1 << 14)
+    geometry = geometry_from_config(config)
+    n_rows = sum(len(t.minutiae) for t, _ in items.values()) + config.augment_pool
+    cap, dims = config.pca_subsample, (geometry.n_m, geometry.n_t)
+    subsamples = sum(cap * dim for dim in dims) * 8
+    gram = max(min(cap, dim) ** 2 for dim in dims) * 8
+    block = max(min(max(1, (1 << 14) // dim), n_rows) * dim for dim in dims) * 8
+    bound = subsamples + gram + block + 2 * 2**20
+    peak = fit_peak_bytes(train_model, items, config)
+    assert peak <= bound, (peak, bound)
+    # the one-pass fit holds both full descriptor matrices and breaks it
+    assert fit_peak_bytes(train_model_oracle, items, config) > 2 * bound
 
 
 def test_empty_and_single_minutia_impressions(small_run):

@@ -13,6 +13,7 @@ from fpbits.subspace_fusion import (
     fuse,
     fuse_matrix,
     project,
+    project_centred,
     stack_fused,
     train_pca,
     train_pca_inplace,
@@ -364,6 +365,38 @@ def test_project_matrix_matches_rows(monkeypatch):
     assert project(model, np.zeros((0, 9))).shape == (0, 4)
     with pytest.raises(LengthMismatch):
         project(model, np.zeros((3, 8)))
+
+
+def chunked(x, sizes):
+    lo = 0
+    for size in sizes:
+        yield x[lo : lo + size]
+        lo += size
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 7, 1000])
+def test_project_centred_is_bitwise_project(monkeypatch, rows_per_block):
+    # centred chunks of any size, gathered into project's row blocks
+    rng = np.random.default_rng(101)
+    model = train_pca(rng.normal(size=(80, 40)), 6)
+    x = rng.normal(loc=1.5, size=(23, 40))
+    monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", rows_per_block * 40)
+    want = project(model, x)
+    for sizes in ([23], [1] * 23, [0, 5, 0, 9, 2, 7], [4, 4, 4, 4, 4, 3], [10, 13]):
+        got = project_centred(model, 23, chunked(x - model.mean, sizes))
+        assert got.tobytes() == want.tobytes(), sizes
+    assert project_centred(model, 0, iter([])).shape == (0, 6)
+    assert project_centred(model, 0, [np.zeros((0, 40))]).shape == (0, 6)
+
+
+def test_project_centred_checks_row_counts():
+    model = train_pca(np.random.default_rng(103).normal(size=(30, 5)), 2)
+    with pytest.raises(LengthMismatch):
+        project_centred(model, 4, [np.zeros((3, 5))])  # too few rows
+    with pytest.raises(LengthMismatch):
+        project_centred(model, 4, [np.zeros((3, 5)), np.zeros((2, 5))])  # too many
+    with pytest.raises(LengthMismatch):
+        project_centred(model, 4, [np.zeros((4, 6))])  # wrong dimension
 
 
 def test_fuse_matrix_matches_fuse_rows():

@@ -11,6 +11,7 @@ from fpbits.errors import (
     DimensionMismatch,
     FieldOutOfRange,
     MalformedHeader,
+    ModelMissing,
     TruncatedRecord,
     UnsupportedVersion,
 )
@@ -22,7 +23,9 @@ from fpbits.template_io import (
     TWO_PI,
     parse_iso19794_2,
     parse_text_template,
+    read_bytes,
     read_pgm,
+    read_text,
     serialize_iso19794_2,
     serialize_text_template,
     wrap_angle,
@@ -320,3 +323,20 @@ def test_pgm_errors():
         read_pgm(b"P5\n2 2")
     with pytest.raises(DimensionMismatch):
         read_pgm(b"P5\n2 2\n255\n\x00\x00\x00")
+
+
+def test_read_text_line_endings_as_text_mode(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(b"a\r\nb\rc\n\r\n\xc3\xa9\r")
+    with open(path, "r", encoding="utf-8") as fh:
+        assert read_text(str(path)) == fh.read() == "a\nb\nc\n\n\u00e9\n"
+
+
+@pytest.mark.parametrize("how", ["missing", "directory"])
+def test_read_bytes_unreadable_path_is_model_missing(tmp_path, how):
+    path = tmp_path / "input.bin"
+    if how == "directory":
+        path.mkdir()
+    for reader in (read_bytes, read_text):
+        with pytest.raises(ModelMissing, match="input.bin"):
+            reader(str(path))
