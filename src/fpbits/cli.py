@@ -29,7 +29,7 @@ from . import pipeline
 from .codebook import BitString
 from .config import PipelineConfig, load_config, parse_config, serialize_config
 from .errors import FpbitsError, ModelMissing
-from .matching import apply_mask, lgs_score, score_string_pairs
+from .matching import apply_mask, score_string_pairs
 from .model_store import (
     load_bitstring,
     load_finger,
@@ -228,15 +228,7 @@ def cmd_match(args) -> int:
             return cache[(sid, iid)]
 
         for sa, ia, sb, ib in pairs:
-            cfg = model.config
-            score = lgs_score(
-                vectors(sa, ia),
-                vectors(sb, ib),
-                min_pairs=cfg.min_nL,
-                max_pairs=cfg.max_nL,
-                midpoint=cfg.mu_P,
-                steepness=cfg.tau_P,
-            )
+            score = pipeline.lgs_match(vectors(sa, ia), vectors(sb, ib), model.config)
             lines.append(_score_line(sa, ia, sb, ib, score))
     else:
         bits = _load_bits_dir(args.bits_dir)
@@ -293,16 +285,17 @@ def cmd_evaluate(args) -> int:
         f"subjects: {len(subjects)}",
         f"impressions per subject: {len(impressions)}",
     ]
-    if args.matcher == "lgs":
-        report = pipeline.evaluate_fvc_lgs(items, model)
-        lines += _fvc_count_lines(len(subjects), len(impressions))
-        lines.append(f"eer: {report.eer:.6f}")
-        _write_roc(os.path.join(args.out_dir, "roc.csv"), report)
-    elif args.matcher == "bits":
-        encoded = pipeline.encode_dataset(items, model)
-        report = pipeline.evaluate_fvc_bits(encoded, fold_to=args.fold)
-        lines += _fvc_count_lines(len(subjects), len(impressions))
-        if args.fold:
+    if args.matcher in ("lgs", "bits"):
+        if args.matcher == "lgs":
+            report = pipeline.evaluate_fvc_lgs(items, model)
+        else:
+            encoded = pipeline.encode_dataset(items, model)
+            report = pipeline.evaluate_fvc_bits(encoded, fold_to=args.fold)
+        lines += [
+            f"genuine attempts: {report.genuine_scores.size}",
+            f"impostor attempts: {report.impostor_scores.size}",
+        ]
+        if args.matcher == "bits" and args.fold:
             lines.append(f"fold length: {args.fold}")
         lines.append(f"eer: {report.eer:.6f}")
         _write_roc(os.path.join(args.out_dir, "roc.csv"), report)
@@ -327,12 +320,6 @@ def cmd_evaluate(args) -> int:
     write_file_atomic(os.path.join(args.out_dir, "summary.txt"), summary.encode("ascii"))
     sys.stdout.write(summary)
     return 0
-
-
-def _fvc_count_lines(n_subjects: int, n_impressions: int) -> List[str]:
-    n_gen = n_subjects * n_impressions * (n_impressions - 1) // 2
-    n_imp = n_subjects * (n_subjects - 1) // 2
-    return [f"genuine attempts: {n_gen}", f"impostor attempts: {n_imp}"]
 
 
 def _write_roc(path: str, report) -> None:

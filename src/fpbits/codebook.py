@@ -27,7 +27,6 @@ from .errors import (
     LengthMismatch,
     PoolTooSmall,
 )
-from .subspace_fusion import FusedVector, stack_fused
 
 # the expanded squared distance ||x||^2 - 2 x.c + ||c||^2 rounds by at most
 # about 2 (dim + 2) eps (||x||^2 + ||c||^2). k-means++ recomputes in direct
@@ -93,15 +92,12 @@ class DistanceVector:
 
 @dataclass
 class Codebook:
-    """Trained cluster vocabulary plus everything bit conversion needs."""
+    """Fitted cluster vocabulary; bit conversion's parameters come from the config."""
 
     centroids: np.ndarray  # (K, dim)
     radii: np.ndarray  # (K,)
     cardinalities: np.ndarray  # (K,) int
     weights: np.ndarray  # (K,) in [0, 1]
-    tau_s: float
-    top_t: int
-    n_boundary: int
     global_mean: Optional[np.ndarray] = None  # (K,), set once training data is seen
 
     @property
@@ -209,13 +205,13 @@ def kmeans_objective(matrix: np.ndarray, centroids: np.ndarray) -> float:
 
 
 def kmeans_train(
-    pool: Sequence[FusedVector] | np.ndarray,
+    pool: np.ndarray,
     k: int,
     max_iters: int = 100,
     seed: int = 0,
     trace: Optional[List[float]] = None,
 ) -> np.ndarray:
-    """Fit K centroids to the pool with seeded K-means.
+    """Fit K centroids to the ``(n, dim)`` pool with seeded K-means.
 
     Initialization is k-means++ driven entirely by ``seed``; iteration is
     Lloyd's algorithm until the assignment reaches a fixpoint or
@@ -227,7 +223,7 @@ def kmeans_train(
     ``trace``, when given, receives the objective after every update step;
     it is non-increasing.
     """
-    x = np.ascontiguousarray(stack_fused(pool))
+    x = np.ascontiguousarray(pool, dtype=np.float64)
     n = x.shape[0]
     if k < 1:
         raise PoolTooSmall(f"k must be >= 1, got {k}")
@@ -279,7 +275,7 @@ def kmeans_train(
 # ---------------------------------------------------------------------------
 
 def estimate_radii(
-    pool: Sequence[FusedVector] | np.ndarray,
+    pool: np.ndarray,
     centroids: np.ndarray,
     n_boundary: int = 300,
 ) -> np.ndarray:
@@ -292,7 +288,7 @@ def estimate_radii(
     Raises:
         DegeneratePool: some cluster has no external vector at all.
     """
-    x = stack_fused(pool)
+    x = np.asarray(pool, dtype=np.float64)
     if n_boundary < 1:
         raise ValueError(f"n_boundary must be >= 1, got {n_boundary}")
     d = _distances(x, centroids)
@@ -311,7 +307,7 @@ def estimate_radii(
 
 
 def nearest_cluster(
-    vector: np.ndarray | FusedVector,
+    vector: np.ndarray,
     centroids: np.ndarray,
     radii: np.ndarray,
 ) -> Tuple[int, float]:
@@ -321,20 +317,19 @@ def nearest_cluster(
     is absolutely nearer to a tight one. Ties resolve to the smallest index.
     Returns ``(cluster_index, adjusted_distance)``.
     """
-    v = vector.values if isinstance(vector, FusedVector) else np.asarray(vector)
-    adj = _distances(v.reshape(1, -1).astype(np.float64), centroids)[0] - radii
+    v = np.asarray(vector, dtype=np.float64).reshape(1, -1)
+    adj = _distances(v, centroids)[0] - radii
     best = int(adj.argmin())
     return best, float(adj[best])
 
 
 def cluster_cardinalities(
-    pool: Sequence[FusedVector] | np.ndarray,
+    pool: np.ndarray,
     centroids: np.ndarray,
     radii: np.ndarray,
 ) -> np.ndarray:
     """How many pool vectors each cluster claims under adjusted assignment."""
-    x = stack_fused(pool)
-    adj = _distances(x, centroids) - radii[None, :]
+    adj = _distances(np.asarray(pool, dtype=np.float64), centroids) - radii[None, :]
     return np.bincount(adj.argmin(axis=1), minlength=centroids.shape[0])
 
 
@@ -356,26 +351,29 @@ def cardinality_weights(cardinalities: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def encode_bitstring(
-    vectors: Sequence[FusedVector] | np.ndarray,
+    vectors: np.ndarray,
     codebook: Codebook,
-    gate_all: bool = True,
+    tau_s: float,
+    top_t: int,
+    gate_all: bool,
 ) -> BitString:
-    """Convert one impression's fused vectors into a K-bit string.
+    """Convert one impression's ``(n, dim)`` fused matrix into a K-bit string.
 
     Each vector ranks clusters by adjusted distance and nominates the best
     ``top_t``. With ``gate_all`` every nominated cluster's bit is set only
     when its own adjusted distance is below ``tau_s``; without it just the
-    rank-1 nomination is gated and the rest are set outright.
-    An impression with no vectors maps to the all-zero string.
+    rank-1 nomination is gated and the rest are set outright. The three
+    conversion parameters are the config's ``tau_s``, ``top_t`` and
+    ``gate_all``. An impression with no vectors maps to the all-zero string.
     """
     bits = np.zeros(codebook.k, dtype=bool)
-    x = stack_fused(vectors)
+    x = np.asarray(vectors, dtype=np.float64)
     if x.size == 0:
         return BitString(bits)
     adj = _distances(x, codebook.centroids) - codebook.radii[None, :]
     # ties in adjusted distance nominate the smaller cluster index first
-    nominated = np.argsort(adj, axis=1, kind="stable")[:, : codebook.top_t]
-    passes = np.take_along_axis(adj, nominated, axis=1) < codebook.tau_s
+    nominated = np.argsort(adj, axis=1, kind="stable")[:, :top_t]
+    passes = np.take_along_axis(adj, nominated, axis=1) < tau_s
     if not gate_all:
         passes[:, 1:] = True
     bits[nominated[passes]] = True
@@ -383,7 +381,7 @@ def encode_bitstring(
 
 
 def distance_vector(
-    vectors: Sequence[FusedVector] | np.ndarray,
+    vectors: np.ndarray,
     codebook: Codebook,
     subject_id: str = "",
     impression_id: str = "",
@@ -393,7 +391,7 @@ def distance_vector(
     Raises:
         EmptyImage: the impression produced no fused vectors.
     """
-    x = stack_fused(vectors)
+    x = np.asarray(vectors, dtype=np.float64)
     if x.size == 0:
         raise EmptyImage("impression has no fused vectors to measure")
     d = _distances(x, codebook.centroids)

@@ -25,7 +25,6 @@ import numpy as np
 from .bit_training import FingerModel
 from .codebook import BitString
 from .errors import BadLength, LengthMismatch
-from .subspace_fusion import FusedVector, stack_fused
 
 KIND_LGS = "lgs"
 KIND_INTERSECTION = "intersection"
@@ -72,22 +71,22 @@ def lgs_pair_budget(
 
 
 def lgs_score(
-    vectors_a: Sequence[FusedVector] | np.ndarray,
-    vectors_b: Sequence[FusedVector] | np.ndarray,
+    vectors_a: np.ndarray,
+    vectors_b: np.ndarray,
     min_pairs: int = DEFAULT_MIN_PAIRS,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     midpoint: float = DEFAULT_PAIR_MIDPOINT,
     steepness: float = DEFAULT_PAIR_STEEPNESS,
 ) -> MatchScore:
-    """Greedy one-to-one fused-vector comparison (lower = more similar).
+    """Greedy one-to-one comparison of two fused matrices (lower = more similar).
 
     All cross distances are ranked ascending (ties by vector indices); pairs
     are taken greedily, each vector used at most once, until the budget from
     :func:`lgs_pair_budget` is filled or vectors run out. The score is the
     mean distance of the taken pairs; ``short`` marks an underfilled budget.
     """
-    a = stack_fused(vectors_a)
-    b = stack_fused(vectors_b)
+    a = np.asarray(vectors_a, dtype=np.float64)
+    b = np.asarray(vectors_b, dtype=np.float64)
     n_a = a.shape[0] if a.size else 0
     n_b = b.shape[0] if b.size else 0
     budget = lgs_pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -41,14 +41,22 @@ _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 
 @dataclass
 class PipelineModel:
-    """Everything needed to turn a (template, image) pair into a bit-string."""
+    """Everything needed to turn a (template, image) pair into a bit-string.
+
+    ``config`` is the only home of every configured value; ``geometry`` and
+    ``spread`` are derived from it.
+    """
 
     config: PipelineConfig
-    geometry: StructureGeometry
-    spread: SpreadModel
     pca_m: PcaModel
     pca_t: PcaModel
     codebook: Codebook
+    geometry: StructureGeometry = field(init=False)
+    spread: SpreadModel = field(init=False)
+
+    def __post_init__(self):
+        self.geometry = geometry_from_config(self.config)
+        self.spread = spread_from_config(self.config)
 
 
 def geometry_from_config(config: PipelineConfig) -> StructureGeometry:
@@ -214,9 +222,6 @@ def save_model(model: PipelineModel) -> bytes:
     meta = {
         "kind": "pipeline-model",
         "config": serialize_config(model.config),
-        "tau_s": cb.tau_s,
-        "top_t": cb.top_t,
-        "n_boundary": cb.n_boundary,
         "has_global_mean": cb.global_mean is not None,
     }
     arrays: List[Tuple[str, np.ndarray, str]] = [
@@ -241,9 +246,6 @@ def save_model(model: PipelineModel) -> bytes:
 _MODEL_META = {
     "kind": str,
     "config": str,
-    "tau_s": float,
-    "top_t": int,
-    "n_boundary": int,
     "has_global_mean": bool,
 }
 # n_m / n_t: lattice points per family, p: components kept, K: clusters
@@ -272,38 +274,31 @@ def load_model(data: bytes) -> PipelineModel:
         raise MalformedHeader(f"not a pipeline model container: {meta['kind']!r}")
     if meta["has_global_mean"] != ("global_mean" in arrays):
         raise MalformedHeader("has_global_mean disagrees with the arrays present")
-    if meta["top_t"] < 1 or meta["n_boundary"] < 1:
-        raise MalformedHeader("top_t and n_boundary must be >= 1")
     config = parse_config(meta["config"])
-    geometry = geometry_from_config(config)
     basis_m, centroids = arrays["pca_m_basis"], arrays["centroids"]
-    if (
-        not np.array_equal(arrays["lattice_m"], geometry.lattice_m)
-        or not np.array_equal(arrays["lattice_t"], geometry.lattice_t)
-        or basis_m.shape[1] != config.n_p
-        or centroids.shape != (config.K, 2 * config.n_p)
-    ):
-        raise MalformedHeader("model arrays disagree with the model's config")
-    codebook = Codebook(
-        centroids=centroids,
-        radii=arrays["radii"],
-        cardinalities=arrays["cardinalities"],
-        weights=arrays["weights"],
-        tau_s=float(meta["tau_s"]),
-        top_t=meta["top_t"],
-        n_boundary=meta["n_boundary"],
-        global_mean=arrays.get("global_mean"),
-    )
-    return PipelineModel(
+    model = PipelineModel(
         config=config,
-        geometry=geometry,
-        spread=spread_from_config(config),
         pca_m=PcaModel(arrays["pca_m_mean"], basis_m, arrays["pca_m_variance"]),
         pca_t=PcaModel(
             arrays["pca_t_mean"], arrays["pca_t_basis"], arrays["pca_t_variance"]
         ),
-        codebook=codebook,
+        codebook=Codebook(
+            centroids=centroids,
+            radii=arrays["radii"],
+            cardinalities=arrays["cardinalities"],
+            weights=arrays["weights"],
+            global_mean=arrays.get("global_mean"),
+        ),
     )
+    # the stored lattices guard against a change to the lattice construction
+    if (
+        not np.array_equal(arrays["lattice_m"], model.geometry.lattice_m)
+        or not np.array_equal(arrays["lattice_t"], model.geometry.lattice_t)
+        or basis_m.shape[1] != config.n_p
+        or centroids.shape != (config.K, 2 * config.n_p)
+    ):
+        raise MalformedHeader("model arrays disagree with the model's config")
+    return model
 
 
 def load_model_file(path: str) -> PipelineModel:

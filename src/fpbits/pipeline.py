@@ -39,6 +39,7 @@ from .local_structures import (
     tbls_matrix,
 )
 from .matching import (
+    MatchScore,
     fold_bits,
     intersection_scores,
     lgs_score,
@@ -259,21 +260,11 @@ def train_model(
         radii=radii,
         cardinalities=cardinalities,
         weights=cardinality_weights(cardinalities),
-        tau_s=config.tau_s,
-        top_t=config.top_t,
-        n_boundary=config.N_c,
     )
 
     if verbose:
         print("averaging per-finger distance vectors into the population mean")
-    model = PipelineModel(
-        config=config,
-        geometry=geometry,
-        spread=spread,
-        pca_m=pca_m,
-        pca_t=pca_t,
-        codebook=codebook,
-    )
+    model = PipelineModel(config=config, pca_m=pca_m, pca_t=pca_t, codebook=codebook)
     # real vectors, grouped per impression in key order
     groups: Dict[str, List[DistanceVector]] = {}
     offset = 0
@@ -306,8 +297,9 @@ def encode_impression(
     template: MinutiaTemplate, image: GrayImage, model: PipelineModel
 ) -> EncodedImpression:
     """Template + image -> bit-string, distance vector, minutia count."""
+    cfg = model.config
     vectors = fused_vectors(template, image, model)
-    bits = encode_bitstring(vectors, model.codebook, model.config.gate_all)
+    bits = encode_bitstring(vectors, model.codebook, cfg.tau_s, cfg.top_t, cfg.gate_all)
     distances = distance_vector(
         vectors,
         model.codebook,
@@ -324,14 +316,12 @@ def encode_impression(
 
 
 def encode_dataset(
-    items: DatasetDict, model: PipelineModel, verbose: bool = False
+    items: DatasetDict, model: PipelineModel
 ) -> Dict[Tuple[str, str], EncodedImpression]:
     out = {}
     for key in sorted(items.keys()):
         template, image = items[key]
         out[key] = encode_impression(template, image, model)
-        if verbose:
-            print(f"encoded {key[0]}/{key[1]}: {out[key].bits.ones} bits set")
     return out
 
 
@@ -409,6 +399,20 @@ def _fvc_bit_reports(
     return reports
 
 
+def lgs_match(
+    vectors_a: np.ndarray, vectors_b: np.ndarray, config: PipelineConfig
+) -> MatchScore:
+    """:func:`~fpbits.matching.lgs_score` with the config's pair-budget parameters."""
+    return lgs_score(
+        vectors_a,
+        vectors_b,
+        min_pairs=config.min_nL,
+        max_pairs=config.max_nL,
+        midpoint=config.mu_P,
+        steepness=config.tau_P,
+    )
+
+
 def evaluate_fvc_lgs(
     items: DatasetDict, model: PipelineModel
 ) -> ProtocolReport:
@@ -419,17 +423,9 @@ def evaluate_fvc_lgs(
     }
     keys, n_subjects, n_impressions = _grid_keys(vectors)
     genuine_rows, impostor_rows = fvc_pair_rows(n_subjects, n_impressions)
-    cfg = model.config
 
     def score(a, b) -> float:
-        return lgs_score(
-            vectors[keys[a]],
-            vectors[keys[b]],
-            min_pairs=cfg.min_nL,
-            max_pairs=cfg.max_nL,
-            midpoint=cfg.mu_P,
-            steepness=cfg.tau_P,
-        ).value
+        return lgs_match(vectors[keys[a]], vectors[keys[b]], model.config).value
 
     genuine = [score(a, b) for a, b in genuine_rows.tolist()]
     impostor = [score(a, b) for a, b in impostor_rows.tolist()]

@@ -178,12 +178,12 @@ def project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
         return model.basis.T @ (v - model.mean)
     if x.shape[1] != model.dim:
         raise LengthMismatch(f"vector length {x.shape[1]} != model dim {model.dim}")
-    out = np.empty((x.shape[0], model.n_components), dtype=np.float64)
     step = _project_step(model)
-    for lo in range(0, x.shape[0], step):
-        rows = slice(lo, lo + step)
-        out[rows] = (x[rows] - model.mean) @ model.basis
-    return out
+    return project_centred(
+        model,
+        x.shape[0],
+        (x[lo : lo + step] - model.mean for lo in range(0, x.shape[0], step)),
+    )
 
 
 def _project_step(model: PcaModel) -> int:
@@ -197,9 +197,10 @@ def project_centred(
     """:func:`project` of an ``(n_rows, dim)`` matrix ``x`` that never exists whole.
 
     ``chunks`` yields ``x - model.mean`` for consecutive rows of ``x``, in
-    pieces of any size. They are gathered into the row blocks
-    :func:`project` multiplies, so the result is bitwise ``project(model,
-    x)`` while at most one block of centred rows is held.
+    pieces of any size. They are gathered into row blocks of at most
+    ``_PROJECT_BLOCK_ELEMENTS`` elements, so at most one block of centred
+    rows is held. :func:`project` feeds its own centred blocks through
+    here, so this loop is the one place that block layout is decided.
     """
     out = np.empty((n_rows, model.n_components), dtype=np.float64)
     step = _project_step(model)
@@ -211,14 +212,21 @@ def project_centred(
                 f"chunk of shape {chunk.shape} does not fit {n_rows - lo - filled} "
                 f"remaining rows of dimension {model.dim}"
             )
+        # C order, as in block: the memory layout picks the BLAS kernel
+        chunk = np.ascontiguousarray(chunk, dtype=np.float64)
         while chunk.shape[0]:
             size = min(step, n_rows - lo)
             take = min(size - filled, chunk.shape[0])
-            block[filled : filled + take] = chunk[:take]
+            if take == size:
+                # a whole block inside one chunk is multiplied where it lies
+                rows = chunk[:size]
+            else:
+                block[filled : filled + take] = chunk[:take]
+                rows = block[:size]
             chunk = chunk[take:]
             filled += take
             if filled == size:
-                out[lo : lo + size] = block[:size] @ model.basis
+                out[lo : lo + size] = rows @ model.basis
                 lo += size
                 filled = 0
     if lo != n_rows:
@@ -300,17 +308,3 @@ def fuse_matrix(
     if a.shape[1] < 2:
         raise LengthMismatch(f"z-normalization needs length >= 2, got {a.shape[1]}")
     return np.concatenate([weight_m * _znorm_rows(a), weight_t * _znorm_rows(b)], axis=1)
-
-
-def stack_fused(vectors: Sequence[FusedVector] | np.ndarray) -> np.ndarray:
-    """Fused vectors as an (n, dim) float matrix.
-
-    An array passes through (as float64); a sequence of :class:`FusedVector`
-    is stacked, the empty sequence giving shape (0, 0).
-    """
-    if isinstance(vectors, np.ndarray):
-        return np.asarray(vectors, dtype=np.float64)
-    vectors = list(vectors)
-    if not vectors:
-        return np.zeros((0, 0), dtype=np.float64)
-    return np.stack([fv.values for fv in vectors])

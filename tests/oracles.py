@@ -32,7 +32,7 @@ from fpbits.pipeline import (
     _augment_structures,
     raw_structures,
 )
-from fpbits.subspace_fusion import fuse_matrix, project, stack_fused, train_pca_inplace
+from fpbits.subspace_fusion import fuse_matrix, project, train_pca_inplace
 from fpbits.synth import keyed_rng
 
 
@@ -72,7 +72,7 @@ def kmeans_train_oracle(
     trace: Optional[List[float]] = None,
 ) -> np.ndarray:
     """Lloyd's algorithm with a fresh distance matrix and a mask per cluster."""
-    x = stack_fused(pool)
+    x = np.asarray(pool, dtype=np.float64)
     n = x.shape[0]
     if k < 1:
         raise PoolTooSmall(f"k must be >= 1, got {k}")
@@ -164,14 +164,8 @@ def train_model_oracle(items, config) -> PipelineModel:
         radii=radii,
         cardinalities=cardinalities,
         weights=cardinality_weights(cardinalities),
-        tau_s=config.tau_s,
-        top_t=config.top_t,
-        n_boundary=config.N_c,
     )
-    model = PipelineModel(
-        config=config, geometry=geometry, spread=spread,
-        pca_m=pca_m, pca_t=pca_t, codebook=codebook,
-    )
+    model = PipelineModel(config=config, pca_m=pca_m, pca_t=pca_t, codebook=codebook)
     groups: Dict[str, list] = {}
     offset = 0
     for key, n in zip(keys, counts):

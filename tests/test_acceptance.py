@@ -328,11 +328,8 @@ def test_criterion_06_encode_oracle():
             radii=radii,
             cardinalities=np.ones(k, dtype=np.int64),
             weights=np.ones(k),
-            tau_s=-0.05,
-            top_t=top_t,
-            n_boundary=10,
         )
-        got = encode_bitstring(vectors, book)
+        got = encode_bitstring(vectors, book, -0.05, top_t, True)
 
         want = np.zeros(k, dtype=bool)
         for v in vectors:

@@ -38,7 +38,7 @@ def brute_distances(x, centroids):
     return out
 
 
-def make_codebook(centroids, radii, tau_s=-0.05, top_t=5):
+def make_codebook(centroids, radii):
     c = np.asarray(centroids, dtype=np.float64)
     k = c.shape[0]
     return Codebook(
@@ -46,9 +46,6 @@ def make_codebook(centroids, radii, tau_s=-0.05, top_t=5):
         radii=np.asarray(radii, dtype=np.float64),
         cardinalities=np.ones(k, dtype=np.int64),
         weights=np.ones(k),
-        tau_s=tau_s,
-        top_t=top_t,
-        n_boundary=3,
     )
 
 
@@ -272,7 +269,7 @@ def test_cardinality_weights_endpoints():
 # bit conversion
 # ---------------------------------------------------------------------------
 
-def encode_oracle(x, codebook, gate_all):
+def encode_oracle(x, codebook, tau_s, top_t, gate_all):
     bits = np.zeros(codebook.k, dtype=bool)
     for v in x:
         adj = [
@@ -280,10 +277,10 @@ def encode_oracle(x, codebook, gate_all):
             for j in range(codebook.k)
         ]
         adj.sort()
-        for rank, (value, j) in enumerate(adj[: codebook.top_t]):
+        for rank, (value, j) in enumerate(adj[:top_t]):
             if not gate_all and rank > 0:
                 bits[j] = True
-            elif value < codebook.tau_s:
+            elif value < tau_s:
                 bits[j] = True
     return bits
 
@@ -295,11 +292,11 @@ def test_encode_exhaustive_oracle_both_modes():
         centroids = rng.normal(size=(12, dim))
         radii = rng.uniform(0.5, 2.0, size=12)
         x = rng.normal(size=(15, dim))
+        cb = make_codebook(centroids, radii)
         for top_t in (1, 3, 5):
             for gate_all in (True, False):
-                cb = make_codebook(centroids, radii, tau_s=0.2, top_t=top_t)
-                got = encode_bitstring(x, cb, gate_all=gate_all)
-                assert np.array_equal(got.bits, encode_oracle(x, cb, gate_all))
+                got = encode_bitstring(x, cb, 0.2, top_t, gate_all)
+                assert np.array_equal(got.bits, encode_oracle(x, cb, 0.2, top_t, gate_all))
 
 
 def test_encode_best_only_ties_nominate_smaller_index():
@@ -307,29 +304,28 @@ def test_encode_best_only_ties_nominate_smaller_index():
     # distances tie in pairs: (0, 1) at 0.5 and (2, 3) at 1.5
     centroids = [[1.0], [-1.0], [2.0], [-2.0], [9.0]]
     x = np.zeros((1, 1))
+    cb = make_codebook(centroids, [0.5] * 5)
     for top_t in (1, 2, 3, 5):
         for tau_s in (0.0, 1.0):  # rank-1 gate shut, then open
-            cb = make_codebook(centroids, [0.5] * 5, tau_s=tau_s, top_t=top_t)
-            got = encode_bitstring(x, cb, gate_all=False)
-            assert np.array_equal(got.bits, encode_oracle(x, cb, False))
-    cb = make_codebook(centroids, [0.5] * 5, tau_s=0.0, top_t=3)
+            got = encode_bitstring(x, cb, tau_s, top_t, False)
+            assert np.array_equal(got.bits, encode_oracle(x, cb, tau_s, top_t, False))
     # rank 1 (cluster 0) fails the gate; ranks 2 and 3 are set outright
-    assert encode_bitstring(x, cb, False).bits.tolist() == [
+    assert encode_bitstring(x, cb, 0.0, 3, False).bits.tolist() == [
         False, True, True, False, False
     ]
 
 
 def test_encode_gate_blocks_distant_vectors():
-    cb = make_codebook([[0.0], [10.0]], [0.5, 0.5], tau_s=-0.05, top_t=2)
-    out = encode_bitstring(np.array([[5.0]]), cb)
+    cb = make_codebook([[0.0], [10.0]], [0.5, 0.5])
+    out = encode_bitstring(np.array([[5.0]]), cb, -0.05, 2, True)
     assert out.ones == 0  # adjusted distances 4.5 both sides, gate shut
-    near = encode_bitstring(np.array([[0.1]]), cb)
+    near = encode_bitstring(np.array([[0.1]]), cb, -0.05, 2, True)
     assert near.bits[0] and not near.bits[1]
 
 
 def test_encode_empty_input():
     cb = make_codebook([[0.0], [1.0]], [0.1, 0.1])
-    out = encode_bitstring([], cb)
+    out = encode_bitstring(np.zeros((0, 1)), cb, -0.05, 5, True)
     assert len(out) == 2 and out.ones == 0
 
 
@@ -343,7 +339,7 @@ def test_distance_vector_oracle():
     assert np.allclose(dv.values, want, rtol=1e-12)
     assert dv.subject_id == "s1" and dv.impression_id == "02"
     with pytest.raises(EmptyImage):
-        distance_vector([], cb)
+        distance_vector(np.zeros((0, 3)), cb)
 
 
 def test_global_mean_two_stage():

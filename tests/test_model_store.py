@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -56,8 +57,6 @@ def test_model_roundtrip_and_byte_determinism():
     assert np.array_equal(back.codebook.cardinalities, model.codebook.cardinalities)
     assert np.array_equal(back.codebook.weights, model.codebook.weights)
     assert np.array_equal(back.codebook.global_mean, model.codebook.global_mean)
-    assert back.codebook.tau_s == model.codebook.tau_s
-    assert back.codebook.top_t == model.codebook.top_t
     assert np.array_equal(back.geometry.lattice_m, model.geometry.lattice_m)
     assert np.array_equal(back.geometry.lattice_t, model.geometry.lattice_t)
     assert np.array_equal(back.pca_m.basis, model.pca_m.basis)
@@ -244,10 +243,16 @@ def test_trailing_bytes_rejected(loader, blob):
         loader(blob + b"\0")
 
 
+def _set_config(header, key, value):
+    """Rewrite the ``key`` line of the config text a model header carries."""
+    meta = header["meta"]
+    meta["config"] = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", meta["config"])
+
+
 @pytest.mark.parametrize("edit", [
-    lambda h: h["meta"].pop("top_t"),
-    lambda h: h["meta"].update(top_t=True),
-    lambda h: h["meta"].update(tau_s="x"),
+    lambda h: _set_config(h, "top_t", "0"),
+    lambda h: _set_config(h, "top_t", "true"),
+    lambda h: _set_config(h, "tau_s", "x"),
     lambda h: h["meta"].update(has_global_mean=False),
     lambda h: h["meta"].update(config="r_m = 81\n"),  # lattice from r_m = 81
     lambda h: h.update(meta=[]),
@@ -262,6 +267,24 @@ def test_model_header_schema(edit):
     blob = save_model(model)
     with pytest.raises(MalformedHeader):
         load_model(_repack(blob, b"FPBM", edit))
+
+
+@pytest.mark.parametrize("fields", [
+    {"tau_s": -0.05, "top_t": 5, "n_boundary": 20},  # copies of the config's values
+    {"tau_s": -100.0, "top_t": 1, "n_boundary": 20},  # disagreeing with the config
+], ids=["config-copies", "disagreeing"])
+def test_header_conversion_fields_are_ignored(fields):
+    # older model files carry tau_s / top_t / n_boundary header fields next
+    # to the config text; they still load, and the config text's values apply
+    items, model = tiny_model()
+    assert (model.config.tau_s, model.config.top_t, model.config.N_c) == (-0.05, 5, 20)
+    blob = _repack(save_model(model), b"FPBM", lambda h: h["meta"].update(fields))
+    back = load_model(blob)
+    assert serialize_config(back.config) == serialize_config(model.config)
+    for key in sorted(items):
+        want = encode_impression(*items[key], model).bits
+        assert want.ones > 0, key
+        assert encode_impression(*items[key], back).bits == want, key
 
 
 @pytest.mark.parametrize("header", [

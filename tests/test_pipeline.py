@@ -122,7 +122,7 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
             ).values
             for m in ms
         ])
-        want = encode_bitstring(vectors, model.codebook, cfg.gate_all)
+        want = encode_bitstring(vectors, model.codebook, cfg.tau_s, cfg.top_t, cfg.gate_all)
         assert encode_impression(template, image, model).bits == want, key
 
 

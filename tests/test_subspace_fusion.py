@@ -8,13 +8,11 @@ import pytest
 import fpbits.subspace_fusion as subspace_fusion
 from fpbits.errors import LengthMismatch, RankDeficient, TooFewSamples
 from fpbits.subspace_fusion import (
-    FusedVector,
     PcaModel,
     fuse,
     fuse_matrix,
     project,
     project_centred,
-    stack_fused,
     train_pca,
     train_pca_inplace,
     znorm,
@@ -183,16 +181,6 @@ def test_fuse_layout_and_weights():
 def test_fuse_length_mismatch():
     with pytest.raises(LengthMismatch):
         fuse(np.zeros(5), np.zeros(6))
-
-
-def test_stack_fused():
-    vs = [FusedVector(np.arange(4.0)), FusedVector(np.ones(4))]
-    m = stack_fused(vs)
-    assert m.shape == (2, 4)
-    assert stack_fused([]).shape == (0, 0)
-    ints = np.arange(6).reshape(3, 2)
-    passed = stack_fused(ints)
-    assert passed.dtype == np.float64 and np.array_equal(passed, ints)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +375,22 @@ def test_project_centred_is_bitwise_project(monkeypatch, rows_per_block):
         assert got.tobytes() == want.tobytes(), sizes
     assert project_centred(model, 0, iter([])).shape == (0, 6)
     assert project_centred(model, 0, [np.zeros((0, 40))]).shape == (0, 6)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 7, 1000])
+def test_project_matrix_is_bitwise_block_formula(monkeypatch, rows_per_block):
+    # the oracle centres and multiplies each block of rows on its own;
+    # Fortran-ordered and strided inputs must give the same bytes
+    rng = np.random.default_rng(107)
+    model = train_pca(rng.normal(size=(80, 40)), 6)
+    x = rng.normal(loc=1.5, size=(46, 40))
+    monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", rows_per_block * 40)
+    for matrix in (x, np.asfortranarray(x), x[::2]):
+        want = np.concatenate([
+            (matrix[lo : lo + rows_per_block] - model.mean) @ model.basis
+            for lo in range(0, matrix.shape[0], rows_per_block)
+        ])
+        assert project(model, matrix).tobytes() == want.tobytes()
 
 
 def test_project_centred_checks_row_counts():
