@@ -28,7 +28,7 @@ import numpy as np
 from . import pipeline
 from .codebook import BitString
 from .config import PipelineConfig, load_config, parse_config, serialize_config
-from .errors import FpbitsError, ModelMissing
+from .errors import BadLength, FpbitsError, ModelMissing
 from .matching import apply_mask, score_string_pairs
 from .model_store import (
     load_bitstring,
@@ -328,11 +328,24 @@ def _write_roc(path: str, report) -> None:
     write_file_atomic(path, ("\n".join(rows) + "\n").encode("ascii"))
 
 
+def _fold_lengths(text: str) -> List[int]:
+    """The ``--lengths`` list: comma-separated integers, at least one."""
+    lengths = []
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            lengths.append(int(tok))
+        except ValueError:
+            raise BadLength(f"--lengths: {tok!r} is not an integer") from None
+    if not lengths:
+        raise BadLength(f"--lengths {text!r} names no fold length")
+    return lengths
+
+
 def cmd_compress(args) -> int:
+    lengths = _fold_lengths(args.lengths)
     model = load_model_file(args.model)
     items = load_dataset(args.dataset)
     encoded = pipeline.encode_dataset(items, model)
-    lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
     sweep = pipeline.compression_sweep(encoded, lengths)
     rows = ["length,eer"] + [f"{length},{eer:.6f}" for length, eer in sweep]
     text = "\n".join(rows) + "\n"
@@ -345,6 +358,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if not (args.model or args.bits or args.finger):
+        raise ModelMissing("nothing to inspect; pass --model, --bits, or --finger")
     if args.model:
         model = load_model_file(args.model)
         cb = model.codebook
@@ -372,9 +387,6 @@ def cmd_inspect(args) -> int:
         print(f"  mask keeps: {int(finger.mask.sum())} of {finger.k}")
         print(f"  mean minutia count: {finger.n_mean:.2f}")
         print(f"  enrolled set bits: {reference.ones}")
-    if not (args.model or args.bits or args.finger):
-        print("nothing to inspect; pass --model, --bits, or --finger")
-        return 2
     return 0
 
 

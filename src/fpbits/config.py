@@ -41,7 +41,6 @@ class PipelineConfig:
     top_t: int = 5  # clusters nominated per fused vector
     gate_all: bool = True  # gate every nomination (False: only the best)
     kmeans_max_iters: int = 100
-    augment_pool: int = 0  # synthetic minutia-only vectors added to the pool
 
     # bit training
     alpha: float = 0.45  # reliability bar floor
@@ -78,7 +77,7 @@ class PipelineConfig:
             )
         minimums = (
             ("n_p", 2), ("K", 1), ("N_c", 1), ("top_t", 1), ("kmeans_max_iters", 1),
-            ("augment_pool", 0), ("enroll_size", 1), ("min_nL", 1),
+            ("enroll_size", 1), ("min_nL", 1),
         )
         for name, low in minimums:
             if getattr(self, name) < low:
@@ -88,6 +87,10 @@ class PipelineConfig:
                 f"max_nL ({self.max_nL}) must be >= min_nL ({self.min_nL})"
             )
 
+
+# removed keys that older model texts still carry, with the one value that
+# keeps their meaning: the line is accepted and ignored
+_RETIRED = {"augment_pool": 0}
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
@@ -105,7 +108,8 @@ def parse_config(text: str, base: Optional[PipelineConfig] = None) -> PipelineCo
     """Parse ``key = value`` lines over a base config (default values).
 
     Unknown keys and unparseable values raise :class:`MalformedHeader` with
-    the offending line number.
+    the offending line number, as does a retired key with any value but the
+    one it still accepts.
     """
     values = dataclasses.asdict(base) if base is not None else dataclasses.asdict(
         PipelineConfig()
@@ -121,6 +125,17 @@ def parse_config(text: str, base: Optional[PipelineConfig] = None) -> PipelineCo
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
+        if key in _RETIRED:
+            try:
+                retired_ok = int(val) == _RETIRED[key]
+            except ValueError:
+                retired_ok = False
+            if not retired_ok:
+                raise MalformedHeader(
+                    f"config line {lineno}: {key!r} was removed; only "
+                    f"'{key} = {_RETIRED[key]}' is accepted, got {val!r}"
+                )
+            continue
         if key not in values:
             raise MalformedHeader(f"config line {lineno}: unknown key {key!r}")
         try:

@@ -92,7 +92,8 @@ class LengthMismatch(FpbitsError):
 
 
 class BadLength(FpbitsError):
-    """A fold length outside [1, template length] was requested."""
+    """A fold length outside [1, template length] was requested, or a fold-length
+    list held a token that is not an integer, or no length at all."""
 
 
 class ModelMissing(FpbitsError):

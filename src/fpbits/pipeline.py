@@ -10,7 +10,6 @@ identical inputs yield identical artifacts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -66,12 +65,11 @@ from .subspace_fusion import (
     train_pca_inplace,
 )
 from .synth import keyed_rng
-from .template_io import GrayImage, Minutia, MinutiaTemplate
+from .template_io import GrayImage, MinutiaTemplate
 
 DatasetDict = Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]]
 
 _STREAM_PCA_SUBSAMPLE = 101
-_STREAM_AUGMENT = 102
 
 
 def raw_structures(
@@ -111,33 +109,6 @@ def _subsample_rows(n_rows: int, cap: int, seed: int) -> np.ndarray:
         return np.arange(n_rows)
     rng = keyed_rng(seed, _STREAM_PCA_SUBSAMPLE)
     return np.sort(rng.choice(n_rows, size=cap, replace=False))
-
-
-def _augment_structures(
-    out: np.ndarray,
-    geometry: StructureGeometry,
-    spread: SpreadModel,
-    seed: int,
-) -> None:
-    """Fill ``out``'s rows with random minutia constellations' descriptors.
-
-    They pad thin clustering pools.
-    """
-    rng = keyed_rng(seed, _STREAM_AUGMENT)
-    for row in out:
-        ref = Minutia(0.0, 0.0, float(rng.uniform(0.0, 2.0 * math.pi)))
-        n = int(rng.integers(1, 9))
-        rho = rng.uniform(5.0, geometry.r_m, size=n)
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        others = [
-            Minutia(
-                float(r * math.cos(a)),
-                float(r * math.sin(a)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-            for r, a in zip(rho, ang)
-        ]
-        row[:] = mbls_matrix([ref] + others, geometry, spread)[0]
 
 
 def _fit_family(
@@ -210,7 +181,6 @@ def train_model(
     spread = spread_from_config(config)
     keys = sorted(items.keys())
     counts = [len(items[key][0].minutiae) for key in keys]
-    n_real = sum(counts)
 
     # one impression's rows of either family at the given minutia indices
     def minutia_rows(template, _):
@@ -224,28 +194,21 @@ def train_model(
     if verbose:
         print(
             f"fitting subspaces (n_p={config.n_p}) on {len(keys)} impressions, "
-            f"{n_real} minutiae (n_m={geometry.n_m}, n_t={geometry.n_t})"
+            f"{sum(counts)} minutiae (n_m={geometry.n_m}, n_t={geometry.n_t})"
         )
-    # augmented minutia structures follow the real minutia rows; they have
-    # no texture rows. One family at a time: the texture fit, the largest,
-    # runs without the minutia fit matrix alive.
-    augmented = np.empty((config.augment_pool, geometry.n_m))
-    _augment_structures(augmented, geometry, spread, config.seed)
-    pca_m, proj_m = _fit_family(
-        [(n, minutia_rows(*items[key])) for key, n in zip(keys, counts)]
-        + [(config.augment_pool, augmented.__getitem__)],
-        geometry.n_m,
-        config,
-    )
-    pca_t, proj_real_t = _fit_family(
+    # one family at a time, texture first: the largest fit then runs without
+    # the minutia fit matrix alive, and before the minutia fit has left its
+    # freed matrices resident in the heap, which lowers the peak RSS
+    pca_t, proj_t = _fit_family(
         [(n, texture_rows(*items[key])) for key, n in zip(keys, counts)],
         geometry.n_t,
         config,
     )
-    # fuse the full pool (augmented minutia structures pair with a zero
-    # texture projection: they carry no texture evidence)
-    proj_t = np.zeros_like(proj_m)
-    proj_t[:n_real] = proj_real_t
+    pca_m, proj_m = _fit_family(
+        [(n, minutia_rows(*items[key])) for key, n in zip(keys, counts)],
+        geometry.n_m,
+        config,
+    )
     fused = fuse_matrix(proj_m, proj_t, config.omega_M, config.omega_T)
 
     if verbose:
@@ -265,7 +228,7 @@ def train_model(
     if verbose:
         print("averaging per-finger distance vectors into the population mean")
     model = PipelineModel(config=config, pca_m=pca_m, pca_t=pca_t, codebook=codebook)
-    # real vectors, grouped per impression in key order
+    # fused vectors, grouped per impression in key order
     groups: Dict[str, List[DistanceVector]] = {}
     offset = 0
     for key, n in zip(keys, counts):

@@ -27,11 +27,7 @@ from fpbits.codebook import (
 )
 from fpbits.errors import EmptyTrainingSet, PoolTooSmall
 from fpbits.model_store import PipelineModel, geometry_from_config, spread_from_config
-from fpbits.pipeline import (
-    _STREAM_PCA_SUBSAMPLE,
-    _augment_structures,
-    raw_structures,
-)
+from fpbits.pipeline import _STREAM_PCA_SUBSAMPLE, raw_structures
 from fpbits.subspace_fusion import fuse_matrix, project, train_pca_inplace
 from fpbits.synth import keyed_rng
 
@@ -130,16 +126,14 @@ def train_model_oracle(items, config) -> PipelineModel:
     spread = spread_from_config(config)
     keys = sorted(items.keys())
     counts = [len(items[key][0].minutiae) for key in keys]
-    n_real = sum(counts)
-    m_matrix = np.empty((n_real + config.augment_pool, geometry.n_m))
-    t_matrix = np.empty((n_real, geometry.n_t))
+    m_matrix = np.empty((sum(counts), geometry.n_m))
+    t_matrix = np.empty((sum(counts), geometry.n_t))
     offset = 0
     for key, n in zip(keys, counts):
         template, image = items[key]
         rows = slice(offset, offset + n)
         m_matrix[rows], t_matrix[rows] = raw_structures(template, image, geometry, spread)
         offset += n
-    _augment_structures(m_matrix[n_real:], geometry, spread, config.seed)
 
     pca_m = train_pca_inplace(
         subsample_oracle(m_matrix, config.pca_subsample, config.seed), config.n_p
@@ -149,8 +143,7 @@ def train_model_oracle(items, config) -> PipelineModel:
     pca_t = train_pca_inplace(
         subsample_oracle(t_matrix, config.pca_subsample, config.seed), config.n_p
     )
-    proj_t = np.zeros_like(proj_m)
-    proj_t[:n_real] = project(pca_t, t_matrix)
+    proj_t = project(pca_t, t_matrix)
     del t_matrix
     fused = fuse_matrix(proj_m, proj_t, config.omega_M, config.omega_T)
 

@@ -233,8 +233,25 @@ def test_inspect(workdir, capsys):
     assert "finger id: s002" in out
 
 
+@pytest.mark.parametrize("lengths, named", [
+    ("4,x", "'x'"),
+    (" , ", "no fold length"),
+], ids=["not-an-integer", "empty"])
+def test_compress_bad_lengths_exit_2_with_one_line(workdir, capsys, lengths, named):
+    assert main(["compress", "--dataset", workdir["data"],
+                 "--model", workdir["model"], "--lengths", lengths]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and named in err, err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_inspect_nothing(capsys):
     assert main(["inspect"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "nothing to inspect" in err, err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):

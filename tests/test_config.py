@@ -52,6 +52,13 @@ def test_boundary_values_are_accepted():
     assert config.downscale_area == 1.0 and config.max_nL == config.min_nL
 
 
+@pytest.mark.parametrize("value", ["3", "false", ""])
+def test_retired_augment_pool_other_values_name_the_key(value):
+    # "augment_pool = 0" is accepted and ignored (test_boundary_values_are_accepted)
+    with pytest.raises(MalformedHeader, match="line 2: 'augment_pool' was removed"):
+        parse_config(f"K = 7\naugment_pool = {value}\n")
+
+
 def _mutate(rng, blob):
     """Overwrite, truncate, insert into or replace a byte string."""
     out = bytearray(blob)

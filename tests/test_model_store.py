@@ -287,6 +287,30 @@ def test_header_conversion_fields_are_ignored(fields):
         assert encode_impression(*items[key], back).bits == want, key
 
 
+def _with_augment_pool(value):
+    """Header edit: the config line that models written before its removal carry."""
+    def edit(header):
+        meta = header["meta"]
+        old = meta["config"]
+        meta["config"] = old.replace(
+            "kmeans_max_iters = 100\n", f"kmeans_max_iters = 100\naugment_pool = {value}\n"
+        )
+        assert meta["config"] != old
+    return edit
+
+
+def test_retired_augment_pool_line_loads_and_encodes_identically():
+    items, model = tiny_model()
+    blob = save_model(model)
+    back = load_model(_repack(blob, b"FPBM", _with_augment_pool(0)))
+    assert serialize_config(back.config) == serialize_config(model.config)
+    for key in sorted(items):
+        want = encode_impression(*items[key], model).bits
+        assert encode_impression(*items[key], back).bits == want, key
+    with pytest.raises(MalformedHeader, match="augment_pool"):
+        load_model(_repack(blob, b"FPBM", _with_augment_pool(3)))
+
+
 @pytest.mark.parametrize("header", [
     b'{"meta":{},"arrays":[],"x":' + b"9" * 5000 + b"}",  # past the digit limit
     b"[" * 100000 + b"]" * 100000,  # past the recursion limit

@@ -1,7 +1,6 @@
 """The matrix paths against the per-minutia and per-pair oracles."""
 
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -21,9 +20,7 @@ from fpbits.local_structures import build_mbls, extract_tbls, normalize_image
 from fpbits.model_store import geometry_from_config, load_model, save_model
 from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.pipeline import (
-    _STREAM_AUGMENT,
     EncodedImpression,
-    _augment_structures,
     _subsample_rows,
     compression_sweep,
     encode_dataset,
@@ -37,8 +34,8 @@ from fpbits.pipeline import (
 )
 from fpbits.protocol import POLARITY_SIMILARITY, compute_eer, fvc_pairs
 from fpbits.subspace_fusion import fuse, project
-from fpbits.synth import SynthParams, keyed_rng, synth_dataset
-from fpbits.template_io import Minutia, MinutiaTemplate
+from fpbits.synth import SynthParams, synth_dataset
+from fpbits.template_io import MinutiaTemplate
 from oracles import kmeans_train_oracle, subsample_oracle, train_model_oracle
 
 # as in tests/test_local_structures.py: eps times the largest bump exponent
@@ -133,35 +130,6 @@ def test_fit_with_oracle_kmeans_saves_identical_bytes(small_run, monkeypatch):
     assert save_model(train_model(items, model.config)) == save_model(model)
 
 
-def augment_oracle(n_rows, geometry, spread, seed):
-    """Augmented rows from per-row ``build_mbls``, drawn as the pipeline draws."""
-    rng = keyed_rng(seed, _STREAM_AUGMENT)
-    rows = []
-    for _ in range(n_rows):
-        ref = Minutia(0.0, 0.0, float(rng.uniform(0.0, 2.0 * math.pi)))
-        n = int(rng.integers(1, 9))
-        rho = rng.uniform(5.0, geometry.r_m, size=n)
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        others = [
-            Minutia(
-                float(r * math.cos(a)),
-                float(r * math.sin(a)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-            for r, a in zip(rho, ang)
-        ]
-        rows.append(build_mbls(ref, [ref] + others, geometry, spread))
-    return np.array(rows)
-
-
-def test_augmented_rows_match_build_mbls(small_run):
-    _, model = small_run
-    out = np.empty((40, model.geometry.n_m))
-    _augment_structures(out, model.geometry, model.spread, seed=9)
-    want = augment_oracle(40, model.geometry, model.spread, seed=9)
-    assert np.max(np.abs(out - want)) <= MBLS_TOL
-
-
 @pytest.mark.parametrize("cap", [0, 12, 30, 31])
 def test_subsample_is_a_new_array(cap):
     # the index helper picks exactly the rows the old copying subsample
@@ -177,14 +145,9 @@ def test_subsample_is_a_new_array(cap):
 
 
 def test_uncapped_fit_saves_the_one_pass_oracle_bytes(small_run):
-    # every row subsampled: the two-pass fit is the one-pass fit, byte for
-    # byte, with and without augmented minutia rows
+    # every row subsampled: the two-pass fit is the one-pass fit, byte for byte
     items, model = small_run
     assert save_model(train_model_oracle(items, model.config)) == save_model(model)
-    config = dataclasses.replace(model.config, augment_pool=25, pca_subsample=505)
-    assert save_model(train_model(items, config)) == save_model(
-        train_model_oracle(items, config)
-    )
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +156,7 @@ def capped_run():
     items = synth_dataset(SynthParams(n_subjects=16, n_impressions=4, width=160,
                                       height=160, n_minutiae=24, seed=13))
     config = PipelineConfig(r_m=40.0, r_t=16.0, K=16, n_p=8, N_c=20,
-                            pca_subsample=300, augment_pool=20, seed=7)
+                            pca_subsample=300, seed=7)
     n_rows = sum(len(t.minutiae) for t, _ in items.values())
     assert n_rows > 4 * config.pca_subsample
     return items, config
@@ -237,7 +200,7 @@ def test_capped_fit_memory_depends_on_the_subsample(capped_run, monkeypatch):
     items, config = capped_run
     monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", 1 << 14)
     geometry = geometry_from_config(config)
-    n_rows = sum(len(t.minutiae) for t, _ in items.values()) + config.augment_pool
+    n_rows = sum(len(t.minutiae) for t, _ in items.values())
     cap, dims = config.pca_subsample, (geometry.n_m, geometry.n_t)
     subsamples = sum(cap * dim for dim in dims) * 8
     gram = max(min(cap, dim) ** 2 for dim in dims) * 8
