@@ -61,7 +61,6 @@ from .subspace_fusion import (
     PcaModel,
     fuse_matrix,
     project,
-    project_centred,
     train_pca_inplace,
 )
 from .synth import keyed_rng
@@ -118,16 +117,16 @@ def _fit_family(
 ) -> Tuple[PcaModel, np.ndarray]:
     """Fit one descriptor family's subspace and project every one of its rows.
 
-    The family's rows come in ``segments``: ``(n, rows_at)`` holds ``n``
-    consecutive rows, and ``rows_at(local)`` returns the ``(len(local),
-    dim)`` rows at the local indices ``local``. Each row is computed once.
-    Pass 1 computes the subsample's rows straight into the fit matrix, which
-    the fit centres in place and which is kept. Pass 2 centres the other
-    rows segment by segment and streams all rows, in order, into the row
-    blocks of :func:`project`. The centred values are bitwise those of
-    ``x - mean``, so the projections are those of ``project`` on the whole
-    matrix, which is never held: memory is the fit matrix, the fit's Gram or
-    covariance matrix, one projection block and one segment.
+    The family's rows come in ``segments``, one per impression: ``(n,
+    rows_at)`` holds ``n`` consecutive rows, and ``rows_at(local)`` returns
+    the ``(len(local), dim)`` rows at the local indices ``local``. Each row
+    is computed once. Pass 1 computes the subsample's rows straight into the
+    fit matrix, which the fit centres in place and which is kept. Pass 2
+    gathers each segment's centred rows, its kept subsample rows and its
+    other rows minus the mean, and projects them as one product, bitwise
+    :func:`project` of the segment's rows: the fit sees the vectors
+    ``encode`` computes. Memory is the fit matrix, the fit's Gram or
+    covariance matrix and one segment.
     """
     sizes = [n for n, _ in segments]
     starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
@@ -145,21 +144,19 @@ def _fit_family(
     in_sub = np.zeros(n_rows, dtype=bool)
     in_sub[sub] = True
     buf = np.empty((max(sizes, default=0), dim), dtype=np.float64)
-
-    def centred():
-        for (n, rows_at), lo, a, b in zip(segments, starts, pos[:-1], pos[1:]):
-            if b - a == n:
-                yield x[a:b]
-                continue
+    out = np.empty((n_rows, config.n_p), dtype=np.float64)
+    for (n, rows_at), lo, a, b in zip(segments, starts, pos[:-1], pos[1:]):
+        if b - a == n:
+            rows = x[a:b]
+        else:
             mine = in_sub[lo : lo + n]
             fresh = rows_at(np.flatnonzero(~mine))
             fresh -= pca.mean
             rows = buf[:n]
             rows[mine] = x[a:b]
             rows[~mine] = fresh
-            yield rows
-
-    return pca, project_centred(pca, n_rows, centred())
+        np.matmul(rows, pca.basis, out=out[lo : lo + n])
+    return pca, out
 
 
 def train_model(

@@ -12,7 +12,7 @@ vector are the per-minutia reference forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +22,6 @@ _RANK_TOL = 1e-10
 # seed of the Lanczos start vector; a fixed start makes every fit repeat
 # bit for bit
 _LANCZOS_SEED = 0x5EED
-# float64 elements of the centred row block :func:`project` forms at a time,
-# so projecting a large training matrix never copies all of it
-_PROJECT_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -167,8 +164,10 @@ def project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
     """Center on the model mean and project onto the basis.
 
     A vector gives its ``n_components`` coordinates. An ``(n, dim)`` matrix
-    gives ``(n, n_components)``, computed as ``(x - mean) @ basis`` over row
-    blocks so no full-size centred copy is made.
+    gives ``(n, n_components)`` as one product of the C-ordered centred rows,
+    ``np.ascontiguousarray(x - mean) @ basis``: BLAS rounds a product by its
+    shape and memory layout, so every caller that projects an impression's
+    rows forms exactly this product.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
@@ -178,60 +177,7 @@ def project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
         return model.basis.T @ (v - model.mean)
     if x.shape[1] != model.dim:
         raise LengthMismatch(f"vector length {x.shape[1]} != model dim {model.dim}")
-    step = _project_step(model)
-    return project_centred(
-        model,
-        x.shape[0],
-        (x[lo : lo + step] - model.mean for lo in range(0, x.shape[0], step)),
-    )
-
-
-def _project_step(model: PcaModel) -> int:
-    """Rows per block of a matrix projection."""
-    return max(1, _PROJECT_BLOCK_ELEMENTS // model.dim)
-
-
-def project_centred(
-    model: PcaModel, n_rows: int, chunks: Iterable[np.ndarray]
-) -> np.ndarray:
-    """:func:`project` of an ``(n_rows, dim)`` matrix ``x`` that never exists whole.
-
-    ``chunks`` yields ``x - model.mean`` for consecutive rows of ``x``, in
-    pieces of any size. They are gathered into row blocks of at most
-    ``_PROJECT_BLOCK_ELEMENTS`` elements, so at most one block of centred
-    rows is held. :func:`project` feeds its own centred blocks through
-    here, so this loop is the one place that block layout is decided.
-    """
-    out = np.empty((n_rows, model.n_components), dtype=np.float64)
-    step = _project_step(model)
-    block = np.empty((min(step, n_rows), model.dim), dtype=np.float64)
-    lo = filled = 0
-    for chunk in chunks:
-        if chunk.shape[1:] != (model.dim,) or lo + filled + chunk.shape[0] > n_rows:
-            raise LengthMismatch(
-                f"chunk of shape {chunk.shape} does not fit {n_rows - lo - filled} "
-                f"remaining rows of dimension {model.dim}"
-            )
-        # C order, as in block: the memory layout picks the BLAS kernel
-        chunk = np.ascontiguousarray(chunk, dtype=np.float64)
-        while chunk.shape[0]:
-            size = min(step, n_rows - lo)
-            take = min(size - filled, chunk.shape[0])
-            if take == size:
-                # a whole block inside one chunk is multiplied where it lies
-                rows = chunk[:size]
-            else:
-                block[filled : filled + take] = chunk[:take]
-                rows = block[:size]
-            chunk = chunk[take:]
-            filled += take
-            if filled == size:
-                out[lo : lo + size] = rows @ model.basis
-                lo += size
-                filled = 0
-    if lo != n_rows:
-        raise LengthMismatch(f"chunks held {lo + filled} of {n_rows} rows")
-    return out
+    return np.ascontiguousarray(x - model.mean) @ model.basis
 
 
 def znorm(vector: np.ndarray) -> np.ndarray:

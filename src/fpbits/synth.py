@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .errors import FieldOutOfRange
 from .template_io import GrayImage, Minutia, MinutiaKind, MinutiaTemplate, wrap_angle
 
 _STREAM_MASTER = 1
@@ -52,6 +53,26 @@ class SynthParams:
     ridge_amp: float = 55.0
     noise_std: float = 6.0
     seed: int = 0
+
+    def __post_init__(self):
+        # comparisons are written so that they fail on NaN as well; minutiae
+        # are placed between the margins, so the image must hold both
+        room = max(1.0, 2.0 * self.margin)
+        checks = (
+            (("n_subjects", "n_impressions", "n_minutiae", "seed"),
+             lambda v: v >= 0, ">= 0"),
+            (("min_separation", "margin", "rotation_deg", "translation_px",
+              "jitter_base", "jitter_slope", "noise_std"),
+             lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+            (("ridge_freq", "ridge_amp"), math.isfinite, "finite"),
+            (("dropout", "insertion"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            (("width", "height"), lambda v: v >= room, f">= max(1, 2 * margin) = {room}"),
+        )
+        for names, ok, rule in checks:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise FieldOutOfRange(f"{name} must be {rule}, got {value}")
 
 
 @dataclass

@@ -5,8 +5,9 @@
   member masks every iteration. ``fpbits.codebook.kmeans_train`` must
   reproduce them bit for bit.
 * The one-pass fit: ``train_model_oracle`` extracts every descriptor row of
-  both families into two full matrices and fits each subspace on a copied
-  row subsample. ``fpbits.pipeline.train_model`` must save the same bytes
+  both families into two full matrices, fits each subspace on a copied row
+  subsample and projects each impression's rows with ``project``, as
+  ``encode`` does. ``fpbits.pipeline.train_model`` must save the same bytes
   when every row is subsampled.
 """
 
@@ -128,22 +129,26 @@ def train_model_oracle(items, config) -> PipelineModel:
     counts = [len(items[key][0].minutiae) for key in keys]
     m_matrix = np.empty((sum(counts), geometry.n_m))
     t_matrix = np.empty((sum(counts), geometry.n_t))
-    offset = 0
-    for key, n in zip(keys, counts):
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
         template, image = items[key]
-        rows = slice(offset, offset + n)
-        m_matrix[rows], t_matrix[rows] = raw_structures(template, image, geometry, spread)
-        offset += n
+        m_matrix[lo:hi], t_matrix[lo:hi] = raw_structures(template, image, geometry, spread)
+
+    def project_each(pca, matrix):
+        # one product per impression, as encode_impression forms it
+        return np.concatenate(
+            [project(pca, matrix[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        )
 
     pca_m = train_pca_inplace(
         subsample_oracle(m_matrix, config.pca_subsample, config.seed), config.n_p
     )
-    proj_m = project(pca_m, m_matrix)
+    proj_m = project_each(pca_m, m_matrix)
     del m_matrix
     pca_t = train_pca_inplace(
         subsample_oracle(t_matrix, config.pca_subsample, config.seed), config.n_p
     )
-    proj_t = project(pca_t, t_matrix)
+    proj_t = project_each(pca_t, t_matrix)
     del t_matrix
     fused = fuse_matrix(proj_m, proj_t, config.omega_M, config.omega_T)
 

@@ -299,6 +299,29 @@ def assert_one_error_line(capsys, *names):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_negative_seed_exits_2_with_one_line(workdir, tmp_path, capsys):
+    assert main(["train", "--dataset", workdir["data"], "--out", str(tmp_path / "m.fpbm"),
+                 "--quiet", "--set", "K=16", "--set", "n_p=8", "--set", "seed=-1"]) == 2
+    assert_one_error_line(capsys, "seed must be")
+    assert not (tmp_path / "m.fpbm").exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--seed", "-1", "seed"),
+    ("--width", "40", "width"),  # no room inside the 24 px margins
+    ("--insertion", "2", "insertion"),
+    ("--rotation", "nan", "rotation_deg"),
+    ("--translation", "inf", "translation_px"),
+    ("--dropout", "-1", "dropout"),
+])
+def test_synth_bad_argument_exits_2_with_one_line(tmp_path, capsys, flag, value, named):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--subjects", "1", "--impressions", "1",
+                 flag, value]) == 2
+    assert_one_error_line(capsys, named)
+    assert not out.exists()
+
+
 def test_train_non_utf8_template_exits_2_with_one_line(tmp_path, capsys):
     data = tmp_path / "data"
     save_dataset(synth_dataset(SynthParams(n_subjects=2, n_impressions=2, width=96,

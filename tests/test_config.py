@@ -37,6 +37,7 @@ def test_defaults_roundtrip():
         "enroll_size = 0",
         "min_nL = 0",
         "max_nL = 3",  # below the default min_nL, 4
+        "seed = -1",
     ],
 )
 def test_invalid_values_are_typed_errors(line):

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 import fpbits.pipeline as pipeline
-import fpbits.subspace_fusion as subspace_fusion
 
 from fpbits.codebook import (
     BitString,
     DistanceVector,
+    cluster_cardinalities,
     encode_bitstring,
+    estimate_radii,
+    global_mean,
+    kmeans_train,
 )
 
 from fpbits.config import PipelineConfig
@@ -58,6 +61,17 @@ def small_run():
     model = train_model(items, config)
     n_rows = sum(len(t.minutiae) for t, _ in items.values())
     assert n_rows >= max(model.geometry.n_m, model.geometry.n_t)
+    return items, model
+
+
+@pytest.fixture(scope="module")
+def gram_run(small_run):
+    """``small_run``'s impressions with a texture disc whose fit takes the Gram branch."""
+    items, model = small_run
+    config = dataclasses.replace(model.config, r_t=16.0)
+    model = train_model(items, config)
+    n_rows = sum(len(t.minutiae) for t, _ in items.values())
+    assert model.geometry.n_t > n_rows
     return items, model
 
 
@@ -144,10 +158,34 @@ def test_subsample_is_a_new_array(cap):
     assert np.array_equal(sub, subsample_oracle(matrix, cap, seed=3))
 
 
-def test_uncapped_fit_saves_the_one_pass_oracle_bytes(small_run):
+def test_uncapped_fit_saves_the_one_pass_oracle_bytes(small_run, gram_run):
     # every row subsampled: the two-pass fit is the one-pass fit, byte for byte
-    items, model = small_run
-    assert save_model(train_model_oracle(items, model.config)) == save_model(model)
+    for items, model in (small_run, gram_run):
+        assert save_model(train_model_oracle(items, model.config)) == save_model(model)
+
+
+@pytest.mark.parametrize("run", ["small_run", "gram_run"])
+def test_uncapped_fit_is_fitted_on_its_own_encodings(run, request):
+    # every row subsampled: the codebook is fitted on exactly the fused
+    # matrices encode computes, so refitting on them reproduces it bit for bit
+    items, model = request.getfixturevalue(run)
+    cfg, codebook = model.config, model.codebook
+    keys = sorted(items)
+    fused = np.concatenate([fused_vectors(*items[key], model) for key in keys])
+    centroids = kmeans_train(fused, cfg.K, max_iters=cfg.kmeans_max_iters, seed=cfg.seed)
+    radii = estimate_radii(fused, centroids, cfg.N_c)
+    assert np.array_equal(centroids, codebook.centroids)
+    assert np.array_equal(radii, codebook.radii)
+    assert np.array_equal(
+        cluster_cardinalities(fused, centroids, radii), codebook.cardinalities
+    )
+    groups = {}
+    for key, enc in encode_dataset(items, model).items():
+        if enc.n_minutiae:
+            groups.setdefault(key[0], []).append(enc.distances)
+    assert np.array_equal(
+        global_mean([groups[s] for s in sorted(groups)]), codebook.global_mean
+    )
 
 
 @pytest.fixture(scope="module")
@@ -191,21 +229,16 @@ def fit_peak_bytes(fit, items, config):
     return peak
 
 
-def test_capped_fit_memory_depends_on_the_subsample(capped_run, monkeypatch):
+def test_capped_fit_memory_depends_on_the_subsample(capped_run):
     # bound: both families' subsample matrices, the larger Gram or covariance
-    # matrix, one projection block of the larger family, and 2 MiB of slack
-    # (per-impression rows, k-means buffers, the small projected matrices).
-    # Projection blocks of 2^14 elements keep that fixed term small next to
-    # the descriptor matrices.
+    # matrix, and 2 MiB of slack (one impression's rows, k-means buffers, the
+    # small projected matrices)
     items, config = capped_run
-    monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", 1 << 14)
     geometry = geometry_from_config(config)
-    n_rows = sum(len(t.minutiae) for t, _ in items.values())
     cap, dims = config.pca_subsample, (geometry.n_m, geometry.n_t)
     subsamples = sum(cap * dim for dim in dims) * 8
     gram = max(min(cap, dim) ** 2 for dim in dims) * 8
-    block = max(min(max(1, (1 << 14) // dim), n_rows) * dim for dim in dims) * 8
-    bound = subsamples + gram + block + 2 * 2**20
+    bound = subsamples + gram + 2 * 2**20
     peak = fit_peak_bytes(train_model, items, config)
     assert peak <= bound, (peak, bound)
     # the one-pass fit holds both full descriptor matrices and breaks it

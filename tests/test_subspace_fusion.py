@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-import fpbits.subspace_fusion as subspace_fusion
 from fpbits.errors import LengthMismatch, RankDeficient, TooFewSamples
 from fpbits.subspace_fusion import (
     PcaModel,
     fuse,
     fuse_matrix,
     project,
-    project_centred,
     train_pca,
     train_pca_inplace,
     znorm,
@@ -339,7 +337,7 @@ def test_basis_is_c_contiguous(n_samples):
     assert model.basis.flags.c_contiguous
 
 
-def test_project_matrix_matches_rows(monkeypatch):
+def test_project_matrix_matches_rows():
     rng = np.random.default_rng(89)
     model = train_pca(rng.normal(size=(60, 9)), 4)
     x = rng.normal(loc=2.0, size=(25, 9))
@@ -347,60 +345,21 @@ def test_project_matrix_matches_rows(monkeypatch):
     got = project(model, x)
     assert got.shape == (25, 4)
     assert np.max(np.abs(got - want)) <= projection_tol(x, model)
-    # row blocks of 2 give the same coordinates
-    monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", 2 * 9)
-    assert np.max(np.abs(project(model, x) - want)) <= projection_tol(x, model)
     assert project(model, np.zeros((0, 9))).shape == (0, 4)
     with pytest.raises(LengthMismatch):
         project(model, np.zeros((3, 8)))
 
 
-def chunked(x, sizes):
-    lo = 0
-    for size in sizes:
-        yield x[lo : lo + size]
-        lo += size
-
-
-@pytest.mark.parametrize("rows_per_block", [1, 3, 7, 1000])
-def test_project_centred_is_bitwise_project(monkeypatch, rows_per_block):
-    # centred chunks of any size, gathered into project's row blocks
-    rng = np.random.default_rng(101)
-    model = train_pca(rng.normal(size=(80, 40)), 6)
-    x = rng.normal(loc=1.5, size=(23, 40))
-    monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", rows_per_block * 40)
-    want = project(model, x)
-    for sizes in ([23], [1] * 23, [0, 5, 0, 9, 2, 7], [4, 4, 4, 4, 4, 3], [10, 13]):
-        got = project_centred(model, 23, chunked(x - model.mean, sizes))
-        assert got.tobytes() == want.tobytes(), sizes
-    assert project_centred(model, 0, iter([])).shape == (0, 6)
-    assert project_centred(model, 0, [np.zeros((0, 40))]).shape == (0, 6)
-
-
-@pytest.mark.parametrize("rows_per_block", [1, 3, 7, 1000])
-def test_project_matrix_is_bitwise_block_formula(monkeypatch, rows_per_block):
-    # the oracle centres and multiplies each block of rows on its own;
-    # Fortran-ordered and strided inputs must give the same bytes
+@pytest.mark.parametrize("n_rows", [1, 3, 7, 1000])
+def test_project_matrix_is_bitwise_block_formula(n_rows):
+    # the whole matrix is one block: one product of its C-ordered centred
+    # rows; Fortran-ordered and strided inputs must give the same bytes
     rng = np.random.default_rng(107)
     model = train_pca(rng.normal(size=(80, 40)), 6)
-    x = rng.normal(loc=1.5, size=(46, 40))
-    monkeypatch.setattr(subspace_fusion, "_PROJECT_BLOCK_ELEMENTS", rows_per_block * 40)
-    for matrix in (x, np.asfortranarray(x), x[::2]):
-        want = np.concatenate([
-            (matrix[lo : lo + rows_per_block] - model.mean) @ model.basis
-            for lo in range(0, matrix.shape[0], rows_per_block)
-        ])
+    x = rng.normal(loc=1.5, size=(2 * n_rows, 40))
+    for matrix in (x[:n_rows], np.asfortranarray(x[:n_rows]), x[::2]):
+        want = np.ascontiguousarray(matrix - model.mean) @ model.basis
         assert project(model, matrix).tobytes() == want.tobytes()
-
-
-def test_project_centred_checks_row_counts():
-    model = train_pca(np.random.default_rng(103).normal(size=(30, 5)), 2)
-    with pytest.raises(LengthMismatch):
-        project_centred(model, 4, [np.zeros((3, 5))])  # too few rows
-    with pytest.raises(LengthMismatch):
-        project_centred(model, 4, [np.zeros((3, 5)), np.zeros((2, 5))])  # too many
-    with pytest.raises(LengthMismatch):
-        project_centred(model, 4, [np.zeros((4, 6))])  # wrong dimension
 
 
 def test_fuse_matrix_matches_fuse_rows():

@@ -135,3 +135,13 @@ def test_noise_changes_pixels_only_with_rng():
         master, params, 0.0, (0.0, 0.0), noise_rng=keyed_rng(1, 9)
     )
     assert not np.array_equal(clean.pixels, noisy.pixels)
+
+
+def test_params_boundary_values_are_accepted():
+    # the image exactly holds both margins; probabilities and spreads at
+    # their ends of the range
+    params = small_params(width=48, height=48, margin=24.0, dropout=1.0,
+                          insertion=0.0, noise_std=0.0, rotation_deg=0.0, seed=0)
+    items = synth_dataset(params)
+    assert all(not t.minutiae and image.pixels.shape == (48, 48)
+               for t, image in items.values())
