@@ -27,7 +27,6 @@ from .codebook import (
     estimate_radii,
     global_mean,
     kmeans_train,
-    nearest_cluster,
 )
 from .config import PipelineConfig, load_config, parse_config, serialize_config
 from .errors import FpbitsError
@@ -78,10 +77,8 @@ from .template_io import (
     Minutia,
     MinutiaKind,
     MinutiaTemplate,
-    parse_iso19794_2,
     parse_text_template,
     read_pgm,
-    serialize_iso19794_2,
     serialize_text_template,
     write_pgm,
 )

@@ -73,6 +73,14 @@ def save_dataset(items: pipeline.DatasetDict, out_dir: str) -> None:
         write_file_atomic(os.path.join(idir, stem + ".pgm"), write_pgm(image))
 
 
+def _split_stem(name: str, ext: str, what: str) -> Tuple[str, str]:
+    """``(subject, impression)`` from a ``<subject>_<impression><ext>`` filename."""
+    sid, _, iid = name[: -len(ext)].rpartition("_")
+    if not sid or not iid:
+        raise ModelMissing(f"{what} filename {name!r} is not <subject>_<impression>{ext}")
+    return sid, iid
+
+
 def load_dataset(root: str) -> pipeline.DatasetDict:
     tdir = os.path.join(root, TEMPLATE_DIR)
     idir = os.path.join(root, IMAGE_DIR)
@@ -84,11 +92,8 @@ def load_dataset(root: str) -> pipeline.DatasetDict:
     for name in sorted(os.listdir(tdir)):
         if not name.endswith(".fpt"):
             continue
-        stem = name[: -len(".fpt")]
-        sid, _, iid = stem.rpartition("_")
-        if not sid or not iid:
-            raise ModelMissing(f"template filename {name!r} is not <subject>_<impression>.fpt")
-        image_path = os.path.join(idir, stem + ".pgm")
+        sid, iid = _split_stem(name, ".fpt", "template")
+        image_path = os.path.join(idir, f"{sid}_{iid}.pgm")
         if not os.path.exists(image_path):
             raise ModelMissing(f"image {image_path!r} missing for template {name!r}")
         template = parse_text_template(
@@ -201,12 +206,7 @@ def _load_bits_dir(path: str) -> Dict[Tuple[str, str], BitString]:
     for name in sorted(os.listdir(path)):
         if not name.endswith(".fpbs"):
             continue
-        stem = name[: -len(".fpbs")]
-        sid, _, iid = stem.rpartition("_")
-        if not sid or not iid:
-            raise ModelMissing(
-                f"bit-string filename {name!r} is not <subject>_<impression>.fpbs"
-            )
+        sid, iid = _split_stem(name, ".fpbs", "bit-string")
         out[(sid, iid)] = load_bitstring(read_bytes(os.path.join(path, name)))
     return out
 
@@ -274,6 +274,8 @@ def _score_line(sa, ia, sb, ib, score) -> str:
 
 
 def cmd_evaluate(args) -> int:
+    if args.fold is not None and args.matcher != "bits":
+        raise BadLength(f"--fold applies only to --matcher bits, not {args.matcher}")
     model = load_model_file(args.model)
     items = load_dataset(args.dataset)
     subjects = sorted({k[0] for k in items})
@@ -295,7 +297,7 @@ def cmd_evaluate(args) -> int:
             f"genuine attempts: {report.genuine_scores.size}",
             f"impostor attempts: {report.impostor_scores.size}",
         ]
-        if args.matcher == "bits" and args.fold:
+        if args.fold:
             lines.append(f"fold length: {args.fold}")
         lines.append(f"eer: {report.eer:.6f}")
         _write_roc(os.path.join(args.out_dir, "roc.csv"), report)

@@ -15,8 +15,8 @@ used by enrollment-time bit selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -304,23 +304,6 @@ def estimate_radii(
         external = np.sort(external)
         radii[j] = float(external[: min(n_boundary, external.size)].mean())
     return radii
-
-
-def nearest_cluster(
-    vector: np.ndarray,
-    centroids: np.ndarray,
-    radii: np.ndarray,
-) -> Tuple[int, float]:
-    """Radius-adjusted nearest cluster: argmin of distance minus radius.
-
-    Subtracting the boundary radius lets a wide cluster claim a vector that
-    is absolutely nearer to a tight one. Ties resolve to the smallest index.
-    Returns ``(cluster_index, adjusted_distance)``.
-    """
-    v = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-    adj = _distances(v, centroids)[0] - radii
-    best = int(adj.argmin())
-    return best, float(adj[best])
 
 
 def cluster_cardinalities(

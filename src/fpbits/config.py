@@ -77,7 +77,7 @@ class PipelineConfig:
             )
         minimums = (
             ("n_p", 2), ("K", 1), ("N_c", 1), ("top_t", 1), ("kmeans_max_iters", 1),
-            ("enroll_size", 1), ("min_nL", 1), ("seed", 0),
+            ("enroll_size", 1), ("min_nL", 1), ("seed", 0), ("pca_subsample", 0),
         )
         for name, low in minimums:
             if getattr(self, name) < low:

@@ -92,8 +92,9 @@ class LengthMismatch(FpbitsError):
 
 
 class BadLength(FpbitsError):
-    """A fold length outside [1, template length] was requested, or a fold-length
-    list held a token that is not an integer, or no length at all."""
+    """A fold length outside [1, template length] was requested, a fold-length
+    list held a token that is not an integer or no length at all, or a fold was
+    asked of a matcher that does not fold."""
 
 
 class ModelMissing(FpbitsError):

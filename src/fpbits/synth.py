@@ -16,7 +16,7 @@ items are produced in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -186,30 +186,6 @@ def _transform_point(
         c * dx - s * dy + cx + translation[0],
         s * dx + c * dy + cy + translation[1],
     )
-
-
-def render_clean(
-    master: SubjectMaster,
-    params: SynthParams,
-    rotation: float = 0.0,
-    translation: Tuple[float, float] = (0.0, 0.0),
-) -> Tuple[MinutiaTemplate, GrayImage]:
-    """Noise-free impression under an exact rigid motion.
-
-    No jitter, dropout, insertion, or pixel noise; minutiae that leave the
-    frame are dropped. This is the reference view rigid-motion tests compare
-    against.
-    """
-    w, h = params.width, params.height
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    minutiae = []
-    for m in master.minutiae:
-        x, y = _transform_point(m.x, m.y, rotation, translation, cx, cy)
-        if 0.0 <= x < w and 0.0 <= y < h:
-            minutiae.append(Minutia(x, y, wrap_angle(m.theta + rotation), m.kind, 50))
-    template = MinutiaTemplate(minutiae, w, h)
-    image = render_image(master, params, rotation, translation, noise_rng=None)
-    return template, image
 
 
 def make_impression(

@@ -1,10 +1,8 @@
 """Minutia template and gray image I/O.
 
-Three on-disk forms are supported:
+Two on-disk forms are supported:
 
 * a native line-oriented text format (``FPT`` header, one minutia per line),
-* the single-finger ISO/IEC 19794-2:2005 binary minutia record subset
-  (6-byte minutia encoding, zero-length extended data),
 * binary 8-bit PGM (``P5``) images.
 
 Parsers validate every field and raise typed errors from :mod:`fpbits.errors`;
@@ -15,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -27,23 +25,12 @@ from .errors import (
     FieldOutOfRange,
     MalformedHeader,
     ModelMissing,
-    TruncatedRecord,
-    UnsupportedVersion,
 )
 
 TWO_PI = 2.0 * math.pi
 
 TEXT_MAGIC = "FPT"
 TEXT_VERSION = 1
-
-ISO_MAGIC = b"FMR\x00"
-ISO_VERSION = b" 20\x00"
-ISO_HEADER_LEN = 24
-ISO_VIEW_HEADER_LEN = 4
-ISO_MINUTIA_LEN = 6
-ISO_DEFAULT_RESOLUTION = 197  # pixels per cm, the common 500 dpi sensor
-
-_KIND_CODES = {"T": 1, "B": 2, "O": 0}
 
 
 class MinutiaKind(enum.Enum):
@@ -52,17 +39,6 @@ class MinutiaKind(enum.Enum):
     TERMINATION = "T"
     BIFURCATION = "B"
     OTHER = "O"
-
-
-_ISO_TYPE_TO_KIND = {
-    1: MinutiaKind.TERMINATION,
-    2: MinutiaKind.BIFURCATION,
-}
-_KIND_TO_ISO_TYPE = {
-    MinutiaKind.TERMINATION: 1,
-    MinutiaKind.BIFURCATION: 2,
-    MinutiaKind.OTHER: 0,
-}
 
 
 def wrap_angle(theta: float) -> float:
@@ -107,7 +83,6 @@ class MinutiaTemplate:
     height: int
     subject_id: str = ""
     impression_id: str = ""
-    resolution: Optional[int] = None  # pixels per cm, when the source had one
 
     def __post_init__(self):
         for m in self.minutiae:
@@ -263,154 +238,13 @@ def serialize_text_template(template: MinutiaTemplate) -> str:
 
     Positions and directions are written with ``repr`` precision, so
     ``parse_text_template(serialize_text_template(t))`` reproduces every
-    geometric field exactly. Subject/impression ids and resolution are not
-    part of the format and are not written.
+    geometric field exactly. Subject and impression ids are not part of the
+    format and are not written.
     """
     out = [f"{TEXT_MAGIC} {TEXT_VERSION} {template.width} {template.height}"]
     for m in template.minutiae:
         out.append(f"{m.x!r} {m.y!r} {m.theta!r} {m.kind.value} {m.quality}")
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# ISO/IEC 19794-2:2005 binary records
-# ---------------------------------------------------------------------------
-
-def parse_iso19794_2(data: bytes, subject_id: str = "") -> List[MinutiaTemplate]:
-    """Parse a 2005-edition binary finger minutiae record.
-
-    Returns one template per finger view. Only the plain subset is
-    interpreted: 6-byte minutia encoding and (normally) zero-length extended
-    data blocks; a nonzero extended block is skipped, never interpreted.
-    The parser never reads past the record's declared length.
-
-    The 8-bit angle field maps onto radians as ``angle_byte * (2*pi / 256)``.
-
-    Raises:
-        BadMagic: record does not start with ``FMR\\x00``.
-        UnsupportedVersion: version field is not the 2005 ``" 20\\x00"``.
-        TruncatedRecord: declared or actual length cuts a structure short.
-        FieldOutOfRange: a minutia position lies outside the declared size.
-    """
-    if len(data) < 4:
-        raise BadMagic("record shorter than the 4-byte magic")
-    if data[:4] != ISO_MAGIC:
-        raise BadMagic(f"bad magic {data[:4]!r}")
-    if len(data) < ISO_HEADER_LEN:
-        raise TruncatedRecord(f"header needs {ISO_HEADER_LEN} bytes, got {len(data)}")
-    if data[4:8] != ISO_VERSION:
-        raise UnsupportedVersion(f"unsupported version field {data[4:8]!r}")
-
-    declared = int.from_bytes(data[8:12], "big")
-    if declared > len(data):
-        raise TruncatedRecord(
-            f"declared length {declared} exceeds the {len(data)} bytes supplied"
-        )
-    buf = data[:declared]
-    if len(buf) < ISO_HEADER_LEN:
-        raise TruncatedRecord(f"declared length {declared} cuts the fixed header")
-
-    width = int.from_bytes(buf[14:16], "big")
-    height = int.from_bytes(buf[16:18], "big")
-    res_x = int.from_bytes(buf[18:20], "big")
-    view_count = buf[22]
-
-    templates: List[MinutiaTemplate] = []
-    pos = ISO_HEADER_LEN
-    for view in range(view_count):
-        if pos + ISO_VIEW_HEADER_LEN > len(buf):
-            raise TruncatedRecord(f"view {view} header truncated at byte {pos}")
-        view_number = buf[pos + 1] >> 4
-        count = buf[pos + 3]
-        pos += ISO_VIEW_HEADER_LEN
-
-        minutiae: List[Minutia] = []
-        for i in range(count):
-            if pos + ISO_MINUTIA_LEN > len(buf):
-                raise TruncatedRecord(f"minutia {i} of view {view} truncated")
-            rec = buf[pos : pos + ISO_MINUTIA_LEN]
-            pos += ISO_MINUTIA_LEN
-            mtype = (rec[0] >> 6) & 0x3
-            x = ((rec[0] & 0x3F) << 8) | rec[1]
-            y = ((rec[2] & 0x3F) << 8) | rec[3]
-            theta = rec[4] * (TWO_PI / 256.0)
-            quality = rec[5]
-            if quality > 100:
-                raise FieldOutOfRange(f"minutia quality {quality} outside [0, 100]")
-            _check_bounds(float(x), float(y), width, height)
-            kind = _ISO_TYPE_TO_KIND.get(mtype, MinutiaKind.OTHER)
-            minutiae.append(Minutia(float(x), float(y), theta, kind, quality))
-
-        if pos + 2 > len(buf):
-            raise TruncatedRecord(f"extended data length of view {view} truncated")
-        ext_len = int.from_bytes(buf[pos : pos + 2], "big")
-        pos += 2
-        if pos + ext_len > len(buf):
-            raise TruncatedRecord(f"extended data of view {view} truncated")
-        pos += ext_len  # skipped, not interpreted
-
-        templates.append(
-            MinutiaTemplate(
-                minutiae,
-                width,
-                height,
-                subject_id=subject_id,
-                impression_id=str(view_number),
-                resolution=res_x or None,
-            )
-        )
-    return templates
-
-
-def serialize_iso19794_2(template: MinutiaTemplate) -> bytes:
-    """Encode one template as a single-view 2005 binary record.
-
-    Positions are rounded to integers (they must fit the 14-bit position
-    fields), directions quantized onto the 8-bit angle scale, and the
-    extended data block is written with length zero. Re-parsing recovers
-    positions exactly and directions within one angle quantum (2*pi / 256).
-    """
-    if not (0 <= template.width < 1 << 16 and 0 <= template.height < 1 << 16):
-        raise FieldOutOfRange(
-            f"image size {template.width}x{template.height} too large for 16-bit fields"
-        )
-    body = bytearray()
-    for m in template.minutiae:
-        x, y = round(m.x), round(m.y)
-        if not (0 <= x < 1 << 14 and 0 <= y < 1 << 14):
-            raise FieldOutOfRange(f"position ({x}, {y}) exceeds 14-bit fields")
-        angle_byte = round(m.theta / (TWO_PI / 256.0)) % 256
-        mtype = _KIND_TO_ISO_TYPE[m.kind]
-        body += bytes(
-            [
-                (mtype << 6) | (x >> 8),
-                x & 0xFF,
-                (y >> 8) & 0x3F,
-                y & 0xFF,
-                angle_byte,
-                min(m.quality, 100),
-            ]
-        )
-
-    total = ISO_HEADER_LEN + ISO_VIEW_HEADER_LEN + len(body) + 2
-    resolution = template.resolution or ISO_DEFAULT_RESOLUTION
-    head = bytearray()
-    head += ISO_MAGIC
-    head += ISO_VERSION
-    head += total.to_bytes(4, "big")
-    head += (0).to_bytes(2, "big")  # capture equipment: unreported
-    head += template.width.to_bytes(2, "big")
-    head += template.height.to_bytes(2, "big")
-    head += resolution.to_bytes(2, "big")
-    head += resolution.to_bytes(2, "big")
-    head += bytes([1, 0])  # one finger view, reserved byte
-
-    n = len(template.minutiae)
-    if n > 255:
-        raise FieldOutOfRange(f"{n} minutiae exceed the 8-bit view count")
-    view = bytes([0, 0, 0, n])  # unknown finger position, view 0, quality 0
-
-    return bytes(head) + view + bytes(body) + (0).to_bytes(2, "big")
 
 
 # ---------------------------------------------------------------------------

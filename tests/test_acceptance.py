@@ -33,9 +33,8 @@ from fpbits.template_io import (
     Minutia,
     MinutiaKind,
     MinutiaTemplate,
-    parse_iso19794_2,
     parse_text_template,
-    serialize_iso19794_2,
+    read_pgm,
     serialize_text_template,
     write_pgm,
 )
@@ -514,7 +513,8 @@ def _mutate(rng: np.random.Generator, blob: bytes) -> bytes:
 def test_criterion_13_parser_robustness():
     rng = np.random.default_rng(1313)
     text_seed = serialize_text_template(_random_template(rng)).encode("ascii")
-    iso_seed = serialize_iso19794_2(_random_template(rng))
+    # a small image, so that most mutations land in the header
+    pgm_seed = write_pgm(GrayImage(rng.integers(0, 256, size=(6, 5), dtype=np.uint8)))
 
     crashes = []
     parsed = rejected = 0
@@ -523,8 +523,8 @@ def test_criterion_13_parser_robustness():
             payload = _mutate(rng, text_seed)
             attempt = lambda: parse_text_template(payload.decode("latin-1"))
         else:
-            payload = _mutate(rng, iso_seed)
-            attempt = lambda: parse_iso19794_2(payload)
+            payload = _mutate(rng, pgm_seed)
+            attempt = lambda: read_pgm(payload)
         try:
             attempt()
             parsed += 1

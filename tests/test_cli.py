@@ -13,11 +13,9 @@ from fpbits.model_store import load_bitstring, load_finger, load_model_file
 from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import (
     GrayImage,
-    parse_iso19794_2,
     parse_text_template,
     read_pgm,
     read_text,
-    serialize_iso19794_2,
     serialize_text_template,
     write_pgm,
 )
@@ -306,6 +304,23 @@ def test_negative_seed_exits_2_with_one_line(workdir, tmp_path, capsys):
     assert not (tmp_path / "m.fpbm").exists()
 
 
+def test_negative_pca_subsample_exits_2_with_one_line(workdir, tmp_path, capsys):
+    assert main(["train", "--dataset", workdir["data"], "--out", str(tmp_path / "m.fpbm"),
+                 "--quiet", "--set", "K=16", "--set", "n_p=8",
+                 "--set", "pca_subsample=-5"]) == 2
+    assert_one_error_line(capsys, "pca_subsample must be")
+    assert not (tmp_path / "m.fpbm").exists()
+
+
+@pytest.mark.parametrize("matcher", ["split", "lgs"])
+def test_evaluate_fold_outside_bits_exits_2_with_one_line(workdir, tmp_path, capsys, matcher):
+    out_dir = tmp_path / "eval"
+    assert main(["evaluate", "--dataset", workdir["data"], "--model", workdir["model"],
+                 "--matcher", matcher, "--fold", "4", "--out-dir", str(out_dir)]) == 2
+    assert_one_error_line(capsys, "--fold", matcher)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flag, value, named", [
     ("--seed", "-1", "seed"),
     ("--width", "40", "width"),  # no room inside the 24 px margins
@@ -471,13 +486,11 @@ def _fuzz_case(kind, path):
                 through_file(lambda p: parse_text_template(read_text(p), "s", "1")))
     if kind == "pgm":  # a small image, so that most mutations hit the header
         return write_pgm(GrayImage(image.pixels[:6, :5])), read_pgm
-    if kind == "iso":
-        return serialize_iso19794_2(template), parse_iso19794_2
     return (b"# subject impression subject impression\ns1 1 s2 1\r\ns1 2 s3 4\n",
             through_file(cli._read_pairs))
 
 
-@pytest.mark.parametrize("kind", ["template", "pgm", "iso", "pairs"])
+@pytest.mark.parametrize("kind", ["template", "pgm", "pairs"])
 def test_fuzz_file_loaders_zero_untyped(kind, tmp_path):
     blob, load = _fuzz_case(kind, tmp_path / "payload")
     load(blob)  # the seed itself loads

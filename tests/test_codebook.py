@@ -18,7 +18,6 @@ from fpbits.codebook import (
     global_mean,
     kmeans_objective,
     kmeans_train,
-    nearest_cluster,
 )
 from fpbits.errors import (
     DegeneratePool,
@@ -229,20 +228,32 @@ def test_radii_degenerate_pool():
 # adjusted assignment
 # ---------------------------------------------------------------------------
 
-def test_nearest_cluster_radius_adjustment():
+def test_adjusted_assignment_lets_a_wide_cluster_claim():
     centroids = np.array([[0.0], [10.0]])
-    # plain nearest is cluster 0, but cluster 1's wide boundary wins
-    idx, adj = nearest_cluster(np.array([4.0]), centroids, np.array([0.5, 5.0]))
-    assert idx == 1
-    assert np.isclose(adj, 6.0 - 5.0)
-    idx, _ = nearest_cluster(np.array([4.0]), centroids, np.array([0.5, 0.5]))
-    assert idx == 0
+    x = np.array([[4.0]])
+    # plain nearest is cluster 0, but cluster 1's wide boundary wins, with
+    # adjusted distance 6 - 5 = 1
+    radii = np.array([0.5, 5.0])
+    assert cluster_cardinalities(x, centroids, radii).tolist() == [0, 1]
+    cb = make_codebook(centroids, radii)
+    assert encode_bitstring(x, cb, 1.0 + 1e-9, 1, True).bits.tolist() == [False, True]
+    assert encode_bitstring(x, cb, 1.0 - 1e-9, 1, True).ones == 0
+    # equal radii leave the plain nearest cluster in charge
+    radii = np.array([0.5, 0.5])
+    assert cluster_cardinalities(x, centroids, radii).tolist() == [1, 0]
+    cb = make_codebook(centroids, radii)
+    assert encode_bitstring(x, cb, 100.0, 1, True).bits.tolist() == [True, False]
 
 
-def test_nearest_cluster_tie_smallest_index():
+def test_adjusted_assignment_tie_goes_to_smallest_index():
     centroids = np.array([[0.0], [10.0]])
-    idx, adj = nearest_cluster(np.array([5.0]), centroids, np.array([1.0, 1.0]))
-    assert idx == 0 and np.isclose(adj, 4.0)
+    x = np.array([[5.0]])
+    radii = np.array([1.0, 1.0])  # adjusted distance 4 to both
+    assert cluster_cardinalities(x, centroids, radii).tolist() == [1, 0]
+    cb = make_codebook(centroids, radii)
+    assert encode_bitstring(x, cb, 4.0 + 1e-9, 1, True).bits.tolist() == [True, False]
+    assert encode_bitstring(x, cb, 4.0 - 1e-9, 1, True).ones == 0
+    assert encode_bitstring(x, cb, 100.0, 1, False).bits.tolist() == [True, False]
 
 
 def test_cardinalities_sum_and_oracle():

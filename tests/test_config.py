@@ -38,6 +38,7 @@ def test_defaults_roundtrip():
         "min_nL = 0",
         "max_nL = 3",  # below the default min_nL, 4
         "seed = -1",
+        "pca_subsample = -5",
     ],
 )
 def test_invalid_values_are_typed_errors(line):

@@ -12,8 +12,6 @@ from fpbits.errors import (
     FieldOutOfRange,
     MalformedHeader,
     ModelMissing,
-    TruncatedRecord,
-    UnsupportedVersion,
 )
 from fpbits.template_io import (
     GrayImage,
@@ -21,12 +19,10 @@ from fpbits.template_io import (
     MinutiaKind,
     MinutiaTemplate,
     TWO_PI,
-    parse_iso19794_2,
     parse_text_template,
     read_bytes,
     read_pgm,
     read_text,
-    serialize_iso19794_2,
     serialize_text_template,
     wrap_angle,
     write_pgm,
@@ -163,134 +159,6 @@ def test_text_record_errors_carry_line_numbers():
 def test_text_ids_pass_through():
     t = parse_text_template("FPT 1 10 10\n", subject_id="s1", impression_id="02")
     assert t.subject_id == "s1" and t.impression_id == "02"
-
-
-# ---------------------------------------------------------------------------
-# ISO/IEC 19794-2:2005 binary records
-# ---------------------------------------------------------------------------
-
-def test_iso_roundtrip():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        # integer positions survive the record's integer fields exactly
-        n = int(rng.integers(0, 30))
-        minutiae = [
-            Minutia(
-                float(rng.integers(0, 300)),
-                float(rng.integers(0, 400)),
-                float(rng.uniform(0, TWO_PI)),
-                MinutiaKind.TERMINATION if rng.random() < 0.5 else MinutiaKind.BIFURCATION,
-                int(rng.integers(0, 101)),
-            )
-            for _ in range(n)
-        ]
-        t = MinutiaTemplate(minutiae, 300, 400)
-        views = parse_iso19794_2(serialize_iso19794_2(t))
-        assert len(views) == 1
-        back = views[0]
-        assert back.width == 300 and back.height == 400
-        assert len(back) == n
-        quantum = TWO_PI / 256.0
-        for a, b in zip(t.minutiae, back.minutiae):
-            assert b.x == a.x and b.y == a.y
-            diff = abs(a.theta - b.theta)
-            assert min(diff, TWO_PI - diff) <= quantum / 2 + 1e-12
-            assert b.kind == a.kind and b.quality == a.quality
-
-
-def test_iso_angle_scale():
-    t = MinutiaTemplate([Minutia(10.0, 20.0, math.pi)], 100, 100)
-    data = serialize_iso19794_2(t)
-    assert data[28 + 4] == 128  # half a turn on the 8-bit circle
-    back = parse_iso19794_2(data)[0]
-    assert math.isclose(back.minutiae[0].theta, math.pi)
-
-
-def test_iso_bad_magic():
-    with pytest.raises(BadMagic):
-        parse_iso19794_2(b"XXX\x00" + b"\x00" * 30)
-    with pytest.raises(BadMagic):
-        parse_iso19794_2(b"FM")
-
-
-def test_iso_version_check():
-    data = bytearray(serialize_iso19794_2(MinutiaTemplate([], 100, 100)))
-    data[4:8] = b" 30\x00"
-    with pytest.raises(UnsupportedVersion):
-        parse_iso19794_2(bytes(data))
-
-
-def test_iso_truncation():
-    good = serialize_iso19794_2(
-        MinutiaTemplate([Minutia(10.0, 20.0, 1.0, MinutiaKind.TERMINATION, 5)], 100, 100)
-    )
-    for cut in (5, 12, 26, len(good) - 1):
-        with pytest.raises(TruncatedRecord):
-            parse_iso19794_2(good[:cut])
-
-
-def test_iso_declared_length_honored():
-    good = serialize_iso19794_2(
-        MinutiaTemplate([Minutia(10.0, 20.0, 1.0)], 100, 100)
-    )
-    # trailing garbage past the declared length is never read
-    back = parse_iso19794_2(good + b"\xff" * 64)
-    assert len(back[0]) == 1
-
-    # declared length larger than the payload is refused
-    bad = bytearray(good)
-    bad[8:12] = (len(good) + 4).to_bytes(4, "big")
-    with pytest.raises(TruncatedRecord):
-        parse_iso19794_2(bytes(bad))
-
-
-def test_iso_quality_and_bounds_validated():
-    good = bytearray(
-        serialize_iso19794_2(MinutiaTemplate([Minutia(10.0, 20.0, 1.0)], 100, 100))
-    )
-    bad_quality = good.copy()
-    bad_quality[28 + 5] = 101
-    with pytest.raises(FieldOutOfRange):
-        parse_iso19794_2(bytes(bad_quality))
-
-    bad_pos = good.copy()
-    bad_pos[28 + 1] = 200  # x = 200 in a 100-wide image
-    with pytest.raises(FieldOutOfRange):
-        parse_iso19794_2(bytes(bad_pos))
-
-
-def test_iso_multi_view_with_extended_data():
-    # two views, the first carrying a nonzero extended block that must be
-    # skipped without interpretation
-    w, h = 200, 200
-    rec1 = bytes([(1 << 6) | 0, 10, 0, 20, 64, 90])
-    rec2 = bytes([(2 << 6) | 0, 30, 0, 40, 0, 10])
-    view1 = bytes([0, 1 << 4, 0, 1]) + rec1 + (3).to_bytes(2, "big") + b"abc"
-    view2 = bytes([0, 2 << 4, 0, 1]) + rec2 + (0).to_bytes(2, "big")
-    body = view1 + view2
-    head = bytearray()
-    head += b"FMR\x00" + b" 20\x00"
-    head += (24 + len(body)).to_bytes(4, "big")
-    head += (0).to_bytes(2, "big")
-    head += w.to_bytes(2, "big") + h.to_bytes(2, "big")
-    head += (197).to_bytes(2, "big") * 2
-    head += bytes([2, 0])
-    views = parse_iso19794_2(bytes(head) + body, subject_id="s9")
-    assert len(views) == 2
-    assert views[0].impression_id == "1" and views[1].impression_id == "2"
-    assert views[0].minutiae[0].kind is MinutiaKind.TERMINATION
-    assert views[1].minutiae[0].kind is MinutiaKind.BIFURCATION
-    assert views[0].minutiae[0].x == 10.0 and views[1].minutiae[0].y == 40.0
-    assert all(v.subject_id == "s9" for v in views)
-
-
-def test_iso_serialize_limits():
-    big = MinutiaTemplate([Minutia(20000.0, 5.0, 0.0)], 30000, 100)
-    with pytest.raises(FieldOutOfRange):
-        serialize_iso19794_2(big)
-    huge = MinutiaTemplate([], 1 << 16, 100)
-    with pytest.raises(FieldOutOfRange):
-        serialize_iso19794_2(huge)
 
 
 # ---------------------------------------------------------------------------
