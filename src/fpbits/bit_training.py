@@ -33,8 +33,6 @@ class FingerModel:
     reliability: np.ndarray
     mask: np.ndarray  # bool, True = bit position kept
     n_mean: float  # mean minutia count over the enrollment samples
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
 
     @property
     def k(self) -> int:
@@ -106,7 +104,10 @@ def adaptive_threshold(
     ranks face a lenient bar, later ranks an ever stricter one. At
     ``rank == n_mean`` the bar sits exactly halfway, ``alpha + (1-alpha)/2``.
     """
-    return alpha + (1.0 - alpha) / (1.0 + math.exp(-beta * (rank - n_mean)))
+    try:
+        return alpha + (1.0 - alpha) / (1.0 + math.exp(-beta * (rank - n_mean)))
+    except OverflowError:  # a saturated sigmoid: the term's limit is 0
+        return alpha
 
 
 def train_mask(
@@ -161,6 +162,4 @@ def train_finger(
         reliability=rel,
         mask=mask,
         n_mean=n_mean,
-        alpha=alpha,
-        beta=beta,
     )

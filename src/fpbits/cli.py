@@ -18,7 +18,6 @@ nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -29,7 +28,14 @@ from . import pipeline
 from .codebook import BitString
 from .config import PipelineConfig, load_config, parse_config, serialize_config
 from .errors import BadLength, FpbitsError, ModelMissing
-from .matching import apply_mask, score_string_pairs
+from .matching import (
+    KIND_INTERSECTION,
+    MatchScore,
+    check_fold_length,
+    intersection_scores,
+    masked_scores,
+    stack_bits,
+)
 from .model_store import (
     load_bitstring,
     load_finger,
@@ -165,9 +171,6 @@ def cmd_encode(args) -> int:
 
 def cmd_enroll(args) -> int:
     model = load_model_file(args.model)
-    if args.enroll_size is not None:
-        # replace() validates the new value as the config file's would be
-        model.config = dataclasses.replace(model.config, enroll_size=args.enroll_size)
     items = load_dataset(args.dataset)
     encoded = pipeline.encode_dataset(items, model)
     split = pipeline._split_keys(encoded, model.config.enroll_size)
@@ -213,7 +216,6 @@ def _load_bits_dir(path: str) -> Dict[Tuple[str, str], BitString]:
 
 def cmd_match(args) -> int:
     pairs = _read_pairs(args.pairs)
-    lines = []
     if args.kind == "lgs":
         model = load_model_file(args.model)
         items = load_dataset(args.dataset)
@@ -227,27 +229,35 @@ def cmd_match(args) -> int:
                 cache[(sid, iid)] = pipeline.fused_vectors(template, image, model)
             return cache[(sid, iid)]
 
-        for sa, ia, sb, ib in pairs:
-            score = pipeline.lgs_match(vectors(sa, ia), vectors(sb, ib), model.config)
-            lines.append(_score_line(sa, ia, sb, ib, score))
+        scores = [pipeline.lgs_match(vectors(sa, ia), vectors(sb, ib), model.config)
+                  for sa, ia, sb, ib in pairs]
     else:
         bits = _load_bits_dir(args.bits_dir)
-        string_pairs = []
-        if args.kind == "bits":
-            for sa, ia, sb, ib in pairs:
-                string_pairs.append((_get(bits, sa, ia), _get(bits, sb, ib)))
-        else:  # masked: side a names the enrolled finger, side b the query string
-            fingers = {}
-            for sa, ia, sb, ib in pairs:
-                if sa not in fingers:
-                    fingers[sa] = _load_finger_file(args.fingers_dir, sa)
-                finger, reference = fingers[sa]
-                string_pairs.append(apply_mask(
-                    _get(bits, sb, ib), reference, finger,
-                    mask_both=not args.mask_enrolled_only,
-                ))
-        scores = score_string_pairs(string_pairs)
-        lines += [_score_line(*pair, score) for pair, score in zip(pairs, scores)]
+        if args.kind == "masked":  # side a names the enrolled finger, side b the query
+            model = load_model_file(args.model)
+            fingers = {  # one load per finger, in file order
+                sa: load_finger(read_bytes(os.path.join(args.fingers_dir, f"{sa}.fpfm")))
+                for sa in dict.fromkeys(p[0] for p in pairs)
+            }
+            side_a = [fingers[p[0]][1] for p in pairs]
+        else:
+            side_a = [_get(bits, sa, ia) for sa, ia, _, _ in pairs]
+        # every string the file names must share one length and template length
+        strings, _ = stack_bits(side_a + [_get(bits, sb, ib) for _, _, sb, ib in pairs])
+        a, b = strings[: len(pairs)], strings[len(pairs) :]
+        if args.kind == "masked":
+            masks = np.array([fingers[p[0]][0].mask for p in pairs], dtype=bool)
+            # the reshape gives an empty file its (0, 0) masks
+            values, common = masked_scores(b, a, masks.reshape(a.shape),
+                                           model.config.mask_both)
+        else:
+            values, common = intersection_scores(a, b)
+        scores = [MatchScore(v, KIND_INTERSECTION, c)
+                  for v, c in zip(values.tolist(), common.tolist())]
+    lines = [
+        f"{' '.join(pair)} {score.kind} {score.value:.6f}" + (" short" if score.short else "")
+        for pair, score in zip(pairs, scores)
+    ]
 
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -258,25 +268,18 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _load_finger_file(fingers_dir: str, finger_id: str):
-    return load_finger(read_bytes(os.path.join(fingers_dir, f"{finger_id}.fpfm")))
-
-
 def _get(bits: Dict[Tuple[str, str], BitString], sid: str, iid: str) -> BitString:
     if (sid, iid) not in bits:
         raise ModelMissing(f"bit-string for {sid}/{iid} not found")
     return bits[(sid, iid)]
 
 
-def _score_line(sa, ia, sb, ib, score) -> str:
-    short = " short" if getattr(score, "short", False) else ""
-    return f"{sa} {ia} {sb} {ib} {score.kind} {score.value:.6f}{short}"
-
-
 def cmd_evaluate(args) -> int:
     if args.fold is not None and args.matcher != "bits":
         raise BadLength(f"--fold applies only to --matcher bits, not {args.matcher}")
     model = load_model_file(args.model)
+    if args.fold is not None:
+        check_fold_length(args.fold, model.codebook.k)
     items = load_dataset(args.dataset)
     subjects = sorted({k[0] for k in items})
     impressions = sorted({k[1] for k in items})
@@ -346,6 +349,8 @@ def _fold_lengths(text: str) -> List[int]:
 def cmd_compress(args) -> int:
     lengths = _fold_lengths(args.lengths)
     model = load_model_file(args.model)
+    for length in lengths:
+        check_fold_length(length, model.codebook.k)
     items = load_dataset(args.dataset)
     encoded = pipeline.encode_dataset(items, model)
     sweep = pipeline.compression_sweep(encoded, lengths)
@@ -437,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--enroll-size", type=int)
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("match", help="score explicit pairs")
@@ -448,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset")
     p.add_argument("--bits-dir")
     p.add_argument("--fingers-dir")
-    p.add_argument("--mask-enrolled-only", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_match)
 
@@ -485,8 +488,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("match --kind lgs needs --model and --dataset")
         if args.kind in ("bits", "masked") and not args.bits_dir:
             parser.error(f"match --kind {args.kind} needs --bits-dir")
-        if args.kind == "masked" and not args.fingers_dir:
-            parser.error("match --kind masked needs --fingers-dir")
+        if args.kind == "masked" and not (args.fingers_dir and args.model):
+            parser.error("match --kind masked needs --fingers-dir and --model")
 
     try:
         return args.func(args)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +66,10 @@ def lgs_pair_budget(
     [min_pairs, max_pairs].
     """
     smaller = min(count_a, count_b)
-    sig = (max_pairs - min_pairs) / (1.0 + math.exp(-steepness * (smaller - midpoint)))
+    try:
+        sig = (max_pairs - min_pairs) / (1.0 + math.exp(-steepness * (smaller - midpoint)))
+    except OverflowError:  # a saturated sigmoid: the term's limit is 0
+        return min_pairs
     return min_pairs + int(math.floor(sig))
 
 
@@ -155,30 +158,6 @@ def intersection_score(a: BitString, b: BitString) -> MatchScore:
     return MatchScore(value=float(value), kind=KIND_INTERSECTION, support=common)
 
 
-def apply_mask(
-    query: BitString,
-    enrolled: BitString,
-    model: FingerModel,
-    mask_both: bool = True,
-) -> Tuple[BitString, BitString]:
-    """The two strings :func:`masked_score` compares: query and enrolled, gated.
-
-    Raises:
-        LengthMismatch: mask length does not fit the strings.
-    """
-    if model.k != len(query) or model.k != len(enrolled):
-        raise LengthMismatch(
-            f"mask of length {model.k} cannot gate strings of lengths "
-            f"{len(query)} and {len(enrolled)}"
-        )
-    masked_enrolled = BitString(enrolled.bits & model.mask, enrolled.template_length)
-    if mask_both:
-        masked_query = BitString(query.bits & model.mask, query.template_length)
-    else:
-        masked_query = query
-    return masked_query, masked_enrolled
-
-
 def masked_score(
     query: BitString,
     enrolled: BitString,
@@ -194,7 +173,15 @@ def masked_score(
     Raises:
         LengthMismatch: mask length does not fit the strings.
     """
-    return intersection_score(*apply_mask(query, enrolled, model, mask_both))
+    if model.k != len(query) or model.k != len(enrolled):
+        raise LengthMismatch(
+            f"mask of length {model.k} cannot gate strings of lengths "
+            f"{len(query)} and {len(enrolled)}"
+        )
+    if mask_both:
+        query = BitString(query.bits & model.mask, query.template_length)
+    enrolled = BitString(enrolled.bits & model.mask, enrolled.template_length)
+    return intersection_score(query, enrolled)
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
@@ -279,29 +266,10 @@ def stack_bits(strings: Sequence[BitString]) -> Tuple[np.ndarray, int]:
     return np.array([s.bits for s in strings]), strings[0].template_length
 
 
-def score_string_pairs(
-    pairs: Sequence[Tuple[BitString, BitString]],
-) -> List[MatchScore]:
-    """:func:`intersection_score` of every pair, one batch call per string length.
-
-    Raises:
-        LengthMismatch: at the first pair whose strings disagree in length.
-    """
-    groups: dict = {}
-    for i, (a, b) in enumerate(pairs):
-        _check_lengths(a, b)
-        groups.setdefault((len(a), a.template_length), []).append(i)
-    out: List[Optional[MatchScore]] = [None] * len(pairs)
-    for (_, template_length), rows in groups.items():
-        values, common = intersection_scores(
-            np.array([pairs[i][0].bits for i in rows]),
-            np.array([pairs[i][1].bits for i in rows]),
-            template_length,
-            template_length,
-        )
-        for i, v, c in zip(rows, values.tolist(), common.tolist()):
-            out[i] = MatchScore(value=v, kind=KIND_INTERSECTION, support=c)
-    return out
+def check_fold_length(length: int, k: int) -> None:
+    """The one fold-length rule: ``BadLength`` unless ``1 <= length <= k``."""
+    if not (1 <= length <= k):
+        raise BadLength(f"fold length {length} outside [1, {k}]")
 
 
 def fold_bits(bits: np.ndarray, length: int) -> np.ndarray:
@@ -315,8 +283,7 @@ def fold_bits(bits: np.ndarray, length: int) -> np.ndarray:
         BadLength: ``length`` outside [1, K].
     """
     n, k = bits.shape
-    if not (1 <= length <= k):
-        raise BadLength(f"fold length {length} outside [1, {k}]")
+    check_fold_length(length, k)
     padded = np.zeros((n, -(-k // length) * length), dtype=bool)
     padded[:, :k] = bits
     return padded.reshape(n, -1, length).any(axis=1)

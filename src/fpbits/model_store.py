@@ -1,14 +1,14 @@
 """Versioned binary containers for trained artifacts.
 
-Three file kinds share one layout: a 4-byte magic, a version word, a
-length-prefixed JSON header (sorted keys, so identical content is identical
-bytes), then the named arrays' raw little-endian data in header order.
-Writing the same artifact twice produces the same bytes.
+Models and finger models share one layout: a 4-byte magic, a version word,
+a length-prefixed JSON header (sorted keys, so identical content is
+identical bytes), then the named arrays' raw little-endian data in header
+order. Writing the same artifact twice produces the same bytes.
 
 * ``FPBM`` - pipeline model: config text, descriptor lattices, both
   subspace models, and the codebook.
-* ``FPBS`` - one bit-string (packed bitmap plus its length header).
-* ``FPFM`` - one finger's trained statistics, mask, and enrolled string.
+* ``FPFM`` - one finger's fitted statistics, mask, and enrolled string.
+* ``FPBS`` - one bit-string: a fixed 16-byte header, then the packed bits.
 """
 
 from __future__ import annotations
@@ -355,8 +355,6 @@ def save_finger(model: FingerModel, enrolled: BitString) -> bytes:
         "kind": "finger-model",
         "finger_id": model.finger_id,
         "n_mean": model.n_mean,
-        "alpha": model.alpha,
-        "beta": model.beta,
         "template_length": enrolled.template_length,
     }
     arrays = [
@@ -368,12 +366,11 @@ def save_finger(model: FingerModel, enrolled: BitString) -> bytes:
     return _pack(FINGER_MAGIC, meta, arrays)
 
 
+# older files' alpha and beta keys are ignored: the model's config holds them
 _FINGER_META = {
     "kind": str,
     "finger_id": str,
     "n_mean": float,
-    "alpha": float,
-    "beta": float,
     "template_length": int,
 }
 # K: bit positions
@@ -400,8 +397,6 @@ def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
         reliability=arrays["reliability"],
         mask=arrays["mask"].astype(bool),
         n_mean=float(meta["n_mean"]),
-        alpha=float(meta["alpha"]),
-        beta=float(meta["beta"]),
     )
     enrolled = BitString(
         arrays["enrolled"].astype(bool), template_length=meta["template_length"]

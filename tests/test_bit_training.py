@@ -100,6 +100,27 @@ def test_threshold_strictly_increasing_and_bounded():
     assert 1.0 - 1e-15 <= values[-1] <= 1.0
 
 
+def test_threshold_saturated_sigmoid_takes_its_limit():
+    # exp(50 * 38) overflows a double: the sigmoid term's limit is 0, so an
+    # early rank faces the floor itself
+    assert adaptive_threshold(1, 39.0, alpha=0.45, beta=50.0) == 0.45
+    assert adaptive_threshold(1, 39.0, alpha=0.0, beta=50.0) == 0.0
+    # exp underflows to 0 on the far side: the bar is 1
+    assert adaptive_threshold(200, 39.0, alpha=0.45, beta=50.0) == 1.0
+    # ranks where exp stays finite keep the formula's value
+    for t in (30, 38, 39, 40, 50):
+        assert adaptive_threshold(t, 39.0, beta=50.0) == sigmoid_bar(t, 39.0, beta=50.0)
+
+
+def test_train_mask_under_a_saturated_bar():
+    # ranks 1-24 overflow and face alpha; up to n_mean the bar stays within
+    # 1e-21 of it, and past n_mean it is all but 1
+    power = np.arange(40, 0, -1, dtype=np.float64)
+    rel = np.full(40, 0.5)
+    mask = train_mask(power, rel, n_mean=39.0, alpha=0.45, beta=50.0)
+    assert mask.tolist() == [True] * 38 + [False] * 2
+
+
 # ---------------------------------------------------------------------------
 # mask training
 # ---------------------------------------------------------------------------

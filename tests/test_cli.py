@@ -8,8 +8,8 @@ import pytest
 from fpbits import cli
 from fpbits.cli import load_dataset, main, save_dataset
 from fpbits.errors import FpbitsError
-from fpbits.matching import intersection_score, masked_score
-from fpbits.model_store import load_bitstring, load_finger, load_model_file
+from fpbits.matching import fold_compress, intersection_score, masked_score
+from fpbits.model_store import load_bitstring, load_finger, load_model_file, save_bitstring
 from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import (
     GrayImage,
@@ -44,6 +44,19 @@ def workdir(tmp_path_factory):
                  "--out-dir", fingers]) == 0
     return {"root": root, "data": data, "model": model,
             "bits": bits, "fingers": fingers}
+
+
+@pytest.fixture(scope="module")
+def enrolled_only_model(workdir):
+    """``workdir``'s model retrained with ``mask_both = false``."""
+    model = str(workdir["root"] / "model-enrolled-only.fpbm")
+    assert main([
+        "train", "--dataset", workdir["data"], "--out", model, "--quiet",
+        "--set", "K=16", "--set", "n_p=8", "--set", "N_c=20", "--set", "enroll_size=2",
+        "--set", "mask_both=false",
+    ]) == 0
+    assert load_model_file(model).config.mask_both is False
+    return model
 
 
 def test_synth_writes_expected_layout(workdir):
@@ -109,8 +122,8 @@ def test_match_masked(workdir, tmp_path, capsys):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("s002 x s002 04\ns002 x s003 04\n")
     assert main(["match", "--kind", "masked", "--pairs", str(pairs),
-                 "--bits-dir", workdir["bits"],
-                 "--fingers-dir", workdir["fingers"]]) == 0
+                 "--bits-dir", workdir["bits"], "--fingers-dir", workdir["fingers"],
+                 "--model", workdir["model"]]) == 0
     out = capsys.readouterr().out
     assert "intersection" in out
 
@@ -141,10 +154,7 @@ def test_match_bits_lines_match_one_pair_oracle(workdir, tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("enrolled_only", [False, True])
-def test_match_masked_lines_match_one_pair_oracle(
-    workdir, tmp_path, capsys, monkeypatch, enrolled_only
-):
+def _load_bits_and_fingers(workdir):
     bits = {}
     for name in sorted(os.listdir(workdir["bits"])):
         sid, iid = name[: -len(".fpbs")].split("_")
@@ -154,6 +164,22 @@ def test_match_masked_lines_match_one_pair_oracle(
     for sid in sorted({key[0] for key in bits}):
         with open(os.path.join(workdir["fingers"], f"{sid}.fpfm"), "rb") as fh:
             fingers[sid] = load_finger(fh.read())
+    return bits, fingers
+
+
+def _masked_oracle_lines(bits, fingers, pairs, mask_both):
+    want = []
+    for a, b in pairs:
+        finger, reference = fingers[a[0]]
+        want.append(_oracle_line(*a, *b, masked_score(bits[b], reference, finger, mask_both)))
+    return want
+
+
+@pytest.mark.parametrize("enrolled_only", [False, True])
+def test_match_masked_lines_match_one_pair_oracle(
+    workdir, enrolled_only_model, tmp_path, capsys, monkeypatch, enrolled_only
+):
+    bits, fingers = _load_bits_and_fingers(workdir)
     loads = []
 
     def counting_load_finger(blob):
@@ -162,17 +188,60 @@ def test_match_masked_lines_match_one_pair_oracle(
 
     monkeypatch.setattr(cli, "load_finger", counting_load_finger)
     path, pairs = _all_pairs_file(tmp_path, sorted(bits), lambda key: (key[0], "x"))
-    argv = ["match", "--kind", "masked", "--pairs", str(path),
-            "--bits-dir", workdir["bits"], "--fingers-dir", workdir["fingers"]]
-    assert main(argv + (["--mask-enrolled-only"] if enrolled_only else [])) == 0
+    model = enrolled_only_model if enrolled_only else workdir["model"]
+    assert main(["match", "--kind", "masked", "--pairs", str(path), "--model", model,
+                 "--bits-dir", workdir["bits"], "--fingers-dir", workdir["fingers"]]) == 0
     lines = capsys.readouterr().out.splitlines()
-    want = []
-    for a, b in pairs:
-        finger, reference = fingers[a[0]]
-        score = masked_score(bits[b], reference, finger, mask_both=not enrolled_only)
-        want.append(_oracle_line(*a, *b, score))
-    assert lines == want
+    assert lines == _masked_oracle_lines(bits, fingers, pairs, not enrolled_only)
     assert len(loads) == len(fingers)  # one load per finger, not per pair
+
+
+def test_match_masked_reads_mask_both_from_the_model(
+    workdir, enrolled_only_model, tmp_path, capsys
+):
+    # the same files under two models that differ only in mask_both
+    bits, fingers = _load_bits_and_fingers(workdir)
+    path, pairs = _all_pairs_file(tmp_path, sorted(bits), lambda key: (key[0], "x"))
+    out = {}
+    for mask_both, model in ((True, workdir["model"]), (False, enrolled_only_model)):
+        assert main(["match", "--kind", "masked", "--pairs", str(path), "--model", model,
+                     "--bits-dir", workdir["bits"], "--fingers-dir", workdir["fingers"]]) == 0
+        out[mask_both] = capsys.readouterr().out.splitlines()
+        assert out[mask_both] == _masked_oracle_lines(bits, fingers, pairs, mask_both)
+    assert out[True] != out[False]
+
+
+@pytest.mark.parametrize("kind", ["bits", "masked"])
+def test_match_folded_and_unfolded_strings_exit_2_with_one_line(
+    workdir, tmp_path, capsys, kind
+):
+    bits = str(tmp_path / "bits")
+    _copy_tree(workdir["bits"], bits)
+    with open(os.path.join(bits, "s001_01.fpbs"), "rb") as fh:
+        folded = fold_compress(load_bitstring(fh.read()), 8)
+    with open(os.path.join(bits, "s009_01.fpbs"), "wb") as fh:
+        fh.write(save_bitstring(folded))
+    pairs = _pairs(tmp_path, "s001 01 s001 02\ns001 01 s009 01\n")
+    extra = ["--fingers-dir", workdir["fingers"], "--model", workdir["model"]]
+    assert main(["match", "--kind", kind, "--pairs", pairs, "--bits-dir", bits]
+                + (extra if kind == "masked" else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "8/16" in err and "16/16" in err, err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enroll", "--dataset", "d", "--model", "m", "--out-dir", "o", "--enroll-size", "2"],
+    ["match", "--kind", "masked", "--pairs", "p", "--bits-dir", "b", "--fingers-dir", "f",
+     "--model", "m", "--mask-enrolled-only"],
+    ["match", "--kind", "masked", "--pairs", "p", "--bits-dir", "b", "--fingers-dir", "f"],
+], ids=["enroll-size", "mask-enrolled-only", "masked-without-model"])
+def test_settings_come_only_from_the_model(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_match_lgs(workdir, tmp_path, capsys):
@@ -275,13 +344,14 @@ def test_invalid_config_value_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_enroll_size_zero_exits_2_with_one_line(workdir, tmp_path, capsys):
-    out_dir = tmp_path / "fingers"
-    assert main(["enroll", "--dataset", workdir["data"], "--model", workdir["model"],
-                 "--out-dir", str(out_dir), "--enroll-size", "0"]) == 2
+    # enroll_size is set only in the config, and a model cannot carry 0
+    model = tmp_path / "m.fpbm"
+    assert main(["train", "--dataset", workdir["data"], "--out", str(model), "--quiet",
+                 "--set", "K=16", "--set", "n_p=8", "--set", "enroll_size=0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "enroll_size" in err
     assert len(err.strip().splitlines()) == 1
-    assert not out_dir.exists()
+    assert not model.exists()
 
 
 def test_bad_config_override(tmp_path, capsys):
@@ -319,6 +389,72 @@ def test_evaluate_fold_outside_bits_exits_2_with_one_line(workdir, tmp_path, cap
                  "--matcher", matcher, "--fold", "4", "--out-dir", str(out_dir)]) == 2
     assert_one_error_line(capsys, "--fold", matcher)
     assert not out_dir.exists()
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("the dataset was loaded or encoded")
+
+
+@pytest.mark.parametrize("fold", ["0", "17"])
+def test_evaluate_bad_fold_exits_2_before_the_dataset(
+    workdir, tmp_path, capsys, monkeypatch, fold
+):
+    monkeypatch.setattr(cli, "load_dataset", _fail_if_called)
+    monkeypatch.setattr(cli.pipeline, "encode_dataset", _fail_if_called)
+    out_dir = tmp_path / "eval"
+    assert main(["evaluate", "--dataset", workdir["data"], "--model", workdir["model"],
+                 "--matcher", "bits", "--fold", fold, "--out-dir", str(out_dir)]) == 2
+    assert_one_error_line(capsys, f"fold length {fold} outside [1, 16]")
+    assert not out_dir.exists()
+
+
+def test_compress_bad_length_exits_2_before_the_dataset(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_dataset", _fail_if_called)
+    monkeypatch.setattr(cli.pipeline, "encode_dataset", _fail_if_called)
+    assert main(["compress", "--dataset", workdir["data"], "--model", workdir["model"],
+                 "--lengths", "8,500"]) == 2
+    assert_one_error_line(capsys, "fold length 500 outside [1, 16]")
+
+
+@pytest.fixture(scope="module")
+def saturated_model(workdir):
+    """A model whose bar (beta) and pair budget (tau_P) saturate their sigmoids.
+
+    With about 10 minutiae per impression, ``exp(100 * 9)`` in the bar and
+    ``exp(200 * 25)`` in the budget overflow a double.
+    """
+    model = str(workdir["root"] / "model-saturated.fpbm")
+    assert main([
+        "train", "--dataset", workdir["data"], "--out", model, "--quiet",
+        "--set", "K=16", "--set", "n_p=8", "--set", "N_c=20", "--set", "enroll_size=2",
+        "--set", "beta=100", "--set", "tau_P=200",
+    ]) == 0
+    return model
+
+
+@pytest.mark.parametrize("command", ["enroll", "evaluate split", "evaluate lgs", "match lgs"])
+def test_saturated_sigmoids_run(workdir, saturated_model, tmp_path, capsys, command):
+    common = ["--dataset", workdir["data"], "--model", saturated_model]
+    argv = {
+        "enroll": ["enroll", *common, "--out-dir", str(tmp_path / "fingers")],
+        "evaluate split": ["evaluate", "--matcher", "split", *common,
+                           "--out-dir", str(tmp_path / "eval")],
+        "evaluate lgs": ["evaluate", "--matcher", "lgs", *common,
+                         "--out-dir", str(tmp_path / "eval")],
+        "match lgs": ["match", "--kind", "lgs", *common,
+                      "--pairs", _pairs(tmp_path, "s001 01 s001 03\ns001 01 s002 01\n")],
+    }[command]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if command == "match lgs":
+        # each budget sits at its floor, min_nL = 4, which both sides fill
+        fields = [line.split() for line in out.splitlines()]
+        assert [(len(f), f[4]) for f in fields] == [(6, "lgs"), (6, "lgs")]
+    elif command == "enroll":
+        assert sorted(os.listdir(tmp_path / "fingers")) == [
+            "s001.fpfm", "s002.fpfm", "s003.fpfm"]
+    else:
+        assert "eer" in out
 
 
 @pytest.mark.parametrize("flag, value, named", [
@@ -445,7 +581,7 @@ def test_unreadable_finger_model_exits_2(workdir, tmp_path, capsys, how):
     if how == "directory":
         os.mkdir(os.path.join(fingers, "s002.fpfm"))
     pairs = _pairs(tmp_path, "s002 x s002 04\n")
-    assert main(["match", "--kind", "masked", "--pairs", pairs,
+    assert main(["match", "--kind", "masked", "--pairs", pairs, "--model", workdir["model"],
                  "--bits-dir", workdir["bits"], "--fingers-dir", fingers]) == 2
     assert_one_error_line(capsys, "s002.fpfm")
 

@@ -1,5 +1,9 @@
 """Configuration text: parsing and field validation."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,3 +109,22 @@ def test_load_config_rejects_non_utf8(tmp_path):
         load_config(str(path))
     path.write_bytes(serialize_config(PipelineConfig(K=7)).encode("ascii"))
     assert load_config(str(path)) == PipelineConfig(K=7)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_keys():
+    """The backticked keys in the first column of the README's config table."""
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_readme_config_table_lists_every_field_once():
+    # the README calls the config text the only copy of every value; its
+    # table must name exactly the fields a config carries
+    keys = readme_config_keys()
+    assert len(keys) == len(set(keys)), keys
+    assert keys == [f.name for f in dataclasses.fields(PipelineConfig)]

@@ -9,7 +9,6 @@ from fpbits.bit_training import FingerModel
 from fpbits.codebook import BitString
 from fpbits.errors import BadLength, LengthMismatch
 from fpbits.matching import (
-    apply_mask,
     fold_bits,
     fold_compress,
     intersection_score,
@@ -19,7 +18,6 @@ from fpbits.matching import (
     masked_score,
     masked_scores,
     pack_words,
-    score_string_pairs,
     stack_bits,
 )
 
@@ -41,6 +39,18 @@ def test_pair_budget_spot_values():
     assert lgs_pair_budget(1, 1) == 4
     assert lgs_pair_budget(0, 50) == 4
     assert lgs_pair_budget(1000, 1000) == 10
+
+
+def test_pair_budget_saturated_sigmoid_takes_its_limit():
+    # exp(200 * 35) overflows a double: the sigmoid term's limit is 0
+    assert lgs_pair_budget(0, 50, steepness=200.0) == 4
+    assert lgs_pair_budget(10, 10, min_pairs=2, max_pairs=9, steepness=200.0) == 2
+    assert lgs_pair_budget(1000, 1000, steepness=200.0) == 10  # exp underflows to 0
+    # where exp does not overflow, nothing moves
+    for n in (0, 20, 34, 35, 36, 60):
+        want = 4 + int(math.floor(6 / (1.0 + math.exp(-3.0 * (n - 35.0)))))
+        assert lgs_pair_budget(n, n, steepness=3.0) == want
+    assert lgs_score(np.zeros((3, 2)), np.ones((5, 2)), steepness=200.0).support == 3
 
 
 def test_pair_budget_monotone_and_bounded():
@@ -340,32 +350,6 @@ def test_batch_length_checks():
         stack_bits([bits(0, k=10), bits(0, k=10, template_length=20)])
     with pytest.raises(LengthMismatch):
         stack_bits([bits(0, k=10), bits(0, k=12)])
-
-
-def test_score_string_pairs_groups_lengths():
-    rng = np.random.default_rng(211)
-    pairs = []
-    for length in (40, 17, 40, 9, 17, 40):
-        a = fold_compress(BitString(rng.random(40) < 0.3), length)
-        b = fold_compress(BitString(rng.random(40) < 0.3), length)
-        pairs.append((a, b))
-    pairs.append((BitString(np.zeros(40, bool)), BitString(np.zeros(40, bool))))
-    got = score_string_pairs(pairs)
-    assert got == [intersection_score(a, b) for a, b in pairs]
-    assert score_string_pairs([]) == []
-    with pytest.raises(LengthMismatch):
-        score_string_pairs(pairs + [(pairs[0][0], pairs[1][0])])
-
-
-@pytest.mark.parametrize("mask_both", [True, False])
-def test_apply_mask_is_what_masked_score_compares(mask_both):
-    query = bits(0, 1, 2, 3, k=6)
-    enrolled = bits(1, 2, 4, k=6)
-    finger = finger_with_mask([0, 1, 1, 1, 0, 0])
-    gated = apply_mask(query, enrolled, finger, mask_both)
-    assert score_string_pairs([gated]) == [masked_score(query, enrolled, finger, mask_both)]
-    with pytest.raises(LengthMismatch):
-        apply_mask(bits(0, k=4), bits(1, k=4), finger_with_mask([1, 0, 1]))
 
 
 def fold_oracle(row, length):

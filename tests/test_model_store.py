@@ -138,8 +138,6 @@ def test_finger_roundtrip():
         reliability=rng.uniform(0, 1, k),
         mask=rng.random(k) < 0.5,
         n_mean=27.5,
-        alpha=0.45,
-        beta=0.4,
     )
     enrolled = BitString(rng.random(k) < 0.5)
     back_finger, back_enrolled = load_finger(save_finger(finger, enrolled))
@@ -148,8 +146,6 @@ def test_finger_roundtrip():
     assert np.array_equal(back_finger.reliability, finger.reliability)
     assert np.array_equal(back_finger.mask, finger.mask)
     assert back_finger.n_mean == finger.n_mean
-    assert back_finger.alpha == finger.alpha
-    assert back_finger.beta == finger.beta
     assert back_enrolled == enrolled
 
 
@@ -216,6 +212,20 @@ def test_finger_array_lengths_must_agree():
     finger, enrolled = _finger(k=8, power_len=9)
     with pytest.raises(MalformedHeader):
         load_finger(save_finger(finger, enrolled))
+
+
+def test_finger_header_with_alpha_and_beta_loads_to_the_same_finger():
+    # finger files once copied the bar's alpha and beta into the header
+    finger, enrolled = _finger()
+    blob = save_finger(finger, enrolled)
+    old = _repack(blob, b"FPFM", lambda h: h["meta"].update(alpha=0.45, beta=0.4))
+    assert b'"alpha":0.45' in old and b'"beta":0.4' in old
+    back, back_enrolled = load_finger(old)
+    assert (back.finger_id, back.n_mean) == (finger.finger_id, finger.n_mean)
+    for name in ("power", "reliability", "mask"):
+        assert np.array_equal(getattr(back, name), getattr(finger, name)), name
+    assert back_enrolled == enrolled
+    assert save_finger(back, back_enrolled) == blob  # the keys are dropped
 
 
 def test_finger_template_length_not_below_string():
@@ -315,7 +325,7 @@ def test_retired_augment_pool_line_loads_and_encodes_identically():
     b'{"meta":{},"arrays":[],"x":' + b"9" * 5000 + b"}",  # past the digit limit
     b"[" * 100000 + b"]" * 100000,  # past the recursion limit
     b'{"meta":{"kind":"finger-model","finger_id":"x","n_mean":1' + b"0" * 400
-    + b',"alpha":0.4,"beta":0.4,"template_length":1},"arrays":[]}',  # > float max
+    + b',"template_length":1},"arrays":[]}',  # n_mean > float max
 ], ids=["long-int", "deep", "huge-float-field"])
 def test_crafted_headers_rejected(header):
     blob = b"FPFM" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header
