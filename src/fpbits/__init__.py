@@ -31,13 +31,11 @@ from .codebook import (
 from .config import PipelineConfig, load_config, parse_config, serialize_config
 from .errors import FpbitsError
 from .local_structures import (
-    SpreadModel,
     StructureGeometry,
     build_mbls,
     extract_tbls,
     gaussian_response,
     local_frame,
-    mbls_distance,
     mbls_matrix,
     normalize_image,
     tbls_matrix,
@@ -64,7 +62,6 @@ from .model_store import (
 )
 from .protocol import ProtocolReport, compute_eer, fvc_pair_rows, fvc_pairs
 from .subspace_fusion import (
-    FusedVector,
     PcaModel,
     fuse,
     fuse_matrix,

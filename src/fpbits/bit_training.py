@@ -20,9 +20,6 @@ import numpy as np
 from .codebook import BitString, DistanceVector
 from .errors import EmptyEnrollment, LengthMismatch
 
-DEFAULT_ALPHA = 0.45
-DEFAULT_BETA = 0.4
-
 
 @dataclass
 class FingerModel:
@@ -96,7 +93,7 @@ def reliability(bitstrings: Sequence[BitString]) -> np.ndarray:
 
 
 def adaptive_threshold(
-    rank: float, n_mean: float, alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA
+    rank: float, n_mean: float, alpha: float, beta: float
 ) -> float:
     """Reliability bar for the bit visited at a given power rank.
 
@@ -114,8 +111,8 @@ def train_mask(
     power: np.ndarray,
     rel: np.ndarray,
     n_mean: float,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
+    alpha: float,
+    beta: float,
 ) -> np.ndarray:
     """Select bit positions by descending power under the adaptive bar.
 
@@ -143,8 +140,8 @@ def train_finger(
     minutia_counts: Sequence[int],
     population_mean: np.ndarray,
     cluster_weights: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
+    alpha: float,
+    beta: float,
 ) -> FingerModel:
     """Run the whole per-finger selection from enrollment-time artifacts."""
     if len(distance_vectors) == 0 or len(bitstrings) == 0:

@@ -126,19 +126,10 @@ def _resolve_config(args) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    params = SynthParams(
-        n_subjects=args.subjects,
-        n_impressions=args.impressions,
-        width=args.width,
-        height=args.height,
-        n_minutiae=args.minutiae,
-        rotation_deg=args.rotation,
-        translation_px=args.translation,
-        dropout=args.dropout,
-        insertion=args.insertion,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
+    # a flag stores under its field's name only when given, so every other
+    # field keeps its SynthParams default
+    params = SynthParams(**{name: getattr(args, name)
+                            for _, name, _, _ in _SYNTH_FLAGS if hasattr(args, name)})
     items = synth_dataset(params)
     save_dataset(items, args.out)
     print(f"wrote {len(items)} impressions under {args.out}")
@@ -172,17 +163,21 @@ def cmd_encode(args) -> int:
 def cmd_enroll(args) -> int:
     model = load_model_file(args.model)
     items = load_dataset(args.dataset)
-    encoded = pipeline.encode_dataset(items, model)
-    split = pipeline._split_keys(encoded, model.config.enroll_size)
+    # only the enrollment impressions are encoded; the rest are test data
+    fingers = {
+        sid: pipeline.enroll_subject(
+            [pipeline.encode_impression(*items[k], model) for k in enroll_keys], model
+        )
+        for sid, (enroll_keys, _) in sorted(
+            pipeline._split_keys(items, model.config.enroll_size).items()
+        )
+    }
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for sid, (enroll_keys, _) in sorted(split.items()):
-        finger, reference = pipeline.enroll_subject(
-            [encoded[k] for k in enroll_keys], model
-        )
+    for sid, (finger, reference) in fingers.items():
         path = os.path.join(args.out_dir, f"{sid}.fpfm")
         write_file_atomic(path, save_finger(finger, reference))
-    print(f"enrolled {len(split)} fingers under {args.out_dir}")
+    print(f"enrolled {len(fingers)} fingers under {args.out_dir}")
     return 0
 
 
@@ -401,6 +396,22 @@ def cmd_inspect(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# (flag, SynthParams field, type, help) of every synth flag that sets a field
+_SYNTH_FLAGS = (
+    ("--subjects", "n_subjects", int, None),
+    ("--impressions", "n_impressions", int, None),
+    ("--width", "width", int, None),
+    ("--height", "height", int, None),
+    ("--minutiae", "n_minutiae", int, None),
+    ("--rotation", "rotation_deg", float, "max rotation, degrees"),
+    ("--translation", "translation_px", float, "max translation, px"),
+    ("--dropout", "dropout", float, None),
+    ("--insertion", "insertion", float, None),
+    ("--noise-std", "noise_std", float, None),
+    ("--seed", "seed", int, None),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpbits",
@@ -410,17 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--subjects", type=int, default=10)
-    p.add_argument("--impressions", type=int, default=4)
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--height", type=int, default=256)
-    p.add_argument("--minutiae", type=int, default=40)
-    p.add_argument("--rotation", type=float, default=15.0, help="max rotation, degrees")
-    p.add_argument("--translation", type=float, default=20.0, help="max translation, px")
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--insertion", type=float, default=0.05)
-    p.add_argument("--noise-std", type=float, default=6.0)
-    p.add_argument("--seed", type=int, default=0)
+    for flag, name, kind, text in _SYNTH_FLAGS:
+        p.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS, help=text)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit a pipeline model")

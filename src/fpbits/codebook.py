@@ -207,8 +207,8 @@ def kmeans_objective(matrix: np.ndarray, centroids: np.ndarray) -> float:
 def kmeans_train(
     pool: np.ndarray,
     k: int,
-    max_iters: int = 100,
-    seed: int = 0,
+    max_iters: int,
+    seed: int,
     trace: Optional[List[float]] = None,
 ) -> np.ndarray:
     """Fit K centroids to the ``(n, dim)`` pool with seeded K-means.
@@ -277,7 +277,7 @@ def kmeans_train(
 def estimate_radii(
     pool: np.ndarray,
     centroids: np.ndarray,
-    n_boundary: int = 300,
+    n_boundary: int,
 ) -> np.ndarray:
     """Boundary radius per cluster: mean distance of its nearest outsiders.
 

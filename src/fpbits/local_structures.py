@@ -23,36 +23,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import PipelineConfig
 from .template_io import GrayImage, Minutia
-
-
-@dataclass(frozen=True)
-class SpreadModel:
-    """Gaussian bump spreads as linear functions of neighbor distance.
-
-    The tangential spread (across the center-to-neighbor ray) grows at least
-    as fast as the radial spread (along it), so far bumps blur more in the
-    direction a neighbor's position is least certain in.
-    """
-
-    sigma_t0: float = 3.0
-    sigma_t_slope: float = 0.05
-    sigma_r0: float = 3.0
-    sigma_r_slope: float = 0.02
-
-    def __post_init__(self):
-        for name in ("sigma_t0", "sigma_t_slope", "sigma_r0", "sigma_r_slope"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.sigma_t_slope < self.sigma_r_slope:
-            raise ValueError("tangential slope must be >= radial slope")
-
-    def sigma_at(self, rho: float) -> Tuple[float, float]:
-        """(tangential, radial) spread for a neighbor at distance ``rho``."""
-        return (
-            self.sigma_t0 + self.sigma_t_slope * rho,
-            self.sigma_r0 + self.sigma_r_slope * rho,
-        )
 
 
 def _disc_lattice(radius: float) -> np.ndarray:
@@ -65,33 +37,45 @@ def _disc_lattice(radius: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructureGeometry:
-    """Shared disc lattices and radii for both descriptor families.
+    """Disc lattices, radii and bump spreads shared by both descriptor families.
 
     ``lattice_m`` covers the minutia-descriptor disc after area downscaling
     (radius ``r_m / sqrt(downscale_area)``), ``lattice_t`` the texture disc at
     full resolution (radius ``r_t``). Descriptor lengths are the lattice
     point counts; they are properties of the lattice, not configured.
+
+    A neighbor at center distance ``rho`` gets a Gaussian bump with
+    tangential spread ``sigma_t0 + sigma_t_slope * rho`` (across the
+    center-to-neighbor ray) and radial spread ``sigma_r0 + sigma_r_slope *
+    rho`` (along it); the config keeps the tangential slope at least the
+    radial one, so far bumps blur most where a neighbor's position is least
+    certain.
     """
 
     r_m: float
     r_t: float
     downscale_area: float
+    sigma_t0: float
+    sigma_t_slope: float
+    sigma_r0: float
+    sigma_r_slope: float
     lattice_m: np.ndarray = field(repr=False)
     lattice_t: np.ndarray = field(repr=False)
 
     @classmethod
-    def create(cls, r_m: float, r_t: float, downscale_area: float) -> "StructureGeometry":
-        if r_m <= 0 or r_t <= 0:
-            raise ValueError("structure radii must be > 0")
-        if downscale_area < 1.0:
-            raise ValueError("downscale_area must be >= 1")
-        scale = 1.0 / math.sqrt(downscale_area)
+    def from_config(cls, config: PipelineConfig) -> "StructureGeometry":
+        """The geometry of a config, whose own checks cover every value used."""
+        scale = 1.0 / math.sqrt(config.downscale_area)
         return cls(
-            r_m=float(r_m),
-            r_t=float(r_t),
-            downscale_area=float(downscale_area),
-            lattice_m=_disc_lattice(r_m * scale),
-            lattice_t=_disc_lattice(r_t),
+            r_m=config.r_m,
+            r_t=config.r_t,
+            downscale_area=config.downscale_area,
+            sigma_t0=config.sigma_t0,
+            sigma_t_slope=config.sigma_t_slope,
+            sigma_r0=config.sigma_r0,
+            sigma_r_slope=config.sigma_r_slope,
+            lattice_m=_disc_lattice(config.r_m * scale),
+            lattice_t=_disc_lattice(config.r_t),
         )
 
     @property
@@ -153,13 +137,12 @@ def build_mbls(
     ref: Minutia,
     minutiae: Sequence[Minutia],
     geometry: StructureGeometry,
-    spread: SpreadModel,
 ) -> np.ndarray:
     """Minutia-descriptor vector for ``ref`` within its impression.
 
     Every other minutia whose center distance is at most ``r_m`` contributes
     one Gaussian bump at its local-frame position, oriented across the
-    center-to-neighbor ray (tangentially), with spreads from ``spread`` at
+    center-to-neighbor ray (tangentially), with the geometry's spreads at
     its distance. Positions and spreads are then shrunk by the geometry's
     area downscale and rasterized over ``lattice_m``. The sum is
     L2-normalized; a minutia with no neighbors in range yields a zero vector.
@@ -175,7 +158,8 @@ def build_mbls(
         u, v, rho = local_frame(ref, m)
         if rho > geometry.r_m:
             continue
-        sig_t, sig_r = spread.sigma_at(rho)
+        sig_t = geometry.sigma_t0 + geometry.sigma_t_slope * rho
+        sig_r = geometry.sigma_r0 + geometry.sigma_r_slope * rho
         theta_i = math.atan2(v, u) + math.pi / 2.0
         acc += gaussian_response(
             lattice,
@@ -210,7 +194,6 @@ def _minutia_arrays(minutiae: Sequence[Minutia]) -> Tuple[np.ndarray, ...]:
 def mbls_matrix(
     minutiae: Sequence[Minutia],
     geometry: StructureGeometry,
-    spread: SpreadModel,
     refs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Minutia descriptors of a whole impression, one row per minutia.
@@ -251,8 +234,8 @@ def mbls_matrix(
     scale = geometry.position_scale
     mx = u * scale
     my = v * scale
-    sig_t = (spread.sigma_t0 + spread.sigma_t_slope * rho) * scale
-    sig_r = (spread.sigma_r0 + spread.sigma_r_slope * rho) * scale
+    sig_t = (geometry.sigma_t0 + geometry.sigma_t_slope * rho) * scale
+    sig_r = (geometry.sigma_r0 + geometry.sigma_r_slope * rho) * scale
     theta_i = np.arctan2(v, u) + math.pi / 2.0
 
     # the quadratic form of gaussian_response, per pair
@@ -296,15 +279,6 @@ def mbls_matrix(
 
     norms = np.sqrt(np.einsum("ij,ij->i", out, out))
     return np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
-
-
-def mbls_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two minutia-descriptor vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"descriptor shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def normalize_image(

@@ -29,11 +29,6 @@ from .errors import BadLength, LengthMismatch
 KIND_LGS = "lgs"
 KIND_INTERSECTION = "intersection"
 
-DEFAULT_MIN_PAIRS = 4
-DEFAULT_MAX_PAIRS = 10
-DEFAULT_PAIR_MIDPOINT = 35.0
-DEFAULT_PAIR_STEEPNESS = 0.4
-
 
 @dataclass(frozen=True)
 class MatchScore:
@@ -54,10 +49,10 @@ class MatchScore:
 def lgs_pair_budget(
     count_a: int,
     count_b: int,
-    min_pairs: int = DEFAULT_MIN_PAIRS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    midpoint: float = DEFAULT_PAIR_MIDPOINT,
-    steepness: float = DEFAULT_PAIR_STEEPNESS,
+    min_pairs: int,
+    max_pairs: int,
+    midpoint: float,
+    steepness: float,
 ) -> int:
     """How many vector pairs to average, given both impressions' counts.
 
@@ -76,10 +71,10 @@ def lgs_pair_budget(
 def lgs_score(
     vectors_a: np.ndarray,
     vectors_b: np.ndarray,
-    min_pairs: int = DEFAULT_MIN_PAIRS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    midpoint: float = DEFAULT_PAIR_MIDPOINT,
-    steepness: float = DEFAULT_PAIR_STEEPNESS,
+    min_pairs: int,
+    max_pairs: int,
+    midpoint: float,
+    steepness: float,
 ) -> MatchScore:
     """Greedy one-to-one comparison of two fused matrices (lower = more similar).
 
@@ -162,13 +157,13 @@ def masked_score(
     query: BitString,
     enrolled: BitString,
     model: FingerModel,
-    mask_both: bool = True,
+    mask_both: bool,
 ) -> MatchScore:
     """Intersection score under a finger's trained positional mask.
 
-    By default the mask is applied to both strings; with ``mask_both=False``
-    only the enrolled side is restricted (a query from an unknown sensor
-    keeps all its bits).
+    With ``mask_both`` the mask is applied to both strings; without it only
+    the enrolled side is restricted (a query from an unknown sensor keeps
+    all its bits).
 
     Raises:
         LengthMismatch: mask length does not fit the strings.
@@ -236,7 +231,7 @@ def masked_scores(
     query: np.ndarray,
     enrolled: np.ndarray,
     masks: np.ndarray,
-    mask_both: bool = True,
+    mask_both: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`masked_score` row by row: ``masks[i]`` gates pair ``i``.
 

@@ -27,7 +27,7 @@ from .bit_training import FingerModel
 from .codebook import BitString, Codebook
 from .config import PipelineConfig, parse_config, serialize_config
 from .errors import BadMagic, MalformedHeader, TruncatedRecord, UnsupportedVersion
-from .local_structures import SpreadModel, StructureGeometry
+from .local_structures import StructureGeometry
 from .subspace_fusion import PcaModel
 from .template_io import read_bytes
 
@@ -43,8 +43,8 @@ _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 class PipelineModel:
     """Everything needed to turn a (template, image) pair into a bit-string.
 
-    ``config`` is the only home of every configured value; ``geometry`` and
-    ``spread`` are derived from it.
+    ``config`` is the only home of every configured value; ``geometry`` is
+    derived from it.
     """
 
     config: PipelineConfig
@@ -52,24 +52,9 @@ class PipelineModel:
     pca_t: PcaModel
     codebook: Codebook
     geometry: StructureGeometry = field(init=False)
-    spread: SpreadModel = field(init=False)
 
     def __post_init__(self):
-        self.geometry = geometry_from_config(self.config)
-        self.spread = spread_from_config(self.config)
-
-
-def geometry_from_config(config: PipelineConfig) -> StructureGeometry:
-    return StructureGeometry.create(config.r_m, config.r_t, config.downscale_area)
-
-
-def spread_from_config(config: PipelineConfig) -> SpreadModel:
-    return SpreadModel(
-        sigma_t0=config.sigma_t0,
-        sigma_t_slope=config.sigma_t_slope,
-        sigma_r0=config.sigma_r0,
-        sigma_r_slope=config.sigma_r_slope,
-    )
+        self.geometry = StructureGeometry.from_config(self.config)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +327,9 @@ def load_bitstring(data: bytes) -> BitString:
         )
     if len(data) > 16 + nbytes:
         raise MalformedHeader(f"{len(data) - 16 - nbytes} bytes follow the payload")
+    # the last byte is zero-padded, so each string has exactly one encoding
+    if fold_length % 8 and raw[-1] & ((1 << (8 - fold_length % 8)) - 1):
+        raise MalformedHeader(f"padding bits after bit {fold_length} are not zero")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:fold_length].astype(bool)
     return BitString(bits, template_length=template_length)
 

@@ -31,7 +31,6 @@ from .codebook import (
 from .config import PipelineConfig
 from .errors import EmptyScores, EmptyTrainingSet
 from .local_structures import (
-    SpreadModel,
     StructureGeometry,
     mbls_matrix,
     normalize_image,
@@ -45,11 +44,7 @@ from .matching import (
     masked_scores,
     stack_bits,
 )
-from .model_store import (
-    PipelineModel,
-    geometry_from_config,
-    spread_from_config,
-)
+from .model_store import PipelineModel
 from .protocol import (
     POLARITY_DISSIMILARITY,
     POLARITY_SIMILARITY,
@@ -75,13 +70,12 @@ def raw_structures(
     template: MinutiaTemplate,
     image: GrayImage,
     geometry: StructureGeometry,
-    spread: SpreadModel,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Descriptors of both families, pre-projection: ``(n, n_m)`` and ``(n, n_t)``.
 
     Row ``i`` of each belongs to ``template.minutiae[i]``.
     """
-    mbls = mbls_matrix(template.minutiae, geometry, spread)
+    mbls = mbls_matrix(template.minutiae, geometry)
     tbls = tbls_matrix(template.minutiae, normalize_image(image), geometry, fill=0.0)
     return mbls, tbls
 
@@ -91,7 +85,7 @@ def fused_vectors(
 ) -> np.ndarray:
     """Project and fuse every minutia: the ``(n_minutiae, 2 * n_p)`` fused matrix."""
     cfg = model.config
-    mbls, tbls = raw_structures(template, image, model.geometry, model.spread)
+    mbls, tbls = raw_structures(template, image, model.geometry)
     return fuse_matrix(
         project(model.pca_m, mbls), project(model.pca_t, tbls), cfg.omega_M, cfg.omega_T
     )
@@ -174,14 +168,13 @@ def train_model(
     """
     if not items:
         raise EmptyTrainingSet("training dataset is empty")
-    geometry = geometry_from_config(config)
-    spread = spread_from_config(config)
+    geometry = StructureGeometry.from_config(config)
     keys = sorted(items.keys())
     counts = [len(items[key][0].minutiae) for key in keys]
 
     # one impression's rows of either family at the given minutia indices
     def minutia_rows(template, _):
-        return lambda local: mbls_matrix(template.minutiae, geometry, spread, refs=local)
+        return lambda local: mbls_matrix(template.minutiae, geometry, refs=local)
 
     def texture_rows(template, image):
         return lambda local: tbls_matrix(
@@ -290,11 +283,15 @@ def encode_dataset(
 # ---------------------------------------------------------------------------
 
 def _split_keys(
-    encoded: Dict[Tuple[str, str], EncodedImpression], enroll_size: int
+    keyed: Dict[Tuple[str, str], object], enroll_size: int
 ) -> Dict[str, Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]]:
-    """Per subject: (enrollment keys, test keys), impression order sorted."""
+    """Per subject: (enrollment keys, test keys) of a dataset or encoded grid.
+
+    Impressions are in sorted order, and the first ``enroll_size`` of each
+    subject enroll it.
+    """
     by_subject: Dict[str, List[Tuple[str, str]]] = {}
-    for key in sorted(encoded.keys()):
+    for key in sorted(keyed.keys()):
         by_subject.setdefault(key[0], []).append(key)
     return {
         s: (keys[:enroll_size], keys[enroll_size:]) for s, keys in by_subject.items()

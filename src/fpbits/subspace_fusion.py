@@ -201,25 +201,12 @@ def _znorm_rows(matrix: np.ndarray) -> np.ndarray:
     return np.divide(centred, std, out=np.zeros_like(centred), where=std != 0.0)
 
 
-@dataclass
-class FusedVector:
-    """Weighted concatenation of both projected descriptors for one minutia."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def fuse(
     minutia_part: np.ndarray,
     texture_part: np.ndarray,
-    weight_m: float = 0.6,
-    weight_t: float = 0.4,
-) -> FusedVector:
+    weight_m: float,
+    weight_t: float,
+) -> np.ndarray:
     """Fuse the two projected descriptors of one minutia.
 
     Both parts are z-normalized independently, scaled by their fusion
@@ -232,14 +219,14 @@ def fuse(
         raise LengthMismatch(
             f"projected parts differ in length: {a.shape[0]} vs {b.shape[0]}"
         )
-    return FusedVector(np.concatenate([weight_m * znorm(a), weight_t * znorm(b)]))
+    return np.concatenate([weight_m * znorm(a), weight_t * znorm(b)])
 
 
 def fuse_matrix(
     minutia_part: np.ndarray,
     texture_part: np.ndarray,
-    weight_m: float = 0.6,
-    weight_t: float = 0.4,
+    weight_m: float,
+    weight_t: float,
 ) -> np.ndarray:
     """Fuse the projected descriptors of a whole impression, row by row.
 

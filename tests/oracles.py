@@ -27,7 +27,8 @@ from fpbits.codebook import (
     kmeans_train,
 )
 from fpbits.errors import EmptyTrainingSet, PoolTooSmall
-from fpbits.model_store import PipelineModel, geometry_from_config, spread_from_config
+from fpbits.local_structures import StructureGeometry
+from fpbits.model_store import PipelineModel
 from fpbits.pipeline import _STREAM_PCA_SUBSAMPLE, raw_structures
 from fpbits.subspace_fusion import fuse_matrix, project, train_pca_inplace
 from fpbits.synth import keyed_rng
@@ -64,8 +65,8 @@ def kmeanspp_init_oracle(x: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def kmeans_train_oracle(
     pool,
     k: int,
-    max_iters: int = 100,
-    seed: int = 0,
+    max_iters: int,
+    seed: int,
     trace: Optional[List[float]] = None,
 ) -> np.ndarray:
     """Lloyd's algorithm with a fresh distance matrix and a mask per cluster."""
@@ -123,8 +124,7 @@ def train_model_oracle(items, config) -> PipelineModel:
     """The one-pass fit: both full descriptor matrices, then one family at a time."""
     if not items:
         raise EmptyTrainingSet("training dataset is empty")
-    geometry = geometry_from_config(config)
-    spread = spread_from_config(config)
+    geometry = StructureGeometry.from_config(config)
     keys = sorted(items.keys())
     counts = [len(items[key][0].minutiae) for key in keys]
     m_matrix = np.empty((sum(counts), geometry.n_m))
@@ -132,7 +132,7 @@ def train_model_oracle(items, config) -> PipelineModel:
     bounds = np.concatenate([[0], np.cumsum(counts)])
     for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
         template, image = items[key]
-        m_matrix[lo:hi], t_matrix[lo:hi] = raw_structures(template, image, geometry, spread)
+        m_matrix[lo:hi], t_matrix[lo:hi] = raw_structures(template, image, geometry)
 
     def project_each(pca, matrix):
         # one product per impression, as encode_impression forms it

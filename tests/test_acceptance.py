@@ -17,12 +17,10 @@ from fpbits.bit_training import adaptive_threshold
 from fpbits.config import PipelineConfig
 from fpbits.errors import FpbitsError
 from fpbits.local_structures import (
-    SpreadModel,
     StructureGeometry,
     build_mbls,
     gaussian_response,
     local_frame,
-    mbls_distance,
 )
 from fpbits.matching import fold_compress, intersection_score, lgs_pair_budget
 from fpbits.protocol import fvc_pairs
@@ -71,8 +69,7 @@ def full_scale():
 
 def test_criterion_01_unit_norm():
     rng = np.random.default_rng(101)
-    geometry = StructureGeometry.create(r_m=80.0, r_t=40.0, downscale_area=10.0)
-    spread = SpreadModel()
+    geometry = StructureGeometry.from_config(PipelineConfig())
 
     count = nonzero = 0
     worst = 0.0
@@ -87,7 +84,7 @@ def test_criterion_01_unit_norm():
             )
         ]
         for ref in minutiae:
-            vec = build_mbls(ref, minutiae, geometry, spread)
+            vec = build_mbls(ref, minutiae, geometry)
             count += 1
             norm = float(np.linalg.norm(vec))
             if norm > 0.0:
@@ -104,7 +101,7 @@ def test_criterion_01_unit_norm():
     )
 
 
-def _raw_mixture(ref, neighbors, geometry, spread) -> np.ndarray:
+def _raw_mixture(ref, neighbors, geometry) -> np.ndarray:
     """Bump sum over the descriptor lattice, without the final normalization."""
     scale = geometry.position_scale
     lattice = geometry.lattice_m.astype(np.float64)
@@ -113,7 +110,8 @@ def _raw_mixture(ref, neighbors, geometry, spread) -> np.ndarray:
         u, v, rho = local_frame(ref, m)
         if rho > geometry.r_m:
             continue
-        sig_t, sig_r = spread.sigma_at(rho)
+        sig_t = geometry.sigma_t0 + geometry.sigma_t_slope * rho
+        sig_r = geometry.sigma_r0 + geometry.sigma_r_slope * rho
         acc += gaussian_response(
             lattice,
             (u * scale, v * scale),
@@ -128,8 +126,7 @@ def test_criterion_02_matched_pair_distances():
     # only in how many identical matched neighbors sit alongside it.  The
     # unnormalized difference is then the same bump pair in both scenarios,
     # while normalization lets the shared mass pull the vectors together.
-    geometry = StructureGeometry.create(r_m=80.0, r_t=40.0, downscale_area=10.0)
-    spread = SpreadModel()
+    geometry = StructureGeometry.from_config(PipelineConfig())
     ref = Minutia(0.0, 0.0, 0.0)
     matched = [
         Minutia(30.0, 10.0, 1.0),
@@ -146,14 +143,13 @@ def test_criterion_02_matched_pair_distances():
         side_b = matched[:k] + [odd_b]
         raw_ed[k] = float(
             np.linalg.norm(
-                _raw_mixture(ref, side_a, geometry, spread)
-                - _raw_mixture(ref, side_b, geometry, spread)
+                _raw_mixture(ref, side_a, geometry)
+                - _raw_mixture(ref, side_b, geometry)
             )
         )
-        norm_ed[k] = mbls_distance(
-            build_mbls(ref, side_a, geometry, spread),
-            build_mbls(ref, side_b, geometry, spread),
-        )
+        norm_ed[k] = float(np.linalg.norm(
+            build_mbls(ref, side_a, geometry) - build_mbls(ref, side_b, geometry)
+        ))
 
     gap = abs(raw_ed[1] - raw_ed[3])
     ok = gap <= 1e-9 and norm_ed[3] < norm_ed[1]
@@ -221,11 +217,10 @@ def test_criterion_04_rigid_motion(full_scale):
         for m in minutiae_a
     ]
 
-    spread = pipeline.spread_from_config(model.config)
     worst = 0.0
     for ma, mb in zip(minutiae_a, minutiae_b):
-        va = build_mbls(ma, minutiae_a, model.geometry, spread)
-        vb = build_mbls(mb, minutiae_b, model.geometry, spread)
+        va = build_mbls(ma, minutiae_a, model.geometry)
+        vb = build_mbls(mb, minutiae_b, model.geometry)
         worst = max(worst, float(np.max(np.abs(va - vb))))
 
     # Band-limited texture: a few plane waves well under the sampling limit,
@@ -277,7 +272,9 @@ def test_criterion_05_kmeans_convergence():
         rng = np.random.default_rng(500 + trial)
         x = rng.normal(size=(120, 6)) * rng.uniform(0.5, 2.0, size=6)
         trace: list = []
-        centroids = kmeans_train(x, k=8, seed=trial, trace=trace)
+        centroids = kmeans_train(
+            x, k=8, max_iters=PipelineConfig().kmeans_max_iters, seed=trial, trace=trace
+        )
 
         scale = max(1.0, trace[0])
         if len(trace) > 1:
@@ -379,10 +376,12 @@ def test_criterion_07_threshold_midpoint():
 
 
 def test_criterion_08_pair_budget():
-    at_midpoint = lgs_pair_budget(35, 35)
-    floor_small = lgs_pair_budget(1, 50)
-    floor_min_side = lgs_pair_budget(1000, 1)
-    ceiling = lgs_pair_budget(1000, 1000)
+    cfg = PipelineConfig()
+    params = (cfg.min_nL, cfg.max_nL, cfg.mu_P, cfg.tau_P)
+    at_midpoint = lgs_pair_budget(35, 35, *params)
+    floor_small = lgs_pair_budget(1, 50, *params)
+    floor_min_side = lgs_pair_budget(1000, 1, *params)
+    ceiling = lgs_pair_budget(1000, 1000, *params)
 
     ok = (
         at_midpoint == 7

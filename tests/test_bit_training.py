@@ -14,10 +14,14 @@ from fpbits.bit_training import (
     train_mask,
 )
 from fpbits.codebook import BitString, DistanceVector
+from fpbits.config import PipelineConfig
 from fpbits.errors import EmptyEnrollment, LengthMismatch
 
+# the default config's reliability bar: floor and steepness
+ALPHA, BETA = PipelineConfig().alpha, PipelineConfig().beta
 
-def sigmoid_bar(t, n_mean, alpha=0.45, beta=0.4):
+
+def sigmoid_bar(t, n_mean, alpha=ALPHA, beta=BETA):
     # independent rendering of the threshold formula
     return alpha + (1.0 - alpha) / (1.0 + math.exp(-beta * (t - n_mean)))
 
@@ -70,9 +74,9 @@ def test_reliability_fraction():
 
 def test_threshold_midpoint_exact():
     # at rank == mean minutia count the bar sits exactly halfway to 1
-    assert abs(adaptive_threshold(2.0, 2.0) - 0.725) < 1e-12
-    assert abs(adaptive_threshold(7.0, 7.0, alpha=0.45) - 0.725) < 1e-12
-    assert abs(adaptive_threshold(3.0, 3.0, alpha=0.2) - 0.6) < 1e-12
+    assert abs(adaptive_threshold(2.0, 2.0, ALPHA, BETA) - 0.725) < 1e-12
+    assert abs(adaptive_threshold(7.0, 7.0, alpha=0.45, beta=BETA) - 0.725) < 1e-12
+    assert abs(adaptive_threshold(3.0, 3.0, alpha=0.2, beta=BETA) - 0.6) < 1e-12
 
 
 def test_threshold_rank_values():
@@ -83,17 +87,17 @@ def test_threshold_rank_values():
         (3, 0.45 + 0.55 / (1.0 + math.exp(-0.4))),
         (4, 0.45 + 0.55 / (1.0 + math.exp(-0.8))),
     ]:
-        assert abs(adaptive_threshold(t, 2.0) - want) < 1e-15
-        assert abs(adaptive_threshold(t, 2.0) - sigmoid_bar(t, 2.0)) < 1e-15
-    assert abs(adaptive_threshold(1, 2.0) - 0.6707217869) < 1e-9
-    assert abs(adaptive_threshold(3, 2.0) - 0.7792782131) < 1e-9
-    assert abs(adaptive_threshold(4, 2.0) - 0.8294859646) < 1e-9
+        assert abs(adaptive_threshold(t, 2.0, ALPHA, BETA) - want) < 1e-15
+        assert abs(adaptive_threshold(t, 2.0, ALPHA, BETA) - sigmoid_bar(t, 2.0)) < 1e-15
+    assert abs(adaptive_threshold(1, 2.0, ALPHA, BETA) - 0.6707217869) < 1e-9
+    assert abs(adaptive_threshold(3, 2.0, ALPHA, BETA) - 0.7792782131) < 1e-9
+    assert abs(adaptive_threshold(4, 2.0, ALPHA, BETA) - 0.8294859646) < 1e-9
 
 
 def test_threshold_strictly_increasing_and_bounded():
     # strictly increasing while doubles can resolve the increments; once the
     # sigmoid saturates the bar must hold at the supremum, never dip
-    values = [adaptive_threshold(t, 25.0) for t in range(1, 201)]
+    values = [adaptive_threshold(t, 25.0, ALPHA, BETA) for t in range(1, 201)]
     assert all(b > a for a, b in zip(values[:100], values[1:100]))
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[0] > 0.45
@@ -109,7 +113,7 @@ def test_threshold_saturated_sigmoid_takes_its_limit():
     assert adaptive_threshold(200, 39.0, alpha=0.45, beta=50.0) == 1.0
     # ranks where exp stays finite keep the formula's value
     for t in (30, 38, 39, 40, 50):
-        assert adaptive_threshold(t, 39.0, beta=50.0) == sigmoid_bar(t, 39.0, beta=50.0)
+        assert adaptive_threshold(t, 39.0, ALPHA, beta=50.0) == sigmoid_bar(t, 39.0, beta=50.0)
 
 
 def test_train_mask_under_a_saturated_bar():
@@ -128,7 +132,7 @@ def test_train_mask_under_a_saturated_bar():
 def test_train_mask_worked_example():
     power = np.array([4.0, 3.0, 2.0, 1.0])
     rel = np.array([0.9, 0.5, 0.9, 0.9])
-    mask = train_mask(power, rel, n_mean=2.0)
+    mask = train_mask(power, rel, 2.0, ALPHA, BETA)
     # ranks visit indices 0..3; bars ~0.671, 0.725, 0.779, 0.829
     assert mask.tolist() == [True, False, True, True]
 
@@ -137,7 +141,7 @@ def test_train_mask_threshold_is_strict():
     # reliability exactly at the bar is rejected
     power = np.array([5.0, 1.0])
     rel = np.array([0.725, 1.0])
-    mask = train_mask(power, rel, n_mean=1.0)  # rank 1 bar = midpoint = 0.725
+    mask = train_mask(power, rel, 1.0, ALPHA, BETA)  # rank 1 bar = midpoint = 0.725
     assert mask.tolist() == [False, True]
 
 
@@ -145,7 +149,7 @@ def test_train_mask_tie_breaks_by_index():
     power = np.array([2.0, 2.0, 2.0])
     # ranks 1..3 in index order; bars rise, so which slot a bit lands in matters
     rel = np.array([0.70, 0.70, 0.70])
-    mask = train_mask(power, rel, n_mean=2.0)
+    mask = train_mask(power, rel, 2.0, ALPHA, BETA)
     # bar(1) ~= 0.671 < 0.70, bar(2) = 0.725 > 0.70, bar(3) ~= 0.779 > 0.70
     assert mask.tolist() == [True, False, False]
 
@@ -154,7 +158,7 @@ def test_train_mask_visits_every_position():
     rng = np.random.default_rng(137)
     power = rng.uniform(0.0, 1.0, 50)
     rel = np.ones(50)  # perfectly reliable bits clear any bar below 1
-    mask = train_mask(power, rel, n_mean=10.0)
+    mask = train_mask(power, rel, 10.0, ALPHA, BETA)
     assert mask.all()
 
 
@@ -165,7 +169,7 @@ def test_train_mask_oracle_sweep():
         power = np.round(rng.uniform(0, 3, k), 3)
         rel = np.round(rng.uniform(0, 1, k), 3)
         n_mean = float(rng.uniform(1, 15))
-        got = train_mask(power, rel, n_mean)
+        got = train_mask(power, rel, n_mean, ALPHA, BETA)
         order = sorted(range(k), key=lambda i: (-power[i], i))
         want = np.zeros(k, dtype=bool)
         for t, idx in enumerate(order, start=1):
@@ -175,7 +179,7 @@ def test_train_mask_oracle_sweep():
 
 def test_train_mask_length_mismatch():
     with pytest.raises(LengthMismatch):
-        train_mask(np.zeros(3), np.zeros(4), 1.0)
+        train_mask(np.zeros(3), np.zeros(4), 1.0, ALPHA, BETA)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +197,14 @@ def test_train_finger_assembles_parts():
         BitString(np.array([1, 0, 1, 0], dtype=bool)),
         BitString(np.array([1, 0, 1, 1], dtype=bool)),
     ]
-    finger = train_finger("s7", vectors, strings, [30, 34], mu, weights)
+    finger = train_finger("s7", vectors, strings, [30, 34], mu, weights, ALPHA, BETA)
     assert finger.finger_id == "s7"
     assert finger.n_mean == 32.0
     assert np.allclose(finger.power, discrimination_power(
         interclass_variance(vectors, mu), weights))
     assert np.allclose(finger.reliability, [1.0, 0.0, 1.0, 0.5])
     assert np.array_equal(
-        finger.mask, train_mask(finger.power, finger.reliability, 32.0)
+        finger.mask, train_mask(finger.power, finger.reliability, 32.0, ALPHA, BETA)
     )
     assert finger.k == 4
 
@@ -211,8 +215,8 @@ def test_train_finger_empty_errors():
     dv = [DistanceVector(np.zeros(2))]
     bs = [BitString(np.zeros(2, dtype=bool))]
     with pytest.raises(EmptyEnrollment):
-        train_finger("x", [], bs, [5], mu, w)
+        train_finger("x", [], bs, [5], mu, w, ALPHA, BETA)
     with pytest.raises(EmptyEnrollment):
-        train_finger("x", dv, [], [5], mu, w)
+        train_finger("x", dv, [], [5], mu, w, ALPHA, BETA)
     with pytest.raises(EmptyEnrollment):
-        train_finger("x", dv, bs, [], mu, w)
+        train_finger("x", dv, bs, [], mu, w, ALPHA, BETA)

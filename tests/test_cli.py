@@ -1,15 +1,23 @@
 """Command-line lifecycle on a miniature dataset."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from fpbits import cli
+from fpbits import cli, pipeline
 from fpbits.cli import load_dataset, main, save_dataset
+from fpbits.codebook import BitString
 from fpbits.errors import FpbitsError
 from fpbits.matching import fold_compress, intersection_score, masked_score
-from fpbits.model_store import load_bitstring, load_finger, load_model_file, save_bitstring
+from fpbits.model_store import (
+    load_bitstring,
+    load_finger,
+    load_model_file,
+    save_bitstring,
+    save_finger,
+)
 from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import (
     GrayImage,
@@ -99,6 +107,31 @@ def test_encode_output(workdir):
 def test_enroll_output(workdir):
     names = sorted(os.listdir(workdir["fingers"]))
     assert names == ["s001.fpfm", "s002.fpfm", "s003.fpfm"]
+
+
+def test_enroll_encodes_only_the_enrollment_impressions(workdir, tmp_path, monkeypatch):
+    items = load_dataset(workdir["data"])
+    model = load_model_file(workdir["model"])
+    # the fingers as enrolled from the whole encoded grid
+    encoded = pipeline.encode_dataset(items, model)
+    split = pipeline._split_keys(encoded, model.config.enroll_size)
+    want = {sid: save_finger(*pipeline.enroll_subject([encoded[k] for k in keys], model))
+            for sid, (keys, _) in split.items()}
+
+    calls = []
+    encode = pipeline.encode_impression
+
+    def counting(template, image, model):
+        calls.append((template.subject_id, template.impression_id))
+        return encode(template, image, model)
+
+    monkeypatch.setattr(pipeline, "encode_impression", counting)
+    out = tmp_path / "fingers"
+    assert main(["enroll", "--dataset", workdir["data"], "--model", workdir["model"],
+                 "--out-dir", str(out)]) == 0
+    # enroll_size = 2 of each subject's 4 impressions
+    assert sorted(calls) == [(s, i) for s in ("s001", "s002", "s003") for i in ("01", "02")]
+    assert {sid: (out / f"{sid}.fpfm").read_bytes() for sid in want} == want
 
 
 def test_match_bits(workdir, tmp_path, capsys):
@@ -313,6 +346,15 @@ def test_compress_bad_lengths_exit_2_with_one_line(workdir, capsys, lengths, nam
     assert len(err.strip().splitlines()) == 1
 
 
+def test_inspect_bits_with_nonzero_padding_exits_2_with_one_line(tmp_path, capsys):
+    blob = bytearray(save_bitstring(BitString(np.zeros(33, dtype=bool))))
+    blob[-1] |= 0x7F
+    path = tmp_path / "s001_01.fpbs"
+    path.write_bytes(bytes(blob))
+    assert main(["inspect", "--bits", str(path)]) == 2
+    assert_one_error_line(capsys, "padding")
+
+
 def test_inspect_nothing(capsys):
     assert main(["inspect"]) == 2
     out, err = capsys.readouterr()
@@ -471,6 +513,17 @@ def test_synth_bad_argument_exits_2_with_one_line(tmp_path, capsys, flag, value,
                  flag, value]) == 2
     assert_one_error_line(capsys, named)
     assert not out.exists()
+
+
+def test_synth_flags_set_only_the_fields_given(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "synth_dataset", lambda params: seen.append(params) or {})
+    assert main(["synth", "--out", str(tmp_path / "a")]) == 0
+    assert main(["synth", "--out", str(tmp_path / "b"), "--subjects", "3",
+                 "--noise-std", "2.5", "--seed", "7"]) == 0
+    assert seen == [SynthParams(), SynthParams(n_subjects=3, noise_std=2.5, seed=7)]
+    fields = {f.name for f in dataclasses.fields(SynthParams)}
+    assert {name for _, name, _, _ in cli._SYNTH_FLAGS} <= fields
 
 
 def test_train_non_utf8_template_exits_2_with_one_line(tmp_path, capsys):

@@ -19,6 +19,7 @@ from fpbits.codebook import (
     kmeans_objective,
     kmeans_train,
 )
+from fpbits.config import PipelineConfig
 from fpbits.errors import (
     DegeneratePool,
     EmptyImage,
@@ -27,6 +28,8 @@ from fpbits.errors import (
     PoolTooSmall,
 )
 from oracles import distances_oracle, kmeans_train_oracle, kmeanspp_init_oracle
+
+MAX_ITERS = PipelineConfig().kmeans_max_iters
 
 
 def brute_distances(x, centroids):
@@ -69,8 +72,8 @@ def test_bitstring_basics():
 def test_kmeans_deterministic_in_seed():
     rng = np.random.default_rng(101)
     x = rng.normal(size=(80, 6))
-    a = kmeans_train(x, 8, seed=3)
-    b = kmeans_train(x.copy(), 8, seed=3)
+    a = kmeans_train(x, 8, max_iters=MAX_ITERS, seed=3)
+    b = kmeans_train(x.copy(), 8, max_iters=MAX_ITERS, seed=3)
     assert np.array_equal(a, b)
 
 
@@ -79,7 +82,7 @@ def test_kmeans_objective_trace_non_increasing():
     for trial in range(5):
         x = rng.normal(size=(int(rng.integers(40, 120)), 5))
         trace = []
-        kmeans_train(x, 6, seed=trial, trace=trace)
+        kmeans_train(x, 6, max_iters=MAX_ITERS, seed=trial, trace=trace)
         assert len(trace) >= 1
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
@@ -87,7 +90,7 @@ def test_kmeans_objective_trace_non_increasing():
 def test_kmeans_assignment_matches_brute_force():
     rng = np.random.default_rng(107)
     x = rng.normal(size=(90, 4))
-    centroids = kmeans_train(x, 7, seed=1)
+    centroids = kmeans_train(x, 7, max_iters=MAX_ITERS, seed=1)
     fast = np.argmin(
         ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1
     )
@@ -105,7 +108,7 @@ def test_kmeans_survives_duplicate_heavy_pool():
     base = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     x = np.repeat(base, 10, axis=0)
     trace = []
-    centroids = kmeans_train(x, 5, seed=0, trace=trace)
+    centroids = kmeans_train(x, 5, max_iters=MAX_ITERS, seed=0, trace=trace)
     assert centroids.shape == (5, 2)
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
     assert np.isfinite(centroids).all()
@@ -157,8 +160,8 @@ def test_kmeanspp_init_matches_direct_form_oracle(x, k):
 def test_kmeans_train_matches_lloyd_oracle(x, k):
     for seed in range(2):
         trace, want_trace = [], []
-        got = kmeans_train(x, k, seed=seed, trace=trace)
-        want = kmeans_train_oracle(x, k, seed=seed, trace=want_trace)
+        got = kmeans_train(x, k, max_iters=MAX_ITERS, seed=seed, trace=trace)
+        want = kmeans_train_oracle(x, k, max_iters=MAX_ITERS, seed=seed, trace=want_trace)
         assert np.array_equal(got, want), seed
         assert np.array_equal(trace, want_trace), seed
         assert np.array_equal(_distances(x, got), distances_oracle(x, got))
@@ -178,9 +181,9 @@ def test_kmeans_train_cut_at_max_iters_matches_oracle(x, k, max_iters):
 
 def test_kmeans_pool_errors():
     with pytest.raises(PoolTooSmall):
-        kmeans_train(np.zeros((3, 2)), 4)
+        kmeans_train(np.zeros((3, 2)), 4, MAX_ITERS, 0)
     with pytest.raises(PoolTooSmall):
-        kmeans_train(np.zeros((3, 2)), 0)
+        kmeans_train(np.zeros((3, 2)), 0, MAX_ITERS, 0)
 
 
 def test_kmeans_objective_value():
@@ -196,7 +199,7 @@ def test_kmeans_objective_value():
 def test_radii_brute_force_oracle():
     rng = np.random.default_rng(109)
     x = rng.normal(size=(40, 3))
-    centroids = kmeans_train(x, 4, seed=2)
+    centroids = kmeans_train(x, 4, max_iters=MAX_ITERS, seed=2)
     n_boundary = 6
     got = estimate_radii(x, centroids, n_boundary)
     d = brute_distances(x, centroids)
@@ -259,7 +262,7 @@ def test_adjusted_assignment_tie_goes_to_smallest_index():
 def test_cardinalities_sum_and_oracle():
     rng = np.random.default_rng(113)
     x = rng.normal(size=(50, 2))
-    centroids = kmeans_train(x, 5, seed=0)
+    centroids = kmeans_train(x, 5, max_iters=MAX_ITERS, seed=0)
     radii = estimate_radii(x, centroids, 4)
     card = cluster_cardinalities(x, centroids, radii)
     assert card.sum() == 50

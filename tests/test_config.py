@@ -1,6 +1,8 @@
 """Configuration text: parsing and field validation."""
 
 import dataclasses
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -25,6 +27,7 @@ def test_defaults_roundtrip():
         "r_t = nan",
         "downscale_area = 0.5",
         "sigma_r0 = 0",
+        "sigma_t0 = 0",
         "sigma_t0 = inf",
         "sigma_t_slope = 0.01",  # below the default radial slope, 0.02
         "sigma_r_slope = 0",
@@ -48,6 +51,45 @@ def test_defaults_roundtrip():
 def test_invalid_values_are_typed_errors(line):
     with pytest.raises(MalformedHeader):
         parse_config(line)
+
+
+# every library parameter that takes a config value, by module and function;
+# the caller passes the config's value, so the library spells no second default
+CONFIG_VALUED = {
+    "matching": {
+        "lgs_pair_budget": ("min_pairs", "max_pairs", "midpoint", "steepness"),
+        "lgs_score": ("min_pairs", "max_pairs", "midpoint", "steepness"),
+        "masked_score": ("mask_both",),
+        "masked_scores": ("mask_both",),
+    },
+    "bit_training": {
+        "adaptive_threshold": ("alpha", "beta"),
+        "train_mask": ("alpha", "beta"),
+        "train_finger": ("alpha", "beta"),
+    },
+    "subspace_fusion": {
+        "fuse": ("weight_m", "weight_t"),
+        "fuse_matrix": ("weight_m", "weight_t"),
+    },
+    "codebook": {
+        "estimate_radii": ("n_boundary",),
+        "kmeans_train": ("max_iters", "seed"),
+    },
+}
+CONFIG_PARAMS = [
+    (module, func, name)
+    for module, funcs in CONFIG_VALUED.items()
+    for func, names in funcs.items()
+    for name in names
+]
+
+
+@pytest.mark.parametrize("module, func, name", CONFIG_PARAMS,
+                         ids=[f"{f}.{n}" for _, f, n in CONFIG_PARAMS])
+def test_config_valued_parameters_have_no_default(module, func, name):
+    fn = getattr(importlib.import_module(f"fpbits.{module}"), func)
+    param = inspect.signature(fn).parameters[name]
+    assert param.default is inspect.Parameter.empty, (func, name, param.default)
 
 
 def test_boundary_values_are_accepted():

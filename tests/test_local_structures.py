@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 import fpbits.local_structures as local_structures
+from fpbits.config import PipelineConfig
 from fpbits.local_structures import (
-    SpreadModel,
     StructureGeometry,
     bilinear_sample,
     build_mbls,
     extract_tbls,
     gaussian_response,
     local_frame,
-    mbls_distance,
     mbls_matrix,
     normalize_image,
     tbls_matrix,
@@ -23,8 +22,13 @@ from fpbits.local_structures import (
 from fpbits.template_io import GrayImage, Minutia
 
 
+def geometry(**fields):
+    """The geometry of the default config with ``fields`` changed."""
+    return StructureGeometry.from_config(PipelineConfig(**fields))
+
+
 def small_geometry():
-    return StructureGeometry.create(r_m=30.0, r_t=15.0, downscale_area=1.0)
+    return geometry(r_m=30.0, r_t=15.0, downscale_area=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +106,7 @@ def test_gaussian_rotation_consistency():
 # ---------------------------------------------------------------------------
 
 def test_lattice_sizes_match_brute_force():
-    geom = StructureGeometry.create(r_m=80.0, r_t=40.0, downscale_area=10.0)
+    geom = geometry(r_m=80.0, r_t=40.0, downscale_area=10.0)
 
     def count(radius_sq):
         # exact integer threshold: boundary points belong to the disc
@@ -120,7 +124,7 @@ def test_lattice_sizes_match_brute_force():
 
 
 def test_lattice_row_major_order():
-    geom = StructureGeometry.create(r_m=3.0, r_t=2.0, downscale_area=1.0)
+    geom = geometry(r_m=3.0, r_t=2.0, downscale_area=1.0)
     lat = geom.lattice_m
     # y outer, x inner: the flattened order is sorted by (y, x)
     keys = [(int(p[1]), int(p[0])) for p in lat]
@@ -154,34 +158,21 @@ def test_disc_lattice_matches_loop_oracle(radius):
     assert np.array_equal(got, want)
 
 
-def test_spread_model_validation():
-    with pytest.raises(ValueError):
-        SpreadModel(sigma_t0=0.0)
-    with pytest.raises(ValueError):
-        SpreadModel(sigma_t_slope=0.01, sigma_r_slope=0.02)
-    sm = SpreadModel()
-    t0, r0 = sm.sigma_at(0.0)
-    t1, r1 = sm.sigma_at(10.0)
-    assert (t0, r0) == (3.0, 3.0)
-    assert math.isclose(t1, 3.5) and math.isclose(r1, 3.2)
-    assert t1 >= r1  # tangential spread grows at least as fast
-
-
 # ---------------------------------------------------------------------------
 # minutia descriptor
 # ---------------------------------------------------------------------------
 
 def test_mbls_brute_force_oracle():
     # downscale 1 so the raster is directly comparable to a hand rasterizer
-    geom = small_geometry()
-    spread = SpreadModel(sigma_t0=2.0, sigma_t_slope=0.05, sigma_r0=1.5, sigma_r_slope=0.02)
+    geom = geometry(r_m=30.0, r_t=15.0, downscale_area=1.0,
+                    sigma_t0=2.0, sigma_t_slope=0.05, sigma_r0=1.5, sigma_r_slope=0.02)
     ref = Minutia(50.0, 50.0, 0.9)
     others = [
         Minutia(60.0, 55.0, 1.0),
         Minutia(45.0, 40.0, 2.0),
         Minutia(50.0, 95.0, 0.5),  # rho 45 > r_m, out of range
     ]
-    got = build_mbls(ref, [ref] + others, geom, spread)
+    got = build_mbls(ref, [ref] + others, geom)
 
     acc = np.zeros(geom.n_m)
     for m in others:
@@ -192,8 +183,8 @@ def test_mbls_brute_force_oracle():
         c, s = math.cos(ref.theta), math.sin(ref.theta)
         u = c * dx + s * dy
         v = -s * dx + c * dy
-        st = spread.sigma_t0 + spread.sigma_t_slope * rho
-        sr = spread.sigma_r0 + spread.sigma_r_slope * rho
+        st = geom.sigma_t0 + geom.sigma_t_slope * rho
+        sr = geom.sigma_r0 + geom.sigma_r_slope * rho
         ti = math.atan2(v, u) + math.pi / 2
         for idx, (px, py) in enumerate(geom.lattice_m):
             a = math.cos(ti) ** 2 / (2 * st * st) + math.sin(ti) ** 2 / (2 * sr * sr)
@@ -208,9 +199,9 @@ def test_mbls_brute_force_oracle():
 def test_mbls_no_neighbors_is_zero():
     geom = small_geometry()
     ref = Minutia(50.0, 50.0, 0.0)
-    lonely = build_mbls(ref, [ref], geom, SpreadModel())
+    lonely = build_mbls(ref, [ref], geom)
     assert not lonely.any()
-    far = build_mbls(ref, [ref, Minutia(90.0, 90.0, 0.0)], geom, SpreadModel())
+    far = build_mbls(ref, [ref, Minutia(90.0, 90.0, 0.0)], geom)
     assert not far.any()
 
 
@@ -219,19 +210,18 @@ def test_mbls_reference_excluded_by_identity():
     geom = small_geometry()
     ref = Minutia(50.0, 50.0, 0.0)
     twin = Minutia(50.0, 50.0, 1.0)
-    vec = build_mbls(ref, [ref, twin], geom, SpreadModel())
+    vec = build_mbls(ref, [ref, twin], geom)
     assert vec.any()
 
 
 def test_mbls_unit_norm_when_nonzero():
     rng = np.random.default_rng(17)
     geom = small_geometry()
-    spread = SpreadModel()
     for _ in range(100):
         pts = rng.uniform(30, 70, size=(int(rng.integers(1, 8)), 2))
         ref = Minutia(50.0, 50.0, float(rng.uniform(0, 2 * math.pi)))
         others = [Minutia(float(x), float(y), float(rng.uniform(0, 2 * math.pi))) for x, y in pts]
-        vec = build_mbls(ref, [ref] + others, geom, spread)
+        vec = build_mbls(ref, [ref] + others, geom)
         if vec.any():
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
@@ -239,7 +229,6 @@ def test_mbls_unit_norm_when_nonzero():
 def test_mbls_rigid_motion_invariance():
     rng = np.random.default_rng(23)
     geom = small_geometry()
-    spread = SpreadModel()
     for _ in range(20):
         n = int(rng.integers(2, 10))
         pts = rng.uniform(20, 80, size=(n, 2))
@@ -257,15 +246,9 @@ def test_mbls_rigid_motion_invariance():
             for (x, y), t in zip(pts, dirs)
         ]
         for i in range(n):
-            va = build_mbls(original[i], original, geom, spread)
-            vb = build_mbls(moved[i], moved, geom, spread)
+            va = build_mbls(original[i], original, geom)
+            vb = build_mbls(moved[i], moved, geom)
             assert np.max(np.abs(va - vb)) < 1e-6
-
-
-def test_mbls_distance_shape_check():
-    with pytest.raises(ValueError):
-        mbls_distance(np.zeros(3), np.zeros(4))
-    assert mbls_distance(np.ones(4), np.ones(4)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +373,9 @@ def test_bilinear_sample_matches_scalar_oracle(shape):
 MBLS_TOL = 1e-12
 
 
-def mbls_oracle(minutiae, geom, spread):
+def mbls_oracle(minutiae, geom):
     return np.array(
-        [build_mbls(m, minutiae, geom, spread) for m in minutiae]
+        [build_mbls(m, minutiae, geom) for m in minutiae]
     ).reshape(len(minutiae), geom.n_m)
 
 
@@ -412,62 +395,62 @@ def random_minutiae(rng, n, lo, hi):
 
 
 def default_geometry():
-    return StructureGeometry.create(r_m=80.0, r_t=40.0, downscale_area=10.0)
+    return geometry()
 
 
 def test_mbls_matrix_matches_build_mbls_at_defaults():
     rng = np.random.default_rng(41)
-    geom, spread = default_geometry(), SpreadModel()
+    geom = default_geometry()
     for n in (2, 5, 40):
         minutiae = random_minutiae(rng, n, 0.0, 256.0)
-        got = mbls_matrix(minutiae, geom, spread)
+        got = mbls_matrix(minutiae, geom)
         assert got.shape == (n, geom.n_m)
-        assert np.max(np.abs(got - mbls_oracle(minutiae, geom, spread))) <= MBLS_TOL
+        assert np.max(np.abs(got - mbls_oracle(minutiae, geom))) <= MBLS_TOL
 
 
 def test_mbls_matrix_blocks_split_references(monkeypatch):
     # three pairs per block, so most references straddle a block boundary
     rng = np.random.default_rng(43)
-    geom, spread = small_geometry(), SpreadModel()
+    geom = small_geometry()
     minutiae = random_minutiae(rng, 12, 30.0, 70.0)
-    whole = mbls_matrix(minutiae, geom, spread)
+    whole = mbls_matrix(minutiae, geom)
     monkeypatch.setattr(local_structures, "_MBLS_BLOCK_ELEMENTS", 3 * geom.n_m)
-    blocked = mbls_matrix(minutiae, geom, spread)
+    blocked = mbls_matrix(minutiae, geom)
     assert np.max(np.abs(blocked - whole)) <= MBLS_TOL
-    assert np.max(np.abs(blocked - mbls_oracle(minutiae, geom, spread))) <= MBLS_TOL
+    assert np.max(np.abs(blocked - mbls_oracle(minutiae, geom))) <= MBLS_TOL
 
 
 def test_mbls_matrix_edge_cases():
-    geom, spread = small_geometry(), SpreadModel()
-    assert mbls_matrix([], geom, spread).shape == (0, geom.n_m)
-    single = mbls_matrix([Minutia(50.0, 50.0, 0.3)], geom, spread)
+    geom = small_geometry()
+    assert mbls_matrix([], geom).shape == (0, geom.n_m)
+    single = mbls_matrix([Minutia(50.0, 50.0, 0.3)], geom)
     assert single.shape == (1, geom.n_m) and not single.any()
 
     # nobody within r_m of anybody: all rows zero, like the oracle
     apart = [Minutia(0.0, 0.0, 0.0), Minutia(100.0, 0.0, 1.0), Minutia(0.0, 100.0, 2.0)]
-    assert not mbls_matrix(apart, geom, spread).any()
+    assert not mbls_matrix(apart, geom).any()
 
     # one isolated minutia among neighbors keeps a zero row
     mixed = [Minutia(50.0, 50.0, 0.0), Minutia(60.0, 52.0, 1.0), Minutia(200.0, 200.0, 2.0)]
-    got = mbls_matrix(mixed, geom, spread)
+    got = mbls_matrix(mixed, geom)
     assert got[:2].any() and not got[2].any()
-    assert np.max(np.abs(got - mbls_oracle(mixed, geom, spread))) <= MBLS_TOL
+    assert np.max(np.abs(got - mbls_oracle(mixed, geom))) <= MBLS_TOL
 
     # two distinct minutiae at one position see each other at distance 0
     twins = [Minutia(50.0, 50.0, 0.0), Minutia(50.0, 50.0, 1.0), Minutia(58.0, 47.0, 2.5)]
-    got = mbls_matrix(twins, geom, spread)
+    got = mbls_matrix(twins, geom)
     assert got.all(axis=1).any()
-    assert np.max(np.abs(got - mbls_oracle(twins, geom, spread))) <= MBLS_TOL
+    assert np.max(np.abs(got - mbls_oracle(twins, geom))) <= MBLS_TOL
 
 
 def test_mbls_matrix_refs_all_rows_is_bit_identical():
     rng = np.random.default_rng(59)
-    geom, spread = default_geometry(), SpreadModel()
+    geom = default_geometry()
     for n in (0, 1, 2, 40):
         minutiae = random_minutiae(rng, n, 0.0, 256.0)
-        whole = mbls_matrix(minutiae, geom, spread)
+        whole = mbls_matrix(minutiae, geom)
         for refs in (np.arange(n), list(range(n))):
-            assert np.array_equal(mbls_matrix(minutiae, geom, spread, refs=refs), whole)
+            assert np.array_equal(mbls_matrix(minutiae, geom, refs=refs), whole)
 
 
 @pytest.mark.parametrize("pairs_per_block", [1, 3, None])
@@ -476,44 +459,44 @@ def test_mbls_matrix_refs_subset_rows(monkeypatch, pairs_per_block):
     # neighbors taken from the whole impression, also when blocks split
     # references differently from the full call
     rng = np.random.default_rng(61)
-    geom, spread = small_geometry(), SpreadModel()
+    geom = small_geometry()
     minutiae = random_minutiae(rng, 14, 30.0, 90.0) + [Minutia(250.0, 250.0, 1.0)]
-    whole = mbls_matrix(minutiae, geom, spread)
-    want = mbls_oracle(minutiae, geom, spread)
+    whole = mbls_matrix(minutiae, geom)
+    want = mbls_oracle(minutiae, geom)
     if pairs_per_block is not None:
         monkeypatch.setattr(
             local_structures, "_MBLS_BLOCK_ELEMENTS", pairs_per_block * geom.n_m
         )
     for refs in ([0], [7], [14], [3, 5, 6, 11], [14, 2, 9], [4, 4, 1], list(range(1, 15, 2))):
-        got = mbls_matrix(minutiae, geom, spread, refs=np.array(refs))
+        got = mbls_matrix(minutiae, geom, refs=np.array(refs))
         assert got.shape == (len(refs), geom.n_m)
         assert np.max(np.abs(got - whole[refs])) <= MBLS_TOL, refs
         assert np.max(np.abs(got - want[refs])) <= MBLS_TOL, refs
     # the last minutia has no neighbor in range: a zero row
-    assert not mbls_matrix(minutiae, geom, spread, refs=[14]).any()
+    assert not mbls_matrix(minutiae, geom, refs=[14]).any()
 
 
 def test_mbls_matrix_refs_edge_cases():
-    geom, spread = small_geometry(), SpreadModel()
+    geom = small_geometry()
     empty_refs = np.array([], dtype=np.intp)
-    assert mbls_matrix([], geom, spread, refs=empty_refs).shape == (0, geom.n_m)
+    assert mbls_matrix([], geom, refs=empty_refs).shape == (0, geom.n_m)
     pair = [Minutia(50.0, 50.0, 0.0), Minutia(60.0, 52.0, 1.0)]
-    assert mbls_matrix(pair, geom, spread, refs=empty_refs).shape == (0, geom.n_m)
+    assert mbls_matrix(pair, geom, refs=empty_refs).shape == (0, geom.n_m)
     # one reference: its neighbor is not itself a reference
-    one = mbls_matrix(pair, geom, spread, refs=[1])
+    one = mbls_matrix(pair, geom, refs=[1])
     assert one.any()
-    assert np.max(np.abs(one[0] - build_mbls(pair[1], pair, geom, spread))) <= MBLS_TOL
+    assert np.max(np.abs(one[0] - build_mbls(pair[1], pair, geom))) <= MBLS_TOL
     # a lone minutia asked for by itself
-    assert not mbls_matrix([Minutia(5.0, 5.0, 2.0)], geom, spread, refs=[0]).any()
+    assert not mbls_matrix([Minutia(5.0, 5.0, 2.0)], geom, refs=[0]).any()
 
 
 def test_mbls_matrix_dense_template_within_tolerance():
     # 100 minutiae packed into one disc: every pair is in range
     rng = np.random.default_rng(47)
-    geom, spread = default_geometry(), SpreadModel()
+    geom = default_geometry()
     minutiae = random_minutiae(rng, 100, 100.0, 150.0)
-    got = mbls_matrix(minutiae, geom, spread)
-    assert np.max(np.abs(got - mbls_oracle(minutiae, geom, spread))) <= MBLS_TOL
+    got = mbls_matrix(minutiae, geom)
+    assert np.max(np.abs(got - mbls_oracle(minutiae, geom))) <= MBLS_TOL
     assert np.allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
 
 
@@ -665,7 +648,7 @@ def test_mbls_matrix_every_block_size(monkeypatch):
     # from one pair per block (each block owned by a single reference) to
     # all pairs in one block; one reference sits among three close neighbors,
     # one minutia is isolated, so blocks also span a reference with no pairs
-    geom, spread = small_geometry(), SpreadModel()
+    geom = small_geometry()
     minutiae = [
         Minutia(50.0, 50.0, 0.2),
         Minutia(60.0, 52.0, 1.0),
@@ -674,12 +657,12 @@ def test_mbls_matrix_every_block_size(monkeypatch):
         Minutia(52.0, 41.0, 4.0),
         Minutia(75.0, 55.0, 5.5),
     ]
-    want = mbls_oracle(minutiae, geom, spread)
+    want = mbls_oracle(minutiae, geom)
     n_pairs = mbls_pair_count(minutiae, geom)
     assert n_pairs == 18
     for rows in range(1, n_pairs + 1):
         monkeypatch.setattr(local_structures, "_MBLS_BLOCK_ELEMENTS", rows * geom.n_m)
-        got = mbls_matrix(minutiae, geom, spread)
+        got = mbls_matrix(minutiae, geom)
         assert np.max(np.abs(got - want)) <= MBLS_TOL, rows
     assert not got[3].any()
 
@@ -688,11 +671,11 @@ def test_mbls_matrix_tiny_lattice_caps_block_rows():
     # 9 lattice points: a block is capped at 9 pairs, so its segment matrix
     # stays within the output's size; the sums are unchanged
     rng = np.random.default_rng(79)
-    geom, spread = StructureGeometry.create(r_m=5.0, r_t=2.0, downscale_area=10.0), SpreadModel()
+    geom = geometry(r_m=5.0, r_t=2.0, downscale_area=10.0)
     assert geom.n_m == 9
     minutiae = random_minutiae(rng, 40, 0.0, 20.0)
-    got = mbls_matrix(minutiae, geom, spread)
-    assert np.max(np.abs(got - mbls_oracle(minutiae, geom, spread))) <= MBLS_TOL
+    got = mbls_matrix(minutiae, geom)
+    assert np.max(np.abs(got - mbls_oracle(minutiae, geom))) <= MBLS_TOL
 
     # 400 minutiae along a strip: the per-pair arrays take about 4 MiB; an
     # uncapped block (7281 pairs) would add segment matrices of about 6 MiB
@@ -702,7 +685,7 @@ def test_mbls_matrix_tiny_lattice_caps_block_rows():
     ]
     tracemalloc.start()
     try:
-        mbls_matrix(strip, geom, spread)
+        mbls_matrix(strip, geom)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -715,14 +698,14 @@ def test_matrix_kernels_peak_memory(kernel):
     # temporary would be about 150 MiB; the blocked kernels need their output
     # plus a few MiB
     rng = np.random.default_rng(83)
-    geom, spread = default_geometry(), SpreadModel()
+    geom = default_geometry()
     minutiae = random_minutiae(rng, 100, 100.0, 150.0)
     assert mbls_pair_count(minutiae, geom) == 9900
     img = rng.normal(size=(256, 256))
     tracemalloc.start()
     try:
         if kernel == "mbls":
-            out = mbls_matrix(minutiae, geom, spread)
+            out = mbls_matrix(minutiae, geom)
         else:
             out = tbls_matrix(minutiae, img, geom)
         _, peak = tracemalloc.get_traced_memory()

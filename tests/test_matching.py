@@ -7,6 +7,7 @@ import pytest
 
 from fpbits.bit_training import FingerModel
 from fpbits.codebook import BitString
+from fpbits.config import PipelineConfig
 from fpbits.errors import BadLength, LengthMismatch
 from fpbits.matching import (
     fold_bits,
@@ -22,6 +23,13 @@ from fpbits.matching import (
 )
 
 
+def pair_args(**overrides):
+    """The default config's pair-budget parameters, as the matchers name them."""
+    cfg = PipelineConfig()
+    return {"min_pairs": cfg.min_nL, "max_pairs": cfg.max_nL, "midpoint": cfg.mu_P,
+            "steepness": cfg.tau_P, **overrides}
+
+
 def bits(*positions, k=10, template_length=None):
     arr = np.zeros(k, dtype=bool)
     for p in positions:
@@ -34,29 +42,31 @@ def bits(*positions, k=10, template_length=None):
 # ---------------------------------------------------------------------------
 
 def test_pair_budget_spot_values():
-    assert lgs_pair_budget(35, 35) == 7  # sigmoid midpoint
-    assert lgs_pair_budget(35, 200) == 7  # smaller count drives it
-    assert lgs_pair_budget(1, 1) == 4
-    assert lgs_pair_budget(0, 50) == 4
-    assert lgs_pair_budget(1000, 1000) == 10
+    assert lgs_pair_budget(35, 35, **pair_args()) == 7  # sigmoid midpoint
+    assert lgs_pair_budget(35, 200, **pair_args()) == 7  # smaller count drives it
+    assert lgs_pair_budget(1, 1, **pair_args()) == 4
+    assert lgs_pair_budget(0, 50, **pair_args()) == 4
+    assert lgs_pair_budget(1000, 1000, **pair_args()) == 10
 
 
 def test_pair_budget_saturated_sigmoid_takes_its_limit():
     # exp(200 * 35) overflows a double: the sigmoid term's limit is 0
-    assert lgs_pair_budget(0, 50, steepness=200.0) == 4
-    assert lgs_pair_budget(10, 10, min_pairs=2, max_pairs=9, steepness=200.0) == 2
-    assert lgs_pair_budget(1000, 1000, steepness=200.0) == 10  # exp underflows to 0
+    assert lgs_pair_budget(0, 50, **pair_args(steepness=200.0)) == 4
+    narrow = pair_args(min_pairs=2, max_pairs=9, steepness=200.0)
+    assert lgs_pair_budget(10, 10, **narrow) == 2
+    assert lgs_pair_budget(1000, 1000, **pair_args(steepness=200.0)) == 10  # exp underflows to 0
     # where exp does not overflow, nothing moves
     for n in (0, 20, 34, 35, 36, 60):
         want = 4 + int(math.floor(6 / (1.0 + math.exp(-3.0 * (n - 35.0)))))
-        assert lgs_pair_budget(n, n, steepness=3.0) == want
-    assert lgs_score(np.zeros((3, 2)), np.ones((5, 2)), steepness=200.0).support == 3
+        assert lgs_pair_budget(n, n, **pair_args(steepness=3.0)) == want
+    steep = pair_args(steepness=200.0)
+    assert lgs_score(np.zeros((3, 2)), np.ones((5, 2)), **steep).support == 3
 
 
 def test_pair_budget_monotone_and_bounded():
     prev = 0
     for n in range(0, 200):
-        b = lgs_pair_budget(n, n)
+        b = lgs_pair_budget(n, n, **pair_args())
         assert 4 <= b <= 10
         assert b >= prev
         prev = b
@@ -91,8 +101,8 @@ def test_lgs_matches_greedy_oracle():
         n_b = int(rng.integers(1, 25))
         a = np.round(rng.normal(size=(n_a, 4)), 3)  # rounding provokes ties
         b = np.round(rng.normal(size=(n_b, 4)), 3)
-        got = lgs_score(a, b)
-        budget = lgs_pair_budget(n_a, n_b)
+        got = lgs_score(a, b, **pair_args())
+        budget = lgs_pair_budget(n_a, n_b, **pair_args())
         picked = greedy_oracle(a, b, budget)
         assert got.support == len(picked)
         assert math.isclose(got.value, float(np.mean(picked)), rel_tol=1e-12)
@@ -103,7 +113,7 @@ def test_lgs_matches_greedy_oracle():
 def test_lgs_single_pair():
     a = np.array([[0.0, 0.0]])
     b = np.array([[3.0, 4.0]])
-    score = lgs_score(a, b)
+    score = lgs_score(a, b, **pair_args())
     assert math.isclose(score.value, 5.0)
     assert score.support == 1 and score.short
 
@@ -111,7 +121,7 @@ def test_lgs_single_pair():
 def test_lgs_identical_sets_score_zero():
     rng = np.random.default_rng(151)
     a = rng.normal(size=(40, 6))
-    score = lgs_score(a, a.copy())
+    score = lgs_score(a, a.copy(), **pair_args())
     assert score.value == 0.0
     assert not score.short
 
@@ -120,14 +130,14 @@ def test_lgs_empty_side():
     a = np.zeros((0, 3))
     b = np.ones((2, 3))
     for x, y in ((a, b), (b, a), (a, a)):
-        score = lgs_score(x, y)
+        score = lgs_score(x, y, **pair_args())
         assert math.isinf(score.value)
         assert score.support == 0 and score.short
 
 
 def test_lgs_dim_mismatch():
     with pytest.raises(LengthMismatch):
-        lgs_score(np.zeros((2, 3)), np.zeros((2, 4)))
+        lgs_score(np.zeros((2, 3)), np.zeros((2, 4)), **pair_args())
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +224,7 @@ def test_masked_score_enrolled_only():
 def test_masked_score_length_check():
     finger = finger_with_mask([1, 0, 1])
     with pytest.raises(LengthMismatch):
-        masked_score(bits(0, k=4), bits(1, k=4), finger)
+        masked_score(bits(0, k=4), bits(1, k=4), finger, mask_both=True)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +355,7 @@ def test_batch_length_checks():
         intersection_scores(np.zeros((3, 10), bool), np.zeros((4, 10), bool))
     with pytest.raises(LengthMismatch):
         masked_scores(np.zeros((3, 4), bool), np.zeros((3, 4), bool),
-                      np.zeros((3, 3), bool))
+                      np.zeros((3, 3), bool), mask_both=True)
     with pytest.raises(LengthMismatch):
         stack_bits([bits(0, k=10), bits(0, k=10, template_length=20)])
     with pytest.raises(LengthMismatch):

@@ -117,6 +117,22 @@ def test_bitstring_roundtrip_after_fold():
     assert back == bs
 
 
+def test_bitstring_nonzero_padding_rejected():
+    # a 33-bit string fills 5 bytes; the low 7 bits of the last are padding
+    bs = BitString(np.arange(33) % 3 == 0)
+    blob = save_bitstring(bs)
+    assert blob[-1] & 0x7F == 0
+    for padding in (0x01, 0x40, 0x7F):
+        bad = bytearray(blob)
+        bad[-1] |= padding
+        with pytest.raises(MalformedHeader, match="padding"):
+            load_bitstring(bytes(bad))
+    assert load_bitstring(blob) == bs
+    # a whole number of bytes leaves no padding to check
+    full = BitString(np.ones(32, dtype=bool))
+    assert load_bitstring(save_bitstring(full)) == full
+
+
 def test_bitstring_corruption():
     blob = save_bitstring(BitString(np.ones(10, dtype=bool)))
     with pytest.raises(BadMagic):
@@ -379,7 +395,7 @@ def test_fuzz_model_headers():
 def test_fuzz_finger_headers():
     blob = save_finger(*_finger())
     _fuzz(blob, 12 + int.from_bytes(blob[8:12], "little"), load_finger,
-          lambda fe: masked_score(fe[1], fe[1], fe[0]), seed=1302)
+          lambda fe: masked_score(fe[1], fe[1], fe[0], mask_both=True), seed=1302)
 
 
 def test_fuzz_bitstring_headers():

@@ -19,8 +19,13 @@ from fpbits.codebook import (
 )
 
 from fpbits.config import PipelineConfig
-from fpbits.local_structures import build_mbls, extract_tbls, normalize_image
-from fpbits.model_store import geometry_from_config, load_model, save_model
+from fpbits.local_structures import (
+    StructureGeometry,
+    build_mbls,
+    extract_tbls,
+    normalize_image,
+)
+from fpbits.model_store import load_model, save_model
 from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.pipeline import (
     EncodedImpression,
@@ -89,10 +94,10 @@ def test_reloaded_model_encodes_identically(small_run):
 def test_raw_structures_match_oracles(small_run):
     items, model = small_run
     template, image = items[sorted(items)[0]]
-    mbls, tbls = raw_structures(template, image, model.geometry, model.spread)
+    mbls, tbls = raw_structures(template, image, model.geometry)
     norm = normalize_image(image)
     ms = template.minutiae
-    want_m = np.array([build_mbls(m, ms, model.geometry, model.spread) for m in ms])
+    want_m = np.array([build_mbls(m, ms, model.geometry) for m in ms])
     want_t = np.array([extract_tbls(m, norm, model.geometry, fill=0.0) for m in ms])
     assert np.max(np.abs(mbls - want_m)) <= MBLS_TOL
     assert np.array_equal(tbls, want_t)
@@ -103,10 +108,10 @@ def test_fused_matrix_matches_per_row_project_and_fuse(small_run):
     cfg = model.config
     for key in sorted(items)[:4]:
         template, image = items[key]
-        mbls, tbls = raw_structures(template, image, model.geometry, model.spread)
+        mbls, tbls = raw_structures(template, image, model.geometry)
         want = np.array([
             fuse(project(model.pca_m, m), project(model.pca_t, t),
-                 cfg.omega_M, cfg.omega_T).values
+                 cfg.omega_M, cfg.omega_T)
             for m, t in zip(mbls, tbls)
         ])
         got = fused_vectors(template, image, model)
@@ -126,11 +131,11 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
         ms = template.minutiae
         vectors = np.array([
             fuse(
-                project(model.pca_m, build_mbls(m, ms, geom, model.spread)),
+                project(model.pca_m, build_mbls(m, ms, geom)),
                 project(model.pca_t, extract_tbls(m, norm, geom, fill=0.0)),
                 cfg.omega_M,
                 cfg.omega_T,
-            ).values
+            )
             for m in ms
         ])
         want = encode_bitstring(vectors, model.codebook, cfg.tau_s, cfg.top_t, cfg.gate_all)
@@ -234,7 +239,7 @@ def test_capped_fit_memory_depends_on_the_subsample(capped_run):
     # matrix, and 2 MiB of slack (one impression's rows, k-means buffers, the
     # small projected matrices)
     items, config = capped_run
-    geometry = geometry_from_config(config)
+    geometry = StructureGeometry.from_config(config)
     cap, dims = config.pca_subsample, (geometry.n_m, geometry.n_t)
     subsamples = sum(cap * dim for dim in dims) * 8
     gram = max(min(cap, dim) ** 2 for dim in dims) * 8

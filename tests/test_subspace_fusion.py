@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fpbits.config import PipelineConfig
 from fpbits.errors import LengthMismatch, RankDeficient, TooFewSamples
 from fpbits.subspace_fusion import (
     PcaModel,
@@ -15,6 +16,9 @@ from fpbits.subspace_fusion import (
     train_pca_inplace,
     znorm,
 )
+
+# the default config's fusion weights, minutia part first
+WEIGHTS = (PipelineConfig().omega_M, PipelineConfig().omega_T)
 
 
 def pairwise_distances(rows):
@@ -171,14 +175,14 @@ def test_fuse_layout_and_weights():
     a = rng.normal(size=10)
     b = rng.normal(size=10)
     fused = fuse(a, b, 0.6, 0.4)
-    assert len(fused) == 20
-    assert np.allclose(fused.values[:10], 0.6 * znorm(a), rtol=1e-12)
-    assert np.allclose(fused.values[10:], 0.4 * znorm(b), rtol=1e-12)
+    assert fused.shape == (20,)
+    assert np.allclose(fused[:10], 0.6 * znorm(a), rtol=1e-12)
+    assert np.allclose(fused[10:], 0.4 * znorm(b), rtol=1e-12)
 
 
 def test_fuse_length_mismatch():
     with pytest.raises(LengthMismatch):
-        fuse(np.zeros(5), np.zeros(6))
+        fuse(np.zeros(5), np.zeros(6), *WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +373,17 @@ def test_fuse_matrix_matches_fuse_rows():
     a[4] = 2.5  # constant rows map to zeros, as znorm does
     b[7] = 0.0
     got = fuse_matrix(a, b, 0.6, 0.4)
-    want = np.array([fuse(ra, rb, 0.6, 0.4).values for ra, rb in zip(a, b)])
+    want = np.array([fuse(ra, rb, 0.6, 0.4) for ra, rb in zip(a, b)])
     assert got.shape == (15, 12)
     assert np.allclose(got, want, rtol=0.0, atol=1e-14)
     assert not got[4, :6].any() and not got[7, 6:].any()
-    assert fuse_matrix(np.zeros((0, 6)), np.zeros((0, 6))).shape == (0, 12)
+    assert fuse_matrix(np.zeros((0, 6)), np.zeros((0, 6)), *WEIGHTS).shape == (0, 12)
 
 
 def test_fuse_matrix_shape_errors():
     with pytest.raises(LengthMismatch):
-        fuse_matrix(np.zeros((3, 5)), np.zeros((3, 6)))
+        fuse_matrix(np.zeros((3, 5)), np.zeros((3, 6)), *WEIGHTS)
     with pytest.raises(LengthMismatch):
-        fuse_matrix(np.zeros((3, 5)), np.zeros((2, 5)))
+        fuse_matrix(np.zeros((3, 5)), np.zeros((2, 5)), *WEIGHTS)
     with pytest.raises(LengthMismatch):
-        fuse_matrix(np.zeros((3, 1)), np.zeros((3, 1)))
+        fuse_matrix(np.zeros((3, 1)), np.zeros((3, 1)), *WEIGHTS)
