@@ -34,8 +34,6 @@ from .local_structures import (
     StructureGeometry,
     build_mbls,
     extract_tbls,
-    gaussian_response,
-    local_frame,
     mbls_matrix,
     normalize_image,
     tbls_matrix,
@@ -67,7 +65,6 @@ from .subspace_fusion import (
     fuse_matrix,
     project,
     train_pca,
-    znorm,
 )
 from .template_io import (
     GrayImage,

@@ -289,8 +289,6 @@ def estimate_radii(
         DegeneratePool: some cluster has no external vector at all.
     """
     x = np.asarray(pool, dtype=np.float64)
-    if n_boundary < 1:
-        raise ValueError(f"n_boundary must be >= 1, got {n_boundary}")
     d = _distances(x, centroids)
     assign = d.argmin(axis=1)
     k = centroids.shape[0]

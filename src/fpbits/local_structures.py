@@ -2,7 +2,9 @@
 
 Two fixed-length real vectors are extracted around every minutia, both in a
 coordinate frame translated to the minutia and rotated by its direction so
-the result is invariant to rigid motion of the whole impression:
+the result is invariant to rigid motion of the whole impression. Each family
+is extracted for a whole impression at once, one row per minutia
+(:func:`mbls_matrix`, :func:`tbls_matrix`):
 
 * the minutia descriptor: a rasterized sum of one anisotropic 2-d Gaussian
   bump per neighboring minutia, L2-normalized, sampled over a disc lattice
@@ -12,7 +14,8 @@ the result is invariant to rigid motion of the whole impression:
 
 Lattice points are enumerated row-major (by y, then x), and the two lattices
 live in the geometry object so every descriptor in a system shares one
-ordering.
+ordering. :func:`build_mbls` and :func:`extract_tbls` are one-row views of
+the matrix extractors, kept as API names; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -91,89 +94,6 @@ class StructureGeometry:
         return 1.0 / math.sqrt(self.downscale_area)
 
 
-def local_frame(ref: Minutia, other: Minutia) -> Tuple[float, float, float]:
-    """Express ``other``'s position in ``ref``'s local frame.
-
-    The frame is translated to ``ref`` and rotated by ``-ref.theta``, so a
-    minutia straight ahead of the reference direction lands on the positive
-    u axis. Returns ``(u, v, rho)`` with ``rho`` the Euclidean center
-    distance (which rotation leaves unchanged).
-    """
-    dx = other.x - ref.x
-    dy = other.y - ref.y
-    c, s = math.cos(ref.theta), math.sin(ref.theta)
-    u = c * dx + s * dy
-    v = -s * dx + c * dy
-    return u, v, math.hypot(dx, dy)
-
-
-def gaussian_response(
-    points: np.ndarray,
-    mu: Tuple[float, float],
-    sigma: Tuple[float, float],
-    theta_i: float,
-) -> np.ndarray:
-    """Anisotropic 2-d Gaussian bump, evaluated at an (n, 2) point array.
-
-    ``sigma[0]`` spreads along the axis rotated by ``theta_i`` from the
-    x axis, ``sigma[1]`` across it. Peak value is 1 at ``mu``; there is no
-    normalizing prefactor.
-    """
-    sx2 = 2.0 * sigma[0] * sigma[0]
-    sy2 = 2.0 * sigma[1] * sigma[1]
-    cos_t, sin_t = math.cos(theta_i), math.sin(theta_i)
-    sin_2t = math.sin(2.0 * theta_i)
-    a = cos_t * cos_t / sx2 + sin_t * sin_t / sy2
-    b = -sin_2t / (2.0 * sx2) + sin_2t / (2.0 * sy2)
-    c = sin_t * sin_t / sx2 + cos_t * cos_t / sy2
-
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    dx = pts[:, 0] - mu[0]
-    dy = pts[:, 1] - mu[1]
-    return np.exp(-(a * dx * dx + 2.0 * b * dx * dy + c * dy * dy))
-
-
-def build_mbls(
-    ref: Minutia,
-    minutiae: Sequence[Minutia],
-    geometry: StructureGeometry,
-) -> np.ndarray:
-    """Minutia-descriptor vector for ``ref`` within its impression.
-
-    Every other minutia whose center distance is at most ``r_m`` contributes
-    one Gaussian bump at its local-frame position, oriented across the
-    center-to-neighbor ray (tangentially), with the geometry's spreads at
-    its distance. Positions and spreads are then shrunk by the geometry's
-    area downscale and rasterized over ``lattice_m``. The sum is
-    L2-normalized; a minutia with no neighbors in range yields a zero vector.
-    """
-    scale = geometry.position_scale
-    lattice = geometry.lattice_m.astype(np.float64)
-
-    acc = np.zeros(geometry.n_m, dtype=np.float64)
-    hit = False
-    for m in minutiae:
-        if m is ref:
-            continue
-        u, v, rho = local_frame(ref, m)
-        if rho > geometry.r_m:
-            continue
-        sig_t = geometry.sigma_t0 + geometry.sigma_t_slope * rho
-        sig_r = geometry.sigma_r0 + geometry.sigma_r_slope * rho
-        theta_i = math.atan2(v, u) + math.pi / 2.0
-        acc += gaussian_response(
-            lattice,
-            (u * scale, v * scale),
-            (sig_t * scale, sig_r * scale),
-            theta_i,
-        )
-        hit = True
-
-    if not hit:
-        return acc
-    return acc / np.linalg.norm(acc)
-
-
 # Block sizes, in float64 elements, of the (rows x lattice points) temporaries
 # of the matrix extractors. They bound memory on dense templates and keep the
 # temporaries cache-resident; texture blocks also stay under the allocator's
@@ -198,13 +118,21 @@ def mbls_matrix(
 ) -> np.ndarray:
     """Minutia descriptors of a whole impression, one row per minutia.
 
-    Row ``i`` is :func:`build_mbls` of ``minutiae[i]`` up to rounding. Every
-    (reference, neighbor) pair within ``r_m`` is found at once; each bump's
-    exponent ``a dx^2 + 2b dx dy + c dy^2`` is expanded into six per-pair
-    coefficients against the fixed lattice monomials
+    Every other minutia whose center distance is at most ``r_m`` contributes
+    one Gaussian bump at its position in the reference's frame (translated
+    to the reference and rotated by ``-theta``), oriented across the
+    center-to-neighbor ray, with the geometry's spreads at its distance.
+    Positions and spreads are shrunk by the area downscale and rasterized
+    over ``lattice_m``. Each row is L2-normalized; a minutia with no
+    neighbor in range gets a zero row.
+
+    Every (reference, neighbor) pair within ``r_m`` is found at once; each
+    bump's exponent ``a dx^2 + 2b dx dy + c dy^2`` is expanded into six
+    per-pair coefficients against the fixed lattice monomials
     ``[X^2, XY, Y^2, X, Y, 1]``, so all bumps of a block of pairs come from a
     single matrix product. The expansion rounds differently from the direct
-    form; the error is about float64 eps times ``r_m^2 / (2 sigma_r0^2)``.
+    form, one bump at a time; the error is about float64 eps times
+    ``r_m^2 / (2 sigma_r0^2)``.
 
     ``refs`` (indices into ``minutiae``) asks for those references' rows
     only, row ``j`` for ``minutiae[refs[j]]``; neighbors still come from the
@@ -238,7 +166,8 @@ def mbls_matrix(
     sig_r = (geometry.sigma_r0 + geometry.sigma_r_slope * rho) * scale
     theta_i = np.arctan2(v, u) + math.pi / 2.0
 
-    # the quadratic form of gaussian_response, per pair
+    # each bump's quadratic form, per pair: sig_t spreads along the axis at
+    # theta_i from the u axis, sig_r across it, and the peak value is 1
     sx2 = 2.0 * sig_t * sig_t
     sy2 = 2.0 * sig_r * sig_r
     cos_t, sin_t = np.cos(theta_i), np.sin(theta_i)
@@ -281,103 +210,38 @@ def mbls_matrix(
     return np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
 
 
-def normalize_image(
-    image: GrayImage, target_mean: float = 0.0, target_std: float = 1.0
-) -> np.ndarray:
-    """Affinely map an image to a target global mean and std.
+def normalize_image(image: GrayImage) -> np.ndarray:
+    """Affinely map an image to global mean 0 and population std 1.
 
-    Returns a float array of the image's shape. A constant image maps to
-    ``target_mean`` everywhere.
+    Returns a float array of the image's shape. A constant image maps to 0
+    everywhere.
     """
     px = image.pixels.astype(np.float64)
     mean = float(px.mean())
     std = float(px.std())
     if std == 0.0:
-        return np.full_like(px, target_mean)
-    return (px - mean) / std * target_std + target_mean
-
-
-def bilinear_sample(
-    img: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: float
-) -> np.ndarray:
-    """Sample ``img`` at real coordinates; points off the pixel grid get ``fill``.
-
-    ``xs`` and ``ys`` may have any (matching) shape; the result has it too.
-    Off-grid points are interpolated at the origin and then replaced, so
-    every point goes through one flat gather per corner.
-    """
-    h, w = img.shape
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    inside = (xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1)
-    if not inside.any():
-        return np.full(xs.shape, fill, dtype=np.float64)
-    x = np.where(inside, xs, 0.0)
-    y = np.where(inside, ys, 0.0)
-    # clip the base corner so x0+1 stays a valid column even at the far edge
-    x0 = np.minimum(np.floor(x), max(w - 2, 0))
-    y0 = np.minimum(np.floor(y), max(h - 2, 0))
-    tx = x - x0
-    ty = y - y0
-    one_tx = 1.0 - tx
-    one_ty = 1.0 - ty
-    corner = (y0 * w + x0).astype(np.intp)
-    step_x = 1 if w > 1 else 0
-    step_y = w if h > 1 else 0
-    flat = np.ascontiguousarray(img, dtype=np.float64).ravel()
-
-    val = flat.take(corner)
-    val *= one_tx
-    val *= one_ty
-    for offset, wx, wy in (
-        (step_x, tx, one_ty),
-        (step_y, one_tx, ty),
-        (step_x + step_y, tx, ty),
-    ):
-        term = flat.take(corner + offset)
-        term *= wx
-        term *= wy
-        val += term
-    return np.where(inside, val, fill)
-
-
-def extract_tbls(
-    ref: Minutia,
-    image: np.ndarray,
-    geometry: StructureGeometry,
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Texture-descriptor vector: the disc around ``ref``, direction-aligned.
-
-    Each lattice offset is rotated by ``ref.theta`` and added to the minutia
-    position; the (already normalized) image is sampled there bilinearly.
-    Samples outside the image take ``fill``, which callers set to the
-    normalization target mean so off-image area carries no information.
-    """
-    c, s = math.cos(ref.theta), math.sin(ref.theta)
-    lat = geometry.lattice_t.astype(np.float64)
-    xs = ref.x + lat[:, 0] * c - lat[:, 1] * s
-    ys = ref.y + lat[:, 0] * s + lat[:, 1] * c
-    return bilinear_sample(np.asarray(image, dtype=np.float64), xs, ys, fill)
+        return np.zeros_like(px)
+    return (px - mean) / std
 
 
 def _sample_rows(
     img: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
-    fill: float,
     out: np.ndarray,
     border: bool,
 ) -> None:
-    """:func:`bilinear_sample` of a C-contiguous image, written into ``out``.
+    """Bilinear samples of a C-contiguous image at real points, into ``out``.
 
-    ``xs`` and ``ys`` are overwritten. The arithmetic is that of
-    :func:`bilinear_sample`, done in place and in the same order, so the
-    values are equal (a ``-0.0`` coordinate can at most flip the sign of a
-    zero sample). The floor is a cast to ``intp``, exact on the non-negative
-    coordinates it is taken of. Without ``border`` every point must lie in
-    ``[0, w - 2] x [0, h - 2]``: then the off-grid mask and the far-edge
-    clamp change nothing and are skipped.
+    Points off the pixel grid sample 0.0, the normalized image's mean, so
+    off-image area carries no information. The far-edge corner is clamped so
+    ``x0 + 1`` stays a valid column. ``xs`` and ``ys`` are overwritten. The
+    arithmetic is the direct form's (``tests/oracles.py``), done in place
+    and in the same order, so the values are equal (a ``-0.0`` coordinate
+    can at most flip the sign of a zero sample). The floor is a cast to
+    ``intp``, exact on the non-negative coordinates it is taken of. Without
+    ``border`` every point must lie in ``[0, w - 2] x [0, h - 2]``: then the
+    off-grid mask and the far-edge clamp change nothing and are skipped.
     """
     h, w = img.shape
     flat = img.ravel()
@@ -416,20 +280,19 @@ def _sample_rows(
         term *= wy
         out += term
     if border:
-        np.copyto(out, fill, where=outside)
+        np.copyto(out, 0.0, where=outside)
 
 
 def tbls_matrix(
     minutiae: Sequence[Minutia],
     image: np.ndarray,
     geometry: StructureGeometry,
-    fill: float = 0.0,
 ) -> np.ndarray:
     """Texture descriptors of a whole impression, one row per minutia.
 
-    Row ``i`` equals :func:`extract_tbls` of ``minutiae[i]`` exactly: the
-    sample coordinates are formed with the same operations in the same
-    order, and sampled as :func:`bilinear_sample` samples. Rows whose disc
+    Each lattice offset is rotated by the minutia's direction and added to
+    its position; the normalized ``image`` is sampled there bilinearly, and
+    off-image samples are 0.0 (see :func:`_sample_rows`). Rows whose disc
     plus a 1 px margin lies inside the image are sampled first, in blocks
     that skip the off-grid handling; the rest follow with it. Rows are
     sampled a few at a time so the temporaries stay in cache.
@@ -459,6 +322,27 @@ def tbls_matrix(
             ys += y[idx, None]
             ys += ly * c
             samples = block[: idx.size]
-            _sample_rows(img, xs, ys, fill, samples, border)
+            _sample_rows(img, xs, ys, samples, border)
             out[idx] = samples
     return out
+
+
+# ---------------------------------------------------------------------------
+# one-row views, kept as API names
+# ---------------------------------------------------------------------------
+
+def build_mbls(
+    ref: Minutia,
+    minutiae: Sequence[Minutia],
+    geometry: StructureGeometry,
+) -> np.ndarray:
+    """:func:`mbls_matrix` row of ``ref``; every other of ``minutiae`` is a neighbor."""
+    others = [m for m in minutiae if m is not ref]
+    return mbls_matrix([ref, *others], geometry, refs=[0])[0]
+
+
+def extract_tbls(
+    ref: Minutia, image: np.ndarray, geometry: StructureGeometry
+) -> np.ndarray:
+    """:func:`tbls_matrix` row of ``ref`` in the normalized ``image``."""
+    return tbls_matrix([ref], image, geometry)[0]

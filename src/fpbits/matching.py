@@ -9,9 +9,10 @@ common set bits (a similarity in [0, 1]), optionally restricted to a trained
 per-finger mask, and works unchanged on fold-compressed strings.
 
 Whole pair sets are scored by :func:`intersection_scores`, which packs the
-strings into 64-bit words and counts bits with ``np.bitwise_count``;
-:func:`intersection_score` and :func:`masked_score` are its one-pair forms
-and its oracles.
+strings into 64-bit words and counts bits with ``np.bitwise_count``, and by
+:func:`masked_scores` on top of it. :func:`intersection_score` and
+:func:`masked_score` are their one-pair views, kept as API names; nothing in
+the package calls them.
 """
 
 from __future__ import annotations
@@ -124,61 +125,6 @@ def lgs_score(
     )
 
 
-def _check_lengths(a: BitString, b: BitString) -> None:
-    if len(a) != len(b) or a.template_length != b.template_length:
-        raise LengthMismatch(
-            f"bit-strings disagree in length: {len(a)}/{a.template_length} vs "
-            f"{len(b)}/{b.template_length}"
-        )
-
-
-def intersection_score(a: BitString, b: BitString) -> MatchScore:
-    """Size-normalized common-bit similarity in [0, 1].
-
-    ``(n_a + n_b) * common / (n_a^2 + n_b^2)`` where ``n_a``/``n_b`` are the
-    set-bit counts and ``common`` counts positions set in both. Equal to 1
-    exactly for identical strings, 0 for disjoint ones; two empty strings
-    share nothing and score 0.
-
-    Raises:
-        LengthMismatch: strings of different current or original lengths.
-    """
-    _check_lengths(a, b)
-    n_a = a.ones
-    n_b = b.ones
-    if n_a == 0 and n_b == 0:
-        return MatchScore(value=0.0, kind=KIND_INTERSECTION, support=0)
-    common = int(np.logical_and(a.bits, b.bits).sum())
-    value = (n_a + n_b) * common / (n_a * n_a + n_b * n_b)
-    return MatchScore(value=float(value), kind=KIND_INTERSECTION, support=common)
-
-
-def masked_score(
-    query: BitString,
-    enrolled: BitString,
-    model: FingerModel,
-    mask_both: bool,
-) -> MatchScore:
-    """Intersection score under a finger's trained positional mask.
-
-    With ``mask_both`` the mask is applied to both strings; without it only
-    the enrolled side is restricted (a query from an unknown sensor keeps
-    all its bits).
-
-    Raises:
-        LengthMismatch: mask length does not fit the strings.
-    """
-    if model.k != len(query) or model.k != len(enrolled):
-        raise LengthMismatch(
-            f"mask of length {model.k} cannot gate strings of lengths "
-            f"{len(query)} and {len(enrolled)}"
-        )
-    if mask_both:
-        query = BitString(query.bits & model.mask, query.template_length)
-    enrolled = BitString(enrolled.bits & model.mask, enrolled.template_length)
-    return intersection_score(query, enrolled)
-
-
 def pack_words(bits: np.ndarray) -> np.ndarray:
     """``(n, K)`` bools as ``(n, ceil(K / 64))`` uint64 words, zero-padded."""
     n, k = bits.shape
@@ -193,12 +139,16 @@ def intersection_scores(
     template_length_a: Optional[int] = None,
     template_length_b: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`intersection_score` of row ``i`` of ``a`` against row ``i`` of ``b``.
+    """Size-normalized common-bit similarity of row ``i`` of ``a`` and ``b``, in [0, 1].
+
+    Each value is ``(n_a + n_b) * common / (n_a^2 + n_b^2)``, where
+    ``n_a``/``n_b`` are the rows' set-bit counts and ``common`` counts the
+    positions set in both. It is exactly 1 for identical rows and 0 for
+    disjoint ones; two empty rows share nothing and score 0.
 
     ``a`` and ``b`` are ``(n, K)`` bool matrices, one string per row; the
     template lengths (default ``K``) are the lengths before any folding.
-    Returns the float64 values and the int64 common-bit counts, equal to
-    the one-pair function's ``value`` and ``support`` for every row.
+    Returns the float64 values and the int64 common-bit counts.
 
     Raises:
         LengthMismatch: row counts, string lengths or template lengths differ.
@@ -220,7 +170,7 @@ def intersection_scores(
     n_b = np.bitwise_count(words_b).sum(axis=1, dtype=np.int64)
     common = np.bitwise_count(words_a & words_b).sum(axis=1, dtype=np.int64)
     # the integers stay far below 2**53, so the division of their float64
-    # images rounds exactly as the one-pair Python division does
+    # images rounds exactly as a Python division of the integers does
     den = n_a * n_a + n_b * n_b
     values = np.zeros(a.shape[0], dtype=np.float64)
     np.divide((n_a + n_b) * common, den, out=values, where=den > 0)
@@ -233,7 +183,11 @@ def masked_scores(
     masks: np.ndarray,
     mask_both: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`masked_score` row by row: ``masks[i]`` gates pair ``i``.
+    """:func:`intersection_scores` under per-pair masks: ``masks[i]`` gates pair ``i``.
+
+    With ``mask_both`` each mask is applied to both strings; without it only
+    the enrolled side is restricted (a query from an unknown sensor keeps
+    all its bits). Template lengths are not checked here.
 
     Raises:
         LengthMismatch: mask length does not fit the strings.
@@ -256,9 +210,14 @@ def stack_bits(strings: Sequence[BitString]) -> Tuple[np.ndarray, int]:
     """
     if not strings:
         return np.zeros((0, 0), dtype=bool), 0
+    first = strings[0]
     for other in strings[1:]:
-        _check_lengths(strings[0], other)
-    return np.array([s.bits for s in strings]), strings[0].template_length
+        if len(other) != len(first) or other.template_length != first.template_length:
+            raise LengthMismatch(
+                f"bit-strings disagree in length: {len(first)}/{first.template_length} "
+                f"vs {len(other)}/{other.template_length}"
+            )
+    return np.array([s.bits for s in strings]), first.template_length
 
 
 def check_fold_length(length: int, k: int) -> None:
@@ -297,3 +256,41 @@ def fold_compress(bitstring: BitString, length: int) -> BitString:
     """
     out = fold_bits(bitstring.bits[None, :], length)[0]
     return BitString(out, template_length=bitstring.template_length)
+
+
+# ---------------------------------------------------------------------------
+# one-pair views, kept as API names
+# ---------------------------------------------------------------------------
+
+def _one_pair(values: np.ndarray, common: np.ndarray) -> MatchScore:
+    return MatchScore(
+        value=float(values[0]), kind=KIND_INTERSECTION, support=int(common[0])
+    )
+
+
+def intersection_score(a: BitString, b: BitString) -> MatchScore:
+    """:func:`intersection_scores` of one pair.
+
+    Raises:
+        LengthMismatch: strings of different current or template lengths.
+    """
+    return _one_pair(*intersection_scores(
+        a.bits[None, :], b.bits[None, :], a.template_length, b.template_length
+    ))
+
+
+def masked_score(
+    query: BitString,
+    enrolled: BitString,
+    model: FingerModel,
+    mask_both: bool,
+) -> MatchScore:
+    """:func:`masked_scores` of one pair under ``model``'s mask.
+
+    Raises:
+        LengthMismatch: strings of different current or template lengths,
+            or a mask that does not fit them.
+    """
+    strings, _ = stack_bits([query, enrolled])
+    masks = model.mask[None, :]
+    return _one_pair(*masked_scores(strings[:1], strings[1:], masks, mask_both))

@@ -379,6 +379,10 @@ def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
             f"template length {meta['template_length']} is below the enrolled "
             f"string's {len(arrays['enrolled'])} bits"
         )
+    # save_finger writes each flag as 0 or 1, so each file has one encoding
+    for name in ("mask", "enrolled"):
+        if (arrays[name] > 1).any():
+            raise MalformedHeader(f"{name} bytes must be 0 or 1")
     model = FingerModel(
         finger_id=meta["finger_id"],
         power=arrays["power"],

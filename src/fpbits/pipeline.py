@@ -76,7 +76,7 @@ def raw_structures(
     Row ``i`` of each belongs to ``template.minutiae[i]``.
     """
     mbls = mbls_matrix(template.minutiae, geometry)
-    tbls = tbls_matrix(template.minutiae, normalize_image(image), geometry, fill=0.0)
+    tbls = tbls_matrix(template.minutiae, normalize_image(image), geometry)
     return mbls, tbls
 
 
@@ -178,7 +178,7 @@ def train_model(
 
     def texture_rows(template, image):
         return lambda local: tbls_matrix(
-            [template.minutiae[i] for i in local], normalize_image(image), geometry, fill=0.0
+            [template.minutiae[i] for i in local], normalize_image(image), geometry
         )
 
     if verbose:

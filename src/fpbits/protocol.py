@@ -28,30 +28,6 @@ POLARITY_DISSIMILARITY = "dissimilarity"
 Pair = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
-def fvc_pairs(n_subjects: int, n_impressions: int) -> Tuple[List[Pair], List[Pair]]:
-    """Enumerate genuine and impostor attempts over an S x m dataset.
-
-    Subjects and impressions are 0-based indices; callers map them onto ids.
-    Returns ``(genuine, impostor)`` where each attempt is
-    ``((subject_a, impression_a), (subject_b, impression_b))`` with the
-    lexicographically smaller endpoint first.
-    """
-    if n_subjects < 1 or n_impressions < 1:
-        raise EmptyScores(
-            f"cannot pair {n_subjects} subjects x {n_impressions} impressions"
-        )
-    genuine: List[Pair] = []
-    for s in range(n_subjects):
-        for i in range(n_impressions):
-            for j in range(i + 1, n_impressions):
-                genuine.append(((s, i), (s, j)))
-    impostor: List[Pair] = []
-    for a in range(n_subjects):
-        for b in range(a + 1, n_subjects):
-            impostor.append(((a, 0), (b, 0)))
-    return genuine, impostor
-
-
 @dataclass
 class ProtocolReport:
     """Scores, the swept receiver curve, and the interpolated equal error rate."""
@@ -64,11 +40,13 @@ class ProtocolReport:
 
 
 def fvc_pair_rows(n_subjects: int, n_impressions: int) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`fvc_pairs` as row indices into a subject-major grid.
+    """Enumerate genuine and impostor attempts over an S x m dataset.
 
-    Impression ``i`` of subject ``s`` is row ``s * n_impressions + i``.
-    Returns ``(genuine, impostor)``, ``(n, 2)`` int64 arrays whose rows list
-    the attempts in :func:`fvc_pairs` order.
+    Impression ``i`` of subject ``s`` is row ``s * n_impressions + i`` of a
+    subject-major grid. Returns ``(genuine, impostor)``, ``(n, 2)`` int64
+    arrays with the smaller row first in each attempt. Genuine attempts come
+    subject by subject, each in ``(i, j)`` order with ``i < j``; impostor
+    attempts pair first impressions in ``(a, b)`` order with ``a < b``.
     """
     if n_subjects < 1 or n_impressions < 1:
         raise EmptyScores(
@@ -186,4 +164,15 @@ def compute_eer(
     eer = _hull_eer(corners)
     return ProtocolReport(
         genuine_scores=g, impostor_scores=i, eer=eer, roc=roc, polarity=polarity
+    )
+
+
+def fvc_pairs(n_subjects: int, n_impressions: int) -> Tuple[List[Pair], List[Pair]]:
+    """:func:`fvc_pair_rows` as ``((subject, impression), (subject, impression))`` lists.
+
+    A view kept as an API name; nothing in the package calls it.
+    """
+    return tuple(
+        [tuple(divmod(row, n_impressions) for row in attempt) for attempt in rows.tolist()]
+        for rows in fvc_pair_rows(n_subjects, n_impressions)
     )

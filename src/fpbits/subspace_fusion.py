@@ -5,8 +5,8 @@ subspaces (one model per family, same target dimension), z-normalized per
 vector, weighted, and concatenated into a single fused vector per minutia.
 An impression travels as matrices, one row per minutia: :func:`project`
 takes an ``(n, dim)`` matrix and :func:`fuse_matrix` returns the
-``(n, 2 * n_p)`` fused matrix. :func:`fuse` and :func:`project` on a single
-vector are the per-minutia reference forms.
+``(n, 2 * n_p)`` fused matrix. :func:`fuse` is its one-row view, kept as an
+API name; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -161,65 +161,29 @@ def train_pca_inplace(x: np.ndarray, n_components: int) -> PcaModel:
 
 
 def project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
-    """Center on the model mean and project onto the basis.
+    """Center an ``(n, dim)`` matrix on the model mean and project it onto the basis.
 
-    A vector gives its ``n_components`` coordinates. An ``(n, dim)`` matrix
-    gives ``(n, n_components)`` as one product of the C-ordered centred rows,
+    Gives ``(n, n_components)`` as one product of the C-ordered centred rows,
     ``np.ascontiguousarray(x - mean) @ basis``: BLAS rounds a product by its
     shape and memory layout, so every caller that projects an impression's
     rows forms exactly this product.
+
+    Raises:
+        LengthMismatch: ``vectors`` is not a matrix with ``model.dim`` columns.
     """
     x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2:
-        v = x.ravel()
-        if v.shape[0] != model.dim:
-            raise LengthMismatch(f"vector length {v.shape[0]} != model dim {model.dim}")
-        return model.basis.T @ (v - model.mean)
-    if x.shape[1] != model.dim:
-        raise LengthMismatch(f"vector length {x.shape[1]} != model dim {model.dim}")
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise LengthMismatch(
+            f"expected an (n, {model.dim}) matrix, got shape {x.shape}"
+        )
     return np.ascontiguousarray(x - model.mean) @ model.basis
 
 
-def znorm(vector: np.ndarray) -> np.ndarray:
-    """Standardize a vector to mean 0, population-std 1 over its own entries.
-
-    A constant vector has no scale to recover and maps to all zeros.
-    """
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.shape[0] < 2:
-        raise LengthMismatch(f"z-normalization needs length >= 2, got {v.shape[0]}")
-    std = float(v.std())
-    if std == 0.0:
-        return np.zeros_like(v)
-    return (v - v.mean()) / std
-
-
 def _znorm_rows(matrix: np.ndarray) -> np.ndarray:
-    """:func:`znorm` applied to every row; a constant row maps to zeros."""
+    """Each row standardized to mean 0, population std 1; a constant row maps to zeros."""
     centred = matrix - matrix.mean(axis=1, keepdims=True)
     std = matrix.std(axis=1, keepdims=True)
     return np.divide(centred, std, out=np.zeros_like(centred), where=std != 0.0)
-
-
-def fuse(
-    minutia_part: np.ndarray,
-    texture_part: np.ndarray,
-    weight_m: float,
-    weight_t: float,
-) -> np.ndarray:
-    """Fuse the two projected descriptors of one minutia.
-
-    Both parts are z-normalized independently, scaled by their fusion
-    weights, and concatenated (minutia part first). The parts must have the
-    same length, so either half can be recovered by position.
-    """
-    a = np.asarray(minutia_part, dtype=np.float64).ravel()
-    b = np.asarray(texture_part, dtype=np.float64).ravel()
-    if a.shape[0] != b.shape[0]:
-        raise LengthMismatch(
-            f"projected parts differ in length: {a.shape[0]} vs {b.shape[0]}"
-        )
-    return np.concatenate([weight_m * znorm(a), weight_t * znorm(b)])
 
 
 def fuse_matrix(
@@ -230,7 +194,12 @@ def fuse_matrix(
 ) -> np.ndarray:
     """Fuse the projected descriptors of a whole impression, row by row.
 
-    Row ``i`` is :func:`fuse` of row ``i`` of both ``(n, n_p)`` parts.
+    Both ``(n, n_p)`` parts are z-normalized row by row, scaled by their
+    fusion weights, and concatenated (minutia part first), so either half
+    of a row can be recovered by position.
+
+    Raises:
+        LengthMismatch: the parts differ in shape, or rows are shorter than 2.
     """
     a = np.asarray(minutia_part, dtype=np.float64)
     b = np.asarray(texture_part, dtype=np.float64)
@@ -241,3 +210,14 @@ def fuse_matrix(
     if a.shape[1] < 2:
         raise LengthMismatch(f"z-normalization needs length >= 2, got {a.shape[1]}")
     return np.concatenate([weight_m * _znorm_rows(a), weight_t * _znorm_rows(b)], axis=1)
+
+
+def fuse(
+    minutia_part: np.ndarray,
+    texture_part: np.ndarray,
+    weight_m: float,
+    weight_t: float,
+) -> np.ndarray:
+    """:func:`fuse_matrix` of one minutia's two projected vectors."""
+    a, b = np.reshape(minutia_part, (1, -1)), np.reshape(texture_part, (1, -1))
+    return fuse_matrix(a, b, weight_m, weight_t)[0]

@@ -1,5 +1,27 @@
 """Slow-path oracles that the tests compare the production code against.
 
+Each stage has one implementation in ``fpbits``, and it works on matrices.
+The forms here are the ones it replaced, kept so that every exactness test
+compares the production path with an independent computation, never with
+itself. The public one-row views in ``fpbits`` (``build_mbls``,
+``extract_tbls``, ``fuse``, ``intersection_score``, ``masked_score`` and
+``fvc_pairs``) call the matrix path, so no test may use them as oracles.
+
+* The per-minutia descriptors: ``local_frame``, ``gaussian_response`` and
+  ``build_mbls`` rasterize one bump at a time in direct form.
+  ``fpbits.local_structures.mbls_matrix`` must match ``build_mbls`` row by
+  row within ``MBLS_TOL`` (its expanded exponent rounds differently).
+  ``bilinear_sample`` and ``extract_tbls`` sample one minutia's disc through
+  the off-grid mask; ``tbls_matrix`` must equal ``extract_tbls`` at
+  ``fill = 0.0`` bit for bit.
+* The per-vector subspace forms: ``project_vector``, ``znorm`` and ``fuse``.
+  ``project`` and ``fuse_matrix`` must match them row by row within the
+  rounding of a different summation order.
+* The one-pair bit scorers ``intersection_score`` and ``masked_score``,
+  with their own length checks. ``intersection_scores`` and
+  ``masked_scores`` must give bit-identical values and common-bit counts.
+* The loop form of ``fvc_pairs``. ``fvc_pair_rows`` must list the same
+  attempts in the same order.
 * The k-means solver's former implementations: the direct-form k-means++
   seeding and the Lloyd loop that recomputes its distance matrix and boolean
   member masks every iteration. ``fpbits.codebook.kmeans_train`` must
@@ -13,11 +35,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from fpbits.bit_training import FingerModel
 from fpbits.codebook import (
+    BitString,
     Codebook,
     cardinality_weights,
     cluster_cardinalities,
@@ -26,12 +51,297 @@ from fpbits.codebook import (
     global_mean,
     kmeans_train,
 )
-from fpbits.errors import EmptyTrainingSet, PoolTooSmall
+from fpbits.errors import EmptyScores, EmptyTrainingSet, LengthMismatch, PoolTooSmall
 from fpbits.local_structures import StructureGeometry
+from fpbits.matching import KIND_INTERSECTION, MatchScore
 from fpbits.model_store import PipelineModel
 from fpbits.pipeline import _STREAM_PCA_SUBSAMPLE, raw_structures
-from fpbits.subspace_fusion import fuse_matrix, project, train_pca_inplace
+from fpbits.protocol import Pair
+from fpbits.subspace_fusion import PcaModel, fuse_matrix, project, train_pca_inplace
 from fpbits.synth import keyed_rng
+from fpbits.template_io import Minutia
+
+
+# ---------------------------------------------------------------------------
+# per-minutia descriptors
+# ---------------------------------------------------------------------------
+
+def local_frame(ref: Minutia, other: Minutia) -> Tuple[float, float, float]:
+    """Express ``other``'s position in ``ref``'s local frame.
+
+    The frame is translated to ``ref`` and rotated by ``-ref.theta``, so a
+    minutia straight ahead of the reference direction lands on the positive
+    u axis. Returns ``(u, v, rho)`` with ``rho`` the Euclidean center
+    distance (which rotation leaves unchanged).
+    """
+    dx = other.x - ref.x
+    dy = other.y - ref.y
+    c, s = math.cos(ref.theta), math.sin(ref.theta)
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    return u, v, math.hypot(dx, dy)
+
+
+def gaussian_response(
+    points: np.ndarray,
+    mu: Tuple[float, float],
+    sigma: Tuple[float, float],
+    theta_i: float,
+) -> np.ndarray:
+    """Anisotropic 2-d Gaussian bump, evaluated at an (n, 2) point array.
+
+    ``sigma[0]`` spreads along the axis rotated by ``theta_i`` from the
+    x axis, ``sigma[1]`` across it. Peak value is 1 at ``mu``; there is no
+    normalizing prefactor.
+    """
+    sx2 = 2.0 * sigma[0] * sigma[0]
+    sy2 = 2.0 * sigma[1] * sigma[1]
+    cos_t, sin_t = math.cos(theta_i), math.sin(theta_i)
+    sin_2t = math.sin(2.0 * theta_i)
+    a = cos_t * cos_t / sx2 + sin_t * sin_t / sy2
+    b = -sin_2t / (2.0 * sx2) + sin_2t / (2.0 * sy2)
+    c = sin_t * sin_t / sx2 + cos_t * cos_t / sy2
+
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    dx = pts[:, 0] - mu[0]
+    dy = pts[:, 1] - mu[1]
+    return np.exp(-(a * dx * dx + 2.0 * b * dx * dy + c * dy * dy))
+
+
+def build_mbls(
+    ref: Minutia,
+    minutiae: Sequence[Minutia],
+    geometry: StructureGeometry,
+) -> np.ndarray:
+    """Minutia-descriptor vector for ``ref`` within its impression.
+
+    Every other minutia whose center distance is at most ``r_m`` contributes
+    one Gaussian bump at its local-frame position, oriented across the
+    center-to-neighbor ray (tangentially), with the geometry's spreads at
+    its distance. Positions and spreads are then shrunk by the geometry's
+    area downscale and rasterized over ``lattice_m``. The sum is
+    L2-normalized; a minutia with no neighbors in range yields a zero vector.
+    """
+    scale = geometry.position_scale
+    lattice = geometry.lattice_m.astype(np.float64)
+
+    acc = np.zeros(geometry.n_m, dtype=np.float64)
+    hit = False
+    for m in minutiae:
+        if m is ref:
+            continue
+        u, v, rho = local_frame(ref, m)
+        if rho > geometry.r_m:
+            continue
+        sig_t = geometry.sigma_t0 + geometry.sigma_t_slope * rho
+        sig_r = geometry.sigma_r0 + geometry.sigma_r_slope * rho
+        theta_i = math.atan2(v, u) + math.pi / 2.0
+        acc += gaussian_response(
+            lattice,
+            (u * scale, v * scale),
+            (sig_t * scale, sig_r * scale),
+            theta_i,
+        )
+        hit = True
+
+    if not hit:
+        return acc
+    return acc / np.linalg.norm(acc)
+
+
+def bilinear_sample(
+    img: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: float
+) -> np.ndarray:
+    """Sample ``img`` at real coordinates; points off the pixel grid get ``fill``.
+
+    ``xs`` and ``ys`` may have any (matching) shape; the result has it too.
+    Off-grid points are interpolated at the origin and then replaced, so
+    every point goes through one flat gather per corner.
+    """
+    h, w = img.shape
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    inside = (xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1)
+    if not inside.any():
+        return np.full(xs.shape, fill, dtype=np.float64)
+    x = np.where(inside, xs, 0.0)
+    y = np.where(inside, ys, 0.0)
+    # clip the base corner so x0+1 stays a valid column even at the far edge
+    x0 = np.minimum(np.floor(x), max(w - 2, 0))
+    y0 = np.minimum(np.floor(y), max(h - 2, 0))
+    tx = x - x0
+    ty = y - y0
+    one_tx = 1.0 - tx
+    one_ty = 1.0 - ty
+    corner = (y0 * w + x0).astype(np.intp)
+    step_x = 1 if w > 1 else 0
+    step_y = w if h > 1 else 0
+    flat = np.ascontiguousarray(img, dtype=np.float64).ravel()
+
+    val = flat.take(corner)
+    val *= one_tx
+    val *= one_ty
+    for offset, wx, wy in (
+        (step_x, tx, one_ty),
+        (step_y, one_tx, ty),
+        (step_x + step_y, tx, ty),
+    ):
+        term = flat.take(corner + offset)
+        term *= wx
+        term *= wy
+        val += term
+    return np.where(inside, val, fill)
+
+
+def extract_tbls(
+    ref: Minutia,
+    image: np.ndarray,
+    geometry: StructureGeometry,
+    fill: float = 0.0,
+) -> np.ndarray:
+    """Texture-descriptor vector: the disc around ``ref``, direction-aligned.
+
+    Each lattice offset is rotated by ``ref.theta`` and added to the minutia
+    position; the (already normalized) image is sampled there bilinearly.
+    Samples outside the image take ``fill``, which callers set to the
+    normalization target mean so off-image area carries no information.
+    """
+    c, s = math.cos(ref.theta), math.sin(ref.theta)
+    lat = geometry.lattice_t.astype(np.float64)
+    xs = ref.x + lat[:, 0] * c - lat[:, 1] * s
+    ys = ref.y + lat[:, 0] * s + lat[:, 1] * c
+    return bilinear_sample(np.asarray(image, dtype=np.float64), xs, ys, fill)
+
+
+# ---------------------------------------------------------------------------
+# per-vector projection and fusion
+# ---------------------------------------------------------------------------
+
+def project_vector(model: PcaModel, vector: np.ndarray) -> np.ndarray:
+    """Center one vector on the model mean and project it onto the basis."""
+    v = np.asarray(vector, dtype=np.float64).ravel()
+    if v.shape[0] != model.dim:
+        raise LengthMismatch(f"vector length {v.shape[0]} != model dim {model.dim}")
+    return model.basis.T @ (v - model.mean)
+
+
+def znorm(vector: np.ndarray) -> np.ndarray:
+    """Standardize a vector to mean 0, population-std 1 over its own entries.
+
+    A constant vector has no scale to recover and maps to all zeros.
+    """
+    v = np.asarray(vector, dtype=np.float64).ravel()
+    if v.shape[0] < 2:
+        raise LengthMismatch(f"z-normalization needs length >= 2, got {v.shape[0]}")
+    std = float(v.std())
+    if std == 0.0:
+        return np.zeros_like(v)
+    return (v - v.mean()) / std
+
+
+def fuse(
+    minutia_part: np.ndarray,
+    texture_part: np.ndarray,
+    weight_m: float,
+    weight_t: float,
+) -> np.ndarray:
+    """Fuse the two projected descriptors of one minutia.
+
+    Both parts are z-normalized independently, scaled by their fusion
+    weights, and concatenated (minutia part first). The parts must have the
+    same length, so either half can be recovered by position.
+    """
+    a = np.asarray(minutia_part, dtype=np.float64).ravel()
+    b = np.asarray(texture_part, dtype=np.float64).ravel()
+    if a.shape[0] != b.shape[0]:
+        raise LengthMismatch(
+            f"projected parts differ in length: {a.shape[0]} vs {b.shape[0]}"
+        )
+    return np.concatenate([weight_m * znorm(a), weight_t * znorm(b)])
+
+
+# ---------------------------------------------------------------------------
+# one-pair bit scorers and the pairing loop
+# ---------------------------------------------------------------------------
+
+def intersection_score(a: BitString, b: BitString) -> MatchScore:
+    """Size-normalized common-bit similarity in [0, 1].
+
+    ``(n_a + n_b) * common / (n_a^2 + n_b^2)`` where ``n_a``/``n_b`` are the
+    set-bit counts and ``common`` counts positions set in both. Equal to 1
+    exactly for identical strings, 0 for disjoint ones; two empty strings
+    share nothing and score 0.
+
+    Raises:
+        LengthMismatch: strings of different current or original lengths.
+    """
+    if len(a) != len(b) or a.template_length != b.template_length:
+        raise LengthMismatch(
+            f"bit-strings disagree in length: {len(a)}/{a.template_length} vs "
+            f"{len(b)}/{b.template_length}"
+        )
+    n_a = a.ones
+    n_b = b.ones
+    if n_a == 0 and n_b == 0:
+        return MatchScore(value=0.0, kind=KIND_INTERSECTION, support=0)
+    common = int(np.logical_and(a.bits, b.bits).sum())
+    value = (n_a + n_b) * common / (n_a * n_a + n_b * n_b)
+    return MatchScore(value=float(value), kind=KIND_INTERSECTION, support=common)
+
+
+def masked_score(
+    query: BitString,
+    enrolled: BitString,
+    model: FingerModel,
+    mask_both: bool,
+) -> MatchScore:
+    """Intersection score under a finger's trained positional mask.
+
+    With ``mask_both`` the mask is applied to both strings; without it only
+    the enrolled side is restricted (a query from an unknown sensor keeps
+    all its bits).
+
+    Raises:
+        LengthMismatch: mask length does not fit the strings.
+    """
+    if model.k != len(query) or model.k != len(enrolled):
+        raise LengthMismatch(
+            f"mask of length {model.k} cannot gate strings of lengths "
+            f"{len(query)} and {len(enrolled)}"
+        )
+    if mask_both:
+        query = BitString(query.bits & model.mask, query.template_length)
+    enrolled = BitString(enrolled.bits & model.mask, enrolled.template_length)
+    return intersection_score(query, enrolled)
+
+
+def fvc_pairs(n_subjects: int, n_impressions: int) -> Tuple[List[Pair], List[Pair]]:
+    """Enumerate genuine and impostor attempts over an S x m dataset.
+
+    Subjects and impressions are 0-based indices; callers map them onto ids.
+    Returns ``(genuine, impostor)`` where each attempt is
+    ``((subject_a, impression_a), (subject_b, impression_b))`` with the
+    lexicographically smaller endpoint first.
+    """
+    if n_subjects < 1 or n_impressions < 1:
+        raise EmptyScores(
+            f"cannot pair {n_subjects} subjects x {n_impressions} impressions"
+        )
+    genuine: List[Pair] = []
+    for s in range(n_subjects):
+        for i in range(n_impressions):
+            for j in range(i + 1, n_impressions):
+                genuine.append(((s, i), (s, j)))
+    impostor: List[Pair] = []
+    for a in range(n_subjects):
+        for b in range(a + 1, n_subjects):
+            impostor.append(((a, 0), (b, 0)))
+    return genuine, impostor
+
+
+# ---------------------------------------------------------------------------
+# k-means and the one-pass fit
+# ---------------------------------------------------------------------------
 
 
 def distances_oracle(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -16,12 +16,7 @@ from fpbits.codebook import BitString, Codebook, encode_bitstring, kmeans_train
 from fpbits.bit_training import adaptive_threshold
 from fpbits.config import PipelineConfig
 from fpbits.errors import FpbitsError
-from fpbits.local_structures import (
-    StructureGeometry,
-    build_mbls,
-    gaussian_response,
-    local_frame,
-)
+from fpbits.local_structures import StructureGeometry, build_mbls
 from fpbits.matching import fold_compress, intersection_score, lgs_pair_budget
 from fpbits.protocol import fvc_pairs
 from fpbits.subspace_fusion import project, train_pca
@@ -36,6 +31,7 @@ from fpbits.template_io import (
     serialize_text_template,
     write_pgm,
 )
+from oracles import gaussian_response, local_frame
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -173,11 +169,11 @@ def test_criterion_03_projection_distances():
     upper = np.triu_indices(50, k=1)
 
     full = train_pca(data, 30)
-    after_full = _pairwise(np.array([project(full, row) for row in data]))
+    after_full = _pairwise(project(full, data))
     rel = float(np.max(np.abs(after_full[upper] - before[upper]) / before[upper]))
 
     truncated = train_pca(data, 10)
-    after_trunc = _pairwise(np.array([project(truncated, row) for row in data]))
+    after_trunc = _pairwise(project(truncated, data))
     grew = float(np.max(after_trunc[upper] - before[upper]))
 
     ok = rel <= 1e-6 and grew <= 1e-9

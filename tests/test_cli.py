@@ -8,9 +8,10 @@ import pytest
 
 from fpbits import cli, pipeline
 from fpbits.cli import load_dataset, main, save_dataset
+from fpbits.bit_training import FingerModel
 from fpbits.codebook import BitString
 from fpbits.errors import FpbitsError
-from fpbits.matching import fold_compress, intersection_score, masked_score
+from fpbits.matching import fold_compress
 from fpbits.model_store import (
     load_bitstring,
     load_finger,
@@ -27,6 +28,7 @@ from fpbits.template_io import (
     serialize_text_template,
     write_pgm,
 )
+from oracles import intersection_score, masked_score
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +355,21 @@ def test_inspect_bits_with_nonzero_padding_exits_2_with_one_line(tmp_path, capsy
     path.write_bytes(bytes(blob))
     assert main(["inspect", "--bits", str(path)]) == 2
     assert_one_error_line(capsys, "padding")
+
+
+def test_inspect_finger_with_a_non_canonical_mask_byte_exits_2_with_one_line(
+    tmp_path, capsys
+):
+    rng = np.random.default_rng(5)
+    finger = FingerModel(finger_id="s001", power=rng.uniform(0, 2, 16),
+                         reliability=rng.uniform(0, 1, 16), mask=rng.random(16) < 0.5,
+                         n_mean=20.0)
+    blob = bytearray(save_finger(finger, BitString(rng.random(16) < 0.5)))
+    blob[-32] = 2  # the first mask byte; the enrolled bytes follow the mask
+    path = tmp_path / "s001.fpfm"
+    path.write_bytes(bytes(blob))
+    assert main(["inspect", "--finger", str(path)]) == 2
+    assert_one_error_line(capsys, "mask", "0 or 1")
 
 
 def test_inspect_nothing(capsys):

@@ -223,8 +223,6 @@ def test_radii_degenerate_pool():
     centroids = np.array([[0.0, 0.0], [9.0, 9.0]])
     with pytest.raises(DegeneratePool):
         estimate_radii(x, centroids, 3)
-    with pytest.raises(ValueError):
-        estimate_radii(x, centroids, 0)
 
 
 # ---------------------------------------------------------------------------

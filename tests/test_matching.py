@@ -21,6 +21,7 @@ from fpbits.matching import (
     pack_words,
     stack_bits,
 )
+import oracles
 
 
 def pair_args(**overrides):
@@ -208,7 +209,7 @@ def test_masked_score_both_sides():
     enrolled = bits(1, 2, 4, k=6)
     finger = finger_with_mask([0, 1, 1, 1, 0, 0])
     got = masked_score(query, enrolled, finger, mask_both=True)
-    want = intersection_score(bits(1, 2, 3, k=6), bits(1, 2, k=6))
+    want = oracles.intersection_score(bits(1, 2, 3, k=6), bits(1, 2, k=6))
     assert got.value == want.value
 
 
@@ -217,7 +218,7 @@ def test_masked_score_enrolled_only():
     enrolled = bits(1, 2, 4, k=6)
     finger = finger_with_mask([0, 1, 1, 1, 0, 0])
     got = masked_score(query, enrolled, finger, mask_both=False)
-    want = intersection_score(query, bits(1, 2, k=6))
+    want = oracles.intersection_score(query, bits(1, 2, k=6))
     assert got.value == want.value
 
 
@@ -287,7 +288,7 @@ def test_fold_length_validation():
 
 
 # ---------------------------------------------------------------------------
-# batch scoring against the one-pair oracles
+# batch scoring against the one-pair oracles (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def random_rows(rng, n, k):
@@ -314,7 +315,7 @@ def test_intersection_scores_match_one_pair_oracle(k):
     # rows 0/1: empty vs empty; rows 0/2 of b against a: empty vs nonempty
     b[4] = False
     values, common = intersection_scores(a, b)
-    want = [intersection_score(BitString(x), BitString(y)) for x, y in zip(a, b)]
+    want = [oracles.intersection_score(BitString(x), BitString(y)) for x, y in zip(a, b)]
     assert_matches_pairwise(values, common, want)
     assert values[0] == 0.0 and common[0] == 0
     if a[3].any():
@@ -340,7 +341,7 @@ def test_masked_scores_match_one_pair_oracle(k, mask_both):
     masks[5] = False  # a mask that keeps nothing
     values, common = masked_scores(query, enrolled, masks, mask_both)
     want = [
-        masked_score(BitString(q), BitString(e), finger_with_mask(m), mask_both)
+        oracles.masked_score(BitString(q), BitString(e), finger_with_mask(m), mask_both)
         for q, e, m in zip(query, enrolled, masks)
     ]
     assert_matches_pairwise(values, common, want)

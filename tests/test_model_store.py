@@ -244,6 +244,21 @@ def test_finger_header_with_alpha_and_beta_loads_to_the_same_finger():
     assert save_finger(back, back_enrolled) == blob  # the keys are dropped
 
 
+@pytest.mark.parametrize("name, offset", [("mask", -32), ("enrolled", -16)])
+@pytest.mark.parametrize("value", [2, 255])
+def test_finger_flags_other_than_0_and_1_rejected(name, offset, value):
+    # K = 16: the file ends with the 16 mask bytes, then the 16 enrolled bytes
+    finger, enrolled = _finger(k=16)
+    blob = save_finger(finger, enrolled)
+    assert set(blob[-32:]) <= {0, 1}
+    bad = bytearray(blob)
+    bad[offset + 5] = value
+    with pytest.raises(MalformedHeader, match=name):
+        load_finger(bytes(bad))
+    # the canonical file loads and saves back to the same bytes
+    assert save_finger(*load_finger(blob)) == blob
+
+
 def test_finger_template_length_not_below_string():
     finger, enrolled = _finger()
     blob = _repack(save_finger(finger, enrolled), b"FPFM",

@@ -1,4 +1,4 @@
-"""The matrix paths against the per-minutia and per-pair oracles."""
+"""The matrix paths against the per-minutia and per-pair oracles in ``tests/oracles.py``."""
 
 import dataclasses
 import tracemalloc
@@ -19,14 +19,9 @@ from fpbits.codebook import (
 )
 
 from fpbits.config import PipelineConfig
-from fpbits.local_structures import (
-    StructureGeometry,
-    build_mbls,
-    extract_tbls,
-    normalize_image,
-)
+from fpbits.local_structures import StructureGeometry, normalize_image
 from fpbits.model_store import load_model, save_model
-from fpbits.matching import fold_compress, intersection_score, masked_score
+from fpbits.matching import fold_compress
 from fpbits.pipeline import (
     EncodedImpression,
     _subsample_rows,
@@ -40,11 +35,21 @@ from fpbits.pipeline import (
     raw_structures,
     train_model,
 )
-from fpbits.protocol import POLARITY_SIMILARITY, compute_eer, fvc_pairs
-from fpbits.subspace_fusion import fuse, project
+from fpbits.protocol import POLARITY_SIMILARITY, compute_eer
 from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import MinutiaTemplate
-from oracles import kmeans_train_oracle, subsample_oracle, train_model_oracle
+from oracles import (
+    build_mbls,
+    extract_tbls,
+    fuse,
+    fvc_pairs,
+    intersection_score,
+    kmeans_train_oracle,
+    masked_score,
+    project_vector,
+    subsample_oracle,
+    train_model_oracle,
+)
 
 # as in tests/test_local_structures.py: eps times the largest bump exponent
 # term, r_m^2 / (2 sigma_r0^2), with room for a few roundings
@@ -110,7 +115,7 @@ def test_fused_matrix_matches_per_row_project_and_fuse(small_run):
         template, image = items[key]
         mbls, tbls = raw_structures(template, image, model.geometry)
         want = np.array([
-            fuse(project(model.pca_m, m), project(model.pca_t, t),
+            fuse(project_vector(model.pca_m, m), project_vector(model.pca_t, t),
                  cfg.omega_M, cfg.omega_T)
             for m, t in zip(mbls, tbls)
         ])
@@ -131,8 +136,8 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
         ms = template.minutiae
         vectors = np.array([
             fuse(
-                project(model.pca_m, build_mbls(m, ms, geom)),
-                project(model.pca_t, extract_tbls(m, norm, geom, fill=0.0)),
+                project_vector(model.pca_m, build_mbls(m, ms, geom)),
+                project_vector(model.pca_t, extract_tbls(m, norm, geom, fill=0.0)),
                 cfg.omega_M,
                 cfg.omega_T,
             )

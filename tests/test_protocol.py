@@ -12,6 +12,7 @@ from fpbits.protocol import (
     fvc_pair_rows,
     fvc_pairs,
 )
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +55,7 @@ def test_pair_errors():
 
 @pytest.mark.parametrize("s, m", [(1, 1), (1, 4), (5, 1), (3, 2), (7, 5), (12, 8)])
 def test_pair_rows_list_fvc_pairs_in_order(s, m):
-    genuine, impostor = fvc_pairs(s, m)
+    genuine, impostor = oracles.fvc_pairs(s, m)
     rows_g, rows_i = fvc_pair_rows(s, m)
     assert rows_g.dtype == rows_i.dtype == np.int64
     assert rows_g.shape == (len(genuine), 2) and rows_i.shape == (len(impostor), 2)

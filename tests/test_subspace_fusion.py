@@ -14,8 +14,9 @@ from fpbits.subspace_fusion import (
     project,
     train_pca,
     train_pca_inplace,
-    znorm,
 )
+import oracles
+from oracles import project_vector, znorm
 
 # the default config's fusion weights, minutia part first
 WEIGHTS = (PipelineConfig().omega_M, PipelineConfig().omega_T)
@@ -35,7 +36,7 @@ def test_full_rank_projection_preserves_distances():
     rng = np.random.default_rng(41)
     x = rng.normal(size=(50, 30))
     model = train_pca(x, 30)
-    proj = np.stack([project(model, row) for row in x])
+    proj = project(model, x)
     d0 = pairwise_distances(x)
     d1 = pairwise_distances(proj)
     assert np.allclose(d0, d1, rtol=1e-6, atol=1e-9)
@@ -45,7 +46,7 @@ def test_truncation_never_increases_distances():
     rng = np.random.default_rng(43)
     x = rng.normal(size=(40, 25))
     model = train_pca(x, 8)
-    proj = np.stack([project(model, row) for row in x])
+    proj = project(model, x)
     d0 = pairwise_distances(x)
     d1 = pairwise_distances(proj)
     assert (d1 <= d0 + 1e-9).all()
@@ -58,7 +59,7 @@ def test_gram_path_agrees_with_covariance_path():
     rng = np.random.default_rng(47)
     x = rng.normal(size=(20, 60))  # Gram branch, rank 19
     model = train_pca(x, 19)
-    proj = np.stack([project(model, row) for row in x])
+    proj = project(model, x)
     assert np.allclose(pairwise_distances(x), pairwise_distances(proj), rtol=1e-8)
     # basis orthonormality holds on both branches
     gram = model.basis.T @ model.basis
@@ -140,20 +141,23 @@ def test_project_checks_length():
     rng = np.random.default_rng(71)
     model = train_pca(rng.normal(size=(20, 6)), 3)
     with pytest.raises(LengthMismatch):
-        project(model, np.zeros(7))
-    out = project(model, np.zeros(6))
-    assert out.shape == (3,)
+        project(model, np.zeros((1, 7)))
+    # a single vector is not an (n, dim) matrix, even of the right length
+    for vector in (np.zeros(6), np.zeros(7)):
+        with pytest.raises(LengthMismatch):
+            project(model, vector)
+    assert project(model, np.zeros((1, 6))).shape == (1, 3)
 
 
 def test_project_centers_on_mean():
     rng = np.random.default_rng(73)
     x = rng.normal(loc=5.0, size=(40, 6))
     model = train_pca(x, 3)
-    assert np.allclose(project(model, model.mean), np.zeros(3), atol=1e-12)
+    assert np.allclose(project(model, model.mean[None, :]), np.zeros((1, 3)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# z-normalization and fusion
+# z-normalization and fusion; znorm is the oracle's (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def test_znorm_spot_values():
@@ -345,7 +349,7 @@ def test_project_matrix_matches_rows():
     rng = np.random.default_rng(89)
     model = train_pca(rng.normal(size=(60, 9)), 4)
     x = rng.normal(loc=2.0, size=(25, 9))
-    want = np.array([project(model, row) for row in x])
+    want = np.array([project_vector(model, row) for row in x])
     got = project(model, x)
     assert got.shape == (25, 4)
     assert np.max(np.abs(got - want)) <= projection_tol(x, model)
@@ -373,7 +377,7 @@ def test_fuse_matrix_matches_fuse_rows():
     a[4] = 2.5  # constant rows map to zeros, as znorm does
     b[7] = 0.0
     got = fuse_matrix(a, b, 0.6, 0.4)
-    want = np.array([fuse(ra, rb, 0.6, 0.4) for ra, rb in zip(a, b)])
+    want = np.array([oracles.fuse(ra, rb, 0.6, 0.4) for ra, rb in zip(a, b)])
     assert got.shape == (15, 12)
     assert np.allclose(got, want, rtol=0.0, atol=1e-14)
     assert not got[4, :6].any() and not got[7, 6:].any()
