@@ -27,7 +27,7 @@ import numpy as np
 from . import pipeline
 from .codebook import BitString
 from .config import PipelineConfig, load_config, parse_config, serialize_config
-from .errors import BadLength, FpbitsError, ModelMissing
+from .errors import BadLength, DimensionMismatch, FpbitsError, ModelMissing
 from .matching import (
     KIND_INTERSECTION,
     MatchScore,
@@ -106,6 +106,11 @@ def load_dataset(root: str) -> pipeline.DatasetDict:
             read_text(os.path.join(tdir, name)), subject_id=sid, impression_id=iid
         )
         image = read_pgm(read_bytes(image_path))
+        if (template.width, template.height) != (image.width, image.height):
+            raise DimensionMismatch(
+                f"template {name!r} declares {template.width}x{template.height}, "
+                f"but image {image_path!r} is {image.width}x{image.height}"
+            )
         items[(sid, iid)] = (template, image)
     if not items:
         raise ModelMissing(f"dataset {root!r} holds no templates")
@@ -151,8 +156,8 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     model = load_model_file(args.model)
     items = load_dataset(args.dataset)
-    os.makedirs(args.out_dir, exist_ok=True)
     encoded = pipeline.encode_dataset(items, model)
+    os.makedirs(args.out_dir, exist_ok=True)
     for (sid, iid), enc in sorted(encoded.items()):
         path = os.path.join(args.out_dir, f"{sid}_{iid}.fpbs")
         write_file_atomic(path, save_bitstring(enc.bits))
@@ -278,7 +283,6 @@ def cmd_evaluate(args) -> int:
     items = load_dataset(args.dataset)
     subjects = sorted({k[0] for k in items})
     impressions = sorted({k[1] for k in items})
-    os.makedirs(args.out_dir, exist_ok=True)
 
     lines = [
         f"matcher: {args.matcher}",
@@ -298,7 +302,7 @@ def cmd_evaluate(args) -> int:
         if args.fold:
             lines.append(f"fold length: {args.fold}")
         lines.append(f"eer: {report.eer:.6f}")
-        _write_roc(os.path.join(args.out_dir, "roc.csv"), report)
+        rocs = {"roc.csv": report}
     else:  # split
         encoded = pipeline.encode_dataset(items, model)
         result = pipeline.evaluate_split(encoded, model)
@@ -313,9 +317,12 @@ def cmd_evaluate(args) -> int:
             f"eer trained: {result.trained.eer:.6f}",
             f"eer untrained: {result.untrained.eer:.6f}",
         ]
-        _write_roc(os.path.join(args.out_dir, "roc_trained.csv"), result.trained)
-        _write_roc(os.path.join(args.out_dir, "roc_untrained.csv"), result.untrained)
+        rocs = {"roc_trained.csv": result.trained, "roc_untrained.csv": result.untrained}
 
+    # the directory appears only once every result is in hand
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, report in rocs.items():
+        _write_roc(os.path.join(args.out_dir, name), report)
     summary = "\n".join(lines) + "\n"
     write_file_atomic(os.path.join(args.out_dir, "summary.txt"), summary.encode("ascii"))
     sys.stdout.write(summary)
@@ -373,7 +380,6 @@ def cmd_inspect(args) -> int:
               f"mean={cb.radii.mean():.4f} max={cb.radii.max():.4f}")
         print(f"  cardinalities: min={cb.cardinalities.min()} "
               f"max={cb.cardinalities.max()}")
-        print(f"  population mean: {'present' if cb.global_mean is not None else 'absent'}")
         print("  config:")
         for line in serialize_config(model.config).strip().splitlines():
             print(f"    {line}")

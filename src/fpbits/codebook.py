@@ -15,7 +15,7 @@ used by enrollment-time bit selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -80,8 +80,6 @@ class DistanceVector:
     """Per-impression nearest plain distance to every cluster centroid."""
 
     values: np.ndarray
-    subject_id: str = ""
-    impression_id: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
@@ -92,13 +90,19 @@ class DistanceVector:
 
 @dataclass
 class Codebook:
-    """Fitted cluster vocabulary; bit conversion's parameters come from the config."""
+    """Fitted cluster vocabulary; bit conversion's parameters come from the config.
+
+    ``weights`` is derived from ``cardinalities`` by
+    :func:`cardinality_weights`, so the two cannot disagree.
+    """
 
     centroids: np.ndarray  # (K, dim)
     radii: np.ndarray  # (K,)
     cardinalities: np.ndarray  # (K,) int
-    weights: np.ndarray  # (K,) in [0, 1]
-    global_mean: Optional[np.ndarray] = None  # (K,), set once training data is seen
+    weights: np.ndarray = field(init=False)  # (K,) in [0, 1]
+
+    def __post_init__(self):
+        self.weights = cardinality_weights(self.cardinalities)
 
     @property
     def k(self) -> int:
@@ -361,12 +365,7 @@ def encode_bitstring(
     return BitString(bits)
 
 
-def distance_vector(
-    vectors: np.ndarray,
-    codebook: Codebook,
-    subject_id: str = "",
-    impression_id: str = "",
-) -> DistanceVector:
+def distance_vector(vectors: np.ndarray, codebook: Codebook) -> DistanceVector:
     """Nearest plain distance from any of the impression's vectors, per cluster.
 
     Raises:
@@ -376,7 +375,7 @@ def distance_vector(
     if x.size == 0:
         raise EmptyImage("impression has no fused vectors to measure")
     d = _distances(x, codebook.centroids)
-    return DistanceVector(d.min(axis=0), subject_id, impression_id)
+    return DistanceVector(d.min(axis=0))
 
 
 def global_mean(groups: Iterable[Sequence[DistanceVector]]) -> np.ndarray:

@@ -44,13 +44,16 @@ class PipelineModel:
     """Everything needed to turn a (template, image) pair into a bit-string.
 
     ``config`` is the only home of every configured value; ``geometry`` is
-    derived from it.
+    derived from it. ``population_mean`` is the two-stage mean of the
+    training impressions' distance vectors, which enrollment measures each
+    finger's spread against.
     """
 
     config: PipelineConfig
     pca_m: PcaModel
     pca_t: PcaModel
     codebook: Codebook
+    population_mean: np.ndarray  # (K,)
     geometry: StructureGeometry = field(init=False)
 
     def __post_init__(self):
@@ -204,11 +207,7 @@ def write_file_atomic(path: str, data: bytes) -> None:
 
 def save_model(model: PipelineModel) -> bytes:
     cb = model.codebook
-    meta = {
-        "kind": "pipeline-model",
-        "config": serialize_config(model.config),
-        "has_global_mean": cb.global_mean is not None,
-    }
+    meta = {"kind": "pipeline-model", "config": serialize_config(model.config)}
     arrays: List[Tuple[str, np.ndarray, str]] = [
         ("lattice_m", model.geometry.lattice_m, "i8"),
         ("lattice_t", model.geometry.lattice_t, "i8"),
@@ -221,18 +220,13 @@ def save_model(model: PipelineModel) -> bytes:
         ("centroids", cb.centroids, "f8"),
         ("radii", cb.radii, "f8"),
         ("cardinalities", cb.cardinalities, "i8"),
-        ("weights", cb.weights, "f8"),
+        ("global_mean", model.population_mean, "f8"),
     ]
-    if cb.global_mean is not None:
-        arrays.append(("global_mean", cb.global_mean, "f8"))
     return _pack(MODEL_MAGIC, meta, arrays)
 
 
-_MODEL_META = {
-    "kind": str,
-    "config": str,
-    "has_global_mean": bool,
-}
+# older files' has_global_mean key is ignored: the mean is always present
+_MODEL_META = {"kind": str, "config": str}
 # n_m / n_t: lattice points per family, p: components kept, K: clusters
 _MODEL_ARRAYS = {
     "lattice_m": ("i8", ("n_m", 2)),
@@ -246,6 +240,7 @@ _MODEL_ARRAYS = {
     "centroids": ("f8", ("K", "fused")),
     "radii": ("f8", ("K",)),
     "cardinalities": ("i8", ("K",)),
+    # older files only, and ignored: the weights derive from the cardinalities
     "weights": ("f8", ("K",)),
     "global_mean": ("f8", ("K",)),
 }
@@ -253,36 +248,28 @@ _MODEL_ARRAYS = {
 
 def load_model(data: bytes) -> PipelineModel:
     meta, arrays = _unpack(
-        MODEL_MAGIC, data, _MODEL_META, _MODEL_ARRAYS, optional=("global_mean",)
+        MODEL_MAGIC, data, _MODEL_META, _MODEL_ARRAYS, optional=("weights",)
     )
     if meta["kind"] != "pipeline-model":
         raise MalformedHeader(f"not a pipeline model container: {meta['kind']!r}")
-    if meta["has_global_mean"] != ("global_mean" in arrays):
-        raise MalformedHeader("has_global_mean disagrees with the arrays present")
     config = parse_config(meta["config"])
     basis_m, centroids = arrays["pca_m_basis"], arrays["centroids"]
+    # before the codebook is built: deriving its weights needs K >= 1
+    if basis_m.shape[1] != config.n_p or centroids.shape != (config.K, 2 * config.n_p):
+        raise MalformedHeader("model arrays disagree with the model's config")
     model = PipelineModel(
         config=config,
         pca_m=PcaModel(arrays["pca_m_mean"], basis_m, arrays["pca_m_variance"]),
         pca_t=PcaModel(
             arrays["pca_t_mean"], arrays["pca_t_basis"], arrays["pca_t_variance"]
         ),
-        codebook=Codebook(
-            centroids=centroids,
-            radii=arrays["radii"],
-            cardinalities=arrays["cardinalities"],
-            weights=arrays["weights"],
-            global_mean=arrays.get("global_mean"),
-        ),
+        codebook=Codebook(centroids, arrays["radii"], arrays["cardinalities"]),
+        population_mean=arrays["global_mean"],
     )
     # the stored lattices guard against a change to the lattice construction
-    if (
-        not np.array_equal(arrays["lattice_m"], model.geometry.lattice_m)
-        or not np.array_equal(arrays["lattice_t"], model.geometry.lattice_t)
-        or basis_m.shape[1] != config.n_p
-        or centroids.shape != (config.K, 2 * config.n_p)
-    ):
-        raise MalformedHeader("model arrays disagree with the model's config")
+    for name in ("lattice_m", "lattice_t"):
+        if not np.array_equal(arrays[name], getattr(model.geometry, name)):
+            raise MalformedHeader("model arrays disagree with the model's config")
     return model
 
 

@@ -20,7 +20,6 @@ from .codebook import (
     BitString,
     Codebook,
     DistanceVector,
-    cardinality_weights,
     cluster_cardinalities,
     distance_vector,
     encode_bitstring,
@@ -29,7 +28,7 @@ from .codebook import (
     kmeans_train,
 )
 from .config import PipelineConfig
-from .errors import EmptyScores, EmptyTrainingSet
+from .errors import EmptyImage, EmptyScores, EmptyTrainingSet
 from .local_structures import (
     StructureGeometry,
     mbls_matrix,
@@ -208,16 +207,10 @@ def train_model(
     )
     radii = estimate_radii(fused, centroids, config.N_c)
     cardinalities = cluster_cardinalities(fused, centroids, radii)
-    codebook = Codebook(
-        centroids=centroids,
-        radii=radii,
-        cardinalities=cardinalities,
-        weights=cardinality_weights(cardinalities),
-    )
+    codebook = Codebook(centroids, radii, cardinalities)
 
     if verbose:
         print("averaging per-finger distance vectors into the population mean")
-    model = PipelineModel(config=config, pca_m=pca_m, pca_t=pca_t, codebook=codebook)
     # fused vectors, grouped per impression in key order
     groups: Dict[str, List[DistanceVector]] = {}
     offset = 0
@@ -226,13 +219,14 @@ def train_model(
         offset += n
         if n == 0:
             continue
-        groups.setdefault(key[0], []).append(
-            distance_vector(vals, codebook, subject_id=key[0], impression_id=key[1])
-        )
-    codebook.global_mean = global_mean(
-        [groups[s] for s in sorted(groups.keys())]
+        groups.setdefault(key[0], []).append(distance_vector(vals, codebook))
+    return PipelineModel(
+        config=config,
+        pca_m=pca_m,
+        pca_t=pca_t,
+        codebook=codebook,
+        population_mean=global_mean([groups[s] for s in sorted(groups)]),
     )
-    return model
 
 
 @dataclass
@@ -249,16 +243,19 @@ class EncodedImpression:
 def encode_impression(
     template: MinutiaTemplate, image: GrayImage, model: PipelineModel
 ) -> EncodedImpression:
-    """Template + image -> bit-string, distance vector, minutia count."""
+    """Template + image -> bit-string, distance vector, minutia count.
+
+    Raises:
+        EmptyImage: the template has no minutiae.
+    """
+    if not template.minutiae:
+        raise EmptyImage(
+            f"impression {template.subject_id}/{template.impression_id} has no minutiae"
+        )
     cfg = model.config
     vectors = fused_vectors(template, image, model)
     bits = encode_bitstring(vectors, model.codebook, cfg.tau_s, cfg.top_t, cfg.gate_all)
-    distances = distance_vector(
-        vectors,
-        model.codebook,
-        subject_id=template.subject_id,
-        impression_id=template.impression_id,
-    )
+    distances = distance_vector(vectors, model.codebook)
     return EncodedImpression(
         subject_id=template.subject_id,
         impression_id=template.impression_id,
@@ -308,14 +305,12 @@ def enroll_subject(
     position any sample voted for stays available, and the trained mask is
     what narrows the comparison down to dependable positions.
     """
-    if model.codebook.global_mean is None:
-        raise EmptyTrainingSet("model has no population mean; retrain the codebook")
     finger = train_finger(
         finger_id=samples[0].subject_id,
         distance_vectors=[e.distances for e in samples],
         bitstrings=[e.bits for e in samples],
         minutia_counts=[e.n_minutiae for e in samples],
-        population_mean=model.codebook.global_mean,
+        population_mean=model.population_mean,
         cluster_weights=model.codebook.weights,
         alpha=model.config.alpha,
         beta=model.config.beta,

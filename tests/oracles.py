@@ -44,7 +44,6 @@ from fpbits.bit_training import FingerModel
 from fpbits.codebook import (
     BitString,
     Codebook,
-    cardinality_weights,
     cluster_cardinalities,
     distance_vector,
     estimate_radii,
@@ -467,13 +466,7 @@ def train_model_oracle(items, config) -> PipelineModel:
     )
     radii = estimate_radii(fused, centroids, config.N_c)
     cardinalities = cluster_cardinalities(fused, centroids, radii)
-    codebook = Codebook(
-        centroids=centroids,
-        radii=radii,
-        cardinalities=cardinalities,
-        weights=cardinality_weights(cardinalities),
-    )
-    model = PipelineModel(config=config, pca_m=pca_m, pca_t=pca_t, codebook=codebook)
+    codebook = Codebook(centroids, radii, cardinalities)
     groups: Dict[str, list] = {}
     offset = 0
     for key, n in zip(keys, counts):
@@ -481,8 +474,11 @@ def train_model_oracle(items, config) -> PipelineModel:
         offset += n
         if n == 0:
             continue
-        groups.setdefault(key[0], []).append(
-            distance_vector(vals, codebook, subject_id=key[0], impression_id=key[1])
-        )
-    codebook.global_mean = global_mean([groups[s] for s in sorted(groups.keys())])
-    return model
+        groups.setdefault(key[0], []).append(distance_vector(vals, codebook))
+    return PipelineModel(
+        config=config,
+        pca_m=pca_m,
+        pca_t=pca_t,
+        codebook=codebook,
+        population_mean=global_mean([groups[s] for s in sorted(groups.keys())]),
+    )

@@ -319,7 +319,6 @@ def test_criterion_06_encode_oracle():
             centroids=centroids,
             radii=radii,
             cardinalities=np.ones(k, dtype=np.int64),
-            weights=np.ones(k),
         )
         got = encode_bitstring(vectors, book, -0.05, top_t, True)
 

@@ -628,6 +628,54 @@ def test_dataset_entry_that_is_a_directory_exits_2(workdir, tmp_path, capsys, su
     assert_one_error_line(capsys, name)
 
 
+def test_template_and_image_of_different_sizes_exit_2_with_one_line(
+    workdir, tmp_path, capsys
+):
+    # the synth images are 128x128; this template declares 256x256
+    data = str(tmp_path / "data")
+    _copy_tree(workdir["data"], data)
+    path = os.path.join(data, "templates", "s002_03.fpt")
+    template = parse_text_template(read_text(path))
+    with open(path, "w") as fh:
+        fh.write(serialize_text_template(
+            dataclasses.replace(template, width=256, height=256)
+        ))
+    assert main(["train", "--dataset", data, "--out", str(tmp_path / "m.fpbm"),
+                 "--quiet", "--set", "K=16", "--set", "n_p=8", "--set", "N_c=20"]) == 2
+    assert_one_error_line(capsys, "s002_03.fpt", "s002_03.pgm", "256x256", "128x128")
+    assert not os.path.exists(tmp_path / "m.fpbm")
+
+
+def _with_an_empty_template(workdir, tmp_path):
+    """A copy of ``workdir``'s dataset whose s003_02 template has no minutiae."""
+    data = str(tmp_path / "data")
+    _copy_tree(workdir["data"], data)
+    path = os.path.join(data, "templates", "s003_02.fpt")
+    template = parse_text_template(read_text(path))
+    with open(path, "w") as fh:
+        fh.write(serialize_text_template(dataclasses.replace(template, minutiae=[])))
+    return data
+
+
+def test_encode_failure_leaves_no_output_directory(workdir, tmp_path, capsys):
+    data = _with_an_empty_template(workdir, tmp_path)
+    out_dir = tmp_path / "enc"
+    assert main(["encode", "--dataset", data, "--model", workdir["model"],
+                 "--out-dir", str(out_dir)]) == 2
+    assert_one_error_line(capsys, "impression s003/02 has no minutiae")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("matcher", ["bits", "split"])
+def test_evaluate_failure_leaves_no_output_directory(workdir, tmp_path, capsys, matcher):
+    data = _with_an_empty_template(workdir, tmp_path)
+    out_dir = tmp_path / "ev"
+    assert main(["evaluate", "--dataset", data, "--model", workdir["model"],
+                 "--matcher", matcher, "--out-dir", str(out_dir)]) == 2
+    assert_one_error_line(capsys, "impression s003/02 has no minutiae")
+    assert not out_dir.exists()
+
+
 def _pairs(tmp_path, text):
     path = tmp_path / "pairs.txt"
     path.write_text(text)

@@ -47,7 +47,6 @@ def make_codebook(centroids, radii):
         centroids=c,
         radii=np.asarray(radii, dtype=np.float64),
         cardinalities=np.ones(k, dtype=np.int64),
-        weights=np.ones(k),
     )
 
 
@@ -346,10 +345,9 @@ def test_distance_vector_oracle():
     centroids = rng.normal(size=(6, 3))
     cb = make_codebook(centroids, np.ones(6))
     x = rng.normal(size=(9, 3))
-    dv = distance_vector(x, cb, subject_id="s1", impression_id="02")
+    dv = distance_vector(x, cb)
     want = brute_distances(x, centroids).min(axis=0)
     assert np.allclose(dv.values, want, rtol=1e-12)
-    assert dv.subject_id == "s1" and dv.impression_id == "02"
     with pytest.raises(EmptyImage):
         distance_vector(np.zeros((0, 3)), cb)
 

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from fpbits.bit_training import FingerModel
-from fpbits.codebook import BitString
+from fpbits.bit_training import FingerModel, train_finger
+from fpbits.codebook import BitString, cardinality_weights
 from fpbits.config import PipelineConfig, serialize_config
 from fpbits.errors import (
     BadMagic,
@@ -19,6 +19,8 @@ from fpbits.errors import (
 )
 from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.model_store import (
+    MODEL_MAGIC,
+    _pack,
     load_bitstring,
     load_finger,
     load_model,
@@ -28,7 +30,7 @@ from fpbits.model_store import (
     save_model,
     write_file_atomic,
 )
-from fpbits.pipeline import encode_impression, train_model
+from fpbits.pipeline import encode_impression, enroll_subject, train_model
 from fpbits.synth import SynthParams, synth_dataset
 
 
@@ -56,7 +58,7 @@ def test_model_roundtrip_and_byte_determinism():
     assert np.array_equal(back.codebook.radii, model.codebook.radii)
     assert np.array_equal(back.codebook.cardinalities, model.codebook.cardinalities)
     assert np.array_equal(back.codebook.weights, model.codebook.weights)
-    assert np.array_equal(back.codebook.global_mean, model.codebook.global_mean)
+    assert np.array_equal(back.population_mean, model.population_mean)
     assert np.array_equal(back.geometry.lattice_m, model.geometry.lattice_m)
     assert np.array_equal(back.geometry.lattice_t, model.geometry.lattice_t)
     assert np.array_equal(back.pca_m.basis, model.pca_m.basis)
@@ -294,7 +296,7 @@ def _set_config(header, key, value):
     lambda h: _set_config(h, "top_t", "0"),
     lambda h: _set_config(h, "top_t", "true"),
     lambda h: _set_config(h, "tau_s", "x"),
-    lambda h: h["meta"].update(has_global_mean=False),
+    lambda h: _drop_last_array(h, "global_mean"),
     lambda h: h["meta"].update(config="r_m = 81\n"),  # lattice from r_m = 81
     lambda h: h.update(meta=[]),
     lambda h: h["arrays"].append(h["arrays"][0]),
@@ -326,6 +328,89 @@ def test_header_conversion_fields_are_ignored(fields):
         want = encode_impression(*items[key], model).bits
         assert want.ones > 0, key
         assert encode_impression(*items[key], back).bits == want, key
+
+
+def _drop_last_array(header, name):
+    """Header edit: remove the last array's entry, which must be ``name``."""
+    assert header["arrays"][-1]["name"] == name
+    header["arrays"].pop()
+
+
+def test_model_without_population_mean_rejected():
+    # the population mean is the last array: dropping its entry and its bytes
+    # leaves a well-formed container that lacks it
+    _, model = tiny_model()
+    blob = _repack(save_model(model), b"FPBM",
+                   lambda h: _drop_last_array(h, "global_mean"))
+    with pytest.raises(MalformedHeader, match=r"lacks arrays \['global_mean'\]"):
+        load_model(blob[: -8 * model.codebook.k])
+
+
+def _legacy_format(model, weights=None):
+    """``model`` as the earlier format wrote it.
+
+    That format stored the codebook weights as an array, ``weights`` unless
+    given, and a ``has_global_mean`` header key.
+    """
+    cb, pca_m, pca_t = model.codebook, model.pca_m, model.pca_t
+    meta = {
+        "kind": "pipeline-model",
+        "config": serialize_config(model.config),
+        "has_global_mean": True,
+    }
+    return _pack(MODEL_MAGIC, meta, [
+        ("lattice_m", model.geometry.lattice_m, "i8"),
+        ("lattice_t", model.geometry.lattice_t, "i8"),
+        ("pca_m_mean", pca_m.mean, "f8"),
+        ("pca_m_basis", pca_m.basis, "f8"),
+        ("pca_m_variance", pca_m.explained_variance, "f8"),
+        ("pca_t_mean", pca_t.mean, "f8"),
+        ("pca_t_basis", pca_t.basis, "f8"),
+        ("pca_t_variance", pca_t.explained_variance, "f8"),
+        ("centroids", cb.centroids, "f8"),
+        ("radii", cb.radii, "f8"),
+        ("cardinalities", cb.cardinalities, "i8"),
+        ("weights", cb.weights if weights is None else weights, "f8"),
+        ("global_mean", model.population_mean, "f8"),
+    ])
+
+
+def test_legacy_format_model_loads_and_encodes_identically():
+    items, model = tiny_model()
+    old = _legacy_format(model)
+    assert b'"has_global_mean":true' in old and b'"name":"weights"' in old
+    back = load_model(old)
+    assert save_model(back) == save_model(model)  # the key and array are dropped
+    for key in sorted(items):
+        want = encode_impression(*items[key], model)
+        got = encode_impression(*items[key], back)
+        assert got.bits == want.bits, key
+        assert np.array_equal(got.distances.values, want.distances.values), key
+
+
+def test_stored_weights_contradicting_cardinalities_are_ignored():
+    items, model = tiny_model()
+    contrary = model.codebook.weights[::-1].copy()
+    assert not np.array_equal(contrary, model.codebook.weights)
+    back = load_model(_legacy_format(model, weights=contrary))
+    assert np.array_equal(
+        back.codebook.weights, cardinality_weights(back.codebook.cardinalities)
+    )
+
+    subject = sorted(items)[0][0]
+    keys = [key for key in sorted(items) if key[0] == subject]
+    want, _ = enroll_subject([encode_impression(*items[k], model) for k in keys], model)
+    got, _ = enroll_subject([encode_impression(*items[k], back) for k in keys], back)
+    assert np.array_equal(got.power, want.power)
+    assert np.array_equal(got.mask, want.mask)
+    # the stored weights, had they been used, would have moved the power
+    samples = [encode_impression(*items[k], model) for k in keys]
+    stale = train_finger(
+        subject, [e.distances for e in samples], [e.bits for e in samples],
+        [e.n_minutiae for e in samples], model.population_mean, contrary,
+        model.config.alpha, model.config.beta,
+    )
+    assert not np.array_equal(stale.power, want.power)
 
 
 def _with_augment_pool(value):

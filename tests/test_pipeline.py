@@ -19,6 +19,7 @@ from fpbits.codebook import (
 )
 
 from fpbits.config import PipelineConfig
+from fpbits.errors import EmptyImage
 from fpbits.local_structures import StructureGeometry, normalize_image
 from fpbits.model_store import load_model, save_model
 from fpbits.matching import fold_compress
@@ -194,7 +195,7 @@ def test_uncapped_fit_is_fitted_on_its_own_encodings(run, request):
         if enc.n_minutiae:
             groups.setdefault(key[0], []).append(enc.distances)
     assert np.array_equal(
-        global_mean([groups[s] for s in sorted(groups)]), codebook.global_mean
+        global_mean([groups[s] for s in sorted(groups)]), model.population_mean
     )
 
 
@@ -267,6 +268,21 @@ def test_empty_and_single_minutia_impressions(small_run):
     assert enc.n_minutiae == 1 and len(enc.distances) == model.codebook.k
 
 
+def test_empty_impression_is_named_before_extraction(small_run, monkeypatch):
+    items, model = small_run
+    template, image = items[sorted(items)[0]]
+    empty = MinutiaTemplate([], template.width, template.height,
+                            template.subject_id, template.impression_id)
+
+    def extract(*args):
+        raise AssertionError("an empty impression reached extraction")
+
+    monkeypatch.setattr(pipeline, "fused_vectors", extract)
+    name = f"{template.subject_id}/{template.impression_id}"
+    with pytest.raises(EmptyImage, match=f"^impression {name} has no minutiae$"):
+        encode_impression(empty, image, model)
+
+
 # ---------------------------------------------------------------------------
 # batch pair scoring against the per-pair loops it replaced
 # ---------------------------------------------------------------------------
@@ -335,7 +351,7 @@ def random_grid(rng, n_subjects, n_impressions, k):
             key = (f"s{s:03d}", f"{i:02d}")
             out[key] = EncodedImpression(
                 key[0], key[1], BitString(bits),
-                DistanceVector(np.zeros(k), key[0], key[1]), 20,
+                DistanceVector(np.zeros(k)), 20,
             )
     return out
 
