@@ -242,8 +242,8 @@ def cmd_match(args) -> int:
             side_a = [fingers[p[0]][1] for p in pairs]
         else:
             side_a = [_get(bits, sa, ia) for sa, ia, _, _ in pairs]
-        # every string the file names must share one length and template length
-        strings, _ = stack_bits(side_a + [_get(bits, sb, ib) for _, _, sb, ib in pairs])
+        # every string the file names must share one length
+        strings = stack_bits(side_a + [_get(bits, sb, ib) for _, _, sb, ib in pairs])
         a, b = strings[: len(pairs)], strings[len(pairs) :]
         if args.kind == "masked":
             masks = np.array([fingers[p[0]][0].mask for p in pairs], dtype=bool)
@@ -386,7 +386,7 @@ def cmd_inspect(args) -> int:
     if args.bits:
         bs = load_bitstring(read_bytes(args.bits))
         print(f"bit-string: {args.bits}")
-        print(f"  length: {len(bs)} (template length {bs.template_length})")
+        print(f"  length: {len(bs)}")
         print(f"  set bits: {bs.ones}")
     if args.finger:
         finger, reference = load_finger(read_bytes(args.finger))

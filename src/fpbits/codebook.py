@@ -39,20 +39,12 @@ _EXPANDED_ROUNDING = 4.0
 # ---------------------------------------------------------------------------
 
 class BitString:
-    """Fixed-length binary template.
+    """Fixed-length binary template: one bool per bit position."""
 
-    ``template_length`` is the length the string had before any folding, so
-    two strings are only ever compared when both their current and original
-    lengths agree.
-    """
+    __slots__ = ("bits",)
 
-    __slots__ = ("bits", "template_length")
-
-    def __init__(self, bits: np.ndarray, template_length: Optional[int] = None):
+    def __init__(self, bits: np.ndarray):
         self.bits = np.asarray(bits, dtype=bool).ravel()
-        self.template_length = (
-            int(template_length) if template_length is not None else self.bits.shape[0]
-        )
 
     def __len__(self) -> int:
         return self.bits.shape[0]
@@ -60,14 +52,10 @@ class BitString:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return (
-            self.template_length == other.template_length
-            and len(self) == len(other)
-            and bool(np.array_equal(self.bits, other.bits))
-        )
+        return len(self) == len(other) and bool(np.array_equal(self.bits, other.bits))
 
     def __repr__(self) -> str:
-        return f"BitString({self.ones}/{len(self)} set, template_length={self.template_length})"
+        return f"BitString({self.ones}/{len(self)} set)"
 
     @property
     def ones(self) -> int:
@@ -353,8 +341,6 @@ def encode_bitstring(
     """
     bits = np.zeros(codebook.k, dtype=bool)
     x = np.asarray(vectors, dtype=np.float64)
-    if x.size == 0:
-        return BitString(bits)
     adj = _distances(x, codebook.centroids) - codebook.radii[None, :]
     # ties in adjusted distance nominate the smaller cluster index first
     nominated = np.argsort(adj, axis=1, kind="stable")[:, :top_t]

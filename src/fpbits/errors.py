@@ -72,7 +72,7 @@ class DegeneratePool(FpbitsError):
 
 
 class EmptyImage(FpbitsError):
-    """An impression produced no descriptor vectors."""
+    """An impression has no minutiae, so it yields no descriptor vectors."""
 
 
 class EmptyTrainingSet(FpbitsError):
@@ -92,7 +92,7 @@ class LengthMismatch(FpbitsError):
 
 
 class BadLength(FpbitsError):
-    """A fold length outside [1, template length] was requested, a fold-length
+    """A fold length outside [1, K] was requested, a fold-length
     list held a token that is not an integer or no length at all, or a fold was
     asked of a matcher that does not fold."""
 

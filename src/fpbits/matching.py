@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .bit_training import FingerModel
 from .codebook import BitString
-from .errors import BadLength, LengthMismatch
+from .errors import BadLength, EmptyImage, LengthMismatch
 
 KIND_LGS = "lgs"
 KIND_INTERSECTION = "intersection"
@@ -83,14 +83,17 @@ def lgs_score(
     are taken greedily, each vector used at most once, until the budget from
     :func:`lgs_pair_budget` is filled or vectors run out. The score is the
     mean distance of the taken pairs; ``short`` marks an underfilled budget.
+
+    Raises:
+        EmptyImage: either side has no vectors.
+        LengthMismatch: the two sides' vector lengths differ.
     """
     a = np.asarray(vectors_a, dtype=np.float64)
     b = np.asarray(vectors_b, dtype=np.float64)
-    n_a = a.shape[0] if a.size else 0
-    n_b = b.shape[0] if b.size else 0
+    if a.size == 0 or b.size == 0:
+        raise EmptyImage("an impression with no fused vectors has no lgs score")
+    n_a, n_b = a.shape[0], b.shape[0]
     budget = lgs_pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
-    if n_a == 0 or n_b == 0:
-        return MatchScore(value=math.inf, kind=KIND_LGS, support=0, short=True)
     if a.shape[1] != b.shape[1]:
         raise LengthMismatch(
             f"fused vector lengths differ: {a.shape[1]} vs {b.shape[1]}"
@@ -133,12 +136,7 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-def intersection_scores(
-    a: np.ndarray,
-    b: np.ndarray,
-    template_length_a: Optional[int] = None,
-    template_length_b: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+def intersection_scores(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Size-normalized common-bit similarity of row ``i`` of ``a`` and ``b``, in [0, 1].
 
     Each value is ``(n_a + n_b) * common / (n_a^2 + n_b^2)``, where
@@ -146,21 +144,17 @@ def intersection_scores(
     positions set in both. It is exactly 1 for identical rows and 0 for
     disjoint ones; two empty rows share nothing and score 0.
 
-    ``a`` and ``b`` are ``(n, K)`` bool matrices, one string per row; the
-    template lengths (default ``K``) are the lengths before any folding.
+    ``a`` and ``b`` are ``(n, K)`` bool matrices, one string per row.
     Returns the float64 values and the int64 common-bit counts.
 
     Raises:
-        LengthMismatch: row counts, string lengths or template lengths differ.
+        LengthMismatch: row counts or string lengths differ.
     """
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
-    tl_a = a.shape[1] if template_length_a is None else int(template_length_a)
-    tl_b = b.shape[1] if template_length_b is None else int(template_length_b)
-    if a.shape[1] != b.shape[1] or tl_a != tl_b:
+    if a.shape[1] != b.shape[1]:
         raise LengthMismatch(
-            f"bit-strings disagree in length: {a.shape[1]}/{tl_a} vs "
-            f"{b.shape[1]}/{tl_b}"
+            f"bit-strings disagree in length: {a.shape[1]} vs {b.shape[1]}"
         )
     if a.shape[0] != b.shape[0]:
         raise LengthMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
@@ -187,7 +181,7 @@ def masked_scores(
 
     With ``mask_both`` each mask is applied to both strings; without it only
     the enrolled side is restricted (a query from an unknown sensor keeps
-    all its bits). Template lengths are not checked here.
+    all its bits).
 
     Raises:
         LengthMismatch: mask length does not fit the strings.
@@ -202,22 +196,21 @@ def masked_scores(
     return intersection_scores(query, enrolled & masks)
 
 
-def stack_bits(strings: Sequence[BitString]) -> Tuple[np.ndarray, int]:
-    """One ``(n, K)`` bool matrix of equal-length strings, and their template length.
+def stack_bits(strings: Sequence[BitString]) -> np.ndarray:
+    """One ``(n, K)`` bool matrix of equal-length strings.
 
     Raises:
-        LengthMismatch: two strings disagree in current or template length.
+        LengthMismatch: two strings disagree in length.
     """
     if not strings:
-        return np.zeros((0, 0), dtype=bool), 0
+        return np.zeros((0, 0), dtype=bool)
     first = strings[0]
     for other in strings[1:]:
-        if len(other) != len(first) or other.template_length != first.template_length:
+        if len(other) != len(first):
             raise LengthMismatch(
-                f"bit-strings disagree in length: {len(first)}/{first.template_length} "
-                f"vs {len(other)}/{other.template_length}"
+                f"bit-strings disagree in length: {len(first)} vs {len(other)}"
             )
-    return np.array([s.bits for s in strings]), first.template_length
+    return np.array([s.bits for s in strings])
 
 
 def check_fold_length(length: int, k: int) -> None:
@@ -248,14 +241,12 @@ def fold_compress(bitstring: BitString, length: int) -> BitString:
 
     Output bit j is the OR of all input bits at positions congruent to j.
     Popcount never grows; a string folded to its own length is unchanged.
-    The original template length rides along so strings folded differently
-    are never compared.
 
     Raises:
         BadLength: ``length`` outside [1, len(bitstring)].
     """
     out = fold_bits(bitstring.bits[None, :], length)[0]
-    return BitString(out, template_length=bitstring.template_length)
+    return BitString(out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +263,9 @@ def intersection_score(a: BitString, b: BitString) -> MatchScore:
     """:func:`intersection_scores` of one pair.
 
     Raises:
-        LengthMismatch: strings of different current or template lengths.
+        LengthMismatch: strings of different lengths.
     """
-    return _one_pair(*intersection_scores(
-        a.bits[None, :], b.bits[None, :], a.template_length, b.template_length
-    ))
+    return _one_pair(*intersection_scores(a.bits[None, :], b.bits[None, :]))
 
 
 def masked_score(
@@ -288,9 +277,9 @@ def masked_score(
     """:func:`masked_scores` of one pair under ``model``'s mask.
 
     Raises:
-        LengthMismatch: strings of different current or template lengths,
-            or a mask that does not fit them.
+        LengthMismatch: strings of different lengths, or a mask that does
+            not fit them.
     """
-    strings, _ = stack_bits([query, enrolled])
+    strings = stack_bits([query, enrolled])
     masks = model.mask[None, :]
     return _one_pair(*masked_scores(strings[:1], strings[1:], masks, mask_both))

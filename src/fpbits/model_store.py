@@ -286,7 +286,8 @@ def save_bitstring(bs: BitString) -> bytes:
     out = bytearray()
     out += BITS_MAGIC
     out += CONTAINER_VERSION.to_bytes(4, "little")
-    out += bs.template_length.to_bytes(4, "little")
+    # the format's template-length word, which always equals the bit count
+    out += len(bs).to_bytes(4, "little")
     out += len(bs).to_bytes(4, "little")
     out += np.packbits(bs.bits).tobytes()
     return bytes(out)
@@ -301,12 +302,12 @@ def load_bitstring(data: bytes) -> BitString:
     if version != CONTAINER_VERSION:
         raise UnsupportedVersion(f"bit-string version {version} not supported")
     template_length = int.from_bytes(data[8:12], "little")
-    fold_length = int.from_bytes(data[12:16], "little")
-    if fold_length > template_length:
+    k = int.from_bytes(data[12:16], "little")
+    if template_length != k:
         raise MalformedHeader(
-            f"fold length {fold_length} exceeds template length {template_length}"
+            f"template length {template_length} differs from the bit count {k}"
         )
-    nbytes = (fold_length + 7) // 8
+    nbytes = (k + 7) // 8
     raw = data[16 : 16 + nbytes]
     if len(raw) < nbytes:
         raise TruncatedRecord(
@@ -315,10 +316,9 @@ def load_bitstring(data: bytes) -> BitString:
     if len(data) > 16 + nbytes:
         raise MalformedHeader(f"{len(data) - 16 - nbytes} bytes follow the payload")
     # the last byte is zero-padded, so each string has exactly one encoding
-    if fold_length % 8 and raw[-1] & ((1 << (8 - fold_length % 8)) - 1):
-        raise MalformedHeader(f"padding bits after bit {fold_length} are not zero")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:fold_length].astype(bool)
-    return BitString(bits, template_length=template_length)
+    if k % 8 and raw[-1] & ((1 << (8 - k % 8)) - 1):
+        raise MalformedHeader(f"padding bits after bit {k} are not zero")
+    return BitString(np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,7 @@ def save_finger(model: FingerModel, enrolled: BitString) -> bytes:
         "kind": "finger-model",
         "finger_id": model.finger_id,
         "n_mean": model.n_mean,
-        "template_length": enrolled.template_length,
+        "template_length": len(enrolled),
     }
     arrays = [
         ("power", model.power, "f8"),
@@ -361,9 +361,9 @@ def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
     meta, arrays = _unpack(FINGER_MAGIC, data, _FINGER_META, _FINGER_ARRAYS)
     if meta["kind"] != "finger-model":
         raise MalformedHeader(f"not a finger model container: {meta['kind']!r}")
-    if meta["template_length"] < len(arrays["enrolled"]):
+    if meta["template_length"] != len(arrays["enrolled"]):
         raise MalformedHeader(
-            f"template length {meta['template_length']} is below the enrolled "
+            f"template length {meta['template_length']} differs from the enrolled "
             f"string's {len(arrays['enrolled'])} bits"
         )
     # save_finger writes each flag as 0 or 1, so each file has one encoding
@@ -377,7 +377,4 @@ def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
         mask=arrays["mask"].astype(bool),
         n_mean=float(meta["n_mean"]),
     )
-    enrolled = BitString(
-        arrays["enrolled"].astype(bool), template_length=meta["template_length"]
-    )
-    return model, enrolled
+    return model, BitString(arrays["enrolled"])

@@ -79,10 +79,23 @@ def raw_structures(
     return mbls, tbls
 
 
+def _require_minutiae(template: MinutiaTemplate) -> None:
+    """``EmptyImage`` naming the impression unless its template has minutiae."""
+    if not template.minutiae:
+        raise EmptyImage(
+            f"impression {template.subject_id}/{template.impression_id} has no minutiae"
+        )
+
+
 def fused_vectors(
     template: MinutiaTemplate, image: GrayImage, model: PipelineModel
 ) -> np.ndarray:
-    """Project and fuse every minutia: the ``(n_minutiae, 2 * n_p)`` fused matrix."""
+    """Project and fuse every minutia: the ``(n_minutiae, 2 * n_p)`` fused matrix.
+
+    Raises:
+        EmptyImage: the template has no minutiae.
+    """
+    _require_minutiae(template)
     cfg = model.config
     mbls, tbls = raw_structures(template, image, model.geometry)
     return fuse_matrix(
@@ -164,11 +177,17 @@ def train_model(
     place boundary radii, count cardinalities under adjusted assignment,
     and finally average each finger's distance vectors into the population
     mean.
+
+    Raises:
+        EmptyTrainingSet: ``items`` is empty.
+        EmptyImage: an impression has no minutiae.
     """
     if not items:
         raise EmptyTrainingSet("training dataset is empty")
     geometry = StructureGeometry.from_config(config)
     keys = sorted(items.keys())
+    for key in keys:
+        _require_minutiae(items[key][0])
     counts = [len(items[key][0].minutiae) for key in keys]
 
     # one impression's rows of either family at the given minutia indices
@@ -217,8 +236,6 @@ def train_model(
     for key, n in zip(keys, counts):
         vals = fused[offset : offset + n]
         offset += n
-        if n == 0:
-            continue
         groups.setdefault(key[0], []).append(distance_vector(vals, codebook))
     return PipelineModel(
         config=config,
@@ -248,10 +265,6 @@ def encode_impression(
     Raises:
         EmptyImage: the template has no minutiae.
     """
-    if not template.minutiae:
-        raise EmptyImage(
-            f"impression {template.subject_id}/{template.impression_id} has no minutiae"
-        )
     cfg = model.config
     vectors = fused_vectors(template, image, model)
     bits = encode_bitstring(vectors, model.codebook, cfg.tau_s, cfg.top_t, cfg.gate_all)
@@ -340,7 +353,7 @@ def _fvc_bit_reports(
     """
     keys, n_subjects, n_impressions = _grid_keys(encoded)
     genuine, impostor = fvc_pair_rows(n_subjects, n_impressions)
-    grid, _ = stack_bits([encoded[key].bits for key in keys])
+    grid = stack_bits([encoded[key].bits for key in keys])
     pairs = np.concatenate([genuine, impostor])
     n_g = genuine.shape[0]
     reports = []
@@ -425,10 +438,10 @@ def evaluate_split(
 
     subjects = sorted(split.keys())
     n_s = len(subjects)
-    references, reference_length = stack_bits([enrolled[s] for s in subjects])
+    references = stack_bits([enrolled[s] for s in subjects])
     masks = np.array([fingers[s].mask for s in subjects])
     test_keys = [key for s in subjects for key in tests[s]]
-    queries, query_length = stack_bits([encoded[key].bits for key in test_keys])
+    queries = stack_bits([encoded[key].bits for key in test_keys])
     counts = [len(tests[s]) for s in subjects]
     # genuine: every held-out impression against its own subject's reference
     g_query = np.arange(len(test_keys))
@@ -439,9 +452,7 @@ def evaluate_split(
     i_query = np.cumsum([0] + counts[:-1], dtype=np.int64)[other]
     query = queries[np.concatenate([g_query, i_query])]
     ref = np.concatenate([g_ref, i_ref])
-    plain, _ = intersection_scores(
-        query, references[ref], query_length, reference_length
-    )
+    plain, _ = intersection_scores(query, references[ref])
     trained, _ = masked_scores(
         query, references[ref], masks[ref], model.config.mask_both
     )

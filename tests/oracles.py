@@ -272,13 +272,10 @@ def intersection_score(a: BitString, b: BitString) -> MatchScore:
     share nothing and score 0.
 
     Raises:
-        LengthMismatch: strings of different current or original lengths.
+        LengthMismatch: strings of different lengths.
     """
-    if len(a) != len(b) or a.template_length != b.template_length:
-        raise LengthMismatch(
-            f"bit-strings disagree in length: {len(a)}/{a.template_length} vs "
-            f"{len(b)}/{b.template_length}"
-        )
+    if len(a) != len(b):
+        raise LengthMismatch(f"bit-strings disagree in length: {len(a)} vs {len(b)}")
     n_a = a.ones
     n_b = b.ones
     if n_a == 0 and n_b == 0:
@@ -309,8 +306,8 @@ def masked_score(
             f"{len(query)} and {len(enrolled)}"
         )
     if mask_both:
-        query = BitString(query.bits & model.mask, query.template_length)
-    enrolled = BitString(enrolled.bits & model.mask, enrolled.template_length)
+        query = BitString(query.bits & model.mask)
+    enrolled = BitString(enrolled.bits & model.mask)
     return intersection_score(query, enrolled)
 
 

@@ -262,7 +262,7 @@ def test_match_folded_and_unfolded_strings_exit_2_with_one_line(
                 + (extra if kind == "masked" else [])) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error:") and "8/16" in err and "16/16" in err, err
+    assert err.startswith("error:") and "16 vs 8" in err, err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -370,6 +370,35 @@ def test_inspect_finger_with_a_non_canonical_mask_byte_exits_2_with_one_line(
     path.write_bytes(bytes(blob))
     assert main(["inspect", "--finger", str(path)]) == 2
     assert_one_error_line(capsys, "mask", "0 or 1")
+
+
+def _fpbs_with_template_length(template_length):
+    blob = bytearray(save_bitstring(BitString(np.ones(10, dtype=bool))))
+    blob[8:12] = template_length.to_bytes(4, "little")
+    return bytes(blob)
+
+
+def _fpfm_with_template_length_32():
+    finger = FingerModel(finger_id="s001", power=np.ones(16), reliability=np.ones(16),
+                         mask=np.ones(16, dtype=bool), n_mean=20.0)
+    blob = save_finger(finger, BitString(np.ones(16, dtype=bool)))
+    old, new = b'"template_length":16', b'"template_length":32'
+    assert blob.count(old) == 1
+    return blob.replace(old, new)  # the same header length
+
+
+@pytest.mark.parametrize("flag, name, blob", [
+    ("--bits", "s001_01.fpbs", _fpbs_with_template_length(9)),
+    ("--bits", "s001_01.fpbs", _fpbs_with_template_length(20)),
+    ("--finger", "s001.fpfm", _fpfm_with_template_length_32()),
+], ids=["fpbs-below", "fpbs-above", "fpfm-above"])
+def test_inspect_template_length_other_than_bit_count_exits_2_with_one_line(
+    tmp_path, capsys, flag, name, blob
+):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    assert main(["inspect", flag, str(path)]) == 2
+    assert_one_error_line(capsys, "template length")
 
 
 def test_inspect_nothing(capsys):
@@ -666,7 +695,7 @@ def test_encode_failure_leaves_no_output_directory(workdir, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("matcher", ["bits", "split"])
+@pytest.mark.parametrize("matcher", ["lgs", "bits", "split"])
 def test_evaluate_failure_leaves_no_output_directory(workdir, tmp_path, capsys, matcher):
     data = _with_an_empty_template(workdir, tmp_path)
     out_dir = tmp_path / "ev"
@@ -680,6 +709,28 @@ def _pairs(tmp_path, text):
     path = tmp_path / "pairs.txt"
     path.write_text(text)
     return str(path)
+
+
+EMPTY_IMPRESSION_ARGS = {
+    "train": lambda wd, data, out, pairs: [
+        "train", "--dataset", data, "--out", out, "--quiet",
+        "--set", "K=16", "--set", "n_p=8", "--set", "N_c=20"],
+    "enroll": lambda wd, data, out, pairs: [
+        "enroll", "--dataset", data, "--model", wd["model"], "--out-dir", out],
+    "match --kind lgs": lambda wd, data, out, pairs: [
+        "match", "--kind", "lgs", "--pairs", pairs, "--model", wd["model"],
+        "--dataset", data, "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_IMPRESSION_ARGS))
+def test_empty_impression_exits_2_with_one_line(workdir, tmp_path, capsys, command):
+    data = _with_an_empty_template(workdir, tmp_path)
+    out = tmp_path / "out"
+    pairs = _pairs(tmp_path, "s001 01 s003 02\n")
+    assert main(EMPTY_IMPRESSION_ARGS[command](workdir, data, str(out), pairs)) == 2
+    assert_one_error_line(capsys, "impression s003/02 has no minutiae")
+    assert not out.exists()
 
 
 def test_bits_entry_that_is_a_directory_exits_2(workdir, tmp_path, capsys):

@@ -58,9 +58,7 @@ def test_bitstring_basics():
     bs = BitString(np.array([1, 0, 1, 1, 0], dtype=bool))
     assert len(bs) == 5
     assert bs.ones == 3
-    assert bs.template_length == 5
     assert bs == BitString(np.array([True, False, True, True, False]))
-    assert bs != BitString(np.array([1, 0, 1, 1, 0], dtype=bool), template_length=10)
     assert "3/5" in repr(bs)
 
 

@@ -8,7 +8,7 @@ import pytest
 from fpbits.bit_training import FingerModel
 from fpbits.codebook import BitString
 from fpbits.config import PipelineConfig
-from fpbits.errors import BadLength, LengthMismatch
+from fpbits.errors import BadLength, EmptyImage, LengthMismatch
 from fpbits.matching import (
     fold_bits,
     fold_compress,
@@ -31,11 +31,11 @@ def pair_args(**overrides):
             "steepness": cfg.tau_P, **overrides}
 
 
-def bits(*positions, k=10, template_length=None):
+def bits(*positions, k=10):
     arr = np.zeros(k, dtype=bool)
     for p in positions:
         arr[p] = True
-    return BitString(arr, template_length=template_length)
+    return BitString(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +131,8 @@ def test_lgs_empty_side():
     a = np.zeros((0, 3))
     b = np.ones((2, 3))
     for x, y in ((a, b), (b, a), (a, a)):
-        score = lgs_score(x, y, **pair_args())
-        assert math.isinf(score.value)
-        assert score.support == 0 and score.short
+        with pytest.raises(EmptyImage):
+            lgs_score(x, y, **pair_args())
 
 
 def test_lgs_dim_mismatch():
@@ -184,8 +183,6 @@ def test_intersection_bounded():
 def test_intersection_length_checks():
     with pytest.raises(LengthMismatch):
         intersection_score(bits(0, k=10), bits(0, k=12))
-    with pytest.raises(LengthMismatch):
-        intersection_score(bits(0, k=10), bits(0, k=10, template_length=20))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,6 @@ def test_fold_or_semantics():
     folded = fold_compress(bs, 5)
     # positions 0, 5 collapse onto 0; 9 lands on 4
     assert folded.bits.tolist() == [True, False, False, False, True]
-    assert folded.template_length == 10
     assert len(folded) == 5
 
 
@@ -247,7 +243,6 @@ def test_fold_identity_at_own_length():
         bs = BitString(rng.random(24) < 0.4)
         same = fold_compress(bs, 24)
         assert np.array_equal(same.bits, bs.bits)
-        assert same.template_length == bs.template_length
 
 
 def test_fold_popcount_never_grows():
@@ -270,13 +265,6 @@ def test_fold_identical_strings_score_one():
         a = fold_compress(BitString(arr), 17)
         b = fold_compress(BitString(arr.copy()), 17)
         assert intersection_score(a, b).value == 1.0
-
-
-def test_fold_keeps_strings_comparable_only_at_same_history():
-    bs = BitString(np.ones(12, dtype=bool))
-    with pytest.raises(LengthMismatch):
-        # same current length, different original lengths
-        intersection_score(fold_compress(bs, 6), BitString(np.ones(6, dtype=bool)))
 
 
 def test_fold_length_validation():
@@ -347,18 +335,20 @@ def test_masked_scores_match_one_pair_oracle(k, mask_both):
     assert_matches_pairwise(values, common, want)
 
 
+def test_stack_bits_is_one_matrix():
+    got = stack_bits([bits(0, k=10), bits(3, 4, k=10)])
+    assert got.dtype == bool and got.shape == (2, 10)
+    assert got.sum(axis=1).tolist() == [1, 2]
+
+
 def test_batch_length_checks():
-    with pytest.raises(LengthMismatch):  # current lengths
+    with pytest.raises(LengthMismatch):  # string lengths
         intersection_scores(np.zeros((3, 10), bool), np.zeros((3, 12), bool))
-    with pytest.raises(LengthMismatch):  # template lengths
-        intersection_scores(np.zeros((3, 10), bool), np.zeros((3, 10), bool), 10, 20)
     with pytest.raises(LengthMismatch):  # row counts
         intersection_scores(np.zeros((3, 10), bool), np.zeros((4, 10), bool))
     with pytest.raises(LengthMismatch):
         masked_scores(np.zeros((3, 4), bool), np.zeros((3, 4), bool),
                       np.zeros((3, 3), bool), mask_both=True)
-    with pytest.raises(LengthMismatch):
-        stack_bits([bits(0, k=10), bits(0, k=10, template_length=20)])
     with pytest.raises(LengthMismatch):
         stack_bits([bits(0, k=10), bits(0, k=12)])
 

@@ -114,7 +114,6 @@ def test_bitstring_roundtrip():
 def test_bitstring_roundtrip_after_fold():
     bs = fold_compress(BitString(np.ones(20, dtype=bool)), 7)
     back = load_bitstring(save_bitstring(bs))
-    assert back.template_length == 20
     assert len(back) == 7
     assert back == bs
 
@@ -261,19 +260,53 @@ def test_finger_flags_other_than_0_and_1_rejected(name, offset, value):
     assert save_finger(*load_finger(blob)) == blob
 
 
+def _finger_meta(blob):
+    hlen = int.from_bytes(blob[8:12], "little")
+    return json.loads(blob[12 : 12 + hlen])["meta"]
+
+
+@pytest.mark.parametrize("k", [1, 9, 200])
+def test_containers_write_the_bit_count_as_template_length(k):
+    bs = BitString(np.arange(k) % 3 == 0)
+    blob = save_bitstring(bs)
+    assert int.from_bytes(blob[8:12], "little") == k  # template length
+    assert int.from_bytes(blob[12:16], "little") == k  # bit count
+    finger, _ = _finger(k=k)
+    assert _finger_meta(save_finger(finger, bs))["template_length"] == k
+
+
+def _fpfm_with_template_length(k, template_length):
+    finger, enrolled = _finger(k=k)
+    return _repack(save_finger(finger, enrolled), b"FPFM",
+                   lambda h: h["meta"].update(template_length=template_length))
+
+
+def _fpbs_with_template_length(k, template_length):
+    blob = bytearray(save_bitstring(BitString(np.ones(k, dtype=bool))))
+    blob[8:12] = template_length.to_bytes(4, "little")
+    return bytes(blob)
+
+
 def test_finger_template_length_not_below_string():
-    finger, enrolled = _finger()
-    blob = _repack(save_finger(finger, enrolled), b"FPFM",
-                   lambda h: h["meta"].update(template_length=7))
-    with pytest.raises(MalformedHeader):
-        load_finger(blob)
+    with pytest.raises(MalformedHeader, match="template length 7"):
+        load_finger(_fpfm_with_template_length(8, 7))
+
+
+def test_finger_template_length_above_string_rejected():
+    with pytest.raises(MalformedHeader, match="template length 16"):
+        load_finger(_fpfm_with_template_length(8, 16))
 
 
 def test_bitstring_fold_length_above_template_length():
-    blob = bytearray(save_bitstring(BitString(np.ones(10, dtype=bool))))
-    blob[8:12] = (9).to_bytes(4, "little")  # template length 9 < 10 bits
-    with pytest.raises(MalformedHeader):
-        load_bitstring(bytes(blob))
+    # the bit count 10 above a template length of 9
+    with pytest.raises(MalformedHeader, match="template length 9"):
+        load_bitstring(_fpbs_with_template_length(10, 9))
+
+
+def test_bitstring_template_length_above_bit_count_rejected():
+    # a folded string from an older writer: 10 bits of a 20-bit template
+    with pytest.raises(MalformedHeader, match="template length 20"):
+        load_bitstring(_fpbs_with_template_length(10, 20))
 
 
 @pytest.mark.parametrize("loader, blob", [

@@ -261,7 +261,9 @@ def test_empty_and_single_minutia_impressions(small_run):
     template, image = items[sorted(items)[0]]
     empty = MinutiaTemplate([], template.width, template.height,
                             template.subject_id, template.impression_id)
-    assert fused_vectors(empty, image, model).shape == (0, 2 * model.config.n_p)
+    name = f"{template.subject_id}/{template.impression_id}"
+    with pytest.raises(EmptyImage, match=f"^impression {name} has no minutiae$"):
+        fused_vectors(empty, image, model)
     single = MinutiaTemplate(template.minutiae[:1], template.width, template.height,
                              template.subject_id, template.impression_id)
     enc = encode_impression(single, image, model)
@@ -274,13 +276,20 @@ def test_empty_impression_is_named_before_extraction(small_run, monkeypatch):
     empty = MinutiaTemplate([], template.width, template.height,
                             template.subject_id, template.impression_id)
 
-    def extract(*args):
+    def extract(*args, **kwargs):
         raise AssertionError("an empty impression reached extraction")
 
-    monkeypatch.setattr(pipeline, "fused_vectors", extract)
+    # encode and lgs extract through raw_structures, train through the two
+    # matrix builders
+    for extractor in ("raw_structures", "mbls_matrix", "tbls_matrix"):
+        monkeypatch.setattr(pipeline, extractor, extract)
+    with_empty = {**items, sorted(items)[0]: (empty, image)}
     name = f"{template.subject_id}/{template.impression_id}"
-    with pytest.raises(EmptyImage, match=f"^impression {name} has no minutiae$"):
-        encode_impression(empty, image, model)
+    for call in (lambda: encode_impression(empty, image, model),
+                 lambda: fused_vectors(empty, image, model),
+                 lambda: train_model(with_empty, model.config)):
+        with pytest.raises(EmptyImage, match=f"^impression {name} has no minutiae$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

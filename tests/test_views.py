@@ -113,10 +113,6 @@ def test_view_matches_its_oracle(synth_run, name):
     CHECKS[name](*synth_run)
 
 
-def folded(bits, length):
-    return matching.fold_compress(BitString(bits), length)
-
-
 def finger(k):
     return FingerModel(finger_id="f", power=np.zeros(k), reliability=np.zeros(k),
                        mask=np.ones(k, dtype=bool), n_mean=5.0)
@@ -128,12 +124,10 @@ TYPED_ERRORS = {
         np.zeros(5), np.zeros(6), 0.5, 0.5)),
     "intersection strings": (LengthMismatch, lambda: matching.intersection_score(
         BitString(ONES), BitString(ONES[:10]))),
-    "intersection template lengths": (LengthMismatch, lambda: matching.intersection_score(
-        folded(ONES, 6), BitString(ONES[:6]))),
     "masked mask": (LengthMismatch, lambda: matching.masked_score(
         BitString(ONES), BitString(ONES), finger(10), True)),
-    "masked template lengths": (LengthMismatch, lambda: matching.masked_score(
-        folded(ONES, 6), BitString(ONES[:6]), finger(6), False)),
+    "masked strings": (LengthMismatch, lambda: matching.masked_score(
+        BitString(ONES), BitString(ONES[:10]), finger(12), False)),
     "fvc_pairs no subjects": (EmptyScores, lambda: protocol.fvc_pairs(0, 4)),
 }
 
