@@ -1,10 +1,11 @@
 """Enrollment-time bit selection for one finger.
 
-From a handful of enrollment impressions, each bit position earns a
-discrimination power (how far the finger's distances sit below the global
-population mean at that cluster, weighted by cluster rarity) and a
-reliability (how consistently the bit was set across the enrollment
-samples). Positions are visited in power order and kept when their
+From a finger's enrollment impressions, given as ``(n, K)`` matrices of
+distance vectors and bit-strings, each bit position earns two column
+statistics: a discrimination power (how far the finger's distances sit
+below the global population mean at that cluster, weighted by cluster
+rarity) and a reliability (how consistently the bit was set across the
+enrollment samples). Positions are visited in power order and kept when their
 reliability clears a sigmoid threshold that tightens with rank, producing a
 per-finger positional mask.
 """
@@ -12,12 +13,11 @@ per-finger positional mask.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .codebook import BitString, DistanceVector
 from .errors import EmptyEnrollment, LengthMismatch
 
 
@@ -37,30 +37,30 @@ class FingerModel:
 
 
 def interclass_variance(
-    vectors: Sequence[DistanceVector], population_mean: np.ndarray
+    distances: np.ndarray, population_mean: np.ndarray
 ) -> np.ndarray:
-    """Below-mean spread of a finger's distances, per cluster.
+    """Below-mean spread of a finger's ``(n, K)`` distance rows, per cluster.
 
     Only the side where the finger comes *closer* to a cluster than the
     population does carries identity information, so deviations above the
     population mean are clipped to zero before squaring:
-    ``mean_j(min(v_j - mu, 0)^2)``.
+    ``mean_j(min(v_j - mu, 0)^2)``. The squares are summed in row order,
+    so the result does not depend on how numpy would pair up an axis sum.
 
     Raises:
-        EmptyEnrollment: no distance vectors supplied.
+        EmptyEnrollment: no distance rows supplied.
+        LengthMismatch: the rows are not as long as the mean.
     """
-    if len(vectors) == 0:
+    d = np.asarray(distances, dtype=np.float64)
+    if d.shape[0] == 0:
         raise EmptyEnrollment("interclass variance needs at least one impression")
     mu = np.asarray(population_mean, dtype=np.float64).ravel()
-    acc = np.zeros_like(mu)
-    for dv in vectors:
-        if dv.values.shape[0] != mu.shape[0]:
-            raise LengthMismatch(
-                f"distance vector length {dv.values.shape[0]} != mean length {mu.shape[0]}"
-            )
-        below = np.minimum(dv.values - mu, 0.0)
-        acc += below * below
-    return acc / len(vectors)
+    if d.shape[1:] != mu.shape:
+        raise LengthMismatch(
+            f"distance rows of shape {d.shape[1:]} != mean length {mu.shape[0]}"
+        )
+    below = np.minimum(d - mu, 0.0)
+    return np.cumsum(below * below, axis=0)[-1] / d.shape[0]
 
 
 def discrimination_power(
@@ -74,22 +74,19 @@ def discrimination_power(
     return w * v
 
 
-def reliability(bitstrings: Sequence[BitString]) -> np.ndarray:
-    """Fraction of enrollment strings that set each bit.
+def reliability(bits: np.ndarray) -> np.ndarray:
+    """Fraction of the ``(n, K)`` enrollment bit rows that set each bit.
 
     Raises:
-        EmptyEnrollment: no bit-strings supplied.
-        LengthMismatch: enrollment strings of differing lengths.
+        EmptyEnrollment: no bit rows supplied.
+        LengthMismatch: ``bits`` is not a matrix.
     """
-    if len(bitstrings) == 0:
+    b = np.asarray(bits, dtype=bool)
+    if b.shape[0] == 0:
         raise EmptyEnrollment("reliability needs at least one bit-string")
-    length = len(bitstrings[0])
-    acc = np.zeros(length, dtype=np.float64)
-    for bs in bitstrings:
-        if len(bs) != length:
-            raise LengthMismatch(f"bit-string length {len(bs)} != {length}")
-        acc += bs.bits
-    return acc / len(bitstrings)
+    if b.ndim != 2:
+        raise LengthMismatch(f"bit rows must form an (n, K) matrix, not {b.shape}")
+    return b.mean(axis=0)
 
 
 def adaptive_threshold(
@@ -135,22 +132,28 @@ def train_mask(
 
 def train_finger(
     finger_id: str,
-    distance_vectors: Sequence[DistanceVector],
-    bitstrings: Sequence[BitString],
+    distances: np.ndarray,
+    bits: np.ndarray,
     minutia_counts: Sequence[int],
     population_mean: np.ndarray,
     cluster_weights: np.ndarray,
     alpha: float,
     beta: float,
 ) -> FingerModel:
-    """Run the whole per-finger selection from enrollment-time artifacts."""
-    if len(distance_vectors) == 0 or len(bitstrings) == 0:
+    """Run the whole per-finger selection on one finger's enrollment matrices.
+
+    Row ``i`` of the ``(n, K)`` ``distances`` and ``bits`` and
+    ``minutia_counts[i]`` describe enrollment impression ``i``; any other
+    shapes raise ``LengthMismatch``.
+    """
+    if len(distances) == 0 or len(bits) == 0 or len(minutia_counts) == 0:
         raise EmptyEnrollment(f"finger {finger_id!r} has no enrollment samples")
-    if len(minutia_counts) == 0:
-        raise EmptyEnrollment(f"finger {finger_id!r} has no minutia counts")
-    var = interclass_variance(distance_vectors, population_mean)
+    if np.shape(distances) != np.shape(bits) or len(minutia_counts) != len(bits):
+        raise LengthMismatch(f"finger {finger_id!r}: distances {np.shape(distances)}, "
+                             f"bits {np.shape(bits)}, {len(minutia_counts)} counts disagree")
+    var = interclass_variance(distances, population_mean)
     power = discrimination_power(var, cluster_weights)
-    rel = reliability(bitstrings)
+    rel = reliability(bits)
     n_mean = float(np.mean(minutia_counts))
     mask = train_mask(power, rel, n_mean, alpha, beta)
     return FingerModel(

@@ -171,6 +171,7 @@ def cmd_enroll(args) -> int:
     # only the enrollment impressions are encoded; the rest are test data
     fingers = {
         sid: pipeline.enroll_subject(
+            sid,
             [pipeline.encode_impression(*items[k], model) for k in enroll_keys], model
         )
         for sid, (enroll_keys, _) in sorted(

@@ -16,7 +16,7 @@ used by enrollment-time bit selection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -364,30 +364,26 @@ def distance_vector(vectors: np.ndarray, codebook: Codebook) -> DistanceVector:
     return DistanceVector(d.min(axis=0))
 
 
-def global_mean(groups: Iterable[Sequence[DistanceVector]]) -> np.ndarray:
+def global_mean(groups: Iterable[np.ndarray]) -> np.ndarray:
     """Two-stage mean of distance vectors: within finger, then across fingers.
 
-    Each finger contributes one averaged vector regardless of how many
+    ``groups`` holds one ``(n_f, K)`` distance matrix per finger, a row per
+    impression. Each finger contributes its row mean regardless of how many
     impressions it has, so heavily sampled fingers do not dominate.
 
     Raises:
-        EmptyTrainingSet: no groups, or a group with no vectors.
-        LengthMismatch: vectors of different lengths are mixed.
+        EmptyTrainingSet: no groups, or a group with no rows.
+        LengthMismatch: groups of different widths are mixed.
     """
-    finger_means: List[np.ndarray] = []
-    length: Optional[int] = None
+    finger_means = []
     for i, group in enumerate(groups):
-        vals = [dv.values for dv in group]
-        if not vals:
+        rows = np.asarray(group, dtype=np.float64)
+        if rows.shape[0] == 0:
             raise EmptyTrainingSet(f"finger group {i} has no distance vectors")
-        for v in vals:
-            if length is None:
-                length = v.shape[0]
-            elif v.shape[0] != length:
-                raise LengthMismatch(
-                    f"distance vector length {v.shape[0]} != {length}"
-                )
-        finger_means.append(np.mean(vals, axis=0))
+        finger_means.append(rows.mean(axis=0))
     if not finger_means:
         raise EmptyTrainingSet("no finger groups supplied")
+    widths = {m.shape for m in finger_means}
+    if len(widths) != 1:
+        raise LengthMismatch(f"finger groups of differing widths {sorted(widths)}")
     return np.mean(finger_means, axis=0)

@@ -230,28 +230,24 @@ def train_model(
 
     if verbose:
         print("averaging per-finger distance vectors into the population mean")
-    # fused vectors, grouped per impression in key order
-    groups: Dict[str, List[DistanceVector]] = {}
-    offset = 0
-    for key, n in zip(keys, counts):
-        vals = fused[offset : offset + n]
-        offset += n
-        groups.setdefault(key[0], []).append(distance_vector(vals, codebook))
+    # one distance row per impression; keys are sorted, so a finger's rows
+    # form one block
+    distances = np.array([distance_vector(rows, codebook).values
+                          for rows in np.split(fused, np.cumsum(counts)[:-1])])
+    _, firsts = np.unique([key[0] for key in keys], return_index=True)
     return PipelineModel(
         config=config,
         pca_m=pca_m,
         pca_t=pca_t,
         codebook=codebook,
-        population_mean=global_mean([groups[s] for s in sorted(groups)]),
+        population_mean=global_mean(np.split(distances, firsts[1:])),
     )
 
 
 @dataclass
 class EncodedImpression:
-    """Everything downstream stages need from one impression."""
+    """Everything downstream stages need from one impression; its key names it."""
 
-    subject_id: str
-    impression_id: str
     bits: BitString
     distances: DistanceVector
     n_minutiae: int
@@ -270,8 +266,6 @@ def encode_impression(
     bits = encode_bitstring(vectors, model.codebook, cfg.tau_s, cfg.top_t, cfg.gate_all)
     distances = distance_vector(vectors, model.codebook)
     return EncodedImpression(
-        subject_id=template.subject_id,
-        impression_id=template.impression_id,
         bits=bits,
         distances=distances,
         n_minutiae=len(template.minutiae),
@@ -309,6 +303,7 @@ def _split_keys(
 
 
 def enroll_subject(
+    finger_id: str,
     samples: Sequence[EncodedImpression],
     model: PipelineModel,
 ) -> Tuple[FingerModel, BitString]:
@@ -318,20 +313,18 @@ def enroll_subject(
     position any sample voted for stays available, and the trained mask is
     what narrows the comparison down to dependable positions.
     """
+    bits = stack_bits([e.bits for e in samples])
     finger = train_finger(
-        finger_id=samples[0].subject_id,
-        distance_vectors=[e.distances for e in samples],
-        bitstrings=[e.bits for e in samples],
+        finger_id=finger_id,
+        distances=np.array([e.distances.values for e in samples]),
+        bits=bits,
         minutia_counts=[e.n_minutiae for e in samples],
         population_mean=model.population_mean,
         cluster_weights=model.codebook.weights,
         alpha=model.config.alpha,
         beta=model.config.beta,
     )
-    merged = np.zeros(model.codebook.k, dtype=bool)
-    for e in samples:
-        merged |= e.bits.bits
-    return finger, BitString(merged)
+    return finger, BitString(bits.any(axis=0))
 
 
 def evaluate_fvc_bits(
@@ -431,7 +424,7 @@ def evaluate_split(
             raise EmptyTrainingSet(
                 f"subject {s!r} lacks impressions for an enroll/test split"
             )
-        finger, reference = enroll_subject([encoded[k] for k in enroll_keys], model)
+        finger, reference = enroll_subject(s, [encoded[k] for k in enroll_keys], model)
         fingers[s] = finger
         enrolled[s] = reference
         tests[s] = test_keys

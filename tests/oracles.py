@@ -31,12 +31,19 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
   subsample and projects each impression's rows with ``project``, as
   ``encode`` does. ``fpbits.pipeline.train_model`` must save the same bytes
   when every row is subsampled.
+* The per-object bit training: ``interclass_variance`` and ``reliability``
+  loop over one finger's ``DistanceVector`` and ``BitString`` objects,
+  ``global_mean`` over each finger's list of distance vectors, and
+  ``enrolled_reference`` ORs the enrollment strings one at a time.
+  ``fpbits.bit_training`` and ``fpbits.codebook.global_mean`` work on
+  ``(n, K)`` matrices and must give identical arrays, as must the reference
+  ``fpbits.pipeline.enroll_subject`` builds.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,13 +51,19 @@ from fpbits.bit_training import FingerModel
 from fpbits.codebook import (
     BitString,
     Codebook,
+    DistanceVector,
     cluster_cardinalities,
     distance_vector,
     estimate_radii,
-    global_mean,
     kmeans_train,
 )
-from fpbits.errors import EmptyScores, EmptyTrainingSet, LengthMismatch, PoolTooSmall
+from fpbits.errors import (
+    EmptyEnrollment,
+    EmptyScores,
+    EmptyTrainingSet,
+    LengthMismatch,
+    PoolTooSmall,
+)
 from fpbits.local_structures import StructureGeometry
 from fpbits.matching import KIND_INTERSECTION, MatchScore
 from fpbits.model_store import PipelineModel
@@ -333,6 +346,92 @@ def fvc_pairs(n_subjects: int, n_impressions: int) -> Tuple[List[Pair], List[Pai
         for b in range(a + 1, n_subjects):
             impostor.append(((a, 0), (b, 0)))
     return genuine, impostor
+
+
+# ---------------------------------------------------------------------------
+# per-object bit training
+# ---------------------------------------------------------------------------
+
+def interclass_variance(
+    vectors: Sequence[DistanceVector], population_mean: np.ndarray
+) -> np.ndarray:
+    """Below-mean spread of a finger's distances, per cluster.
+
+    Only the side where the finger comes *closer* to a cluster than the
+    population does carries identity information, so deviations above the
+    population mean are clipped to zero before squaring:
+    ``mean_j(min(v_j - mu, 0)^2)``.
+
+    Raises:
+        EmptyEnrollment: no distance vectors supplied.
+    """
+    if len(vectors) == 0:
+        raise EmptyEnrollment("interclass variance needs at least one impression")
+    mu = np.asarray(population_mean, dtype=np.float64).ravel()
+    acc = np.zeros_like(mu)
+    for dv in vectors:
+        if dv.values.shape[0] != mu.shape[0]:
+            raise LengthMismatch(
+                f"distance vector length {dv.values.shape[0]} != mean length {mu.shape[0]}"
+            )
+        below = np.minimum(dv.values - mu, 0.0)
+        acc += below * below
+    return acc / len(vectors)
+
+
+def reliability(bitstrings: Sequence[BitString]) -> np.ndarray:
+    """Fraction of enrollment strings that set each bit.
+
+    Raises:
+        EmptyEnrollment: no bit-strings supplied.
+        LengthMismatch: enrollment strings of differing lengths.
+    """
+    if len(bitstrings) == 0:
+        raise EmptyEnrollment("reliability needs at least one bit-string")
+    length = len(bitstrings[0])
+    acc = np.zeros(length, dtype=np.float64)
+    for bs in bitstrings:
+        if len(bs) != length:
+            raise LengthMismatch(f"bit-string length {len(bs)} != {length}")
+        acc += bs.bits
+    return acc / len(bitstrings)
+
+
+def global_mean(groups: Iterable[Sequence[DistanceVector]]) -> np.ndarray:
+    """Two-stage mean of distance vectors: within finger, then across fingers.
+
+    Each finger contributes one averaged vector regardless of how many
+    impressions it has, so heavily sampled fingers do not dominate.
+
+    Raises:
+        EmptyTrainingSet: no groups, or a group with no vectors.
+        LengthMismatch: vectors of different lengths are mixed.
+    """
+    finger_means: List[np.ndarray] = []
+    length: Optional[int] = None
+    for i, group in enumerate(groups):
+        vals = [dv.values for dv in group]
+        if not vals:
+            raise EmptyTrainingSet(f"finger group {i} has no distance vectors")
+        for v in vals:
+            if length is None:
+                length = v.shape[0]
+            elif v.shape[0] != length:
+                raise LengthMismatch(
+                    f"distance vector length {v.shape[0]} != {length}"
+                )
+        finger_means.append(np.mean(vals, axis=0))
+    if not finger_means:
+        raise EmptyTrainingSet("no finger groups supplied")
+    return np.mean(finger_means, axis=0)
+
+
+def enrolled_reference(bitstrings: Sequence[BitString], k: int) -> BitString:
+    """The OR of the enrollment strings, one string at a time."""
+    merged = np.zeros(k, dtype=bool)
+    for bs in bitstrings:
+        merged |= bs.bits
+    return BitString(merged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Per-finger bit selection: power, reliability, adaptive threshold, mask."""
+"""Per-finger bit selection: power, reliability, adaptive threshold, mask.
+
+The matrix forms of the variance, the reliability and the population mean
+are checked against the per-object loops in ``tests/oracles.py`` for
+identical arrays.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from fpbits.bit_training import (
     adaptive_threshold,
     discrimination_power,
@@ -13,7 +19,7 @@ from fpbits.bit_training import (
     train_finger,
     train_mask,
 )
-from fpbits.codebook import BitString, DistanceVector
+from fpbits.codebook import BitString, DistanceVector, global_mean
 from fpbits.config import PipelineConfig
 from fpbits.errors import EmptyEnrollment, LengthMismatch
 
@@ -32,20 +38,20 @@ def sigmoid_bar(t, n_mean, alpha=ALPHA, beta=BETA):
 
 def test_interclass_variance_clips_above_mean():
     mu = np.array([5.0, 5.0, 5.0])
-    vectors = [
-        DistanceVector(np.array([3.0, 5.0, 9.0])),
-        DistanceVector(np.array([1.0, 6.0, 2.0])),
-    ]
-    out = interclass_variance(vectors, mu)
+    distances = np.array([
+        [3.0, 5.0, 9.0],
+        [1.0, 6.0, 2.0],
+    ])
+    out = interclass_variance(distances, mu)
     # below-mean gaps -2 and -4; 0 and 0 (above never counts); 0 and -3
     assert np.allclose(out, [(4.0 + 16.0) / 2.0, 0.0, 9.0 / 2.0])
 
 
 def test_interclass_variance_errors():
     with pytest.raises(EmptyEnrollment):
-        interclass_variance([], np.zeros(3))
+        interclass_variance(np.zeros((0, 3)), np.zeros(3))
     with pytest.raises(LengthMismatch):
-        interclass_variance([DistanceVector(np.zeros(2))], np.zeros(3))
+        interclass_variance(np.zeros((1, 2)), np.zeros(3))
 
 
 def test_discrimination_power_weighting():
@@ -56,16 +62,17 @@ def test_discrimination_power_weighting():
 
 
 def test_reliability_fraction():
-    strings = [
-        BitString(np.array([1, 1, 0, 0], dtype=bool)),
-        BitString(np.array([1, 0, 0, 1], dtype=bool)),
-        BitString(np.array([1, 1, 0, 1], dtype=bool)),
-    ]
-    assert np.allclose(reliability(strings), [1.0, 2 / 3, 0.0, 2 / 3])
+    bits = np.array([
+        [1, 1, 0, 0],
+        [1, 0, 0, 1],
+        [1, 1, 0, 1],
+    ], dtype=bool)
+    assert np.allclose(reliability(bits), [1.0, 2 / 3, 0.0, 2 / 3])
     with pytest.raises(EmptyEnrollment):
-        reliability([])
+        reliability(np.zeros((0, 4), dtype=bool))
+    # a single string is not a matrix of enrollment rows
     with pytest.raises(LengthMismatch):
-        reliability([strings[0], BitString(np.zeros(3, dtype=bool))])
+        reliability(bits[0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +196,19 @@ def test_train_mask_length_mismatch():
 def test_train_finger_assembles_parts():
     mu = np.array([4.0, 4.0, 4.0, 4.0])
     weights = np.array([1.0, 0.5, 1.0, 0.25])
-    vectors = [
-        DistanceVector(np.array([2.0, 4.0, 3.0, 4.0])),
-        DistanceVector(np.array([2.0, 4.0, 5.0, 4.0])),
-    ]
-    strings = [
-        BitString(np.array([1, 0, 1, 0], dtype=bool)),
-        BitString(np.array([1, 0, 1, 1], dtype=bool)),
-    ]
-    finger = train_finger("s7", vectors, strings, [30, 34], mu, weights, ALPHA, BETA)
+    distances = np.array([
+        [2.0, 4.0, 3.0, 4.0],
+        [2.0, 4.0, 5.0, 4.0],
+    ])
+    bits = np.array([
+        [1, 0, 1, 0],
+        [1, 0, 1, 1],
+    ], dtype=bool)
+    finger = train_finger("s7", distances, bits, [30, 34], mu, weights, ALPHA, BETA)
     assert finger.finger_id == "s7"
     assert finger.n_mean == 32.0
     assert np.allclose(finger.power, discrimination_power(
-        interclass_variance(vectors, mu), weights))
+        interclass_variance(distances, mu), weights))
     assert np.allclose(finger.reliability, [1.0, 0.0, 1.0, 0.5])
     assert np.array_equal(
         finger.mask, train_mask(finger.power, finger.reliability, 32.0, ALPHA, BETA)
@@ -212,11 +219,82 @@ def test_train_finger_assembles_parts():
 def test_train_finger_empty_errors():
     mu = np.zeros(2)
     w = np.ones(2)
-    dv = [DistanceVector(np.zeros(2))]
-    bs = [BitString(np.zeros(2, dtype=bool))]
+    dv = np.zeros((1, 2))
+    bs = np.zeros((1, 2), dtype=bool)
     with pytest.raises(EmptyEnrollment):
-        train_finger("x", [], bs, [5], mu, w, ALPHA, BETA)
+        train_finger("x", np.zeros((0, 2)), bs, [5], mu, w, ALPHA, BETA)
     with pytest.raises(EmptyEnrollment):
-        train_finger("x", dv, [], [5], mu, w, ALPHA, BETA)
+        train_finger("x", dv, np.zeros((0, 2), dtype=bool), [5], mu, w, ALPHA, BETA)
     with pytest.raises(EmptyEnrollment):
         train_finger("x", dv, bs, [], mu, w, ALPHA, BETA)
+
+
+@pytest.mark.parametrize("distances_shape, bits_shape, counts", [
+    ((2, 4), (3, 4), [5]),  # variance over 2 rows, reliability over 3, 1 count
+    ((2, 4), (3, 4), [5, 6, 7]),
+    ((3, 4), (2, 4), [5, 6, 7]),
+    ((3, 4), (3, 4), [5, 6]),
+    ((3, 4), (3, 4), [5, 6, 7, 8]),
+    ((2, 4), (2, 3), [5, 6]),
+])
+def test_train_finger_rejects_disagreeing_shapes(distances_shape, bits_shape, counts):
+    mu, w = np.zeros(4), np.ones(4)
+    distances = np.zeros(distances_shape)
+    bits = np.zeros(bits_shape, dtype=bool)
+    with pytest.raises(LengthMismatch):
+        train_finger("x", distances, bits, counts, mu, w, ALPHA, BETA)
+
+
+# ---------------------------------------------------------------------------
+# the matrix forms against the per-object oracles
+# ---------------------------------------------------------------------------
+
+def random_finger(rng, n, k):
+    """One finger's ``(n, k)`` distance and bit rows, with values tied to the mean."""
+    mu = rng.uniform(0.5, 2.0, k)
+    distances = mu + rng.normal(0.0, 0.7, (n, k))
+    distances = np.where(rng.random((n, k)) < 0.1, mu, distances)  # some at the mean
+    bits = rng.random((n, k)) < rng.uniform(0.1, 0.9)
+    return distances, bits, mu
+
+
+def assert_matches_oracles(distances, bits, mu, weights, counts):
+    vectors = [DistanceVector(row) for row in distances]
+    strings = [BitString(row) for row in bits]
+    variance = oracles.interclass_variance(vectors, mu)
+    rel = oracles.reliability(strings)
+    assert np.array_equal(interclass_variance(distances, mu), variance)
+    assert np.array_equal(reliability(bits), rel)
+    finger = train_finger("f", distances, bits, counts, mu, weights, ALPHA, BETA)
+    power = discrimination_power(variance, weights)
+    assert np.array_equal(finger.power, power)
+    assert np.array_equal(finger.reliability, rel)
+    n_mean = float(np.mean(counts))
+    assert np.array_equal(finger.mask, train_mask(power, rel, n_mean, ALPHA, BETA))
+
+
+# numpy's axis-0 sum of an (n, 1) matrix goes pairwise once n >= 8, so these
+# shapes tell a row-order sum from an axis sum in the last bits
+SHAPES = [(1, 1), (2, 1), (8, 1), (9, 1), (17, 1), (3, 2), (8, 5), (17, 64), (5, 100)]
+
+
+@pytest.mark.parametrize("n, k", SHAPES)
+def test_bit_training_matches_per_object_oracles(n, k):
+    rng = np.random.default_rng(1000 * n + k)
+    for _ in range(40):
+        distances, bits, mu = random_finger(rng, n, k)
+        weights = rng.uniform(0.0, 1.0, k)
+        counts = rng.integers(5, 60, n).tolist()
+        assert_matches_oracles(distances, bits, mu, weights, counts)
+
+
+@pytest.mark.parametrize("n, k", SHAPES)
+def test_global_mean_matches_per_object_oracle(n, k):
+    rng = np.random.default_rng(2000 * n + k)
+    for _ in range(20):
+        sizes = rng.integers(1, n + 1, int(rng.integers(1, 6)))
+        groups = [rng.normal(3.0, 1.0, (size, k)) for size in sizes]
+        want = oracles.global_mean(
+            [[DistanceVector(row) for row in group] for group in groups]
+        )
+        assert np.array_equal(global_mean(groups), want)

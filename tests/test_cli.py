@@ -117,7 +117,7 @@ def test_enroll_encodes_only_the_enrollment_impressions(workdir, tmp_path, monke
     # the fingers as enrolled from the whole encoded grid
     encoded = pipeline.encode_dataset(items, model)
     split = pipeline._split_keys(encoded, model.config.enroll_size)
-    want = {sid: save_finger(*pipeline.enroll_subject([encoded[k] for k in keys], model))
+    want = {sid: save_finger(*pipeline.enroll_subject(sid, [encoded[k] for k in keys], model))
             for sid, (keys, _) in split.items()}
 
     calls = []

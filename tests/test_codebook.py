@@ -6,7 +6,6 @@ import pytest
 from fpbits.codebook import (
     BitString,
     Codebook,
-    DistanceVector,
     _distances,
     _kmeanspp_init,
     _sq_norms,
@@ -351,10 +350,9 @@ def test_distance_vector_oracle():
 
 
 def test_global_mean_two_stage():
-    a1 = DistanceVector(np.array([1.0, 3.0]))
-    a2 = DistanceVector(np.array([3.0, 5.0]))
-    b1 = DistanceVector(np.array([10.0, 0.0]))
-    out = global_mean([[a1, a2], [b1]])
+    a = np.array([[1.0, 3.0], [3.0, 5.0]])
+    b = np.array([[10.0, 0.0]])
+    out = global_mean([a, b])
     # finger means (2,4) and (10,0), averaged with equal weight
     assert np.allclose(out, [6.0, 2.0])
     # a pooled mean would have been ((1+3+10)/3, (3+5+0)/3): not this
@@ -365,6 +363,6 @@ def test_global_mean_errors():
     with pytest.raises(EmptyTrainingSet):
         global_mean([])
     with pytest.raises(EmptyTrainingSet):
-        global_mean([[]])
+        global_mean([np.zeros((0, 2))])
     with pytest.raises(LengthMismatch):
-        global_mean([[DistanceVector(np.zeros(2)), DistanceVector(np.zeros(3))]])
+        global_mean([np.zeros((2, 2)), np.zeros((1, 3))])

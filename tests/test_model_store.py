@@ -432,14 +432,17 @@ def test_stored_weights_contradicting_cardinalities_are_ignored():
 
     subject = sorted(items)[0][0]
     keys = [key for key in sorted(items) if key[0] == subject]
-    want, _ = enroll_subject([encode_impression(*items[k], model) for k in keys], model)
-    got, _ = enroll_subject([encode_impression(*items[k], back) for k in keys], back)
+    want, _ = enroll_subject(subject, [encode_impression(*items[k], model) for k in keys],
+                             model)
+    got, _ = enroll_subject(subject, [encode_impression(*items[k], back) for k in keys],
+                            back)
     assert np.array_equal(got.power, want.power)
     assert np.array_equal(got.mask, want.mask)
     # the stored weights, had they been used, would have moved the power
     samples = [encode_impression(*items[k], model) for k in keys]
     stale = train_finger(
-        subject, [e.distances for e in samples], [e.bits for e in samples],
+        subject, np.array([e.distances.values for e in samples]),
+        np.array([e.bits.bits for e in samples]),
         [e.n_minutiae for e in samples], model.population_mean, contrary,
         model.config.alpha, model.config.beta,
     )

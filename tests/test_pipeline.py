@@ -8,13 +8,13 @@ import pytest
 
 import fpbits.pipeline as pipeline
 
+from fpbits.bit_training import discrimination_power, train_mask
 from fpbits.codebook import (
     BitString,
     DistanceVector,
     cluster_cardinalities,
     encode_bitstring,
     estimate_radii,
-    global_mean,
     kmeans_train,
 )
 
@@ -41,13 +41,17 @@ from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import MinutiaTemplate
 from oracles import (
     build_mbls,
+    enrolled_reference,
     extract_tbls,
     fuse,
     fvc_pairs,
+    global_mean,
+    interclass_variance,
     intersection_score,
     kmeans_train_oracle,
     masked_score,
     project_vector,
+    reliability,
     subsample_oracle,
     train_model_oracle,
 )
@@ -192,8 +196,7 @@ def test_uncapped_fit_is_fitted_on_its_own_encodings(run, request):
     )
     groups = {}
     for key, enc in encode_dataset(items, model).items():
-        if enc.n_minutiae:
-            groups.setdefault(key[0], []).append(enc.distances)
+        groups.setdefault(key[0], []).append(enc.distances)
     assert np.array_equal(
         global_mean([groups[s] for s in sorted(groups)]), model.population_mean
     )
@@ -317,7 +320,7 @@ def loop_split(encoded, model):
     size = model.config.enroll_size
     subjects = sorted(by_subject)
     enrolled = {
-        s: enroll_subject([encoded[k] for k in by_subject[s][:size]], model)
+        s: enroll_subject(s, [encoded[k] for k in by_subject[s][:size]], model)
         for s in subjects
     }
     tests = {s: by_subject[s][size:] for s in subjects}
@@ -358,10 +361,7 @@ def random_grid(rng, n_subjects, n_impressions, k):
             if (s, i) == (2, 1):
                 bits[:] = False  # one empty string
             key = (f"s{s:03d}", f"{i:02d}")
-            out[key] = EncodedImpression(
-                key[0], key[1], BitString(bits),
-                DistanceVector(np.zeros(k)), 20,
-            )
+            out[key] = EncodedImpression(BitString(bits), DistanceVector(np.zeros(k)), 20)
     return out
 
 
@@ -409,3 +409,43 @@ def test_split_matches_pair_loop(encoded_run, mask_both, enroll_size):
     assert got.n_genuine == trained.genuine_scores.size
     assert got.n_impostor == trained.impostor_scores.size
     assert sorted(got.fingers) == sorted({key[0] for key in encoded})
+
+
+def assert_enrolls_like_the_oracles(samples, model):
+    """``enroll_subject`` against the per-object variance, reliability and OR."""
+    finger, reference = enroll_subject("f", samples, model)
+    cfg = model.config
+    variance = interclass_variance([e.distances for e in samples], model.population_mean)
+    power = discrimination_power(variance, model.codebook.weights)
+    rel = reliability([e.bits for e in samples])
+    n_mean = float(np.mean([e.n_minutiae for e in samples]))
+    assert finger.finger_id == "f"
+    assert np.array_equal(finger.power, power)
+    assert np.array_equal(finger.reliability, rel)
+    assert np.array_equal(finger.mask, train_mask(power, rel, n_mean, cfg.alpha, cfg.beta))
+    assert reference == enrolled_reference([e.bits for e in samples], model.codebook.k)
+
+
+def test_enroll_subject_matches_oracles_on_encodings(encoded_run):
+    encoded, model = encoded_run
+    keys = sorted(encoded)
+    for size in (1, 2, 4):
+        for s in sorted({key[0] for key in keys}):
+            mine = [key for key in keys if key[0] == s][:size]
+            assert_enrolls_like_the_oracles([encoded[k] for k in mine], model)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 17])
+def test_enroll_subject_matches_oracles_on_random_rows(encoded_run, n):
+    _, model = encoded_run
+    k = model.codebook.k
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        distances = model.population_mean + rng.normal(0.0, 0.5, (n, k))
+        bits = rng.random((n, k)) < rng.uniform(0.05, 0.6)
+        counts = rng.integers(3, 40, n)
+        samples = [
+            EncodedImpression(BitString(b), DistanceVector(d), int(c))
+            for b, d, c in zip(bits, distances, counts)
+        ]
+        assert_enrolls_like_the_oracles(samples, model)

@@ -7,6 +7,8 @@ give what the moved reference form in ``tests/oracles.py`` gives on a
 synthetic set: bit for bit, except ``build_mbls``, whose matrix path expands
 the bump exponent and is held to ``MBLS_TOL``. Nothing under ``src/fpbits``
 may call a view, so the package keeps one implementation per stage.
+``fpbits.bit_training`` imports no package module but ``errors``, so the
+stage works on plain numpy matrices.
 """
 
 import ast
@@ -44,7 +46,8 @@ def synth_run():
     fingers = {}
     for subject in sorted({key[0] for key in encoded}):
         keys = sorted(key for key in encoded if key[0] == subject)
-        fingers[subject] = enroll_subject([encoded[key] for key in keys[:2]], model)
+        fingers[subject] = enroll_subject(subject, [encoded[key] for key in keys[:2]],
+                                          model)
     return items, model, encoded, fingers
 
 
@@ -156,3 +159,25 @@ def test_no_module_in_the_package_calls_a_view():
     assert len(modules) > 10
     found = {path.name: view_calls(path) for path in modules}
     assert not {name: calls for name, calls in found.items() if calls}
+
+
+def package_imports(path):
+    """The ``fpbits`` modules a package module imports, by their short names."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "fpbits":
+                continue
+            inside = parts[1:] if node.level == 0 else [p for p in parts if p]
+            found.update(inside[:1] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "fpbits":
+                    found.add(parts[1] if len(parts) > 1 else "fpbits")
+    return found
+
+
+def test_bit_training_imports_only_errors_from_the_package():
+    assert package_imports(SRC / "bit_training.py") == {"errors"}
