@@ -16,6 +16,9 @@ items are produced in.
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -55,6 +58,12 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
+        # counts, sizes and the seed index arrays and keys, so a float or a
+        # bool is refused rather than rounded or taken as 0 or 1
+        for name in ("n_subjects", "n_impressions", "width", "height", "n_minutiae", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise FieldOutOfRange(f"{name} must be an int, got {value!r}")
         # comparisons are written so that they fail on NaN as well; minutiae
         # are placed between the margins, so the image must hold both
         room = max(1.0, 2.0 * self.margin)
@@ -136,17 +145,15 @@ def make_master(params: SynthParams, subject_index: int) -> SubjectMaster:
     return SubjectMaster(minutiae=minutiae, f_field=f_field)
 
 
-def ridge_texture(
-    f_field: OrientationField,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    params: SynthParams,
-) -> np.ndarray:
-    """Analytic master texture value at master-frame coordinates."""
-    phi = f_field.at(xs, ys)
-    # oscillate across the local ridge direction
-    d = -xs * np.sin(phi) + ys * np.cos(phi)
-    return 127.5 + params.ridge_amp * np.sin(2.0 * math.pi * params.ridge_freq * d)
+# Rendering works on row bands of at most this many pixels, so each float64
+# temporary stays at 128 KB (64 rows of a 256-pixel-wide image).
+_BAND_ELEMENTS = 1 << 14
+
+
+def render_scratch(params: SynthParams) -> np.ndarray:
+    """The five float64 band temporaries ``render_image`` reuses, as one array."""
+    rows = max(1, _BAND_ELEMENTS // params.width)
+    return np.empty((5, rows * params.width), dtype=np.float64)
 
 
 def render_image(
@@ -154,26 +161,74 @@ def render_image(
     params: SynthParams,
     rotation: float,
     translation: Tuple[float, float],
-    noise_rng: np.random.Generator | None = None,
-) -> GrayImage:
-    """Render the master texture under a rigid motion, optionally with noise.
+    noise_rng: np.random.Generator | None,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Render the master texture under a rigid motion into ``out``, with noise.
 
-    The motion rotates about the image center and then translates, matching
-    the minutia transform, so template and texture stay registered.
+    ``out`` is a C-contiguous ``(height, width)`` uint8 array and ``scratch``
+    an array from ``render_scratch``. The motion
+    rotates about the image center and then translates, matching the minutia
+    transform, so template and texture stay registered. Each output pixel
+    samples the analytic master texture where the inverse motion takes it:
+    ``127.5 + ridge_amp * sin(2 pi ridge_freq d)``, with ``d`` the position
+    across the local ridge direction of the orientation field. The image is
+    computed a band of rows at a time, in place; the noise is drawn band by
+    band from ``noise_rng``, which continues one stream, so the pixels do not
+    depend on the band height.
     """
     w, h = params.width, params.height
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    # invert the motion to find where each output pixel samples the master
-    dx = xs - cx - translation[0]
-    dy = ys - cy - translation[1]
     c, s = math.cos(rotation), math.sin(rotation)
-    xm = c * dx + s * dy + cx
-    ym = -s * dx + c * dy + cy
-    values = ridge_texture(master.f_field, xm, ym, params)
-    if noise_rng is not None and params.noise_std > 0.0:
-        values = values + noise_rng.normal(0.0, params.noise_std, size=values.shape)
-    return GrayImage(np.clip(np.rint(values), 0, 255).astype(np.uint8))
+    # the inverse motion, split into its column and row parts
+    dx = np.arange(w, dtype=np.float64) - cx - translation[0]
+    dy = np.arange(h, dtype=np.float64) - cy - translation[1]
+    c_dx, ms_dx = c * dx, -s * dx
+    s_dy, c_dy = (s * dy)[:, None], (c * dy)[:, None]
+    field = master.f_field
+    wave = 2.0 * math.pi * params.ridge_freq
+    noisy = noise_rng is not None and params.noise_std > 0.0
+
+    rows = scratch.shape[1] // w
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        xm, ym, phi, t, u = (b[: (r1 - r0) * w].reshape(r1 - r0, w) for b in scratch)
+        # master-frame coordinates of this band
+        np.add(c_dx, s_dy[r0:r1], out=xm)
+        xm += cx
+        np.add(ms_dx, c_dy[r0:r1], out=ym)
+        ym += cy
+        # orientation field: base plus two slow waves
+        phi.fill(field.base)
+        for k in range(2):
+            np.multiply(field.freqs[k, 0], xm, out=t)
+            np.multiply(field.freqs[k, 1], ym, out=u)
+            t += u
+            t *= 2.0 * math.pi
+            t += field.phases[k]
+            np.sin(t, out=t)
+            t *= field.amps[k]
+            phi += t
+        # oscillate across the local ridge direction
+        np.sin(phi, out=t)
+        np.cos(phi, out=phi)
+        np.negative(xm, out=xm)
+        xm *= t
+        ym *= phi
+        xm += ym
+        xm *= wave
+        np.sin(xm, out=xm)
+        xm *= params.ridge_amp
+        xm += 127.5
+        if noisy:
+            # normal(0, std) is std times these same standard draws
+            noise_rng.standard_normal(out=t)
+            t *= params.noise_std
+            xm += t
+        np.rint(xm, out=xm)
+        np.clip(xm, 0, 255, out=xm)
+        np.copyto(out[r0:r1], xm, casting="unsafe")
 
 
 def _transform_point(
@@ -193,8 +248,15 @@ def make_impression(
     params: SynthParams,
     subject_index: int,
     impression_index: int,
+    pixels: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> Tuple[MinutiaTemplate, GrayImage]:
-    """One noisy impression of a subject, fully keyed by its indices."""
+    """One noisy impression of a subject, fully keyed by its indices.
+
+    The image is rendered into ``pixels``, a ``(height, width)`` uint8 array,
+    using the band buffers ``scratch`` from ``render_scratch``; each is made
+    here when not given.
+    """
     rng = keyed_rng(params.seed, _STREAM_IMPRESSION, subject_index, impression_index)
     noise_rng = keyed_rng(params.seed, _STREAM_NOISE, subject_index, impression_index)
 
@@ -230,9 +292,12 @@ def make_impression(
         kind = MinutiaKind.TERMINATION if rng.random() < 0.5 else MinutiaKind.BIFURCATION
         minutiae.append(Minutia(x, y, wrap_angle(theta), kind, int(rng.integers(20, 60))))
 
-    template = MinutiaTemplate(minutiae, w, h)
-    image = render_image(master, params, rotation, translation, noise_rng=noise_rng)
-    return template, image
+    if pixels is None:
+        pixels = np.empty((h, w), dtype=np.uint8)
+    if scratch is None:
+        scratch = render_scratch(params)
+    render_image(master, params, rotation, translation, noise_rng, pixels, scratch)
+    return MinutiaTemplate(minutiae, w, h), GrayImage(pixels)
 
 
 def subject_id(index: int) -> str:
@@ -243,16 +308,50 @@ def impression_id(index: int) -> str:
     return f"{index + 1:02d}"
 
 
+def _worker_count() -> int:
+    """Render threads: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def synth_dataset(
     params: SynthParams,
 ) -> Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]]:
-    """Generate the full dataset as {(subject_id, impression_id): (template, image)}."""
-    items: Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]] = {}
+    """Generate the full dataset as {(subject_id, impression_id): (template, image)}.
+
+    Impressions render on a thread pool; numpy's elementwise kernels and the
+    Philox draws release the GIL. Every impression is keyed by its indices,
+    so the result does not depend on the number of threads or the order they
+    finish in. The masters, the output arrays and one set of band buffers per
+    worker are made on the calling thread: memory that worker threads
+    allocate stays with their own malloc arenas after they exit.
+    """
+    jobs = []
     for s in range(params.n_subjects):
         master = make_master(params, s)
         for i in range(params.n_impressions):
-            template, image = make_impression(master, params, s, i)
-            template.subject_id = subject_id(s)
-            template.impression_id = impression_id(i)
-            items[(template.subject_id, template.impression_id)] = (template, image)
+            pixels = np.empty((params.height, params.width), dtype=np.uint8)
+            jobs.append((master, s, i, pixels))
+    workers = _worker_count()
+    scratches: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(workers):
+        scratches.put(render_scratch(params))
+
+    def render(job):
+        master, s, i, pixels = job
+        scratch = scratches.get()  # never waits: one set per worker
+        try:
+            return make_impression(master, params, s, i, pixels, scratch)
+        finally:
+            scratches.put(scratch)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rendered = list(pool.map(render, jobs))
+    items: Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]] = {}
+    for (_, s, i, _), (template, image) in zip(jobs, rendered):
+        template.subject_id = subject_id(s)
+        template.impression_id = impression_id(i)
+        items[(template.subject_id, template.impression_id)] = (template, image)
     return items

@@ -70,8 +70,19 @@ from fpbits.model_store import PipelineModel
 from fpbits.pipeline import _STREAM_PCA_SUBSAMPLE, raw_structures
 from fpbits.protocol import Pair
 from fpbits.subspace_fusion import PcaModel, fuse_matrix, project, train_pca_inplace
-from fpbits.synth import keyed_rng
-from fpbits.template_io import Minutia
+from fpbits.synth import (
+    _STREAM_IMPRESSION,
+    _STREAM_NOISE,
+    OrientationField,
+    SubjectMaster,
+    SynthParams,
+    _transform_point,
+    impression_id,
+    keyed_rng,
+    make_master,
+    subject_id,
+)
+from fpbits.template_io import GrayImage, Minutia, MinutiaKind, MinutiaTemplate, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +589,101 @@ def train_model_oracle(items, config) -> PipelineModel:
         codebook=codebook,
         population_mean=global_mean([groups[s] for s in sorted(groups.keys())]),
     )
+
+
+def ridge_texture(
+    f_field: OrientationField,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    params: SynthParams,
+) -> np.ndarray:
+    """Analytic master texture value at master-frame coordinates."""
+    phi = f_field.at(xs, ys)
+    # oscillate across the local ridge direction
+    d = -xs * np.sin(phi) + ys * np.cos(phi)
+    return 127.5 + params.ridge_amp * np.sin(2.0 * math.pi * params.ridge_freq * d)
+
+
+def render_image_oracle(
+    master: SubjectMaster,
+    params: SynthParams,
+    rotation: float,
+    translation: Tuple[float, float],
+    noise_rng: np.random.Generator | None = None,
+) -> GrayImage:
+    """Render the master texture under a rigid motion, optionally with noise."""
+    w, h = params.width, params.height
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    # invert the motion to find where each output pixel samples the master
+    dx = xs - cx - translation[0]
+    dy = ys - cy - translation[1]
+    c, s = math.cos(rotation), math.sin(rotation)
+    xm = c * dx + s * dy + cx
+    ym = -s * dx + c * dy + cy
+    values = ridge_texture(master.f_field, xm, ym, params)
+    if noise_rng is not None and params.noise_std > 0.0:
+        values = values + noise_rng.normal(0.0, params.noise_std, size=values.shape)
+    return GrayImage(np.clip(np.rint(values), 0, 255).astype(np.uint8))
+
+
+def make_impression_oracle(
+    master: SubjectMaster,
+    params: SynthParams,
+    subject_index: int,
+    impression_index: int,
+) -> Tuple[MinutiaTemplate, GrayImage]:
+    """One noisy impression of a subject, fully keyed by its indices."""
+    rng = keyed_rng(params.seed, _STREAM_IMPRESSION, subject_index, impression_index)
+    noise_rng = keyed_rng(params.seed, _STREAM_NOISE, subject_index, impression_index)
+
+    rot_max = math.radians(params.rotation_deg)
+    rotation = float(rng.uniform(-rot_max, rot_max))
+    translation = (
+        float(rng.uniform(-params.translation_px, params.translation_px)),
+        float(rng.uniform(-params.translation_px, params.translation_px)),
+    )
+
+    w, h = params.width, params.height
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    minutiae: List[Minutia] = []
+    for m in master.minutiae:
+        if rng.random() < params.dropout:
+            continue
+        center_dist = math.hypot(m.x - cx, m.y - cy)
+        sigma = params.jitter_base + params.jitter_slope * center_dist
+        x, y = _transform_point(m.x, m.y, rotation, translation, cx, cy)
+        x += float(rng.normal(0.0, sigma))
+        y += float(rng.normal(0.0, sigma))
+        if not (0.0 <= x < w and 0.0 <= y < h):
+            continue
+        theta = wrap_angle(m.theta + rotation + float(rng.normal(0.0, 0.03)))
+        quality = int(rng.integers(40, 96))
+        minutiae.append(Minutia(x, y, theta, m.kind, quality))
+
+    n_insert = int(rng.binomial(len(master.minutiae), params.insertion))
+    for _ in range(n_insert):
+        x = float(rng.uniform(params.margin, w - params.margin))
+        y = float(rng.uniform(params.margin, h - params.margin))
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        kind = MinutiaKind.TERMINATION if rng.random() < 0.5 else MinutiaKind.BIFURCATION
+        minutiae.append(Minutia(x, y, wrap_angle(theta), kind, int(rng.integers(20, 60))))
+
+    template = MinutiaTemplate(minutiae, w, h)
+    image = render_image_oracle(master, params, rotation, translation, noise_rng=noise_rng)
+    return template, image
+
+
+def synth_dataset_oracle(
+    params: SynthParams,
+) -> Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]]:
+    """Generate the full dataset as {(subject_id, impression_id): (template, image)}."""
+    items: Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]] = {}
+    for s in range(params.n_subjects):
+        master = make_master(params, s)
+        for i in range(params.n_impressions):
+            template, image = make_impression_oracle(master, params, s, i)
+            template.subject_id = subject_id(s)
+            template.impression_id = impression_id(i)
+            items[(template.subject_id, template.impression_id)] = (template, image)
+    return items

@@ -1,9 +1,15 @@
 """Synthetic dataset generation: determinism, geometry, rendering."""
 
+import importlib
 import math
+import sys
+import threading
 
 import numpy as np
+import pytest
 
+from fpbits import synth
+from fpbits.errors import FieldOutOfRange
 from fpbits.synth import (
     SynthParams,
     _transform_point,
@@ -11,8 +17,11 @@ from fpbits.synth import (
     make_impression,
     make_master,
     render_image,
+    render_scratch,
     synth_dataset,
 )
+from oracles import render_image_oracle, synth_dataset_oracle
+from test_perfbench_names import traced_names
 
 
 def small_params(**overrides):
@@ -20,6 +29,119 @@ def small_params(**overrides):
                 n_minutiae=12, seed=5)
     base.update(overrides)
     return SynthParams(**base)
+
+
+def render(master, params, rotation, translation, noise_rng):
+    pixels = np.empty((params.height, params.width), dtype=np.uint8)
+    render_image(master, params, rotation, translation, noise_rng, pixels,
+                 render_scratch(params))
+    return pixels
+
+
+def assert_same_dataset(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        (t_got, i_got), (t_want, i_want) = got[key], want[key]
+        assert np.array_equal(i_got.pixels, i_want.pixels), key
+        assert [(m.x, m.y, m.theta, m.kind, m.quality) for m in t_got.minutiae] == [
+            (m.x, m.y, m.theta, m.kind, m.quality) for m in t_want.minutiae
+        ], key
+        assert (t_got.width, t_got.height) == (t_want.width, t_want.height)
+        assert (t_got.subject_id, t_got.impression_id) == key
+
+
+# (width, height, overrides): the default size with and without noise, sizes
+# whose height is not a whole number of render bands, and a single pixel
+ORACLE_CASES = {
+    "256x256": (256, 256, {}),
+    "no-noise": (256, 256, {"noise_std": 0}),
+    "300x211": (300, 211, {}),
+    "97x61": (97, 61, {}),
+    "1x1": (1, 1, {"margin": 0.0, "n_minutiae": 0}),
+}
+
+
+@pytest.mark.parametrize("width, height, overrides", ORACLE_CASES.values(),
+                         ids=ORACLE_CASES.keys())
+def test_dataset_matches_whole_image_oracle(width, height, overrides):
+    params = SynthParams(n_subjects=2, n_impressions=2, width=width, height=height,
+                         seed=11, **overrides)
+    assert_same_dataset(synth_dataset(params), synth_dataset_oracle(params))
+
+
+@pytest.mark.parametrize("band_elements", [1, 300 * 7, synth._BAND_ELEMENTS],
+                         ids=["one-row", "seven-rows", "default"])
+def test_renderer_matches_oracle_under_motion(monkeypatch, band_elements):
+    # the noise continues one stream across bands, so any band height works
+    monkeypatch.setattr(synth, "_BAND_ELEMENTS", band_elements)
+    params = small_params(width=300, height=211)
+    master = make_master(params, 1)
+    for rotation, translation in ((0.0, (0.0, 0.0)), (-0.25, (13.5, -7.25))):
+        want = render_image_oracle(master, params, rotation, translation, keyed_rng(3, 4))
+        got = render(master, params, rotation, translation, keyed_rng(3, 4))
+        assert np.array_equal(got, want.pixels)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_dataset_independent_of_worker_count(monkeypatch, workers):
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: two workers sharing one set of band buffers would show here
+    params = small_params(n_subjects=4, n_impressions=3)
+    monkeypatch.setattr(synth, "_worker_count", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = synth_dataset(params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_dataset(got, synth_dataset_oracle(params))
+
+
+def test_render_workers_call_no_traced_function(monkeypatch):
+    # the traced benchmark keeps one span stack for every thread, so a layer
+    # function called from a render worker would corrupt its span tree
+    for layer, _ in traced_names():
+        importlib.import_module(f"fpbits.{layer}")
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "fpbits" or n.startswith("fpbits."))]
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for layer, name in traced_names():
+        original = getattr(sys.modules[f"fpbits.{layer}"], name)
+        wrapper = recording(f"{layer}.{name}", original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    render_threads = set()
+    real_render = synth.render_image
+
+    def render_spy(*args, **kwargs):
+        render_threads.add(threading.current_thread() is threading.main_thread())
+        return real_render(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "render_image", render_spy)
+    monkeypatch.setattr(synth, "_worker_count", lambda: 2)
+    synth.synth_dataset(small_params())
+    assert render_threads == {False}  # every impression rendered on a worker
+    assert ("synth.synth_dataset", True) in calls
+    assert all(on_main for _, on_main in calls), calls
+
+
+INT_FIELDS = ("n_subjects", "n_impressions", "width", "height", "n_minutiae", "seed")
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 100.0, True], ids=["fraction", "float", "bool"])
+def test_params_reject_non_int_counts_sizes_and_seed(name, value):
+    with pytest.raises(FieldOutOfRange, match=name):
+        SynthParams(**{name: value})
 
 
 def test_keyed_rng_reproducible():
@@ -99,9 +221,9 @@ def test_transform_point_identity_motion():
         assert math.isclose(x, m.x, abs_tol=1e-9)
         assert math.isclose(y, m.y, abs_tol=1e-9)
     # no noise: rendering twice is bit-identical
-    image = render_image(master, params, 0.0, (0.0, 0.0), noise_rng=None)
-    again = render_image(master, params, 0.0, (0.0, 0.0), noise_rng=None)
-    assert np.array_equal(image.pixels, again.pixels)
+    image = render(master, params, 0.0, (0.0, 0.0), None)
+    again = render(master, params, 0.0, (0.0, 0.0), None)
+    assert np.array_equal(image, again)
 
 
 def test_transform_point_applies_exact_transform():
@@ -122,11 +244,9 @@ def test_transform_point_applies_exact_transform():
 def test_noise_changes_pixels_only_with_rng():
     params = small_params(noise_std=6.0)
     master = make_master(params, 0)
-    clean = render_image(master, params, 0.0, (0.0, 0.0), noise_rng=None)
-    noisy = render_image(
-        master, params, 0.0, (0.0, 0.0), noise_rng=keyed_rng(1, 9)
-    )
-    assert not np.array_equal(clean.pixels, noisy.pixels)
+    clean = render(master, params, 0.0, (0.0, 0.0), None)
+    noisy = render(master, params, 0.0, (0.0, 0.0), keyed_rng(1, 9))
+    assert not np.array_equal(clean, noisy)
 
 
 def test_params_boundary_values_are_accepted():
