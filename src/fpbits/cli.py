@@ -47,8 +47,6 @@ from .model_store import (
 )
 from .synth import SynthParams, synth_dataset
 from .template_io import (
-    GrayImage,
-    MinutiaTemplate,
     parse_text_template,
     read_bytes,
     read_pgm,
@@ -65,11 +63,20 @@ IMAGE_DIR = "images"
 # dataset directory layout
 # ---------------------------------------------------------------------------
 
+def _make_out_dir(out_dir: str, *subdirs: str) -> None:
+    """``os.makedirs`` of ``out_dir`` and its ``subdirs``; a failure is a
+    ``ModelMissing`` naming ``out_dir``."""
+    try:
+        for path in [out_dir] + [os.path.join(out_dir, sub) for sub in subdirs]:
+            os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ModelMissing(f"cannot create {out_dir!r}: {exc.strerror or exc}") from None
+
+
 def save_dataset(items: pipeline.DatasetDict, out_dir: str) -> None:
     tdir = os.path.join(out_dir, TEMPLATE_DIR)
     idir = os.path.join(out_dir, IMAGE_DIR)
-    os.makedirs(tdir, exist_ok=True)
-    os.makedirs(idir, exist_ok=True)
+    _make_out_dir(out_dir, TEMPLATE_DIR, IMAGE_DIR)
     for (sid, iid), (template, image) in sorted(items.items()):
         stem = f"{sid}_{iid}"
         write_file_atomic(
@@ -157,7 +164,7 @@ def cmd_encode(args) -> int:
     model = load_model_file(args.model)
     items = load_dataset(args.dataset)
     encoded = pipeline.encode_dataset(items, model)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     for (sid, iid), enc in sorted(encoded.items()):
         path = os.path.join(args.out_dir, f"{sid}_{iid}.fpbs")
         write_file_atomic(path, save_bitstring(enc.bits))
@@ -179,7 +186,7 @@ def cmd_enroll(args) -> int:
         )
     }
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     for sid, (finger, reference) in fingers.items():
         path = os.path.join(args.out_dir, f"{sid}.fpfm")
         write_file_atomic(path, save_finger(finger, reference))
@@ -219,19 +226,8 @@ def cmd_match(args) -> int:
     pairs = _read_pairs(args.pairs)
     if args.kind == "lgs":
         model = load_model_file(args.model)
-        items = load_dataset(args.dataset)
-        cache = {}
-
-        def vectors(sid, iid):
-            if (sid, iid) not in cache:
-                if (sid, iid) not in items:
-                    raise ModelMissing(f"impression {sid}/{iid} not in dataset")
-                template, image = items[(sid, iid)]
-                cache[(sid, iid)] = pipeline.fused_vectors(template, image, model)
-            return cache[(sid, iid)]
-
-        scores = [pipeline.lgs_match(vectors(sa, ia), vectors(sb, ib), model.config)
-                  for sa, ia, sb, ib in pairs]
+        keyed = [((sa, ia), (sb, ib)) for sa, ia, sb, ib in pairs]
+        scores = pipeline.lgs_scores(load_dataset(args.dataset), model, keyed)
     else:
         bits = _load_bits_dir(args.bits_dir)
         if args.kind == "masked":  # side a names the enrolled finger, side b the query
@@ -260,7 +256,7 @@ def cmd_match(args) -> int:
         for pair, score in zip(pairs, scores)
     ]
 
-    text = "\n".join(lines) + "\n"
+    text = "".join(line + "\n" for line in lines)  # no pairs: no output
     if args.out:
         write_file_atomic(args.out, text.encode("ascii"))
         print(f"wrote {len(lines)} scores to {args.out}")
@@ -321,7 +317,7 @@ def cmd_evaluate(args) -> int:
         rocs = {"roc_trained.csv": result.trained, "roc_untrained.csv": result.untrained}
 
     # the directory appears only once every result is in hand
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     for name, report in rocs.items():
         _write_roc(os.path.join(args.out_dir, name), report)
     summary = "\n".join(lines) + "\n"

@@ -114,7 +114,6 @@ def parse_config(text: str, base: Optional[PipelineConfig] = None) -> PipelineCo
     values = dataclasses.asdict(base) if base is not None else dataclasses.asdict(
         PipelineConfig()
     )
-    types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

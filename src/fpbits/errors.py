@@ -98,4 +98,4 @@ class BadLength(FpbitsError):
 
 
 class ModelMissing(FpbitsError):
-    """A referenced model or artifact file does not exist."""
+    """A named file, directory or dataset entry cannot be read, written or found."""

@@ -26,7 +26,13 @@ import numpy as np
 from .bit_training import FingerModel
 from .codebook import BitString, Codebook
 from .config import PipelineConfig, parse_config, serialize_config
-from .errors import BadMagic, MalformedHeader, TruncatedRecord, UnsupportedVersion
+from .errors import (
+    BadMagic,
+    MalformedHeader,
+    ModelMissing,
+    TruncatedRecord,
+    UnsupportedVersion,
+)
 from .local_structures import StructureGeometry
 from .subspace_fusion import PcaModel
 from .template_io import read_bytes
@@ -182,10 +188,14 @@ def write_file_atomic(path: str, data: bytes) -> None:
 
     The bytes go to a unique temporary file in the same directory, reach
     the disk (fsync), and are then renamed over ``path``. On any failure the
-    temporary file is removed and ``path`` is left as it was.
+    temporary file is removed and ``path`` is left as it was. A directory
+    that cannot take the temporary file raises ``ModelMissing`` naming ``path``.
     """
     directory, base = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp", dir=directory)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp", dir=directory)
+    except OSError as exc:
+        raise ModelMissing(f"cannot write {path!r}: {exc.strerror or exc}") from None
     try:
         with os.fdopen(fd, "wb") as fh:
             # mkstemp creates the file 0600; give it the mode open() would

@@ -28,7 +28,7 @@ from .codebook import (
     kmeans_train,
 )
 from .config import PipelineConfig
-from .errors import EmptyImage, EmptyScores, EmptyTrainingSet
+from .errors import EmptyImage, EmptyScores, EmptyTrainingSet, ModelMissing
 from .local_structures import (
     StructureGeometry,
     mbls_matrix,
@@ -357,37 +357,44 @@ def _fvc_bit_reports(
     return reports
 
 
-def lgs_match(
-    vectors_a: np.ndarray, vectors_b: np.ndarray, config: PipelineConfig
-) -> MatchScore:
-    """:func:`~fpbits.matching.lgs_score` with the config's pair-budget parameters."""
-    return lgs_score(
-        vectors_a,
-        vectors_b,
-        min_pairs=config.min_nL,
-        max_pairs=config.max_nL,
-        midpoint=config.mu_P,
-        steepness=config.tau_P,
-    )
+def lgs_scores(
+    items: DatasetDict,
+    model: PipelineModel,
+    pairs: Sequence[Tuple[Tuple[str, str], Tuple[str, str]]],
+) -> List[MatchScore]:
+    """:func:`~fpbits.matching.lgs_score` of each ``(key_a, key_b)`` pair under the config.
+
+    A fused matrix is computed once per impression, when a pair first names it.
+
+    Raises:
+        ModelMissing: a pair names a key not in ``items``.
+        EmptyImage: a named impression has no minutiae.
+    """
+    cfg = model.config
+    vectors: Dict[Tuple[str, str], np.ndarray] = {}
+    scores = []
+    for a, b in pairs:
+        for key in (a, b):
+            if key not in vectors:
+                if key not in items:
+                    raise ModelMissing(f"impression {key[0]}/{key[1]} not in dataset")
+                vectors[key] = fused_vectors(*items[key], model)
+        scores.append(lgs_score(vectors[a], vectors[b], min_pairs=cfg.min_nL,
+                                max_pairs=cfg.max_nL, midpoint=cfg.mu_P,
+                                steepness=cfg.tau_P))
+    return scores
 
 
 def evaluate_fvc_lgs(
     items: DatasetDict, model: PipelineModel
 ) -> ProtocolReport:
     """Competition pairing over fused vectors (dissimilarity)."""
-    vectors = {
-        key: fused_vectors(items[key][0], items[key][1], model)
-        for key in sorted(items.keys())
-    }
-    keys, n_subjects, n_impressions = _grid_keys(vectors)
-    genuine_rows, impostor_rows = fvc_pair_rows(n_subjects, n_impressions)
-
-    def score(a, b) -> float:
-        return lgs_match(vectors[keys[a]], vectors[keys[b]], model.config).value
-
-    genuine = [score(a, b) for a, b in genuine_rows.tolist()]
-    impostor = [score(a, b) for a, b in impostor_rows.tolist()]
-    return compute_eer(genuine, impostor, POLARITY_DISSIMILARITY)
+    keys, n_subjects, n_impressions = _grid_keys(items)
+    genuine, impostor = fvc_pair_rows(n_subjects, n_impressions)
+    pairs = [(keys[a], keys[b]) for a, b in np.concatenate([genuine, impostor]).tolist()]
+    values = [score.value for score in lgs_scores(items, model, pairs)]
+    n_g = genuine.shape[0]
+    return compute_eer(values[:n_g], values[n_g:], POLARITY_DISSIMILARITY)
 
 
 @dataclass
@@ -416,26 +423,22 @@ def evaluate_split(
     split = _split_keys(encoded, model.config.enroll_size)
     if not split:
         raise EmptyScores("no subjects to enroll and verify")
-    fingers: Dict[str, FingerModel] = {}
-    enrolled: Dict[str, BitString] = {}
-    tests: Dict[str, List[Tuple[str, str]]] = {}
-    for s, (enroll_keys, test_keys) in split.items():
-        if not enroll_keys or not test_keys:
+    subjects = sorted(split.keys())
+    enrolled = []  # (finger, reference) of each subject, in subject order
+    for s in subjects:
+        enroll_keys, held_out = split[s]
+        if not enroll_keys or not held_out:
             raise EmptyTrainingSet(
                 f"subject {s!r} lacks impressions for an enroll/test split"
             )
-        finger, reference = enroll_subject(s, [encoded[k] for k in enroll_keys], model)
-        fingers[s] = finger
-        enrolled[s] = reference
-        tests[s] = test_keys
+        enrolled.append(enroll_subject(s, [encoded[k] for k in enroll_keys], model))
 
-    subjects = sorted(split.keys())
     n_s = len(subjects)
-    references = stack_bits([enrolled[s] for s in subjects])
-    masks = np.array([fingers[s].mask for s in subjects])
-    test_keys = [key for s in subjects for key in tests[s]]
+    references = stack_bits([reference for _, reference in enrolled])
+    masks = np.array([finger.mask for finger, _ in enrolled])
+    test_keys = [key for s in subjects for key in split[s][1]]
     queries = stack_bits([encoded[key].bits for key in test_keys])
-    counts = [len(tests[s]) for s in subjects]
+    counts = [len(split[s][1]) for s in subjects]
     # genuine: every held-out impression against its own subject's reference
     g_query = np.arange(len(test_keys))
     g_ref = np.repeat(np.arange(n_s), counts)
@@ -456,7 +459,7 @@ def evaluate_split(
         untrained=compute_eer(plain[:n_g], plain[n_g:], POLARITY_SIMILARITY),
         n_genuine=n_g,
         n_impostor=i_ref.size,
-        fingers=fingers,
+        fingers={s: finger for s, (finger, _) in zip(subjects, enrolled)},
     )
 
 

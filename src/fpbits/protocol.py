@@ -15,7 +15,7 @@ threshold randomized between two sweep positions can realize).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -61,37 +61,22 @@ def fvc_pair_rows(n_subjects: int, n_impressions: int) -> Tuple[np.ndarray, np.n
 
 
 def _operating_points(
-    genuine: np.ndarray, impostor: np.ndarray, polarity: str
+    genuine: np.ndarray, impostor: np.ndarray
 ) -> Tuple[List[Tuple[float, float, float]], np.ndarray]:
-    """Swept staircase plus the full corner set for hull interpolation.
+    """Swept staircase and full corner set, accepting scores at or above each threshold.
 
     Both score sets are sorted once; at every threshold, the counts of
     scores below (``left``) and not above (``right``) it come from binary
     searches.
     """
-    thresholds = np.unique(np.concatenate([genuine, impostor]))
-    if polarity == POLARITY_DISSIMILARITY:
-        sweep = thresholds[::-1]  # tightening = lowering the acceptance bar
-    else:
-        sweep = thresholds
-
+    sweep = np.unique(np.concatenate([genuine, impostor]))
     g = np.sort(genuine, axis=None)
     im = np.sort(impostor, axis=None)
     n_g, n_i = g.size, im.size
-    g_below = np.searchsorted(g, sweep, side="left")
-    g_upto = np.searchsorted(g, sweep, side="right")
-    i_below = np.searchsorted(im, sweep, side="left")
-    i_upto = np.searchsorted(im, sweep, side="right")
-    if polarity == POLARITY_SIMILARITY:
-        far = (n_i - i_below) / n_i  # impostor >= th
-        frr = g_below / n_g  # genuine < th
-        far_x = (n_i - i_upto) / n_i  # impostor > th
-        frr_x = g_upto / n_g  # genuine <= th
-    else:
-        far = i_upto / n_i  # impostor <= th
-        frr = (n_g - g_upto) / n_g  # genuine > th
-        far_x = i_below / n_i  # impostor < th
-        frr_x = (n_g - g_below) / n_g  # genuine >= th
+    far = (n_i - np.searchsorted(im, sweep, side="left")) / n_i  # impostor >= th
+    frr = np.searchsorted(g, sweep, side="left") / n_g  # genuine < th
+    far_x = (n_i - np.searchsorted(im, sweep, side="right")) / n_i  # impostor > th
+    frr_x = np.searchsorted(g, sweep, side="right") / n_g  # genuine <= th
 
     roc = list(zip(far.tolist(), frr.tolist(), sweep.tolist()))
     # accept-everything / reject-everything, then both conventions per threshold
@@ -145,8 +130,10 @@ def compute_eer(
     """Sweep thresholds over the merged scores and interpolate the EER.
 
     ``polarity`` declares whether genuine attempts should score high
-    (``"similarity"``) or low (``"dissimilarity"``). The returned curve
-    tightens along the list: FAR never increases and FRR never decreases.
+    (``"similarity"``) or low (``"dissimilarity"``); dissimilarities are
+    swept as negated similarities and each threshold, zero as ``+0.0``, is
+    reported negated back. The returned curve tightens along the list: FAR
+    never increases and FRR never decreases.
 
     Raises:
         EmptyScores: either score list is empty or contains non-finite values.
@@ -160,7 +147,10 @@ def compute_eer(
     if not (np.isfinite(g).all() and np.isfinite(i).all()):
         raise EmptyScores("scores must be finite")
 
-    roc, corners = _operating_points(g, i, polarity)
+    # negation is exact; + 0.0 turns whichever zero the sort kept into +0.0
+    sign = 1.0 if polarity == POLARITY_SIMILARITY else -1.0
+    roc, corners = _operating_points(sign * g, sign * i)
+    roc = [(far, frr, sign * th + 0.0) for far, frr, th in roc]
     eer = _hull_eer(corners)
     return ProtocolReport(
         genuine_scores=g, impostor_scores=i, eer=eer, roc=roc, polarity=polarity

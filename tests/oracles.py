@@ -38,6 +38,10 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
   ``fpbits.bit_training`` and ``fpbits.codebook.global_mean`` work on
   ``(n, K)`` matrices and must give identical arrays, as must the reference
   ``fpbits.pipeline.enroll_subject`` builds.
+* The dict-of-matrices ``lgs`` evaluation: ``evaluate_fvc_lgs_oracle``
+  extracts every impression's fused matrix in sorted key order, then scores
+  each attempt through ``lgs_match``, the config-bound ``lgs_score``.
+  ``fpbits.pipeline.evaluate_fvc_lgs`` must give identical score arrays.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from fpbits.codebook import (
     estimate_radii,
     kmeans_train,
 )
+from fpbits.config import PipelineConfig
 from fpbits.errors import (
     EmptyEnrollment,
     EmptyScores,
@@ -65,10 +70,22 @@ from fpbits.errors import (
     PoolTooSmall,
 )
 from fpbits.local_structures import StructureGeometry
-from fpbits.matching import KIND_INTERSECTION, MatchScore
+from fpbits.matching import KIND_INTERSECTION, MatchScore, lgs_score
 from fpbits.model_store import PipelineModel
-from fpbits.pipeline import _STREAM_PCA_SUBSAMPLE, raw_structures
-from fpbits.protocol import Pair
+from fpbits.pipeline import (
+    _STREAM_PCA_SUBSAMPLE,
+    DatasetDict,
+    _grid_keys,
+    fused_vectors,
+    raw_structures,
+)
+from fpbits.protocol import (
+    POLARITY_DISSIMILARITY,
+    Pair,
+    ProtocolReport,
+    compute_eer,
+    fvc_pair_rows,
+)
 from fpbits.subspace_fusion import PcaModel, fuse_matrix, project, train_pca_inplace
 from fpbits.synth import (
     _STREAM_IMPRESSION,
@@ -687,3 +704,36 @@ def synth_dataset_oracle(
             template.impression_id = impression_id(i)
             items[(template.subject_id, template.impression_id)] = (template, image)
     return items
+
+
+def lgs_match(
+    vectors_a: np.ndarray, vectors_b: np.ndarray, config: PipelineConfig
+) -> MatchScore:
+    """:func:`~fpbits.matching.lgs_score` with the config's pair-budget parameters."""
+    return lgs_score(
+        vectors_a,
+        vectors_b,
+        min_pairs=config.min_nL,
+        max_pairs=config.max_nL,
+        midpoint=config.mu_P,
+        steepness=config.tau_P,
+    )
+
+
+def evaluate_fvc_lgs_oracle(
+    items: DatasetDict, model: PipelineModel
+) -> ProtocolReport:
+    """Competition pairing over fused vectors (dissimilarity)."""
+    vectors = {
+        key: fused_vectors(items[key][0], items[key][1], model)
+        for key in sorted(items.keys())
+    }
+    keys, n_subjects, n_impressions = _grid_keys(vectors)
+    genuine_rows, impostor_rows = fvc_pair_rows(n_subjects, n_impressions)
+
+    def score(a, b) -> float:
+        return lgs_match(vectors[keys[a]], vectors[keys[b]], model.config).value
+
+    genuine = [score(a, b) for a, b in genuine_rows.tolist()]
+    impostor = [score(a, b) for a, b in impostor_rows.tolist()]
+    return compute_eer(genuine, impostor, POLARITY_DISSIMILARITY)

@@ -630,6 +630,71 @@ def test_unreadable_input_exits_2_with_one_line(workdir, tmp_path, capsys, comma
     assert_one_error_line(capsys, bad)
 
 
+UNWRITABLE_ARGS = {
+    "train --out": ("missing", lambda wd, bad: [
+        "train", "--dataset", wd["data"], "--out", bad, "--quiet",
+        "--set", "K=16", "--set", "n_p=8", "--set", "N_c=20"]),
+    "match --out": ("missing", lambda wd, bad: [
+        "match", "--kind", "bits", "--pairs", wd["pairs"], "--bits-dir", wd["bits"],
+        "--out", bad]),
+    "compress --out": ("missing", lambda wd, bad: [
+        "compress", "--dataset", wd["data"], "--model", wd["model"], "--lengths", "8",
+        "--out", bad]),
+    "encode --out-dir": ("file", lambda wd, bad: [
+        "encode", "--dataset", wd["data"], "--model", wd["model"], "--out-dir", bad]),
+    "enroll --out-dir": ("file", lambda wd, bad: [
+        "enroll", "--dataset", wd["data"], "--model", wd["model"], "--out-dir", bad]),
+    "evaluate --out-dir": ("file", lambda wd, bad: [
+        "evaluate", "--dataset", wd["data"], "--model", wd["model"], "--out-dir", bad]),
+    "synth --out": ("file", lambda wd, bad: [
+        "synth", "--out", bad, "--subjects", "1", "--impressions", "1",
+        "--width", "64", "--height", "64", "--minutiae", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_ARGS))
+def test_unwritable_output_exits_2_with_one_line(workdir, tmp_path, capsys, command):
+    how, argv = UNWRITABLE_ARGS[command]
+    if how == "missing":  # the parent directory does not exist
+        bad = str(tmp_path / "missing" / "out.txt")
+    else:  # the output directory is an existing file
+        bad = str(tmp_path / "out")
+        with open(bad, "w") as fh:
+            fh.write("keep")
+    paths = dict(workdir, pairs=_pairs(tmp_path, "s001 01 s001 02\n"))
+    assert main(argv(paths, bad)) == 2
+    err = capsys.readouterr().err
+    # the message names the path given, not a temporary file beside it
+    assert err.startswith("error:") and repr(bad) in err and ".tmp" not in err, err
+    assert len(err.strip().splitlines()) == 1
+    if how == "missing":
+        assert not os.path.exists(os.path.dirname(bad))
+    else:
+        assert open(bad).read() == "keep"
+
+
+EMPTY_PAIRS_ARGS = {
+    "bits": lambda wd, pairs: ["match", "--kind", "bits", "--pairs", pairs,
+                               "--bits-dir", wd["bits"]],
+    "masked": lambda wd, pairs: ["match", "--kind", "masked", "--pairs", pairs,
+                                 "--bits-dir", wd["bits"], "--fingers-dir", wd["fingers"],
+                                 "--model", wd["model"]],
+    "lgs": lambda wd, pairs: ["match", "--kind", "lgs", "--pairs", pairs,
+                              "--dataset", wd["data"], "--model", wd["model"]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_PAIRS_ARGS))
+def test_match_empty_pairs_file_writes_nothing(workdir, tmp_path, capsys, kind):
+    pairs = _pairs(tmp_path, "# no pairs\n\n")
+    assert main(EMPTY_PAIRS_ARGS[kind](workdir, pairs)) == 0
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "scores.txt"
+    assert main(EMPTY_PAIRS_ARGS[kind](workdir, pairs) + ["--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+    assert capsys.readouterr().out == f"wrote 0 scores to {out}\n"
+
+
 def _copy_tree(src, dst):
     os.makedirs(dst)
     for name in sorted(os.listdir(src)):

@@ -19,10 +19,10 @@ from fpbits.codebook import (
 )
 
 from fpbits.config import PipelineConfig
-from fpbits.errors import EmptyImage
+from fpbits.errors import EmptyImage, EmptyScores, EmptyTrainingSet, ModelMissing
 from fpbits.local_structures import StructureGeometry, normalize_image
 from fpbits.model_store import load_model, save_model
-from fpbits.matching import fold_compress
+from fpbits.matching import fold_compress, lgs_score
 from fpbits.pipeline import (
     EncodedImpression,
     _subsample_rows,
@@ -31,8 +31,10 @@ from fpbits.pipeline import (
     encode_impression,
     enroll_subject,
     evaluate_fvc_bits,
+    evaluate_fvc_lgs,
     evaluate_split,
     fused_vectors,
+    lgs_scores,
     raw_structures,
     train_model,
 )
@@ -42,6 +44,7 @@ from fpbits.template_io import MinutiaTemplate
 from oracles import (
     build_mbls,
     enrolled_reference,
+    evaluate_fvc_lgs_oracle,
     extract_tbls,
     fuse,
     fvc_pairs,
@@ -409,6 +412,77 @@ def test_split_matches_pair_loop(encoded_run, mask_both, enroll_size):
     assert got.n_genuine == trained.genuine_scores.size
     assert got.n_impostor == trained.impostor_scores.size
     assert sorted(got.fingers) == sorted({key[0] for key in encoded})
+
+
+# ---------------------------------------------------------------------------
+# lgs: one pair scorer for match and evaluate
+# ---------------------------------------------------------------------------
+
+def test_fvc_lgs_matches_dict_oracle(small_run):
+    items, model = small_run
+    got = evaluate_fvc_lgs(items, model)
+    want = evaluate_fvc_lgs_oracle(items, model)
+    assert np.array_equal(got.genuine_scores, want.genuine_scores)
+    assert np.array_equal(got.impostor_scores, want.impostor_scores)
+    assert_same_report(got, want)
+    assert (got.genuine_scores.size, got.impostor_scores.size) == (60, 45)
+
+
+def count_extractions(monkeypatch):
+    """Keys whose fused matrix ``pipeline`` computes, one entry per computation."""
+    seen = []
+
+    def counted(template, image, model):
+        seen.append((template.subject_id, template.impression_id))
+        return fused_vectors(template, image, model)
+
+    monkeypatch.setattr(pipeline, "fused_vectors", counted)
+    return seen
+
+
+def test_lgs_scores_match_per_pair_lgs_score(small_run, monkeypatch):
+    items, model = small_run
+    cfg = model.config
+    keys = sorted(items)
+    pairs = [(keys[0], keys[1]), (keys[5], keys[0]), (keys[1], keys[1]),
+             (keys[0], keys[1]), (keys[9], keys[5]), (keys[9], keys[9])]
+    seen = count_extractions(monkeypatch)
+    got = lgs_scores(items, model, pairs)
+    assert seen == [keys[0], keys[1], keys[5], keys[9]]  # each once, when first named
+    for (a, b), score in zip(pairs, got, strict=True):
+        want = lgs_score(fused_vectors(*items[a], model), fused_vectors(*items[b], model),
+                         min_pairs=cfg.min_nL, max_pairs=cfg.max_nL,
+                         midpoint=cfg.mu_P, steepness=cfg.tau_P)
+        assert score == want
+    assert lgs_scores(items, model, []) == []
+
+
+def test_lgs_scores_name_a_missing_key(small_run):
+    items, model = small_run
+    present = sorted(items)[0]
+    with pytest.raises(ModelMissing, match="^impression s999/01 not in dataset$"):
+        lgs_scores(items, model, [(present, present), (present, ("s999", "01"))])
+
+
+def test_fvc_lgs_checks_the_grid_before_extraction(small_run, monkeypatch):
+    items, model = small_run
+    seen = count_extractions(monkeypatch)
+    partial = {key: item for key, item in items.items() if key != sorted(items)[-1]}
+    with pytest.raises(EmptyTrainingSet, match="not a full grid"):
+        evaluate_fvc_lgs(partial, model)
+    assert seen == []
+
+
+def test_fvc_lgs_on_one_impression_pairs_nothing(small_run, monkeypatch):
+    items, model = small_run
+    template, image = items[sorted(items)[0]]
+    empty = MinutiaTemplate([], template.width, template.height,
+                            template.subject_id, template.impression_id)
+    seen = count_extractions(monkeypatch)
+    for one in (template, empty):
+        with pytest.raises(EmptyScores):
+            evaluate_fvc_lgs({sorted(items)[0]: (one, image)}, model)
+    assert seen == []
 
 
 def assert_enrolls_like_the_oracles(samples, model):

@@ -179,8 +179,11 @@ def test_eer_input_validation():
 # ---------------------------------------------------------------------------
 
 def loop_operating_points(genuine, impostor, polarity):
-    """Four full-array comparisons per threshold: the sweep before sorting."""
-    thresholds = np.unique(np.concatenate([genuine, impostor]))
+    """Four full-array comparisons per threshold: the sweep before sorting.
+
+    A zero threshold is +0.0, whichever of -0.0 and 0.0 ``np.unique`` kept.
+    """
+    thresholds = np.unique(np.concatenate([genuine, impostor])) + 0.0
     sweep = thresholds[::-1] if polarity == POLARITY_DISSIMILARITY else thresholds
     roc = []
     corners = [(1.0, 0.0), (0.0, 1.0)]
@@ -202,16 +205,23 @@ def loop_operating_points(genuine, impostor, polarity):
     return roc, np.unique(np.array(corners, dtype=np.float64), axis=0)
 
 
+def roc_rows(roc):
+    """The ROC as the ``evaluate`` command writes it: one ``:.9f`` row per point."""
+    return [f"{far:.9f},{frr:.9f},{th:.9f}" for far, frr, th in roc]
+
+
 def assert_matches_loop(genuine, impostor, polarity):
     g = np.asarray(genuine, dtype=np.float64)
     im = np.asarray(impostor, dtype=np.float64)
     want_roc, want_corners = loop_operating_points(g, im, polarity)
-    roc, corners = protocol._operating_points(g, im, polarity)
-    assert roc == want_roc
-    assert all(type(x) is float for point in roc for x in point)
-    assert corners.tobytes() == want_corners.tobytes()
     report = compute_eer(genuine, impostor, polarity)
     assert report.roc == want_roc
+    assert roc_rows(report.roc) == roc_rows(want_roc)
+    assert all(type(x) is float for point in report.roc for x in point)
+    # the one sweep sees dissimilarities negated
+    sign = 1.0 if polarity == POLARITY_SIMILARITY else -1.0
+    _, corners = protocol._operating_points(sign * g, sign * im)
+    assert corners.tobytes() == want_corners.tobytes()
     assert report.eer == protocol._hull_eer(want_corners)
 
 
@@ -236,6 +246,24 @@ def test_sorted_sweep_matches_loop_on_ties(polarity):
     assert_matches_loop([-0.0, 0.0, 0.5], [0.0, -0.0], polarity)
     # unsorted input, as the protocol hands it over
     assert_matches_loop([0.9, 0.1, 0.5, 0.5, 0.3], [0.5, 0.2, 0.9, 0.2], polarity)
+
+
+@pytest.mark.parametrize("polarity", [POLARITY_SIMILARITY, POLARITY_DISSIMILARITY])
+def test_zero_threshold_is_positive_zero(polarity):
+    # np.unique keeps whichever zero its sort puts first; the sweep of the
+    # negated scores sees the other sign
+    rng = np.random.default_rng(199)
+    for n in (2, 5, 40, 400):
+        zeros = rng.choice([-0.0, 0.0], size=n)
+        zeros[:2] = [-0.0, 0.0]
+        scores = np.concatenate([zeros, [0.5, -0.5]])
+        for g, im in [(scores, zeros), (zeros, scores), (-scores, zeros)]:
+            report = compute_eer(g, im, polarity)
+            zero_rows = [row for row in roc_rows(report.roc) if row.endswith(",0.000000000")]
+            assert len(zero_rows) == 1
+            assert not any(row.endswith(",-0.000000000") for row in roc_rows(report.roc))
+            assert report.genuine_scores.tobytes() == np.asarray(g).tobytes()
+            assert report.impostor_scores.tobytes() == np.asarray(im).tobytes()
 
 
 def test_sorted_sweep_leaves_inputs_and_scores_alone():
