@@ -21,6 +21,7 @@ from .codebook import (
     Codebook,
     DistanceVector,
     cardinality_weights,
+    centroid_distances,
     cluster_cardinalities,
     distance_vector,
     encode_bitstring,

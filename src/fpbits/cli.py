@@ -182,7 +182,7 @@ def cmd_enroll(args) -> int:
             [pipeline.encode_impression(*items[k], model) for k in enroll_keys], model
         )
         for sid, (enroll_keys, _) in sorted(
-            pipeline._split_keys(items, model.config.enroll_size).items()
+            pipeline.split_keys(items, model.config.enroll_size).items()
         )
     }
 

@@ -106,7 +106,7 @@ def _sq_norms(matrix: np.ndarray) -> np.ndarray:
     return (matrix * matrix).sum(axis=1)
 
 
-def _distances(
+def centroid_distances(
     matrix: np.ndarray,
     centroids: np.ndarray,
     sq_norms: Optional[np.ndarray] = None,
@@ -192,7 +192,7 @@ def _kmeanspp_init(
 
 def kmeans_objective(matrix: np.ndarray, centroids: np.ndarray) -> float:
     """Sum of squared distances from each vector to its nearest centroid."""
-    d = _distances(matrix, centroids)
+    d = centroid_distances(matrix, centroids)
     return float((d.min(axis=1) ** 2).sum())
 
 
@@ -229,7 +229,7 @@ def kmeans_train(
     d = np.empty((n, k), dtype=np.float64)  # every iteration's distances
     prev_assign: Optional[np.ndarray] = None
     for _ in range(max_iters):
-        _distances(x, centroids, sq_norms, out=d)
+        centroid_distances(x, centroids, sq_norms, out=d)
         assign = d.argmin(axis=1)  # ties resolve to the smallest index
 
         counts = np.bincount(assign, minlength=k)
@@ -266,24 +266,19 @@ def kmeans_train(
 # boundary radii, assignment, cardinalities
 # ---------------------------------------------------------------------------
 
-def estimate_radii(
-    pool: np.ndarray,
-    centroids: np.ndarray,
-    n_boundary: int,
-) -> np.ndarray:
+def estimate_radii(d: np.ndarray, n_boundary: int) -> np.ndarray:
     """Boundary radius per cluster: mean distance of its nearest outsiders.
 
-    For cluster d, take every pool vector plainly assigned elsewhere, sort
-    their distances to centroid d ascending, and average the smallest
+    ``d`` is the pool's ``(n, K)`` :func:`centroid_distances` matrix. For
+    cluster j, take every pool vector plainly assigned elsewhere, sort
+    their distances to centroid j ascending, and average the smallest
     ``n_boundary`` (or all of them when fewer exist).
 
     Raises:
         DegeneratePool: some cluster has no external vector at all.
     """
-    x = np.asarray(pool, dtype=np.float64)
-    d = _distances(x, centroids)
     assign = d.argmin(axis=1)
-    k = centroids.shape[0]
+    k = d.shape[1]
     radii = np.empty(k, dtype=np.float64)
     for j in range(k):
         external = d[assign != j, j]
@@ -296,14 +291,13 @@ def estimate_radii(
     return radii
 
 
-def cluster_cardinalities(
-    pool: np.ndarray,
-    centroids: np.ndarray,
-    radii: np.ndarray,
-) -> np.ndarray:
-    """How many pool vectors each cluster claims under adjusted assignment."""
-    adj = _distances(np.asarray(pool, dtype=np.float64), centroids) - radii[None, :]
-    return np.bincount(adj.argmin(axis=1), minlength=centroids.shape[0])
+def cluster_cardinalities(d: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """How many pool vectors each cluster claims under adjusted assignment.
+
+    ``d`` is the pool's ``(n, K)`` :func:`centroid_distances` matrix.
+    """
+    adj = d - radii[None, :]
+    return np.bincount(adj.argmin(axis=1), minlength=d.shape[1])
 
 
 def cardinality_weights(cardinalities: np.ndarray) -> np.ndarray:
@@ -324,24 +318,25 @@ def cardinality_weights(cardinalities: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def encode_bitstring(
-    vectors: np.ndarray,
-    codebook: Codebook,
+    d: np.ndarray,
+    radii: np.ndarray,
     tau_s: float,
     top_t: int,
     gate_all: bool,
 ) -> BitString:
-    """Convert one impression's ``(n, dim)`` fused matrix into a K-bit string.
+    """Convert one impression into a K-bit string.
 
-    Each vector ranks clusters by adjusted distance and nominates the best
-    ``top_t``. With ``gate_all`` every nominated cluster's bit is set only
-    when its own adjusted distance is below ``tau_s``; without it just the
-    rank-1 nomination is gated and the rest are set outright. The three
-    conversion parameters are the config's ``tau_s``, ``top_t`` and
-    ``gate_all``. An impression with no vectors maps to the all-zero string.
+    ``d`` is the impression's ``(n, K)`` :func:`centroid_distances` matrix
+    and ``radii`` the codebook's. Each vector ranks clusters by adjusted
+    distance and nominates the best ``top_t``. With ``gate_all`` every
+    nominated cluster's bit is set only when its own adjusted distance is
+    below ``tau_s``; without it just the rank-1 nomination is gated and the
+    rest are set outright. The three conversion parameters are the config's
+    ``tau_s``, ``top_t`` and ``gate_all``. An impression with no vectors
+    maps to the all-zero string.
     """
-    bits = np.zeros(codebook.k, dtype=bool)
-    x = np.asarray(vectors, dtype=np.float64)
-    adj = _distances(x, codebook.centroids) - codebook.radii[None, :]
+    bits = np.zeros(d.shape[1], dtype=bool)
+    adj = d - radii[None, :]
     # ties in adjusted distance nominate the smaller cluster index first
     nominated = np.argsort(adj, axis=1, kind="stable")[:, :top_t]
     passes = np.take_along_axis(adj, nominated, axis=1) < tau_s
@@ -351,16 +346,16 @@ def encode_bitstring(
     return BitString(bits)
 
 
-def distance_vector(vectors: np.ndarray, codebook: Codebook) -> DistanceVector:
+def distance_vector(d: np.ndarray) -> DistanceVector:
     """Nearest plain distance from any of the impression's vectors, per cluster.
+
+    ``d`` is the impression's ``(n, K)`` :func:`centroid_distances` matrix.
 
     Raises:
         EmptyImage: the impression produced no fused vectors.
     """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.size == 0:
+    if d.shape[0] == 0:
         raise EmptyImage("impression has no fused vectors to measure")
-    d = _distances(x, codebook.centroids)
     return DistanceVector(d.min(axis=0))
 
 

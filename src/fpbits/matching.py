@@ -79,10 +79,12 @@ def lgs_score(
 ) -> MatchScore:
     """Greedy one-to-one comparison of two fused matrices (lower = more similar).
 
-    All cross distances are ranked ascending (ties by vector indices); pairs
-    are taken greedily, each vector used at most once, until the budget from
-    :func:`lgs_pair_budget` is filled or vectors run out. The score is the
-    mean distance of the taken pairs; ``short`` marks an underfilled budget.
+    Pairs are taken greedily, each vector used at most once, until the
+    budget from :func:`lgs_pair_budget` is filled or vectors run out: each
+    pick is the smallest cross distance left between unused vectors, ties
+    going to the first in (row, column) order. The score is the mean
+    distance of the taken pairs; ``short`` marks an underfilled budget.
+    Both matrices are finite.
 
     Raises:
         EmptyImage: either side has no vectors.
@@ -101,23 +103,14 @@ def lgs_score(
 
     diff = a[:, None, :] - b[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    # stable sort on the flattened matrix: distance ascending, ties in
-    # (row, column) order
-    ia, ib = np.unravel_index(
-        np.argsort(dist.ravel(), kind="stable"), (n_a, n_b)
-    )
-
-    used_a = np.zeros(n_a, dtype=bool)
-    used_b = np.zeros(n_b, dtype=bool)
     picked = []
-    for i, j in zip(ia, ib):
-        if used_a[i] or used_b[j]:
-            continue
-        used_a[i] = True
-        used_b[j] = True
+    for _ in range(min(budget, n_a, n_b)):
+        # argmin takes the first minimum in row-major order; the row and
+        # column of a taken pair read inf from then on
+        i, j = divmod(int(dist.argmin()), n_b)
         picked.append(dist[i, j])
-        if len(picked) >= budget:
-            break
+        dist[i, :] = np.inf
+        dist[:, j] = np.inf
 
     value = float(np.mean(picked))
     return MatchScore(

@@ -189,7 +189,8 @@ def write_file_atomic(path: str, data: bytes) -> None:
     The bytes go to a unique temporary file in the same directory, reach
     the disk (fsync), and are then renamed over ``path``. On any failure the
     temporary file is removed and ``path`` is left as it was. A directory
-    that cannot take the temporary file raises ``ModelMissing`` naming ``path``.
+    that cannot take the temporary file, or a ``path`` the rename cannot
+    replace (a directory, say), raises ``ModelMissing`` naming ``path``.
     """
     directory, base = os.path.split(os.path.abspath(path))
     try:
@@ -205,7 +206,10 @@ def write_file_atomic(path: str, data: bytes) -> None:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ModelMissing(f"cannot write {path!r}: {exc.strerror or exc}") from None
     except BaseException:
         os.unlink(tmp)
         raise

@@ -20,6 +20,7 @@ from .codebook import (
     BitString,
     Codebook,
     DistanceVector,
+    centroid_distances,
     cluster_cardinalities,
     distance_vector,
     encode_bitstring,
@@ -174,9 +175,10 @@ def train_model(
     capped row subsample and project every row (see :func:`_fit_family`;
     each descriptor row is extracted once, and memory depends on the cap,
     not on the number of rows), fuse, cluster the pooled fused vectors,
-    place boundary radii, count cardinalities under adjusted assignment,
-    and finally average each finger's distance vectors into the population
-    mean.
+    then compute the pool's distance matrix to the centroids once. That
+    matrix places the boundary radii, counts cardinalities under adjusted
+    assignment and gives each impression's distance vector; each finger's
+    vectors are averaged into the population mean.
 
     Raises:
         EmptyTrainingSet: ``items`` is empty.
@@ -224,16 +226,15 @@ def train_model(
     centroids = kmeans_train(
         fused, config.K, max_iters=config.kmeans_max_iters, seed=config.seed
     )
-    radii = estimate_radii(fused, centroids, config.N_c)
-    cardinalities = cluster_cardinalities(fused, centroids, radii)
-    codebook = Codebook(centroids, radii, cardinalities)
+    d = centroid_distances(fused, centroids)
+    radii = estimate_radii(d, config.N_c)
+    codebook = Codebook(centroids, radii, cluster_cardinalities(d, radii))
 
     if verbose:
         print("averaging per-finger distance vectors into the population mean")
-    # one distance row per impression; keys are sorted, so a finger's rows
-    # form one block
-    distances = np.array([distance_vector(rows, codebook).values
-                          for rows in np.split(fused, np.cumsum(counts)[:-1])])
+    # one distance row per impression, each count at least 1; keys are
+    # sorted, so a finger's rows form one block
+    distances = np.minimum.reduceat(d, np.cumsum([0] + counts[:-1]), axis=0)
     _, firsts = np.unique([key[0] for key in keys], return_index=True)
     return PipelineModel(
         config=config,
@@ -261,13 +262,11 @@ def encode_impression(
     Raises:
         EmptyImage: the template has no minutiae.
     """
-    cfg = model.config
-    vectors = fused_vectors(template, image, model)
-    bits = encode_bitstring(vectors, model.codebook, cfg.tau_s, cfg.top_t, cfg.gate_all)
-    distances = distance_vector(vectors, model.codebook)
+    cfg, codebook = model.config, model.codebook
+    d = centroid_distances(fused_vectors(template, image, model), codebook.centroids)
     return EncodedImpression(
-        bits=bits,
-        distances=distances,
+        bits=encode_bitstring(d, codebook.radii, cfg.tau_s, cfg.top_t, cfg.gate_all),
+        distances=distance_vector(d),
         n_minutiae=len(template.minutiae),
     )
 
@@ -286,7 +285,7 @@ def encode_dataset(
 # enrollment and evaluation
 # ---------------------------------------------------------------------------
 
-def _split_keys(
+def split_keys(
     keyed: Dict[Tuple[str, str], object], enroll_size: int
 ) -> Dict[str, Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]]:
     """Per subject: (enrollment keys, test keys) of a dataset or encoded grid.
@@ -420,7 +419,7 @@ def evaluate_split(
     (masked intersection) and untrained (plain intersection) scores are
     computed on exactly the same attempt list.
     """
-    split = _split_keys(encoded, model.config.enroll_size)
+    split = split_keys(encoded, model.config.enroll_size)
     if not split:
         raise EmptyScores("no subjects to enroll and verify")
     subjects = sorted(split.keys())

@@ -42,6 +42,14 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
   extracts every impression's fused matrix in sorted key order, then scores
   each attempt through ``lgs_match``, the config-bound ``lgs_score``.
   ``fpbits.pipeline.evaluate_fvc_lgs`` must give identical score arrays.
+* The vector-taking codebook statistics ``estimate_radii``,
+  ``cluster_cardinalities``, ``encode_bitstring`` and ``distance_vector``,
+  each computing its own distance matrix, and the sorted-greedy
+  ``lgs_score``, which ranks all cross distances with a stable argsort and
+  skips used vectors. The ``fpbits.codebook`` stages read one
+  ``centroid_distances`` matrix and must give identical arrays;
+  ``fpbits.matching.lgs_score`` picks by argmin and must return an equal
+  ``MatchScore``. ``train_model_oracle`` and ``lgs_match`` call these forms.
 """
 
 from __future__ import annotations
@@ -56,21 +64,21 @@ from fpbits.codebook import (
     BitString,
     Codebook,
     DistanceVector,
-    cluster_cardinalities,
-    distance_vector,
-    estimate_radii,
+    centroid_distances,
     kmeans_train,
 )
 from fpbits.config import PipelineConfig
 from fpbits.errors import (
+    DegeneratePool,
     EmptyEnrollment,
+    EmptyImage,
     EmptyScores,
     EmptyTrainingSet,
     LengthMismatch,
     PoolTooSmall,
 )
 from fpbits.local_structures import StructureGeometry
-from fpbits.matching import KIND_INTERSECTION, MatchScore, lgs_score
+from fpbits.matching import KIND_INTERSECTION, KIND_LGS, MatchScore, lgs_pair_budget
 from fpbits.model_store import PipelineModel
 from fpbits.pipeline import (
     _STREAM_PCA_SUBSAMPLE,
@@ -460,6 +468,150 @@ def enrolled_reference(bitstrings: Sequence[BitString], k: int) -> BitString:
     for bs in bitstrings:
         merged |= bs.bits
     return BitString(merged)
+
+
+# ---------------------------------------------------------------------------
+# vector-taking codebook statistics and the sorted-greedy lgs
+# ---------------------------------------------------------------------------
+
+def estimate_radii(
+    pool: np.ndarray,
+    centroids: np.ndarray,
+    n_boundary: int,
+) -> np.ndarray:
+    """Boundary radius per cluster: mean distance of its nearest outsiders.
+
+    For cluster d, take every pool vector plainly assigned elsewhere, sort
+    their distances to centroid d ascending, and average the smallest
+    ``n_boundary`` (or all of them when fewer exist).
+
+    Raises:
+        DegeneratePool: some cluster has no external vector at all.
+    """
+    x = np.asarray(pool, dtype=np.float64)
+    d = centroid_distances(x, centroids)
+    assign = d.argmin(axis=1)
+    k = centroids.shape[0]
+    radii = np.empty(k, dtype=np.float64)
+    for j in range(k):
+        external = d[assign != j, j]
+        if external.size == 0:
+            raise DegeneratePool(
+                f"cluster {j} has no external pool vectors to place its boundary"
+            )
+        external = np.sort(external)
+        radii[j] = float(external[: min(n_boundary, external.size)].mean())
+    return radii
+
+
+def cluster_cardinalities(
+    pool: np.ndarray,
+    centroids: np.ndarray,
+    radii: np.ndarray,
+) -> np.ndarray:
+    """How many pool vectors each cluster claims under adjusted assignment."""
+    adj = centroid_distances(np.asarray(pool, dtype=np.float64), centroids) - radii[None, :]
+    return np.bincount(adj.argmin(axis=1), minlength=centroids.shape[0])
+
+
+def encode_bitstring(
+    vectors: np.ndarray,
+    codebook: Codebook,
+    tau_s: float,
+    top_t: int,
+    gate_all: bool,
+) -> BitString:
+    """Convert one impression's ``(n, dim)`` fused matrix into a K-bit string.
+
+    Each vector ranks clusters by adjusted distance and nominates the best
+    ``top_t``. With ``gate_all`` every nominated cluster's bit is set only
+    when its own adjusted distance is below ``tau_s``; without it just the
+    rank-1 nomination is gated and the rest are set outright. The three
+    conversion parameters are the config's ``tau_s``, ``top_t`` and
+    ``gate_all``. An impression with no vectors maps to the all-zero string.
+    """
+    bits = np.zeros(codebook.k, dtype=bool)
+    x = np.asarray(vectors, dtype=np.float64)
+    adj = centroid_distances(x, codebook.centroids) - codebook.radii[None, :]
+    # ties in adjusted distance nominate the smaller cluster index first
+    nominated = np.argsort(adj, axis=1, kind="stable")[:, :top_t]
+    passes = np.take_along_axis(adj, nominated, axis=1) < tau_s
+    if not gate_all:
+        passes[:, 1:] = True
+    bits[nominated[passes]] = True
+    return BitString(bits)
+
+
+def distance_vector(vectors: np.ndarray, codebook: Codebook) -> DistanceVector:
+    """Nearest plain distance from any of the impression's vectors, per cluster.
+
+    Raises:
+        EmptyImage: the impression produced no fused vectors.
+    """
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.size == 0:
+        raise EmptyImage("impression has no fused vectors to measure")
+    d = centroid_distances(x, codebook.centroids)
+    return DistanceVector(d.min(axis=0))
+
+
+def lgs_score(
+    vectors_a: np.ndarray,
+    vectors_b: np.ndarray,
+    min_pairs: int,
+    max_pairs: int,
+    midpoint: float,
+    steepness: float,
+) -> MatchScore:
+    """Greedy one-to-one comparison of two fused matrices (lower = more similar).
+
+    All cross distances are ranked ascending (ties by vector indices); pairs
+    are taken greedily, each vector used at most once, until the budget from
+    :func:`lgs_pair_budget` is filled or vectors run out. The score is the
+    mean distance of the taken pairs; ``short`` marks an underfilled budget.
+
+    Raises:
+        EmptyImage: either side has no vectors.
+        LengthMismatch: the two sides' vector lengths differ.
+    """
+    a = np.asarray(vectors_a, dtype=np.float64)
+    b = np.asarray(vectors_b, dtype=np.float64)
+    if a.size == 0 or b.size == 0:
+        raise EmptyImage("an impression with no fused vectors has no lgs score")
+    n_a, n_b = a.shape[0], b.shape[0]
+    budget = lgs_pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
+    if a.shape[1] != b.shape[1]:
+        raise LengthMismatch(
+            f"fused vector lengths differ: {a.shape[1]} vs {b.shape[1]}"
+        )
+
+    diff = a[:, None, :] - b[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    # stable sort on the flattened matrix: distance ascending, ties in
+    # (row, column) order
+    ia, ib = np.unravel_index(
+        np.argsort(dist.ravel(), kind="stable"), (n_a, n_b)
+    )
+
+    used_a = np.zeros(n_a, dtype=bool)
+    used_b = np.zeros(n_b, dtype=bool)
+    picked = []
+    for i, j in zip(ia, ib):
+        if used_a[i] or used_b[j]:
+            continue
+        used_a[i] = True
+        used_b[j] = True
+        picked.append(dist[i, j])
+        if len(picked) >= budget:
+            break
+
+    value = float(np.mean(picked))
+    return MatchScore(
+        value=value,
+        kind=KIND_LGS,
+        support=len(picked),
+        short=len(picked) < budget,
+    )
 
 
 # ---------------------------------------------------------------------------

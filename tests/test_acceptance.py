@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from fpbits import pipeline
-from fpbits.codebook import BitString, Codebook, encode_bitstring, kmeans_train
+from fpbits.codebook import (
+    BitString,
+    Codebook,
+    centroid_distances,
+    encode_bitstring,
+    kmeans_train,
+)
 from fpbits.bit_training import adaptive_threshold
 from fpbits.config import PipelineConfig
 from fpbits.errors import FpbitsError
@@ -320,7 +326,8 @@ def test_criterion_06_encode_oracle():
             radii=radii,
             cardinalities=np.ones(k, dtype=np.int64),
         )
-        got = encode_bitstring(vectors, book, -0.05, top_t, True)
+        got = encode_bitstring(centroid_distances(vectors, book.centroids), book.radii,
+                               -0.05, top_t, True)
 
         want = np.zeros(k, dtype=bool)
         for v in vectors:

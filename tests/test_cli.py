@@ -116,7 +116,7 @@ def test_enroll_encodes_only_the_enrollment_impressions(workdir, tmp_path, monke
     model = load_model_file(workdir["model"])
     # the fingers as enrolled from the whole encoded grid
     encoded = pipeline.encode_dataset(items, model)
-    split = pipeline._split_keys(encoded, model.config.enroll_size)
+    split = pipeline.split_keys(encoded, model.config.enroll_size)
     want = {sid: save_finger(*pipeline.enroll_subject(sid, [encoded[k] for k in keys], model))
             for sid, (keys, _) in split.items()}
 
@@ -630,16 +630,28 @@ def test_unreadable_input_exits_2_with_one_line(workdir, tmp_path, capsys, comma
     assert_one_error_line(capsys, bad)
 
 
+def _train_out(wd, bad):
+    return ["train", "--dataset", wd["data"], "--out", bad, "--quiet",
+            "--set", "K=16", "--set", "n_p=8", "--set", "N_c=20"]
+
+
+def _match_out(wd, bad):
+    return ["match", "--kind", "bits", "--pairs", wd["pairs"], "--bits-dir", wd["bits"],
+            "--out", bad]
+
+
+def _compress_out(wd, bad):
+    return ["compress", "--dataset", wd["data"], "--model", wd["model"], "--lengths", "8",
+            "--out", bad]
+
+
 UNWRITABLE_ARGS = {
-    "train --out": ("missing", lambda wd, bad: [
-        "train", "--dataset", wd["data"], "--out", bad, "--quiet",
-        "--set", "K=16", "--set", "n_p=8", "--set", "N_c=20"]),
-    "match --out": ("missing", lambda wd, bad: [
-        "match", "--kind", "bits", "--pairs", wd["pairs"], "--bits-dir", wd["bits"],
-        "--out", bad]),
-    "compress --out": ("missing", lambda wd, bad: [
-        "compress", "--dataset", wd["data"], "--model", wd["model"], "--lengths", "8",
-        "--out", bad]),
+    "train --out": ("missing", _train_out),
+    "match --out": ("missing", _match_out),
+    "compress --out": ("missing", _compress_out),
+    "train --out dir": ("dir", _train_out),
+    "match --out dir": ("dir", _match_out),
+    "compress --out dir": ("dir", _compress_out),
     "encode --out-dir": ("file", lambda wd, bad: [
         "encode", "--dataset", wd["data"], "--model", wd["model"], "--out-dir", bad]),
     "enroll --out-dir": ("file", lambda wd, bad: [
@@ -657,11 +669,17 @@ def test_unwritable_output_exits_2_with_one_line(workdir, tmp_path, capsys, comm
     how, argv = UNWRITABLE_ARGS[command]
     if how == "missing":  # the parent directory does not exist
         bad = str(tmp_path / "missing" / "out.txt")
+    elif how == "dir":  # the output file is an existing directory
+        bad = str(tmp_path / "adir")
+        os.mkdir(bad)
+        with open(os.path.join(bad, "keep"), "w") as fh:
+            fh.write("keep")
     else:  # the output directory is an existing file
         bad = str(tmp_path / "out")
         with open(bad, "w") as fh:
             fh.write("keep")
     paths = dict(workdir, pairs=_pairs(tmp_path, "s001 01 s001 02\n"))
+    before = sorted(os.listdir(tmp_path))
     assert main(argv(paths, bad)) == 2
     err = capsys.readouterr().err
     # the message names the path given, not a temporary file beside it
@@ -669,6 +687,10 @@ def test_unwritable_output_exits_2_with_one_line(workdir, tmp_path, capsys, comm
     assert len(err.strip().splitlines()) == 1
     if how == "missing":
         assert not os.path.exists(os.path.dirname(bad))
+    elif how == "dir":
+        assert sorted(os.listdir(tmp_path)) == before  # no temporary file left
+        assert os.listdir(bad) == ["keep"]
+        assert open(os.path.join(bad, "keep")).read() == "keep"
     else:
         assert open(bad).read() == "keep"
 

@@ -6,10 +6,10 @@ import pytest
 from fpbits.codebook import (
     BitString,
     Codebook,
-    _distances,
     _kmeanspp_init,
     _sq_norms,
     cardinality_weights,
+    centroid_distances,
     cluster_cardinalities,
     distance_vector,
     encode_bitstring,
@@ -26,6 +26,7 @@ from fpbits.errors import (
     LengthMismatch,
     PoolTooSmall,
 )
+import oracles
 from oracles import distances_oracle, kmeans_train_oracle, kmeanspp_init_oracle
 
 MAX_ITERS = PipelineConfig().kmeans_max_iters
@@ -47,6 +48,12 @@ def make_codebook(centroids, radii):
         radii=np.asarray(radii, dtype=np.float64),
         cardinalities=np.ones(k, dtype=np.int64),
     )
+
+
+def encode(x, cb, tau_s, top_t, gate_all):
+    """:func:`encode_bitstring` of the fused matrix ``x`` under ``cb``."""
+    return encode_bitstring(centroid_distances(x, cb.centroids), cb.radii, tau_s, top_t,
+                            gate_all)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +167,7 @@ def test_kmeans_train_matches_lloyd_oracle(x, k):
         want = kmeans_train_oracle(x, k, max_iters=MAX_ITERS, seed=seed, trace=want_trace)
         assert np.array_equal(got, want), seed
         assert np.array_equal(trace, want_trace), seed
-        assert np.array_equal(_distances(x, got), distances_oracle(x, got))
+        assert np.array_equal(centroid_distances(x, got), distances_oracle(x, got))
 
 
 @pytest.mark.parametrize("max_iters", [1, 2])
@@ -197,7 +204,7 @@ def test_radii_brute_force_oracle():
     x = rng.normal(size=(40, 3))
     centroids = kmeans_train(x, 4, max_iters=MAX_ITERS, seed=2)
     n_boundary = 6
-    got = estimate_radii(x, centroids, n_boundary)
+    got = estimate_radii(centroid_distances(x, centroids), n_boundary)
     d = brute_distances(x, centroids)
     assign = d.argmin(axis=1)
     for j in range(4):
@@ -209,7 +216,7 @@ def test_radii_brute_force_oracle():
 def test_radii_take_all_when_short():
     x = np.array([[0.0], [0.1], [5.0], [5.1]])
     centroids = np.array([[0.05], [5.05]])
-    r = estimate_radii(x, centroids, n_boundary=100)
+    r = estimate_radii(centroid_distances(x, centroids), n_boundary=100)
     assert np.isclose(r[0], np.mean([4.95, 5.05]))
     assert np.isclose(r[1], np.mean([4.95, 5.05]))
 
@@ -218,7 +225,7 @@ def test_radii_degenerate_pool():
     x = np.zeros((5, 2))
     centroids = np.array([[0.0, 0.0], [9.0, 9.0]])
     with pytest.raises(DegeneratePool):
-        estimate_radii(x, centroids, 3)
+        estimate_radii(centroid_distances(x, centroids), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -228,41 +235,67 @@ def test_radii_degenerate_pool():
 def test_adjusted_assignment_lets_a_wide_cluster_claim():
     centroids = np.array([[0.0], [10.0]])
     x = np.array([[4.0]])
+    d = centroid_distances(x, centroids)
     # plain nearest is cluster 0, but cluster 1's wide boundary wins, with
     # adjusted distance 6 - 5 = 1
     radii = np.array([0.5, 5.0])
-    assert cluster_cardinalities(x, centroids, radii).tolist() == [0, 1]
+    assert cluster_cardinalities(d, radii).tolist() == [0, 1]
     cb = make_codebook(centroids, radii)
-    assert encode_bitstring(x, cb, 1.0 + 1e-9, 1, True).bits.tolist() == [False, True]
-    assert encode_bitstring(x, cb, 1.0 - 1e-9, 1, True).ones == 0
+    assert encode(x, cb, 1.0 + 1e-9, 1, True).bits.tolist() == [False, True]
+    assert encode(x, cb, 1.0 - 1e-9, 1, True).ones == 0
     # equal radii leave the plain nearest cluster in charge
     radii = np.array([0.5, 0.5])
-    assert cluster_cardinalities(x, centroids, radii).tolist() == [1, 0]
+    assert cluster_cardinalities(d, radii).tolist() == [1, 0]
     cb = make_codebook(centroids, radii)
-    assert encode_bitstring(x, cb, 100.0, 1, True).bits.tolist() == [True, False]
+    assert encode(x, cb, 100.0, 1, True).bits.tolist() == [True, False]
 
 
 def test_adjusted_assignment_tie_goes_to_smallest_index():
     centroids = np.array([[0.0], [10.0]])
     x = np.array([[5.0]])
+    d = centroid_distances(x, centroids)
     radii = np.array([1.0, 1.0])  # adjusted distance 4 to both
-    assert cluster_cardinalities(x, centroids, radii).tolist() == [1, 0]
+    assert cluster_cardinalities(d, radii).tolist() == [1, 0]
     cb = make_codebook(centroids, radii)
-    assert encode_bitstring(x, cb, 4.0 + 1e-9, 1, True).bits.tolist() == [True, False]
-    assert encode_bitstring(x, cb, 4.0 - 1e-9, 1, True).ones == 0
-    assert encode_bitstring(x, cb, 100.0, 1, False).bits.tolist() == [True, False]
+    assert encode(x, cb, 4.0 + 1e-9, 1, True).bits.tolist() == [True, False]
+    assert encode(x, cb, 4.0 - 1e-9, 1, True).ones == 0
+    assert encode(x, cb, 100.0, 1, False).bits.tolist() == [True, False]
 
 
 def test_cardinalities_sum_and_oracle():
     rng = np.random.default_rng(113)
     x = rng.normal(size=(50, 2))
     centroids = kmeans_train(x, 5, max_iters=MAX_ITERS, seed=0)
-    radii = estimate_radii(x, centroids, 4)
-    card = cluster_cardinalities(x, centroids, radii)
+    d = centroid_distances(x, centroids)
+    radii = estimate_radii(d, 4)
+    card = cluster_cardinalities(d, radii)
     assert card.sum() == 50
     adj = brute_distances(x, centroids) - radii[None, :]
     want = np.bincount(adj.argmin(axis=1), minlength=5)
     assert np.array_equal(card, want)
+
+
+@pytest.mark.parametrize("x, k", ORACLE_POOLS)
+def test_matrix_stages_match_vector_oracles(x, k):
+    # every stage reads the one distance matrix; each oracle computes its own
+    # from the vectors
+    centroids = kmeans_train(x, k, max_iters=MAX_ITERS, seed=0)
+    d = centroid_distances(x, centroids)
+    radii = estimate_radii(d, 6)
+    assert np.array_equal(radii, oracles.estimate_radii(x, centroids, 6))
+    card = cluster_cardinalities(d, radii)
+    assert np.array_equal(card, oracles.cluster_cardinalities(x, centroids, radii))
+    cb = Codebook(centroids, radii, card)
+    tau_s = float(np.median(d - radii))  # gates about half the nominations
+    for rows in (x, x[:1], x[::7]):
+        d = centroid_distances(rows, centroids)
+        assert np.array_equal(distance_vector(d).values,
+                              oracles.distance_vector(rows, cb).values)
+        for top_t in (1, 3, k):
+            for gate_all in (True, False):
+                got = encode_bitstring(d, radii, tau_s, top_t, gate_all)
+                want = oracles.encode_bitstring(rows, cb, tau_s, top_t, gate_all)
+                assert got == want, (len(rows), top_t, gate_all)
 
 
 def test_cardinality_weights_endpoints():
@@ -303,7 +336,7 @@ def test_encode_exhaustive_oracle_both_modes():
         cb = make_codebook(centroids, radii)
         for top_t in (1, 3, 5):
             for gate_all in (True, False):
-                got = encode_bitstring(x, cb, 0.2, top_t, gate_all)
+                got = encode(x, cb, 0.2, top_t, gate_all)
                 assert np.array_equal(got.bits, encode_oracle(x, cb, 0.2, top_t, gate_all))
 
 
@@ -315,38 +348,37 @@ def test_encode_best_only_ties_nominate_smaller_index():
     cb = make_codebook(centroids, [0.5] * 5)
     for top_t in (1, 2, 3, 5):
         for tau_s in (0.0, 1.0):  # rank-1 gate shut, then open
-            got = encode_bitstring(x, cb, tau_s, top_t, False)
+            got = encode(x, cb, tau_s, top_t, False)
             assert np.array_equal(got.bits, encode_oracle(x, cb, tau_s, top_t, False))
     # rank 1 (cluster 0) fails the gate; ranks 2 and 3 are set outright
-    assert encode_bitstring(x, cb, 0.0, 3, False).bits.tolist() == [
+    assert encode(x, cb, 0.0, 3, False).bits.tolist() == [
         False, True, True, False, False
     ]
 
 
 def test_encode_gate_blocks_distant_vectors():
     cb = make_codebook([[0.0], [10.0]], [0.5, 0.5])
-    out = encode_bitstring(np.array([[5.0]]), cb, -0.05, 2, True)
+    out = encode(np.array([[5.0]]), cb, -0.05, 2, True)
     assert out.ones == 0  # adjusted distances 4.5 both sides, gate shut
-    near = encode_bitstring(np.array([[0.1]]), cb, -0.05, 2, True)
+    near = encode(np.array([[0.1]]), cb, -0.05, 2, True)
     assert near.bits[0] and not near.bits[1]
 
 
 def test_encode_empty_input():
-    cb = make_codebook([[0.0], [1.0]], [0.1, 0.1])
-    out = encode_bitstring(np.zeros((0, 1)), cb, -0.05, 5, True)
+    # an impression with no vectors: a (0, K) distance matrix
+    out = encode_bitstring(np.zeros((0, 2)), np.array([0.1, 0.1]), -0.05, 5, True)
     assert len(out) == 2 and out.ones == 0
 
 
 def test_distance_vector_oracle():
     rng = np.random.default_rng(131)
     centroids = rng.normal(size=(6, 3))
-    cb = make_codebook(centroids, np.ones(6))
     x = rng.normal(size=(9, 3))
-    dv = distance_vector(x, cb)
+    dv = distance_vector(centroid_distances(x, centroids))
     want = brute_distances(x, centroids).min(axis=0)
     assert np.allclose(dv.values, want, rtol=1e-12)
     with pytest.raises(EmptyImage):
-        distance_vector(np.zeros((0, 3)), cb)
+        distance_vector(centroid_distances(np.zeros((0, 3)), centroids))
 
 
 def test_global_mean_two_stage():

@@ -1,12 +1,15 @@
-"""Dead names in ``src/fpbits``: unused imports and never-read locals.
+"""Dead names in ``src/fpbits``, and private names read across its modules.
 
-An offline stand-in for a linter's unused-name checks, on the standard
-library's ``ast`` alone. A module-level import counts as used when its name
+An offline stand-in for a linter's unused-name and private-access checks, on
+the standard library's ``ast`` alone. A module-level import counts as used when its name
 is read anywhere in the module (annotations included). A name bound inside a
 function counts as read when it is loaded anywhere in that function,
 including its nested functions and comprehensions, or updated in place
 (``x += 1``). The name ``_`` and the re-exports of ``__init__.py`` are
 exempt.
+
+A name with one leading underscore belongs to its module: no other package
+module imports it or reads it as ``module._name``.
 """
 
 import ast
@@ -95,3 +98,64 @@ def test_the_checks_see_dead_names():
     )
     assert unused_imports(tree) == [(1, "os"), (2, "Tuple")]
     assert unread_locals(tree) == [(5, "stale"), (11, "exc"), (13, "last")]
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(tree):
+    """``(line, name)`` of each private name read from another package module.
+
+    Flagged are ``from .module import _name`` (or ``from fpbits.module``) and
+    ``module._name``, where ``module`` is bound by ``from . import module``,
+    ``from fpbits import module`` or ``import fpbits.module as module``.
+    """
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "fpbits"
+        ):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module in (None, "fpbits"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("fpbits."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_reads_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    problems = [f"line {line}: reads private {name!r}" for line, name in private_reads(tree)]
+    assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+def test_the_check_sees_private_reads():
+    tree = ast.parse(
+        "from . import pipeline\n"
+        "from .codebook import _distances, centroid_distances\n"
+        "from fpbits.matching import _one_pair\n"
+        "import fpbits.protocol as protocol\n"
+        "from .errors import __doc__\n"
+        "import numpy as np\n"
+        "def f(x, _y):\n"
+        "    np._NoValue\n"
+        "    pipeline.split_keys(x)\n"
+        "    protocol._operating_points(x, x)\n"
+        "    return pipeline._split_keys(x, _y)\n"
+    )
+    assert private_reads(tree) == [
+        (2, "_distances"),
+        (3, "_one_pair"),
+        (10, "protocol._operating_points"),
+        (11, "pipeline._split_keys"),
+    ]

@@ -111,6 +111,48 @@ def test_lgs_matches_greedy_oracle():
         assert got.kind == "lgs"
 
 
+def lgs_sweep():
+    """Seeded ``(a, b, pair_args)`` cases for the argmin greedy.
+
+    Integer-valued vectors make tied distances common, some sides repeat
+    rows or share the other side's rows, every fifth case has one vector on
+    a side, and budgets run from 1 to past both counts, ``min_pairs ==
+    max_pairs`` included.
+    """
+    rng = np.random.default_rng(157)
+    for trial in range(600):
+        n_a, n_b = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        if trial % 5 == 0:
+            n_a = 1
+        elif trial % 5 == 1:
+            n_b = 1
+        dim = int(rng.integers(1, 6))
+        if trial % 2:
+            a = rng.integers(-2, 3, size=(n_a, dim)).astype(np.float64)
+            b = rng.integers(-2, 3, size=(n_b, dim)).astype(np.float64)
+        else:
+            a, b = rng.normal(size=(n_a, dim)), rng.normal(size=(n_b, dim))
+        if trial % 3 == 0:
+            a = a[rng.integers(0, n_a, size=n_a)]
+            b = np.concatenate([b, a])[rng.integers(0, n_a + n_b, size=n_b)]
+        min_pairs = int(rng.integers(1, 15))
+        max_pairs = min_pairs + int(rng.integers(0, 3)) * int(rng.integers(0, 10))
+        yield a, b, pair_args(min_pairs=min_pairs, max_pairs=max_pairs,
+                              midpoint=float(rng.uniform(0, 30)))
+
+
+def test_lgs_argmin_picks_match_sorted_greedy():
+    seen = {"short": 0, "full": 0, "min == max": 0, "n_a = 1": 0, "n_b = 1": 0}
+    for a, b, args in lgs_sweep():
+        got = lgs_score(a, b, **args)
+        assert got == oracles.lgs_score(a, b, **args), (a, b, args)
+        seen["short" if got.short else "full"] += 1
+        seen["min == max"] += args["min_pairs"] == args["max_pairs"]
+        seen["n_a = 1"] += len(a) == 1
+        seen["n_b = 1"] += len(b) == 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_lgs_single_pair():
     a = np.array([[0.0, 0.0]])
     b = np.array([[3.0, 4.0]])

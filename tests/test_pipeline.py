@@ -12,9 +12,9 @@ from fpbits.bit_training import discrimination_power, train_mask
 from fpbits.codebook import (
     BitString,
     DistanceVector,
-    cluster_cardinalities,
+    centroid_distances,
+    distance_vector,
     encode_bitstring,
-    estimate_radii,
     kmeans_train,
 )
 
@@ -43,7 +43,11 @@ from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import MinutiaTemplate
 from oracles import (
     build_mbls,
+    cluster_cardinalities,
+    distance_vector as distance_vector_oracle,
+    encode_bitstring as encode_bitstring_oracle,
     enrolled_reference,
+    estimate_radii,
     evaluate_fvc_lgs_oracle,
     extract_tbls,
     fuse,
@@ -151,7 +155,8 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
             )
             for m in ms
         ])
-        want = encode_bitstring(vectors, model.codebook, cfg.tau_s, cfg.top_t, cfg.gate_all)
+        want = encode_bitstring_oracle(vectors, model.codebook, cfg.tau_s, cfg.top_t,
+                                       cfg.gate_all)
         assert encode_impression(template, image, model).bits == want, key
 
 
@@ -200,6 +205,38 @@ def test_uncapped_fit_is_fitted_on_its_own_encodings(run, request):
     groups = {}
     for key, enc in encode_dataset(items, model).items():
         groups.setdefault(key[0], []).append(enc.distances)
+    assert np.array_equal(
+        global_mean([groups[s] for s in sorted(groups)]), model.population_mean
+    )
+
+
+@pytest.mark.parametrize("run", ["small_run", "gram_run"])
+def test_matrix_stages_match_vector_oracles_on_fused_matrices(run, request):
+    # each impression's one distance matrix feeds both encode stages; the
+    # oracles compute their own from the fused matrix
+    items, model = request.getfixturevalue(run)
+    cfg, codebook = model.config, model.codebook
+    for key in sorted(items):
+        rows = fused_vectors(*items[key], model)
+        d = centroid_distances(rows, codebook.centroids)
+        assert np.array_equal(distance_vector(d).values,
+                              distance_vector_oracle(rows, codebook).values), key
+        for top_t in (1, cfg.top_t, 7):
+            for gate_all in (True, False):
+                got = encode_bitstring(d, codebook.radii, cfg.tau_s, top_t, gate_all)
+                assert got == encode_bitstring_oracle(rows, codebook, cfg.tau_s, top_t,
+                                                      gate_all), (key, top_t, gate_all)
+
+
+@pytest.mark.parametrize("run", ["small_run", "gram_run"])
+def test_population_mean_reads_per_impression_distance_matrices(run, request):
+    # the fit takes each impression's distance row from the pool's matrix;
+    # it must equal the row of the impression's own matrix
+    items, model = request.getfixturevalue(run)
+    groups = {}
+    for key in sorted(items):
+        d = centroid_distances(fused_vectors(*items[key], model), model.codebook.centroids)
+        groups.setdefault(key[0], []).append(distance_vector(d))
     assert np.array_equal(
         global_mean([groups[s] for s in sorted(groups)]), model.population_mean
     )
