@@ -68,9 +68,9 @@ from .subspace_fusion import (
     train_pca,
 )
 from .template_io import (
+    MINUTIA_DTYPE,
+    MINUTIA_KINDS,
     GrayImage,
-    Minutia,
-    MinutiaKind,
     MinutiaTemplate,
     parse_text_template,
     read_pgm,

@@ -17,24 +17,24 @@ class MalformedHeader(FpbitsError):
     """A template or image header could not be parsed."""
 
 
-class FieldOutOfRange(FpbitsError):
+class _RecordError(FpbitsError):
+    """A bad minutia field at ``line`` of a text template or ``row`` of a
+    template's array, where known."""
+
+    def __init__(self, message: str, line: int | None = None, row: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+        self.row = row
+
+
+class FieldOutOfRange(_RecordError):
     """A parsed field violates its declared range (position, quality, ...)."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class AngleUnparseable(FpbitsError):
+class AngleUnparseable(_RecordError):
     """A minutia direction field was not a finite real number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class BadMagic(FpbitsError):

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .config import PipelineConfig
-from .template_io import GrayImage, Minutia
+from .template_io import GrayImage
 
 
 def _disc_lattice(radius: float) -> np.ndarray:
@@ -102,17 +102,14 @@ _MBLS_BLOCK_ELEMENTS = 1 << 16
 _TBLS_BLOCK_ELEMENTS = 1 << 14
 
 
-def _minutia_arrays(minutiae: Sequence[Minutia]) -> Tuple[np.ndarray, ...]:
-    """Positions plus direction cosines/sines, the latter via ``math`` per minutia."""
-    x = np.array([m.x for m in minutiae], dtype=np.float64)
-    y = np.array([m.y for m in minutiae], dtype=np.float64)
-    cos = np.array([math.cos(m.theta) for m in minutiae], dtype=np.float64)
-    sin = np.array([math.sin(m.theta) for m in minutiae], dtype=np.float64)
-    return x, y, cos, sin
+def _cos_sin(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines by ``math``, one angle at a time: numpy may round otherwise."""
+    angles = theta.tolist()
+    return np.array([math.cos(t) for t in angles]), np.array([math.sin(t) for t in angles])
 
 
 def mbls_matrix(
-    minutiae: Sequence[Minutia],
+    minutiae: np.ndarray,
     geometry: StructureGeometry,
     refs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -134,13 +131,15 @@ def mbls_matrix(
     form, one bump at a time; the error is about float64 eps times
     ``r_m^2 / (2 sigma_r0^2)``.
 
-    ``refs`` (indices into ``minutiae``) asks for those references' rows
-    only, row ``j`` for ``minutiae[refs[j]]``; neighbors still come from the
-    whole impression. All indices in order give the same bits as ``None``.
+    ``minutiae`` is a template's array. ``refs`` (row indices into it) asks
+    for those references' rows only, row ``j`` for ``minutiae[refs[j]]``;
+    neighbors still come from the whole impression. All indices in order
+    give the same bits as ``None``.
     A subset moves the pair-block boundaries, so its rows may differ from
     the full matrix's in the last bits.
     """
-    x, y, cos, sin = _minutia_arrays(minutiae)
+    x, y = minutiae["x"], minutiae["y"]
+    cos, sin = _cos_sin(minutiae["theta"])
     sel = np.arange(len(minutiae)) if refs is None else np.asarray(refs, dtype=np.intp)
     out = np.zeros((sel.size, geometry.n_m), dtype=np.float64)
     dx = x[None, :] - x[sel, None]
@@ -284,24 +283,26 @@ def _sample_rows(
 
 
 def tbls_matrix(
-    minutiae: Sequence[Minutia],
+    minutiae: np.ndarray,
     image: np.ndarray,
     geometry: StructureGeometry,
 ) -> np.ndarray:
     """Texture descriptors of a whole impression, one row per minutia.
 
-    Each lattice offset is rotated by the minutia's direction and added to
-    its position; the normalized ``image`` is sampled there bilinearly, and
-    off-image samples are 0.0 (see :func:`_sample_rows`). Rows whose disc
-    plus a 1 px margin lies inside the image are sampled first, in blocks
-    that skip the off-grid handling; the rest follow with it. Rows are
-    sampled a few at a time so the temporaries stay in cache.
+    ``minutiae`` is a template's array, or rows of one. Each lattice offset
+    is rotated by the minutia's direction and added to its position; the
+    normalized ``image`` is sampled there bilinearly, and off-image samples
+    are 0.0 (see :func:`_sample_rows`). Rows whose disc plus a 1 px margin
+    lies inside the image are sampled first, in blocks that skip the
+    off-grid handling; the rest follow with it. Rows are sampled a few at a
+    time so the temporaries stay in cache.
     """
     n = len(minutiae)
     out = np.empty((n, geometry.n_t), dtype=np.float64)
     img = np.ascontiguousarray(image, dtype=np.float64)
     h, w = img.shape
-    x, y, cos, sin = _minutia_arrays(minutiae)
+    x, y = minutiae["x"], minutiae["y"]
+    cos, sin = _cos_sin(minutiae["theta"])
     lat = geometry.lattice_t.astype(np.float64)
     lx, ly = lat[:, 0], lat[:, 1]
     # a rotated lattice offset is within r_t of its minutia up to rounding,
@@ -332,17 +333,14 @@ def tbls_matrix(
 # ---------------------------------------------------------------------------
 
 def build_mbls(
-    ref: Minutia,
-    minutiae: Sequence[Minutia],
-    geometry: StructureGeometry,
+    minutiae: np.ndarray, row: int, geometry: StructureGeometry
 ) -> np.ndarray:
-    """:func:`mbls_matrix` row of ``ref``; every other of ``minutiae`` is a neighbor."""
-    others = [m for m in minutiae if m is not ref]
-    return mbls_matrix([ref, *others], geometry, refs=[0])[0]
+    """:func:`mbls_matrix` row of ``minutiae[row]``; every other minutia is a neighbor."""
+    return mbls_matrix(minutiae, geometry, refs=[row])[0]
 
 
 def extract_tbls(
-    ref: Minutia, image: np.ndarray, geometry: StructureGeometry
+    minutiae: np.ndarray, row: int, image: np.ndarray, geometry: StructureGeometry
 ) -> np.ndarray:
-    """:func:`tbls_matrix` row of ``ref`` in the normalized ``image``."""
-    return tbls_matrix([ref], image, geometry)[0]
+    """:func:`tbls_matrix` row of ``minutiae[row]`` in the normalized ``image``."""
+    return tbls_matrix(minutiae[row : row + 1], image, geometry)[0]

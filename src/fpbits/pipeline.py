@@ -82,7 +82,7 @@ def raw_structures(
 
 def _require_minutiae(template: MinutiaTemplate) -> None:
     """``EmptyImage`` naming the impression unless its template has minutiae."""
-    if not template.minutiae:
+    if len(template) == 0:
         raise EmptyImage(
             f"impression {template.subject_id}/{template.impression_id} has no minutiae"
         )
@@ -190,7 +190,7 @@ def train_model(
     keys = sorted(items.keys())
     for key in keys:
         _require_minutiae(items[key][0])
-    counts = [len(items[key][0].minutiae) for key in keys]
+    counts = [len(items[key][0]) for key in keys]
 
     # one impression's rows of either family at the given minutia indices
     def minutia_rows(template, _):
@@ -198,7 +198,7 @@ def train_model(
 
     def texture_rows(template, image):
         return lambda local: tbls_matrix(
-            [template.minutiae[i] for i in local], normalize_image(image), geometry
+            template.minutiae[local], normalize_image(image), geometry
         )
 
     if verbose:
@@ -267,7 +267,7 @@ def encode_impression(
     return EncodedImpression(
         bits=encode_bitstring(d, codebook.radii, cfg.tau_s, cfg.top_t, cfg.gate_all),
         distances=distance_vector(d),
-        n_minutiae=len(template.minutiae),
+        n_minutiae=len(template),
     )
 
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import FieldOutOfRange
-from .template_io import GrayImage, Minutia, MinutiaKind, MinutiaTemplate, wrap_angle
+from .template_io import MINUTIA_DTYPE, GrayImage, MinutiaTemplate
 
 _STREAM_MASTER = 1
 _STREAM_IMPRESSION = 2
@@ -105,7 +105,7 @@ class OrientationField:
 
 @dataclass
 class SubjectMaster:
-    minutiae: List[Minutia]
+    minutiae: np.ndarray  # MINUTIA_DTYPE, quality 0
     f_field: OrientationField
 
 
@@ -135,14 +135,16 @@ def make_master(params: SynthParams, subject_index: int) -> SubjectMaster:
         phases=rng.uniform(0.0, 2.0 * math.pi, size=2),
     )
     pos = _sample_positions(rng, params)
-    minutiae = []
+    rows = []
     for x, y in pos:
         # minutia direction follows the local ridge flow, either way along it
         theta = float(f_field.at(x, y)) + float(rng.choice([0.0, math.pi]))
-        theta = wrap_angle(theta + float(rng.normal(0.0, 0.1)))
-        kind = MinutiaKind.TERMINATION if rng.random() < 0.5 else MinutiaKind.BIFURCATION
-        minutiae.append(Minutia(float(x), float(y), theta, kind, 0))
-    return SubjectMaster(minutiae=minutiae, f_field=f_field)
+        theta += float(rng.normal(0.0, 0.1))
+        kind = "T" if rng.random() < 0.5 else "B"  # termination or bifurcation
+        rows.append((x, y, theta, kind, 0))
+    # the template's constructor wraps each direction onto [0, 2*pi)
+    master = MinutiaTemplate(np.array(rows, dtype=MINUTIA_DTYPE), params.width, params.height)
+    return SubjectMaster(minutiae=master.minutiae, f_field=f_field)
 
 
 # Rendering works on row bands of at most this many pixels, so each float64
@@ -269,35 +271,34 @@ def make_impression(
 
     w, h = params.width, params.height
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    minutiae: List[Minutia] = []
-    for m in master.minutiae:
+    rows = []
+    for x0, y0, theta0, kind, _ in master.minutiae.tolist():
         if rng.random() < params.dropout:
             continue
-        center_dist = math.hypot(m.x - cx, m.y - cy)
+        center_dist = math.hypot(x0 - cx, y0 - cy)
         sigma = params.jitter_base + params.jitter_slope * center_dist
-        x, y = _transform_point(m.x, m.y, rotation, translation, cx, cy)
+        x, y = _transform_point(x0, y0, rotation, translation, cx, cy)
         x += float(rng.normal(0.0, sigma))
         y += float(rng.normal(0.0, sigma))
         if not (0.0 <= x < w and 0.0 <= y < h):
             continue
-        theta = wrap_angle(m.theta + rotation + float(rng.normal(0.0, 0.03)))
-        quality = int(rng.integers(40, 96))
-        minutiae.append(Minutia(x, y, theta, m.kind, quality))
+        theta = theta0 + rotation + float(rng.normal(0.0, 0.03))
+        rows.append((x, y, theta, kind, int(rng.integers(40, 96))))
 
     n_insert = int(rng.binomial(len(master.minutiae), params.insertion))
     for _ in range(n_insert):
         x = float(rng.uniform(params.margin, w - params.margin))
         y = float(rng.uniform(params.margin, h - params.margin))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        kind = MinutiaKind.TERMINATION if rng.random() < 0.5 else MinutiaKind.BIFURCATION
-        minutiae.append(Minutia(x, y, wrap_angle(theta), kind, int(rng.integers(20, 60))))
+        kind = "T" if rng.random() < 0.5 else "B"
+        rows.append((x, y, theta, kind, int(rng.integers(20, 60))))
 
     if pixels is None:
         pixels = np.empty((h, w), dtype=np.uint8)
     if scratch is None:
         scratch = render_scratch(params)
     render_image(master, params, rotation, translation, noise_rng, pixels, scratch)
-    return MinutiaTemplate(minutiae, w, h), GrayImage(pixels)
+    return MinutiaTemplate(np.array(rows, dtype=MINUTIA_DTYPE), w, h), GrayImage(pixels)
 
 
 def subject_id(index: int) -> str:

@@ -11,7 +11,6 @@ they never raise bare exceptions on malformed input.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import List
@@ -33,60 +32,71 @@ TEXT_MAGIC = "FPT"
 TEXT_VERSION = 1
 
 
-class MinutiaKind(enum.Enum):
-    """Minutia point type."""
-
-    TERMINATION = "T"
-    BIFURCATION = "B"
-    OTHER = "O"
-
-
-def wrap_angle(theta: float) -> float:
-    """Map an angle in radians onto [0, 2*pi)."""
-    theta = math.fmod(theta, TWO_PI)
-    if theta < 0.0:
-        theta += TWO_PI
-    # fmod can round back up to the period itself for tiny negatives
-    if theta >= TWO_PI:
-        theta = 0.0
-    return theta
+# One row per minutia: position in pixels, direction in radians on [0, 2*pi),
+# kind letter (one of MINUTIA_KINDS) and an integer quality in [0, 100] that is
+# carried through parsing and serialization but ignored by every later stage.
+MINUTIA_DTYPE = np.dtype(
+    [("x", "f8"), ("y", "f8"), ("theta", "f8"), ("kind", "U1"), ("quality", "i8")],
+    align=True,
+)
+MINUTIA_KINDS = ("T", "B", "O")  # termination, bifurcation, other
 
 
-@dataclass(frozen=True)
-class Minutia:
-    """One minutia point: position in pixels, direction in radians.
+@dataclass(eq=False)
+class MinutiaTemplate:
+    """One impression's minutiae, a ``MINUTIA_DTYPE`` array, and its capture size.
 
-    ``theta`` is stored normalized to [0, 2*pi). ``quality`` is an integer
-    confidence in [0, 100]; it is carried through parsing and serialization
-    but ignored by every downstream stage.
+    The constructor is the one place template values are checked. It keeps a
+    read-only copy of ``minutiae``, directions wrapped onto [0, 2*pi), so a
+    template holds only what the text format writes and reads back. It
+    raises the parser's errors: ``MalformedHeader`` for the size, and
+    ``FieldOutOfRange`` or ``AngleUnparseable`` whose ``row`` names the
+    first failing minutia (the message names its first failing field).
     """
 
-    x: float
-    y: float
-    theta: float
-    kind: MinutiaKind = MinutiaKind.OTHER
-    quality: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < TWO_PI):
-            object.__setattr__(self, "theta", wrap_angle(self.theta))
-        if not (0 <= self.quality <= 100):
-            raise FieldOutOfRange(f"quality {self.quality} outside [0, 100]")
-
-
-@dataclass
-class MinutiaTemplate:
-    """An ordered list of minutiae plus the capture geometry they live in."""
-
-    minutiae: List[Minutia]
+    minutiae: np.ndarray
     width: int
     height: int
     subject_id: str = ""
     impression_id: str = ""
 
     def __post_init__(self):
-        for m in self.minutiae:
-            _check_bounds(m.x, m.y, self.width, self.height)
+        width, height = self.width, self.height
+        if type(width) is not int or type(height) is not int or min(width, height) < 0:
+            raise MalformedHeader(f"image bounds must be ints >= 0, got {width!r}x{height!r}")
+        given = self.minutiae
+        # MINUTIA_DTYPE's fields in any byte order or padding; a column that a
+        # cast would round or cut, such as a float or bool quality, is refused
+        if not (isinstance(given, np.ndarray) and given.ndim == 1
+                and np.can_cast(given.dtype, MINUTIA_DTYPE, "equiv")):
+            shape = f"{given.dtype} {given.shape}" if isinstance(given, np.ndarray) else ""
+            raise FieldOutOfRange(f"minutiae must be a 1-d MINUTIA_DTYPE array, got "
+                                  f"{type(given).__name__} {shape}".rstrip())
+        columns = given.astype(MINUTIA_DTYPE)
+        x, y, theta, kind, quality = (columns[name] for name in MINUTIA_DTYPE.names)
+        # past 2**53 px, float64 positions no longer tell neighboring pixels apart
+        x_end, y_end = float(min(width, 2**53)), float(min(height, 2**53))
+        checks = (
+            (~(np.isfinite(x) & np.isfinite(y)), FieldOutOfRange,
+             "non-finite position ({x}, {y})"),
+            (~((x >= 0.0) & (x < x_end) & (y >= 0.0) & (y < y_end)), FieldOutOfRange,
+             "position ({x}, {y}) outside image bounds {width}x{height}"),
+            (~np.isfinite(theta), AngleUnparseable, "non-finite direction {theta}"),
+            (~np.isin(kind, MINUTIA_KINDS), FieldOutOfRange, "unknown minutia kind {kind!r}"),
+            (~((quality >= 0) & (quality <= 100)), FieldOutOfRange,
+             "quality {quality} outside [0, 100]"),
+        )
+        failed = np.array([mask for mask, _, _ in checks])
+        if failed.any():
+            row = int(np.flatnonzero(failed.any(axis=0))[0])
+            _, error, message = checks[int(np.argmax(failed[:, row]))]
+            values = dict(zip(MINUTIA_DTYPE.names, columns[row].item()))
+            raise error(message.format(**values, width=width, height=height), row=row)
+        np.fmod(theta, TWO_PI, out=theta)
+        theta[theta < 0.0] += TWO_PI
+        theta[theta >= TWO_PI] = 0.0  # fmod rounds tiny negatives up to the period
+        columns.flags.writeable = False
+        self.minutiae = columns
 
     def __len__(self) -> int:
         return len(self.minutiae)
@@ -112,15 +122,6 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-
-def _check_bounds(x: float, y: float, width: int, height: int, line: int | None = None):
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise FieldOutOfRange(f"non-finite position ({x}, {y})", line)
-    if not (0.0 <= x < width) or not (0.0 <= y < height):
-        raise FieldOutOfRange(
-            f"position ({x}, {y}) outside image bounds {width}x{height}", line
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +172,12 @@ def parse_text_template(
     ``theta`` is radians, any finite real; it is normalized onto [0, 2*pi).
 
     Subject and impression identity are not part of the format; callers carry
-    them in the filename and may pass them through here.
+    them in the filename and may pass them through here. The values are
+    checked by the ``MinutiaTemplate`` constructor; its errors gain the line.
 
     Raises:
         MalformedHeader: first line is not a valid ``FPT`` header.
-        FieldOutOfRange: a coordinate or quality violates its range.
+        FieldOutOfRange: a coordinate, kind or quality violates its range.
         AngleUnparseable: a direction field is not a finite number.
     """
     lines = text.splitlines()
@@ -191,10 +193,8 @@ def parse_text_template(
         raise MalformedHeader(f"non-integer header fields: {lines[0]!r}") from None
     if version != TEXT_VERSION:
         raise MalformedHeader(f"unknown text template version {version}")
-    if width < 0 or height < 0:
-        raise MalformedHeader(f"negative image bounds {width}x{height}")
 
-    minutiae: List[Minutia] = []
+    rows, line_numbers = [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -209,28 +209,27 @@ def parse_text_template(
             x, y = float(sx), float(sy)
         except ValueError:
             raise FieldOutOfRange(f"unparseable position {sx!r} {sy!r}", lineno) from None
-        _check_bounds(x, y, width, height, lineno)
         try:
             theta = float(stheta)
         except ValueError:
             raise AngleUnparseable(f"unparseable direction {stheta!r}", lineno) from None
-        if not math.isfinite(theta):
-            raise AngleUnparseable(f"non-finite direction {stheta!r}", lineno)
+        if len(skind) != 1:  # a U1 column would keep only its first letter
+            raise FieldOutOfRange(f"unknown minutia kind {skind!r}", lineno)
         try:
-            kind = MinutiaKind(skind)
-        except ValueError:
-            raise FieldOutOfRange(f"unknown minutia kind {skind!r}", lineno) from None
-        try:
-            quality = int(squal)
-        except ValueError:
-            raise FieldOutOfRange(f"unparseable quality {squal!r}", lineno) from None
-        if not (0 <= quality <= 100):
-            raise FieldOutOfRange(f"quality {quality} outside [0, 100]", lineno)
-        minutiae.append(Minutia(x, y, wrap_angle(theta), kind, quality))
+            quality = np.int64(squal)
+        except (ValueError, OverflowError):
+            raise FieldOutOfRange(f"quality {squal!r} is not an int64", lineno) from None
+        rows.append((x, y, theta, skind, quality))
+        line_numbers.append(lineno)
 
-    return MinutiaTemplate(
-        minutiae, width, height, subject_id=subject_id, impression_id=impression_id
-    )
+    try:
+        return MinutiaTemplate(
+            np.array(rows, dtype=MINUTIA_DTYPE), width, height,
+            subject_id=subject_id, impression_id=impression_id,
+        )
+    except (FieldOutOfRange, AngleUnparseable) as exc:
+        # the constructor names a minutia by its row, a file by its line
+        raise type(exc)(str(exc), line_numbers[exc.row]) from None
 
 
 def serialize_text_template(template: MinutiaTemplate) -> str:
@@ -238,12 +237,12 @@ def serialize_text_template(template: MinutiaTemplate) -> str:
 
     Positions and directions are written with ``repr`` precision, so
     ``parse_text_template(serialize_text_template(t))`` reproduces every
-    geometric field exactly. Subject and impression ids are not part of the
+    column bit for bit. Subject and impression ids are not part of the
     format and are not written.
     """
     out = [f"{TEXT_MAGIC} {TEXT_VERSION} {template.width} {template.height}"]
-    for m in template.minutiae:
-        out.append(f"{m.x!r} {m.y!r} {m.theta!r} {m.kind.value} {m.quality}")
+    for x, y, theta, kind, quality in template.minutiae.tolist():
+        out.append(f"{x!r} {y!r} {theta!r} {kind} {quality}")
     return "\n".join(out) + "\n"
 
 

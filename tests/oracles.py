@@ -7,6 +7,11 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
 ``extract_tbls``, ``fuse``, ``intersection_score``, ``masked_score`` and
 ``fvc_pairs``) call the matrix path, so no test may use them as oracles.
 
+* The object form of a minutia: the frozen ``Minutia``, whose direction
+  ``wrap_angle`` maps onto [0, 2*pi) with ``math.fmod`` one angle at a time.
+  ``minutia_array`` and ``minutia_objects`` convert between it and a
+  template's ``MINUTIA_DTYPE`` rows. ``fpbits.template_io.MinutiaTemplate``
+  must wrap every direction as ``wrap_angle`` does, bit for bit.
 * The per-minutia descriptors: ``local_frame``, ``gaussian_response`` and
   ``build_mbls`` rasterize one bump at a time in direct form.
   ``fpbits.local_structures.mbls_matrix`` must match ``build_mbls`` row by
@@ -55,6 +60,7 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,7 +113,50 @@ from fpbits.synth import (
     make_master,
     subject_id,
 )
-from fpbits.template_io import GrayImage, Minutia, MinutiaKind, MinutiaTemplate, wrap_angle
+from fpbits.template_io import MINUTIA_DTYPE, TWO_PI, GrayImage, MinutiaTemplate
+
+
+# ---------------------------------------------------------------------------
+# the object form of a minutia
+# ---------------------------------------------------------------------------
+
+def wrap_angle(theta: float) -> float:
+    """Map an angle in radians onto [0, 2*pi)."""
+    theta = math.fmod(theta, TWO_PI)
+    if theta < 0.0:
+        theta += TWO_PI
+    # fmod can round back up to the period itself for tiny negatives
+    if theta >= TWO_PI:
+        theta = 0.0
+    return theta
+
+
+@dataclass(frozen=True)
+class Minutia:
+    """One minutia point: position in pixels, direction in radians, kind letter.
+
+    ``theta`` is stored wrapped onto [0, 2*pi), as a template stores it.
+    """
+
+    x: float
+    y: float
+    theta: float
+    kind: str = "O"
+    quality: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta", wrap_angle(self.theta))
+
+
+def minutia_array(minutiae: Sequence[Minutia]) -> np.ndarray:
+    """The ``MINUTIA_DTYPE`` rows of object-form minutiae, in order."""
+    rows = [(m.x, m.y, m.theta, m.kind, m.quality) for m in minutiae]
+    return np.array(rows, dtype=MINUTIA_DTYPE)
+
+
+def minutia_objects(minutiae: np.ndarray) -> List[Minutia]:
+    """The object form of each row of a ``MINUTIA_DTYPE`` array."""
+    return [Minutia(*row) for row in minutiae.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +760,7 @@ def train_model_oracle(items, config) -> PipelineModel:
         raise EmptyTrainingSet("training dataset is empty")
     geometry = StructureGeometry.from_config(config)
     keys = sorted(items.keys())
-    counts = [len(items[key][0].minutiae) for key in keys]
+    counts = [len(items[key][0]) for key in keys]
     m_matrix = np.empty((sum(counts), geometry.n_m))
     t_matrix = np.empty((sum(counts), geometry.n_t))
     bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -816,7 +865,7 @@ def make_impression_oracle(
     w, h = params.width, params.height
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     minutiae: List[Minutia] = []
-    for m in master.minutiae:
+    for m in minutia_objects(master.minutiae):
         if rng.random() < params.dropout:
             continue
         center_dist = math.hypot(m.x - cx, m.y - cy)
@@ -835,10 +884,10 @@ def make_impression_oracle(
         x = float(rng.uniform(params.margin, w - params.margin))
         y = float(rng.uniform(params.margin, h - params.margin))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        kind = MinutiaKind.TERMINATION if rng.random() < 0.5 else MinutiaKind.BIFURCATION
+        kind = "T" if rng.random() < 0.5 else "B"
         minutiae.append(Minutia(x, y, wrap_angle(theta), kind, int(rng.integers(20, 60))))
 
-    template = MinutiaTemplate(minutiae, w, h)
+    template = MinutiaTemplate(minutia_array(minutiae), w, h)
     image = render_image_oracle(master, params, rotation, translation, noise_rng=noise_rng)
     return template, image
 

@@ -28,16 +28,16 @@ from fpbits.protocol import fvc_pairs
 from fpbits.subspace_fusion import project, train_pca
 from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import (
+    MINUTIA_DTYPE,
+    MINUTIA_KINDS,
     GrayImage,
-    Minutia,
-    MinutiaKind,
     MinutiaTemplate,
     parse_text_template,
     read_pgm,
     serialize_text_template,
     write_pgm,
 )
-from oracles import gaussian_response, local_frame
+from oracles import Minutia, gaussian_response, local_frame, minutia_array
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -85,8 +85,9 @@ def test_criterion_01_unit_norm():
                 rng.uniform(0.0, 2.0 * math.pi, 20),
             )
         ]
-        for ref in minutiae:
-            vec = build_mbls(ref, minutiae, geometry)
+        columns = minutia_array(minutiae)
+        for row in range(len(columns)):
+            vec = build_mbls(columns, row, geometry)
             count += 1
             norm = float(np.linalg.norm(vec))
             if norm > 0.0:
@@ -150,7 +151,8 @@ def test_criterion_02_matched_pair_distances():
             )
         )
         norm_ed[k] = float(np.linalg.norm(
-            build_mbls(ref, side_a, geometry) - build_mbls(ref, side_b, geometry)
+            build_mbls(minutia_array([ref] + side_a), 0, geometry)
+            - build_mbls(minutia_array([ref] + side_b), 0, geometry)
         ))
 
     gap = abs(raw_ed[1] - raw_ed[3])
@@ -219,10 +221,11 @@ def test_criterion_04_rigid_motion(full_scale):
         for m in minutiae_a
     ]
 
+    columns_a, columns_b = minutia_array(minutiae_a), minutia_array(minutiae_b)
     worst = 0.0
-    for ma, mb in zip(minutiae_a, minutiae_b):
-        va = build_mbls(ma, minutiae_a, model.geometry)
-        vb = build_mbls(mb, minutiae_b, model.geometry)
+    for row in range(n):
+        va = build_mbls(columns_a, row, model.geometry)
+        vb = build_mbls(columns_b, row, model.geometry)
         worst = max(worst, float(np.max(np.abs(va - vb))))
 
     # Band-limited texture: a few plane waves well under the sampling limit,
@@ -248,8 +251,8 @@ def test_criterion_04_rigid_motion(full_scale):
     inv_y = -sph * (xx - c - tx) + cph * (yy - c - ty) + c
     img_b = GrayImage(np.clip(np.rint(texture(inv_x, inv_y)), 0, 255).astype(np.uint8))
 
-    ta = MinutiaTemplate(minutiae_a, size, size, subject_id="a", impression_id="1")
-    tb = MinutiaTemplate(minutiae_b, size, size, subject_id="b", impression_id="1")
+    ta = MinutiaTemplate(columns_a, size, size, subject_id="a", impression_id="1")
+    tb = MinutiaTemplate(columns_b, size, size, subject_id="b", impression_id="1")
     bits_a = pipeline.encode_impression(ta, img_a, model).bits
     bits_b = pipeline.encode_impression(tb, img_b, model).bits
     union = int(np.logical_or(bits_a.bits, bits_b.bits).sum())
@@ -480,19 +483,19 @@ def test_criterion_12_fold_compression(full_scale):
 
 
 def _random_template(rng: np.random.Generator, width: int = 256, height: int = 256):
-    kinds = list(MinutiaKind)
     n = int(rng.integers(1, 40))
-    minutiae = [
-        Minutia(
+    rows = [
+        (
             float(rng.uniform(0.0, width - 1e-6)),
             float(rng.uniform(0.0, height - 1e-6)),
             float(rng.uniform(0.0, 2.0 * math.pi)),
-            kind=kinds[int(rng.integers(len(kinds)))],
-            quality=int(rng.integers(0, 101)),
+            MINUTIA_KINDS[int(rng.integers(len(MINUTIA_KINDS)))],
+            int(rng.integers(0, 101)),
         )
         for _ in range(n)
     ]
-    return MinutiaTemplate(minutiae, width, height, subject_id="f", impression_id="1")
+    return MinutiaTemplate(np.array(rows, dtype=MINUTIA_DTYPE), width, height,
+                           subject_id="f", impression_id="1")
 
 
 def _mutate(rng: np.random.Generator, blob: bytes) -> bytes:
@@ -543,11 +546,7 @@ def test_criterion_13_parser_robustness():
             subject_id=template.subject_id,
             impression_id=template.impression_id,
         )
-        same = len(back) == len(template) and all(
-            (a.x, a.y, a.theta, a.kind, a.quality)
-            == (b.x, b.y, b.theta, b.kind, b.quality)
-            for a, b in zip(template.minutiae, back.minutiae)
-        )
+        same = back.minutiae.tolist() == template.minutiae.tolist()
         if not same:
             roundtrip_errors += 1
 

@@ -1,4 +1,5 @@
-"""Dead names in ``src/fpbits``, and private names read across its modules.
+"""Dead names in ``src/fpbits``, private names read across its modules, and
+Python loops over a template's minutiae.
 
 An offline stand-in for a linter's unused-name and private-access checks, on
 the standard library's ``ast`` alone. A module-level import counts as used when its name
@@ -10,6 +11,10 @@ exempt.
 
 A name with one leading underscore belongs to its module: no other package
 module imports it or reads it as ``module._name``.
+
+A template's minutiae are one structured array, read by column. Only
+``template_io``, which parses and writes them one text line each, and
+``synth``, which draws them one at a time, iterate over them in Python.
 """
 
 import ast
@@ -159,3 +164,74 @@ def test_the_check_sees_private_reads():
         (10, "protocol._operating_points"),
         (11, "pipeline._split_keys"),
     ]
+
+
+# builtins that iterate over an argument
+_ITERATING = {"all", "any", "dict", "enumerate", "filter", "frozenset", "iter", "list",
+              "map", "max", "min", "reversed", "set", "sorted", "sum", "tuple", "zip"}
+MINUTIA_LOOPS_ALLOWED = {"template_io.py", "synth.py"}
+
+
+def _reads_minutiae(node):
+    """Whether an expression is a ``minutiae`` array or derived from one by
+    attribute, index or method call: ``t.minutiae``, ``minutiae[i]``,
+    ``t.minutiae["x"].tolist()``."""
+    while True:
+        if isinstance(node, ast.Name):
+            return node.id == "minutiae"
+        if isinstance(node, ast.Attribute):
+            if node.attr == "minutiae":
+                return True
+            node = node.value
+        elif isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Call):
+            node = node.func
+        else:
+            return False
+
+
+def minutia_loops(tree):
+    """Lines where Python iterates over a template's minutiae.
+
+    That is the iterable of a ``for`` or a comprehension, or an argument of an
+    iterating builtin such as ``zip`` or ``list``, that reads a minutiae array
+    (see ``_reads_minutiae``).
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            iterables = [node.iter]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _ITERATING):
+            iterables = node.args
+        else:
+            continue
+        found += [iterable.lineno for iterable in iterables if _reads_minutiae(iterable)]
+    return sorted(found)
+
+
+COLUMN_MODULES = [p for p in MODULES if p.name not in MINUTIA_LOOPS_ALLOWED]
+
+
+@pytest.mark.parametrize("path", COLUMN_MODULES, ids=[p.name for p in COLUMN_MODULES])
+def test_no_python_loops_over_minutiae(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = minutia_loops(tree)
+    assert not lines, f"{path.name}: loops over minutiae on lines {lines}"
+
+
+def test_the_check_sees_minutia_loops():
+    tree = ast.parse(
+        "def f(template, minutiae, other):\n"
+        "    for m in template.minutiae:\n"
+        "        pass\n"
+        "    rows = [m for m in minutiae]\n"
+        "    pairs = list(zip(template.minutiae, other))\n"
+        "    angles = {t for t in minutiae['theta'].tolist()}\n"
+        "    n = len(template.minutiae) + sum(len(t.minutiae) for t in other)\n"
+        "    x = template.minutiae['x'][other] + 1\n"
+        "    thetas = minutiae['theta'].tolist()\n"
+        "    return [t for t in thetas], sorted(template.minutiae[:n])\n"
+    )
+    assert minutia_loops(tree) == [2, 4, 5, 6, 10]

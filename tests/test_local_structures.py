@@ -2,7 +2,8 @@
 
 The per-minutia and per-point forms these tests compare against live in
 ``tests/oracles.py``; ``build_mbls`` and ``extract_tbls`` here are the
-package's one-row views of the matrix extractors.
+package's one-row views of the matrix extractors. The tests write minutiae
+in the oracles' object form and hand the package their ``minutia_array``.
 """
 
 import math
@@ -22,8 +23,8 @@ from fpbits.local_structures import (
     normalize_image,
     tbls_matrix,
 )
-from fpbits.template_io import GrayImage, Minutia
-from oracles import bilinear_sample, gaussian_response, local_frame
+from fpbits.template_io import GrayImage
+from oracles import Minutia, bilinear_sample, gaussian_response, local_frame, minutia_array
 
 
 def geometry(**fields):
@@ -192,25 +193,26 @@ def test_mbls_brute_force_oracle():
             acc[idx] += math.exp(-(a * ddx * ddx + 2 * b * ddx * ddy + cc * ddy * ddy))
     want = acc / np.linalg.norm(acc)
     # the per-minutia oracle and the production row, through its view
-    for extract in (oracles.build_mbls, build_mbls):
-        assert np.allclose(extract(ref, [ref] + others, geom), want, atol=1e-12)
+    assert np.allclose(oracles.build_mbls(ref, [ref] + others, geom), want, atol=1e-12)
+    assert np.allclose(build_mbls(minutia_array([ref] + others), 0, geom), want, atol=1e-12)
 
 
 def test_mbls_no_neighbors_is_zero():
     geom = small_geometry()
     ref = Minutia(50.0, 50.0, 0.0)
-    lonely = build_mbls(ref, [ref], geom)
+    lonely = build_mbls(minutia_array([ref]), 0, geom)
     assert not lonely.any()
-    far = build_mbls(ref, [ref, Minutia(90.0, 90.0, 0.0)], geom)
+    far = build_mbls(minutia_array([ref, Minutia(90.0, 90.0, 0.0)]), 0, geom)
     assert not far.any()
 
 
 def test_mbls_reference_excluded_by_identity():
-    # an unrelated minutia at the reference's own position still contributes
+    # the reference is left out by its row, so an unrelated minutia at the
+    # reference's own position still contributes
     geom = small_geometry()
     ref = Minutia(50.0, 50.0, 0.0)
     twin = Minutia(50.0, 50.0, 1.0)
-    vec = build_mbls(ref, [ref, twin], geom)
+    vec = build_mbls(minutia_array([ref, twin]), 0, geom)
     assert vec.any()
 
 
@@ -221,7 +223,7 @@ def test_mbls_unit_norm_when_nonzero():
         pts = rng.uniform(30, 70, size=(int(rng.integers(1, 8)), 2))
         ref = Minutia(50.0, 50.0, float(rng.uniform(0, 2 * math.pi)))
         others = [Minutia(float(x), float(y), float(rng.uniform(0, 2 * math.pi))) for x, y in pts]
-        vec = build_mbls(ref, [ref] + others, geom)
+        vec = build_mbls(minutia_array([ref] + others), 0, geom)
         if vec.any():
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
@@ -245,8 +247,8 @@ def test_mbls_rigid_motion_invariance():
             )
             for (x, y), t in zip(pts, dirs)
         ]
-        va = mbls_matrix(original, geom)
-        vb = mbls_matrix(moved, geom)
+        va = mbls_matrix(minutia_array(original), geom)
+        vb = mbls_matrix(minutia_array(moved), geom)
         assert np.max(np.abs(va - vb)) < 1e-6
 
 
@@ -304,7 +306,7 @@ def test_extract_tbls_gradient_image():
     rng = np.random.default_rng(31)
     for theta in rng.uniform(0, 2 * math.pi, 10):
         ref = Minutia(60.0, 60.0, float(theta))
-        got = extract_tbls(ref, img, geom)
+        got = extract_tbls(minutia_array([ref]), 0, img, geom)
         lat = geom.lattice_t.astype(np.float64)
         c, s = math.cos(ref.theta), math.sin(ref.theta)
         want = ref.x + lat[:, 0] * c - lat[:, 1] * s
@@ -315,7 +317,7 @@ def test_extract_tbls_fill_outside():
     geom = small_geometry()
     img = np.ones((40, 40), dtype=np.float64)
     ref = Minutia(2.0, 2.0, 0.0)  # patch sticks far out of the image
-    out = extract_tbls(ref, img, geom)
+    out = extract_tbls(minutia_array([ref]), 0, img, geom)
     assert (out == 0.0).sum() > 0
     assert (out == 1.0).sum() > 0
 
@@ -400,7 +402,7 @@ def test_mbls_matrix_matches_build_mbls_at_defaults():
     geom = default_geometry()
     for n in (2, 5, 40):
         minutiae = random_minutiae(rng, n, 0.0, 256.0)
-        got = mbls_matrix(minutiae, geom)
+        got = mbls_matrix(minutia_array(minutiae), geom)
         assert got.shape == (n, geom.n_m)
         assert np.max(np.abs(got - mbls_oracle(minutiae, geom))) <= MBLS_TOL
 
@@ -410,32 +412,32 @@ def test_mbls_matrix_blocks_split_references(monkeypatch):
     rng = np.random.default_rng(43)
     geom = small_geometry()
     minutiae = random_minutiae(rng, 12, 30.0, 70.0)
-    whole = mbls_matrix(minutiae, geom)
+    whole = mbls_matrix(minutia_array(minutiae), geom)
     monkeypatch.setattr(local_structures, "_MBLS_BLOCK_ELEMENTS", 3 * geom.n_m)
-    blocked = mbls_matrix(minutiae, geom)
+    blocked = mbls_matrix(minutia_array(minutiae), geom)
     assert np.max(np.abs(blocked - whole)) <= MBLS_TOL
     assert np.max(np.abs(blocked - mbls_oracle(minutiae, geom))) <= MBLS_TOL
 
 
 def test_mbls_matrix_edge_cases():
     geom = small_geometry()
-    assert mbls_matrix([], geom).shape == (0, geom.n_m)
-    single = mbls_matrix([Minutia(50.0, 50.0, 0.3)], geom)
+    assert mbls_matrix(minutia_array([]), geom).shape == (0, geom.n_m)
+    single = mbls_matrix(minutia_array([Minutia(50.0, 50.0, 0.3)]), geom)
     assert single.shape == (1, geom.n_m) and not single.any()
 
     # nobody within r_m of anybody: all rows zero, like the oracle
     apart = [Minutia(0.0, 0.0, 0.0), Minutia(100.0, 0.0, 1.0), Minutia(0.0, 100.0, 2.0)]
-    assert not mbls_matrix(apart, geom).any()
+    assert not mbls_matrix(minutia_array(apart), geom).any()
 
     # one isolated minutia among neighbors keeps a zero row
     mixed = [Minutia(50.0, 50.0, 0.0), Minutia(60.0, 52.0, 1.0), Minutia(200.0, 200.0, 2.0)]
-    got = mbls_matrix(mixed, geom)
+    got = mbls_matrix(minutia_array(mixed), geom)
     assert got[:2].any() and not got[2].any()
     assert np.max(np.abs(got - mbls_oracle(mixed, geom))) <= MBLS_TOL
 
     # two distinct minutiae at one position see each other at distance 0
     twins = [Minutia(50.0, 50.0, 0.0), Minutia(50.0, 50.0, 1.0), Minutia(58.0, 47.0, 2.5)]
-    got = mbls_matrix(twins, geom)
+    got = mbls_matrix(minutia_array(twins), geom)
     assert got.all(axis=1).any()
     assert np.max(np.abs(got - mbls_oracle(twins, geom))) <= MBLS_TOL
 
@@ -445,9 +447,9 @@ def test_mbls_matrix_refs_all_rows_is_bit_identical():
     geom = default_geometry()
     for n in (0, 1, 2, 40):
         minutiae = random_minutiae(rng, n, 0.0, 256.0)
-        whole = mbls_matrix(minutiae, geom)
+        whole = mbls_matrix(minutia_array(minutiae), geom)
         for refs in (np.arange(n), list(range(n))):
-            assert np.array_equal(mbls_matrix(minutiae, geom, refs=refs), whole)
+            assert np.array_equal(mbls_matrix(minutia_array(minutiae), geom, refs=refs), whole)
 
 
 @pytest.mark.parametrize("pairs_per_block", [1, 3, None])
@@ -458,33 +460,33 @@ def test_mbls_matrix_refs_subset_rows(monkeypatch, pairs_per_block):
     rng = np.random.default_rng(61)
     geom = small_geometry()
     minutiae = random_minutiae(rng, 14, 30.0, 90.0) + [Minutia(250.0, 250.0, 1.0)]
-    whole = mbls_matrix(minutiae, geom)
+    whole = mbls_matrix(minutia_array(minutiae), geom)
     want = mbls_oracle(minutiae, geom)
     if pairs_per_block is not None:
         monkeypatch.setattr(
             local_structures, "_MBLS_BLOCK_ELEMENTS", pairs_per_block * geom.n_m
         )
     for refs in ([0], [7], [14], [3, 5, 6, 11], [14, 2, 9], [4, 4, 1], list(range(1, 15, 2))):
-        got = mbls_matrix(minutiae, geom, refs=np.array(refs))
+        got = mbls_matrix(minutia_array(minutiae), geom, refs=np.array(refs))
         assert got.shape == (len(refs), geom.n_m)
         assert np.max(np.abs(got - whole[refs])) <= MBLS_TOL, refs
         assert np.max(np.abs(got - want[refs])) <= MBLS_TOL, refs
     # the last minutia has no neighbor in range: a zero row
-    assert not mbls_matrix(minutiae, geom, refs=[14]).any()
+    assert not mbls_matrix(minutia_array(minutiae), geom, refs=[14]).any()
 
 
 def test_mbls_matrix_refs_edge_cases():
     geom = small_geometry()
     empty_refs = np.array([], dtype=np.intp)
-    assert mbls_matrix([], geom, refs=empty_refs).shape == (0, geom.n_m)
+    assert mbls_matrix(minutia_array([]), geom, refs=empty_refs).shape == (0, geom.n_m)
     pair = [Minutia(50.0, 50.0, 0.0), Minutia(60.0, 52.0, 1.0)]
-    assert mbls_matrix(pair, geom, refs=empty_refs).shape == (0, geom.n_m)
+    assert mbls_matrix(minutia_array(pair), geom, refs=empty_refs).shape == (0, geom.n_m)
     # one reference: its neighbor is not itself a reference
-    one = mbls_matrix(pair, geom, refs=[1])
+    one = mbls_matrix(minutia_array(pair), geom, refs=[1])
     assert one.any()
     assert np.max(np.abs(one[0] - oracles.build_mbls(pair[1], pair, geom))) <= MBLS_TOL
     # a lone minutia asked for by itself
-    assert not mbls_matrix([Minutia(5.0, 5.0, 2.0)], geom, refs=[0]).any()
+    assert not mbls_matrix(minutia_array([Minutia(5.0, 5.0, 2.0)]), geom, refs=[0]).any()
 
 
 def test_mbls_matrix_dense_template_within_tolerance():
@@ -492,7 +494,7 @@ def test_mbls_matrix_dense_template_within_tolerance():
     rng = np.random.default_rng(47)
     geom = default_geometry()
     minutiae = random_minutiae(rng, 100, 100.0, 150.0)
-    got = mbls_matrix(minutiae, geom)
+    got = mbls_matrix(minutia_array(minutiae), geom)
     assert np.max(np.abs(got - mbls_oracle(minutiae, geom))) <= MBLS_TOL
     assert np.allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
 
@@ -509,7 +511,7 @@ def test_tbls_matrix_equals_extract_tbls_exactly():
         Minutia(149.0, 0.0, math.pi),
         Minutia(-500.0, 40.0, 0.7),
     ]
-    got = tbls_matrix(minutiae, img, geom)
+    got = tbls_matrix(minutia_array(minutiae), img, geom)
     assert got.shape == (len(minutiae), geom.n_t)
     assert np.array_equal(got, tbls_oracle(minutiae, img, geom))
     assert (got[-1] == 0.0).all()
@@ -518,14 +520,14 @@ def test_tbls_matrix_equals_extract_tbls_exactly():
 def test_tbls_matrix_edge_cases(monkeypatch):
     geom = small_geometry()
     img = np.arange(40.0).reshape(40, 1)  # one pixel wide
-    assert tbls_matrix([], img, geom).shape == (0, geom.n_t)
+    assert tbls_matrix(minutia_array([]), img, geom).shape == (0, geom.n_t)
     minutiae = [Minutia(0.0, 10.0, 0.0), Minutia(0.0, 20.0, math.pi / 2), Minutia(0.0, 39.0, 1.0)]
     want = tbls_oracle(minutiae, img, geom)
-    assert np.array_equal(tbls_matrix(minutiae, img, geom), want)
-    assert np.array_equal(tbls_matrix(minutiae[:1], img, geom), want[:1])
+    assert np.array_equal(tbls_matrix(minutia_array(minutiae), img, geom), want)
+    assert np.array_equal(tbls_matrix(minutia_array(minutiae[:1]), img, geom), want[:1])
     # one row per block gives the same rows
     monkeypatch.setattr(local_structures, "_TBLS_BLOCK_ELEMENTS", 1)
-    assert np.array_equal(tbls_matrix(minutiae, img, geom), want)
+    assert np.array_equal(tbls_matrix(minutia_array(minutiae), img, geom), want)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +560,7 @@ def test_tbls_matrix_mixed_interior_and_border_rows(monkeypatch, rows_per_block)
         local_structures, "_TBLS_BLOCK_ELEMENTS", rows_per_block * geom.n_t
     )
     calls = spy_sampled_rows(monkeypatch)
-    got = tbls_matrix(minutiae, img, geom)
+    got = tbls_matrix(minutia_array(minutiae), img, geom)
     assert np.array_equal(got, tbls_oracle(minutiae, img, geom))
     # interior rows go first, and each kind is sampled on its own path
     assert sum(rows for border, rows in calls if not border) == 7
@@ -571,9 +573,9 @@ def test_tbls_matrix_rows_follow_input_order():
     geom = small_geometry()
     img = rng.normal(size=(60, 80))
     minutiae = random_minutiae(rng, 12, -5.0, 85.0)
-    want = tbls_matrix(minutiae, img, geom)
+    want = tbls_matrix(minutia_array(minutiae), img, geom)
     order = rng.permutation(len(minutiae))
-    got = tbls_matrix([minutiae[i] for i in order], img, geom)
+    got = tbls_matrix(minutia_array([minutiae[i] for i in order]), img, geom)
     assert np.array_equal(got, want[order])
 
 
@@ -598,7 +600,7 @@ def test_tbls_matrix_interior_margin(monkeypatch):
                 minutiae.append(Minutia(x, y, theta))
                 expect_interior.append(inside)
     calls = spy_sampled_rows(monkeypatch)
-    got = tbls_matrix(minutiae, img, geom)
+    got = tbls_matrix(minutia_array(minutiae), img, geom)
     assert np.array_equal(got, tbls_oracle(minutiae, img, geom))
     assert sum(rows for border, rows in calls if not border) == sum(expect_interior)
 
@@ -611,7 +613,7 @@ def test_tbls_matrix_one_row_per_block_with_fast_path(monkeypatch):
     want = tbls_oracle(minutiae, img, geom)
     monkeypatch.setattr(local_structures, "_TBLS_BLOCK_ELEMENTS", 1)
     calls = spy_sampled_rows(monkeypatch)
-    assert np.array_equal(tbls_matrix(minutiae, img, geom), want)
+    assert np.array_equal(tbls_matrix(minutia_array(minutiae), img, geom), want)
     assert all(rows == 1 for _, rows in calls) and len(calls) == len(minutiae)
     assert any(not border for border, _ in calls)
 
@@ -626,7 +628,7 @@ def test_tbls_matrix_non_finite_positions_fill():
         Minutia(30.0, -math.inf, 2.0),
     ]
     minutiae = odd + [Minutia(30.0, 30.0, 0.4), Minutia(-0.0, 20.0, math.pi)]
-    got = tbls_matrix(minutiae, img, geom)
+    got = tbls_matrix(minutia_array(minutiae), img, geom)
     assert (got[: len(odd)] == 0.0).all()
     assert np.array_equal(got, tbls_oracle(minutiae, img, geom))
 
@@ -658,7 +660,7 @@ def test_mbls_matrix_every_block_size(monkeypatch):
     assert n_pairs == 18
     for rows in range(1, n_pairs + 1):
         monkeypatch.setattr(local_structures, "_MBLS_BLOCK_ELEMENTS", rows * geom.n_m)
-        got = mbls_matrix(minutiae, geom)
+        got = mbls_matrix(minutia_array(minutiae), geom)
         assert np.max(np.abs(got - want)) <= MBLS_TOL, rows
     assert not got[3].any()
 
@@ -670,7 +672,7 @@ def test_mbls_matrix_tiny_lattice_caps_block_rows():
     geom = geometry(r_m=5.0, r_t=2.0, downscale_area=10.0)
     assert geom.n_m == 9
     minutiae = random_minutiae(rng, 40, 0.0, 20.0)
-    got = mbls_matrix(minutiae, geom)
+    got = mbls_matrix(minutia_array(minutiae), geom)
     assert np.max(np.abs(got - mbls_oracle(minutiae, geom))) <= MBLS_TOL
 
     # 400 minutiae along a strip: the per-pair arrays take about 4 MiB; an
@@ -681,7 +683,7 @@ def test_mbls_matrix_tiny_lattice_caps_block_rows():
     ]
     tracemalloc.start()
     try:
-        mbls_matrix(strip, geom)
+        mbls_matrix(minutia_array(strip), geom)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -701,9 +703,9 @@ def test_matrix_kernels_peak_memory(kernel):
     tracemalloc.start()
     try:
         if kernel == "mbls":
-            out = mbls_matrix(minutiae, geom)
+            out = mbls_matrix(minutia_array(minutiae), geom)
         else:
-            out = tbls_matrix(minutiae, img, geom)
+            out = tbls_matrix(minutia_array(minutiae), img, geom)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -40,7 +40,12 @@ from fpbits.pipeline import (
 )
 from fpbits.protocol import POLARITY_SIMILARITY, compute_eer
 from fpbits.synth import SynthParams, synth_dataset
-from fpbits.template_io import MinutiaTemplate
+from fpbits.template_io import (
+    MINUTIA_DTYPE,
+    MinutiaTemplate,
+    parse_text_template,
+    serialize_text_template,
+)
 from oracles import (
     build_mbls,
     cluster_cardinalities,
@@ -57,6 +62,7 @@ from oracles import (
     intersection_score,
     kmeans_train_oracle,
     masked_score,
+    minutia_objects,
     project_vector,
     reliability,
     subsample_oracle,
@@ -81,7 +87,7 @@ def small_run():
     config = PipelineConfig(r_m=30.0, r_t=8.0, K=16, n_p=8, N_c=20,
                             pca_subsample=0, seed=3)
     model = train_model(items, config)
-    n_rows = sum(len(t.minutiae) for t, _ in items.values())
+    n_rows = sum(len(t) for t, _ in items.values())
     assert n_rows >= max(model.geometry.n_m, model.geometry.n_t)
     return items, model
 
@@ -92,7 +98,7 @@ def gram_run(small_run):
     items, model = small_run
     config = dataclasses.replace(model.config, r_t=16.0)
     model = train_model(items, config)
-    n_rows = sum(len(t.minutiae) for t, _ in items.values())
+    n_rows = sum(len(t) for t, _ in items.values())
     assert model.geometry.n_t > n_rows
     return items, model
 
@@ -113,7 +119,7 @@ def test_raw_structures_match_oracles(small_run):
     template, image = items[sorted(items)[0]]
     mbls, tbls = raw_structures(template, image, model.geometry)
     norm = normalize_image(image)
-    ms = template.minutiae
+    ms = minutia_objects(template.minutiae)
     want_m = np.array([build_mbls(m, ms, model.geometry) for m in ms])
     want_t = np.array([extract_tbls(m, norm, model.geometry, fill=0.0) for m in ms])
     assert np.max(np.abs(mbls - want_m)) <= MBLS_TOL
@@ -132,7 +138,7 @@ def test_fused_matrix_matches_per_row_project_and_fuse(small_run):
             for m, t in zip(mbls, tbls)
         ])
         got = fused_vectors(template, image, model)
-        assert got.shape == (len(template.minutiae), 2 * cfg.n_p)
+        assert got.shape == (len(template), 2 * cfg.n_p)
         # projections differ in summation order only; z-scores are O(1)
         assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -145,7 +151,7 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
     for key in sorted(items):
         template, image = items[key]
         norm = normalize_image(image)
-        ms = template.minutiae
+        ms = minutia_objects(template.minutiae)
         vectors = np.array([
             fuse(
                 project_vector(model.pca_m, build_mbls(m, ms, geom)),
@@ -249,7 +255,7 @@ def capped_run():
                                       height=160, n_minutiae=24, seed=13))
     config = PipelineConfig(r_m=40.0, r_t=16.0, K=16, n_p=8, N_c=20,
                             pca_subsample=300, seed=7)
-    n_rows = sum(len(t.minutiae) for t, _ in items.values())
+    n_rows = sum(len(t) for t, _ in items.values())
     assert n_rows > 4 * config.pca_subsample
     return items, config
 
@@ -302,7 +308,7 @@ def test_capped_fit_memory_depends_on_the_subsample(capped_run):
 def test_empty_and_single_minutia_impressions(small_run):
     items, model = small_run
     template, image = items[sorted(items)[0]]
-    empty = MinutiaTemplate([], template.width, template.height,
+    empty = MinutiaTemplate(template.minutiae[:0], template.width, template.height,
                             template.subject_id, template.impression_id)
     name = f"{template.subject_id}/{template.impression_id}"
     with pytest.raises(EmptyImage, match=f"^impression {name} has no minutiae$"):
@@ -313,10 +319,38 @@ def test_empty_and_single_minutia_impressions(small_run):
     assert enc.n_minutiae == 1 and len(enc.distances) == model.codebook.k
 
 
+@pytest.mark.parametrize("keep", [0, 1, 3, None])
+def test_sliced_template_encodes_like_its_text(small_run, keep):
+    # the benchmark's sparse captures keep the first minutiae of a template
+    # as MinutiaTemplate(t.minutiae[:keep], ...); the same minutiae read
+    # back from template text hold the same bits and encode to the same bits
+    items, model = small_run
+    key = sorted(items)[1]
+    template, image = items[key]
+    sliced = MinutiaTemplate(template.minutiae[:keep], template.width, template.height,
+                             *key)
+    parsed = parse_text_template(serialize_text_template(sliced), *key)
+    assert len(sliced) == len(template.minutiae[:keep]) == len(parsed)
+    assert sliced.minutiae.dtype == parsed.minutiae.dtype == MINUTIA_DTYPE
+    for name in ("x", "y", "theta"):
+        assert np.array_equal(sliced.minutiae[name].view(np.uint64),
+                              parsed.minutiae[name].view(np.uint64))
+    if keep == 0:
+        for t in (sliced, parsed):
+            with pytest.raises(EmptyImage):
+                encode_impression(t, image, model)
+        return
+    got, want = (encode_impression(t, image, model) for t in (sliced, parsed))
+    assert got.bits == want.bits
+    assert np.array_equal(got.distances.values, want.distances.values)
+    if keep is None:
+        assert got.bits == encode_impression(template, image, model).bits
+
+
 def test_empty_impression_is_named_before_extraction(small_run, monkeypatch):
     items, model = small_run
     template, image = items[sorted(items)[0]]
-    empty = MinutiaTemplate([], template.width, template.height,
+    empty = MinutiaTemplate(template.minutiae[:0], template.width, template.height,
                             template.subject_id, template.impression_id)
 
     def extract(*args, **kwargs):
@@ -513,7 +547,7 @@ def test_fvc_lgs_checks_the_grid_before_extraction(small_run, monkeypatch):
 def test_fvc_lgs_on_one_impression_pairs_nothing(small_run, monkeypatch):
     items, model = small_run
     template, image = items[sorted(items)[0]]
-    empty = MinutiaTemplate([], template.width, template.height,
+    empty = MinutiaTemplate(template.minutiae[:0], template.width, template.height,
                             template.subject_id, template.impression_id)
     seen = count_extractions(monkeypatch)
     for one in (template, empty):

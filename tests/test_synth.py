@@ -20,7 +20,7 @@ from fpbits.synth import (
     render_scratch,
     synth_dataset,
 )
-from oracles import render_image_oracle, synth_dataset_oracle
+from oracles import minutia_objects, render_image_oracle, synth_dataset_oracle
 from test_perfbench_names import traced_names
 
 
@@ -43,9 +43,7 @@ def assert_same_dataset(got, want):
     for key in want:
         (t_got, i_got), (t_want, i_want) = got[key], want[key]
         assert np.array_equal(i_got.pixels, i_want.pixels), key
-        assert [(m.x, m.y, m.theta, m.kind, m.quality) for m in t_got.minutiae] == [
-            (m.x, m.y, m.theta, m.kind, m.quality) for m in t_want.minutiae
-        ], key
+        assert t_got.minutiae.tolist() == t_want.minutiae.tolist(), key
         assert (t_got.width, t_got.height) == (t_want.width, t_want.height)
         assert (t_got.subject_id, t_got.impression_id) == key
 
@@ -161,9 +159,7 @@ def test_dataset_deterministic():
         t1, i1 = d1[key]
         t2, i2 = d2[key]
         assert np.array_equal(i1.pixels, i2.pixels)
-        assert len(t1) == len(t2)
-        for a, b in zip(t1.minutiae, t2.minutiae):
-            assert a.x == b.x and a.y == b.y and a.theta == b.theta
+        assert t1.minutiae.tolist() == t2.minutiae.tolist()
 
 
 def test_impressions_independent_of_generation_order():
@@ -175,9 +171,7 @@ def test_impressions_independent_of_generation_order():
     template, image = make_impression(master, params, 2, 1)
     t_ref, i_ref = items[("s003", "02")]
     assert np.array_equal(image.pixels, i_ref.pixels)
-    assert [(m.x, m.y, m.theta) for m in template.minutiae] == [
-        (m.x, m.y, m.theta) for m in t_ref.minutiae
-    ]
+    assert template.minutiae.tolist() == t_ref.minutiae.tolist()
 
 
 def test_dataset_shape_and_ids():
@@ -194,7 +188,7 @@ def test_dataset_shape_and_ids():
 def test_master_minutiae_separated_and_in_margin():
     params = small_params(n_minutiae=20, min_separation=9.0, margin=20.0)
     master = make_master(params, 0)
-    pts = [(m.x, m.y) for m in master.minutiae]
+    pts = master.minutiae[["x", "y"]].tolist()
     for i, (x, y) in enumerate(pts):
         assert 20.0 <= x <= params.width - 20.0
         assert 20.0 <= y <= params.height - 20.0
@@ -205,9 +199,8 @@ def test_master_minutiae_separated_and_in_margin():
 def test_impression_minutiae_inside_image():
     params = small_params(n_subjects=4, n_impressions=4)
     for (sid, iid), (template, _) in synth_dataset(params).items():
-        for m in template.minutiae:
-            assert 0.0 <= m.x < params.width
-            assert 0.0 <= m.y < params.height
+        x, y = template.minutiae["x"], template.minutiae["y"]
+        assert ((0.0 <= x) & (x < params.width) & (0.0 <= y) & (y < params.height)).all()
 
 
 def test_transform_point_identity_motion():
@@ -216,7 +209,7 @@ def test_transform_point_identity_motion():
     cx = (params.width - 1) / 2.0
     cy = (params.height - 1) / 2.0
     # rounding from the rotate-about-center arithmetic is the only wiggle allowed
-    for m in master.minutiae:
+    for m in minutia_objects(master.minutiae):
         x, y = _transform_point(m.x, m.y, 0.0, (0.0, 0.0), cx, cy)
         assert math.isclose(x, m.x, abs_tol=1e-9)
         assert math.isclose(y, m.y, abs_tol=1e-9)
@@ -233,7 +226,7 @@ def test_transform_point_applies_exact_transform():
     cx = (params.width - 1) / 2.0
     cy = (params.height - 1) / 2.0
     c, s = math.cos(rot), math.sin(rot)
-    for m in master.minutiae:
+    for m in minutia_objects(master.minutiae):
         x = c * (m.x - cx) - s * (m.y - cy) + cx + trans[0]
         y = s * (m.x - cx) + c * (m.y - cy) + cy + trans[1]
         got_x, got_y = _transform_point(m.x, m.y, rot, trans, cx, cy)
@@ -255,5 +248,5 @@ def test_params_boundary_values_are_accepted():
     params = small_params(width=48, height=48, margin=24.0, dropout=1.0,
                           insertion=0.0, noise_std=0.0, rotation_deg=0.0, seed=0)
     items = synth_dataset(params)
-    assert all(not t.minutiae and image.pixels.shape == (48, 48)
+    assert all(len(t) == 0 and image.pixels.shape == (48, 48)
                for t, image in items.values())

@@ -5,7 +5,8 @@
 them, but each is a call into the matrix function of its stage. Each must
 give what the moved reference form in ``tests/oracles.py`` gives on a
 synthetic set: bit for bit, except ``build_mbls``, whose matrix path expands
-the bump exponent and is held to ``MBLS_TOL``. Nothing under ``src/fpbits``
+the bump exponent and is held to ``MBLS_TOL``. The two descriptor views take
+a template's ``minutiae`` array and a row index. Nothing under ``src/fpbits``
 may call a view, so the package keeps one implementation per stage.
 ``fpbits.bit_training`` imports no package module but ``errors``, so the
 stage works on plain numpy matrices.
@@ -53,18 +54,18 @@ def synth_run():
 
 def check_build_mbls(items, model, encoded, fingers):
     for template, _ in items.values():
-        ms = template.minutiae
-        for m in ms:
-            got = local_structures.build_mbls(m, ms, model.geometry)
-            want = oracles.build_mbls(m, ms, model.geometry)
+        objects = oracles.minutia_objects(template.minutiae)
+        for row, m in enumerate(objects):
+            got = local_structures.build_mbls(template.minutiae, row, model.geometry)
+            want = oracles.build_mbls(m, objects, model.geometry)
             assert np.max(np.abs(got - want)) <= MBLS_TOL
 
 
 def check_extract_tbls(items, model, encoded, fingers):
     for template, image in items.values():
         norm = normalize_image(image)
-        for m in template.minutiae:
-            got = local_structures.extract_tbls(m, norm, model.geometry)
+        for row, m in enumerate(oracles.minutia_objects(template.minutiae)):
+            got = local_structures.extract_tbls(template.minutiae, row, norm, model.geometry)
             want = oracles.extract_tbls(m, norm, model.geometry, fill=0.0)
             assert got.tobytes() == want.tobytes()
 
