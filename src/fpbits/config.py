@@ -9,7 +9,7 @@ carries the exact configuration it was built with.
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,10 +58,17 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each field takes its default's type, a float field an int too; a bool
+        # is an int to Python, so it is refused where no bool is asked for
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise MalformedHeader(f"{f.name} must be finite, got {value}")
+            value, kind = getattr(self, f.name), type(f.default)
+            takes = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, takes):
+                raise MalformedHeader(f"{f.name} must be of type {kind.__name__}, got {value!r}")
+            if kind is float:  # stored as a float: the config text spells it one way
+                if not abs(value) <= sys.float_info.max:
+                    raise MalformedHeader(f"{f.name} must be finite, got {value}")
+                setattr(self, f.name, float(value))
         # comparisons are written so that they fail on NaN as well
         for name in ("r_m", "r_t", "sigma_t0", "sigma_t_slope", "sigma_r0", "sigma_r_slope"):
             if not getattr(self, name) > 0.0:
@@ -88,10 +95,6 @@ class PipelineConfig:
             )
 
 
-# removed keys that older model texts still carry, with the one value that
-# keeps their meaning: the line is accepted and ignored
-_RETIRED = {"augment_pool": 0}
-
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
@@ -108,8 +111,7 @@ def parse_config(text: str, base: Optional[PipelineConfig] = None) -> PipelineCo
     """Parse ``key = value`` lines over a base config (default values).
 
     Unknown keys and unparseable values raise :class:`MalformedHeader` with
-    the offending line number, as does a retired key with any value but the
-    one it still accepts.
+    the offending line number.
     """
     values = dataclasses.asdict(base) if base is not None else dataclasses.asdict(
         PipelineConfig()
@@ -121,42 +123,17 @@ def parse_config(text: str, base: Optional[PipelineConfig] = None) -> PipelineCo
             continue
         if "=" not in line:
             raise MalformedHeader(f"config line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key in _RETIRED:
-            try:
-                retired_ok = int(val) == _RETIRED[key]
-            except ValueError:
-                retired_ok = False
-            if not retired_ok:
-                raise MalformedHeader(
-                    f"config line {lineno}: {key!r} was removed; only "
-                    f"'{key} = {_RETIRED[key]}' is accepted, got {val!r}"
-                )
-            continue
+        key, val = (part.strip() for part in line.split("=", 1))
         if key not in values:
             raise MalformedHeader(f"config line {lineno}: unknown key {key!r}")
+        kind = type(values[key])
         try:
-            values[key] = _convert(val, type(values[key]))
-        except ValueError:
+            values[key] = _BOOL_WORDS[val.lower()] if kind is bool else kind(val)
+        except (KeyError, ValueError):
             raise MalformedHeader(
                 f"config line {lineno}: bad value {val!r} for {key!r}"
             ) from None
     return PipelineConfig(**values)
-
-
-def _convert(val: str, target: type):
-    if target is bool:
-        low = val.lower()
-        if low not in _BOOL_WORDS:
-            raise ValueError(val)
-        return _BOOL_WORDS[low]
-    if target is int:
-        return int(val)
-    if target is float:
-        return float(val)
-    return val
 
 
 def load_config(path: str) -> PipelineConfig:

@@ -65,10 +65,15 @@ class StructureGeometry:
     lattice_m: np.ndarray = field(repr=False)
     lattice_t: np.ndarray = field(repr=False)
 
+    @staticmethod
+    def lattice_radii(config: PipelineConfig) -> Tuple[float, float]:
+        """The disc radii of ``lattice_m`` and ``lattice_t``."""
+        return config.r_m * (1.0 / math.sqrt(config.downscale_area)), config.r_t
+
     @classmethod
     def from_config(cls, config: PipelineConfig) -> "StructureGeometry":
         """The geometry of a config, whose own checks cover every value used."""
-        scale = 1.0 / math.sqrt(config.downscale_area)
+        lattice_m, lattice_t = map(_disc_lattice, cls.lattice_radii(config))
         return cls(
             r_m=config.r_m,
             r_t=config.r_t,
@@ -77,8 +82,8 @@ class StructureGeometry:
             sigma_t_slope=config.sigma_t_slope,
             sigma_r0=config.sigma_r0,
             sigma_r_slope=config.sigma_r_slope,
-            lattice_m=_disc_lattice(config.r_m * scale),
-            lattice_t=_disc_lattice(config.r_t),
+            lattice_m=lattice_m,
+            lattice_t=lattice_t,
         )
 
     @property

@@ -3,7 +3,8 @@
 Models and finger models share one layout: a 4-byte magic, a version word,
 a length-prefixed JSON header (sorted keys, so identical content is
 identical bytes), then the named arrays' raw little-endian data in header
-order. Writing the same artifact twice produces the same bytes.
+order. Writing the same artifact twice produces the same bytes, and the
+model and finger loaders accept only that encoding.
 
 * ``FPBM`` - pipeline model: config text, descriptor lattices, both
   subspace models, and the codebook.
@@ -79,14 +80,12 @@ def _pack(magic: bytes, meta: dict, arrays: List[Tuple[str, np.ndarray, str]]) -
         ],
     }
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = bytearray()
-    out += magic
-    out += CONTAINER_VERSION.to_bytes(4, "little")
-    out += len(hjson).to_bytes(4, "little")
-    out += hjson
-    for _, arr, code in arrays:
-        out += np.ascontiguousarray(arr.astype(_DTYPES[code])).tobytes()
-    return bytes(out)
+    head = magic + CONTAINER_VERSION.to_bytes(4, "little") + len(hjson).to_bytes(4, "little")
+    # join copies each array's buffer once; ascontiguousarray converts only an
+    # array whose dtype or layout differs. Every load re-saves, so this is on
+    # the load path too
+    data = [np.ascontiguousarray(arr, dtype=_DTYPES[code]) for _, arr, code in arrays]
+    return b"".join([head, hjson, *data])
 
 
 def _check_meta(meta: dict, schema: Dict[str, type]) -> None:
@@ -111,14 +110,13 @@ def _unpack(
     data: bytes,
     meta_schema: Dict[str, type],
     array_schema: Dict[str, Tuple[str, Tuple]],
-    optional: Tuple[str, ...] = (),
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Parse a container and check its header against a schema.
 
     ``array_schema`` maps each array name to its dtype code and shape. A
     shape entry is an int, or a name that binds to the first size seen for
-    it and must repeat wherever else it appears. Every array is required
-    except those in ``optional``, and no other may appear.
+    it and must repeat wherever else it appears. Every array is required,
+    and no other may appear.
     """
     if len(data) < 4 or data[:4] != magic:
         raise BadMagic(f"expected magic {magic!r}, got {data[:4]!r}")
@@ -172,10 +170,10 @@ def _unpack(
         nbytes = math.prod(shape) * dtype.itemsize
         if pos + nbytes > len(data):
             raise TruncatedRecord(f"array {name!r} truncated")
-        arr = np.frombuffer(data[pos : pos + nbytes], dtype=dtype).reshape(shape)
-        arrays[name] = arr.copy()
+        arr = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=pos)
+        arrays[name] = arr.reshape(shape).copy()
         pos += nbytes
-    missing = set(array_schema) - set(optional) - set(arrays)
+    missing = set(array_schema) - set(arrays)
     if missing:
         raise MalformedHeader(f"container lacks arrays {sorted(missing)}")
     if pos != len(data):
@@ -239,7 +237,6 @@ def save_model(model: PipelineModel) -> bytes:
     return _pack(MODEL_MAGIC, meta, arrays)
 
 
-# older files' has_global_mean key is ignored: the mean is always present
 _MODEL_META = {"kind": str, "config": str}
 # n_m / n_t: lattice points per family, p: components kept, K: clusters
 _MODEL_ARRAYS = {
@@ -254,16 +251,12 @@ _MODEL_ARRAYS = {
     "centroids": ("f8", ("K", "fused")),
     "radii": ("f8", ("K",)),
     "cardinalities": ("i8", ("K",)),
-    # older files only, and ignored: the weights derive from the cardinalities
-    "weights": ("f8", ("K",)),
     "global_mean": ("f8", ("K",)),
 }
 
 
 def load_model(data: bytes) -> PipelineModel:
-    meta, arrays = _unpack(
-        MODEL_MAGIC, data, _MODEL_META, _MODEL_ARRAYS, optional=("weights",)
-    )
+    meta, arrays = _unpack(MODEL_MAGIC, data, _MODEL_META, _MODEL_ARRAYS)
     if meta["kind"] != "pipeline-model":
         raise MalformedHeader(f"not a pipeline model container: {meta['kind']!r}")
     config = parse_config(meta["config"])
@@ -271,6 +264,13 @@ def load_model(data: bytes) -> PipelineModel:
     # before the codebook is built: deriving its weights needs K >= 1
     if basis_m.shape[1] != config.n_p or centroids.shape != (config.K, 2 * config.n_p):
         raise MalformedHeader("model arrays disagree with the model's config")
+    # the stored lattices guard against a change to the lattice construction; the re-save
+    # compares them, and this bound first keeps a build near the file's size: radius R's
+    # lattice spans -r..r for r = floor(R), with all 2r(r + 1) + 1 points |x| + |y| <= r
+    for name, radius in zip(("lattice_m", "lattice_t"), StructureGeometry.lattice_radii(config)):
+        stored, r = arrays[name], math.floor(radius)
+        if stored.size == 0 or int(stored.max()) != r or len(stored) < 2 * r * (r + 1) + 1:
+            raise MalformedHeader(f"{name} disagrees with the model's config radius {radius}")
     model = PipelineModel(
         config=config,
         pca_m=PcaModel(arrays["pca_m_mean"], basis_m, arrays["pca_m_variance"]),
@@ -280,10 +280,8 @@ def load_model(data: bytes) -> PipelineModel:
         codebook=Codebook(centroids, arrays["radii"], arrays["cardinalities"]),
         population_mean=arrays["global_mean"],
     )
-    # the stored lattices guard against a change to the lattice construction
-    for name in ("lattice_m", "lattice_t"):
-        if not np.array_equal(arrays[name], getattr(model.geometry, name)):
-            raise MalformedHeader("model arrays disagree with the model's config")
+    if save_model(model) != data:
+        raise MalformedHeader("model file does not re-save to its own bytes")
     return model
 
 
@@ -355,7 +353,6 @@ def save_finger(model: FingerModel, enrolled: BitString) -> bytes:
     return _pack(FINGER_MAGIC, meta, arrays)
 
 
-# older files' alpha and beta keys are ignored: the model's config holds them
 _FINGER_META = {
     "kind": str,
     "finger_id": str,
@@ -380,7 +377,6 @@ def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
             f"template length {meta['template_length']} differs from the enrolled "
             f"string's {len(arrays['enrolled'])} bits"
         )
-    # save_finger writes each flag as 0 or 1, so each file has one encoding
     for name in ("mask", "enrolled"):
         if (arrays[name] > 1).any():
             raise MalformedHeader(f"{name} bytes must be 0 or 1")
@@ -391,4 +387,7 @@ def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
         mask=arrays["mask"].astype(bool),
         n_mean=float(meta["n_mean"]),
     )
-    return model, BitString(arrays["enrolled"])
+    enrolled = BitString(arrays["enrolled"])
+    if save_finger(model, enrolled) != data:
+        raise MalformedHeader("finger file does not re-save to its own bytes")
+    return model, enrolled

@@ -130,10 +130,11 @@ def _fit_family(
     is computed once. Pass 1 computes the subsample's rows straight into the
     fit matrix, which the fit centres in place and which is kept. Pass 2
     gathers each segment's centred rows, its kept subsample rows and its
-    other rows minus the mean, and projects them as one product, bitwise
-    :func:`project` of the segment's rows: the fit sees the vectors
-    ``encode`` computes. Memory is the fit matrix, the fit's Gram or
-    covariance matrix and one segment.
+    other rows minus the mean, and projects them as one product, as
+    :func:`project` does: ``encode``'s projections bit for bit, save that
+    with a cap, minutia rows from ``mbls_matrix(refs=...)`` can differ in
+    their last bits (within 1e-12). Memory is the fit matrix, the fit's
+    Gram or covariance matrix and one segment.
     """
     sizes = [n for n, _ in segments]
     starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
@@ -178,7 +179,8 @@ def train_model(
     then compute the pool's distance matrix to the centroids once. That
     matrix places the boundary radii, counts cardinalities under adjusted
     assignment and gives each impression's distance vector; each finger's
-    vectors are averaged into the population mean.
+    vectors are averaged into the population mean. Only without a cap does
+    the codebook see ``encode``'s fused vectors bit for bit.
 
     Raises:
         EmptyTrainingSet: ``items`` is empty.

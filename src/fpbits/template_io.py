@@ -104,16 +104,30 @@ class MinutiaTemplate:
 
 @dataclass
 class GrayImage:
-    """8-bit grayscale raster, pixels row-major with pixel[0] at top-left."""
+    """8-bit grayscale raster, pixels row-major with pixel[0] at top-left.
+
+    The one check of pixels, as PGM holds them: 2-d, at least 1x1, and only
+    values a ``uint8`` cast keeps.
+    """
 
     pixels: np.ndarray  # (height, width) uint8
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.ndim != 2:
-            raise DimensionMismatch(
-                f"expected a 2-d pixel array, got shape {self.pixels.shape}"
-            )
+        try:
+            pixels = np.asarray(self.pixels)
+        except ValueError as exc:  # a ragged nested list
+            raise DimensionMismatch(f"pixels are not a rectangular array: {exc}") from None
+        if pixels.ndim != 2 or 0 in pixels.shape:
+            raise DimensionMismatch(f"need a 2-d array of at least 1x1 pixels, got {pixels.shape}")
+        if pixels.dtype != np.uint8:  # a uint8 array needs no scan
+            if pixels.dtype.kind not in "buif":
+                raise FieldOutOfRange(f"pixels must be numbers, got dtype {pixels.dtype}")
+            with np.errstate(invalid="ignore"):  # NaN casts with a warning
+                cast = pixels.astype(np.uint8)
+            for r, c in np.argwhere(cast != pixels)[:1]:  # the first bad pixel
+                raise FieldOutOfRange(f"pixel {pixels[r, c]} at row {r} col {c} is not 8-bit")
+            pixels = cast
+        self.pixels = pixels
 
     @property
     def width(self) -> int:

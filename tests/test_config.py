@@ -40,7 +40,8 @@ def test_defaults_roundtrip():
         "N_c = 0",
         "top_t = 0",
         "kmeans_max_iters = 0",
-        "augment_pool = -1",
+        "augment_pool = -1",  # a removed key is unknown, whatever its value
+        "augment_pool = 0",
         "enroll_size = 0",
         "min_nL = 0",
         "max_nL = 3",  # below the default min_nL, 4
@@ -95,16 +96,46 @@ def test_config_valued_parameters_have_no_default(module, func, name):
 def test_boundary_values_are_accepted():
     config = parse_config(
         "downscale_area = 1\nsigma_t_slope = 0.02\nN_c = 1\nkmeans_max_iters = 1\n"
-        "min_nL = 10\nmax_nL = 10\naugment_pool = 0"
+        "min_nL = 10\nmax_nL = 10"
     )
     assert config.downscale_area == 1.0 and config.max_nL == config.min_nL
 
 
 @pytest.mark.parametrize("value", ["3", "false", ""])
 def test_retired_augment_pool_other_values_name_the_key(value):
-    # "augment_pool = 0" is accepted and ignored (test_boundary_values_are_accepted)
-    with pytest.raises(MalformedHeader, match="line 2: 'augment_pool' was removed"):
+    # the key was removed, so every value of it is an unknown key's
+    with pytest.raises(MalformedHeader, match="line 2: unknown key 'augment_pool'"):
         parse_config(f"K = 7\naugment_pool = {value}\n")
+
+
+TYPE_CASES = [
+    ("n_p", 4.0),
+    ("K", 8.5),
+    ("K", True),
+    ("top_t", 2.5),
+    ("enroll_size", 1.5),
+    ("seed", "0"),
+    ("gate_all", "no"),
+    ("gate_all", 1),
+    ("mask_both", 0),
+    ("r_t", True),
+    ("r_t", "40"),
+    ("tau_s", None),
+    ("r_m", 10**400),  # an int past float's range
+]
+
+
+@pytest.mark.parametrize("field, value", TYPE_CASES,
+                         ids=[f"{f}={v!r}"[:24] for f, v in TYPE_CASES])
+def test_fields_take_their_defaults_type(field, value):
+    with pytest.raises(MalformedHeader, match=f"^{field} must be "):
+        PipelineConfig(**{field: value})
+
+
+def test_float_fields_store_ints_as_floats():
+    config = PipelineConfig(r_t=40, tau_s=0)
+    assert type(config.r_t) is float and type(config.tau_s) is float
+    assert serialize_config(config) == serialize_config(PipelineConfig(r_t=40.0, tau_s=0.0))
 
 
 def _mutate(rng, blob):

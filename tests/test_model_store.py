@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from fpbits.bit_training import FingerModel, train_finger
+from fpbits import local_structures
+from fpbits.bit_training import FingerModel
 from fpbits.codebook import BitString, cardinality_weights
 from fpbits.config import PipelineConfig, serialize_config
 from fpbits.errors import (
@@ -20,6 +21,7 @@ from fpbits.errors import (
 from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.model_store import (
     MODEL_MAGIC,
+    _DTYPES,
     _pack,
     load_bitstring,
     load_finger,
@@ -30,7 +32,8 @@ from fpbits.model_store import (
     save_model,
     write_file_atomic,
 )
-from fpbits.pipeline import encode_impression, enroll_subject, train_model
+from fpbits.local_structures import StructureGeometry
+from fpbits.pipeline import encode_impression, train_model
 from fpbits.synth import SynthParams, synth_dataset
 
 
@@ -231,20 +234,6 @@ def test_finger_array_lengths_must_agree():
         load_finger(save_finger(finger, enrolled))
 
 
-def test_finger_header_with_alpha_and_beta_loads_to_the_same_finger():
-    # finger files once copied the bar's alpha and beta into the header
-    finger, enrolled = _finger()
-    blob = save_finger(finger, enrolled)
-    old = _repack(blob, b"FPFM", lambda h: h["meta"].update(alpha=0.45, beta=0.4))
-    assert b'"alpha":0.45' in old and b'"beta":0.4' in old
-    back, back_enrolled = load_finger(old)
-    assert (back.finger_id, back.n_mean) == (finger.finger_id, finger.n_mean)
-    for name in ("power", "reliability", "mask"):
-        assert np.array_equal(getattr(back, name), getattr(finger, name)), name
-    assert back_enrolled == enrolled
-    assert save_finger(back, back_enrolled) == blob  # the keys are dropped
-
-
 @pytest.mark.parametrize("name, offset", [("mask", -32), ("enrolled", -16)])
 @pytest.mark.parametrize("value", [2, 255])
 def test_finger_flags_other_than_0_and_1_rejected(name, offset, value):
@@ -345,24 +334,6 @@ def test_model_header_schema(edit):
         load_model(_repack(blob, b"FPBM", edit))
 
 
-@pytest.mark.parametrize("fields", [
-    {"tau_s": -0.05, "top_t": 5, "n_boundary": 20},  # copies of the config's values
-    {"tau_s": -100.0, "top_t": 1, "n_boundary": 20},  # disagreeing with the config
-], ids=["config-copies", "disagreeing"])
-def test_header_conversion_fields_are_ignored(fields):
-    # older model files carry tau_s / top_t / n_boundary header fields next
-    # to the config text; they still load, and the config text's values apply
-    items, model = tiny_model()
-    assert (model.config.tau_s, model.config.top_t, model.config.N_c) == (-0.05, 5, 20)
-    blob = _repack(save_model(model), b"FPBM", lambda h: h["meta"].update(fields))
-    back = load_model(blob)
-    assert serialize_config(back.config) == serialize_config(model.config)
-    for key in sorted(items):
-        want = encode_impression(*items[key], model).bits
-        assert want.ones > 0, key
-        assert encode_impression(*items[key], back).bits == want, key
-
-
 def _drop_last_array(header, name):
     """Header edit: remove the last array's entry, which must be ``name``."""
     assert header["arrays"][-1]["name"] == name
@@ -379,98 +350,129 @@ def test_model_without_population_mean_rejected():
         load_model(blob[: -8 * model.codebook.k])
 
 
-def _legacy_format(model, weights=None):
-    """``model`` as the earlier format wrote it.
-
-    That format stored the codebook weights as an array, ``weights`` unless
-    given, and a ``has_global_mean`` header key.
-    """
-    cb, pca_m, pca_t = model.codebook, model.pca_m, model.pca_t
-    meta = {
-        "kind": "pipeline-model",
-        "config": serialize_config(model.config),
-        "has_global_mean": True,
-    }
-    return _pack(MODEL_MAGIC, meta, [
-        ("lattice_m", model.geometry.lattice_m, "i8"),
-        ("lattice_t", model.geometry.lattice_t, "i8"),
-        ("pca_m_mean", pca_m.mean, "f8"),
-        ("pca_m_basis", pca_m.basis, "f8"),
-        ("pca_m_variance", pca_m.explained_variance, "f8"),
-        ("pca_t_mean", pca_t.mean, "f8"),
-        ("pca_t_basis", pca_t.basis, "f8"),
-        ("pca_t_variance", pca_t.explained_variance, "f8"),
-        ("centroids", cb.centroids, "f8"),
-        ("radii", cb.radii, "f8"),
-        ("cardinalities", cb.cardinalities, "i8"),
-        ("weights", cb.weights if weights is None else weights, "f8"),
-        ("global_mean", model.population_mean, "f8"),
-    ])
+def _contents(blob):
+    """A container's meta and its ``(name, array, dtype code)`` list, as
+    ``_pack`` takes them."""
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + hlen])
+    arrays, pos = [], 12 + hlen
+    for spec in header["arrays"]:
+        dtype = np.dtype(_DTYPES[spec["dtype"]])
+        nbytes = int(np.prod(spec["shape"])) * dtype.itemsize
+        arr = np.frombuffer(blob[pos : pos + nbytes], dtype).reshape(spec["shape"])
+        arrays.append((spec["name"], arr, spec["dtype"]))
+        pos += nbytes
+    return header["meta"], arrays
 
 
-def test_legacy_format_model_loads_and_encodes_identically():
-    items, model = tiny_model()
-    old = _legacy_format(model)
-    assert b'"has_global_mean":true' in old and b'"name":"weights"' in old
-    back = load_model(old)
-    assert save_model(back) == save_model(model)  # the key and array are dropped
-    for key in sorted(items):
-        want = encode_impression(*items[key], model)
-        got = encode_impression(*items[key], back)
-        assert got.bits == want.bits, key
-        assert np.array_equal(got.distances.values, want.distances.values), key
+def _legacy_weights(blob):
+    """A model as the format before the derived weights wrote it: a
+    ``weights`` array before the population mean, and a
+    ``has_global_mean`` header key."""
+    meta, arrays = _contents(blob)
+    weights = cardinality_weights({n: a for n, a, _ in arrays}["cardinalities"])
+    arrays.insert(-1, ("weights", weights, "f8"))
+    return _pack(MODEL_MAGIC, dict(meta, has_global_mean=True), arrays)
 
 
-def test_stored_weights_contradicting_cardinalities_are_ignored():
-    items, model = tiny_model()
-    contrary = model.codebook.weights[::-1].copy()
-    assert not np.array_equal(contrary, model.codebook.weights)
-    back = load_model(_legacy_format(model, weights=contrary))
-    assert np.array_equal(
-        back.codebook.weights, cardinality_weights(back.codebook.cardinalities)
-    )
-
-    subject = sorted(items)[0][0]
-    keys = [key for key in sorted(items) if key[0] == subject]
-    want, _ = enroll_subject(subject, [encode_impression(*items[k], model) for k in keys],
-                             model)
-    got, _ = enroll_subject(subject, [encode_impression(*items[k], back) for k in keys],
-                            back)
-    assert np.array_equal(got.power, want.power)
-    assert np.array_equal(got.mask, want.mask)
-    # the stored weights, had they been used, would have moved the power
-    samples = [encode_impression(*items[k], model) for k in keys]
-    stale = train_finger(
-        subject, np.array([e.distances.values for e in samples]),
-        np.array([e.bits.bits for e in samples]),
-        [e.n_minutiae for e in samples], model.population_mean, contrary,
-        model.config.alpha, model.config.beta,
-    )
-    assert not np.array_equal(stale.power, want.power)
+def _edit_config(edit):
+    """Header edit: ``edit`` rewrites the model's config text."""
+    return lambda h: h["meta"].update(config=edit(h["meta"]["config"]))
 
 
-def _with_augment_pool(value):
-    """Header edit: the config line that models written before its removal carry."""
-    def edit(header):
-        meta = header["meta"]
-        old = meta["config"]
-        meta["config"] = old.replace(
-            "kmeans_max_iters = 100\n", f"kmeans_max_iters = 100\naugment_pool = {value}\n"
-        )
-        assert meta["config"] != old
-    return edit
+def _reversed_lines(text):
+    return "\n".join(reversed(text.splitlines())) + "\n"
 
 
-def test_retired_augment_pool_line_loads_and_encodes_identically():
-    items, model = tiny_model()
+# Each of these loaded before a file had to re-save to its own bytes
+OTHER_MODEL_ENCODINGS = {
+    "legacy-weights": _legacy_weights,
+    "augment-pool-line": lambda blob: _repack(blob, b"FPBM", _edit_config(
+        lambda text: text.replace("kmeans_max_iters = 100\n",
+                                  "kmeans_max_iters = 100\naugment_pool = 0\n"))),
+    "top_t-header-field": lambda blob: _repack(
+        blob, b"FPBM", lambda h: h["meta"].update(top_t=5)),
+    "config-comment": lambda blob: _repack(blob, b"FPBM", _edit_config(
+        lambda text: "# trained by hand\n" + text)),
+    "reversed-config-keys": lambda blob: _repack(blob, b"FPBM", _edit_config(_reversed_lines)),
+    "gate_all-yes": lambda blob: _repack(blob, b"FPBM", _edit_config(
+        lambda text: text.replace("gate_all = True", "gate_all = yes"))),
+}
+OTHER_FINGER_ENCODINGS = {
+    "finger-alpha-beta": lambda blob: _repack(
+        blob, b"FPFM", lambda h: h["meta"].update(alpha=0.45, beta=0.4)),
+    "n_mean-json-int": lambda blob: _repack(
+        blob, b"FPFM", lambda h: h["meta"].update(n_mean=int(h["meta"]["n_mean"]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_MODEL_ENCODINGS) + sorted(OTHER_FINGER_ENCODINGS))
+def test_other_encodings_are_rejected(name):
+    if name in OTHER_MODEL_ENCODINGS:
+        blob, load = save_model(tiny_model()[1]), load_model
+        other = OTHER_MODEL_ENCODINGS[name](blob)
+    else:
+        blob, load = save_finger(*_finger()), load_finger
+        other = OTHER_FINGER_ENCODINGS[name](blob)
+    assert other != blob
+    load(blob)
+    with pytest.raises(MalformedHeader):
+        load(other)
+
+
+def test_written_float_fields_keep_one_spelling():
+    # an int given to a float field is stored as a float, so the model text
+    # spells it as the config reader does, and the model loads
+    _, model = tiny_model()
+    model.config = PipelineConfig(**dict(vars(model.config), r_t=40))
+    assert "\nr_t = 40.0\n" in serialize_config(model.config)
     blob = save_model(model)
-    back = load_model(_repack(blob, b"FPBM", _with_augment_pool(0)))
-    assert serialize_config(back.config) == serialize_config(model.config)
-    for key in sorted(items):
-        want = encode_impression(*items[key], model).bits
-        assert encode_impression(*items[key], back).bits == want, key
-    with pytest.raises(MalformedHeader, match="augment_pool"):
-        load_model(_repack(blob, b"FPBM", _with_augment_pool(3)))
+    assert save_model(load_model(blob)) == blob
+
+
+def _lattice_spy(monkeypatch):
+    """Record the radius of every disc lattice built from now on."""
+    built = []
+    real = local_structures._disc_lattice
+
+    def spy(radius):
+        built.append(radius)
+        return real(radius)
+
+    monkeypatch.setattr(local_structures, "_disc_lattice", spy)
+    return built
+
+
+def test_huge_radius_is_refused_before_any_lattice_is_built():
+    # unchecked, r_t = 1e6 would ask for a lattice of 58 TiB
+    _, model = tiny_model()
+    blob = _repack(save_model(model), b"FPBM", lambda h: _set_config(h, "r_t", "1000000.0"))
+    with pytest.raises(MalformedHeader,
+                       match="lattice_t disagrees with the model's config radius 1000000.0"):
+        load_model(blob)
+
+
+def test_stored_lattices_are_checked_before_any_lattice_is_built(monkeypatch):
+    _, model = tiny_model()
+    blob = save_model(model)
+    built = _lattice_spy(monkeypatch)
+    load_model(blob)
+    assert built == list(StructureGeometry.lattice_radii(model.config))
+
+    # a radius the stored lattice does not reach
+    built.clear()
+    wide = _repack(blob, b"FPBM", lambda h: _set_config(h, "r_t", "300.0"))
+    with pytest.raises(MalformedHeader, match="lattice_t disagrees"):
+        load_model(wide)
+    # the radius's extreme point alone: too few points for that radius
+    meta, arrays = _contents(wide)
+    p = model.config.n_p
+    one_point = {"lattice_t": np.array([[300, 0]]), "pca_t_mean": np.zeros(1),
+                 "pca_t_basis": np.zeros((1, p))}
+    arrays = [(n, one_point.get(n, a), c) for n, a, c in arrays]
+    with pytest.raises(MalformedHeader, match="lattice_t disagrees"):
+        load_model(_pack(MODEL_MAGIC, meta, arrays))
+    assert built == []
 
 
 @pytest.mark.parametrize("header", [
@@ -498,8 +500,11 @@ def _fuzz_model():
     return items, train_model(items, config)
 
 
-def _fuzz(blob, header_end, load, use, seed):
-    """3000 loads of ``blob`` with 1-3 random bytes of its header replaced."""
+def _fuzz(blob, header_end, load, save, use, seed):
+    """3000 loads of ``blob`` with 1-3 random bytes of its header replaced.
+
+    Whatever loads must re-save to the mutated bytes and must work.
+    """
     rng = np.random.default_rng(seed)
     crashes = []
     loaded = 0
@@ -515,25 +520,37 @@ def _fuzz(blob, header_end, load, use, seed):
             crashes.append(f"{type(exc).__name__}: {exc}")
             continue
         loaded += 1
+        assert save(result) == out, "a mutated file loaded in a second encoding"
         use(result)  # what loads must also work
     assert not crashes, f"{len(crashes)} untyped, first: {crashes[0]}"
     return loaded
 
 
-def test_fuzz_model_headers():
+def _fuzz_model_headers(seed):
     items, model = _fuzz_model()
     blob = save_model(model)
     template, image = items[sorted(items)[0]]
-    _fuzz(blob, 12 + int.from_bytes(blob[8:12], "little"), load_model,
-          lambda m: encode_impression(template, image, m), seed=1301)
+    _fuzz(blob, 12 + int.from_bytes(blob[8:12], "little"), load_model, save_model,
+          lambda m: encode_impression(template, image, m), seed=seed)
+
+
+def test_fuzz_model_headers():
+    _fuzz_model_headers(1301)
+
+
+def test_fuzz_model_headers_at_seed_7():
+    # this seed once loaded a config text spelling r_t as 10e0
+    _fuzz_model_headers(7)
 
 
 def test_fuzz_finger_headers():
     blob = save_finger(*_finger())
     _fuzz(blob, 12 + int.from_bytes(blob[8:12], "little"), load_finger,
+          lambda fe: save_finger(*fe),
           lambda fe: masked_score(fe[1], fe[1], fe[0], mask_both=True), seed=1302)
 
 
 def test_fuzz_bitstring_headers():
     blob = save_bitstring(fold_compress(BitString(np.ones(20, dtype=bool)), 11))
-    _fuzz(blob, 16, load_bitstring, lambda bs: intersection_score(bs, bs), seed=1303)
+    _fuzz(blob, 16, load_bitstring, save_bitstring, lambda bs: intersection_score(bs, bs),
+          seed=1303)

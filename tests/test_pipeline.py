@@ -39,6 +39,7 @@ from fpbits.pipeline import (
     train_model,
 )
 from fpbits.protocol import POLARITY_SIMILARITY, compute_eer
+from fpbits.subspace_fusion import fuse_matrix, project
 from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import (
     MINUTIA_DTYPE,
@@ -273,6 +274,48 @@ def test_capped_fit_encodes_like_the_one_pass_oracle(capped_run):
         template, image = items[key]
         assert (encode_impression(template, image, got).bits
                 == encode_impression(template, image, want).bits), key
+
+
+def fit_projections(items, config, monkeypatch):
+    """A fit's model and the projected rows of both families it fused."""
+    seen = []
+
+    def spy(proj_m, proj_t, weight_m, weight_t):
+        seen.append((proj_m.copy(), proj_t.copy()))
+        return fuse_matrix(proj_m, proj_t, weight_m, weight_t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "fuse_matrix", spy)
+        model = train_model(items, config)
+    [(proj_m, proj_t)] = seen
+    return model, proj_m, proj_t
+
+
+def encode_projections(items, model):
+    """``encode``'s projected rows of both families, in fit order."""
+    rows_m, rows_t = [], []
+    for key in sorted(items):
+        mbls, tbls = raw_structures(*items[key], model.geometry)
+        rows_m.append(project(model.pca_m, mbls))
+        rows_t.append(project(model.pca_t, tbls))
+    return np.concatenate(rows_m), np.concatenate(rows_t)
+
+
+def test_uncapped_fit_projects_encodes_rows_bit_for_bit(small_run, monkeypatch):
+    items, model = small_run
+    model, proj_m, proj_t = fit_projections(items, model.config, monkeypatch)
+    want_m, want_t = encode_projections(items, model)
+    assert np.array_equal(proj_t.view(np.uint64), want_t.view(np.uint64))
+    assert np.array_equal(proj_m.view(np.uint64), want_m.view(np.uint64))
+
+
+def test_capped_fit_projects_texture_rows_bit_for_bit(capped_run, monkeypatch):
+    items, config = capped_run
+    model, proj_m, proj_t = fit_projections(items, config, monkeypatch)
+    want_m, want_t = encode_projections(items, model)
+    assert np.array_equal(proj_t.view(np.uint64), want_t.view(np.uint64))
+    # minutia rows of a reference subset may differ in their last bits
+    assert np.max(np.abs(proj_m - want_m)) <= MBLS_TOL
 
 
 def fit_peak_bytes(fit, items, config):

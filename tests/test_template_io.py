@@ -1,6 +1,8 @@
 """Template and image format round-trips and failure modes."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +148,39 @@ def test_template_needs_a_minutia_array():
 def test_gray_image_needs_2d():
     with pytest.raises(DimensionMismatch):
         GrayImage(np.zeros(5, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("pixels, error, message", [
+    (np.array([[300.0, -1.0]]), FieldOutOfRange, "pixel 300.0 at row 0 col 0 is not 8-bit"),
+    (np.array([[1.0, np.nan]]), FieldOutOfRange, "pixel nan at row 0 col 1 is not 8-bit"),
+    (np.array([[1.0, np.inf]]), FieldOutOfRange, "pixel inf at row 0 col 1 is not 8-bit"),
+    (np.array([[0.0, 2.5]]), FieldOutOfRange, "pixel 2.5 at row 0 col 1 is not 8-bit"),
+    (np.array([[1], [256]]), FieldOutOfRange, "pixel 256 at row 1 col 0 is not 8-bit"),
+    (np.array([[-1]], dtype=np.int8), FieldOutOfRange, "pixel -1 at row 0 col 0 is not 8-bit"),
+    (np.array([["7"]]), FieldOutOfRange, "pixels must be numbers"),
+    (np.zeros((0, 0), dtype=np.uint8), DimensionMismatch, "at least 1x1 pixels"),
+    (np.zeros((3, 0)), DimensionMismatch, "at least 1x1 pixels"),
+    ([[1, 2], [3]], DimensionMismatch, "not a rectangular array"),
+], ids=["out-of-range", "nan", "inf", "fraction", "above-255", "negative-int8",
+        "text", "0x0", "3x0", "ragged"])
+def test_gray_image_refuses_what_pgm_cannot_hold(pixels, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and warns of no cast on the way
+        with pytest.raises(error, match=re.escape(message)):
+            GrayImage(pixels)
+
+
+def test_gray_image_keeps_every_8_bit_value():
+    # uint8 pixels are taken as they are, with no scan or copy
+    raw = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    assert GrayImage(raw).pixels is raw
+    for pixels in (raw.astype(np.float64), raw.astype(np.int64), raw.tolist()):
+        image = GrayImage(pixels)
+        assert image.pixels.dtype == np.uint8 and np.array_equal(image.pixels, raw)
+    assert GrayImage(np.array([[True, False]])).pixels.tolist() == [[1, 0]]
+    # the smallest image survives the PGM format
+    one = GrayImage(np.array([[200]]))
+    assert np.array_equal(read_pgm(write_pgm(one)).pixels, one.pixels)
 
 
 def row_with(values, **dtypes):
