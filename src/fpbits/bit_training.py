@@ -21,15 +21,21 @@ import numpy as np
 from .errors import EmptyEnrollment, LengthMismatch
 
 
-@dataclass
+@dataclass(frozen=True)
 class FingerModel:
-    """Trained per-finger bit statistics and the resulting mask."""
+    """One finger's template: trained bit statistics, mask and enrolled reference.
+
+    ``reference`` is the OR of the enrollment strings: a position any sample
+    voted for stays available, and the mask is what narrows a comparison
+    down to dependable positions.
+    """
 
     finger_id: str
     power: np.ndarray
     reliability: np.ndarray
     mask: np.ndarray  # bool, True = bit position kept
     n_mean: float  # mean minutia count over the enrollment samples
+    reference: np.ndarray  # bool, the enrolled string
 
     @property
     def k(self) -> int:
@@ -162,4 +168,5 @@ def train_finger(
         reliability=rel,
         mask=mask,
         n_mean=n_mean,
+        reference=np.asarray(bits, dtype=bool).any(axis=0),
     )

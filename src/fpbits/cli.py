@@ -187,9 +187,8 @@ def cmd_enroll(args) -> int:
     }
 
     _make_out_dir(args.out_dir)
-    for sid, (finger, reference) in fingers.items():
-        path = os.path.join(args.out_dir, f"{sid}.fpfm")
-        write_file_atomic(path, save_finger(finger, reference))
+    for sid, finger in fingers.items():
+        write_file_atomic(os.path.join(args.out_dir, f"{sid}.fpfm"), save_finger(finger))
     print(f"enrolled {len(fingers)} fingers under {args.out_dir}")
     return 0
 
@@ -232,18 +231,20 @@ def cmd_match(args) -> int:
         bits = _load_bits_dir(args.bits_dir)
         if args.kind == "masked":  # side a names the enrolled finger, side b the query
             model = load_model_file(args.model)
-            fingers = {  # one load per finger, in file order
-                sa: load_finger(read_bytes(os.path.join(args.fingers_dir, f"{sa}.fpfm")))
-                for sa in dict.fromkeys(p[0] for p in pairs)
-            }
-            side_a = [fingers[p[0]][1] for p in pairs]
+            fingers = {}  # one load per finger, in file order
+            for sa in dict.fromkeys(p[0] for p in pairs):
+                path = os.path.join(args.fingers_dir, f"{sa}.fpfm")
+                fingers[sa] = finger = load_finger(read_bytes(path))
+                if finger.finger_id != sa:
+                    raise ModelMissing(f"{path!r} holds finger {finger.finger_id!r}, not {sa!r}")
+            side_a = [BitString(fingers[p[0]].reference) for p in pairs]
         else:
             side_a = [_get(bits, sa, ia) for sa, ia, _, _ in pairs]
         # every string the file names must share one length
         strings = stack_bits(side_a + [_get(bits, sb, ib) for _, _, sb, ib in pairs])
         a, b = strings[: len(pairs)], strings[len(pairs) :]
         if args.kind == "masked":
-            masks = np.array([fingers[p[0]][0].mask for p in pairs], dtype=bool)
+            masks = np.array([fingers[p[0]].mask for p in pairs], dtype=bool)
             # the reshape gives an empty file its (0, 0) masks
             values, common = masked_scores(b, a, masks.reshape(a.shape),
                                            model.config.mask_both)
@@ -257,8 +258,8 @@ def cmd_match(args) -> int:
     ]
 
     text = "".join(line + "\n" for line in lines)  # no pairs: no output
-    if args.out:
-        write_file_atomic(args.out, text.encode("ascii"))
+    if args.out:  # ids are UTF-8, as the pairs file is read
+        write_file_atomic(args.out, text.encode("utf-8"))
         print(f"wrote {len(lines)} scores to {args.out}")
     else:
         sys.stdout.write(text)
@@ -386,12 +387,12 @@ def cmd_inspect(args) -> int:
         print(f"  length: {len(bs)}")
         print(f"  set bits: {bs.ones}")
     if args.finger:
-        finger, reference = load_finger(read_bytes(args.finger))
+        finger = load_finger(read_bytes(args.finger))
         print(f"finger model: {args.finger}")
         print(f"  finger id: {finger.finger_id}")
         print(f"  mask keeps: {int(finger.mask.sum())} of {finger.k}")
         print(f"  mean minutia count: {finger.n_mean:.2f}")
-        print(f"  enrolled set bits: {reference.ones}")
+        print(f"  enrolled set bits: {int(finger.reference.sum())}")
     return 0
 
 

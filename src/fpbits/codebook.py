@@ -63,20 +63,20 @@ class BitString:
         return int(self.bits.sum())
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceVector:
     """Per-impression nearest plain distance to every cluster centroid."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64).ravel())
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codebook:
     """Fitted cluster vocabulary; bit conversion's parameters come from the config.
 
@@ -90,7 +90,7 @@ class Codebook:
     weights: np.ndarray = field(init=False)  # (K,) in [0, 1]
 
     def __post_init__(self):
-        self.weights = cardinality_weights(self.cardinalities)
+        object.__setattr__(self, "weights", cardinality_weights(self.cardinalities))
 
     @property
     def k(self) -> int:

@@ -17,7 +17,7 @@ from .errors import MalformedHeader
 from .template_io import read_text
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     # local structure geometry
     r_m: float = 80.0  # minutia-descriptor disc radius, pixels
@@ -58,17 +58,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each field takes its default's type, a float field an int too; a bool
-        # is an int to Python, so it is refused where no bool is asked for
-        for f in dataclasses.fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            takes = (int, float) if kind is float else kind
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, takes):
-                raise MalformedHeader(f"{f.name} must be of type {kind.__name__}, got {value!r}")
-            if kind is float:  # stored as a float: the config text spells it one way
-                if not abs(value) <= sys.float_info.max:
-                    raise MalformedHeader(f"{f.name} must be finite, got {value}")
-                setattr(self, f.name, float(value))
+        check_field_types(self, MalformedHeader)
         # comparisons are written so that they fail on NaN as well
         for name in ("r_m", "r_t", "sigma_t0", "sigma_t_slope", "sigma_r0", "sigma_r_slope"):
             if not getattr(self, name) > 0.0:
@@ -93,6 +83,24 @@ class PipelineConfig:
             raise MalformedHeader(
                 f"max_nL ({self.max_nL}) must be >= min_nL ({self.min_nL})"
             )
+
+
+def check_field_types(record, error: type) -> None:
+    """Raise ``error`` unless each field of the dataclass ``record`` has its default's type.
+
+    A float field also takes an int, must be finite and is stored as a float,
+    so the config text spells it one way. A bool is an int to Python, so it
+    is refused where no bool is asked for.
+    """
+    for f in dataclasses.fields(record):
+        value, kind = getattr(record, f.name), type(f.default)
+        takes = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, takes):
+            raise error(f"{f.name} must be of type {kind.__name__}, got {value!r}")
+        if kind is float:
+            if not abs(value) <= sys.float_info.max:
+                raise error(f"{f.name} must be finite, got {value}")
+            object.__setattr__(record, f.name, float(value))
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,

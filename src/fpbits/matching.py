@@ -261,18 +261,11 @@ def intersection_score(a: BitString, b: BitString) -> MatchScore:
     return _one_pair(*intersection_scores(a.bits[None, :], b.bits[None, :]))
 
 
-def masked_score(
-    query: BitString,
-    enrolled: BitString,
-    model: FingerModel,
-    mask_both: bool,
-) -> MatchScore:
-    """:func:`masked_scores` of one pair under ``model``'s mask.
+def masked_score(query: BitString, finger: FingerModel, mask_both: bool) -> MatchScore:
+    """:func:`masked_scores` of ``query`` against ``finger``'s reference under its mask.
 
     Raises:
-        LengthMismatch: strings of different lengths, or a mask that does
-            not fit them.
+        LengthMismatch: a mask that does not fit the strings.
     """
-    strings = stack_bits([query, enrolled])
-    masks = model.mask[None, :]
-    return _one_pair(*masked_scores(strings[:1], strings[1:], masks, mask_both))
+    return _one_pair(*masked_scores(query.bits[None, :], finger.reference[None, :],
+                                    finger.mask[None, :], mask_both))

@@ -46,7 +46,7 @@ CONTAINER_VERSION = 1
 _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineModel:
     """Everything needed to turn a (template, image) pair into a bit-string.
 
@@ -64,7 +64,7 @@ class PipelineModel:
     geometry: StructureGeometry = field(init=False)
 
     def __post_init__(self):
-        self.geometry = StructureGeometry.from_config(self.config)
+        object.__setattr__(self, "geometry", StructureGeometry.from_config(self.config))
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +337,18 @@ def load_bitstring(data: bytes) -> BitString:
 # finger models
 # ---------------------------------------------------------------------------
 
-def save_finger(model: FingerModel, enrolled: BitString) -> bytes:
+def save_finger(finger: FingerModel) -> bytes:
     meta = {
         "kind": "finger-model",
-        "finger_id": model.finger_id,
-        "n_mean": model.n_mean,
-        "template_length": len(enrolled),
+        "finger_id": finger.finger_id,
+        "n_mean": finger.n_mean,
+        "template_length": len(finger.reference),
     }
     arrays = [
-        ("power", model.power, "f8"),
-        ("reliability", model.reliability, "f8"),
-        ("mask", model.mask.astype(np.uint8), "u1"),
-        ("enrolled", enrolled.bits.astype(np.uint8), "u1"),
+        ("power", finger.power, "f8"),
+        ("reliability", finger.reliability, "f8"),
+        ("mask", finger.mask.astype(np.uint8), "u1"),
+        ("enrolled", finger.reference.astype(np.uint8), "u1"),
     ]
     return _pack(FINGER_MAGIC, meta, arrays)
 
@@ -368,7 +368,7 @@ _FINGER_ARRAYS = {
 }
 
 
-def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
+def load_finger(data: bytes) -> FingerModel:
     meta, arrays = _unpack(FINGER_MAGIC, data, _FINGER_META, _FINGER_ARRAYS)
     if meta["kind"] != "finger-model":
         raise MalformedHeader(f"not a finger model container: {meta['kind']!r}")
@@ -380,14 +380,14 @@ def load_finger(data: bytes) -> Tuple[FingerModel, BitString]:
     for name in ("mask", "enrolled"):
         if (arrays[name] > 1).any():
             raise MalformedHeader(f"{name} bytes must be 0 or 1")
-    model = FingerModel(
+    finger = FingerModel(
         finger_id=meta["finger_id"],
         power=arrays["power"],
         reliability=arrays["reliability"],
         mask=arrays["mask"].astype(bool),
         n_mean=float(meta["n_mean"]),
+        reference=arrays["enrolled"].astype(bool),
     )
-    enrolled = BitString(arrays["enrolled"])
-    if save_finger(model, enrolled) != data:
+    if save_finger(finger) != data:
         raise MalformedHeader("finger file does not re-save to its own bytes")
-    return model, enrolled
+    return finger

@@ -307,25 +307,18 @@ def enroll_subject(
     finger_id: str,
     samples: Sequence[EncodedImpression],
     model: PipelineModel,
-) -> Tuple[FingerModel, BitString]:
-    """Train one finger from its enrollment impressions.
-
-    The enrolled reference string is the OR of the enrollment strings: a
-    position any sample voted for stays available, and the trained mask is
-    what narrows the comparison down to dependable positions.
-    """
-    bits = stack_bits([e.bits for e in samples])
-    finger = train_finger(
+) -> FingerModel:
+    """Train one finger, its mask and its reference, from its enrollment impressions."""
+    return train_finger(
         finger_id=finger_id,
         distances=np.array([e.distances.values for e in samples]),
-        bits=bits,
+        bits=stack_bits([e.bits for e in samples]),
         minutia_counts=[e.n_minutiae for e in samples],
         population_mean=model.population_mean,
         cluster_weights=model.codebook.weights,
         alpha=model.config.alpha,
         beta=model.config.beta,
     )
-    return finger, BitString(bits.any(axis=0))
 
 
 def evaluate_fvc_bits(
@@ -406,7 +399,6 @@ class SplitEvaluation:
     untrained: ProtocolReport
     n_genuine: int
     n_impostor: int
-    fingers: Dict[str, FingerModel]
 
 
 def evaluate_split(
@@ -425,18 +417,19 @@ def evaluate_split(
     if not split:
         raise EmptyScores("no subjects to enroll and verify")
     subjects = sorted(split.keys())
-    enrolled = []  # (finger, reference) of each subject, in subject order
+    fingers = []  # in subject order
     for s in subjects:
         enroll_keys, held_out = split[s]
         if not enroll_keys or not held_out:
             raise EmptyTrainingSet(
                 f"subject {s!r} lacks impressions for an enroll/test split"
             )
-        enrolled.append(enroll_subject(s, [encoded[k] for k in enroll_keys], model))
+        fingers.append(enroll_subject(s, [encoded[k] for k in enroll_keys], model))
 
     n_s = len(subjects)
-    references = stack_bits([reference for _, reference in enrolled])
-    masks = np.array([finger.mask for finger, _ in enrolled])
+    # stack_bits types references of differing lengths
+    references = stack_bits([BitString(finger.reference) for finger in fingers])
+    masks = np.array([finger.mask for finger in fingers])
     test_keys = [key for s in subjects for key in split[s][1]]
     queries = stack_bits([encoded[key].bits for key in test_keys])
     counts = [len(split[s][1]) for s in subjects]
@@ -460,7 +453,6 @@ def evaluate_split(
         untrained=compute_eer(plain[:n_g], plain[n_g:], POLARITY_SIMILARITY),
         n_genuine=n_g,
         n_impostor=i_ref.size,
-        fingers={s: finger for s, (finger, _) in zip(subjects, enrolled)},
     )
 
 

@@ -24,7 +24,7 @@ _RANK_TOL = 1e-10
 _LANCZOS_SEED = 0x5EED
 
 
-@dataclass
+@dataclass(frozen=True)
 class PcaModel:
     """Mean vector plus an orthonormal basis of principal directions.
 

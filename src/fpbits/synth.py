@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .config import check_field_types
 from .errors import FieldOutOfRange
 from .template_io import MINUTIA_DTYPE, GrayImage, MinutiaTemplate
 
@@ -37,7 +38,7 @@ def keyed_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *key])))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthParams:
     n_subjects: int = 10
     n_impressions: int = 4
@@ -58,12 +59,9 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
-        # counts, sizes and the seed index arrays and keys, so a float or a
-        # bool is refused rather than rounded or taken as 0 or 1
-        for name in ("n_subjects", "n_impressions", "width", "height", "n_minutiae", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise FieldOutOfRange(f"{name} must be an int, got {value!r}")
+        # counts, sizes and the seed index arrays and keys, so a float is
+        # refused rather than rounded, and a bool is never taken as 0 or 1
+        check_field_types(self, FieldOutOfRange)
         # comparisons are written so that they fail on NaN as well; minutiae
         # are placed between the margins, so the image must hold both
         room = max(1.0, 2.0 * self.margin)
@@ -253,7 +251,7 @@ def make_impression(
     pixels: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> Tuple[MinutiaTemplate, GrayImage]:
-    """One noisy impression of a subject, fully keyed by its indices.
+    """One noisy impression of a subject, fully keyed and named by its indices.
 
     The image is rendered into ``pixels``, a ``(height, width)`` uint8 array,
     using the band buffers ``scratch`` from ``render_scratch``; each is made
@@ -298,7 +296,9 @@ def make_impression(
     if scratch is None:
         scratch = render_scratch(params)
     render_image(master, params, rotation, translation, noise_rng, pixels, scratch)
-    return MinutiaTemplate(np.array(rows, dtype=MINUTIA_DTYPE), w, h), GrayImage(pixels)
+    template = MinutiaTemplate(np.array(rows, dtype=MINUTIA_DTYPE), w, h,
+                               subject_id(subject_index), impression_id(impression_index))
+    return template, GrayImage(pixels)
 
 
 def subject_id(index: int) -> str:
@@ -350,9 +350,4 @@ def synth_dataset(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rendered = list(pool.map(render, jobs))
-    items: Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]] = {}
-    for (_, s, i, _), (template, image) in zip(jobs, rendered):
-        template.subject_id = subject_id(s)
-        template.impression_id = impression_id(i)
-        items[(template.subject_id, template.impression_id)] = (template, image)
-    return items
+    return {(t.subject_id, t.impression_id): (t, image) for t, image in rendered}

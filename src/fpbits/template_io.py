@@ -42,7 +42,7 @@ MINUTIA_DTYPE = np.dtype(
 MINUTIA_KINDS = ("T", "B", "O")  # termination, bifurcation, other
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MinutiaTemplate:
     """One impression's minutiae, a ``MINUTIA_DTYPE`` array, and its capture size.
 
@@ -96,13 +96,13 @@ class MinutiaTemplate:
         theta[theta < 0.0] += TWO_PI
         theta[theta >= TWO_PI] = 0.0  # fmod rounds tiny negatives up to the period
         columns.flags.writeable = False
-        self.minutiae = columns
+        object.__setattr__(self, "minutiae", columns)
 
     def __len__(self) -> int:
         return len(self.minutiae)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrayImage:
     """8-bit grayscale raster, pixels row-major with pixel[0] at top-left.
 
@@ -127,7 +127,7 @@ class GrayImage:
             for r, c in np.argwhere(cast != pixels)[:1]:  # the first bad pixel
                 raise FieldOutOfRange(f"pixel {pixels[r, c]} at row {r} col {c} is not 8-bit")
             pixels = cast
-        self.pixels = pixels
+        object.__setattr__(self, "pixels", pixels)
 
     @property
     def width(self) -> int:

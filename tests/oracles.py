@@ -383,13 +383,8 @@ def intersection_score(a: BitString, b: BitString) -> MatchScore:
     return MatchScore(value=float(value), kind=KIND_INTERSECTION, support=common)
 
 
-def masked_score(
-    query: BitString,
-    enrolled: BitString,
-    model: FingerModel,
-    mask_both: bool,
-) -> MatchScore:
-    """Intersection score under a finger's trained positional mask.
+def masked_score(query: BitString, finger: FingerModel, mask_both: bool) -> MatchScore:
+    """Intersection score against a finger's reference under its trained mask.
 
     With ``mask_both`` the mask is applied to both strings; without it only
     the enrolled side is restricted (a query from an unknown sensor keeps
@@ -398,14 +393,15 @@ def masked_score(
     Raises:
         LengthMismatch: mask length does not fit the strings.
     """
-    if model.k != len(query) or model.k != len(enrolled):
+    enrolled = BitString(finger.reference)
+    if finger.k != len(query) or finger.k != len(enrolled):
         raise LengthMismatch(
-            f"mask of length {model.k} cannot gate strings of lengths "
+            f"mask of length {finger.k} cannot gate strings of lengths "
             f"{len(query)} and {len(enrolled)}"
         )
     if mask_both:
-        query = BitString(query.bits & model.mask)
-    enrolled = BitString(enrolled.bits & model.mask)
+        query = BitString(query.bits & finger.mask)
+    enrolled = BitString(enrolled.bits & finger.mask)
     return intersection_score(query, enrolled)
 
 
@@ -851,7 +847,7 @@ def make_impression_oracle(
     subject_index: int,
     impression_index: int,
 ) -> Tuple[MinutiaTemplate, GrayImage]:
-    """One noisy impression of a subject, fully keyed by its indices."""
+    """One noisy impression of a subject, fully keyed and named by its indices."""
     rng = keyed_rng(params.seed, _STREAM_IMPRESSION, subject_index, impression_index)
     noise_rng = keyed_rng(params.seed, _STREAM_NOISE, subject_index, impression_index)
 
@@ -887,7 +883,8 @@ def make_impression_oracle(
         kind = "T" if rng.random() < 0.5 else "B"
         minutiae.append(Minutia(x, y, wrap_angle(theta), kind, int(rng.integers(20, 60))))
 
-    template = MinutiaTemplate(minutia_array(minutiae), w, h)
+    template = MinutiaTemplate(minutia_array(minutiae), w, h, subject_id(subject_index),
+                               impression_id(impression_index))
     image = render_image_oracle(master, params, rotation, translation, noise_rng=noise_rng)
     return template, image
 
@@ -900,10 +897,8 @@ def synth_dataset_oracle(
     for s in range(params.n_subjects):
         master = make_master(params, s)
         for i in range(params.n_impressions):
-            template, image = make_impression_oracle(master, params, s, i)
-            template.subject_id = subject_id(s)
-            template.impression_id = impression_id(i)
-            items[(template.subject_id, template.impression_id)] = (template, image)
+            items[(subject_id(s), impression_id(i))] = make_impression_oracle(
+                master, params, s, i)
     return items
 
 

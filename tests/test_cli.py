@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_enroll_encodes_only_the_enrollment_impressions(workdir, tmp_path, monke
     # the fingers as enrolled from the whole encoded grid
     encoded = pipeline.encode_dataset(items, model)
     split = pipeline.split_keys(encoded, model.config.enroll_size)
-    want = {sid: save_finger(*pipeline.enroll_subject(sid, [encoded[k] for k in keys], model))
+    want = {sid: save_finger(pipeline.enroll_subject(sid, [encoded[k] for k in keys], model))
             for sid, (keys, _) in split.items()}
 
     calls = []
@@ -187,6 +188,45 @@ def test_match_bits_lines_match_one_pair_oracle(workdir, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("kind", ["lgs", "bits"])
+def test_match_out_writes_non_ascii_ids_as_utf8(workdir, tmp_path, capsys, kind):
+    # load_dataset and encode take the id; the written scores must hold it too
+    data, bits = tmp_path / "data", tmp_path / "bits"
+    for sub in ("templates", "images"):
+        os.makedirs(data / sub)
+        for name in os.listdir(os.path.join(workdir["data"], sub)):
+            if name.startswith("s001_"):
+                shutil.copy(os.path.join(workdir["data"], sub, name),
+                            data / sub / name.replace("s001", "sé01"))
+    assert main(["encode", "--dataset", str(data), "--model", workdir["model"],
+                 "--out-dir", str(bits)]) == 0
+    assert "sé01_01.fpbs" in os.listdir(bits)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("sé01 01 sé01 02\n", encoding="utf-8")
+    inputs = {"lgs": ["--model", workdir["model"], "--dataset", str(data)],
+              "bits": ["--bits-dir", str(bits)]}[kind]
+    command = ["match", "--kind", kind, "--pairs", str(pairs), *inputs]
+    capsys.readouterr()
+    assert main(command) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("sé01 01 sé01 02 ")
+    out = tmp_path / "scores.txt"
+    assert main(command + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
+def test_match_masked_refuses_a_finger_file_of_another_finger(workdir, tmp_path, capsys):
+    fingers = tmp_path / "fingers"
+    fingers.mkdir()
+    shutil.copy(os.path.join(workdir["fingers"], "s001.fpfm"), fingers / "s009.fpfm")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("s009 01 s001 02\n")
+    assert main(["match", "--kind", "masked", "--pairs", str(pairs), "--model",
+                 workdir["model"], "--bits-dir", workdir["bits"],
+                 "--fingers-dir", str(fingers)]) == 2
+    assert_one_error_line(capsys, "'s001'", "'s009'")
+
+
 def _load_bits_and_fingers(workdir):
     bits = {}
     for name in sorted(os.listdir(workdir["bits"])):
@@ -203,8 +243,7 @@ def _load_bits_and_fingers(workdir):
 def _masked_oracle_lines(bits, fingers, pairs, mask_both):
     want = []
     for a, b in pairs:
-        finger, reference = fingers[a[0]]
-        want.append(_oracle_line(*a, *b, masked_score(bits[b], reference, finger, mask_both)))
+        want.append(_oracle_line(*a, *b, masked_score(bits[b], fingers[a[0]], mask_both)))
     return want
 
 
@@ -361,8 +400,8 @@ def test_inspect_finger_with_a_non_canonical_mask_byte_exits_2_with_one_line(
     rng = np.random.default_rng(5)
     finger = FingerModel(finger_id="s001", power=rng.uniform(0, 2, 16),
                          reliability=rng.uniform(0, 1, 16), mask=rng.random(16) < 0.5,
-                         n_mean=20.0)
-    blob = bytearray(save_finger(finger, BitString(rng.random(16) < 0.5)))
+                         n_mean=20.0, reference=rng.random(16) < 0.5)
+    blob = bytearray(save_finger(finger))
     blob[-32] = 2  # the first mask byte; the enrolled bytes follow the mask
     path = tmp_path / "s001.fpfm"
     path.write_bytes(bytes(blob))
@@ -378,8 +417,9 @@ def _fpbs_with_template_length(template_length):
 
 def _fpfm_with_template_length_32():
     finger = FingerModel(finger_id="s001", power=np.ones(16), reliability=np.ones(16),
-                         mask=np.ones(16, dtype=bool), n_mean=20.0)
-    blob = save_finger(finger, BitString(np.ones(16, dtype=bool)))
+                         mask=np.ones(16, dtype=bool), n_mean=20.0,
+                         reference=np.ones(16, dtype=bool))
+    blob = save_finger(finger)
     old, new = b'"template_length":16', b'"template_length":32'
     assert blob.count(old) == 1
     return blob.replace(old, new)  # the same header length

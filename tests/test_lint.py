@@ -15,6 +15,9 @@ module imports it or reads it as ``module._name``.
 A template's minutiae are one structured array, read by column. Only
 ``template_io``, which parses and writes them one text line each, and
 ``synth``, which draws them one at a time, iterate over them in Python.
+
+A dataclass that checks its values in ``__post_init__`` is frozen, so no
+assignment after construction skips the check.
 """
 
 import ast
@@ -235,3 +238,71 @@ def test_the_check_sees_minutia_loops():
         "    return [t for t in thetas], sorted(template.minutiae[:n])\n"
     )
     assert minutia_loops(tree) == [2, 4, 5, 6, 10]
+
+
+def _names_dataclass(node):
+    """Whether a decorator is ``dataclass`` or ``dataclasses.dataclass``, called or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return ((isinstance(node, ast.Name) and node.id == "dataclass")
+            or (isinstance(node, ast.Attribute) and node.attr == "dataclass"))
+
+
+def _frozen(decorator):
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in decorator.keywords
+    )
+
+
+def unfrozen_checked_records(tree):
+    """``(line, name)`` of each dataclass that defines ``__post_init__`` but is not frozen."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d for d in node.decorator_list if _names_dataclass(d)]
+        checks = any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                     for item in node.body)
+        if decorators and checks and not any(_frozen(d) for d in decorators):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_checked_records_are_frozen(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    records = unfrozen_checked_records(tree)
+    assert not records, f"{path.name}: __post_init__ in a record that is not frozen: {records}"
+
+
+def test_the_check_sees_unfrozen_checked_records():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclass(eq=False)\n"
+        "class B:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclasses.dataclass(frozen=False)\n"
+        "class C:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclasses.dataclass(eq=False, frozen=True)\n"
+        "class E:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclass\n"
+        "class F:\n"
+        "    x: int = 0\n"
+        "class G:\n"
+        "    def __post_init__(self): pass\n"
+        "def f():\n"
+        "    @dataclass\n"
+        "    class H:\n"
+        "        def __post_init__(self): pass\n"
+    )
+    assert unfrozen_checked_records(tree) == [(4, "A"), (7, "B"), (10, "C"), (25, "H")]

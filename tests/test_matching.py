@@ -231,7 +231,7 @@ def test_intersection_length_checks():
 # masked score
 # ---------------------------------------------------------------------------
 
-def finger_with_mask(mask):
+def finger_with_mask(mask, reference):
     m = np.asarray(mask, dtype=bool)
     k = m.shape[0]
     return FingerModel(
@@ -240,31 +240,30 @@ def finger_with_mask(mask):
         reliability=np.zeros(k),
         mask=m,
         n_mean=5.0,
+        reference=np.asarray(reference, dtype=bool),
     )
 
 
 def test_masked_score_both_sides():
     query = bits(0, 1, 2, 3, k=6)
-    enrolled = bits(1, 2, 4, k=6)
-    finger = finger_with_mask([0, 1, 1, 1, 0, 0])
-    got = masked_score(query, enrolled, finger, mask_both=True)
+    finger = finger_with_mask([0, 1, 1, 1, 0, 0], bits(1, 2, 4, k=6).bits)
+    got = masked_score(query, finger, mask_both=True)
     want = oracles.intersection_score(bits(1, 2, 3, k=6), bits(1, 2, k=6))
     assert got.value == want.value
 
 
 def test_masked_score_enrolled_only():
     query = bits(0, 1, 2, 3, k=6)
-    enrolled = bits(1, 2, 4, k=6)
-    finger = finger_with_mask([0, 1, 1, 1, 0, 0])
-    got = masked_score(query, enrolled, finger, mask_both=False)
+    finger = finger_with_mask([0, 1, 1, 1, 0, 0], bits(1, 2, 4, k=6).bits)
+    got = masked_score(query, finger, mask_both=False)
     want = oracles.intersection_score(query, bits(1, 2, k=6))
     assert got.value == want.value
 
 
 def test_masked_score_length_check():
-    finger = finger_with_mask([1, 0, 1])
+    finger = finger_with_mask([1, 0, 1], bits(1, k=4).bits)
     with pytest.raises(LengthMismatch):
-        masked_score(bits(0, k=4), bits(1, k=4), finger, mask_both=True)
+        masked_score(bits(0, k=4), finger, mask_both=True)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +370,7 @@ def test_masked_scores_match_one_pair_oracle(k, mask_both):
     masks[5] = False  # a mask that keeps nothing
     values, common = masked_scores(query, enrolled, masks, mask_both)
     want = [
-        oracles.masked_score(BitString(q), BitString(e), finger_with_mask(m), mask_both)
+        oracles.masked_score(BitString(q), finger_with_mask(m, e), mask_both)
         for q, e, m in zip(query, enrolled, masks)
     ]
     assert_matches_pairwise(values, common, want)

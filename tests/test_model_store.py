@@ -1,5 +1,6 @@
 """Binary artifact containers: byte determinism, round-trips, corruption."""
 
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 
 from fpbits import local_structures
 from fpbits.bit_training import FingerModel
-from fpbits.codebook import BitString, cardinality_weights
+from fpbits.codebook import BitString, Codebook, DistanceVector, cardinality_weights
 from fpbits.config import PipelineConfig, serialize_config
 from fpbits.errors import (
     BadMagic,
@@ -22,6 +23,7 @@ from fpbits.matching import fold_compress, intersection_score, masked_score
 from fpbits.model_store import (
     MODEL_MAGIC,
     _DTYPES,
+    PipelineModel,
     _pack,
     load_bitstring,
     load_finger,
@@ -34,7 +36,9 @@ from fpbits.model_store import (
 )
 from fpbits.local_structures import StructureGeometry
 from fpbits.pipeline import encode_impression, train_model
+from fpbits.subspace_fusion import PcaModel
 from fpbits.synth import SynthParams, synth_dataset
+from fpbits.template_io import MINUTIA_DTYPE, GrayImage, MinutiaTemplate
 
 
 def tiny_model():
@@ -158,15 +162,16 @@ def test_finger_roundtrip():
         reliability=rng.uniform(0, 1, k),
         mask=rng.random(k) < 0.5,
         n_mean=27.5,
+        reference=rng.random(k) < 0.5,
     )
-    enrolled = BitString(rng.random(k) < 0.5)
-    back_finger, back_enrolled = load_finger(save_finger(finger, enrolled))
-    assert back_finger.finger_id == "s014"
-    assert np.array_equal(back_finger.power, finger.power)
-    assert np.array_equal(back_finger.reliability, finger.reliability)
-    assert np.array_equal(back_finger.mask, finger.mask)
-    assert back_finger.n_mean == finger.n_mean
-    assert back_enrolled == enrolled
+    blob = save_finger(finger)
+    back = load_finger(blob)
+    assert back.finger_id == "s014"
+    for name in ("power", "reliability", "mask", "reference"):
+        got, want = getattr(back, name), getattr(finger, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert back.n_mean == finger.n_mean
+    assert save_finger(load_finger(blob)) == blob
 
 
 def test_write_file_atomic_replaces(tmp_path):
@@ -209,14 +214,14 @@ def test_write_file_atomic_mode_follows_umask(tmp_path):
 
 def _finger(k=8, power_len=None):
     rng = np.random.default_rng(223)
-    finger = FingerModel(
+    return FingerModel(
         finger_id="s001",
         power=rng.uniform(0, 2, power_len or k),
         reliability=rng.uniform(0, 1, k),
         mask=rng.random(k) < 0.5,
         n_mean=20.0,
+        reference=rng.random(k) < 0.5,
     )
-    return finger, BitString(rng.random(k) < 0.5)
 
 
 def _repack(blob, magic, edit):
@@ -229,24 +234,22 @@ def _repack(blob, magic, edit):
 
 
 def test_finger_array_lengths_must_agree():
-    finger, enrolled = _finger(k=8, power_len=9)
     with pytest.raises(MalformedHeader):
-        load_finger(save_finger(finger, enrolled))
+        load_finger(save_finger(_finger(k=8, power_len=9)))
 
 
 @pytest.mark.parametrize("name, offset", [("mask", -32), ("enrolled", -16)])
 @pytest.mark.parametrize("value", [2, 255])
 def test_finger_flags_other_than_0_and_1_rejected(name, offset, value):
     # K = 16: the file ends with the 16 mask bytes, then the 16 enrolled bytes
-    finger, enrolled = _finger(k=16)
-    blob = save_finger(finger, enrolled)
+    blob = save_finger(_finger(k=16))
     assert set(blob[-32:]) <= {0, 1}
     bad = bytearray(blob)
     bad[offset + 5] = value
     with pytest.raises(MalformedHeader, match=name):
         load_finger(bytes(bad))
     # the canonical file loads and saves back to the same bytes
-    assert save_finger(*load_finger(blob)) == blob
+    assert save_finger(load_finger(blob)) == blob
 
 
 def _finger_meta(blob):
@@ -260,13 +263,11 @@ def test_containers_write_the_bit_count_as_template_length(k):
     blob = save_bitstring(bs)
     assert int.from_bytes(blob[8:12], "little") == k  # template length
     assert int.from_bytes(blob[12:16], "little") == k  # bit count
-    finger, _ = _finger(k=k)
-    assert _finger_meta(save_finger(finger, bs))["template_length"] == k
+    assert _finger_meta(save_finger(_finger(k=k)))["template_length"] == k
 
 
 def _fpfm_with_template_length(k, template_length):
-    finger, enrolled = _finger(k=k)
-    return _repack(save_finger(finger, enrolled), b"FPFM",
+    return _repack(save_finger(_finger(k=k)), b"FPFM",
                    lambda h: h["meta"].update(template_length=template_length))
 
 
@@ -300,7 +301,7 @@ def test_bitstring_template_length_above_bit_count_rejected():
 
 @pytest.mark.parametrize("loader, blob", [
     (load_bitstring, save_bitstring(BitString(np.ones(10, dtype=bool)))),
-    (load_finger, save_finger(*_finger())),
+    (load_finger, save_finger(_finger())),
 ], ids=["fpbs", "fpfm"])
 def test_trailing_bytes_rejected(loader, blob):
     loader(blob)
@@ -412,7 +413,7 @@ def test_other_encodings_are_rejected(name):
         blob, load = save_model(tiny_model()[1]), load_model
         other = OTHER_MODEL_ENCODINGS[name](blob)
     else:
-        blob, load = save_finger(*_finger()), load_finger
+        blob, load = save_finger(_finger()), load_finger
         other = OTHER_FINGER_ENCODINGS[name](blob)
     assert other != blob
     load(blob)
@@ -420,11 +421,48 @@ def test_other_encodings_are_rejected(name):
         load(other)
 
 
+def _pca(dim):
+    return PcaModel(np.zeros(dim), np.eye(dim, 2), np.ones(2))
+
+
+# each record checked at construction, or built from checked ones
+FROZEN_RECORDS = {
+    "PipelineConfig": PipelineConfig,
+    "SynthParams": SynthParams,
+    "MinutiaTemplate": lambda: MinutiaTemplate(np.zeros(0, MINUTIA_DTYPE), 10, 10),
+    "GrayImage": lambda: GrayImage(np.zeros((2, 3), dtype=np.uint8)),
+    "DistanceVector": lambda: DistanceVector(np.zeros(4)),
+    "Codebook": lambda: Codebook(np.zeros((2, 4)), np.ones(2), np.array([3, 1])),
+    "PcaModel": lambda: _pca(4),
+    "PipelineModel": lambda: PipelineModel(
+        config=PipelineConfig(r_m=12.0, r_t=4.0, K=2, n_p=2), pca_m=_pca(13), pca_t=_pca(49),
+        codebook=Codebook(np.zeros((2, 4)), np.ones(2), np.array([3, 1])),
+        population_mean=np.zeros(2)),
+    "FingerModel": lambda: _finger(k=4),
+}
+# after these assignments, a model saved from the config was refused by its own loader
+CONFIG_DRIFT = [("r_t", 40), ("gate_all", "no")]
+
+
+@pytest.mark.parametrize("name", ["config drift"] + sorted(FROZEN_RECORDS))
+def test_checked_records_refuse_assignment(name):
+    if name == "config drift":
+        record, assignments = PipelineConfig(), CONFIG_DRIFT
+    else:
+        record = FROZEN_RECORDS[name]()
+        assignments = [(f.name, None) for f in dataclasses.fields(record)]
+    for field, value in assignments:
+        before = getattr(record, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, value)
+        assert getattr(record, field) is before, field
+
+
 def test_written_float_fields_keep_one_spelling():
     # an int given to a float field is stored as a float, so the model text
     # spells it as the config reader does, and the model loads
     _, model = tiny_model()
-    model.config = PipelineConfig(**dict(vars(model.config), r_t=40))
+    model = dataclasses.replace(model, config=dataclasses.replace(model.config, r_t=40))
     assert "\nr_t = 40.0\n" in serialize_config(model.config)
     blob = save_model(model)
     assert save_model(load_model(blob)) == blob
@@ -544,10 +582,9 @@ def test_fuzz_model_headers_at_seed_7():
 
 
 def test_fuzz_finger_headers():
-    blob = save_finger(*_finger())
-    _fuzz(blob, 12 + int.from_bytes(blob[8:12], "little"), load_finger,
-          lambda fe: save_finger(*fe),
-          lambda fe: masked_score(fe[1], fe[1], fe[0], mask_both=True), seed=1302)
+    blob = save_finger(_finger())
+    _fuzz(blob, 12 + int.from_bytes(blob[8:12], "little"), load_finger, save_finger,
+          lambda f: masked_score(BitString(f.reference), f, mask_both=True), seed=1302)
 
 
 def test_fuzz_bitstring_headers():

@@ -436,7 +436,7 @@ def loop_split(encoded, model):
         by_subject.setdefault(key[0], []).append(key)
     size = model.config.enroll_size
     subjects = sorted(by_subject)
-    enrolled = {
+    fingers = {
         s: enroll_subject(s, [encoded[k] for k in by_subject[s][:size]], model)
         for s in subjects
     }
@@ -444,15 +444,16 @@ def loop_split(encoded, model):
     mask_both = model.config.mask_both
     g_t, g_p, i_t, i_p = [], [], [], []
     for s in subjects:
-        finger, reference = enrolled[s]
+        finger = fingers[s]
+        reference = BitString(finger.reference)
         for key in tests[s]:
             query = encoded[key].bits
-            g_t.append(masked_score(query, reference, finger, mask_both).value)
+            g_t.append(masked_score(query, finger, mask_both).value)
             g_p.append(intersection_score(query, reference).value)
         for t in subjects:
             if t != s:
                 query = encoded[tests[t][0]].bits
-                i_t.append(masked_score(query, reference, finger, mask_both).value)
+                i_t.append(masked_score(query, finger, mask_both).value)
                 i_p.append(intersection_score(query, reference).value)
     return (compute_eer(g_t, i_t, POLARITY_SIMILARITY),
             compute_eer(g_p, i_p, POLARITY_SIMILARITY))
@@ -525,7 +526,6 @@ def test_split_matches_pair_loop(encoded_run, mask_both, enroll_size):
     assert_same_report(got.untrained, plain)
     assert got.n_genuine == trained.genuine_scores.size
     assert got.n_impostor == trained.impostor_scores.size
-    assert sorted(got.fingers) == sorted({key[0] for key in encoded})
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def test_fvc_lgs_on_one_impression_pairs_nothing(small_run, monkeypatch):
 
 def assert_enrolls_like_the_oracles(samples, model):
     """``enroll_subject`` against the per-object variance, reliability and OR."""
-    finger, reference = enroll_subject("f", samples, model)
+    finger = enroll_subject("f", samples, model)
     cfg = model.config
     variance = interclass_variance([e.distances for e in samples], model.population_mean)
     power = discrimination_power(variance, model.codebook.weights)
@@ -611,7 +611,8 @@ def assert_enrolls_like_the_oracles(samples, model):
     assert np.array_equal(finger.power, power)
     assert np.array_equal(finger.reliability, rel)
     assert np.array_equal(finger.mask, train_mask(power, rel, n_mean, cfg.alpha, cfg.beta))
-    assert reference == enrolled_reference([e.bits for e in samples], model.codebook.k)
+    want = enrolled_reference([e.bits for e in samples], model.codebook.k)
+    assert BitString(finger.reference) == want
 
 
 def test_enroll_subject_matches_oracles_on_encodings(encoded_run):

@@ -142,6 +142,23 @@ def test_params_reject_non_int_counts_sizes_and_seed(name, value):
         SynthParams(**{name: value})
 
 
+REAL_FIELD_CASES = [
+    ("dropout", True),  # was taken as 1.0: every minutia dropped
+    ("noise_std", True),
+    ("rotation_deg", "5"),
+    ("ridge_freq", None),
+    ("jitter_base", 10**400),  # an int past float's range
+    ("margin", 10**400),
+]
+
+
+@pytest.mark.parametrize("name, value", REAL_FIELD_CASES,
+                         ids=[f"{n}={v!r}"[:24] for n, v in REAL_FIELD_CASES])
+def test_real_fields_take_their_defaults_type(name, value):
+    with pytest.raises(FieldOutOfRange, match=f"^{name} must be "):
+        SynthParams(**{name: value})
+
+
 def test_keyed_rng_reproducible():
     a = keyed_rng(7, 1, 2, 3).normal(size=5)
     b = keyed_rng(7, 1, 2, 3).normal(size=5)
@@ -172,6 +189,7 @@ def test_impressions_independent_of_generation_order():
     t_ref, i_ref = items[("s003", "02")]
     assert np.array_equal(image.pixels, i_ref.pixels)
     assert template.minutiae.tolist() == t_ref.minutiae.tolist()
+    assert (template.subject_id, template.impression_id) == ("s003", "02")
 
 
 def test_dataset_shape_and_ids():

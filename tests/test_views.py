@@ -89,12 +89,12 @@ def check_intersection_score(items, model, encoded, fingers):
 
 
 def check_masked_score(items, model, encoded, fingers):
-    for (finger, reference), key, mask_both in itertools.product(
+    for finger, key, mask_both in itertools.product(
         fingers.values(), sorted(encoded), (True, False)
     ):
         query = encoded[key].bits
-        got = matching.masked_score(query, reference, finger, mask_both)
-        assert got == oracles.masked_score(query, reference, finger, mask_both)
+        got = matching.masked_score(query, finger, mask_both)
+        assert got == oracles.masked_score(query, finger, mask_both)
 
 
 def check_fvc_pairs(items, model, encoded, fingers):
@@ -117,9 +117,10 @@ def test_view_matches_its_oracle(synth_run, name):
     CHECKS[name](*synth_run)
 
 
-def finger(k):
+def finger(k, reference_k=None):
     return FingerModel(finger_id="f", power=np.zeros(k), reliability=np.zeros(k),
-                       mask=np.ones(k, dtype=bool), n_mean=5.0)
+                       mask=np.ones(k, dtype=bool), n_mean=5.0,
+                       reference=np.ones(reference_k or k, dtype=bool))
 
 
 ONES = np.ones(12, dtype=bool)
@@ -129,9 +130,9 @@ TYPED_ERRORS = {
     "intersection strings": (LengthMismatch, lambda: matching.intersection_score(
         BitString(ONES), BitString(ONES[:10]))),
     "masked mask": (LengthMismatch, lambda: matching.masked_score(
-        BitString(ONES), BitString(ONES), finger(10), True)),
+        BitString(ONES), finger(10, reference_k=12), True)),
     "masked strings": (LengthMismatch, lambda: matching.masked_score(
-        BitString(ONES), BitString(ONES[:10]), finger(12), False)),
+        BitString(ONES), finger(12, reference_k=10), False)),
     "fvc_pairs no subjects": (EmptyScores, lambda: protocol.fvc_pairs(0, 4)),
 }
 
