@@ -25,6 +25,7 @@ from .errors import (
     EmptyImage,
     EmptyTrainingSet,
     LengthMismatch,
+    MalformedHeader,
     PoolTooSmall,
 )
 
@@ -70,7 +71,9 @@ class DistanceVector:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64).ravel())
+        values = np.asarray(self.values, dtype=np.float64).ravel()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -81,7 +84,9 @@ class Codebook:
     """Fitted cluster vocabulary; bit conversion's parameters come from the config.
 
     ``weights`` is derived from ``cardinalities`` by
-    :func:`cardinality_weights`, so the two cannot disagree.
+    :func:`cardinality_weights`, so the two cannot disagree. The constructor
+    checks K >= 1, the shapes and integer cardinalities, and makes every
+    array read-only.
     """
 
     centroids: np.ndarray  # (K, dim)
@@ -90,7 +95,14 @@ class Codebook:
     weights: np.ndarray = field(init=False)  # (K,) in [0, 1]
 
     def __post_init__(self):
+        shapes = self.centroids.shape, self.radii.shape, self.cardinalities.shape
+        if (len(shapes[0]) != 2 or shapes[0][0] < 1 or shapes[1:] != (shapes[0][:1],) * 2
+                or self.cardinalities.dtype.kind not in "iu"):
+            raise MalformedHeader(f"codebook needs K >= 1 rows of centroids, radii and integer "
+                                  f"cardinalities, got shapes {shapes}")
         object.__setattr__(self, "weights", cardinality_weights(self.cardinalities))
+        for array in (self.centroids, self.radii, self.cardinalities, self.weights):
+            array.flags.writeable = False
 
     @property
     def k(self) -> int:
@@ -236,10 +248,8 @@ def kmeans_train(
         if (counts == 0).any():
             own = d[np.arange(n), assign]
             for empty in np.flatnonzero(counts == 0):
-                eligible = counts[assign] >= 2
-                if not eligible.any():
-                    break  # cannot happen while n >= k, kept as a guard
-                cand = np.where(eligible, own, -np.inf)
+                # n >= k: each empty cluster leaves another with two or more members
+                cand = np.where(counts[assign] >= 2, own, -np.inf)
                 far = int(cand.argmax())
                 counts[assign[far]] -= 1
                 assign[far] = empty

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import MalformedHeader
 from .template_io import read_text
@@ -58,49 +58,57 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self, MalformedHeader)
-        # comparisons are written so that they fail on NaN as well
-        for name in ("r_m", "r_t", "sigma_t0", "sigma_t_slope", "sigma_r0", "sigma_r_slope"):
-            if not getattr(self, name) > 0.0:
-                raise MalformedHeader(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.downscale_area >= 1.0:
-            raise MalformedHeader(
-                f"downscale_area must be >= 1, got {self.downscale_area}"
-            )
+        check_record(self, MalformedHeader, _CONFIG_RULES)
         if not self.sigma_t_slope >= self.sigma_r_slope:
-            raise MalformedHeader(
-                f"sigma_t_slope ({self.sigma_t_slope}) must be >= sigma_r_slope "
-                f"({self.sigma_r_slope})"
-            )
-        minimums = (
-            ("n_p", 2), ("K", 1), ("N_c", 1), ("top_t", 1), ("kmeans_max_iters", 1),
-            ("enroll_size", 1), ("min_nL", 1), ("seed", 0), ("pca_subsample", 0),
-        )
-        for name, low in minimums:
-            if getattr(self, name) < low:
-                raise MalformedHeader(f"{name} must be >= {low}, got {getattr(self, name)}")
+            raise MalformedHeader(f"sigma_t_slope ({self.sigma_t_slope}) must be >= "
+                                  f"sigma_r_slope ({self.sigma_r_slope})")
         if self.max_nL < self.min_nL:
-            raise MalformedHeader(
-                f"max_nL ({self.max_nL}) must be >= min_nL ({self.min_nL})"
-            )
+            raise MalformedHeader(f"max_nL ({self.max_nL}) must be >= min_nL ({self.min_nL})")
 
 
-def check_field_types(record, error: type) -> None:
-    """Raise ``error`` unless each field of the dataclass ``record`` has its default's type.
+_CONFIG_RULES = (
+    (("r_m", "r_t", "sigma_t0", "sigma_t_slope", "sigma_r0", "sigma_r_slope"),
+     lambda v: v > 0.0, "> 0"),
+    (("downscale_area",), lambda v: v >= 1.0, ">= 1"),
+    (("n_p",), lambda v: v >= 2, ">= 2"),
+    (("K", "N_c", "top_t", "kmeans_max_iters", "enroll_size", "min_nL"),
+     lambda v: v >= 1, ">= 1"),
+    (("seed", "pca_subsample"), lambda v: v >= 0, ">= 0"),
+)
 
-    A float field also takes an int, must be finite and is stored as a float,
-    so the config text spells it one way. A bool is an int to Python, so it
-    is refused where no bool is asked for.
+
+def check_fields(values: Mapping, kinds: Mapping[str, type], error: type, rules=()) -> dict:
+    """The entry of ``values`` for each name in ``kinds``, checked, or raise ``error``.
+
+    Each entry must have its kind (a missing one reads as None). A float also
+    takes an int, must be finite and comes back a float, so text spells it
+    one way. A bool is an int to Python, so it is refused where no bool is
+    asked for. Then ``ok(value)`` must hold for the names of each ``(names,
+    ok, text)`` of ``rules``, or the error reads ``{name} must be {text}, got {value}``.
     """
-    for f in dataclasses.fields(record):
-        value, kind = getattr(record, f.name), type(f.default)
+    checked = {}
+    for name, kind in kinds.items():
+        value = values.get(name)
         takes = (int, float) if kind is float else kind
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, takes):
-            raise error(f"{f.name} must be of type {kind.__name__}, got {value!r}")
+            raise error(f"{name} must be of type {kind.__name__}, got {value!r}")
         if kind is float:
             if not abs(value) <= sys.float_info.max:
-                raise error(f"{f.name} must be finite, got {value}")
-            object.__setattr__(record, f.name, float(value))
+                raise error(f"{name} must be finite, got {value}")
+            value = float(value)
+        checked[name] = value
+    for names, ok, text in rules:
+        for name in names:
+            if not ok(checked[name]):
+                raise error(f"{name} must be {text}, got {checked[name]}")
+    return checked
+
+
+def check_record(record, error: type, rules=()) -> None:
+    """:func:`check_fields` of a frozen dataclass, each field of its default's kind, in place."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(record)}
+    for name, value in check_fields(vars(record), kinds, error, rules).items():
+        object.__setattr__(record, name, value)
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,

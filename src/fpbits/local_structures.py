@@ -65,6 +65,10 @@ class StructureGeometry:
     lattice_m: np.ndarray = field(repr=False)
     lattice_t: np.ndarray = field(repr=False)
 
+    def __post_init__(self):  # from_config builds the lattices from a checked config
+        self.lattice_m.flags.writeable = False
+        self.lattice_t.flags.writeable = False
+
     @staticmethod
     def lattice_radii(config: PipelineConfig) -> Tuple[float, float]:
         """The disc radii of ``lattice_m`` and ``lattice_t``."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -26,7 +25,7 @@ import numpy as np
 
 from .bit_training import FingerModel
 from .codebook import BitString, Codebook
-from .config import PipelineConfig, parse_config, serialize_config
+from .config import PipelineConfig, check_fields, parse_config, serialize_config
 from .errors import (
     BadMagic,
     MalformedHeader,
@@ -53,7 +52,8 @@ class PipelineModel:
     ``config`` is the only home of every configured value; ``geometry`` is
     derived from it. ``population_mean`` is the two-stage mean of the
     training impressions' distance vectors, which enrollment measures each
-    finger's spread against.
+    finger's spread against. The constructor checks every array's shape
+    against the config and its geometry, and keeps ``population_mean`` read-only.
     """
 
     config: PipelineConfig
@@ -64,7 +64,16 @@ class PipelineModel:
     geometry: StructureGeometry = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "geometry", StructureGeometry.from_config(self.config))
+        geometry = StructureGeometry.from_config(self.config)
+        object.__setattr__(self, "geometry", geometry)
+        p, k = self.config.n_p, self.config.K
+        shapes = (self.pca_m.basis.shape, self.pca_t.basis.shape,
+                  self.codebook.centroids.shape, self.population_mean.shape)
+        expected = ((geometry.n_m, p), (geometry.n_t, p), (k, 2 * p), (k,))
+        if shapes != expected:  # bases, centroids, population mean
+            raise MalformedHeader(f"model arrays disagree with the model's config: "
+                                  f"shapes {shapes}, expected {expected}")
+        self.population_mean.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +89,7 @@ def _pack(magic: bytes, meta: dict, arrays: List[Tuple[str, np.ndarray, str]]) -
         ],
     }
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head = magic + CONTAINER_VERSION.to_bytes(4, "little") + len(hjson).to_bytes(4, "little")
+    head = _head(magic, len(hjson))
     # join copies each array's buffer once; ascontiguousarray converts only an
     # array whose dtype or layout differs. Every load re-saves, so this is on
     # the load path too
@@ -88,21 +97,20 @@ def _pack(magic: bytes, meta: dict, arrays: List[Tuple[str, np.ndarray, str]]) -
     return b"".join([head, hjson, *data])
 
 
-def _check_meta(meta: dict, schema: Dict[str, type]) -> None:
-    """Every schema key present with its type; a float must be finite."""
-    for key, kind in schema.items():
-        value = meta.get(key)
-        # JSON true/false load as bool, a subclass of int: only accept it
-        # where a bool is asked for. The bound rejects NaN, infinities and
-        # integers too large for a float.
-        if kind is float:
-            ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        else:
-            ok = type(value) is kind
-        if not ok:
-            raise MalformedHeader(
-                f"header field {key!r} must be a {kind.__name__}, got {value!r}"
-            )
+def _head(magic: bytes, *words: int) -> bytes:
+    """A container's head: the magic, the version word, then ``words``, little-endian."""
+    return magic + b"".join(w.to_bytes(4, "little") for w in (CONTAINER_VERSION, *words))
+
+
+def _check_head(magic: bytes, data: bytes, size: int) -> None:
+    """Check the magic and version words of a container at least ``size`` bytes long."""
+    if len(data) < 4 or data[:4] != magic:
+        raise BadMagic(f"expected magic {magic!r}, got {data[:4]!r}")
+    if len(data) < size:
+        raise TruncatedRecord(f"{magic.decode()} header truncated")
+    version = int.from_bytes(data[4:8], "little")
+    if version != CONTAINER_VERSION:
+        raise UnsupportedVersion(f"{magic.decode()} version {version} not supported")
 
 
 def _unpack(
@@ -111,20 +119,14 @@ def _unpack(
     meta_schema: Dict[str, type],
     array_schema: Dict[str, Tuple[str, Tuple]],
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Parse a container and check its header against a schema.
+    """Decode a container: its head, its header's fields and its arrays.
 
-    ``array_schema`` maps each array name to its dtype code and shape. A
-    shape entry is an int, or a name that binds to the first size seen for
-    it and must repeat wherever else it appears. Every array is required,
-    and no other may appear.
+    ``meta_schema`` gives each header field's type, for :func:`check_fields`.
+    ``array_schema`` maps each array name to its dtype code and shape, in
+    which ``None`` takes any size; how sizes agree is the records' rule.
+    Every array is required, and no other may appear.
     """
-    if len(data) < 4 or data[:4] != magic:
-        raise BadMagic(f"expected magic {magic!r}, got {data[:4]!r}")
-    if len(data) < 12:
-        raise TruncatedRecord("container header truncated")
-    version = int.from_bytes(data[4:8], "little")
-    if version != CONTAINER_VERSION:
-        raise UnsupportedVersion(f"container version {version} not supported")
+    _check_head(magic, data, 12)
     hlen = int.from_bytes(data[8:12], "little")
     if len(data) < 12 + hlen:
         raise TruncatedRecord("container JSON header truncated")
@@ -140,11 +142,9 @@ def _unpack(
         or not isinstance(header.get("arrays"), list)
     ):
         raise MalformedHeader("container header needs a 'meta' object and an 'arrays' list")
-    meta = header["meta"]
-    _check_meta(meta, meta_schema)
+    meta = check_fields(header["meta"], meta_schema, MalformedHeader)
 
     arrays: Dict[str, np.ndarray] = {}
-    sizes: Dict[str, int] = {}
     pos = 12 + hlen
     for spec in header["arrays"]:
         name = spec.get("name") if isinstance(spec, dict) else None
@@ -157,19 +157,17 @@ def _unpack(
             or not isinstance(shape, list)
             or len(shape) != len(dims)
             or any(type(n) is not int or n < 0 for n in shape)
+            or any(dim not in (None, n) for dim, n in zip(dims, shape))
         ):
             raise MalformedHeader(
-                f"array {name!r} must be {code} of rank {len(dims)}, got "
+                f"array {name!r} must be {code} of shape {dims}, got "
                 f"{spec.get('dtype')!r} {shape!r}"
             )
-        for dim, n in zip(dims, shape):
-            expected = sizes.setdefault(dim, n) if isinstance(dim, str) else dim
-            if n != expected:
-                raise MalformedHeader(f"array {name!r} has shape {shape}, expected {dims}")
         dtype = np.dtype(_DTYPES[code])
         nbytes = math.prod(shape) * dtype.itemsize
         if pos + nbytes > len(data):
             raise TruncatedRecord(f"array {name!r} truncated")
+        # the copy aligns the array for BLAS; the record built from it freezes it
         arr = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=pos)
         arrays[name] = arr.reshape(shape).copy()
         pos += nbytes
@@ -238,32 +236,22 @@ def save_model(model: PipelineModel) -> bytes:
 
 
 _MODEL_META = {"kind": str, "config": str}
-# n_m / n_t: lattice points per family, p: components kept, K: clusters
 _MODEL_ARRAYS = {
-    "lattice_m": ("i8", ("n_m", 2)),
-    "lattice_t": ("i8", ("n_t", 2)),
-    "pca_m_mean": ("f8", ("n_m",)),
-    "pca_m_basis": ("f8", ("n_m", "p")),
-    "pca_m_variance": ("f8", ("p",)),
-    "pca_t_mean": ("f8", ("n_t",)),
-    "pca_t_basis": ("f8", ("n_t", "p")),
-    "pca_t_variance": ("f8", ("p",)),
-    "centroids": ("f8", ("K", "fused")),
-    "radii": ("f8", ("K",)),
-    "cardinalities": ("i8", ("K",)),
-    "global_mean": ("f8", ("K",)),
+    "lattice_m": ("i8", (None, 2)), "lattice_t": ("i8", (None, 2)),
+    "pca_m_mean": ("f8", (None,)), "pca_m_basis": ("f8", (None, None)),
+    "pca_m_variance": ("f8", (None,)), "pca_t_mean": ("f8", (None,)),
+    "pca_t_basis": ("f8", (None, None)), "pca_t_variance": ("f8", (None,)),
+    "centroids": ("f8", (None, None)), "radii": ("f8", (None,)),
+    "cardinalities": ("i8", (None,)), "global_mean": ("f8", (None,)),
 }
 
 
 def load_model(data: bytes) -> PipelineModel:
+    """Decode a model container; the records built from it check how its parts agree."""
     meta, arrays = _unpack(MODEL_MAGIC, data, _MODEL_META, _MODEL_ARRAYS)
     if meta["kind"] != "pipeline-model":
         raise MalformedHeader(f"not a pipeline model container: {meta['kind']!r}")
     config = parse_config(meta["config"])
-    basis_m, centroids = arrays["pca_m_basis"], arrays["centroids"]
-    # before the codebook is built: deriving its weights needs K >= 1
-    if basis_m.shape[1] != config.n_p or centroids.shape != (config.K, 2 * config.n_p):
-        raise MalformedHeader("model arrays disagree with the model's config")
     # the stored lattices guard against a change to the lattice construction; the re-save
     # compares them, and this bound first keeps a build near the file's size: radius R's
     # lattice spans -r..r for r = floor(R), with all 2r(r + 1) + 1 points |x| + |y| <= r
@@ -273,11 +261,9 @@ def load_model(data: bytes) -> PipelineModel:
             raise MalformedHeader(f"{name} disagrees with the model's config radius {radius}")
     model = PipelineModel(
         config=config,
-        pca_m=PcaModel(arrays["pca_m_mean"], basis_m, arrays["pca_m_variance"]),
-        pca_t=PcaModel(
-            arrays["pca_t_mean"], arrays["pca_t_basis"], arrays["pca_t_variance"]
-        ),
-        codebook=Codebook(centroids, arrays["radii"], arrays["cardinalities"]),
+        pca_m=PcaModel(arrays["pca_m_mean"], arrays["pca_m_basis"], arrays["pca_m_variance"]),
+        pca_t=PcaModel(arrays["pca_t_mean"], arrays["pca_t_basis"], arrays["pca_t_variance"]),
+        codebook=Codebook(arrays["centroids"], arrays["radii"], arrays["cardinalities"]),
         population_mean=arrays["global_mean"],
     )
     if save_model(model) != data:
@@ -295,24 +281,12 @@ def load_model_file(path: str) -> PipelineModel:
 # ---------------------------------------------------------------------------
 
 def save_bitstring(bs: BitString) -> bytes:
-    out = bytearray()
-    out += BITS_MAGIC
-    out += CONTAINER_VERSION.to_bytes(4, "little")
-    # the format's template-length word, which always equals the bit count
-    out += len(bs).to_bytes(4, "little")
-    out += len(bs).to_bytes(4, "little")
-    out += np.packbits(bs.bits).tobytes()
-    return bytes(out)
+    # the format's template-length word, which always equals the bit count, then the count
+    return _head(BITS_MAGIC, len(bs), len(bs)) + np.packbits(bs.bits).tobytes()
 
 
 def load_bitstring(data: bytes) -> BitString:
-    if len(data) < 4 or data[:4] != BITS_MAGIC:
-        raise BadMagic(f"expected magic {BITS_MAGIC!r}, got {data[:4]!r}")
-    if len(data) < 16:
-        raise TruncatedRecord("bit-string header truncated")
-    version = int.from_bytes(data[4:8], "little")
-    if version != CONTAINER_VERSION:
-        raise UnsupportedVersion(f"bit-string version {version} not supported")
+    _check_head(BITS_MAGIC, data, 16)
     template_length = int.from_bytes(data[8:12], "little")
     k = int.from_bytes(data[12:16], "little")
     if template_length != k:
@@ -353,19 +327,9 @@ def save_finger(finger: FingerModel) -> bytes:
     return _pack(FINGER_MAGIC, meta, arrays)
 
 
-_FINGER_META = {
-    "kind": str,
-    "finger_id": str,
-    "n_mean": float,
-    "template_length": int,
-}
-# K: bit positions
-_FINGER_ARRAYS = {
-    "power": ("f8", ("K",)),
-    "reliability": ("f8", ("K",)),
-    "mask": ("u1", ("K",)),
-    "enrolled": ("u1", ("K",)),
-}
+_FINGER_META = {"kind": str, "finger_id": str, "n_mean": float, "template_length": int}
+_FINGER_ARRAYS = {"power": ("f8", (None,)), "reliability": ("f8", (None,)),
+                  "mask": ("u1", (None,)), "enrolled": ("u1", (None,))}
 
 
 def load_finger(data: bytes) -> FingerModel:
@@ -385,7 +349,7 @@ def load_finger(data: bytes) -> FingerModel:
         power=arrays["power"],
         reliability=arrays["reliability"],
         mask=arrays["mask"].astype(bool),
-        n_mean=float(meta["n_mean"]),
+        n_mean=meta["n_mean"],
         reference=arrays["enrolled"].astype(bool),
     )
     if save_finger(finger) != data:

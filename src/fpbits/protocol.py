@@ -36,7 +36,6 @@ class ProtocolReport:
     impostor_scores: np.ndarray
     eer: float
     roc: List[Tuple[float, float, float]]  # (FAR, FRR, threshold), tightening
-    polarity: str = POLARITY_SIMILARITY
 
 
 def fvc_pair_rows(n_subjects: int, n_impressions: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -152,9 +151,7 @@ def compute_eer(
     roc, corners = _operating_points(sign * g, sign * i)
     roc = [(far, frr, sign * th + 0.0) for far, frr, th in roc]
     eer = _hull_eer(corners)
-    return ProtocolReport(
-        genuine_scores=g, impostor_scores=i, eer=eer, roc=roc, polarity=polarity
-    )
+    return ProtocolReport(genuine_scores=g, impostor_scores=i, eer=eer, roc=roc)
 
 
 def fvc_pairs(n_subjects: int, n_impressions: int) -> Tuple[List[Pair], List[Pair]]:

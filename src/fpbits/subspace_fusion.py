@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, RankDeficient, TooFewSamples
+from .errors import LengthMismatch, MalformedHeader, RankDeficient, TooFewSamples
 
 _RANK_TOL = 1e-10
 # seed of the Lanczos start vector; a fixed start makes every fit repeat
@@ -31,16 +31,21 @@ class PcaModel:
     ``basis`` has one column per retained direction, ordered by decreasing
     ``explained_variance``. Each column's sign is fixed so its
     largest-magnitude component is positive, which makes training
-    deterministic across runs and platforms.
+    deterministic across runs and platforms. The constructor checks that
+    the shapes agree and makes the three arrays read-only.
     """
 
-    mean: np.ndarray
+    mean: np.ndarray  # (dim,)
     basis: np.ndarray  # (dim, n_components)
-    explained_variance: np.ndarray
+    explained_variance: np.ndarray  # (n_components,)
 
-    @property
-    def n_components(self) -> int:
-        return self.basis.shape[1]
+    def __post_init__(self):
+        mean, basis, variance = self.mean, self.basis, self.explained_variance
+        if basis.ndim != 2 or mean.shape != basis.shape[:1] or variance.shape != basis.shape[1:]:
+            raise MalformedHeader(f"PCA mean {mean.shape}, basis {basis.shape} and "
+                                  f"variance {variance.shape} disagree")
+        for array in (mean, basis, variance):
+            array.flags.writeable = False
 
     @property
     def dim(self) -> int:

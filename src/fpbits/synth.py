@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .config import check_field_types
+from .config import check_record
 from .errors import FieldOutOfRange
 from .template_io import MINUTIA_DTYPE, GrayImage, MinutiaTemplate
 
@@ -61,25 +61,21 @@ class SynthParams:
     def __post_init__(self):
         # counts, sizes and the seed index arrays and keys, so a float is
         # refused rather than rounded, and a bool is never taken as 0 or 1
-        check_field_types(self, FieldOutOfRange)
-        # comparisons are written so that they fail on NaN as well; minutiae
-        # are placed between the margins, so the image must hold both
+        check_record(self, FieldOutOfRange, _SYNTH_RULES)
+        # the image must hold both margins: a second pass, once margin is checked
         room = max(1.0, 2.0 * self.margin)
-        checks = (
-            (("n_subjects", "n_impressions", "n_minutiae", "seed"),
-             lambda v: v >= 0, ">= 0"),
-            (("min_separation", "margin", "rotation_deg", "translation_px",
-              "jitter_base", "jitter_slope", "noise_std"),
-             lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-            (("ridge_freq", "ridge_amp"), math.isfinite, "finite"),
-            (("dropout", "insertion"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-            (("width", "height"), lambda v: v >= room, f">= max(1, 2 * margin) = {room}"),
-        )
-        for names, ok, rule in checks:
-            for name in names:
-                value = getattr(self, name)
-                if not ok(value):
-                    raise FieldOutOfRange(f"{name} must be {rule}, got {value}")
+        fits = (("width", "height"), lambda v: v >= room, f">= max(1, 2 * margin) = {room}")
+        check_record(self, FieldOutOfRange, [fits])
+
+
+# every float is finite once its type is checked
+_SYNTH_RULES = (
+    (("n_subjects", "n_impressions", "n_minutiae", "seed"), lambda v: v >= 0, ">= 0"),
+    (("min_separation", "margin", "rotation_deg", "translation_px",
+      "jitter_base", "jitter_slope", "noise_std"),
+     lambda v: v >= 0.0, "finite and >= 0"),
+    (("dropout", "insertion"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+)
 
 
 @dataclass

@@ -107,7 +107,7 @@ class GrayImage:
     """8-bit grayscale raster, pixels row-major with pixel[0] at top-left.
 
     The one check of pixels, as PGM holds them: 2-d, at least 1x1, and only
-    values a ``uint8`` cast keeps.
+    values a ``uint8`` cast keeps. The pixels it keeps are read-only.
     """
 
     pixels: np.ndarray  # (height, width) uint8
@@ -127,6 +127,7 @@ class GrayImage:
             for r, c in np.argwhere(cast != pixels)[:1]:  # the first bad pixel
                 raise FieldOutOfRange(f"pixel {pixels[r, c]} at row {r} col {c} is not 8-bit")
             pixels = cast
+        pixels.flags.writeable = False
         object.__setattr__(self, "pixels", pixels)
 
     @property

@@ -201,3 +201,26 @@ def test_readme_config_table_lists_every_field_once():
     keys = readme_config_keys()
     assert len(keys) == len(set(keys)), keys
     assert keys == [f.name for f in dataclasses.fields(PipelineConfig)]
+
+
+RANGE_MESSAGES = {
+    "r_m = 0": "r_m must be > 0, got 0.0",
+    "sigma_r_slope = 0": "sigma_r_slope must be > 0, got 0.0",
+    "downscale_area = 0.5": "downscale_area must be >= 1, got 0.5",
+    "sigma_t_slope = 0.01": "sigma_t_slope (0.01) must be >= sigma_r_slope (0.02)",
+    "n_p = 1": "n_p must be >= 2, got 1",
+    "K = 0": "K must be >= 1, got 0",
+    "kmeans_max_iters = 0": "kmeans_max_iters must be >= 1, got 0",
+    "min_nL = 0": "min_nL must be >= 1, got 0",
+    "max_nL = 3": "max_nL (3) must be >= min_nL (4)",
+    "seed = -1": "seed must be >= 0, got -1",
+    "pca_subsample = -5": "pca_subsample must be >= 0, got -5",
+    "r_t = nan": "r_t must be finite, got nan",
+}
+
+
+@pytest.mark.parametrize("line", sorted(RANGE_MESSAGES))
+def test_range_messages_keep_their_text(line):
+    with pytest.raises(MalformedHeader) as info:
+        parse_config(line)
+    assert str(info.value) == RANGE_MESSAGES[line]

@@ -306,3 +306,81 @@ def test_the_check_sees_unfrozen_checked_records():
         "        def __post_init__(self): pass\n"
     )
     assert unfrozen_checked_records(tree) == [(4, "A"), (7, "B"), (10, "C"), (25, "H")]
+
+
+def _freezes(function):
+    """Whether a function assigns to some ``<array>.flags.writeable``."""
+    return any(
+        isinstance(target, ast.Attribute) and target.attr == "writeable"
+        and isinstance(target.value, ast.Attribute) and target.value.attr == "flags"
+        for node in ast.walk(function) if isinstance(node, ast.Assign)
+        for target in node.targets
+    )
+
+
+def unfrozen_array_records(tree):
+    """``(line, name)`` of each frozen dataclass with a field annotated ``np.ndarray``
+    and no ``__post_init__`` that sets an array's ``flags.writeable``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        frozen = any(_names_dataclass(d) and _frozen(d) for d in node.decorator_list)
+        arrays = any(isinstance(item, ast.AnnAssign)
+                     and ast.unparse(item.annotation).strip("'\"")
+                     in ("np.ndarray", "numpy.ndarray")
+                     for item in node.body)
+        freezes = any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                      and _freezes(item) for item in node.body)
+        if frozen and arrays and not freezes:
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_frozen_records_freeze_their_arrays(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    records = unfrozen_array_records(tree)
+    assert not records, (f"{path.name}: a frozen record keeps an np.ndarray without a "
+                         f"__post_init__ that checks it and makes it read-only: {records}")
+
+
+def test_the_check_sees_frozen_records_with_writeable_arrays():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class B:\n"
+        "    x: np.ndarray = field(init=False)\n"
+        "    def __post_init__(self):\n"
+        "        self.check()\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    x: np.ndarray\n"
+        "    def __post_init__(self):\n"
+        "        self.x.flags.writeable = False\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: np.ndarray\n"
+        "    def __post_init__(self):\n"
+        "        for a in (self.x,):\n"
+        "            a.flags.writeable = False\n"
+        "@dataclass\n"
+        "class E:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class F:\n"
+        "    x: int\n"
+        "    y: 'np.ndarray'\n"
+        "class G:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class H:\n"
+        "    x: numpy.ndarray\n"
+        "    def post_init(self):\n"
+        "        self.x.flags.writeable = False\n"
+    )
+    assert unfrozen_array_records(tree) == [(4, "A"), (7, "B"), (26, "F"), (32, "H")]

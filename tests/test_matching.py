@@ -261,9 +261,9 @@ def test_masked_score_enrolled_only():
 
 
 def test_masked_score_length_check():
-    finger = finger_with_mask([1, 0, 1], bits(1, k=4).bits)
+    finger = finger_with_mask([1, 0, 1, 1], bits(1, k=4).bits)
     with pytest.raises(LengthMismatch):
-        masked_score(bits(0, k=4), finger, mask_both=True)
+        masked_score(bits(0, k=3), finger, mask_both=True)
 
 
 # ---------------------------------------------------------------------------

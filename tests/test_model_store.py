@@ -435,7 +435,7 @@ FROZEN_RECORDS = {
     "Codebook": lambda: Codebook(np.zeros((2, 4)), np.ones(2), np.array([3, 1])),
     "PcaModel": lambda: _pca(4),
     "PipelineModel": lambda: PipelineModel(
-        config=PipelineConfig(r_m=12.0, r_t=4.0, K=2, n_p=2), pca_m=_pca(13), pca_t=_pca(49),
+        config=PipelineConfig(r_m=12.0, r_t=4.0, K=2, n_p=2), pca_m=_pca(45), pca_t=_pca(49),
         codebook=Codebook(np.zeros((2, 4)), np.ones(2), np.array([3, 1])),
         population_mean=np.zeros(2)),
     "FingerModel": lambda: _finger(k=4),
@@ -456,6 +456,160 @@ def test_checked_records_refuse_assignment(name):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, value)
         assert getattr(record, field) is before, field
+
+
+def _arrays(record, path=""):
+    """``(path, array)`` of every array a record keeps, nested records included."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            yield path + f.name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays(value, f"{path}{f.name}.")
+
+
+def _assert_read_only(record):
+    found = list(_arrays(record))
+    for path, array in found:
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            if array.size:  # an element write
+                array[(0,) * array.ndim] = before[(0,) * array.ndim]
+            else:
+                array[...] = before
+        assert np.array_equal(array, before), path
+    return [path for path, _ in found]
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RECORDS))
+def test_frozen_records_keep_read_only_arrays(name):
+    paths = _assert_read_only(FROZEN_RECORDS[name]())
+    assert bool(paths) == (name not in ("PipelineConfig", "SynthParams"))
+    if name == "PipelineModel":
+        assert "geometry.lattice_m" in paths and "codebook.weights" in paths
+
+
+def test_fitted_and_loaded_models_keep_read_only_arrays():
+    _, model = tiny_model()
+    _assert_read_only(model)
+    with pytest.raises(ValueError, match="read-only"):
+        model.codebook.cardinalities[:] = model.codebook.cardinalities[::-1].copy()
+    back = load_model(save_model(model))
+    assert np.array_equal(back.codebook.weights, model.codebook.weights)
+    _assert_read_only(back)
+    # the loader's copy keeps every array aligned for BLAS
+    assert all(array.flags.aligned for _, array in _arrays(back))
+    _assert_read_only(load_finger(save_finger(_finger())))
+
+
+@pytest.mark.parametrize("change", [{"K": 20}, {"n_p": 6}, {"r_t": 30.0}])
+def test_a_fitted_model_refuses_a_config_its_arrays_do_not_fit(change):
+    # each of these saved, and then its own loader refused the file
+    _, model = tiny_model()
+    config = dataclasses.replace(model.config, **change)
+    with pytest.raises(MalformedHeader, match="model arrays disagree with the model's config"):
+        dataclasses.replace(model, config=config)
+
+
+def _assert_round_trips(record, save, load):
+    blob = save(record)
+    back = load(blob)
+    assert save(back) == blob
+    for (path, got), (_, want) in zip(_arrays(back), _arrays(record)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), path
+    return back
+
+
+def test_a_fitted_model_takes_other_conversion_settings():
+    _, model = tiny_model()
+    model = dataclasses.replace(model, config=dataclasses.replace(model.config, top_t=3))
+    _assert_round_trips(model, save_model, load_model)
+    assert load_model(save_model(model)).config.top_t == 3
+
+
+MISMATCHED_RECORDS = {
+    "pca mean": lambda: PcaModel(np.zeros(5), np.eye(4, 2), np.ones(2)),
+    "pca variance": lambda: PcaModel(np.zeros(4), np.eye(4, 2), np.ones(3)),
+    "pca basis rank": lambda: PcaModel(np.zeros(4), np.zeros(4), np.ones(2)),
+    "codebook radii": lambda: Codebook(np.zeros((2, 4)), np.ones(3), np.array([3, 1])),
+    "codebook cardinalities": lambda: Codebook(np.zeros((2, 4)), np.ones(2), np.array([3])),
+    "codebook centroid rank": lambda: Codebook(np.zeros(2), np.ones(2), np.array([3, 1])),
+    # saved as 3, 1, 2: the loaded codebook weighed cluster 2 at 0.5, not 0.6
+    "codebook float cardinalities": lambda: Codebook(
+        np.zeros((3, 4)), np.ones(3), np.array([3.5, 1.0, 2.0])),
+    # at K = 0 the weights were derived first, with an untyped ValueError
+    "codebook no clusters": lambda: Codebook(np.zeros((0, 4)), np.ones(0), np.zeros(0, int)),
+    "finger power": lambda: _finger(k=8, power_len=9),
+    "finger reference": lambda: dataclasses.replace(_finger(k=8), reference=np.ones(7, bool)),
+    "finger matrix": lambda: dataclasses.replace(
+        _finger(k=4), power=np.zeros((1, 4)), reliability=np.zeros((1, 4)),
+        mask=np.ones((1, 4), bool), reference=np.ones((1, 4), bool)),
+    "finger n_mean nan": lambda: dataclasses.replace(_finger(), n_mean=float("nan")),
+    "finger n_mean huge": lambda: dataclasses.replace(_finger(), n_mean=10**400),
+    "finger n_mean str": lambda: dataclasses.replace(_finger(), n_mean="20"),
+    "finger id": lambda: dataclasses.replace(_finger(), finger_id=1),
+    # an int flag of 2 saved as a file its loader refused
+    "finger int mask": lambda: dataclasses.replace(_finger(k=3), mask=np.array([0, 2, 1])),
+    "model population mean": lambda: dataclasses.replace(
+        FROZEN_RECORDS["PipelineModel"](), population_mean=np.zeros(3)),
+    "model centroids": lambda: dataclasses.replace(
+        FROZEN_RECORDS["PipelineModel"](),
+        codebook=Codebook(np.zeros((2, 6)), np.ones(2), np.array([3, 1]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED_RECORDS))
+def test_records_with_mismatched_parts_are_refused_when_built(name):
+    with pytest.raises(MalformedHeader):
+        MISMATCHED_RECORDS[name]()
+
+
+# every model and finger record these tests build
+BUILT_RECORDS = {
+    "tiny model": (lambda: tiny_model()[1], save_model, load_model),
+    "fuzz model": (lambda: _fuzz_model()[1], save_model, load_model),
+    "frozen-records model": (FROZEN_RECORDS["PipelineModel"], save_model, load_model),
+    "finger": (_finger, save_finger, load_finger),
+    "finger k=1": (lambda: _finger(k=1), save_finger, load_finger),
+    # an int n_mean once saved as a file its loader refused
+    "finger of int n_mean": (lambda: dataclasses.replace(_finger(), n_mean=20),
+                             save_finger, load_finger),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_RECORDS))
+def test_every_built_record_saves_and_loads_back(name):
+    build, save, load = BUILT_RECORDS[name]
+    record = build()
+    back = _assert_round_trips(record, save, load)
+    if name == "finger of int n_mean":
+        assert type(record.n_mean) is float and back.n_mean == record.n_mean
+
+
+@pytest.mark.parametrize("kind", ["fpbm", "fpfm", "fpbs"])
+def test_one_head_check_serves_every_container(kind):
+    blob, load = {
+        "fpbm": lambda: (save_model(FROZEN_RECORDS["PipelineModel"]()), load_model),
+        "fpfm": lambda: (save_finger(_finger()), load_finger),
+        "fpbs": lambda: (save_bitstring(BitString(np.ones(9, bool))), load_bitstring),
+    }[kind]()
+    magic = kind.upper().encode()
+    with pytest.raises(BadMagic, match=f"expected magic b'{kind.upper()}'"):
+        load(b"XXXX" + blob[4:])
+    with pytest.raises(UnsupportedVersion, match=f"^{kind.upper()} version 2 not supported"):
+        load(magic + (2).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(TruncatedRecord, match=f"^{kind.upper()} header truncated"):
+        load(blob[:11])
+    load(blob)
+
+
+def test_a_record_rule_refuses_a_file_the_format_accepts():
+    # the container format leaves array sizes free; PcaModel ties its mean to its basis
+    blob = save_model(FROZEN_RECORDS["PipelineModel"]())
+    meta, arrays = _contents(blob)
+    arrays = [(n, np.zeros(46) if n == "pca_m_mean" else a, c) for n, a, c in arrays]
+    with pytest.raises(MalformedHeader, match=r"PCA mean \(46,\), basis \(45, 2\)"):
+        load_model(_pack(MODEL_MAGIC, meta, arrays))
 
 
 def test_written_float_fields_keep_one_spelling():
@@ -511,6 +665,25 @@ def test_stored_lattices_are_checked_before_any_lattice_is_built(monkeypatch):
     with pytest.raises(MalformedHeader, match="lattice_t disagrees"):
         load_model(_pack(MODEL_MAGIC, meta, arrays))
     assert built == []
+
+
+HEADER_FIELD_CASES = [
+    ("n_mean", "20", "n_mean must be of type float, got '20'"),
+    ("n_mean", True, "n_mean must be of type float, got True"),
+    ("template_length", 8.0, "template_length must be of type int, got 8.0"),
+    ("template_length", False, "template_length must be of type int, got False"),
+    ("finger_id", None, "finger_id must be of type str, got None"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", HEADER_FIELD_CASES,
+                         ids=[f"{k}={v!r}" for k, v, _ in HEADER_FIELD_CASES])
+def test_header_fields_follow_the_settings_type_rule(key, value, message):
+    # the rule and the wording of PipelineConfig's and SynthParams' fields
+    blob = _repack(save_finger(_finger()), b"FPFM", lambda h: h["meta"].update({key: value}))
+    with pytest.raises(MalformedHeader) as info:
+        load_finger(blob)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("header", [

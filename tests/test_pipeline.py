@@ -465,7 +465,6 @@ def assert_same_report(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.roc == want.roc
     assert got.eer == want.eer
-    assert got.polarity == want.polarity
 
 
 def random_grid(rng, n_subjects, n_impressions, k):

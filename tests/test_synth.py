@@ -142,6 +142,26 @@ def test_params_reject_non_int_counts_sizes_and_seed(name, value):
         SynthParams(**{name: value})
 
 
+SYNTH_MESSAGES = [
+    ({"n_subjects": -1}, "n_subjects must be >= 0, got -1"),
+    ({"margin": -1.0}, "margin must be finite and >= 0, got -1.0"),
+    ({"dropout": 1.5}, "dropout must be in [0, 1], got 1.5"),
+    ({"ridge_freq": math.inf}, "ridge_freq must be finite, got inf"),
+    ({"noise_std": math.nan}, "noise_std must be finite, got nan"),
+    ({"width": 40}, "width must be >= max(1, 2 * margin) = 48.0, got 40"),
+    ({"height": 30, "margin": 20}, "height must be >= max(1, 2 * margin) = 40.0, got 30"),
+    ({"n_subjects": 2.5}, "n_subjects must be of type int, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", SYNTH_MESSAGES,
+                         ids=[str(k)[:24] for k, _ in SYNTH_MESSAGES])
+def test_range_messages_keep_their_text(kwargs, message):
+    with pytest.raises(FieldOutOfRange) as info:
+        SynthParams(**kwargs)
+    assert str(info.value) == message
+
+
 REAL_FIELD_CASES = [
     ("dropout", True),  # was taken as 1.0: every minutia dropped
     ("noise_std", True),

@@ -117,10 +117,10 @@ def test_view_matches_its_oracle(synth_run, name):
     CHECKS[name](*synth_run)
 
 
-def finger(k, reference_k=None):
+def finger(k):
     return FingerModel(finger_id="f", power=np.zeros(k), reliability=np.zeros(k),
                        mask=np.ones(k, dtype=bool), n_mean=5.0,
-                       reference=np.ones(reference_k or k, dtype=bool))
+                       reference=np.ones(k, dtype=bool))
 
 
 ONES = np.ones(12, dtype=bool)
@@ -130,9 +130,9 @@ TYPED_ERRORS = {
     "intersection strings": (LengthMismatch, lambda: matching.intersection_score(
         BitString(ONES), BitString(ONES[:10]))),
     "masked mask": (LengthMismatch, lambda: matching.masked_score(
-        BitString(ONES), finger(10, reference_k=12), True)),
+        BitString(ONES), finger(10), True)),
     "masked strings": (LengthMismatch, lambda: matching.masked_score(
-        BitString(ONES), finger(12, reference_k=10), False)),
+        BitString(ONES[:10]), finger(12), False)),
     "fvc_pairs no subjects": (EmptyScores, lambda: protocol.fvc_pairs(0, 4)),
 }
 
