@@ -13,13 +13,13 @@ per-finger positional mask.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyEnrollment, LengthMismatch, MalformedHeader
+from .config import check_record
+from .errors import EmptyEnrollment, LengthMismatch, MalformedHeader, check_arrays
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,7 @@ class FingerModel:
 
     ``reference`` is the OR of the enrollment strings: a position any sample
     voted for stays available, and the mask is what narrows a comparison
-    down to dependable positions. The constructor checks what the finger
-    container holds (a ``str`` id, a finite ``n_mean``, kept as a float, and
-    four 1-d arrays of one length, bool flags) and makes the arrays read-only.
+    down to dependable positions.
     """
 
     finger_id: str
@@ -41,16 +39,9 @@ class FingerModel:
     reference: np.ndarray  # bool, the enrolled string
 
     def __post_init__(self):
-        shapes = [a.shape for a in (self.power, self.reliability, self.mask, self.reference)]
-        if not (isinstance(self.finger_id, str) and isinstance(self.n_mean, (int, float))
-                and abs(self.n_mean) <= sys.float_info.max and self.mask.dtype == bool
-                and self.reference.dtype == bool and len(shapes[0]) == 1
-                and shapes.count(shapes[0]) == 4):
-            raise MalformedHeader(f"a finger needs a str id, finite n_mean, bool flags and arrays "
-                                  f"of one length: {self.finger_id!r} {self.n_mean!r} {shapes}")
-        object.__setattr__(self, "n_mean", float(self.n_mean))
-        for array in (self.power, self.reliability, self.mask, self.reference):
-            array.flags.writeable = False
+        check_record(self, MalformedHeader, kinds={"finger_id": str, "n_mean": float})
+        check_arrays(self, MalformedHeader, power=(float, "K"), reliability=(float, "K"),
+                     mask=(bool, "K"), reference=(bool, "K"))
 
     @property
     def k(self) -> int:

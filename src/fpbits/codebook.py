@@ -27,6 +27,7 @@ from .errors import (
     LengthMismatch,
     MalformedHeader,
     PoolTooSmall,
+    check_arrays,
 )
 
 # the expanded squared distance ||x||^2 - 2 x.c + ||c||^2 rounds by at most
@@ -39,13 +40,14 @@ _EXPANDED_ROUNDING = 4.0
 # containers
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False, frozen=True)
 class BitString:
-    """Fixed-length binary template: one bool per bit position."""
+    """Fixed-length binary template: a 1-d, read-only bool row."""
 
-    __slots__ = ("bits",)
+    bits: np.ndarray
 
-    def __init__(self, bits: np.ndarray):
-        self.bits = np.asarray(bits, dtype=bool).ravel()
+    def __post_init__(self):
+        check_arrays(self, MalformedHeader, bits=(bool, None))
 
     def __len__(self) -> int:
         return self.bits.shape[0]
@@ -53,7 +55,7 @@ class BitString:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return len(self) == len(other) and bool(np.array_equal(self.bits, other.bits))
+        return bool(np.array_equal(self.bits, other.bits))
 
     def __repr__(self) -> str:
         return f"BitString({self.ones}/{len(self)} set)"
@@ -71,9 +73,7 @@ class DistanceVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        check_arrays(self, MalformedHeader, values=(float, None))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -84,9 +84,7 @@ class Codebook:
     """Fitted cluster vocabulary; bit conversion's parameters come from the config.
 
     ``weights`` is derived from ``cardinalities`` by
-    :func:`cardinality_weights`, so the two cannot disagree. The constructor
-    checks K >= 1, the shapes and integer cardinalities, and makes every
-    array read-only.
+    :func:`cardinality_weights`, so the two cannot disagree.
     """
 
     centroids: np.ndarray  # (K, dim)
@@ -95,14 +93,12 @@ class Codebook:
     weights: np.ndarray = field(init=False)  # (K,) in [0, 1]
 
     def __post_init__(self):
-        shapes = self.centroids.shape, self.radii.shape, self.cardinalities.shape
-        if (len(shapes[0]) != 2 or shapes[0][0] < 1 or shapes[1:] != (shapes[0][:1],) * 2
-                or self.cardinalities.dtype.kind not in "iu"):
-            raise MalformedHeader(f"codebook needs K >= 1 rows of centroids, radii and integer "
-                                  f"cardinalities, got shapes {shapes}")
+        check_arrays(self, MalformedHeader, centroids=(float, "K", None), radii=(float, "K"),
+                     cardinalities=(int, "K"))
+        if self.k < 1 or (self.cardinalities < 0).any():
+            raise MalformedHeader(f"need K >= 1 and cardinalities >= 0, got {self.cardinalities}")
         object.__setattr__(self, "weights", cardinality_weights(self.cardinalities))
-        for array in (self.centroids, self.radii, self.cardinalities, self.weights):
-            array.flags.writeable = False
+        check_arrays(self, MalformedHeader, weights=(float, None))
 
     @property
     def k(self) -> int:

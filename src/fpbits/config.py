@@ -104,9 +104,9 @@ def check_fields(values: Mapping, kinds: Mapping[str, type], error: type, rules=
     return checked
 
 
-def check_record(record, error: type, rules=()) -> None:
-    """:func:`check_fields` of a frozen dataclass, each field of its default's kind, in place."""
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(record)}
+def check_record(record, error: type, rules=(), kinds=None) -> None:
+    """:func:`check_fields` of a frozen dataclass in place, by ``kinds`` or its defaults' types."""
+    kinds = kinds or {f.name: type(f.default) for f in dataclasses.fields(record)}
     for name, value in check_fields(vars(record), kinds, error, rules).items():
         object.__setattr__(record, name, value)
 

@@ -6,6 +6,8 @@ to a message plus nonzero exit code instead of crashing on a bare
 ValueError from half-parsed input.
 """
 
+import numpy as np
+
 
 class FpbitsError(Exception):
     """Base class for all errors raised deliberately by this package."""
@@ -99,3 +101,22 @@ class BadLength(FpbitsError):
 
 class ModelMissing(FpbitsError):
     """A named file, directory or dataset entry cannot be read, written or found."""
+
+
+def check_arrays(record, error: type, **fields) -> None:
+    """Check array fields of ``record``, then make them read-only in place, or raise ``error``.
+    A spec is ``(kind, *sizes)``: ``bool``, ``int``, ``float`` (any number) or ``np.void``,
+    then per axis an int, None for any size, or a name whose axes in the call agree."""
+    kinds, named = {bool: "b", int: "iu", float: "biuf", np.void: "V"}, {}
+    for name, (kind, *sizes) in fields.items():
+        array = getattr(record, name)
+        ok = isinstance(array, np.ndarray) and array.dtype.kind in kinds[kind]
+        if ok and array.ndim == len(sizes):  # the shape it needs, any size taken as it is
+            sizes = tuple(named.setdefault(s, n) if isinstance(s, str) else n if s is None else s
+                          for s, n in zip(sizes, array.shape))
+        if not (ok and sizes == array.shape):
+            got = f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray) else type(array)
+            raise error(f"{type(record).__name__}.{name} must be a {kind.__name__} array of "
+                        f"shape {tuple(sizes)}, got {got}")
+    for name in fields:  # only once every field passed
+        getattr(record, name).flags.writeable = False

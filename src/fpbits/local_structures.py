@@ -27,7 +27,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .config import PipelineConfig
+from .errors import MalformedHeader, check_arrays
 from .template_io import GrayImage
+
+MAX_LATTICE_RADIUS = 128  # px of whole radius, about 51,000 points: see lattice_radii
 
 
 def _disc_lattice(radius: float) -> np.ndarray:
@@ -65,14 +68,18 @@ class StructureGeometry:
     lattice_m: np.ndarray = field(repr=False)
     lattice_t: np.ndarray = field(repr=False)
 
-    def __post_init__(self):  # from_config builds the lattices from a checked config
-        self.lattice_m.flags.writeable = False
-        self.lattice_t.flags.writeable = False
+    def __post_init__(self):
+        check_arrays(self, MalformedHeader, lattice_m=(int, None, 2), lattice_t=(int, None, 2))
 
     @staticmethod
     def lattice_radii(config: PipelineConfig) -> Tuple[float, float]:
         """The disc radii of ``lattice_m`` and ``lattice_t``."""
-        return config.r_m * (1.0 / math.sqrt(config.downscale_area)), config.r_t
+        radii = config.r_m * (1.0 / math.sqrt(config.downscale_area)), config.r_t
+        for name, radius in zip(("lattice_m", "lattice_t"), radii):
+            if math.floor(radius) > MAX_LATTICE_RADIUS:
+                raise MalformedHeader(f"{name} radius {radius} is over the "
+                                      f"{MAX_LATTICE_RADIUS} px bound")
+        return radii
 
     @classmethod
     def from_config(cls, config: PipelineConfig) -> "StructureGeometry":

@@ -32,6 +32,7 @@ from .errors import (
     ModelMissing,
     TruncatedRecord,
     UnsupportedVersion,
+    check_arrays,
 )
 from .local_structures import StructureGeometry
 from .subspace_fusion import PcaModel
@@ -52,8 +53,7 @@ class PipelineModel:
     ``config`` is the only home of every configured value; ``geometry`` is
     derived from it. ``population_mean`` is the two-stage mean of the
     training impressions' distance vectors, which enrollment measures each
-    finger's spread against. The constructor checks every array's shape
-    against the config and its geometry, and keeps ``population_mean`` read-only.
+    finger's spread against. The constructor ties its parts' shapes to the config.
     """
 
     config: PipelineConfig
@@ -67,13 +67,10 @@ class PipelineModel:
         geometry = StructureGeometry.from_config(self.config)
         object.__setattr__(self, "geometry", geometry)
         p, k = self.config.n_p, self.config.K
-        shapes = (self.pca_m.basis.shape, self.pca_t.basis.shape,
-                  self.codebook.centroids.shape, self.population_mean.shape)
-        expected = ((geometry.n_m, p), (geometry.n_t, p), (k, 2 * p), (k,))
-        if shapes != expected:  # bases, centroids, population mean
-            raise MalformedHeader(f"model arrays disagree with the model's config: "
-                                  f"shapes {shapes}, expected {expected}")
-        self.population_mean.flags.writeable = False
+        check_arrays(self.pca_m, MalformedHeader, basis=(float, geometry.n_m, p))
+        check_arrays(self.pca_t, MalformedHeader, basis=(float, geometry.n_t, p))
+        check_arrays(self.codebook, MalformedHeader, centroids=(float, k, 2 * p))
+        check_arrays(self, MalformedHeader, population_mean=(float, k))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,7 @@ def load_bitstring(data: bytes) -> BitString:
     # the last byte is zero-padded, so each string has exactly one encoding
     if k % 8 and raw[-1] & ((1 << (8 - k % 8)) - 1):
         raise MalformedHeader(f"padding bits after bit {k} are not zero")
-    return BitString(np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:k])
+    return BitString(np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:k].astype(bool))
 
 
 # ---------------------------------------------------------------------------

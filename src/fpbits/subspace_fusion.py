@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, MalformedHeader, RankDeficient, TooFewSamples
+from .errors import LengthMismatch, MalformedHeader, RankDeficient, TooFewSamples, check_arrays
 
 _RANK_TOL = 1e-10
 # seed of the Lanczos start vector; a fixed start makes every fit repeat
@@ -31,8 +31,7 @@ class PcaModel:
     ``basis`` has one column per retained direction, ordered by decreasing
     ``explained_variance``. Each column's sign is fixed so its
     largest-magnitude component is positive, which makes training
-    deterministic across runs and platforms. The constructor checks that
-    the shapes agree and makes the three arrays read-only.
+    deterministic across runs and platforms.
     """
 
     mean: np.ndarray  # (dim,)
@@ -40,12 +39,8 @@ class PcaModel:
     explained_variance: np.ndarray  # (n_components,)
 
     def __post_init__(self):
-        mean, basis, variance = self.mean, self.basis, self.explained_variance
-        if basis.ndim != 2 or mean.shape != basis.shape[:1] or variance.shape != basis.shape[1:]:
-            raise MalformedHeader(f"PCA mean {mean.shape}, basis {basis.shape} and "
-                                  f"variance {variance.shape} disagree")
-        for array in (mean, basis, variance):
-            array.flags.writeable = False
+        check_arrays(self, MalformedHeader, basis=(float, "dim", "n"), mean=(float, "dim"),
+                     explained_variance=(float, "n"))
 
     @property
     def dim(self) -> int:

@@ -24,6 +24,7 @@ from .errors import (
     FieldOutOfRange,
     MalformedHeader,
     ModelMissing,
+    check_arrays,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -95,8 +96,8 @@ class MinutiaTemplate:
         np.fmod(theta, TWO_PI, out=theta)
         theta[theta < 0.0] += TWO_PI
         theta[theta >= TWO_PI] = 0.0  # fmod rounds tiny negatives up to the period
-        columns.flags.writeable = False
         object.__setattr__(self, "minutiae", columns)
+        check_arrays(self, FieldOutOfRange, minutiae=(np.void, None))
 
     def __len__(self) -> int:
         return len(self.minutiae)
@@ -106,8 +107,7 @@ class MinutiaTemplate:
 class GrayImage:
     """8-bit grayscale raster, pixels row-major with pixel[0] at top-left.
 
-    The one check of pixels, as PGM holds them: 2-d, at least 1x1, and only
-    values a ``uint8`` cast keeps. The pixels it keeps are read-only.
+    The one check of pixels: 2-d, at least 1x1, values a ``uint8`` cast keeps.
     """
 
     pixels: np.ndarray  # (height, width) uint8
@@ -117,9 +117,7 @@ class GrayImage:
             pixels = np.asarray(self.pixels)
         except ValueError as exc:  # a ragged nested list
             raise DimensionMismatch(f"pixels are not a rectangular array: {exc}") from None
-        if pixels.ndim != 2 or 0 in pixels.shape:
-            raise DimensionMismatch(f"need a 2-d array of at least 1x1 pixels, got {pixels.shape}")
-        if pixels.dtype != np.uint8:  # a uint8 array needs no scan
+        if pixels.ndim == 2 and pixels.dtype != np.uint8:  # a uint8 array needs no scan
             if pixels.dtype.kind not in "buif":
                 raise FieldOutOfRange(f"pixels must be numbers, got dtype {pixels.dtype}")
             with np.errstate(invalid="ignore"):  # NaN casts with a warning
@@ -127,8 +125,10 @@ class GrayImage:
             for r, c in np.argwhere(cast != pixels)[:1]:  # the first bad pixel
                 raise FieldOutOfRange(f"pixel {pixels[r, c]} at row {r} col {c} is not 8-bit")
             pixels = cast
-        pixels.flags.writeable = False
         object.__setattr__(self, "pixels", pixels)
+        check_arrays(self, DimensionMismatch, pixels=(int, None, None))
+        if 0 in pixels.shape:
+            raise DimensionMismatch(f"need a 2-d array of at least 1x1 pixels, got {pixels.shape}")
 
     @property
     def width(self) -> int:

@@ -500,6 +500,17 @@ def test_negative_seed_exits_2_with_one_line(workdir, tmp_path, capsys):
     assert not (tmp_path / "m.fpbm").exists()
 
 
+@pytest.mark.parametrize("setting, lattice", [("r_t=1e9", "lattice_t radius 1000000000.0"),
+                                              ("r_m=1e9", "lattice_m radius 316227766")])
+def test_huge_radius_exits_2_with_one_line(workdir, tmp_path, capsys, setting, lattice):
+    # a valid config; its lattice once asked for an untyped error ("array is too big")
+    # or an allocation of exbibytes
+    assert main(["train", "--dataset", workdir["data"], "--out", str(tmp_path / "m.fpbm"),
+                 "--quiet", "--set", setting]) == 2
+    assert_one_error_line(capsys, lattice, "over the 128 px bound")
+    assert not (tmp_path / "m.fpbm").exists()
+
+
 def test_negative_pca_subsample_exits_2_with_one_line(workdir, tmp_path, capsys):
     assert main(["train", "--dataset", workdir["data"], "--out", str(tmp_path / "m.fpbm"),
                  "--quiet", "--set", "K=16", "--set", "n_p=8",

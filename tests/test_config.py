@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fpbits import local_structures
 from fpbits.config import PipelineConfig, load_config, parse_config, serialize_config
 from fpbits.errors import FpbitsError, MalformedHeader
+from fpbits.local_structures import StructureGeometry
 
 
 def test_defaults_roundtrip():
@@ -173,6 +175,42 @@ def test_fuzz_config_text():
         parsed += 1
     assert not crashes, f"{len(crashes)} untyped, first: {crashes[0]}"
     assert parsed > 0
+
+
+EXTREME_VALUES = ["0", "-1", "1e9", "1e300", str(2**64), "nan", "inf"]
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PipelineConfig)])
+def test_extreme_values_are_accepted_or_typed_errors(key):
+    # an accepted config's geometry is built, and nothing more: no case trains or
+    # builds a lattice past the bound
+    crashes, accepted = [], 0
+    for value in EXTREME_VALUES:
+        try:
+            StructureGeometry.from_config(parse_config(f"{key} = {value}"))
+        except FpbitsError:
+            continue
+        except Exception as exc:  # anything untyped is a crash
+            crashes.append(f"{key} = {value}: {type(exc).__name__}: {exc}")
+            continue
+        accepted += 1
+    assert not crashes, crashes
+    assert accepted < len(EXTREME_VALUES)  # nan is no int, bool or finite float
+
+
+def test_radii_over_the_lattice_bound_are_refused_before_any_lattice_is_built(monkeypatch):
+    # the largest whole radius the bound takes
+    geometry = StructureGeometry.from_config(PipelineConfig(r_t=128.9, r_m=128.9,
+                                                            downscale_area=1.0))
+    assert geometry.n_t == geometry.n_m and int(geometry.lattice_t.max()) == 128
+    built = []
+    monkeypatch.setattr(local_structures, "_disc_lattice", built.append)
+    for text, lattice in [("r_t = 129", "lattice_t radius 129.0"),
+                          ("r_m = 1e9", "lattice_m radius 316227766"),
+                          ("r_m = 408\ndownscale_area = 10", "lattice_m radius 129.0")]:
+        with pytest.raises(MalformedHeader, match=f"^{lattice}.* is over the 128 px bound$"):
+            StructureGeometry.from_config(parse_config(text))
+    assert built == []
 
 
 def test_load_config_rejects_non_utf8(tmp_path):

@@ -17,7 +17,9 @@ A template's minutiae are one structured array, read by column. Only
 ``synth``, which draws them one at a time, iterate over them in Python.
 
 A dataclass that checks its values in ``__post_init__`` is frozen, so no
-assignment after construction skips the check.
+assignment after construction skips the check. Each array field of a frozen
+dataclass goes through ``errors.check_arrays`` in its ``__post_init__``, and
+that helper is the one place that sets an array's writeable flag.
 """
 
 import ast
@@ -102,10 +104,12 @@ def test_the_checks_see_dead_names():
         "    except OSError as exc:\n"
         "        pass\n"
         "    _, last = xs\n"
+        "    with open(xs) as handle:\n"
+        "        pass\n"
         "    return [total for _ in xs]\n"
     )
     assert unused_imports(tree) == [(1, "os"), (2, "Tuple")]
-    assert unread_locals(tree) == [(5, "stale"), (11, "exc"), (13, "last")]
+    assert unread_locals(tree) == [(5, "stale"), (11, "exc"), (13, "last"), (14, "handle")]
 
 
 def _private(name):
@@ -159,13 +163,16 @@ def test_the_check_sees_private_reads():
         "    np._NoValue\n"
         "    pipeline.split_keys(x)\n"
         "    protocol._operating_points(x, x)\n"
+        "    from fpbits import codebook\n"
+        "    codebook._sq_norms(x)\n"
         "    return pipeline._split_keys(x, _y)\n"
     )
     assert private_reads(tree) == [
         (2, "_distances"),
         (3, "_one_pair"),
         (10, "protocol._operating_points"),
-        (11, "pipeline._split_keys"),
+        (12, "codebook._sq_norms"),
+        (13, "pipeline._split_keys"),
     ]
 
 
@@ -235,9 +242,10 @@ def test_the_check_sees_minutia_loops():
         "    n = len(template.minutiae) + sum(len(t.minutiae) for t in other)\n"
         "    x = template.minutiae['x'][other] + 1\n"
         "    thetas = minutiae['theta'].tolist()\n"
+        "    kinds = dict(enumerate(template.minutiae['kind']))\n"
         "    return [t for t in thetas], sorted(template.minutiae[:n])\n"
     )
-    assert minutia_loops(tree) == [2, 4, 5, 6, 10]
+    assert minutia_loops(tree) == [2, 4, 5, 6, 10, 11]
 
 
 def _names_dataclass(node):
@@ -304,45 +312,54 @@ def test_the_check_sees_unfrozen_checked_records():
         "    @dataclass\n"
         "    class H:\n"
         "        def __post_init__(self): pass\n"
+        "@dataclass(frozen=1)\n"
+        "class I:\n"
+        "    def __post_init__(self): pass\n"
     )
-    assert unfrozen_checked_records(tree) == [(4, "A"), (7, "B"), (10, "C"), (25, "H")]
+    assert unfrozen_checked_records(tree) == [(4, "A"), (7, "B"), (10, "C"), (25, "H"),
+                                              (28, "I")]
 
 
-def _freezes(function):
-    """Whether a function assigns to some ``<array>.flags.writeable``."""
-    return any(
-        isinstance(target, ast.Attribute) and target.attr == "writeable"
-        and isinstance(target.value, ast.Attribute) and target.value.attr == "flags"
-        for node in ast.walk(function) if isinstance(node, ast.Assign)
-        for target in node.targets
-    )
+def _call_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _checked_arrays(function):
+    """The fields a function names in its ``check_arrays(self, ...)`` calls."""
+    return {
+        keyword.arg for node in ast.walk(function)
+        if isinstance(node, ast.Call) and _call_name(node) == "check_arrays"
+        and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+        for keyword in node.keywords
+    }
 
 
 def unfrozen_array_records(tree):
-    """``(line, name)`` of each frozen dataclass with a field annotated ``np.ndarray``
-    and no ``__post_init__`` that sets an array's ``flags.writeable``."""
+    """``(line, "record.field")`` of each field annotated ``np.ndarray`` of a frozen
+    dataclass whose ``__post_init__`` does not pass it to ``check_arrays``."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        frozen = any(_names_dataclass(d) and _frozen(d) for d in node.decorator_list)
-        arrays = any(isinstance(item, ast.AnnAssign)
-                     and ast.unparse(item.annotation).strip("'\"")
-                     in ("np.ndarray", "numpy.ndarray")
-                     for item in node.body)
-        freezes = any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
-                      and _freezes(item) for item in node.body)
-        if frozen and arrays and not freezes:
-            found.append((node.lineno, node.name))
+        if not any(_names_dataclass(d) and _frozen(d) for d in node.decorator_list):
+            continue
+        checked = set().union(*(_checked_arrays(item) for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and item.name == "__post_init__"))
+        found += [(item.lineno, f"{node.name}.{item.target.id}") for item in node.body
+                  if isinstance(item, ast.AnnAssign)
+                  and ast.unparse(item.annotation).strip("'\"") in ("np.ndarray", "numpy.ndarray")
+                  and item.target.id not in checked]
     return sorted(found)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_frozen_records_freeze_their_arrays(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    records = unfrozen_array_records(tree)
-    assert not records, (f"{path.name}: a frozen record keeps an np.ndarray without a "
-                         f"__post_init__ that checks it and makes it read-only: {records}")
+    fields = unfrozen_array_records(tree)
+    assert not fields, (f"{path.name}: a frozen record keeps an np.ndarray that its "
+                        f"__post_init__ does not pass to check_arrays: {fields}")
 
 
 def test_the_check_sees_frozen_records_with_writeable_arrays():
@@ -365,9 +382,9 @@ def test_the_check_sees_frozen_records_with_writeable_arrays():
         "@dataclass(frozen=True)\n"
         "class D:\n"
         "    x: np.ndarray\n"
+        "    y: np.ndarray\n"
         "    def __post_init__(self):\n"
-        "        for a in (self.x,):\n"
-        "            a.flags.writeable = False\n"
+        "        check_arrays(self, E, x=('f', None))\n"
         "@dataclass\n"
         "class E:\n"
         "    x: np.ndarray\n"
@@ -381,6 +398,73 @@ def test_the_check_sees_frozen_records_with_writeable_arrays():
         "class H:\n"
         "    x: numpy.ndarray\n"
         "    def post_init(self):\n"
-        "        self.x.flags.writeable = False\n"
+        "        check_arrays(self, E, x=('f', None))\n"
+        "@dataclass(frozen=True)\n"
+        "class I:\n"
+        "    x: np.ndarray\n"
+        "    def __post_init__(self):\n"
+        "        errors.check_arrays(self.other, E, x=('f', None))\n"
+        "@dataclass(eq=False, frozen=True)\n"
+        "class J:\n"
+        "    x: np.ndarray\n"
+        "    y: np.ndarray = field(init=False)\n"
+        "    def __post_init__(self):\n"
+        "        check_arrays(self, E, x=('b', None))\n"
+        "        errors.check_arrays(self, E, y=('f', 'K'))\n"
     )
-    assert unfrozen_array_records(tree) == [(4, "A"), (7, "B"), (26, "F"), (32, "H")]
+    assert unfrozen_array_records(tree) == [
+        (5, "A.x"), (8, "B.x"), (13, "C.x"), (19, "D.y"), (28, "F.y"), (33, "H.x"), (38, "I.x")]
+
+
+def _freezes(node):
+    """Whether a node assigns ``<array>.flags.writeable`` or calls ``<array>.setflags``."""
+    if isinstance(node, ast.Assign):
+        return any(isinstance(target, ast.Attribute) and target.attr == "writeable"
+                   and isinstance(target.value, ast.Attribute) and target.value.attr == "flags"
+                   for target in node.targets)
+    return isinstance(node, ast.Call) and _call_name(node) == "setflags"
+
+
+def array_freezes(tree):
+    """``(line, function)`` of each node that sets an array's writeable flag, with
+    the name of the function it is in (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if _freezes(child):
+                found.append((child.lineno, function))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_check_arrays_is_the_one_place_that_freezes_arrays():
+    found = {path.name: array_freezes(ast.parse(path.read_text(encoding="utf-8")))
+             for path in MODULES}
+    others = {name: places for name, places in found.items()
+              if any(function != "check_arrays" or name != "errors.py"
+                     for _, function in places)}
+    assert not others, f"arrays made read-only outside errors.check_arrays: {others}"
+    assert found["errors.py"], "errors.check_arrays no longer makes arrays read-only"
+
+
+def test_the_check_sees_array_freezes():
+    tree = ast.parse(
+        "x.flags.writeable = False\n"
+        "def check_arrays(record):\n"
+        "    for a in record:\n"
+        "        a.flags.writeable = False\n"
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        self.x.flags.writeable = False\n"
+        "        self.x.setflags(write=False)\n"
+        "        def inner():\n"
+        "            y.flags.writeable = True\n"
+        "        self.x.flags.aligned\n"
+        "        z = self.x.flags.writeable\n"
+    )
+    assert array_freezes(tree) == [
+        (1, None), (4, "check_arrays"), (7, "__post_init__"), (8, "__post_init__"), (10, "inner")]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,15 @@ from fpbits.local_structures import StructureGeometry
 from fpbits.pipeline import encode_impression, train_model
 from fpbits.subspace_fusion import PcaModel
 from fpbits.synth import SynthParams, synth_dataset
-from fpbits.template_io import MINUTIA_DTYPE, GrayImage, MinutiaTemplate
+from fpbits.template_io import (
+    MINUTIA_DTYPE,
+    GrayImage,
+    MinutiaTemplate,
+    parse_text_template,
+    read_pgm,
+    serialize_text_template,
+    write_pgm,
+)
 
 
 def tiny_model():
@@ -439,6 +448,7 @@ FROZEN_RECORDS = {
         codebook=Codebook(np.zeros((2, 4)), np.ones(2), np.array([3, 1])),
         population_mean=np.zeros(2)),
     "FingerModel": lambda: _finger(k=4),
+    "BitString": lambda: BitString(np.array([True, False, True])),
 }
 # after these assignments, a model saved from the config was refused by its own loader
 CONFIG_DRIFT = [("r_t", 40), ("gate_all", "no")]
@@ -502,12 +512,20 @@ def test_fitted_and_loaded_models_keep_read_only_arrays():
     _assert_read_only(load_finger(save_finger(_finger())))
 
 
+# the part whose shape each config change contradicts
+CONFIG_MISFITS = {
+    "K": r"Codebook.centroids must be .* shape \(20, 16\), got float64 \(16, 16\)",
+    "n_p": r"PcaModel.basis must be .* shape \(2017, 6\), got float64 \(2017, 8\)",
+    "r_t": r"PcaModel.basis must be .* shape \(2821, 8\), got float64 \(5025, 8\)",
+}
+
+
 @pytest.mark.parametrize("change", [{"K": 20}, {"n_p": 6}, {"r_t": 30.0}])
 def test_a_fitted_model_refuses_a_config_its_arrays_do_not_fit(change):
     # each of these saved, and then its own loader refused the file
     _, model = tiny_model()
     config = dataclasses.replace(model.config, **change)
-    with pytest.raises(MalformedHeader, match="model arrays disagree with the model's config"):
+    with pytest.raises(MalformedHeader, match=CONFIG_MISFITS[next(iter(change))]):
         dataclasses.replace(model, config=config)
 
 
@@ -550,6 +568,25 @@ MISMATCHED_RECORDS = {
     "finger id": lambda: dataclasses.replace(_finger(), finger_id=1),
     # an int flag of 2 saved as a file its loader refused
     "finger int mask": lambda: dataclasses.replace(_finger(k=3), mask=np.array([0, 2, 1])),
+    # each of these was built; the finger, model and codebook ones then failed to save
+    # untyped, saved with a warning or loaded back as other values
+    "codebook negative cardinalities": lambda: Codebook(np.zeros((1, 2)), np.ones(1),
+                                                        np.array([-3])),
+    "codebook complex centroids": lambda: Codebook(np.zeros((2, 4), complex), np.ones(2),
+                                                   np.array([3, 1])),
+    "pca str mean": lambda: PcaModel(np.zeros(4).astype(str), np.eye(4, 2), np.ones(2)),
+    "finger str power": lambda: dataclasses.replace(_finger(k=2), power=np.array(["a", "b"])),
+    "finger complex power": lambda: dataclasses.replace(_finger(k=2),
+                                                        power=np.array([1 + 2j, 0])),
+    "finger bool n_mean": lambda: dataclasses.replace(_finger(), n_mean=True),
+    "model str population mean": lambda: dataclasses.replace(
+        FROZEN_RECORDS["PipelineModel"](), population_mean=np.array(["0", "1"])),
+    # these two were flattened to a row
+    "distance vector matrix": lambda: DistanceVector(np.zeros((2, 3))),
+    "bit-string matrix": lambda: BitString(np.ones((2, 3), bool)),
+    # these two were cast to bool
+    "bit-string int bits": lambda: BitString(np.array([0, 2, 1])),
+    "bit-string list": lambda: BitString([True, False]),
     "model population mean": lambda: dataclasses.replace(
         FROZEN_RECORDS["PipelineModel"](), population_mean=np.zeros(3)),
     "model centroids": lambda: dataclasses.replace(
@@ -562,6 +599,67 @@ MISMATCHED_RECORDS = {
 def test_records_with_mismatched_parts_are_refused_when_built(name):
     with pytest.raises(MalformedHeader):
         MISMATCHED_RECORDS[name]()
+
+
+# the save and load of each record that has a file form; a codebook is saved in a model
+RECORD_FILES = {
+    "PipelineModel": (save_model, load_model),
+    "Codebook": (lambda cb: save_model(dataclasses.replace(FROZEN_RECORDS["PipelineModel"](),
+                                                           codebook=cb)),
+                 lambda blob: load_model(blob).codebook),
+    "FingerModel": (save_finger, load_finger),
+    "BitString": (save_bitstring, load_bitstring),
+    "GrayImage": (write_pgm, read_pgm),
+    "MinutiaTemplate": (serialize_text_template, parse_text_template),
+}
+
+
+def _wrong_arrays(array):
+    """``(label, array)`` of each swap the record-array fuzzer makes for ``array``."""
+    shape = array.shape
+    return [
+        ("str", np.ones(shape).astype(str)),
+        ("object", np.ones(shape).astype(object)),
+        ("complex", np.ones(shape, complex)),
+        ("rank", array[None]),
+        ("length", np.zeros((shape[0] + 1,) + shape[1:], array.dtype)),
+        ("nan", np.full(shape, np.nan)),
+        ("empty", np.zeros((0,) + shape[1:], array.dtype)),
+    ]
+
+
+def test_fuzz_record_arrays_zero_untyped():
+    # each array field of each record swapped for a wrong one: the record is refused
+    # with a typed error, or it is built and, where it has a file form, saves and
+    # loads back to the same bytes and values (so a NaN it takes survives)
+    crashes, built = [], 0
+    for name, make in sorted(FROZEN_RECORDS.items()):
+        record = make()
+        fields = [f.name for f in dataclasses.fields(record)
+                  if f.init and isinstance(getattr(record, f.name), np.ndarray)]
+        for field in fields:
+            for label, wrong in _wrong_arrays(getattr(record, field)):
+                case = f"{name}.{field} {label}"
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        swapped = dataclasses.replace(record, **{field: wrong})
+                        if name in RECORD_FILES:
+                            save, load = RECORD_FILES[name]
+                            blob = save(swapped)
+                            back = load(blob)
+                            assert save(back) == blob, case
+                            for (path, got), (_, want) in zip(_arrays(back), _arrays(swapped)):
+                                both_float = got.dtype.kind == want.dtype.kind == "f"
+                                assert np.array_equal(got, want, equal_nan=both_float), case
+                except FpbitsError:
+                    continue
+                except Exception as exc:  # anything untyped is a crash
+                    crashes.append(f"{case}: {type(exc).__name__}: {exc}")
+                    continue
+                built += 1
+    assert not crashes, f"{len(crashes)} untyped, first: {crashes[:3]}"
+    assert built > 0
 
 
 # every model and finger record these tests build
@@ -608,7 +706,14 @@ def test_a_record_rule_refuses_a_file_the_format_accepts():
     blob = save_model(FROZEN_RECORDS["PipelineModel"]())
     meta, arrays = _contents(blob)
     arrays = [(n, np.zeros(46) if n == "pca_m_mean" else a, c) for n, a, c in arrays]
-    with pytest.raises(MalformedHeader, match=r"PCA mean \(46,\), basis \(45, 2\)"):
+    with pytest.raises(MalformedHeader,
+                       match=r"PcaModel.mean must .* \(45,\), got float64 \(46,\)"):
+        load_model(_pack(MODEL_MAGIC, meta, arrays))
+    # a negative count once loaded
+    meta, arrays = _contents(blob)
+    arrays = [(n, np.array([-3, 1]) if n == "cardinalities" else a, c) for n, a, c in arrays]
+    with pytest.raises(MalformedHeader,
+                       match=r"^need K >= 1 and cardinalities >= 0, got \[-3  1\]$"):
         load_model(_pack(MODEL_MAGIC, meta, arrays))
 
 
@@ -635,13 +740,15 @@ def _lattice_spy(monkeypatch):
     return built
 
 
-def test_huge_radius_is_refused_before_any_lattice_is_built():
+def test_huge_radius_is_refused_before_any_lattice_is_built(monkeypatch):
     # unchecked, r_t = 1e6 would ask for a lattice of 58 TiB
     _, model = tiny_model()
     blob = _repack(save_model(model), b"FPBM", lambda h: _set_config(h, "r_t", "1000000.0"))
+    built = _lattice_spy(monkeypatch)
     with pytest.raises(MalformedHeader,
-                       match="lattice_t disagrees with the model's config radius 1000000.0"):
+                       match="^lattice_t radius 1000000.0 is over the 128 px bound$"):
         load_model(blob)
+    assert built == []
 
 
 def test_stored_lattices_are_checked_before_any_lattice_is_built(monkeypatch):
@@ -653,13 +760,13 @@ def test_stored_lattices_are_checked_before_any_lattice_is_built(monkeypatch):
 
     # a radius the stored lattice does not reach
     built.clear()
-    wide = _repack(blob, b"FPBM", lambda h: _set_config(h, "r_t", "300.0"))
+    wide = _repack(blob, b"FPBM", lambda h: _set_config(h, "r_t", "100.0"))
     with pytest.raises(MalformedHeader, match="lattice_t disagrees"):
         load_model(wide)
     # the radius's extreme point alone: too few points for that radius
     meta, arrays = _contents(wide)
     p = model.config.n_p
-    one_point = {"lattice_t": np.array([[300, 0]]), "pca_t_mean": np.zeros(1),
+    one_point = {"lattice_t": np.array([[100, 0]]), "pca_t_mean": np.zeros(1),
                  "pca_t_basis": np.zeros((1, p))}
     arrays = [(n, one_point.get(n, a), c) for n, a, c in arrays]
     with pytest.raises(MalformedHeader, match="lattice_t disagrees"):

@@ -8,8 +8,9 @@ synthetic set: bit for bit, except ``build_mbls``, whose matrix path expands
 the bump exponent and is held to ``MBLS_TOL``. The two descriptor views take
 a template's ``minutiae`` array and a row index. Nothing under ``src/fpbits``
 may call a view, so the package keeps one implementation per stage.
-``fpbits.bit_training`` imports no package module but ``errors``, so the
-stage works on plain numpy matrices.
+``fpbits.bit_training`` imports no package module but ``errors`` and, for
+the scalar rule of ``FingerModel``'s fields, ``config``, so the stage works
+on plain numpy matrices.
 """
 
 import ast
@@ -182,4 +183,4 @@ def package_imports(path):
 
 
 def test_bit_training_imports_only_errors_from_the_package():
-    assert package_imports(SRC / "bit_training.py") == {"errors"}
+    assert package_imports(SRC / "bit_training.py") == {"config", "errors"}
