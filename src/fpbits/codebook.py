@@ -93,12 +93,13 @@ class Codebook:
     weights: np.ndarray = field(init=False)  # (K,) in [0, 1]
 
     def __post_init__(self):
-        check_arrays(self, MalformedHeader, centroids=(float, "K", None), radii=(float, "K"),
-                     cardinalities=(int, "K"))
+        check_arrays(self, MalformedHeader, freeze=False, centroids=(float, "K", None),
+                     radii=(float, "K"), cardinalities=(int, "K"))
         if self.k < 1 or (self.cardinalities < 0).any():
             raise MalformedHeader(f"need K >= 1 and cardinalities >= 0, got {self.cardinalities}")
         object.__setattr__(self, "weights", cardinality_weights(self.cardinalities))
-        check_arrays(self, MalformedHeader, weights=(float, None))
+        check_arrays(self, MalformedHeader, centroids=(float, "K", None), radii=(float, "K"),
+                     cardinalities=(int, "K"), weights=(float, "K"))
 
     @property
     def k(self) -> int:

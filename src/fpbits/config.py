@@ -9,12 +9,15 @@ carries the exact configuration it was built with.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import MalformedHeader
 from .template_io import read_text
+
+MAX_LATTICE_RADIUS = 128  # px of whole radius, about 51,000 points: see lattice_radii
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,15 @@ class PipelineConfig:
                                   f"sigma_r_slope ({self.sigma_r_slope})")
         if self.max_nL < self.min_nL:
             raise MalformedHeader(f"max_nL ({self.max_nL}) must be >= min_nL ({self.min_nL})")
+        for name, radius in zip(("lattice_m", "lattice_t"), self.lattice_radii):
+            if math.floor(radius) > MAX_LATTICE_RADIUS:
+                raise MalformedHeader(f"{name} radius {radius} is over the "
+                                      f"{MAX_LATTICE_RADIUS} px bound")
+
+    @property
+    def lattice_radii(self) -> tuple[float, float]:
+        """The disc radii of the minutia lattice (after area downscaling) and the texture one."""
+        return self.r_m * (1.0 / math.sqrt(self.downscale_area)), self.r_t
 
 
 _CONFIG_RULES = (

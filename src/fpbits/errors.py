@@ -103,14 +103,17 @@ class ModelMissing(FpbitsError):
     """A named file, directory or dataset entry cannot be read, written or found."""
 
 
-def check_arrays(record, error: type, **fields) -> None:
+def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> None:
     """Check array fields of ``record``, then make them read-only in place, or raise ``error``.
-    A spec is ``(kind, *sizes)``: ``bool``, ``int``, ``float`` (any number) or ``np.void``,
-    then per axis an int, None for any size, or a name whose axes in the call agree."""
+    A spec is ``(kind, *sizes)``: ``bool``, ``int`` (a dtype that casts to int64 safely),
+    ``float`` (any number) or ``np.void``, then per axis an int, None for any size, or a name
+    whose axes in the call agree. A record with value checks of its own checks its arrays
+    with ``freeze=False`` first, so a refused record leaves the caller's arrays writeable."""
     kinds, named = {bool: "b", int: "iu", float: "biuf", np.void: "V"}, {}
     for name, (kind, *sizes) in fields.items():
         array = getattr(record, name)
-        ok = isinstance(array, np.ndarray) and array.dtype.kind in kinds[kind]
+        ok = (isinstance(array, np.ndarray) and array.dtype.kind in kinds[kind]
+              and (kind is not int or np.can_cast(array.dtype, np.int64)))
         if ok and array.ndim == len(sizes):  # the shape it needs, any size taken as it is
             sizes = tuple(named.setdefault(s, n) if isinstance(s, str) else n if s is None else s
                           for s, n in zip(sizes, array.shape))
@@ -118,5 +121,5 @@ def check_arrays(record, error: type, **fields) -> None:
             got = f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray) else type(array)
             raise error(f"{type(record).__name__}.{name} must be a {kind.__name__} array of "
                         f"shape {tuple(sizes)}, got {got}")
-    for name in fields:  # only once every field passed
+    for name in fields if freeze else ():  # only once every field passed
         getattr(record, name).flags.writeable = False

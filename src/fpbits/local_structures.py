@@ -30,8 +30,6 @@ from .config import PipelineConfig
 from .errors import MalformedHeader, check_arrays
 from .template_io import GrayImage
 
-MAX_LATTICE_RADIUS = 128  # px of whole radius, about 51,000 points: see lattice_radii
-
 
 def _disc_lattice(radius: float) -> np.ndarray:
     """Integer points with x^2 + y^2 <= radius^2, row-major by y then x."""
@@ -43,12 +41,14 @@ def _disc_lattice(radius: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructureGeometry:
-    """Disc lattices, radii and bump spreads shared by both descriptor families.
+    """The disc lattices of a config, which holds every other value of both descriptor families.
 
     ``lattice_m`` covers the minutia-descriptor disc after area downscaling
     (radius ``r_m / sqrt(downscale_area)``), ``lattice_t`` the texture disc at
-    full resolution (radius ``r_t``). Descriptor lengths are the lattice
-    point counts; they are properties of the lattice, not configured.
+    full resolution (radius ``r_t``); :attr:`PipelineConfig.lattice_radii`
+    gives both radii, and the config refuses one over its bound. Descriptor
+    lengths are the lattice point counts; they are properties of the
+    lattice, not configured.
 
     A neighbor at center distance ``rho`` gets a Gaussian bump with
     tangential spread ``sigma_t0 + sigma_t_slope * rho`` (across the
@@ -58,44 +58,17 @@ class StructureGeometry:
     certain.
     """
 
-    r_m: float
-    r_t: float
-    downscale_area: float
-    sigma_t0: float
-    sigma_t_slope: float
-    sigma_r0: float
-    sigma_r_slope: float
+    config: PipelineConfig
     lattice_m: np.ndarray = field(repr=False)
     lattice_t: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         check_arrays(self, MalformedHeader, lattice_m=(int, None, 2), lattice_t=(int, None, 2))
 
-    @staticmethod
-    def lattice_radii(config: PipelineConfig) -> Tuple[float, float]:
-        """The disc radii of ``lattice_m`` and ``lattice_t``."""
-        radii = config.r_m * (1.0 / math.sqrt(config.downscale_area)), config.r_t
-        for name, radius in zip(("lattice_m", "lattice_t"), radii):
-            if math.floor(radius) > MAX_LATTICE_RADIUS:
-                raise MalformedHeader(f"{name} radius {radius} is over the "
-                                      f"{MAX_LATTICE_RADIUS} px bound")
-        return radii
-
     @classmethod
     def from_config(cls, config: PipelineConfig) -> "StructureGeometry":
         """The geometry of a config, whose own checks cover every value used."""
-        lattice_m, lattice_t = map(_disc_lattice, cls.lattice_radii(config))
-        return cls(
-            r_m=config.r_m,
-            r_t=config.r_t,
-            downscale_area=config.downscale_area,
-            sigma_t0=config.sigma_t0,
-            sigma_t_slope=config.sigma_t_slope,
-            sigma_r0=config.sigma_r0,
-            sigma_r_slope=config.sigma_r_slope,
-            lattice_m=lattice_m,
-            lattice_t=lattice_t,
-        )
+        return cls(config, *map(_disc_lattice, config.lattice_radii))
 
     @property
     def n_m(self) -> int:
@@ -107,7 +80,7 @@ class StructureGeometry:
 
     @property
     def position_scale(self) -> float:
-        return 1.0 / math.sqrt(self.downscale_area)
+        return 1.0 / math.sqrt(self.config.downscale_area)
 
 
 # Block sizes, in float64 elements, of the (rows x lattice points) temporaries
@@ -134,7 +107,7 @@ def mbls_matrix(
     Every other minutia whose center distance is at most ``r_m`` contributes
     one Gaussian bump at its position in the reference's frame (translated
     to the reference and rotated by ``-theta``), oriented across the
-    center-to-neighbor ray, with the geometry's spreads at its distance.
+    center-to-neighbor ray, with the config's spreads at its distance.
     Positions and spreads are shrunk by the area downscale and rasterized
     over ``lattice_m``. Each row is L2-normalized; a minutia with no
     neighbor in range gets a zero row.
@@ -161,7 +134,7 @@ def mbls_matrix(
     dx = x[None, :] - x[sel, None]
     dy = y[None, :] - y[sel, None]
     rho = np.hypot(dx, dy)
-    near = rho <= geometry.r_m
+    near = rho <= geometry.config.r_m
     near[np.arange(sel.size), sel] = False  # a minutia is not its own neighbor
     row, nbr = np.nonzero(near)  # grouped by output row, neighbors in order
     if row.size == 0:
@@ -177,8 +150,9 @@ def mbls_matrix(
     scale = geometry.position_scale
     mx = u * scale
     my = v * scale
-    sig_t = (geometry.sigma_t0 + geometry.sigma_t_slope * rho) * scale
-    sig_r = (geometry.sigma_r0 + geometry.sigma_r_slope * rho) * scale
+    cfg = geometry.config
+    sig_t = (cfg.sigma_t0 + cfg.sigma_t_slope * rho) * scale
+    sig_r = (cfg.sigma_r0 + cfg.sigma_r_slope * rho) * scale
     theta_i = np.arctan2(v, u) + math.pi / 2.0
 
     # each bump's quadratic form, per pair: sig_t spreads along the axis at
@@ -323,7 +297,7 @@ def tbls_matrix(
     lx, ly = lat[:, 0], lat[:, 1]
     # a rotated lattice offset is within r_t of its minutia up to rounding,
     # which the margin absorbs (NaN positions compare False: border rows)
-    reach = geometry.r_t + 1.0
+    reach = geometry.config.r_t + 1.0
     interior = (x >= reach) & (x <= w - 1 - reach) & (y >= reach) & (y <= h - 1 - reach)
     step = max(1, _TBLS_BLOCK_ELEMENTS // geometry.n_t)
     block = np.empty((step, geometry.n_t), dtype=np.float64)

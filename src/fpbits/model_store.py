@@ -51,7 +51,8 @@ class PipelineModel:
     """Everything needed to turn a (template, image) pair into a bit-string.
 
     ``config`` is the only home of every configured value; ``geometry`` is
-    derived from it. ``population_mean`` is the two-stage mean of the
+    built from it, keeps it as ``geometry.config`` and adds only the two
+    disc lattices. ``population_mean`` is the two-stage mean of the
     training impressions' distance vectors, which enrollment measures each
     finger's spread against. The constructor ties its parts' shapes to the config.
     """
@@ -252,7 +253,7 @@ def load_model(data: bytes) -> PipelineModel:
     # the stored lattices guard against a change to the lattice construction; the re-save
     # compares them, and this bound first keeps a build near the file's size: radius R's
     # lattice spans -r..r for r = floor(R), with all 2r(r + 1) + 1 points |x| + |y| <= r
-    for name, radius in zip(("lattice_m", "lattice_t"), StructureGeometry.lattice_radii(config)):
+    for name, radius in zip(("lattice_m", "lattice_t"), config.lattice_radii):
         stored, r = arrays[name], math.floor(radius)
         if stored.size == 0 or int(stored.max()) != r or len(stored) < 2 * r * (r + 1) + 1:
             raise MalformedHeader(f"{name} disagrees with the model's config radius {radius}")

@@ -125,10 +125,10 @@ class GrayImage:
             for r, c in np.argwhere(cast != pixels)[:1]:  # the first bad pixel
                 raise FieldOutOfRange(f"pixel {pixels[r, c]} at row {r} col {c} is not 8-bit")
             pixels = cast
-        object.__setattr__(self, "pixels", pixels)
-        check_arrays(self, DimensionMismatch, pixels=(int, None, None))
         if 0 in pixels.shape:
             raise DimensionMismatch(f"need a 2-d array of at least 1x1 pixels, got {pixels.shape}")
+        object.__setattr__(self, "pixels", pixels)
+        check_arrays(self, DimensionMismatch, pixels=(int, None, None))
 
     @property
     def width(self) -> int:

@@ -228,10 +228,10 @@ def build_mbls(
         if m is ref:
             continue
         u, v, rho = local_frame(ref, m)
-        if rho > geometry.r_m:
+        if rho > geometry.config.r_m:
             continue
-        sig_t = geometry.sigma_t0 + geometry.sigma_t_slope * rho
-        sig_r = geometry.sigma_r0 + geometry.sigma_r_slope * rho
+        sig_t = geometry.config.sigma_t0 + geometry.config.sigma_t_slope * rho
+        sig_r = geometry.config.sigma_r0 + geometry.config.sigma_r_slope * rho
         theta_i = math.atan2(v, u) + math.pi / 2.0
         acc += gaussian_response(
             lattice,

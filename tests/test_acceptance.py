@@ -111,10 +111,10 @@ def _raw_mixture(ref, neighbors, geometry) -> np.ndarray:
     acc = np.zeros(geometry.n_m)
     for m in neighbors:
         u, v, rho = local_frame(ref, m)
-        if rho > geometry.r_m:
+        if rho > geometry.config.r_m:
             continue
-        sig_t = geometry.sigma_t0 + geometry.sigma_t_slope * rho
-        sig_r = geometry.sigma_r0 + geometry.sigma_r_slope * rho
+        sig_t = geometry.config.sigma_t0 + geometry.config.sigma_t_slope * rho
+        sig_r = geometry.config.sigma_r0 + geometry.config.sigma_r_slope * rho
         acc += gaussian_response(
             lattice,
             (u * scale, v * scale),

@@ -3,6 +3,9 @@
 import dataclasses
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -904,6 +907,39 @@ def test_bits_filename_without_impression_exits_2(workdir, tmp_path, capsys):
     assert_one_error_line(capsys, "foo.fpbs")
     with pytest.raises(FpbitsError, match="foo.fpbs"):
         cli._load_bits_dir(bits)
+
+
+# ---------------------------------------------------------------------------
+# determinism across interpreters
+# ---------------------------------------------------------------------------
+
+def _fresh_run(root, hash_seed):
+    """``synth``, ``train`` and ``encode`` of the 6x4 set, each in a new interpreter,
+    at one BLAS thread and ``PYTHONHASHSEED=hash_seed``; the files each wrote, by path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data, model, bits = (str(root / name) for name in ("data", "model.fpbm", "bits"))
+    for args in (["synth", "--out", data, "--subjects", "6", "--impressions", "4",
+                  "--seed", "7"],
+                 ["train", "--dataset", data, "--out", model, "--quiet",
+                  "--set", "K=16", "--set", "n_p=8"],
+                 ["encode", "--dataset", data, "--model", model, "--out-dir", bits]):
+        proc = subprocess.run([sys.executable, "-m", "fpbits.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_fresh_interpreters_write_identical_files(tmp_path):
+    # the README's promise: outputs depend on the configured seed alone, here
+    # for one BLAS thread count and two hash seeds, so no set or dict order leaks
+    first = _fresh_run(tmp_path / "a", 1)
+    second = _fresh_run(tmp_path / "b", 2)
+    assert "model.fpbm" in first and sum(name.endswith(".fpbs") for name in first) == 24
+    assert first.keys() == second.keys()
+    assert [name for name in first if first[name] != second[name]] == []
 
 
 # ---------------------------------------------------------------------------

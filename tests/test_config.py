@@ -205,11 +205,14 @@ def test_radii_over_the_lattice_bound_are_refused_before_any_lattice_is_built(mo
     assert geometry.n_t == geometry.n_m and int(geometry.lattice_t.max()) == 128
     built = []
     monkeypatch.setattr(local_structures, "_disc_lattice", built.append)
+    # the config itself refuses them, so no command gets as far as a geometry
     for text, lattice in [("r_t = 129", "lattice_t radius 129.0"),
                           ("r_m = 1e9", "lattice_m radius 316227766"),
                           ("r_m = 408\ndownscale_area = 10", "lattice_m radius 129.0")]:
         with pytest.raises(MalformedHeader, match=f"^{lattice}.* is over the 128 px bound$"):
-            StructureGeometry.from_config(parse_config(text))
+            parse_config(text)
+    with pytest.raises(MalformedHeader, match="^lattice_t radius 129.0 is over the 128 px bound$"):
+        PipelineConfig(r_t=129.0)
     assert built == []
 
 

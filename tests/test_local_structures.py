@@ -6,6 +6,7 @@ package's one-row views of the matrix extractors. The tests write minutiae
 in the oracles' object form and hand the package their ``minutia_array``.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -124,6 +125,14 @@ def test_lattice_sizes_match_brute_force():
     assert geom.n_t == count(1600) == 5025
 
 
+def test_geometry_keeps_its_config_and_adds_only_the_lattices():
+    # the config is the one home of every other value both families read
+    config = PipelineConfig(r_m=30.0, r_t=15.0, downscale_area=1.0)
+    geom = StructureGeometry.from_config(config)
+    assert [f.name for f in dataclasses.fields(geom)] == ["config", "lattice_m", "lattice_t"]
+    assert geom.config is config
+
+
 def test_lattice_row_major_order():
     geom = geometry(r_m=3.0, r_t=2.0, downscale_area=1.0)
     lat = geom.lattice_m
@@ -177,13 +186,13 @@ def test_mbls_brute_force_oracle():
     for m in others:
         dx, dy = m.x - ref.x, m.y - ref.y
         rho = math.hypot(dx, dy)
-        if rho > geom.r_m:
+        if rho > geom.config.r_m:
             continue
         c, s = math.cos(ref.theta), math.sin(ref.theta)
         u = c * dx + s * dy
         v = -s * dx + c * dy
-        st = geom.sigma_t0 + geom.sigma_t_slope * rho
-        sr = geom.sigma_r0 + geom.sigma_r_slope * rho
+        st = geom.config.sigma_t0 + geom.config.sigma_t_slope * rho
+        sr = geom.config.sigma_r0 + geom.config.sigma_r_slope * rho
         ti = math.atan2(v, u) + math.pi / 2
         for idx, (px, py) in enumerate(geom.lattice_m):
             a = math.cos(ti) ** 2 / (2 * st * st) + math.sin(ti) ** 2 / (2 * sr * sr)
@@ -586,7 +595,7 @@ def test_tbls_matrix_interior_margin(monkeypatch):
     geom = small_geometry()
     h, w = 50, 60
     img = np.random.default_rng(67).normal(size=(h, w))
-    reach = geom.r_t + 1.0
+    reach = geom.config.r_t + 1.0
     mid_x, mid_y = w / 2.0, h / 2.0
     minutiae, expect_interior = [], []
     for theta in (0.0, 0.3, math.pi / 4, math.pi / 2, 2.0, math.pi):
@@ -638,7 +647,7 @@ def mbls_pair_count(minutiae, geom):
         1
         for i, a in enumerate(minutiae)
         for j, b in enumerate(minutiae)
-        if i != j and math.hypot(a.x - b.x, a.y - b.y) <= geom.r_m
+        if i != j and math.hypot(a.x - b.x, a.y - b.y) <= geom.config.r_m
     )
 
 

@@ -35,7 +35,6 @@ from fpbits.model_store import (
     save_model,
     write_file_atomic,
 )
-from fpbits.local_structures import StructureGeometry
 from fpbits.pipeline import encode_impression, train_model
 from fpbits.subspace_fusion import PcaModel
 from fpbits.synth import SynthParams, synth_dataset
@@ -595,10 +594,29 @@ MISMATCHED_RECORDS = {
 }
 
 
+def _noting_refusals(post_init, refused):
+    """``post_init`` that adds to ``refused`` the writeable arrays of each record it refuses."""
+    def checked(record):
+        given = [a for a in vars(record).values() if isinstance(a, np.ndarray) and a.flags.writeable]
+        try:
+            post_init(record)
+        except FpbitsError:
+            refused.append(given)
+            raise
+    return checked
+
+
 @pytest.mark.parametrize("name", sorted(MISMATCHED_RECORDS))
-def test_records_with_mismatched_parts_are_refused_when_built(name):
+def test_records_with_mismatched_parts_are_refused_when_built(name, monkeypatch):
+    # and a refused record leaves the arrays it was given writeable (a codebook
+    # froze its negative cardinalities before it refused them)
+    refused = []
+    for record in (BitString, Codebook, DistanceVector, FingerModel, PcaModel, PipelineModel):
+        monkeypatch.setattr(record, "__post_init__",
+                            _noting_refusals(record.__post_init__, refused))
     with pytest.raises(MalformedHeader):
         MISMATCHED_RECORDS[name]()
+    assert refused and all(array.flags.writeable for given in refused for array in given)
 
 
 # the save and load of each record that has a file form; a codebook is saved in a model
@@ -625,6 +643,8 @@ def _wrong_arrays(array):
         ("length", np.zeros((shape[0] + 1,) + shape[1:], array.dtype)),
         ("nan", np.full(shape, np.nan)),
         ("empty", np.zeros((0,) + shape[1:], array.dtype)),
+        # an int field took this and saved it through the <i8 cast, wrapped negative
+        ("uint64", np.full(shape, 2**63, np.uint64)),
     ]
 
 
@@ -643,7 +663,11 @@ def test_fuzz_record_arrays_zero_untyped():
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        swapped = dataclasses.replace(record, **{field: wrong})
+                        try:
+                            swapped = dataclasses.replace(record, **{field: wrong})
+                        except FpbitsError:
+                            continue
+                        built += 1
                         if name in RECORD_FILES:
                             save, load = RECORD_FILES[name]
                             blob = save(swapped)
@@ -652,13 +676,10 @@ def test_fuzz_record_arrays_zero_untyped():
                             for (path, got), (_, want) in zip(_arrays(back), _arrays(swapped)):
                                 both_float = got.dtype.kind == want.dtype.kind == "f"
                                 assert np.array_equal(got, want, equal_nan=both_float), case
-                except FpbitsError:
-                    continue
-                except Exception as exc:  # anything untyped is a crash
+                # anything untyped, or a typed refusal of a record that was built
+                except Exception as exc:
                     crashes.append(f"{case}: {type(exc).__name__}: {exc}")
-                    continue
-                built += 1
-    assert not crashes, f"{len(crashes)} untyped, first: {crashes[:3]}"
+    assert not crashes, f"{len(crashes)} crashed, first: {crashes[:3]}"
     assert built > 0
 
 
@@ -756,7 +777,7 @@ def test_stored_lattices_are_checked_before_any_lattice_is_built(monkeypatch):
     blob = save_model(model)
     built = _lattice_spy(monkeypatch)
     load_model(blob)
-    assert built == list(StructureGeometry.lattice_radii(model.config))
+    assert built == list(model.config.lattice_radii)
 
     # a radius the stored lattice does not reach
     built.clear()

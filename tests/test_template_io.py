@@ -168,6 +168,8 @@ def test_gray_image_refuses_what_pgm_cannot_hold(pixels, error, message):
         warnings.simplefilter("error")  # and warns of no cast on the way
         with pytest.raises(error, match=re.escape(message)):
             GrayImage(pixels)
+    # and leaves the pixels it was given writeable: it froze a 0x0 uint8 array
+    assert not isinstance(pixels, np.ndarray) or pixels.flags.writeable
 
 
 def test_gray_image_keeps_every_8_bit_value():
