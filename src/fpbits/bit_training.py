@@ -19,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .config import check_record
-from .errors import EmptyEnrollment, LengthMismatch, MalformedHeader, check_arrays
+from .errors import ArrayRecord, EmptyEnrollment, LengthMismatch, MalformedHeader, check_arrays
 
 
-@dataclass(frozen=True)
-class FingerModel:
+@dataclass(eq=False, frozen=True)
+class FingerModel(ArrayRecord):
     """One finger's template: trained bit statistics, mask and enrolled reference.
 
     ``reference`` is the OR of the enrollment strings: a position any sample

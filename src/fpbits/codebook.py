@@ -21,6 +21,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .errors import (
+    ArrayRecord,
     DegeneratePool,
     EmptyImage,
     EmptyTrainingSet,
@@ -41,7 +42,7 @@ _EXPANDED_ROUNDING = 4.0
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False, frozen=True)
-class BitString:
+class BitString(ArrayRecord):
     """Fixed-length binary template: a 1-d, read-only bool row."""
 
     bits: np.ndarray
@@ -52,11 +53,6 @@ class BitString:
     def __len__(self) -> int:
         return self.bits.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return bool(np.array_equal(self.bits, other.bits))
-
     def __repr__(self) -> str:
         return f"BitString({self.ones}/{len(self)} set)"
 
@@ -66,8 +62,8 @@ class BitString:
         return int(self.bits.sum())
 
 
-@dataclass(frozen=True)
-class DistanceVector:
+@dataclass(eq=False, frozen=True)
+class DistanceVector(ArrayRecord):
     """Per-impression nearest plain distance to every cluster centroid."""
 
     values: np.ndarray
@@ -79,8 +75,8 @@ class DistanceVector:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class Codebook:
+@dataclass(eq=False, frozen=True)
+class Codebook(ArrayRecord):
     """Fitted cluster vocabulary; bit conversion's parameters come from the config.
 
     ``weights`` is derived from ``cardinalities`` by

@@ -6,6 +6,8 @@ to a message plus nonzero exit code instead of crashing on a bare
 ValueError from half-parsed input.
 """
 
+import dataclasses
+
 import numpy as np
 
 
@@ -123,3 +125,16 @@ def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> None:
                         f"shape {tuple(sizes)}, got {got}")
     for name in fields if freeze else ():  # only once every field passed
         getattr(record, name).flags.writeable = False
+
+
+class ArrayRecord:
+    """The equality of every dataclass that holds arrays, taken with ``eq=False``: the same
+    type and every field equal, arrays by ``np.array_equal`` and the rest by ``==``, so nested
+    records recurse. Defining ``__eq__`` alone leaves such a record unhashable."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        names = [f.name for f in dataclasses.fields(self)]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in ((getattr(self, n), getattr(other, n)) for n in names))

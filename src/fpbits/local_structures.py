@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import MalformedHeader, check_arrays
+from .errors import ArrayRecord, MalformedHeader, check_arrays
 from .template_io import GrayImage
 
 
@@ -39,8 +39,8 @@ def _disc_lattice(radius: float) -> np.ndarray:
     return np.stack([xs[inside], ys[inside]], axis=1)
 
 
-@dataclass(frozen=True)
-class StructureGeometry:
+@dataclass(eq=False, frozen=True)
+class StructureGeometry(ArrayRecord):
     """The disc lattices of a config, which holds every other value of both descriptor families.
 
     ``lattice_m`` covers the minutia-descriptor disc after area downscaling

@@ -27,6 +27,7 @@ from .bit_training import FingerModel
 from .codebook import BitString, Codebook
 from .config import PipelineConfig, check_fields, parse_config, serialize_config
 from .errors import (
+    ArrayRecord,
     BadMagic,
     MalformedHeader,
     ModelMissing,
@@ -46,8 +47,8 @@ CONTAINER_VERSION = 1
 _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 
 
-@dataclass(frozen=True)
-class PipelineModel:
+@dataclass(eq=False, frozen=True)
+class PipelineModel(ArrayRecord):
     """Everything needed to turn a (template, image) pair into a bit-string.
 
     ``config`` is the only home of every configured value; ``geometry`` is

@@ -45,13 +45,7 @@ from .matching import (
     stack_bits,
 )
 from .model_store import PipelineModel
-from .protocol import (
-    POLARITY_DISSIMILARITY,
-    POLARITY_SIMILARITY,
-    ProtocolReport,
-    compute_eer,
-    fvc_pair_rows,
-)
+from .protocol import ProtocolReport, compute_eer, fvc_pair_rows
 from .subspace_fusion import (
     PcaModel,
     fuse_matrix,
@@ -347,7 +341,7 @@ def _fvc_bit_reports(
     for length in lengths:
         bits = grid if length is None else fold_bits(grid, length)
         values, _ = intersection_scores(bits[pairs[:, 0]], bits[pairs[:, 1]])
-        reports.append(compute_eer(values[:n_g], values[n_g:], POLARITY_SIMILARITY))
+        reports.append(compute_eer(values[:n_g], values[n_g:]))
     return reports
 
 
@@ -388,7 +382,7 @@ def evaluate_fvc_lgs(
     pairs = [(keys[a], keys[b]) for a, b in np.concatenate([genuine, impostor]).tolist()]
     values = [score.value for score in lgs_scores(items, model, pairs)]
     n_g = genuine.shape[0]
-    return compute_eer(values[:n_g], values[n_g:], POLARITY_DISSIMILARITY)
+    return compute_eer(values[:n_g], values[n_g:], dissimilarity=True)
 
 
 @dataclass
@@ -449,8 +443,8 @@ def evaluate_split(
 
     n_g = g_query.size
     return SplitEvaluation(
-        trained=compute_eer(trained[:n_g], trained[n_g:], POLARITY_SIMILARITY),
-        untrained=compute_eer(plain[:n_g], plain[n_g:], POLARITY_SIMILARITY),
+        trained=compute_eer(trained[:n_g], trained[n_g:]),
+        untrained=compute_eer(plain[:n_g], plain[n_g:]),
         n_genuine=n_g,
         n_impostor=i_ref.size,
     )

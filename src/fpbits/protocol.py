@@ -20,16 +20,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyScores
-
-POLARITY_SIMILARITY = "similarity"
-POLARITY_DISSIMILARITY = "dissimilarity"
+from .errors import ArrayRecord, EmptyScores
 
 Pair = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
-@dataclass
-class ProtocolReport:
+@dataclass(eq=False)
+class ProtocolReport(ArrayRecord):
     """Scores, the swept receiver curve, and the interpolated equal error rate."""
 
     genuine_scores: np.ndarray
@@ -122,23 +119,18 @@ def _score_array(scores: Sequence[float]) -> np.ndarray:
 
 
 def compute_eer(
-    genuine: Sequence[float],
-    impostor: Sequence[float],
-    polarity: str = POLARITY_SIMILARITY,
+    genuine: Sequence[float], impostor: Sequence[float], *, dissimilarity: bool = False
 ) -> ProtocolReport:
     """Sweep thresholds over the merged scores and interpolate the EER.
 
-    ``polarity`` declares whether genuine attempts should score high
-    (``"similarity"``) or low (``"dissimilarity"``); dissimilarities are
-    swept as negated similarities and each threshold, zero as ``+0.0``, is
-    reported negated back. The returned curve tightens along the list: FAR
-    never increases and FRR never decreases.
+    Genuine attempts should score high, or low with ``dissimilarity``, which
+    sweeps the negated scores and reports each threshold, zero as ``+0.0``,
+    negated back. The returned curve tightens along the list: FAR never
+    increases and FRR never decreases.
 
     Raises:
         EmptyScores: either score list is empty or contains non-finite values.
     """
-    if polarity not in (POLARITY_SIMILARITY, POLARITY_DISSIMILARITY):
-        raise ValueError(f"unknown polarity {polarity!r}")
     g = _score_array(genuine)
     i = _score_array(impostor)
     if g.size == 0 or i.size == 0:
@@ -147,7 +139,7 @@ def compute_eer(
         raise EmptyScores("scores must be finite")
 
     # negation is exact; + 0.0 turns whichever zero the sort kept into +0.0
-    sign = 1.0 if polarity == POLARITY_SIMILARITY else -1.0
+    sign = -1.0 if dissimilarity else 1.0
     roc, corners = _operating_points(sign * g, sign * i)
     roc = [(far, frr, sign * th + 0.0) for far, frr, th in roc]
     eer = _hull_eer(corners)

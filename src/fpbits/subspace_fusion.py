@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, MalformedHeader, RankDeficient, TooFewSamples, check_arrays
+from .errors import (ArrayRecord, LengthMismatch, MalformedHeader, RankDeficient,
+                     TooFewSamples, check_arrays)
 
 _RANK_TOL = 1e-10
 # seed of the Lanczos start vector; a fixed start makes every fit repeat
@@ -24,8 +25,8 @@ _RANK_TOL = 1e-10
 _LANCZOS_SEED = 0x5EED
 
 
-@dataclass(frozen=True)
-class PcaModel:
+@dataclass(eq=False, frozen=True)
+class PcaModel(ArrayRecord):
     """Mean vector plus an orthonormal basis of principal directions.
 
     ``basis`` has one column per retained direction, ordered by decreasing

@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .config import check_record
-from .errors import FieldOutOfRange
+from .errors import ArrayRecord, FieldOutOfRange
 from .template_io import MINUTIA_DTYPE, GrayImage, MinutiaTemplate
 
 _STREAM_MASTER = 1
@@ -78,8 +78,8 @@ _SYNTH_RULES = (
 )
 
 
-@dataclass
-class OrientationField:
+@dataclass(eq=False)
+class OrientationField(ArrayRecord):
     """Smooth quasi-random direction field: a base angle plus two slow waves."""
 
     base: float
@@ -97,8 +97,8 @@ class OrientationField:
         return out
 
 
-@dataclass
-class SubjectMaster:
+@dataclass(eq=False)
+class SubjectMaster(ArrayRecord):
     minutiae: np.ndarray  # MINUTIA_DTYPE, quality 0
     f_field: OrientationField
 

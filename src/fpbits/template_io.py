@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AngleUnparseable,
+    ArrayRecord,
     BadMagic,
     DimensionMismatch,
     FieldOutOfRange,
@@ -44,7 +45,7 @@ MINUTIA_KINDS = ("T", "B", "O")  # termination, bifurcation, other
 
 
 @dataclass(eq=False, frozen=True)
-class MinutiaTemplate:
+class MinutiaTemplate(ArrayRecord):
     """One impression's minutiae, a ``MINUTIA_DTYPE`` array, and its capture size.
 
     The constructor is the one place template values are checked. It keeps a
@@ -103,8 +104,8 @@ class MinutiaTemplate:
         return len(self.minutiae)
 
 
-@dataclass(frozen=True)
-class GrayImage:
+@dataclass(eq=False, frozen=True)
+class GrayImage(ArrayRecord):
     """8-bit grayscale raster, pixels row-major with pixel[0] at top-left.
 
     The one check of pixels: 2-d, at least 1x1, values a ``uint8`` cast keeps.

@@ -94,7 +94,6 @@ from fpbits.pipeline import (
     raw_structures,
 )
 from fpbits.protocol import (
-    POLARITY_DISSIMILARITY,
     Pair,
     ProtocolReport,
     compute_eer,
@@ -932,4 +931,4 @@ def evaluate_fvc_lgs_oracle(
 
     genuine = [score(a, b) for a, b in genuine_rows.tolist()]
     impostor = [score(a, b) for a, b in impostor_rows.tolist()]
-    return compute_eer(genuine, impostor, POLARITY_DISSIMILARITY)
+    return compute_eer(genuine, impostor, dissimilarity=True)

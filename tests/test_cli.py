@@ -913,11 +913,12 @@ def test_bits_filename_without_impression_exits_2(workdir, tmp_path, capsys):
 # determinism across interpreters
 # ---------------------------------------------------------------------------
 
-def _fresh_run(root, hash_seed):
+def _fresh_run(root, hash_seed, threads=1):
     """``synth``, ``train`` and ``encode`` of the 6x4 set, each in a new interpreter,
-    at one BLAS thread and ``PYTHONHASHSEED=hash_seed``; the files each wrote, by path."""
+    at ``threads`` BLAS threads and ``PYTHONHASHSEED=hash_seed``; the files each wrote,
+    by path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=str(hash_seed),
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONHASHSEED=str(hash_seed),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     data, model, bits = (str(root / name) for name in ("data", "model.fpbm", "bits"))
     for args in (["synth", "--out", data, "--subjects", "6", "--impressions", "4",
@@ -932,14 +933,35 @@ def _fresh_run(root, hash_seed):
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def test_fresh_interpreters_write_identical_files(tmp_path):
+@pytest.fixture(scope="module")
+def one_thread_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one-thread")
+    return _fresh_run(root / "a", 1), _fresh_run(root / "b", 2)
+
+
+def _differing(first, second):
+    assert first.keys() == second.keys()
+    return [name for name in first if first[name] != second[name]]
+
+
+def test_fresh_interpreters_write_identical_files(one_thread_runs):
     # the README's promise: outputs depend on the configured seed alone, here
     # for one BLAS thread count and two hash seeds, so no set or dict order leaks
-    first = _fresh_run(tmp_path / "a", 1)
-    second = _fresh_run(tmp_path / "b", 2)
+    first, second = one_thread_runs
     assert "model.fpbm" in first and sum(name.endswith(".fpbs") for name in first) == 24
-    assert first.keys() == second.keys()
-    assert [name for name in first if first[name] != second[name]] == []
+    assert _differing(first, second) == []
+
+
+def test_two_blas_threads_repeat_themselves_and_the_dataset(one_thread_runs, tmp_path):
+    # at two BLAS threads the runs agree with each other, and the dataset with the
+    # one-thread runs'; README promises nothing of the model or the bit-strings
+    # across thread counts, so they are not compared across them
+    first = _fresh_run(tmp_path / "a", 1, threads=2)
+    second = _fresh_run(tmp_path / "b", 2, threads=2)
+    assert _differing(first, second) == []
+    data = [name for name in first if name.startswith("data" + os.sep)]
+    assert len(data) == 48
+    assert _differing({n: first[n] for n in data}, {n: one_thread_runs[0][n] for n in data}) == []
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ A template's minutiae are one structured array, read by column. Only
 A dataclass that checks its values in ``__post_init__`` is frozen, so no
 assignment after construction skips the check. Each array field of a frozen
 dataclass goes through ``errors.check_arrays`` in its ``__post_init__``, and
-that helper is the one place that sets an array's writeable flag.
+that helper is the one place that sets an array's writeable flag. A dataclass
+with an array field compares by ``errors.ArrayRecord``'s one equality rule.
+
+Every deliberate failure is typed: a ``raise`` re-raises, or raises an
+``FpbitsError`` of ``errors.py``, or the type a helper is handed (``error``)
+or that it caught (``type(exc)``).
 """
 
 import ast
@@ -256,11 +261,16 @@ def _names_dataclass(node):
             or (isinstance(node, ast.Attribute) and node.attr == "dataclass"))
 
 
-def _frozen(decorator):
+def _sets(decorator, keyword, value):
+    """Whether a decorator call passes ``keyword=value``, ``value`` a literal True or False."""
     return isinstance(decorator, ast.Call) and any(
-        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        kw.arg == keyword and isinstance(kw.value, ast.Constant) and kw.value.value is value
         for kw in decorator.keywords
     )
+
+
+def _is_array(annotation):
+    return ast.unparse(annotation).strip("'\"") in ("np.ndarray", "numpy.ndarray")
 
 
 def unfrozen_checked_records(tree):
@@ -272,7 +282,7 @@ def unfrozen_checked_records(tree):
         decorators = [d for d in node.decorator_list if _names_dataclass(d)]
         checks = any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
                      for item in node.body)
-        if decorators and checks and not any(_frozen(d) for d in decorators):
+        if decorators and checks and not any(_sets(d, "frozen", True) for d in decorators):
             found.append((node.lineno, node.name))
     return sorted(found)
 
@@ -342,14 +352,13 @@ def unfrozen_array_records(tree):
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        if not any(_names_dataclass(d) and _frozen(d) for d in node.decorator_list):
+        if not any(_names_dataclass(d) and _sets(d, "frozen", True) for d in node.decorator_list):
             continue
         checked = set().union(*(_checked_arrays(item) for item in node.body
                                 if isinstance(item, ast.FunctionDef)
                                 and item.name == "__post_init__"))
         found += [(item.lineno, f"{node.name}.{item.target.id}") for item in node.body
-                  if isinstance(item, ast.AnnAssign)
-                  and ast.unparse(item.annotation).strip("'\"") in ("np.ndarray", "numpy.ndarray")
+                  if isinstance(item, ast.AnnAssign) and _is_array(item.annotation)
                   and item.target.id not in checked]
     return sorted(found)
 
@@ -468,3 +477,160 @@ def test_the_check_sees_array_freezes():
     )
     assert array_freezes(tree) == [
         (1, None), (4, "check_arrays"), (7, "__post_init__"), (8, "__post_init__"), (10, "inner")]
+
+
+
+def _binds(node):
+    """The names a class body binds by ``def`` or by plain assignment."""
+    names = set()
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef):
+            names.add(item.name)
+        elif isinstance(item, ast.Assign):
+            names.update(target.id for target in item.targets if isinstance(target, ast.Name))
+    return names
+
+
+def array_records_off_the_rule(tree):
+    """``(line, name)`` of each dataclass with an ``np.ndarray`` field that does not take
+    ``ArrayRecord``'s equality: it keeps the generated ``__eq__`` (no ``eq=False``),
+    does not derive from ``ArrayRecord``, or defines ``__eq__`` or ``__hash__`` itself."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d for d in node.decorator_list if _names_dataclass(d)]
+        if not decorators or not any(isinstance(item, ast.AnnAssign) and _is_array(item.annotation)
+                                     for item in node.body):
+            continue
+        bases = {ast.unparse(base).rpartition(".")[2] for base in node.bases}
+        if (not any(_sets(d, "eq", False) for d in decorators) or "ArrayRecord" not in bases
+                or _binds(node) & {"__eq__", "__hash__"}):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_array_records_take_the_one_equality_rule(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    records = array_records_off_the_rule(tree)
+    assert not records, (f"{path.name}: a dataclass with an np.ndarray field compares other "
+                         f"than by errors.ArrayRecord: {records}")
+
+
+def test_the_check_sees_array_records_off_the_rule():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "import numpy as np\n"
+        "from dataclasses import dataclass\n"
+        "from .errors import ArrayRecord\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class B(ArrayRecord):\n"
+        "    x: np.ndarray\n"
+        "@dataclass(eq=False, frozen=True)\n"
+        "class C:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(eq=False)\n"
+        "class D(ArrayRecord):\n"
+        "    x: 'numpy.ndarray'\n"
+        "    def __eq__(self, other):\n"
+        "        return self is other\n"
+        "@dataclasses.dataclass(eq=False)\n"
+        "class E(errors.ArrayRecord):\n"
+        "    x: np.ndarray\n"
+        "    __hash__ = object.__hash__\n"
+        "@dataclass(eq=False, frozen=True)\n"
+        "class F(errors.ArrayRecord):\n"
+        "    x: int\n"
+        "    y: np.ndarray\n"
+        "@dataclass\n"
+        "class G:\n"
+        "    x: int\n"
+        "class H:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(eq=0)\n"
+        "class I(ArrayRecord):\n"
+        "    x: np.ndarray\n"
+        "@dataclass(eq=False)\n"
+        "class J(ArrayRecord):\n"
+        "    x: np.ndarray\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+    )
+    assert array_records_off_the_rule(tree) == [(6, "A"), (9, "B"), (12, "C"), (15, "D"),
+                                                 (20, "E"), (33, "I")]
+
+
+def _error_types():
+    """The names of ``FpbitsError`` and every class ``errors.py`` derives from it."""
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    typed = {"FpbitsError"}
+    for node in tree.body:  # each class after its base
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base) in typed for base in node.bases):
+            typed.add(node.name)
+    return typed
+
+
+def untyped_raises(tree, typed):
+    """``(line, text)`` of each ``raise`` that is not bare and raises neither a name in
+    ``typed``, called or not, nor ``error(...)`` nor ``type(exc)(...)``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(raised, ast.Attribute):  # errors.BadMagic
+            name = raised.attr
+        elif isinstance(raised, ast.Name):
+            name = raised.id
+        elif (isinstance(raised, ast.Call) and isinstance(raised.func, ast.Name)
+              and raised.func.id == "type" and len(raised.args) == 1):
+            name = "type(exc)"
+        else:
+            name = None
+        if name not in typed | {"error", "type(exc)"}:
+            found.append((node.lineno, ast.unparse(node.exc)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_raise_is_typed(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    raises = untyped_raises(tree, _error_types())
+    assert not raises, f"{path.name}: raises no FpbitsError: {raises}"
+
+
+def test_the_check_sees_untyped_raises():
+    typed = _error_types()
+    assert {"FpbitsError", "MalformedHeader", "FieldOutOfRange", "ModelMissing"} <= typed
+    assert "ArrayRecord" not in typed and "_RecordError" in typed
+    tree = ast.parse(
+        "from . import errors\n"
+        "from .errors import MalformedHeader\n"
+        "def f(polarity, error):\n"
+        "    if polarity not in ('similarity', 'dissimilarity'):\n"
+        "        raise ValueError(f'unknown polarity {polarity!r}')\n"
+        "    try:\n"
+        "        pass\n"
+        "    except KeyError as exc:\n"
+        "        raise\n"
+        "    except OSError as exc:\n"
+        "        raise exc\n"
+        "    except (TypeError, IndexError) as exc:\n"
+        "        raise type(exc)(str(exc), 3) from None\n"
+        "    raise MalformedHeader('bad') from None\n"
+        "    raise errors.BadMagic('bad')\n"
+        "    raise error(f'{polarity} must be finite')\n"
+        "    raise MalformedHeader\n"
+        "    raise RuntimeError\n"
+        "    raise errors.ArrayRecord()\n"
+        "    raise KeyError('x') from exc\n"
+        "    raise type(exc)\n"
+    )
+    assert untyped_raises(tree, typed) == [
+        (5, "ValueError(f'unknown polarity {polarity!r}')"), (11, "exc"), (18, "RuntimeError"),
+        (19, "errors.ArrayRecord()"), (20, "KeyError('x')"), (21, "type(exc)")]

@@ -35,9 +35,10 @@ from fpbits.model_store import (
     save_model,
     write_file_atomic,
 )
-from fpbits.pipeline import encode_impression, train_model
+from fpbits.pipeline import encode_dataset, encode_impression, evaluate_split, train_model
+from fpbits.protocol import compute_eer
 from fpbits.subspace_fusion import PcaModel
-from fpbits.synth import SynthParams, synth_dataset
+from fpbits.synth import SynthParams, make_master, synth_dataset
 from fpbits.template_io import (
     MINUTIA_DTYPE,
     GrayImage,
@@ -437,7 +438,8 @@ def _pca(dim):
 FROZEN_RECORDS = {
     "PipelineConfig": PipelineConfig,
     "SynthParams": SynthParams,
-    "MinutiaTemplate": lambda: MinutiaTemplate(np.zeros(0, MINUTIA_DTYPE), 10, 10),
+    "MinutiaTemplate": lambda: MinutiaTemplate(
+        np.array([(1.0, 2.0, 0.5, "T", 50)], MINUTIA_DTYPE), 10, 10),
     "GrayImage": lambda: GrayImage(np.zeros((2, 3), dtype=np.uint8)),
     "DistanceVector": lambda: DistanceVector(np.zeros(4)),
     "Codebook": lambda: Codebook(np.zeros((2, 4)), np.ones(2), np.array([3, 1])),
@@ -448,6 +450,8 @@ FROZEN_RECORDS = {
         population_mean=np.zeros(2)),
     "FingerModel": lambda: _finger(k=4),
     "BitString": lambda: BitString(np.array([True, False, True])),
+    "StructureGeometry": lambda: local_structures.StructureGeometry.from_config(
+        PipelineConfig(r_m=12.0, r_t=4.0)),
 }
 # after these assignments, a model saved from the config was refused by its own loader
 CONFIG_DRIFT = [("r_t", 40), ("gate_all", "no")]
@@ -892,3 +896,103 @@ def test_fuzz_bitstring_headers():
     blob = save_bitstring(fold_compress(BitString(np.ones(20, dtype=bool)), 11))
     _fuzz(blob, 16, load_bitstring, save_bitstring, lambda bs: intersection_score(bs, bs),
           seed=1303)
+
+
+# ---------------------------------------------------------------------------
+# equality: a record that holds arrays compares by value and is unhashable
+# ---------------------------------------------------------------------------
+
+def _init_arrays(record, path=()):
+    """``(path, array)`` of every array a record is built from, nested records included."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.init and isinstance(value, np.ndarray):
+            yield path + (f.name,), value
+        elif f.init and dataclasses.is_dataclass(value):
+            yield from _init_arrays(value, path + (f.name,))
+
+
+def _replaced(record, path, value):
+    """``record`` rebuilt with the field at ``path`` set to ``value``."""
+    head, *rest = path
+    if rest:
+        value = _replaced(getattr(record, head), rest, value)
+    return dataclasses.replace(record, **{head: value})
+
+
+def _one_element_changed(array):
+    changed = array.copy()
+    if array.dtype.names:  # a template's minutiae, by position
+        changed["x"][0] += 1.0
+    elif array.dtype == bool:
+        changed[(0,) * array.ndim] ^= True
+    else:
+        changed[(0,) * array.ndim] += 1
+    return changed
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RECORDS))
+def test_records_compare_by_value(name):
+    record = FROZEN_RECORDS[name]()
+    copy = dataclasses.replace(record)
+    assert copy is not record and (copy == record) is True and (copy != record) is False
+    assert (record == object()) is False and (record != object()) is True
+    arrays = list(_init_arrays(record))
+    assert bool(arrays) == (name not in ("PipelineConfig", "SynthParams"))
+    if not arrays:  # a record of plain values keeps the generated equality and hash
+        assert hash(copy) == hash(record)
+        return
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+    for path, array in arrays:
+        changed = _replaced(record, path, _one_element_changed(array))
+        assert (changed == record) is False and (changed != record) is True, path
+        # the other record types compare unequal, never raising
+        assert all((changed == FROZEN_RECORDS[other]()) is False
+                   for other in FROZEN_RECORDS if other != name), path
+
+
+def test_equal_values_of_another_dtype_compare_equal():
+    # arrays compare by value, as np.array_equal does
+    assert GrayImage(np.ones((2, 2), np.uint8)) == GrayImage(np.ones((2, 2), np.int64))
+    assert DistanceVector(np.arange(3.0)) == DistanceVector(np.arange(3))
+    assert DistanceVector(np.zeros(3)) != DistanceVector(np.zeros(4))
+
+
+def test_saved_records_load_back_equal():
+    items, model = tiny_model()
+    assert load_model(save_model(model)) == model
+    finger = _finger()
+    assert load_finger(save_finger(finger)) == finger
+    bits = BitString(np.array([True, False, True, True]))
+    assert load_bitstring(save_bitstring(bits)) == bits
+    template, image = items[sorted(items)[0]]
+    assert parse_text_template(serialize_text_template(template)) == dataclasses.replace(
+        template, subject_id="", impression_id="")
+    assert read_pgm(write_pgm(image)) == image
+
+
+def test_repeated_runs_return_equal_records():
+    # the records that hold arrays, or records that do, built twice from one input
+    items, model = tiny_model()
+    model = dataclasses.replace(model, config=dataclasses.replace(model.config, enroll_size=2))
+    params = SynthParams(n_subjects=3, n_impressions=3, width=128, height=128,
+                         n_minutiae=12, seed=2)
+    first, second = encode_dataset(items, model), encode_dataset(items, model)
+    key, other = sorted(items)[:2]
+    split = evaluate_split(first, model)
+    pairs = [
+        (first[key], second[key]),
+        (split, evaluate_split(second, model)),
+        (split.trained, compute_eer(split.trained.genuine_scores, split.trained.impostor_scores)),
+        (make_master(params, 1), make_master(params, 1)),
+        (make_master(params, 1).f_field, make_master(params, 1).f_field),
+        (synth_dataset(params)[key], items[key]),
+    ]
+    assert all(type(a == b) is bool and a == b for a, b in pairs)
+    for a, _ in pairs[:-1]:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    assert first[key] != first[other]
+    assert make_master(params, 1) != make_master(params, 2)
+    assert make_master(params, 1).f_field != make_master(params, 2).f_field

@@ -38,7 +38,7 @@ from fpbits.pipeline import (
     raw_structures,
     train_model,
 )
-from fpbits.protocol import POLARITY_SIMILARITY, compute_eer
+from fpbits.protocol import compute_eer
 from fpbits.subspace_fusion import fuse_matrix, project
 from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import (
@@ -427,7 +427,7 @@ def loop_fvc_bits(encoded, fold_to=None):
             strings[(si, ii)] = bs if fold_to is None else fold_compress(bs, fold_to)
     genuine = [intersection_score(strings[a], strings[b]).value for a, b in genuine_pairs]
     impostor = [intersection_score(strings[a], strings[b]).value for a, b in impostor_pairs]
-    return compute_eer(genuine, impostor, POLARITY_SIMILARITY)
+    return compute_eer(genuine, impostor)
 
 
 def loop_split(encoded, model):
@@ -455,8 +455,7 @@ def loop_split(encoded, model):
                 query = encoded[tests[t][0]].bits
                 i_t.append(masked_score(query, finger, mask_both).value)
                 i_p.append(intersection_score(query, reference).value)
-    return (compute_eer(g_t, i_t, POLARITY_SIMILARITY),
-            compute_eer(g_p, i_p, POLARITY_SIMILARITY))
+    return compute_eer(g_t, i_t), compute_eer(g_p, i_p)
 
 
 def assert_same_report(got, want):

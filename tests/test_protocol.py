@@ -5,14 +5,12 @@ import pytest
 
 from fpbits import protocol
 from fpbits.errors import EmptyScores
-from fpbits.protocol import (
-    POLARITY_DISSIMILARITY,
-    POLARITY_SIMILARITY,
-    compute_eer,
-    fvc_pair_rows,
-    fvc_pairs,
-)
+from fpbits.protocol import compute_eer, fvc_pair_rows, fvc_pairs
 import oracles
+
+# genuine attempts score high, then low
+by_polarity = pytest.mark.parametrize("dissimilarity", [False, True],
+                                      ids=["similarity", "dissimilarity"])
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +69,7 @@ def test_pair_rows_list_fvc_pairs_in_order(s, m):
 # equal error rate
 # ---------------------------------------------------------------------------
 
-def pairwise_oracle(genuine, impostor, polarity):
+def pairwise_oracle(genuine, impostor, dissimilarity):
     """Minimum diagonal crossing over segments between operating points.
 
     Every deterministic threshold yields operating points under both the
@@ -84,7 +82,7 @@ def pairwise_oracle(genuine, impostor, polarity):
     im = np.asarray(impostor, dtype=float)
     pts = {(1.0, 0.0), (0.0, 1.0)}
     for th in np.unique(np.concatenate([g, im])):
-        if polarity == POLARITY_SIMILARITY:
+        if not dissimilarity:
             pts.add((float((im >= th).mean()), float((g < th).mean())))
             pts.add((float((im > th).mean()), float((g <= th).mean())))
         else:
@@ -110,7 +108,7 @@ def pairwise_oracle(genuine, impostor, polarity):
 
 def test_eer_separated():
     assert compute_eer([0.9, 0.8], [0.2, 0.1]).eer == 0.0
-    assert compute_eer([0.1, 0.2], [0.8, 0.9], POLARITY_DISSIMILARITY).eer == 0.0
+    assert compute_eer([0.1, 0.2], [0.8, 0.9], dissimilarity=True).eer == 0.0
 
 
 def test_eer_identical_distributions():
@@ -132,9 +130,9 @@ def test_eer_against_pairwise_oracle():
         n_i = int(rng.integers(1, 15))
         g = np.round(rng.normal(0.6, 0.25, n_g), 2)
         im = np.round(rng.normal(0.4, 0.25, n_i), 2)
-        polarity = POLARITY_SIMILARITY if trial % 2 else POLARITY_DISSIMILARITY
-        got = compute_eer(g, im, polarity).eer
-        want = pairwise_oracle(g, im, polarity)
+        dissimilarity = trial % 2 == 0
+        got = compute_eer(g, im, dissimilarity=dissimilarity).eer
+        want = pairwise_oracle(g, im, dissimilarity)
         assert abs(got - want) < 1e-12
         assert 0.0 <= got <= 1.0
 
@@ -143,8 +141,8 @@ def test_polarity_negation_duality():
     rng = np.random.default_rng(191)
     g = rng.normal(0.3, 0.2, 20)
     im = rng.normal(0.6, 0.2, 25)
-    low = compute_eer(g, im, POLARITY_DISSIMILARITY).eer
-    high = compute_eer(-g, -im, POLARITY_SIMILARITY).eer
+    low = compute_eer(g, im, dissimilarity=True).eer
+    high = compute_eer(-g, -im).eer
     assert abs(low - high) < 1e-12
 
 
@@ -152,8 +150,8 @@ def test_roc_tightens():
     rng = np.random.default_rng(193)
     g = rng.normal(0.65, 0.15, 60)
     im = rng.normal(0.35, 0.15, 80)
-    for polarity in (POLARITY_SIMILARITY, POLARITY_DISSIMILARITY):
-        report = compute_eer(g, im, polarity)
+    for dissimilarity in (False, True):
+        report = compute_eer(g, im, dissimilarity=dissimilarity)
         fars = [p[0] for p in report.roc]
         frrs = [p[1] for p in report.roc]
         assert all(b <= a + 1e-12 for a, b in zip(fars, fars[1:]))
@@ -170,26 +168,27 @@ def test_eer_input_validation():
         compute_eer([float("nan")], [0.5])
     with pytest.raises(EmptyScores):
         compute_eer([0.5], [float("inf")])
-    with pytest.raises(ValueError):
-        compute_eer([0.5], [0.4], polarity="sideways")
+    # the polarity is a keyword-only bool: no string can name it
+    with pytest.raises(TypeError):
+        compute_eer([0.5], [0.4], "dissimilarity")
 
 
 # ---------------------------------------------------------------------------
 # sorted sweep against the per-threshold loop
 # ---------------------------------------------------------------------------
 
-def loop_operating_points(genuine, impostor, polarity):
+def loop_operating_points(genuine, impostor, dissimilarity):
     """Four full-array comparisons per threshold: the sweep before sorting.
 
     A zero threshold is +0.0, whichever of -0.0 and 0.0 ``np.unique`` kept.
     """
     thresholds = np.unique(np.concatenate([genuine, impostor])) + 0.0
-    sweep = thresholds[::-1] if polarity == POLARITY_DISSIMILARITY else thresholds
+    sweep = thresholds[::-1] if dissimilarity else thresholds
     roc = []
     corners = [(1.0, 0.0), (0.0, 1.0)]
     n_g, n_i = genuine.size, impostor.size
     for th in sweep:
-        if polarity == POLARITY_SIMILARITY:
+        if not dissimilarity:
             far = float((impostor >= th).sum()) / n_i
             frr = float((genuine < th).sum()) / n_g
             far_x = float((impostor > th).sum()) / n_i
@@ -210,23 +209,23 @@ def roc_rows(roc):
     return [f"{far:.9f},{frr:.9f},{th:.9f}" for far, frr, th in roc]
 
 
-def assert_matches_loop(genuine, impostor, polarity):
+def assert_matches_loop(genuine, impostor, dissimilarity):
     g = np.asarray(genuine, dtype=np.float64)
     im = np.asarray(impostor, dtype=np.float64)
-    want_roc, want_corners = loop_operating_points(g, im, polarity)
-    report = compute_eer(genuine, impostor, polarity)
+    want_roc, want_corners = loop_operating_points(g, im, dissimilarity)
+    report = compute_eer(genuine, impostor, dissimilarity=dissimilarity)
     assert report.roc == want_roc
     assert roc_rows(report.roc) == roc_rows(want_roc)
     assert all(type(x) is float for point in report.roc for x in point)
     # the one sweep sees dissimilarities negated
-    sign = 1.0 if polarity == POLARITY_SIMILARITY else -1.0
+    sign = -1.0 if dissimilarity else 1.0
     _, corners = protocol._operating_points(sign * g, sign * im)
     assert corners.tobytes() == want_corners.tobytes()
     assert report.eer == protocol._hull_eer(want_corners)
 
 
-@pytest.mark.parametrize("polarity", [POLARITY_SIMILARITY, POLARITY_DISSIMILARITY])
-def test_sorted_sweep_matches_loop(polarity):
+@by_polarity
+def test_sorted_sweep_matches_loop(dissimilarity):
     rng = np.random.default_rng(197)
     for trial in range(60):
         n_g = int(rng.integers(1, 400))
@@ -235,21 +234,21 @@ def test_sorted_sweep_matches_loop(polarity):
         decimals = int(rng.integers(0, 3))
         g = np.round(rng.normal(0.6, 0.2, n_g), decimals)
         im = np.round(rng.normal(0.4, 0.2, n_i), decimals)
-        assert_matches_loop(g, im, polarity)
+        assert_matches_loop(g, im, dissimilarity)
 
 
-@pytest.mark.parametrize("polarity", [POLARITY_SIMILARITY, POLARITY_DISSIMILARITY])
-def test_sorted_sweep_matches_loop_on_ties(polarity):
-    assert_matches_loop([0.5] * 7, [0.5] * 3, polarity)
-    assert_matches_loop([1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0], polarity)
-    assert_matches_loop([0.25], [0.75], polarity)
-    assert_matches_loop([-0.0, 0.0, 0.5], [0.0, -0.0], polarity)
+@by_polarity
+def test_sorted_sweep_matches_loop_on_ties(dissimilarity):
+    assert_matches_loop([0.5] * 7, [0.5] * 3, dissimilarity)
+    assert_matches_loop([1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0], dissimilarity)
+    assert_matches_loop([0.25], [0.75], dissimilarity)
+    assert_matches_loop([-0.0, 0.0, 0.5], [0.0, -0.0], dissimilarity)
     # unsorted input, as the protocol hands it over
-    assert_matches_loop([0.9, 0.1, 0.5, 0.5, 0.3], [0.5, 0.2, 0.9, 0.2], polarity)
+    assert_matches_loop([0.9, 0.1, 0.5, 0.5, 0.3], [0.5, 0.2, 0.9, 0.2], dissimilarity)
 
 
-@pytest.mark.parametrize("polarity", [POLARITY_SIMILARITY, POLARITY_DISSIMILARITY])
-def test_zero_threshold_is_positive_zero(polarity):
+@by_polarity
+def test_zero_threshold_is_positive_zero(dissimilarity):
     # np.unique keeps whichever zero its sort puts first; the sweep of the
     # negated scores sees the other sign
     rng = np.random.default_rng(199)
@@ -258,7 +257,7 @@ def test_zero_threshold_is_positive_zero(polarity):
         zeros[:2] = [-0.0, 0.0]
         scores = np.concatenate([zeros, [0.5, -0.5]])
         for g, im in [(scores, zeros), (zeros, scores), (-scores, zeros)]:
-            report = compute_eer(g, im, polarity)
+            report = compute_eer(g, im, dissimilarity=dissimilarity)
             zero_rows = [row for row in roc_rows(report.roc) if row.endswith(",0.000000000")]
             assert len(zero_rows) == 1
             assert not any(row.endswith(",-0.000000000") for row in roc_rows(report.roc))
@@ -276,8 +275,8 @@ def test_sorted_sweep_leaves_inputs_and_scores_alone():
     assert compute_eer(iter([0.9, 0.8]), iter([0.2])).eer == 0.0
 
 
-@pytest.mark.parametrize("polarity", [POLARITY_SIMILARITY, POLARITY_DISSIMILARITY])
-def test_sorted_sweep_empty_scores(polarity):
+@by_polarity
+def test_sorted_sweep_empty_scores(dissimilarity):
     for genuine, impostor in [
         (np.array([]), np.array([0.5])),
         (np.array([0.5]), np.array([])),
@@ -285,4 +284,4 @@ def test_sorted_sweep_empty_scores(polarity):
         (np.array([0.5]), np.array([-np.inf])),
     ]:
         with pytest.raises(EmptyScores):
-            compute_eer(genuine, impostor, polarity)
+            compute_eer(genuine, impostor, dissimilarity=dissimilarity)
