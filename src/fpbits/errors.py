@@ -18,7 +18,8 @@ class FpbitsError(Exception):
 # --- template / image parsing ---
 
 class MalformedHeader(FpbitsError):
-    """A template or image header could not be parsed."""
+    """A template, image or container could not be parsed, a config text or setting
+    was refused, or a record's parts break its rules."""
 
 
 class _RecordError(FpbitsError):
@@ -108,9 +109,10 @@ class ModelMissing(FpbitsError):
 def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> None:
     """Check array fields of ``record``, then make them read-only in place, or raise ``error``.
     A spec is ``(kind, *sizes)``: ``bool``, ``int`` (a dtype that casts to int64 safely),
-    ``float`` (any number) or ``np.void``, then per axis an int, None for any size, or a name
-    whose axes in the call agree. A record with value checks of its own checks its arrays
-    with ``freeze=False`` first, so a refused record leaves the caller's arrays writeable."""
+    ``float`` (any number, NaN and infinities aside) or ``np.void``, then per axis an int,
+    None for any size, or a name whose axes in the call agree. A record with value checks of
+    its own checks its arrays with ``freeze=False`` first, so a refused record leaves the
+    caller's arrays writeable."""
     kinds, named = {bool: "b", int: "iu", float: "biuf", np.void: "V"}, {}
     for name, (kind, *sizes) in fields.items():
         array = getattr(record, name)
@@ -123,6 +125,9 @@ def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> None:
             got = f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray) else type(array)
             raise error(f"{type(record).__name__}.{name} must be a {kind.__name__} array of "
                         f"shape {tuple(sizes)}, got {got}")
+        if array.dtype.kind == "f" and not np.isfinite(array).all():
+            raise error(f"{type(record).__name__}.{name} must hold finite numbers, got "
+                        f"{array[~np.isfinite(array)][0]}")
     for name in fields if freeze else ():  # only once every field passed
         getattr(record, name).flags.writeable = False
 

@@ -3,13 +3,19 @@
 Models and finger models share one layout: a 4-byte magic, a version word,
 a length-prefixed JSON header (sorted keys, so identical content is
 identical bytes), then the named arrays' raw little-endian data in header
-order. Writing the same artifact twice produces the same bytes, and the
-model and finger loaders accept only that encoding.
+order. One table per container gives each array's name, dtype and place in
+the record, and both the writer and the reader follow it.
 
 * ``FPBM`` - pipeline model: config text, descriptor lattices, both
   subspace models, and the codebook.
 * ``FPFM`` - one finger's fitted statistics, mask, and enrolled string.
 * ``FPBS`` - one bit-string: a fixed 16-byte header, then the packed bits.
+
+Every loader decodes only what it needs to build its record, then saves that
+record again and refuses the file unless this gives the file's own bytes. So
+each artifact has exactly one encoding, and that one rule refuses whatever
+else a file could hold: another header value, a flag byte other than 0 or
+1, a set padding bit or a trailing byte.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -79,21 +86,18 @@ class PipelineModel(ArrayRecord):
 # generic container
 # ---------------------------------------------------------------------------
 
-def _pack(magic: bytes, meta: dict, arrays: List[Tuple[str, np.ndarray, str]]) -> bytes:
-    header = {
-        "meta": meta,
-        "arrays": [
-            {"name": name, "dtype": code, "shape": list(arr.shape)}
-            for name, arr, code in arrays
-        ],
-    }
+def _pack(magic: bytes, meta: dict, layout: Dict[str, Tuple[str, str]], record) -> bytes:
+    """A container of ``record``: each ``name: (dtype code, attribute path)`` of
+    ``layout``, in its order, is the array at that path of ``record``."""
+    # ascontiguousarray converts only an array whose dtype or layout differs,
+    # and join copies each buffer once. Every load re-saves, so this is on the
+    # load path too
+    arrays = [(name, code, np.ascontiguousarray(attrgetter(path)(record), dtype=_DTYPES[code]))
+              for name, (code, path) in layout.items()]
+    header = {"meta": meta, "arrays": [{"name": name, "dtype": code, "shape": list(arr.shape)}
+                                       for name, code, arr in arrays]}
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head = _head(magic, len(hjson))
-    # join copies each array's buffer once; ascontiguousarray converts only an
-    # array whose dtype or layout differs. Every load re-saves, so this is on
-    # the load path too
-    data = [np.ascontiguousarray(arr, dtype=_DTYPES[code]) for _, arr, code in arrays]
-    return b"".join([head, hjson, *data])
+    return b"".join([_head(magic, len(hjson)), hjson, *(arr for _, _, arr in arrays)])
 
 
 def _head(magic: bytes, *words: int) -> bytes:
@@ -113,17 +117,12 @@ def _check_head(magic: bytes, data: bytes, size: int) -> None:
 
 
 def _unpack(
-    magic: bytes,
-    data: bytes,
-    meta_schema: Dict[str, type],
-    array_schema: Dict[str, Tuple[str, Tuple]],
+    magic: bytes, data: bytes, meta_kinds: Dict[str, type], layout: Dict[str, Tuple[str, str]]
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Decode a container: its head, its header's fields and its arrays.
+    """Decode a container: the header fields named in ``meta_kinds``, checked by
+    :func:`check_fields`, and each array of ``layout`` by its dtype code.
 
-    ``meta_schema`` gives each header field's type, for :func:`check_fields`.
-    ``array_schema`` maps each array name to its dtype code and shape, in
-    which ``None`` takes any size; how sizes agree is the records' rule.
-    Every array is required, and no other may appear.
+    Only what decoding needs is checked here; :func:`_resaves` refuses the rest.
     """
     _check_head(magic, data, 12)
     hlen = int.from_bytes(data[8:12], "little")
@@ -141,41 +140,48 @@ def _unpack(
         or not isinstance(header.get("arrays"), list)
     ):
         raise MalformedHeader("container header needs a 'meta' object and an 'arrays' list")
-    meta = check_fields(header["meta"], meta_schema, MalformedHeader)
+    meta = check_fields(header["meta"], meta_kinds, MalformedHeader)
 
     arrays: Dict[str, np.ndarray] = {}
     pos = 12 + hlen
     for spec in header["arrays"]:
         name = spec.get("name") if isinstance(spec, dict) else None
-        if name not in array_schema or name in arrays:
+        if name not in layout or name in arrays:
             raise MalformedHeader(f"unexpected or repeated array {name!r}")
-        code, dims = array_schema[name]
         shape = spec.get("shape")
-        if (
-            spec.get("dtype") != code
-            or not isinstance(shape, list)
-            or len(shape) != len(dims)
-            or any(type(n) is not int or n < 0 for n in shape)
-            or any(dim not in (None, n) for dim, n in zip(dims, shape))
-        ):
-            raise MalformedHeader(
-                f"array {name!r} must be {code} of shape {dims}, got "
-                f"{spec.get('dtype')!r} {shape!r}"
-            )
-        dtype = np.dtype(_DTYPES[code])
-        nbytes = math.prod(shape) * dtype.itemsize
-        if pos + nbytes > len(data):
+        # no axis of an array the writer writes is longer than its file
+        if not isinstance(shape, list) or any(
+                type(n) is not int or not 0 <= n <= len(data) for n in shape):
+            raise MalformedHeader(f"array {name!r} needs a list of sizes, got {shape!r}")
+        dtype = np.dtype(_DTYPES[layout[name][0]])
+        count = math.prod(shape)
+        if pos + count * dtype.itemsize > len(data):
             raise TruncatedRecord(f"array {name!r} truncated")
         # the copy aligns the array for BLAS; the record built from it freezes it
-        arr = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=pos)
-        arrays[name] = arr.reshape(shape).copy()
-        pos += nbytes
-    missing = set(array_schema) - set(arrays)
+        arrays[name] = np.frombuffer(data, dtype, count, pos).reshape(shape).copy()
+        pos += count * dtype.itemsize
+    missing = set(layout) - set(arrays)
     if missing:
         raise MalformedHeader(f"container lacks arrays {sorted(missing)}")
-    if pos != len(data):
-        raise MalformedHeader(f"{len(data) - pos} bytes follow the last array")
     return meta, arrays
+
+
+def _resaves(data: bytes, record, save: Callable[..., bytes]):
+    """``record``, decoded from ``data``, if ``save`` writes it as ``data`` itself.
+
+    So each record has exactly one encoding: a file that holds anything the
+    writer would not write (another header value, flag byte, padding bit or
+    byte count) is refused with ``MalformedHeader`` naming the first byte
+    that differs.
+    """
+    again = save(record)
+    if again != data:
+        n = min(len(again), len(data))
+        differ = np.frombuffer(again, np.uint8, n) != np.frombuffer(data, np.uint8, n)
+        first = int(differ.argmax()) if differ.any() else n
+        raise MalformedHeader(f"{again[:4].decode()} file does not re-save to its own bytes; "
+                              f"the first differing byte is at offset {first}")
+    return record
 
 
 def write_file_atomic(path: str, data: bytes) -> None:
@@ -214,49 +220,39 @@ def write_file_atomic(path: str, data: bytes) -> None:
 # pipeline model
 # ---------------------------------------------------------------------------
 
-def save_model(model: PipelineModel) -> bytes:
-    cb = model.codebook
-    meta = {"kind": "pipeline-model", "config": serialize_config(model.config)}
-    arrays: List[Tuple[str, np.ndarray, str]] = [
-        ("lattice_m", model.geometry.lattice_m, "i8"),
-        ("lattice_t", model.geometry.lattice_t, "i8"),
-        ("pca_m_mean", model.pca_m.mean, "f8"),
-        ("pca_m_basis", model.pca_m.basis, "f8"),
-        ("pca_m_variance", model.pca_m.explained_variance, "f8"),
-        ("pca_t_mean", model.pca_t.mean, "f8"),
-        ("pca_t_basis", model.pca_t.basis, "f8"),
-        ("pca_t_variance", model.pca_t.explained_variance, "f8"),
-        ("centroids", cb.centroids, "f8"),
-        ("radii", cb.radii, "f8"),
-        ("cardinalities", cb.cardinalities, "i8"),
-        ("global_mean", model.population_mean, "f8"),
-    ]
-    return _pack(MODEL_MAGIC, meta, arrays)
-
-
-_MODEL_META = {"kind": str, "config": str}
+# each array's name in the file: its dtype code and its path in the record, in file order
 _MODEL_ARRAYS = {
-    "lattice_m": ("i8", (None, 2)), "lattice_t": ("i8", (None, 2)),
-    "pca_m_mean": ("f8", (None,)), "pca_m_basis": ("f8", (None, None)),
-    "pca_m_variance": ("f8", (None,)), "pca_t_mean": ("f8", (None,)),
-    "pca_t_basis": ("f8", (None, None)), "pca_t_variance": ("f8", (None,)),
-    "centroids": ("f8", (None, None)), "radii": ("f8", (None,)),
-    "cardinalities": ("i8", (None,)), "global_mean": ("f8", (None,)),
+    "lattice_m": ("i8", "geometry.lattice_m"),
+    "lattice_t": ("i8", "geometry.lattice_t"),
+    "pca_m_mean": ("f8", "pca_m.mean"),
+    "pca_m_basis": ("f8", "pca_m.basis"),
+    "pca_m_variance": ("f8", "pca_m.explained_variance"),
+    "pca_t_mean": ("f8", "pca_t.mean"),
+    "pca_t_basis": ("f8", "pca_t.basis"),
+    "pca_t_variance": ("f8", "pca_t.explained_variance"),
+    "centroids": ("f8", "codebook.centroids"),
+    "radii": ("f8", "codebook.radii"),
+    "cardinalities": ("i8", "codebook.cardinalities"),
+    "global_mean": ("f8", "population_mean"),
 }
+
+
+def save_model(model: PipelineModel) -> bytes:
+    meta = {"kind": "pipeline-model", "config": serialize_config(model.config)}
+    return _pack(MODEL_MAGIC, meta, _MODEL_ARRAYS, model)
 
 
 def load_model(data: bytes) -> PipelineModel:
     """Decode a model container; the records built from it check how its parts agree."""
-    meta, arrays = _unpack(MODEL_MAGIC, data, _MODEL_META, _MODEL_ARRAYS)
-    if meta["kind"] != "pipeline-model":
-        raise MalformedHeader(f"not a pipeline model container: {meta['kind']!r}")
+    meta, arrays = _unpack(MODEL_MAGIC, data, {"config": str}, _MODEL_ARRAYS)
     config = parse_config(meta["config"])
     # the stored lattices guard against a change to the lattice construction; the re-save
     # compares them, and this bound first keeps a build near the file's size: radius R's
-    # lattice spans -r..r for r = floor(R), with all 2r(r + 1) + 1 points |x| + |y| <= r
+    # lattice spans -r..r for r = floor(R), with all 2r(r + 1) + 1 points |x| + |y| <= r,
+    # two words each
     for name, radius in zip(("lattice_m", "lattice_t"), config.lattice_radii):
         stored, r = arrays[name], math.floor(radius)
-        if stored.size == 0 or int(stored.max()) != r or len(stored) < 2 * r * (r + 1) + 1:
+        if stored.size == 0 or int(stored.max()) != r or stored.size < 4 * r * (r + 1) + 2:
             raise MalformedHeader(f"{name} disagrees with the model's config radius {radius}")
     model = PipelineModel(
         config=config,
@@ -265,9 +261,7 @@ def load_model(data: bytes) -> PipelineModel:
         codebook=Codebook(arrays["centroids"], arrays["radii"], arrays["cardinalities"]),
         population_mean=arrays["global_mean"],
     )
-    if save_model(model) != data:
-        raise MalformedHeader("model file does not re-save to its own bytes")
-    return model
+    return _resaves(data, model, save_model)
 
 
 def load_model_file(path: str) -> PipelineModel:
@@ -286,29 +280,21 @@ def save_bitstring(bs: BitString) -> bytes:
 
 def load_bitstring(data: bytes) -> BitString:
     _check_head(BITS_MAGIC, data, 16)
-    template_length = int.from_bytes(data[8:12], "little")
     k = int.from_bytes(data[12:16], "little")
-    if template_length != k:
-        raise MalformedHeader(
-            f"template length {template_length} differs from the bit count {k}"
-        )
     nbytes = (k + 7) // 8
-    raw = data[16 : 16 + nbytes]
-    if len(raw) < nbytes:
-        raise TruncatedRecord(
-            f"bit-string payload holds {len(raw)} bytes, needs {nbytes}"
-        )
-    if len(data) > 16 + nbytes:
-        raise MalformedHeader(f"{len(data) - 16 - nbytes} bytes follow the payload")
-    # the last byte is zero-padded, so each string has exactly one encoding
-    if k % 8 and raw[-1] & ((1 << (8 - k % 8)) - 1):
-        raise MalformedHeader(f"padding bits after bit {k} are not zero")
-    return BitString(np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:k].astype(bool))
+    if len(data) < 16 + nbytes:
+        raise TruncatedRecord(f"bit-string payload holds {len(data) - 16} bytes, needs {nbytes}")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, nbytes, 16), count=k).astype(bool)
+    return _resaves(data, BitString(bits), save_bitstring)
 
 
 # ---------------------------------------------------------------------------
 # finger models
 # ---------------------------------------------------------------------------
+
+_FINGER_ARRAYS = {"power": ("f8", "power"), "reliability": ("f8", "reliability"),
+                  "mask": ("u1", "mask"), "enrolled": ("u1", "reference")}
+
 
 def save_finger(finger: FingerModel) -> bytes:
     meta = {
@@ -317,32 +303,12 @@ def save_finger(finger: FingerModel) -> bytes:
         "n_mean": finger.n_mean,
         "template_length": len(finger.reference),
     }
-    arrays = [
-        ("power", finger.power, "f8"),
-        ("reliability", finger.reliability, "f8"),
-        ("mask", finger.mask.astype(np.uint8), "u1"),
-        ("enrolled", finger.reference.astype(np.uint8), "u1"),
-    ]
-    return _pack(FINGER_MAGIC, meta, arrays)
-
-
-_FINGER_META = {"kind": str, "finger_id": str, "n_mean": float, "template_length": int}
-_FINGER_ARRAYS = {"power": ("f8", (None,)), "reliability": ("f8", (None,)),
-                  "mask": ("u1", (None,)), "enrolled": ("u1", (None,))}
+    return _pack(FINGER_MAGIC, meta, _FINGER_ARRAYS, finger)
 
 
 def load_finger(data: bytes) -> FingerModel:
-    meta, arrays = _unpack(FINGER_MAGIC, data, _FINGER_META, _FINGER_ARRAYS)
-    if meta["kind"] != "finger-model":
-        raise MalformedHeader(f"not a finger model container: {meta['kind']!r}")
-    if meta["template_length"] != len(arrays["enrolled"]):
-        raise MalformedHeader(
-            f"template length {meta['template_length']} differs from the enrolled "
-            f"string's {len(arrays['enrolled'])} bits"
-        )
-    for name in ("mask", "enrolled"):
-        if (arrays[name] > 1).any():
-            raise MalformedHeader(f"{name} bytes must be 0 or 1")
+    meta, arrays = _unpack(FINGER_MAGIC, data, {"finger_id": str, "n_mean": float},
+                           _FINGER_ARRAYS)
     finger = FingerModel(
         finger_id=meta["finger_id"],
         power=arrays["power"],
@@ -351,6 +317,4 @@ def load_finger(data: bytes) -> FingerModel:
         n_mean=meta["n_mean"],
         reference=arrays["enrolled"].astype(bool),
     )
-    if save_finger(finger) != data:
-        raise MalformedHeader("finger file does not re-save to its own bytes")
-    return finger
+    return _resaves(data, finger, save_finger)

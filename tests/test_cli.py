@@ -390,11 +390,11 @@ def test_compress_bad_lengths_exit_2_with_one_line(workdir, capsys, lengths, nam
 
 def test_inspect_bits_with_nonzero_padding_exits_2_with_one_line(tmp_path, capsys):
     blob = bytearray(save_bitstring(BitString(np.zeros(33, dtype=bool))))
-    blob[-1] |= 0x7F
+    blob[-1] |= 0x7F  # the padding bits of the last byte, at offset 16 + 5 - 1
     path = tmp_path / "s001_01.fpbs"
     path.write_bytes(bytes(blob))
     assert main(["inspect", "--bits", str(path)]) == 2
-    assert_one_error_line(capsys, "padding")
+    assert_one_error_line(capsys, "FPBS file does not re-save", "byte is at offset 20")
 
 
 def test_inspect_finger_with_a_non_canonical_mask_byte_exits_2_with_one_line(
@@ -409,7 +409,8 @@ def test_inspect_finger_with_a_non_canonical_mask_byte_exits_2_with_one_line(
     path = tmp_path / "s001.fpfm"
     path.write_bytes(bytes(blob))
     assert main(["inspect", "--finger", str(path)]) == 2
-    assert_one_error_line(capsys, "mask", "0 or 1")
+    assert_one_error_line(capsys, "FPFM file does not re-save",
+                          f"byte is at offset {len(blob) - 32}")
 
 
 def _fpbs_with_template_length(template_length):
@@ -439,7 +440,12 @@ def test_inspect_template_length_other_than_bit_count_exits_2_with_one_line(
     path = tmp_path / name
     path.write_bytes(blob)
     assert main(["inspect", flag, str(path)]) == 2
-    assert_one_error_line(capsys, "template length")
+    # the bit-string's template-length word is at offset 8; the finger's value
+    # differs from its first digit on
+    key = b'"template_length":'
+    first = 8 if flag == "--bits" else blob.index(key) + len(key)
+    assert_one_error_line(capsys, f"{blob[:4].decode()} file does not re-save",
+                          f"byte is at offset {first}")
 
 
 def test_inspect_nothing(capsys):

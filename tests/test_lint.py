@@ -25,6 +25,10 @@ with an array field compares by ``errors.ArrayRecord``'s one equality rule.
 Every deliberate failure is typed: a ``raise`` re-raises, or raises an
 ``FpbitsError`` of ``errors.py``, or the type a helper is handed (``error``)
 or that it caught (``type(exc)``).
+
+Every container loader of ``model_store`` but the file reader ``load_model_file``
+ends in ``return _resaves(...)`` and returns nothing else, so each file it takes
+re-saves to its own bytes.
 """
 
 import ast
@@ -634,3 +638,55 @@ def test_the_check_sees_untyped_raises():
     assert untyped_raises(tree, typed) == [
         (5, "ValueError(f'unknown polarity {polarity!r}')"), (11, "exc"), (18, "RuntimeError"),
         (19, "errors.ArrayRecord()"), (20, "KeyError('x')"), (21, "type(exc)")]
+
+
+def _returns_resaved(node):
+    return (isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+            and _call_name(node.value) == "_resaves")
+
+
+def loaders_off_the_resave(tree):
+    """``(line, name)`` of each module-level ``load_*`` function but ``load_model_file``
+    whose last statement is not ``return _resaves(...)``, or that returns anything else."""
+    found = []
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef) and node.name.startswith("load_")
+                and node.name != "load_model_file"
+                and not (_returns_resaved(node.body[-1]) and all(
+                    _returns_resaved(r) for r in ast.walk(node) if isinstance(r, ast.Return)))):
+            found.append((node.lineno, node.name))
+    return found
+
+
+def test_every_container_loader_ends_in_the_resave():
+    tree = ast.parse((SRC / "model_store.py").read_text(encoding="utf-8"))
+    loaders = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("load_")]
+    assert {"load_model", "load_finger", "load_bitstring"} <= set(loaders)
+    off = loaders_off_the_resave(tree)
+    assert not off, f"model_store.py: loaders that do not return through _resaves: {off}"
+
+
+def test_the_check_sees_loaders_off_the_resave():
+    tree = ast.parse(
+        "def load_a(data):\n"
+        "    return _resaves(data, A(data), save_a)\n"
+        "def load_b(data):\n"
+        "    return B(data)\n"
+        "def load_c(data):\n"
+        "    if not data:\n"
+        "        return None\n"
+        "    return _resaves(data, C(data), save_c)\n"
+        "def load_d(data):\n"
+        "    _resaves(data, D(data), save_d)\n"
+        "def load_model_file(path):\n"
+        "    return load_model(read_bytes(path))\n"
+        "def save_e(record):\n"
+        "    return bytes(record)\n"
+        "def load_f(data):\n"
+        "    return store._resaves(data, F(data), save_f)\n"
+        "class G:\n"
+        "    def load_g(self, data):\n"
+        "        return G(data)\n"
+    )
+    assert loaders_off_the_resave(tree) == [(3, "load_b"), (5, "load_c"), (9, "load_d")]

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +57,12 @@ def tiny_model():
     items = synth_dataset(params)
     config = PipelineConfig(K=16, n_p=8, N_c=20, pca_subsample=400, seed=1)
     return items, train_model(items, config)
+
+
+def _refusal(magic, offset):
+    """The message, as a regex, of a file refused because it does not re-save to itself."""
+    return (rf"^{magic} file does not re-save to its own bytes; "
+            rf"the first differing byte is at offset {offset}$")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +149,8 @@ def test_bitstring_nonzero_padding_rejected():
     for padding in (0x01, 0x40, 0x7F):
         bad = bytearray(blob)
         bad[-1] |= padding
-        with pytest.raises(MalformedHeader, match="padding"):
+        # the padding is in the last byte, 16 + 5 - 1
+        with pytest.raises(MalformedHeader, match=_refusal("FPBS", 20)):
             load_bitstring(bytes(bad))
     assert load_bitstring(blob) == bs
     # a whole number of bytes leaves no padding to check
@@ -255,7 +263,7 @@ def test_finger_flags_other_than_0_and_1_rejected(name, offset, value):
     assert set(blob[-32:]) <= {0, 1}
     bad = bytearray(blob)
     bad[offset + 5] = value
-    with pytest.raises(MalformedHeader, match=name):
+    with pytest.raises(MalformedHeader, match=_refusal("FPFM", len(blob) + offset + 5)):
         load_finger(bytes(bad))
     # the canonical file loads and saves back to the same bytes
     assert save_finger(load_finger(blob)) == blob
@@ -287,34 +295,39 @@ def _fpbs_with_template_length(k, template_length):
 
 
 def test_finger_template_length_not_below_string():
-    with pytest.raises(MalformedHeader, match="template length 7"):
-        load_finger(_fpfm_with_template_length(8, 7))
+    # as long a header: the first difference is the value itself
+    blob, key = _fpfm_with_template_length(8, 7), b'"template_length":'
+    with pytest.raises(MalformedHeader, match=_refusal("FPFM", blob.index(key) + len(key))):
+        load_finger(blob)
 
 
 def test_finger_template_length_above_string_rejected():
-    with pytest.raises(MalformedHeader, match="template length 16"):
+    # a longer header: the first difference is the header length word
+    with pytest.raises(MalformedHeader, match=_refusal("FPFM", 8)):
         load_finger(_fpfm_with_template_length(8, 16))
 
 
 def test_bitstring_fold_length_above_template_length():
-    # the bit count 10 above a template length of 9
-    with pytest.raises(MalformedHeader, match="template length 9"):
+    # the bit count 10 above a template length of 9, the word at offset 8
+    with pytest.raises(MalformedHeader, match=_refusal("FPBS", 8)):
         load_bitstring(_fpbs_with_template_length(10, 9))
 
 
 def test_bitstring_template_length_above_bit_count_rejected():
     # a folded string from an older writer: 10 bits of a 20-bit template
-    with pytest.raises(MalformedHeader, match="template length 20"):
+    with pytest.raises(MalformedHeader, match=_refusal("FPBS", 8)):
         load_bitstring(_fpbs_with_template_length(10, 20))
 
 
-@pytest.mark.parametrize("loader, blob", [
-    (load_bitstring, save_bitstring(BitString(np.ones(10, dtype=bool)))),
-    (load_finger, save_finger(_finger())),
-], ids=["fpbs", "fpfm"])
-def test_trailing_bytes_rejected(loader, blob):
+@pytest.mark.parametrize("loader, save", [
+    (load_bitstring, lambda: save_bitstring(BitString(np.ones(10, dtype=bool)))),
+    (load_finger, lambda: save_finger(_finger())),
+    (load_model, lambda: save_model(FROZEN_RECORDS["PipelineModel"]())),
+], ids=["fpbs", "fpfm", "fpbm"])
+def test_trailing_bytes_rejected(loader, save):
+    blob = save()
     loader(blob)
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedHeader, match=_refusal(blob[:4].decode(), len(blob))):
         loader(blob + b"\0")
 
 
@@ -336,6 +349,9 @@ def _set_config(header, key, value):
     lambda h: h["arrays"][0].update(dtype="f8"),
     lambda h: h["arrays"][0].update(shape=[-1, 2]),
     lambda h: h["arrays"][0].update(shape=[2.5, 2]),
+    # an empty basis with an axis past numpy's limit raised an untyped ValueError
+    lambda h: h["arrays"][3].update(shape=[0, 10**30]),
+    lambda h: h["meta"].update(kind="finger-model"),
 ])
 def test_model_header_schema(edit):
     _, model = tiny_model()
@@ -362,7 +378,7 @@ def test_model_without_population_mean_rejected():
 
 def _contents(blob):
     """A container's meta and its ``(name, array, dtype code)`` list, as
-    ``_pack`` takes them."""
+    :func:`_packed` takes them."""
     hlen = int.from_bytes(blob[8:12], "little")
     header = json.loads(blob[12 : 12 + hlen])
     arrays, pos = [], 12 + hlen
@@ -375,6 +391,12 @@ def _contents(blob):
     return header["meta"], arrays
 
 
+def _packed(meta, arrays):
+    """A model container of ``(name, array, dtype code)`` triples, in their order."""
+    layout = {name: (code, name) for name, _, code in arrays}
+    return _pack(MODEL_MAGIC, meta, layout, SimpleNamespace(**{n: a for n, a, _ in arrays}))
+
+
 def _legacy_weights(blob):
     """A model as the format before the derived weights wrote it: a
     ``weights`` array before the population mean, and a
@@ -382,7 +404,7 @@ def _legacy_weights(blob):
     meta, arrays = _contents(blob)
     weights = cardinality_weights({n: a for n, a, _ in arrays}["cardinalities"])
     arrays.insert(-1, ("weights", weights, "f8"))
-    return _pack(MODEL_MAGIC, dict(meta, has_global_mean=True), arrays)
+    return _packed(dict(meta, has_global_mean=True), arrays)
 
 
 def _edit_config(edit):
@@ -413,6 +435,8 @@ OTHER_FINGER_ENCODINGS = {
         blob, b"FPFM", lambda h: h["meta"].update(alpha=0.45, beta=0.4)),
     "n_mean-json-int": lambda blob: _repack(
         blob, b"FPFM", lambda h: h["meta"].update(n_mean=int(h["meta"]["n_mean"]))),
+    "finger-kind": lambda blob: _repack(
+        blob, b"FPFM", lambda h: h["meta"].update(kind="pipeline-model")),
 }
 
 
@@ -595,6 +619,20 @@ MISMATCHED_RECORDS = {
     "model centroids": lambda: dataclasses.replace(
         FROZEN_RECORDS["PipelineModel"](),
         codebook=Codebook(np.zeros((2, 6)), np.ones(2), np.array([3, 1]))),
+    # each of these was built, and was unequal to itself under the one equality rule
+    "pca nan mean": lambda: PcaModel(np.array([0.0, np.nan, 0.0, 0.0]), np.eye(4, 2), np.ones(2)),
+    "pca inf variance": lambda: PcaModel(np.zeros(4), np.eye(4, 2), np.array([1.0, np.inf])),
+    "codebook nan centroids": lambda: Codebook(np.full((2, 4), np.nan), np.ones(2),
+                                               np.array([3, 1])),
+    "codebook inf radii": lambda: Codebook(np.zeros((2, 4)), np.array([1.0, -np.inf]),
+                                           np.array([3, 1])),
+    "finger nan power": lambda: dataclasses.replace(_finger(k=2), power=np.array([np.nan, 1.0])),
+    "finger inf reliability": lambda: dataclasses.replace(
+        _finger(k=2), reliability=np.array([0.5, np.inf])),
+    "distance vector nan": lambda: DistanceVector(np.array([np.nan, 1.0])),
+    "distance vector inf": lambda: DistanceVector(np.array([1.0, -np.inf])),
+    "model nan population mean": lambda: dataclasses.replace(
+        FROZEN_RECORDS["PipelineModel"](), population_mean=np.array([0.0, np.nan])),
 }
 
 
@@ -646,6 +684,7 @@ def _wrong_arrays(array):
         ("rank", array[None]),
         ("length", np.zeros((shape[0] + 1,) + shape[1:], array.dtype)),
         ("nan", np.full(shape, np.nan)),
+        ("inf", np.full(shape, np.inf)),
         ("empty", np.zeros((0,) + shape[1:], array.dtype)),
         # an int field took this and saved it through the <i8 cast, wrapped negative
         ("uint64", np.full(shape, 2**63, np.uint64)),
@@ -654,8 +693,8 @@ def _wrong_arrays(array):
 
 def test_fuzz_record_arrays_zero_untyped():
     # each array field of each record swapped for a wrong one: the record is refused
-    # with a typed error, or it is built and, where it has a file form, saves and
-    # loads back to the same bytes and values (so a NaN it takes survives)
+    # with a typed error, or it is built, equals itself and, where it has a file form,
+    # saves and loads back to the same bytes and values (a NaN or an infinity is refused)
     crashes, built = [], 0
     for name, make in sorted(FROZEN_RECORDS.items()):
         record = make()
@@ -672,14 +711,14 @@ def test_fuzz_record_arrays_zero_untyped():
                         except FpbitsError:
                             continue
                         built += 1
+                        assert swapped == swapped, case
                         if name in RECORD_FILES:
                             save, load = RECORD_FILES[name]
                             blob = save(swapped)
                             back = load(blob)
                             assert save(back) == blob, case
                             for (path, got), (_, want) in zip(_arrays(back), _arrays(swapped)):
-                                both_float = got.dtype.kind == want.dtype.kind == "f"
-                                assert np.array_equal(got, want, equal_nan=both_float), case
+                                assert np.array_equal(got, want), case
                 # anything untyped, or a typed refusal of a record that was built
                 except Exception as exc:
                     crashes.append(f"{case}: {type(exc).__name__}: {exc}")
@@ -733,13 +772,13 @@ def test_a_record_rule_refuses_a_file_the_format_accepts():
     arrays = [(n, np.zeros(46) if n == "pca_m_mean" else a, c) for n, a, c in arrays]
     with pytest.raises(MalformedHeader,
                        match=r"PcaModel.mean must .* \(45,\), got float64 \(46,\)"):
-        load_model(_pack(MODEL_MAGIC, meta, arrays))
+        load_model(_packed(meta, arrays))
     # a negative count once loaded
     meta, arrays = _contents(blob)
     arrays = [(n, np.array([-3, 1]) if n == "cardinalities" else a, c) for n, a, c in arrays]
     with pytest.raises(MalformedHeader,
                        match=r"^need K >= 1 and cardinalities >= 0, got \[-3  1\]$"):
-        load_model(_pack(MODEL_MAGIC, meta, arrays))
+        load_model(_packed(meta, arrays))
 
 
 def test_written_float_fields_keep_one_spelling():
@@ -795,15 +834,19 @@ def test_stored_lattices_are_checked_before_any_lattice_is_built(monkeypatch):
                  "pca_t_basis": np.zeros((1, p))}
     arrays = [(n, one_point.get(n, a), c) for n, a, c in arrays]
     with pytest.raises(MalformedHeader, match="lattice_t disagrees"):
-        load_model(_pack(MODEL_MAGIC, meta, arrays))
+        load_model(_packed(meta, arrays))
     assert built == []
 
 
+# the loader reads no template length; the re-save refuses one it would not write,
+# here first at the longer header's length word
+_NOT_RESAVED = ("FPFM file does not re-save to its own bytes; "
+                "the first differing byte is at offset 8")
 HEADER_FIELD_CASES = [
     ("n_mean", "20", "n_mean must be of type float, got '20'"),
     ("n_mean", True, "n_mean must be of type float, got True"),
-    ("template_length", 8.0, "template_length must be of type int, got 8.0"),
-    ("template_length", False, "template_length must be of type int, got False"),
+    ("template_length", 8.0, _NOT_RESAVED),
+    ("template_length", False, _NOT_RESAVED),
     ("finger_id", None, "finger_id must be of type str, got None"),
 ]
 
