@@ -63,14 +63,10 @@ def interclass_variance(
         EmptyEnrollment: no distance rows supplied.
         LengthMismatch: the rows are not as long as the mean.
     """
-    d = np.asarray(distances, dtype=np.float64)
-    if d.shape[0] == 0:
+    if np.iterable(distances) and len(distances) == 0:
         raise EmptyEnrollment("interclass variance needs at least one impression")
-    mu = np.asarray(population_mean, dtype=np.float64).ravel()
-    if d.shape[1:] != mu.shape:
-        raise LengthMismatch(
-            f"distance rows of shape {d.shape[1:]} != mean length {mu.shape[0]}"
-        )
+    d, mu = check_arrays(locals(), LengthMismatch, distances=(float, None, "K"),
+                         population_mean=(float, "K"))
     below = np.minimum(d - mu, 0.0)
     return np.cumsum(below * below, axis=0)[-1] / d.shape[0]
 
@@ -79,10 +75,8 @@ def discrimination_power(
     variance: np.ndarray, cluster_weights: np.ndarray
 ) -> np.ndarray:
     """Per-bit power: below-mean variance scaled by cluster rarity weight."""
-    v = np.asarray(variance, dtype=np.float64).ravel()
-    w = np.asarray(cluster_weights, dtype=np.float64).ravel()
-    if v.shape != w.shape:
-        raise LengthMismatch(f"variance length {v.shape[0]} != weights {w.shape[0]}")
+    v, w = check_arrays(locals(), LengthMismatch, variance=(float, "K"),
+                        cluster_weights=(float, "K"))
     return w * v
 
 
@@ -93,11 +87,9 @@ def reliability(bits: np.ndarray) -> np.ndarray:
         EmptyEnrollment: no bit rows supplied.
         LengthMismatch: ``bits`` is not a matrix.
     """
-    b = np.asarray(bits, dtype=bool)
-    if b.shape[0] == 0:
+    if np.iterable(bits) and len(bits) == 0:
         raise EmptyEnrollment("reliability needs at least one bit-string")
-    if b.ndim != 2:
-        raise LengthMismatch(f"bit rows must form an (n, K) matrix, not {b.shape}")
+    [b] = check_arrays(locals(), LengthMismatch, bits=(bool, None, None))
     return b.mean(axis=0)
 
 
@@ -130,10 +122,7 @@ def train_mask(
     kept iff its reliability strictly exceeds ``adaptive_threshold(t)``.
     Zero-power positions still get a (very strict) chance at the tail.
     """
-    p = np.asarray(power, dtype=np.float64).ravel()
-    r = np.asarray(rel, dtype=np.float64).ravel()
-    if p.shape != r.shape:
-        raise LengthMismatch(f"power length {p.shape[0]} != reliability {r.shape[0]}")
+    p, r = check_arrays(locals(), LengthMismatch, power=(float, "K"), rel=(float, "K"))
     order = np.lexsort((np.arange(p.shape[0]), -p))
     mask = np.zeros(p.shape[0], dtype=bool)
     for t, idx in enumerate(order, start=1):
@@ -158,15 +147,14 @@ def train_finger(
     ``minutia_counts[i]`` describe enrollment impression ``i``; any other
     shapes raise ``LengthMismatch``.
     """
-    if len(distances) == 0 or len(bits) == 0 or len(minutia_counts) == 0:
+    if any(np.iterable(a) and len(a) == 0 for a in (distances, bits, minutia_counts)):
         raise EmptyEnrollment(f"finger {finger_id!r} has no enrollment samples")
-    if np.shape(distances) != np.shape(bits) or len(minutia_counts) != len(bits):
-        raise LengthMismatch(f"finger {finger_id!r}: distances {np.shape(distances)}, "
-                             f"bits {np.shape(bits)}, {len(minutia_counts)} counts disagree")
-    var = interclass_variance(distances, population_mean)
+    d, b, counts = check_arrays(locals(), LengthMismatch, distances=(float, "n", "K"),
+                                bits=(bool, "n", "K"), minutia_counts=(float, "n"))
+    var = interclass_variance(d, population_mean)
     power = discrimination_power(var, cluster_weights)
-    rel = reliability(bits)
-    n_mean = float(np.mean(minutia_counts))
+    rel = reliability(b)
+    n_mean = float(np.mean(counts))
     mask = train_mask(power, rel, n_mean, alpha, beta)
     return FingerModel(
         finger_id=finger_id,
@@ -174,5 +162,5 @@ def train_finger(
         reliability=rel,
         mask=mask,
         n_mean=n_mean,
-        reference=np.asarray(bits, dtype=bool).any(axis=0),
+        reference=b.any(axis=0),
     )

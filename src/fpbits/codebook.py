@@ -111,13 +111,19 @@ def _sq_norms(matrix: np.ndarray) -> np.ndarray:
     return (matrix * matrix).sum(axis=1)
 
 
-def centroid_distances(
+def centroid_distances(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Plain Euclidean distance matrix, rows = vectors, columns = clusters (:func:`_distances`)."""
+    return _distances(*check_arrays(locals(), LengthMismatch, matrix=(float, None, "dim"),
+                                    centroids=(float, None, "dim")))
+
+
+def _distances(
     matrix: np.ndarray,
     centroids: np.ndarray,
     sq_norms: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Plain Euclidean distance matrix, rows = vectors, columns = clusters.
+    """:func:`centroid_distances` of checked arrays.
 
     ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2``, clipped at 0 against
     rounding, evaluated in place in one ``(n, K)`` array: ``out`` when given.
@@ -220,12 +226,13 @@ def kmeans_train(
     ``trace``, when given, receives the objective after every update step;
     it is non-increasing.
     """
-    x = np.ascontiguousarray(pool, dtype=np.float64)
-    n = x.shape[0]
     if k < 1:
         raise PoolTooSmall(f"k must be >= 1, got {k}")
-    if n < k:
-        raise PoolTooSmall(f"pool of {n} vectors cannot support {k} clusters")
+    if np.iterable(pool) and len(pool) < k:
+        raise PoolTooSmall(f"pool of {len(pool)} vectors cannot support {k} clusters")
+    [x] = check_arrays(locals(), LengthMismatch, pool=(float, None, None))
+    x = np.ascontiguousarray(x)
+    n = x.shape[0]
 
     sq_norms = _sq_norms(x)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -234,7 +241,7 @@ def kmeans_train(
     d = np.empty((n, k), dtype=np.float64)  # every iteration's distances
     prev_assign: Optional[np.ndarray] = None
     for _ in range(max_iters):
-        centroid_distances(x, centroids, sq_norms, out=d)
+        _distances(x, centroids, sq_norms, out=d)
         assign = d.argmin(axis=1)  # ties resolve to the smallest index
 
         counts = np.bincount(assign, minlength=k)
@@ -280,6 +287,7 @@ def estimate_radii(d: np.ndarray, n_boundary: int) -> np.ndarray:
     Raises:
         DegeneratePool: some cluster has no external vector at all.
     """
+    [d] = check_arrays(locals(), LengthMismatch, d=(float, None, None))
     assign = d.argmin(axis=1)
     k = d.shape[1]
     radii = np.empty(k, dtype=np.float64)
@@ -299,6 +307,7 @@ def cluster_cardinalities(d: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
     ``d`` is the pool's ``(n, K)`` :func:`centroid_distances` matrix.
     """
+    d, radii = check_arrays(locals(), LengthMismatch, d=(float, None, "K"), radii=(float, "K"))
     adj = d - radii[None, :]
     return np.bincount(adj.argmin(axis=1), minlength=d.shape[1])
 
@@ -309,7 +318,9 @@ def cardinality_weights(cardinalities: np.ndarray) -> np.ndarray:
     When every cluster has the same cardinality there is nothing to rank and
     all weights are 1.
     """
-    h = np.asarray(cardinalities, dtype=np.float64)
+    [h] = check_arrays(locals(), LengthMismatch, cardinalities=(float, None))
+    if h.size == 0:
+        raise LengthMismatch("cardinality weights need at least one cluster")
     lo, hi = float(h.min()), float(h.max())
     if hi == lo:
         return np.ones_like(h)
@@ -338,6 +349,7 @@ def encode_bitstring(
     ``tau_s``, ``top_t`` and ``gate_all``. An impression with no vectors
     maps to the all-zero string.
     """
+    d, radii = check_arrays(locals(), LengthMismatch, d=(float, None, "K"), radii=(float, "K"))
     bits = np.zeros(d.shape[1], dtype=bool)
     adj = d - radii[None, :]
     # ties in adjusted distance nominate the smaller cluster index first
@@ -357,8 +369,9 @@ def distance_vector(d: np.ndarray) -> DistanceVector:
     Raises:
         EmptyImage: the impression produced no fused vectors.
     """
-    if d.shape[0] == 0:
+    if np.iterable(d) and len(d) == 0:
         raise EmptyImage("impression has no fused vectors to measure")
+    [d] = check_arrays(locals(), LengthMismatch, d=(float, None, None))
     return DistanceVector(d.min(axis=0))
 
 
@@ -373,15 +386,11 @@ def global_mean(groups: Iterable[np.ndarray]) -> np.ndarray:
         EmptyTrainingSet: no groups, or a group with no rows.
         LengthMismatch: groups of different widths are mixed.
     """
-    finger_means = []
-    for i, group in enumerate(groups):
-        rows = np.asarray(group, dtype=np.float64)
-        if rows.shape[0] == 0:
-            raise EmptyTrainingSet(f"finger group {i} has no distance vectors")
-        finger_means.append(rows.mean(axis=0))
-    if not finger_means:
+    named = {f"groups[{i}]": group for i, group in enumerate(groups)}
+    if not named:
         raise EmptyTrainingSet("no finger groups supplied")
-    widths = {m.shape for m in finger_means}
-    if len(widths) != 1:
-        raise LengthMismatch(f"finger groups of differing widths {sorted(widths)}")
-    return np.mean(finger_means, axis=0)
+    for i, group in enumerate(named.values()):
+        if np.iterable(group) and len(group) == 0:
+            raise EmptyTrainingSet(f"finger group {i} has no distance vectors")
+    groups = check_arrays(named, LengthMismatch, **dict.fromkeys(named, (float, None, "K")))
+    return np.mean([rows.mean(axis=0) for rows in groups], axis=0)

@@ -93,7 +93,8 @@ class EmptyScores(FpbitsError):
 
 
 class LengthMismatch(FpbitsError):
-    """Two bit-strings (or vectors) of different lengths were compared."""
+    """An array argument has the wrong dtype kind, rank or shape, holds NaN or an infinity, or
+    disagrees with another in a size they share (two bit-strings of different lengths, say)."""
 
 
 class BadLength(FpbitsError):
@@ -106,30 +107,57 @@ class ModelMissing(FpbitsError):
     """A named file, directory or dataset entry cannot be read, written or found."""
 
 
-def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> None:
+def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> list:
     """Check array fields of ``record``, then make them read-only in place, or raise ``error``.
     A spec is ``(kind, *sizes)``: ``bool``, ``int`` (a dtype that casts to int64 safely),
-    ``float`` (any number, NaN and infinities aside) or ``np.void``, then per axis an int,
+    ``float`` (any number, NaN and infinities aside) or a structured dtype (its fields in any
+    byte order or padding, each cast safely), then per axis an int,
     None for any size, or a name whose axes in the call agree. A record with value checks of
     its own checks its arrays with ``freeze=False`` first, so a refused record leaves the
-    caller's arrays writeable."""
-    kinds, named = {bool: "b", int: "iu", float: "biuf", np.void: "V"}, {}
+    caller's arrays writeable.
+
+    ``record`` may instead be a function's arguments by name, its ``locals()``: each goes
+    through ``np.asarray`` once (refused when ragged; an empty list takes the spec's kind),
+    comes back as bool, int64 or float64 by its spec and is not frozen, and a None one (an
+    optional argument left out) is skipped. Returns the checked arrays in spec order. A rule
+    of at least one row goes before this call, on ``len``, so ``[]`` meets that rule first."""
+    kinds, named, arrays = {bool: "b", int: "iu", float: "biuf"}, {}, []
+    dtypes = {bool: np.bool_, int: np.int64, float: np.float64}  # of the arguments
+    arguments = isinstance(record, dict)
+    owner = "" if arguments else f"{type(record).__name__}."
     for name, (kind, *sizes) in fields.items():
-        array = getattr(record, name)
-        ok = (isinstance(array, np.ndarray) and array.dtype.kind in kinds[kind]
-              and (kind is not int or np.can_cast(array.dtype, np.int64)))
+        array = record[name] if arguments else getattr(record, name)
+        what = getattr(kind, "names", None) or kind.__name__  # a structured dtype: its fields
+        if arguments:
+            if array is None:
+                arrays.append(array)
+                continue
+            try:
+                array = np.asarray(array)
+            except ValueError as exc:  # numpy refuses a ragged sequence
+                raise error(f"{name} must be a {what} array: {exc}") from None
+            if array.size == 0 and array is not record[name] and kind in dtypes:
+                array = array.astype(dtypes[kind])  # numpy makes [] float64
+        ok = isinstance(array, np.ndarray) and (
+            np.can_cast(array.dtype, kind, "equiv") if isinstance(kind, np.dtype) else
+            array.dtype.kind in kinds[kind]
+            and (kind is not int or np.can_cast(array.dtype, np.int64)))
         if ok and array.ndim == len(sizes):  # the shape it needs, any size taken as it is
             sizes = tuple(named.setdefault(s, n) if isinstance(s, str) else n if s is None else s
                           for s, n in zip(sizes, array.shape))
         if not (ok and sizes == array.shape):
             got = f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray) else type(array)
-            raise error(f"{type(record).__name__}.{name} must be a {kind.__name__} array of "
+            raise error(f"{owner}{name} must be a {what} array of "
                         f"shape {tuple(sizes)}, got {got}")
+        if arguments and kind in dtypes:
+            array = array.astype(dtypes[kind], copy=False)
         if array.dtype.kind == "f" and not np.isfinite(array).all():
-            raise error(f"{type(record).__name__}.{name} must hold finite numbers, got "
+            raise error(f"{owner}{name} must hold finite numbers, got "
                         f"{array[~np.isfinite(array)][0]}")
-    for name in fields if freeze else ():  # only once every field passed
-        getattr(record, name).flags.writeable = False
+        arrays.append(array)
+    for array in arrays if freeze and not arguments else ():  # only once every field passed
+        array.flags.writeable = False
+    return arrays
 
 
 class ArrayRecord:

@@ -27,8 +27,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import ArrayRecord, MalformedHeader, check_arrays
-from .template_io import GrayImage
+from .errors import ArrayRecord, LengthMismatch, MalformedHeader, check_arrays
+from .template_io import MINUTIA_DTYPE, GrayImage
 
 
 def _disc_lattice(radius: float) -> np.ndarray:
@@ -120,16 +120,21 @@ def mbls_matrix(
     form, one bump at a time; the error is about float64 eps times
     ``r_m^2 / (2 sigma_r0^2)``.
 
-    ``minutiae`` is a template's array. ``refs`` (row indices into it) asks
-    for those references' rows only, row ``j`` for ``minutiae[refs[j]]``;
-    neighbors still come from the whole impression. All indices in order
-    give the same bits as ``None``.
+    ``minutiae`` is a template's array. ``refs`` (row indices into it, in
+    ``[-n, n)``) asks for those references' rows only, row ``j`` for
+    ``minutiae[refs[j]]``; neighbors still come from the whole impression.
+    All indices in order give the same bits as ``None``.
     A subset moves the pair-block boundaries, so its rows may differ from
     the full matrix's in the last bits.
     """
+    minutiae, refs = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None),
+                                  refs=(int, None))
+    n = len(minutiae)
+    sel = np.arange(n) if refs is None else refs
+    if sel.size and not (-n <= sel.min() and sel.max() < n):
+        raise LengthMismatch(f"refs must index {n} minutiae, got {sel.min()}..{sel.max()}")
     x, y = minutiae["x"], minutiae["y"]
     cos, sin = _cos_sin(minutiae["theta"])
-    sel = np.arange(len(minutiae)) if refs is None else np.asarray(refs, dtype=np.intp)
     out = np.zeros((sel.size, geometry.n_m), dtype=np.float64)
     dx = x[None, :] - x[sel, None]
     dy = y[None, :] - y[sel, None]
@@ -203,24 +208,28 @@ def normalize_image(image: GrayImage) -> np.ndarray:
     """Affinely map an image to global mean 0 and population std 1.
 
     Returns a float array of the image's shape. A constant image maps to 0
-    everywhere.
+    everywhere. The float copy is centred in place and the std is ``np.std``'s
+    own formula on it, so the mean is taken once.
     """
     px = image.pixels.astype(np.float64)
-    mean = float(px.mean())
-    std = float(px.std())
+    px -= px.mean()
+    std = np.sqrt((px * px).sum() / px.size)
     if std == 0.0:
         return np.zeros_like(px)
-    return (px - mean) / std
+    px /= std
+    return px
 
 
 def _sample_rows(
-    img: np.ndarray,
+    flat: np.ndarray,
+    shape: Tuple[int, int],
     xs: np.ndarray,
     ys: np.ndarray,
     out: np.ndarray,
     border: bool,
 ) -> None:
-    """Bilinear samples of a C-contiguous image at real points, into ``out``.
+    """Bilinear samples of an image at real points, into ``out``: ``flat`` holds its
+    pixels in C order and ``shape`` is its ``(h, w)``.
 
     Points off the pixel grid sample 0.0, the normalized image's mean, so
     off-image area carries no information. The far-edge corner is clamped so
@@ -232,8 +241,7 @@ def _sample_rows(
     ``border`` every point must lie in ``[0, w - 2] x [0, h - 2]``: then the
     off-grid mask and the far-edge clamp change nothing and are skipped.
     """
-    h, w = img.shape
-    flat = img.ravel()
+    h, w = shape
     if border:
         outside = ~((xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1))
         np.copyto(xs, 0.0, where=outside)
@@ -287,9 +295,13 @@ def tbls_matrix(
     off-grid handling; the rest follow with it. Rows are sampled a few at a
     time so the temporaries stay in cache.
     """
+    minutiae, img = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None),
+                                 image=(float, None, None))
+    if img.size == 0:
+        raise LengthMismatch(f"an image needs a pixel to sample, got shape {img.shape}")
     n = len(minutiae)
     out = np.empty((n, geometry.n_t), dtype=np.float64)
-    img = np.ascontiguousarray(image, dtype=np.float64)
+    flat = np.ascontiguousarray(img).ravel()
     h, w = img.shape
     x, y = minutiae["x"], minutiae["y"]
     cos, sin = _cos_sin(minutiae["theta"])
@@ -313,7 +325,7 @@ def tbls_matrix(
             ys += y[idx, None]
             ys += ly * c
             samples = block[: idx.size]
-            _sample_rows(img, xs, ys, samples, border)
+            _sample_rows(flat, img.shape, xs, ys, samples, border)
             out[idx] = samples
     return out
 
@@ -333,4 +345,7 @@ def extract_tbls(
     minutiae: np.ndarray, row: int, image: np.ndarray, geometry: StructureGeometry
 ) -> np.ndarray:
     """:func:`tbls_matrix` row of ``minutiae[row]`` in the normalized ``image``."""
-    return tbls_matrix(minutiae[row : row + 1], image, geometry)[0]
+    [minutiae] = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None))
+    if not -len(minutiae) <= row < len(minutiae):  # as build_mbls' refs rule
+        raise LengthMismatch(f"row must index {len(minutiae)} minutiae, got {row}")
+    return tbls_matrix(minutiae[[row]], image, geometry)[0]

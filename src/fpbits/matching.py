@@ -25,7 +25,7 @@ import numpy as np
 
 from .bit_training import FingerModel
 from .codebook import BitString
-from .errors import BadLength, EmptyImage, LengthMismatch
+from .errors import BadLength, EmptyImage, LengthMismatch, check_arrays
 
 KIND_LGS = "lgs"
 KIND_INTERSECTION = "intersection"
@@ -90,16 +90,14 @@ def lgs_score(
         EmptyImage: either side has no vectors.
         LengthMismatch: the two sides' vector lengths differ.
     """
-    a = np.asarray(vectors_a, dtype=np.float64)
-    b = np.asarray(vectors_b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
+    if any(np.iterable(v) and len(v) == 0 for v in (vectors_a, vectors_b)):
+        raise EmptyImage("an impression with no fused vectors has no lgs score")
+    a, b = check_arrays(locals(), LengthMismatch, vectors_a=(float, None, "dim"),
+                        vectors_b=(float, None, "dim"))
+    if a.size == 0 or b.size == 0:  # vectors of length 0
         raise EmptyImage("an impression with no fused vectors has no lgs score")
     n_a, n_b = a.shape[0], b.shape[0]
     budget = lgs_pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
-    if a.shape[1] != b.shape[1]:
-        raise LengthMismatch(
-            f"fused vector lengths differ: {a.shape[1]} vs {b.shape[1]}"
-        )
 
     diff = a[:, None, :] - b[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
@@ -143,14 +141,7 @@ def intersection_scores(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.nd
     Raises:
         LengthMismatch: row counts or string lengths differ.
     """
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape[1] != b.shape[1]:
-        raise LengthMismatch(
-            f"bit-strings disagree in length: {a.shape[1]} vs {b.shape[1]}"
-        )
-    if a.shape[0] != b.shape[0]:
-        raise LengthMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
+    a, b = check_arrays(locals(), LengthMismatch, a=(bool, "n", "K"), b=(bool, "n", "K"))
     words_a = pack_words(a)
     words_b = pack_words(b)
     n_a = np.bitwise_count(words_a).sum(axis=1, dtype=np.int64)
@@ -177,13 +168,10 @@ def masked_scores(
     all its bits).
 
     Raises:
-        LengthMismatch: mask length does not fit the strings.
+        LengthMismatch: the three matrices differ in shape.
     """
-    if masks.shape[1] != query.shape[1] or masks.shape[1] != enrolled.shape[1]:
-        raise LengthMismatch(
-            f"mask of length {masks.shape[1]} cannot gate strings of lengths "
-            f"{query.shape[1]} and {enrolled.shape[1]}"
-        )
+    query, enrolled, masks = check_arrays(locals(), LengthMismatch, query=(bool, "n", "K"),
+                                          enrolled=(bool, "n", "K"), masks=(bool, "n", "K"))
     if mask_both:
         query = query & masks
     return intersection_scores(query, enrolled & masks)
@@ -220,13 +208,16 @@ def fold_bits(bits: np.ndarray, length: int) -> np.ndarray:
     column of positions congruent to j.
 
     Raises:
+        LengthMismatch: ``bits`` is not a bool matrix.
         BadLength: ``length`` outside [1, K].
     """
+    [bits] = check_arrays(locals(), LengthMismatch, bits=(bool, None, None))
     n, k = bits.shape
     check_fold_length(length, k)
-    padded = np.zeros((n, -(-k // length) * length), dtype=bool)
+    columns = -(-k // length)
+    padded = np.zeros((n, columns * length), dtype=bool)
     padded[:, :k] = bits
-    return padded.reshape(n, -1, length).any(axis=1)
+    return padded.reshape(n, columns, length).any(axis=1)
 
 
 def fold_compress(bitstring: BitString, length: int) -> BitString:

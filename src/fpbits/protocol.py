@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ArrayRecord, EmptyScores
+from .errors import ArrayRecord, EmptyScores, check_arrays
 
 Pair = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -111,13 +111,6 @@ def _hull_eer(points: np.ndarray) -> float:
     return float(hull[-1][0])
 
 
-def _score_array(scores: Sequence[float]) -> np.ndarray:
-    """A float64 copy of any score sequence (an array is not unpacked first)."""
-    if not isinstance(scores, np.ndarray):
-        scores = list(scores)
-    return np.array(scores, dtype=np.float64)
-
-
 def compute_eer(
     genuine: Sequence[float], impostor: Sequence[float], *, dissimilarity: bool = False
 ) -> ProtocolReport:
@@ -129,21 +122,21 @@ def compute_eer(
     increases and FRR never decreases.
 
     Raises:
-        EmptyScores: either score list is empty or contains non-finite values.
+        EmptyScores: either score list is empty, is not a 1-d list of finite
+            numbers, or cannot be made one.
     """
-    g = _score_array(genuine)
-    i = _score_array(impostor)
+    # numpy takes an iterator for one object: unpack it as the sequence it stands for
+    genuine, impostor = (s if isinstance(s, np.ndarray) else list(s) for s in (genuine, impostor))
+    g, i = check_arrays(locals(), EmptyScores, genuine=(float, None), impostor=(float, None))
     if g.size == 0 or i.size == 0:
         raise EmptyScores("both genuine and impostor score lists must be non-empty")
-    if not (np.isfinite(g).all() and np.isfinite(i).all()):
-        raise EmptyScores("scores must be finite")
 
     # negation is exact; + 0.0 turns whichever zero the sort kept into +0.0
     sign = -1.0 if dissimilarity else 1.0
     roc, corners = _operating_points(sign * g, sign * i)
     roc = [(far, frr, sign * th + 0.0) for far, frr, th in roc]
     eer = _hull_eer(corners)
-    return ProtocolReport(genuine_scores=g, impostor_scores=i, eer=eer, roc=roc)
+    return ProtocolReport(genuine_scores=g.copy(), impostor_scores=i.copy(), eer=eer, roc=roc)
 
 
 def fvc_pairs(n_subjects: int, n_impressions: int) -> Tuple[List[Pair], List[Pair]]:

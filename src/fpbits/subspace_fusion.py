@@ -109,10 +109,8 @@ def train_pca(samples: Sequence[np.ndarray] | np.ndarray, n_components: int) -> 
         RankDeficient: ``n_components`` exceeds what the samples can span
             (never more than ``min(n_samples - 1, dim)``).
     """
-    x = np.array(samples, dtype=np.float64)
-    if x.ndim != 2:
-        x = np.vstack([np.asarray(s, dtype=np.float64).ravel() for s in samples])
-    return train_pca_inplace(x, n_components)
+    [x] = check_arrays(locals(), LengthMismatch, samples=(float, None, None))
+    return train_pca_inplace(x.copy(), n_components)
 
 
 def train_pca_inplace(x: np.ndarray, n_components: int) -> PcaModel:
@@ -172,18 +170,15 @@ def project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
     Raises:
         LengthMismatch: ``vectors`` is not a matrix with ``model.dim`` columns.
     """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.dim:
-        raise LengthMismatch(
-            f"expected an (n, {model.dim}) matrix, got shape {x.shape}"
-        )
+    [x] = check_arrays(locals(), LengthMismatch, vectors=(float, None, model.dim))
     return np.ascontiguousarray(x - model.mean) @ model.basis
 
 
 def _znorm_rows(matrix: np.ndarray) -> np.ndarray:
-    """Each row standardized to mean 0, population std 1; a constant row maps to zeros."""
+    """Each row standardized to mean 0, population std 1; a constant row maps to zeros.
+    The std is ``np.std``'s formula on the centred rows, so each row mean is taken once."""
     centred = matrix - matrix.mean(axis=1, keepdims=True)
-    std = matrix.std(axis=1, keepdims=True)
+    std = np.sqrt((centred * centred).sum(axis=1, keepdims=True) / matrix.shape[1])
     return np.divide(centred, std, out=np.zeros_like(centred), where=std != 0.0)
 
 
@@ -202,12 +197,8 @@ def fuse_matrix(
     Raises:
         LengthMismatch: the parts differ in shape, or rows are shorter than 2.
     """
-    a = np.asarray(minutia_part, dtype=np.float64)
-    b = np.asarray(texture_part, dtype=np.float64)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise LengthMismatch(
-            f"projected parts must be matrices of one shape: {a.shape} vs {b.shape}"
-        )
+    a, b = check_arrays(locals(), LengthMismatch, minutia_part=(float, "n", "n_p"),
+                        texture_part=(float, "n", "n_p"))
     if a.shape[1] < 2:
         raise LengthMismatch(f"z-normalization needs length >= 2, got {a.shape[1]}")
     return np.concatenate([weight_m * _znorm_rows(a), weight_t * _znorm_rows(b)], axis=1)
@@ -220,5 +211,4 @@ def fuse(
     weight_t: float,
 ) -> np.ndarray:
     """:func:`fuse_matrix` of one minutia's two projected vectors."""
-    a, b = np.reshape(minutia_part, (1, -1)), np.reshape(texture_part, (1, -1))
-    return fuse_matrix(a, b, weight_m, weight_t)[0]
+    return fuse_matrix([minutia_part], [texture_part], weight_m, weight_t)[0]

@@ -98,7 +98,7 @@ class MinutiaTemplate(ArrayRecord):
         theta[theta < 0.0] += TWO_PI
         theta[theta >= TWO_PI] = 0.0  # fmod rounds tiny negatives up to the period
         object.__setattr__(self, "minutiae", columns)
-        check_arrays(self, FieldOutOfRange, minutiae=(np.void, None))
+        check_arrays(self, FieldOutOfRange, minutiae=(MINUTIA_DTYPE, None))
 
     def __len__(self) -> int:
         return len(self.minutiae)

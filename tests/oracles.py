@@ -22,6 +22,11 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
 * The per-vector subspace forms: ``project_vector``, ``znorm`` and ``fuse``.
   ``project`` and ``fuse_matrix`` must match them row by row within the
   rounding of a different summation order.
+* The two-pass normalisations: ``normalize_image_oracle`` and
+  ``znorm_rows_oracle`` take each mean twice, once on its own and once
+  inside ``np.std``. ``fpbits.local_structures.normalize_image`` and
+  ``fpbits.subspace_fusion._znorm_rows`` take it once and must give
+  identical arrays.
 * The one-pair bit scorers ``intersection_score`` and ``masked_score``,
   with their own length checks. ``intersection_scores`` and
   ``masked_scores`` must give bit-identical values and common-bit counts.
@@ -333,6 +338,23 @@ def znorm(vector: np.ndarray) -> np.ndarray:
     if std == 0.0:
         return np.zeros_like(v)
     return (v - v.mean()) / std
+
+
+def znorm_rows_oracle(matrix: np.ndarray) -> np.ndarray:
+    """Each row standardized to mean 0, population std 1; a constant row maps to zeros."""
+    centred = matrix - matrix.mean(axis=1, keepdims=True)
+    std = matrix.std(axis=1, keepdims=True)
+    return np.divide(centred, std, out=np.zeros_like(centred), where=std != 0.0)
+
+
+def normalize_image_oracle(image: GrayImage) -> np.ndarray:
+    """An image mapped to global mean 0 and population std 1; a constant one to zeros."""
+    px = image.pixels.astype(np.float64)
+    mean = float(px.mean())
+    std = float(px.std())
+    if std == 0.0:
+        return np.zeros_like(px)
+    return (px - mean) / std
 
 
 def fuse(

@@ -29,6 +29,12 @@ or that it caught (``type(exc)``).
 Every container loader of ``model_store`` but the file reader ``load_model_file``
 ends in ``return _resaves(...)`` and returns nothing else, so each file it takes
 re-saves to its own bytes.
+
+Every function the package exports with a parameter annotated ``np.ndarray``
+calls ``errors.check_arrays``, or is a one-row view: its docstring and one
+``return`` of a call to a function of its module that does. No function outside
+``errors.py`` calls ``.ravel()`` on one of its parameters: an argument is
+checked, not flattened.
 """
 
 import ast
@@ -690,3 +696,125 @@ def test_the_check_sees_loaders_off_the_resave():
         "        return G(data)\n"
     )
     assert loaders_off_the_resave(tree) == [(3, "load_b"), (5, "load_c"), (9, "load_d")]
+
+
+def _exports():
+    """``{module file: exported names}`` of the package's ``from .module import`` lines."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exports = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exports.setdefault(f"{node.module}.py", set()).update(a.name for a in node.names)
+    return exports
+
+
+def _calls(node, name):
+    return any(isinstance(n, ast.Call) and _call_name(n) == name for n in ast.walk(node))
+
+
+def _takes_arrays(function):
+    arguments = function.args.posonlyargs + function.args.args + function.args.kwonlyargs
+    return any(a.annotation is not None and "ndarray" in ast.unparse(a.annotation)
+               for a in arguments)
+
+
+def unchecked_array_functions(tree, exported):
+    """``(line, name)`` of each function in ``exported`` with an ``np.ndarray`` parameter that
+    neither calls ``check_arrays`` nor is a one-row view of a function that does."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    checked = {name for name, node in functions.items() if _calls(node, "check_arrays")}
+
+    def delegates(node):
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        return (len(body) == 1 and isinstance(body[0], ast.Return) and body[0].value is not None
+                and any(_calls(body[0].value, name) for name in checked))
+
+    return sorted((node.lineno, name) for name, node in functions.items()
+                  if name in exported and _takes_arrays(node)
+                  and name not in checked and not delegates(node))
+
+
+def test_every_exported_array_function_checks_its_arrays():
+    exports, seen = _exports(), []
+    for module, names in sorted(exports.items()):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        off = unchecked_array_functions(tree, names)
+        assert not off, f"{module}: exported functions off the argument rule: {off}"
+        seen += [n.name for n in tree.body if isinstance(n, ast.FunctionDef)
+                 and n.name in names and _takes_arrays(n)]
+    assert {"lgs_score", "mbls_matrix", "fuse", "train_finger", "global_mean"} <= set(seen)
+
+
+def test_the_check_sees_unchecked_array_functions():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def a(x: np.ndarray):\n"
+        "    [x] = check_arrays(locals(), E, x=(float, None))\n"
+        "    return x\n"
+        "def b(x: np.ndarray, n: int):\n"
+        "    return np.asarray(x).ravel()[:n]\n"
+        "def c(x: np.ndarray):\n"
+        "    \"\"\":func:`a` of one row.\"\"\"\n"
+        "    return a([x])[0]\n"
+        "def d(x: np.ndarray):\n"
+        "    return b([x], 1)[0]\n"
+        "def e(x: 'Sequence[np.ndarray] | np.ndarray'):\n"
+        "    y = x[0]\n"
+        "    return a(y)\n"
+        "def f(n: int, *, x: np.ndarray = None):\n"
+        "    return n\n"
+        "def g(x: list):\n"
+        "    return x\n"
+        "def h(x: np.ndarray):\n"
+        "    return x\n"
+        "def i(x: np.ndarray):\n"
+        "    errors.check_arrays({'x': x}, E, x=(bool, None))\n"
+    )
+    exported = set("abcdefgi")  # h is not exported
+    assert unchecked_array_functions(tree, exported) == [
+        (5, "b"), (10, "d"), (12, "e"), (15, "f")]
+
+
+def raveled_parameters(tree):
+    """``(line, function, parameter)`` of each ``.ravel()`` or ``np.ravel(...)`` in a function
+    whose operand reads one of that function's parameters, as ``np.asarray(x).ravel()`` does."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if p is not None}
+        for call in ast.walk(node):
+            if not (isinstance(call, ast.Call) and _call_name(call) == "ravel"):
+                continue
+            operand = call.func.value if not call.args else call.args[0]
+            read = sorted({n.id for n in ast.walk(operand) if isinstance(n, ast.Name)} & params)
+            if read:
+                found.append((call.lineno, node.name, read[0]))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=[p.name for p in MODULES if p.name != "errors.py"])
+def test_no_parameter_is_raveled(path):
+    found = raveled_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: parameters flattened, not checked: {found}"
+
+
+def test_the_check_sees_raveled_parameters():
+    tree = ast.parse(
+        "def f(x, *, y=None):\n"
+        "    a = x.ravel()\n"
+        "    b = np.ravel(y)\n"
+        "    c = np.asarray(x).ravel()\n"
+        "    z = x\n"
+        "    return z.ravel(), a, b, c\n"
+        "def g(img):\n"
+        "    op = lambda v: v.ravel()\n"
+        "    def inner(w):\n"
+        "        return w.ravel(), img.ravel()\n"
+        "    return op, inner\n"
+    )
+    assert raveled_parameters(tree) == [(2, "f", "x"), (3, "f", "y"), (4, "f", "x"),
+                                        (10, "g", "img"), (10, "inner", "w")]

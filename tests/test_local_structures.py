@@ -279,6 +279,21 @@ def test_normalize_image_constant():
     assert out.shape == (8, 8) and (out == 0.0).all()
 
 
+def test_normalize_image_equals_the_two_pass_form():
+    # the mean is taken once and the float copy centred in place: the same
+    # bytes as the form that took it twice
+    rng = np.random.default_rng(3)
+    images = [np.full((8, 8), 137), np.zeros((1, 1)), np.array([[0, 255]])]
+    for _ in range(200):
+        h, w = rng.integers(1, 90, size=2)
+        high = int(rng.choice([2, 16, 256]))
+        images.append(rng.integers(0, high, size=(h, w)))
+    for pixels in images:
+        img = GrayImage(pixels.astype(np.int64))
+        got = normalize_image(img)
+        assert got.tobytes() == oracles.normalize_image_oracle(img).tobytes()
+
+
 def test_bilinear_sample_values():
     img = np.array([[0.0, 10.0], [20.0, 30.0]])
     xs = np.array([0.0, 1.0, 0.5, 0.25, -0.1, 1.0])
@@ -548,9 +563,9 @@ def spy_sampled_rows(monkeypatch):
     calls = []
     sample = local_structures._sample_rows
 
-    def spy(img, xs, ys, out, border):
+    def spy(flat, shape, xs, ys, out, border):
         calls.append((border, xs.shape[0]))
-        sample(img, xs, ys, out, border)
+        sample(flat, shape, xs, ys, out, border)
 
     monkeypatch.setattr(local_structures, "_sample_rows", spy)
     return calls

@@ -1,0 +1,243 @@
+"""The one argument rule of the public array API.
+
+Every function ``fpbits`` exports that takes arrays checks them with
+``errors.check_arrays``: dtype kind, rank, the sizes two arguments share and
+finite floats. A wrong argument raises a typed ``FpbitsError``; an array-like
+(a list, a list of rows) still works.
+"""
+
+import inspect
+import warnings
+
+import numpy as np
+import pytest
+
+import fpbits
+from fpbits.config import PipelineConfig
+from fpbits.errors import (EmptyEnrollment, EmptyImage, EmptyScores, EmptyTrainingSet,
+                           FpbitsError, LengthMismatch, PoolTooSmall)
+from fpbits.local_structures import StructureGeometry
+from fpbits.template_io import MINUTIA_DTYPE
+
+RNG = np.random.default_rng(131)
+GEOMETRY = StructureGeometry.from_config(PipelineConfig())
+MINUTIAE = np.zeros(6, MINUTIA_DTYPE)
+MINUTIAE["x"] = [12.0, 20.0, 31.0, 40.0, 25.0, 50.0]
+MINUTIAE["y"] = [15.0, 44.0, 30.0, 22.0, 52.0, 35.0]
+MINUTIAE["theta"] = [0.1, 1.2, 2.3, 3.4, 4.5, 5.6]
+IMAGE = RNG.normal(size=(64, 64))
+PCA = fpbits.train_pca(RNG.normal(size=(20, 6)), 3)
+BITS = RNG.random((4, 10)) < 0.5
+D = RNG.uniform(0.5, 3.0, size=(6, 5))
+PAIR_ARGS = dict(min_pairs=2, max_pairs=5, midpoint=10.0, steepness=0.5)
+
+# a valid call of every exported function that takes arrays: (function, arguments)
+VALID_CALLS = {
+    "interclass_variance": (fpbits.interclass_variance,
+                            dict(distances=D[:4], population_mean=D.mean(axis=0))),
+    "discrimination_power": (fpbits.discrimination_power,
+                             dict(variance=D[0], cluster_weights=D[1] / 3.0)),
+    "reliability": (fpbits.reliability, dict(bits=BITS)),
+    "train_mask": (fpbits.train_mask, dict(power=D[0], rel=D[1] / 3.0, n_mean=3.0,
+                                           alpha=0.5, beta=1.0)),
+    "train_finger": (fpbits.train_finger, dict(
+        finger_id="f", distances=D[:4], bits=BITS[:, :5], minutia_counts=np.array([3, 4, 5, 6]),
+        population_mean=D.mean(axis=0), cluster_weights=D[1] / 3.0, alpha=0.5, beta=1.0)),
+    "cardinality_weights": (fpbits.cardinality_weights,
+                            dict(cardinalities=np.array([3, 1, 2, 0, 4]))),
+    "centroid_distances": (fpbits.centroid_distances,
+                           dict(matrix=RNG.normal(size=(6, 3)), centroids=RNG.normal(size=(5, 3)))),
+    "cluster_cardinalities": (fpbits.cluster_cardinalities, dict(d=D, radii=D[0] / 2.0)),
+    "distance_vector": (fpbits.distance_vector, dict(d=D)),
+    "encode_bitstring": (fpbits.encode_bitstring, dict(d=D, radii=D[0] / 2.0, tau_s=0.0,
+                                                       top_t=2, gate_all=True)),
+    "estimate_radii": (fpbits.estimate_radii, dict(d=D, n_boundary=2)),
+    "global_mean": (fpbits.global_mean, dict(groups=[D[:2], D[2:]])),
+    "kmeans_train": (fpbits.kmeans_train, dict(pool=RNG.normal(size=(20, 3)), k=3,
+                                               max_iters=5, seed=0)),
+    "mbls_matrix": (fpbits.mbls_matrix, dict(minutiae=MINUTIAE, geometry=GEOMETRY,
+                                             refs=np.array([0, 2]))),
+    "tbls_matrix": (fpbits.tbls_matrix, dict(minutiae=MINUTIAE, image=IMAGE, geometry=GEOMETRY)),
+    "build_mbls": (fpbits.build_mbls, dict(minutiae=MINUTIAE, row=1, geometry=GEOMETRY)),
+    "extract_tbls": (fpbits.extract_tbls, dict(minutiae=MINUTIAE, row=1, image=IMAGE,
+                                               geometry=GEOMETRY)),
+    "fold_bits": (fpbits.fold_bits, dict(bits=BITS, length=4)),
+    "intersection_scores": (fpbits.intersection_scores, dict(a=BITS, b=BITS[::-1])),
+    "lgs_score": (fpbits.lgs_score, dict(vectors_a=RNG.normal(size=(5, 4)),
+                                         vectors_b=RNG.normal(size=(6, 4)), **PAIR_ARGS)),
+    "masked_scores": (fpbits.masked_scores, dict(query=BITS, enrolled=BITS[::-1],
+                                                 masks=~BITS, mask_both=True)),
+    "compute_eer": (fpbits.compute_eer, dict(genuine=np.array([0.9, 0.8]),
+                                             impostor=np.array([0.1, 0.2, 0.3]))),
+    "fuse": (fpbits.fuse, dict(minutia_part=D[0], texture_part=D[1], weight_m=0.6,
+                               weight_t=0.4)),
+    "fuse_matrix": (fpbits.fuse_matrix, dict(minutia_part=D[:3], texture_part=D[3:],
+                                             weight_m=0.6, weight_t=0.4)),
+    "project": (fpbits.project, dict(model=PCA, vectors=RNG.normal(size=(4, 6)))),
+    "train_pca": (fpbits.train_pca, dict(samples=RNG.normal(size=(10, 6)), n_components=2)),
+}
+
+
+def _takes_arrays(function):
+    return any("ndarray" in str(p.annotation) or "Sequence[float]" in str(p.annotation)
+               for p in inspect.signature(function).parameters.values())
+
+
+def test_every_exported_array_function_has_a_valid_call():
+    exported = {name for name, value in vars(fpbits).items()
+                if inspect.isfunction(value) and _takes_arrays(value)}
+    assert exported <= set(VALID_CALLS), sorted(exported - set(VALID_CALLS))
+    for name, (function, args) in VALID_CALLS.items():
+        function(**args)  # each valid call is valid
+
+
+def _swaps(array):
+    """``(label, value)`` of each wrong value the fuzzer swaps in for ``array``."""
+    shape, ragged = array.shape, [[0.0, 1.0], [0.0]]
+    swaps = [(f"{rank}-d", np.resize(array, (2,) * rank)) for rank in range(4)
+             if rank != array.ndim]
+    return swaps + [
+        ("empty", array[:0]),
+        ("longer", np.resize(array, (shape[0] + 1,) + shape[1:])),
+        ("wider", np.resize(array, shape[:-1] + (shape[-1] + 1,))),
+        ("str", np.full(shape, "a")),
+        ("object", np.ones(shape).astype(object)),
+        ("complex", np.ones(shape, complex)),
+        ("fields", np.zeros(shape, [("a", float)])),  # a structured dtype of other fields
+        ("nan", np.full(shape, np.nan)),
+        ("inf", np.full(shape, np.inf)),
+        ("-inf", np.full(shape, -np.inf)),
+        ("ragged", ragged),
+    ]
+
+
+# swaps no function takes, with those of another rank: each is refused with a typed error
+ALWAYS_REFUSED = {"str", "object", "complex", "fields", "nan", "inf", "-inf", "ragged"}
+
+
+def _cases():
+    for name, (function, args) in sorted(VALID_CALLS.items()):
+        for arg, value in args.items():
+            if name == "global_mean":  # a list of groups: swap each group in turn
+                for i, group in enumerate(value):
+                    for label, wrong in _swaps(group):
+                        groups = list(value)
+                        groups[i] = wrong
+                        yield f"{name}.groups[{i}] {label}", function, {**args, arg: groups}, label
+            elif isinstance(value, np.ndarray):
+                for label, wrong in _swaps(value):
+                    yield f"{name}.{arg} {label}", function, {**args, arg: wrong}, label
+
+
+def test_fuzz_public_array_api_zero_untyped():
+    # each array argument of each valid call swapped for a wrong one: the call
+    # raises a typed error or returns; a swap no function takes is refused
+    crashes, refused, cases = [], 0, 0
+    for case, function, args, label in _cases():
+        cases += 1
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                function(**args)
+        except FpbitsError:
+            refused += 1
+            continue
+        except Exception as exc:
+            crashes.append(f"{case}: {type(exc).__name__}: {exc}")
+            continue
+        if label in ALWAYS_REFUSED or label.endswith("-d"):
+            crashes.append(f"{case}: accepted")
+    assert not crashes, f"{len(crashes)} of {cases} crashed, first: {crashes[:5]}"
+    assert refused > cases // 2
+
+
+def test_array_likes_keep_working():
+    # lists give the bytes the arrays give
+    def listed(value):
+        if isinstance(value, list):  # global_mean's groups
+            return [listed(v) for v in value]
+        plain = isinstance(value, np.ndarray) and value.dtype.names is None
+        return value.tolist() if plain else value
+
+    for name, (function, args) in sorted(VALID_CALLS.items()):
+        listed_args = {arg: listed(value) for arg, value in args.items()}
+        want, got = function(**args), function(**listed_args)
+        if isinstance(want, tuple):
+            assert all(np.array_equal(w, g) for w, g in zip(want, got)), name
+        else:
+            assert want == got if not isinstance(want, np.ndarray) else \
+                want.tobytes() == got.tobytes(), name
+
+
+@pytest.mark.parametrize("refs", [[6], [-7], [0, 6], [[0, 1]], [0.5]])
+def test_mbls_refs_outside_the_impression_are_refused(refs):
+    with pytest.raises(LengthMismatch):
+        fpbits.mbls_matrix(MINUTIAE, GEOMETRY, refs=refs)
+
+
+def test_mbls_refs_count_from_the_end_as_numpy_does():
+    rows = fpbits.mbls_matrix(MINUTIAE, GEOMETRY)
+    assert np.array_equal(fpbits.mbls_matrix(MINUTIAE, GEOMETRY, refs=[-1, -6]), rows[[5, 0]])
+
+
+@pytest.mark.parametrize("row", [-6, -1, 0, 5])
+def test_one_row_views_take_rows_as_numpy_does(row):
+    assert np.array_equal(fpbits.build_mbls(MINUTIAE, row, GEOMETRY),
+                          fpbits.mbls_matrix(MINUTIAE, GEOMETRY, refs=[row])[0])
+    assert np.array_equal(fpbits.extract_tbls(MINUTIAE, row, IMAGE, GEOMETRY),
+                          fpbits.tbls_matrix(MINUTIAE[[row]], IMAGE, GEOMETRY)[0])
+
+
+@pytest.mark.parametrize("row", [-7, 6])
+def test_one_row_views_refuse_a_row_outside_the_impression(row):
+    with pytest.raises(LengthMismatch):
+        fpbits.build_mbls(MINUTIAE, row, GEOMETRY)
+    with pytest.raises(LengthMismatch):
+        fpbits.extract_tbls(MINUTIAE, row, IMAGE, GEOMETRY)
+
+
+def test_tbls_refuses_an_image_without_pixels():
+    with pytest.raises(LengthMismatch, match="needs a pixel"):
+        fpbits.tbls_matrix(MINUTIAE, np.zeros((0, 64)), GEOMETRY)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("float bits", lambda: fpbits.intersection_scores(BITS.astype(float), BITS)),
+    ("int bits", lambda: fpbits.masked_scores(BITS.astype(int), BITS, BITS, True)),
+    ("int fold", lambda: fpbits.fold_bits(BITS.astype(int), 4)),
+    ("object bits", lambda: fpbits.reliability(BITS.astype(object))),
+    ("2-d power", lambda: fpbits.train_mask(D[:2], D[:2], 3.0, 0.5, 1.0)),
+    ("2-d weights", lambda: fpbits.discrimination_power(D[:2], D[:2])),
+    ("1-d group", lambda: fpbits.global_mean([D[0]])),
+])
+def test_narrowed_arguments_are_refused_not_cast(name, call):
+    with pytest.raises(LengthMismatch):
+        call()
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros((0, 5)), np.zeros((0, 5, 1))],
+                         ids=["list", "1-d", "2-d", "3-d"])
+@pytest.mark.parametrize("error, call", [
+    (EmptyEnrollment, lambda e: fpbits.interclass_variance(e, D[0])),
+    (EmptyEnrollment, lambda e: fpbits.reliability(e)),
+    (EmptyEnrollment, lambda e: fpbits.train_finger("f", e, e, e, D[0], D[1], 0.5, 1.0)),
+    (EmptyEnrollment, lambda e: fpbits.train_finger("f", D[:4], e, [3, 4, 5, 6], D[0], D[1],
+                                                    0.5, 1.0)),
+    (EmptyTrainingSet, lambda e: fpbits.global_mean([D, e])),
+    (EmptyImage, lambda e: fpbits.lgs_score(e, D, **PAIR_ARGS)),
+    (EmptyImage, lambda e: fpbits.lgs_score(D, e, **PAIR_ARGS)),
+    (EmptyImage, lambda e: fpbits.distance_vector(e)),
+    (PoolTooSmall, lambda e: fpbits.kmeans_train(e, 2, 5, 0)),
+], ids=["interclass_variance", "reliability", "train_finger", "train_finger.bits",
+        "global_mean", "lgs_score.a", "lgs_score.b", "distance_vector", "kmeans_train"])
+def test_no_rows_keeps_its_error_at_any_rank(error, call, empty):
+    # the at-least-one-row rule answers before the rank rule
+    with pytest.raises(error):
+        call(empty)
+
+
+def test_score_lists_keep_their_error():
+    with pytest.raises(EmptyScores, match="^genuine must be a float array"):
+        fpbits.compute_eer(["a"], ["b"])
+    with pytest.raises(EmptyScores, match="^impostor must hold finite numbers"):
+        fpbits.compute_eer([0.5], [np.nan])

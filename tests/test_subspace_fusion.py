@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fpbits.subspace_fusion as subspace_fusion
 from fpbits.config import PipelineConfig
 from fpbits.errors import LengthMismatch, RankDeficient, TooFewSamples
 from fpbits.subspace_fusion import (
@@ -172,6 +173,19 @@ def test_znorm_constant_and_short():
     assert (znorm(np.full(5, 3.3)) == 0.0).all()
     with pytest.raises(LengthMismatch):
         znorm(np.array([1.0]))
+
+
+def test_znorm_rows_equals_the_two_pass_form():
+    # each row mean is taken once: the same bytes as the form that took it twice
+    rng = np.random.default_rng(83)
+    for _ in range(500):
+        n, p = rng.integers(0, 30), rng.integers(1, 60)
+        matrix = rng.normal(loc=rng.normal(scale=100.0), scale=10.0 ** rng.uniform(-12, 6),
+                            size=(n, p))
+        if n:
+            matrix[rng.integers(n)] = rng.normal()  # a constant row
+        got = subspace_fusion._znorm_rows(matrix)
+        assert got.tobytes() == oracles.znorm_rows_oracle(matrix).tobytes()
 
 
 def test_fuse_layout_and_weights():
