@@ -7,15 +7,7 @@ per-finger bit selection, and bit-level matching. See the README for the
 command-line walkthrough.
 """
 
-from .bit_training import (
-    FingerModel,
-    adaptive_threshold,
-    discrimination_power,
-    interclass_variance,
-    reliability,
-    train_finger,
-    train_mask,
-)
+from .bit_training import FingerModel, train_finger
 from .codebook import (
     BitString,
     Codebook,
@@ -45,7 +37,6 @@ from .matching import (
     fold_compress,
     intersection_score,
     intersection_scores,
-    lgs_pair_budget,
     lgs_score,
     masked_score,
     masked_scores,

@@ -48,9 +48,7 @@ class FingerModel(ArrayRecord):
         return self.mask.shape[0]
 
 
-def interclass_variance(
-    distances: np.ndarray, population_mean: np.ndarray
-) -> np.ndarray:
+def _interclass_variance(d: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Below-mean spread of a finger's ``(n, K)`` distance rows, per cluster.
 
     Only the side where the finger comes *closer* to a cluster than the
@@ -58,42 +56,12 @@ def interclass_variance(
     population mean are clipped to zero before squaring:
     ``mean_j(min(v_j - mu, 0)^2)``. The squares are summed in row order,
     so the result does not depend on how numpy would pair up an axis sum.
-
-    Raises:
-        EmptyEnrollment: no distance rows supplied.
-        LengthMismatch: the rows are not as long as the mean.
     """
-    if np.iterable(distances) and len(distances) == 0:
-        raise EmptyEnrollment("interclass variance needs at least one impression")
-    d, mu = check_arrays(locals(), LengthMismatch, distances=(float, None, "K"),
-                         population_mean=(float, "K"))
     below = np.minimum(d - mu, 0.0)
     return np.cumsum(below * below, axis=0)[-1] / d.shape[0]
 
 
-def discrimination_power(
-    variance: np.ndarray, cluster_weights: np.ndarray
-) -> np.ndarray:
-    """Per-bit power: below-mean variance scaled by cluster rarity weight."""
-    v, w = check_arrays(locals(), LengthMismatch, variance=(float, "K"),
-                        cluster_weights=(float, "K"))
-    return w * v
-
-
-def reliability(bits: np.ndarray) -> np.ndarray:
-    """Fraction of the ``(n, K)`` enrollment bit rows that set each bit.
-
-    Raises:
-        EmptyEnrollment: no bit rows supplied.
-        LengthMismatch: ``bits`` is not a matrix.
-    """
-    if np.iterable(bits) and len(bits) == 0:
-        raise EmptyEnrollment("reliability needs at least one bit-string")
-    [b] = check_arrays(locals(), LengthMismatch, bits=(bool, None, None))
-    return b.mean(axis=0)
-
-
-def adaptive_threshold(
+def _adaptive_threshold(
     rank: float, n_mean: float, alpha: float, beta: float
 ) -> float:
     """Reliability bar for the bit visited at a given power rank.
@@ -108,7 +76,7 @@ def adaptive_threshold(
         return alpha
 
 
-def train_mask(
+def _train_mask(
     power: np.ndarray,
     rel: np.ndarray,
     n_mean: float,
@@ -119,14 +87,13 @@ def train_mask(
 
     All positions are visited exactly once, ordered by power descending
     (ties by smaller index); the position visited at rank t (1-based) is
-    kept iff its reliability strictly exceeds ``adaptive_threshold(t)``.
+    kept iff its reliability strictly exceeds ``_adaptive_threshold(t)``.
     Zero-power positions still get a (very strict) chance at the tail.
     """
-    p, r = check_arrays(locals(), LengthMismatch, power=(float, "K"), rel=(float, "K"))
-    order = np.lexsort((np.arange(p.shape[0]), -p))
-    mask = np.zeros(p.shape[0], dtype=bool)
+    order = np.lexsort((np.arange(power.shape[0]), -power))
+    mask = np.zeros(power.shape[0], dtype=bool)
     for t, idx in enumerate(order, start=1):
-        if r[idx] > adaptive_threshold(t, n_mean, alpha, beta):
+        if rel[idx] > _adaptive_threshold(t, n_mean, alpha, beta):
             mask[idx] = True
     return mask
 
@@ -144,23 +111,24 @@ def train_finger(
     """Run the whole per-finger selection on one finger's enrollment matrices.
 
     Row ``i`` of the ``(n, K)`` ``distances`` and ``bits`` and
-    ``minutia_counts[i]`` describe enrollment impression ``i``; any other
-    shapes raise ``LengthMismatch``.
+    ``minutia_counts[i]`` describe enrollment impression ``i``, and
+    ``population_mean`` and ``cluster_weights`` hold one value per cluster;
+    any other shapes raise ``LengthMismatch``.
     """
     if any(np.iterable(a) and len(a) == 0 for a in (distances, bits, minutia_counts)):
         raise EmptyEnrollment(f"finger {finger_id!r} has no enrollment samples")
-    d, b, counts = check_arrays(locals(), LengthMismatch, distances=(float, "n", "K"),
-                                bits=(bool, "n", "K"), minutia_counts=(float, "n"))
-    var = interclass_variance(d, population_mean)
-    power = discrimination_power(var, cluster_weights)
-    rel = reliability(b)
+    d, b, counts, mu, weights = check_arrays(
+        locals(), LengthMismatch, distances=(float, "n", "K"), bits=(bool, "n", "K"),
+        minutia_counts=(float, "n"), population_mean=(float, "K"),
+        cluster_weights=(float, "K"))
+    power = weights * _interclass_variance(d, mu)
+    rel = b.mean(axis=0)
     n_mean = float(np.mean(counts))
-    mask = train_mask(power, rel, n_mean, alpha, beta)
     return FingerModel(
         finger_id=finger_id,
         power=power,
         reliability=rel,
-        mask=mask,
+        mask=_train_mask(power, rel, n_mean, alpha, beta),
         n_mean=n_mean,
         reference=b.any(axis=0),
     )

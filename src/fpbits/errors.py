@@ -94,7 +94,8 @@ class EmptyScores(FpbitsError):
 
 class LengthMismatch(FpbitsError):
     """An array argument has the wrong dtype kind, rank or shape, holds NaN or an infinity, or
-    disagrees with another in a size they share (two bit-strings of different lengths, say)."""
+    disagrees with another in a size they share (two bit-strings of different lengths, say);
+    or an image argument is not a ``GrayImage``."""
 
 
 class BadLength(FpbitsError):

@@ -209,8 +209,11 @@ def normalize_image(image: GrayImage) -> np.ndarray:
 
     Returns a float array of the image's shape. A constant image maps to 0
     everywhere. The float copy is centred in place and the std is ``np.std``'s
-    own formula on it, so the mean is taken once.
+    own formula on it, so the mean is taken once. Anything but a ``GrayImage``
+    raises ``LengthMismatch``.
     """
+    if not isinstance(image, GrayImage):
+        raise LengthMismatch(f"image must be a GrayImage, got {type(image).__name__}")
     px = image.pixels.astype(np.float64)
     px -= px.mean()
     std = np.sqrt((px * px).sum() / px.size)

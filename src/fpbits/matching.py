@@ -47,7 +47,7 @@ class MatchScore:
     short: bool = False
 
 
-def lgs_pair_budget(
+def _pair_budget(
     count_a: int,
     count_b: int,
     min_pairs: int,
@@ -80,7 +80,7 @@ def lgs_score(
     """Greedy one-to-one comparison of two fused matrices (lower = more similar).
 
     Pairs are taken greedily, each vector used at most once, until the
-    budget from :func:`lgs_pair_budget` is filled or vectors run out: each
+    budget from :func:`_pair_budget` is filled or vectors run out: each
     pick is the smallest cross distance left between unused vectors, ties
     going to the first in (row, column) order. The score is the mean
     distance of the taken pairs; ``short`` marks an underfilled budget.
@@ -97,7 +97,7 @@ def lgs_score(
     if a.size == 0 or b.size == 0:  # vectors of length 0
         raise EmptyImage("an impression with no fused vectors has no lgs score")
     n_a, n_b = a.shape[0], b.shape[0]
-    budget = lgs_pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
+    budget = _pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
 
     diff = a[:, None, :] - b[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))

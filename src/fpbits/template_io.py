@@ -66,15 +66,10 @@ class MinutiaTemplate(ArrayRecord):
         width, height = self.width, self.height
         if type(width) is not int or type(height) is not int or min(width, height) < 0:
             raise MalformedHeader(f"image bounds must be ints >= 0, got {width!r}x{height!r}")
-        given = self.minutiae
         # MINUTIA_DTYPE's fields in any byte order or padding; a column that a
         # cast would round or cut, such as a float or bool quality, is refused
-        if not (isinstance(given, np.ndarray) and given.ndim == 1
-                and np.can_cast(given.dtype, MINUTIA_DTYPE, "equiv")):
-            shape = f"{given.dtype} {given.shape}" if isinstance(given, np.ndarray) else ""
-            raise FieldOutOfRange(f"minutiae must be a 1-d MINUTIA_DTYPE array, got "
-                                  f"{type(given).__name__} {shape}".rstrip())
-        columns = given.astype(MINUTIA_DTYPE)
+        check_arrays(self, FieldOutOfRange, freeze=False, minutiae=(MINUTIA_DTYPE, None))
+        columns = self.minutiae.astype(MINUTIA_DTYPE)
         x, y, theta, kind, quality = (columns[name] for name in MINUTIA_DTYPE.names)
         # past 2**53 px, float64 positions no longer tell neighboring pixels apart
         x_end, y_end = float(min(width, 2**53)), float(min(height, 2**53))

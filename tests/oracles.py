@@ -89,7 +89,7 @@ from fpbits.errors import (
     PoolTooSmall,
 )
 from fpbits.local_structures import StructureGeometry
-from fpbits.matching import KIND_INTERSECTION, KIND_LGS, MatchScore, lgs_pair_budget
+from fpbits.matching import KIND_INTERSECTION, KIND_LGS, MatchScore, _pair_budget
 from fpbits.model_store import PipelineModel
 from fpbits.pipeline import (
     _STREAM_PCA_SUBSAMPLE,
@@ -633,7 +633,7 @@ def lgs_score(
 
     All cross distances are ranked ascending (ties by vector indices); pairs
     are taken greedily, each vector used at most once, until the budget from
-    :func:`lgs_pair_budget` is filled or vectors run out. The score is the
+    :func:`_pair_budget` is filled or vectors run out. The score is the
     mean distance of the taken pairs; ``short`` marks an underfilled budget.
 
     Raises:
@@ -645,7 +645,7 @@ def lgs_score(
     if a.size == 0 or b.size == 0:
         raise EmptyImage("an impression with no fused vectors has no lgs score")
     n_a, n_b = a.shape[0], b.shape[0]
-    budget = lgs_pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
+    budget = _pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
     if a.shape[1] != b.shape[1]:
         raise LengthMismatch(
             f"fused vector lengths differ: {a.shape[1]} vs {b.shape[1]}"

@@ -19,11 +19,11 @@ from fpbits.codebook import (
     encode_bitstring,
     kmeans_train,
 )
-from fpbits.bit_training import adaptive_threshold
+from fpbits.bit_training import _adaptive_threshold
 from fpbits.config import PipelineConfig
 from fpbits.errors import FpbitsError
 from fpbits.local_structures import StructureGeometry, build_mbls
-from fpbits.matching import fold_compress, intersection_score, lgs_pair_budget
+from fpbits.matching import _pair_budget, fold_compress, intersection_score
 from fpbits.protocol import fvc_pairs
 from fpbits.subspace_fusion import project, train_pca
 from fpbits.synth import SynthParams, synth_dataset
@@ -356,9 +356,9 @@ def test_criterion_06_encode_oracle():
 
 def test_criterion_07_threshold_midpoint():
     n_mean = 2.0
-    mid = adaptive_threshold(n_mean, n_mean, alpha=0.45, beta=0.4)
+    mid = _adaptive_threshold(n_mean, n_mean, alpha=0.45, beta=0.4)
     err = abs(mid - 0.725)
-    values = [adaptive_threshold(float(t), n_mean, 0.45, 0.4) for t in range(1, 201)]
+    values = [_adaptive_threshold(float(t), n_mean, 0.45, 0.4) for t in range(1, 201)]
 
     # The bar is strictly increasing in exact arithmetic; in doubles its
     # increments drop below one ulp once the sigmoid saturates (rank ~90 at
@@ -383,10 +383,10 @@ def test_criterion_07_threshold_midpoint():
 def test_criterion_08_pair_budget():
     cfg = PipelineConfig()
     params = (cfg.min_nL, cfg.max_nL, cfg.mu_P, cfg.tau_P)
-    at_midpoint = lgs_pair_budget(35, 35, *params)
-    floor_small = lgs_pair_budget(1, 50, *params)
-    floor_min_side = lgs_pair_budget(1000, 1, *params)
-    ceiling = lgs_pair_budget(1000, 1000, *params)
+    at_midpoint = _pair_budget(35, 35, *params)
+    floor_small = _pair_budget(1, 50, *params)
+    floor_min_side = _pair_budget(1000, 1, *params)
+    ceiling = _pair_budget(1000, 1000, *params)
 
     ok = (
         at_midpoint == 7

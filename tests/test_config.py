@@ -60,14 +60,14 @@ def test_invalid_values_are_typed_errors(line):
 # the caller passes the config's value, so the library spells no second default
 CONFIG_VALUED = {
     "matching": {
-        "lgs_pair_budget": ("min_pairs", "max_pairs", "midpoint", "steepness"),
+        "_pair_budget": ("min_pairs", "max_pairs", "midpoint", "steepness"),
         "lgs_score": ("min_pairs", "max_pairs", "midpoint", "steepness"),
         "masked_score": ("mask_both",),
         "masked_scores": ("mask_both",),
     },
     "bit_training": {
-        "adaptive_threshold": ("alpha", "beta"),
-        "train_mask": ("alpha", "beta"),
+        "_adaptive_threshold": ("alpha", "beta"),
+        "_train_mask": ("alpha", "beta"),
         "train_finger": ("alpha", "beta"),
     },
     "subspace_fusion": {

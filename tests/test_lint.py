@@ -35,6 +35,10 @@ calls ``errors.check_arrays``, or is a one-row view: its docstring and one
 ``return`` of a call to a function of its module that does. No function outside
 ``errors.py`` calls ``.ravel()`` on one of its parameters: an argument is
 checked, not flattened.
+
+Every function the package exports is called from another of its modules or
+named in the benchmark's source, so the public API holds no stage that only
+its own module and the tests reach.
 """
 
 import ast
@@ -43,6 +47,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fpbits"
+PERFBENCH = SRC.parents[1] / "perfbench"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -818,3 +823,61 @@ def test_the_check_sees_raveled_parameters():
     )
     assert raveled_parameters(tree) == [(2, "f", "x"), (3, "f", "y"), (4, "f", "x"),
                                         (10, "g", "img"), (10, "inner", "w")]
+
+
+def _identifiers(tree):
+    """Every name, attribute and string constant in ``tree``: how source can name a function."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {n.value for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)})
+
+
+def unreached_exports(modules, exports, named):
+    """``(module, name)`` of each exported function of ``modules`` (``{file: tree}``) that
+    no other module calls and ``named`` does not hold."""
+    called = {module: {_call_name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+              for module, tree in modules.items()}
+    return sorted(
+        (module, node.name) for module, names in exports.items()
+        for node in modules[module].body
+        if isinstance(node, ast.FunctionDef) and node.name in names and node.name not in named
+        and not any(node.name in calls for other, calls in called.items() if other != module))
+
+
+def test_every_export_is_reached():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    named = set().union(*(_identifiers(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in sorted(PERFBENCH.glob("*.py"))))
+    assert "train_finger" in named and "lgs_score" in named  # the benchmark source was read
+    off = unreached_exports(modules, _exports(), named)
+    assert not off, f"exported functions only their own module reaches: {off}"
+
+
+def test_the_check_sees_unreached_exports():
+    modules = {
+        "a.py": ast.parse(
+            "def used(x):\n"
+            "    return helper(x)\n"
+            "def helper(x):\n"
+            "    return x\n"
+            "def benched(x):\n"
+            "    return x\n"
+            "def reliability(x):\n"
+            "    return x\n"
+            "class Record:\n"
+            "    pass\n"),
+        "b.py": ast.parse(
+            "from .a import used\n"
+            "import a\n"
+            "def caller(r):\n"
+            "    return used(r.reliability), a.Record()\n"
+            "def passed_not_called():\n"
+            "    return map(a.helper, [])\n"),
+    }
+    exports = {"a.py": {"used", "helper", "benched", "reliability", "Record"},
+               "b.py": {"caller"}}
+    # a call in its own module, a function passed uncalled and an attribute that
+    # shares a function's name do not reach it
+    assert unreached_exports(modules, exports, {"benched"}) == [
+        ("a.py", "helper"), ("a.py", "reliability"), ("b.py", "caller")]

@@ -10,11 +10,11 @@ from fpbits.codebook import BitString
 from fpbits.config import PipelineConfig
 from fpbits.errors import BadLength, EmptyImage, LengthMismatch
 from fpbits.matching import (
+    _pair_budget,
     fold_bits,
     fold_compress,
     intersection_score,
     intersection_scores,
-    lgs_pair_budget,
     lgs_score,
     masked_score,
     masked_scores,
@@ -43,23 +43,23 @@ def bits(*positions, k=10):
 # ---------------------------------------------------------------------------
 
 def test_pair_budget_spot_values():
-    assert lgs_pair_budget(35, 35, **pair_args()) == 7  # sigmoid midpoint
-    assert lgs_pair_budget(35, 200, **pair_args()) == 7  # smaller count drives it
-    assert lgs_pair_budget(1, 1, **pair_args()) == 4
-    assert lgs_pair_budget(0, 50, **pair_args()) == 4
-    assert lgs_pair_budget(1000, 1000, **pair_args()) == 10
+    assert _pair_budget(35, 35, **pair_args()) == 7  # sigmoid midpoint
+    assert _pair_budget(35, 200, **pair_args()) == 7  # smaller count drives it
+    assert _pair_budget(1, 1, **pair_args()) == 4
+    assert _pair_budget(0, 50, **pair_args()) == 4
+    assert _pair_budget(1000, 1000, **pair_args()) == 10
 
 
 def test_pair_budget_saturated_sigmoid_takes_its_limit():
     # exp(200 * 35) overflows a double: the sigmoid term's limit is 0
-    assert lgs_pair_budget(0, 50, **pair_args(steepness=200.0)) == 4
+    assert _pair_budget(0, 50, **pair_args(steepness=200.0)) == 4
     narrow = pair_args(min_pairs=2, max_pairs=9, steepness=200.0)
-    assert lgs_pair_budget(10, 10, **narrow) == 2
-    assert lgs_pair_budget(1000, 1000, **pair_args(steepness=200.0)) == 10  # exp underflows to 0
+    assert _pair_budget(10, 10, **narrow) == 2
+    assert _pair_budget(1000, 1000, **pair_args(steepness=200.0)) == 10  # exp underflows to 0
     # where exp does not overflow, nothing moves
     for n in (0, 20, 34, 35, 36, 60):
         want = 4 + int(math.floor(6 / (1.0 + math.exp(-3.0 * (n - 35.0)))))
-        assert lgs_pair_budget(n, n, **pair_args(steepness=3.0)) == want
+        assert _pair_budget(n, n, **pair_args(steepness=3.0)) == want
     steep = pair_args(steepness=200.0)
     assert lgs_score(np.zeros((3, 2)), np.ones((5, 2)), **steep).support == 3
 
@@ -67,7 +67,7 @@ def test_pair_budget_saturated_sigmoid_takes_its_limit():
 def test_pair_budget_monotone_and_bounded():
     prev = 0
     for n in range(0, 200):
-        b = lgs_pair_budget(n, n, **pair_args())
+        b = _pair_budget(n, n, **pair_args())
         assert 4 <= b <= 10
         assert b >= prev
         prev = b
@@ -103,7 +103,7 @@ def test_lgs_matches_greedy_oracle():
         a = np.round(rng.normal(size=(n_a, 4)), 3)  # rounding provokes ties
         b = np.round(rng.normal(size=(n_b, 4)), 3)
         got = lgs_score(a, b, **pair_args())
-        budget = lgs_pair_budget(n_a, n_b, **pair_args())
+        budget = _pair_budget(n_a, n_b, **pair_args())
         picked = greedy_oracle(a, b, budget)
         assert got.support == len(picked)
         assert math.isclose(got.value, float(np.mean(picked)), rel_tol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 import fpbits.pipeline as pipeline
 
-from fpbits.bit_training import discrimination_power, train_mask
+from fpbits.bit_training import _train_mask
 from fpbits.codebook import (
     BitString,
     DistanceVector,
@@ -602,13 +602,13 @@ def assert_enrolls_like_the_oracles(samples, model):
     finger = enroll_subject("f", samples, model)
     cfg = model.config
     variance = interclass_variance([e.distances for e in samples], model.population_mean)
-    power = discrimination_power(variance, model.codebook.weights)
+    power = model.codebook.weights * variance
     rel = reliability([e.bits for e in samples])
     n_mean = float(np.mean([e.n_minutiae for e in samples]))
     assert finger.finger_id == "f"
     assert np.array_equal(finger.power, power)
     assert np.array_equal(finger.reliability, rel)
-    assert np.array_equal(finger.mask, train_mask(power, rel, n_mean, cfg.alpha, cfg.beta))
+    assert np.array_equal(finger.mask, _train_mask(power, rel, n_mean, cfg.alpha, cfg.beta))
     want = enrolled_reference([e.bits for e in samples], model.codebook.k)
     assert BitString(finger.reference) == want
 

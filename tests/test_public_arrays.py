@@ -33,13 +33,6 @@ PAIR_ARGS = dict(min_pairs=2, max_pairs=5, midpoint=10.0, steepness=0.5)
 
 # a valid call of every exported function that takes arrays: (function, arguments)
 VALID_CALLS = {
-    "interclass_variance": (fpbits.interclass_variance,
-                            dict(distances=D[:4], population_mean=D.mean(axis=0))),
-    "discrimination_power": (fpbits.discrimination_power,
-                             dict(variance=D[0], cluster_weights=D[1] / 3.0)),
-    "reliability": (fpbits.reliability, dict(bits=BITS)),
-    "train_mask": (fpbits.train_mask, dict(power=D[0], rel=D[1] / 3.0, n_mean=3.0,
-                                           alpha=0.5, beta=1.0)),
     "train_finger": (fpbits.train_finger, dict(
         finger_id="f", distances=D[:4], bits=BITS[:, :5], minutia_counts=np.array([3, 4, 5, 6]),
         population_mean=D.mean(axis=0), cluster_weights=D[1] / 3.0, alpha=0.5, beta=1.0)),
@@ -201,13 +194,26 @@ def test_tbls_refuses_an_image_without_pixels():
         fpbits.tbls_matrix(MINUTIAE, np.zeros((0, 64)), GEOMETRY)
 
 
+@pytest.mark.parametrize("image", [np.zeros((4, 4)), IMAGE.tolist(), None],
+                         ids=["array", "list", "None"])
+def test_normalize_image_refuses_anything_but_an_image(image):
+    with pytest.raises(LengthMismatch, match="^image must be a GrayImage"):
+        fpbits.normalize_image(image)
+
+
+def train_finger_with(**wrong):
+    """The valid ``train_finger`` call with the ``wrong`` arguments swapped in."""
+    function, args = VALID_CALLS["train_finger"]
+    return function(**{**args, **wrong})
+
+
 @pytest.mark.parametrize("name, call", [
     ("float bits", lambda: fpbits.intersection_scores(BITS.astype(float), BITS)),
     ("int bits", lambda: fpbits.masked_scores(BITS.astype(int), BITS, BITS, True)),
     ("int fold", lambda: fpbits.fold_bits(BITS.astype(int), 4)),
-    ("object bits", lambda: fpbits.reliability(BITS.astype(object))),
-    ("2-d power", lambda: fpbits.train_mask(D[:2], D[:2], 3.0, 0.5, 1.0)),
-    ("2-d weights", lambda: fpbits.discrimination_power(D[:2], D[:2])),
+    ("object bits", lambda: train_finger_with(bits=BITS[:, :5].astype(object))),
+    ("2-d mean", lambda: train_finger_with(population_mean=D[:1])),  # would broadcast
+    ("2-d weights", lambda: train_finger_with(cluster_weights=D[:2])),
     ("1-d group", lambda: fpbits.global_mean([D[0]])),
 ])
 def test_narrowed_arguments_are_refused_not_cast(name, call):
@@ -218,8 +224,6 @@ def test_narrowed_arguments_are_refused_not_cast(name, call):
 @pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros((0, 5)), np.zeros((0, 5, 1))],
                          ids=["list", "1-d", "2-d", "3-d"])
 @pytest.mark.parametrize("error, call", [
-    (EmptyEnrollment, lambda e: fpbits.interclass_variance(e, D[0])),
-    (EmptyEnrollment, lambda e: fpbits.reliability(e)),
     (EmptyEnrollment, lambda e: fpbits.train_finger("f", e, e, e, D[0], D[1], 0.5, 1.0)),
     (EmptyEnrollment, lambda e: fpbits.train_finger("f", D[:4], e, [3, 4, 5, 6], D[0], D[1],
                                                     0.5, 1.0)),
@@ -228,8 +232,8 @@ def test_narrowed_arguments_are_refused_not_cast(name, call):
     (EmptyImage, lambda e: fpbits.lgs_score(D, e, **PAIR_ARGS)),
     (EmptyImage, lambda e: fpbits.distance_vector(e)),
     (PoolTooSmall, lambda e: fpbits.kmeans_train(e, 2, 5, 0)),
-], ids=["interclass_variance", "reliability", "train_finger", "train_finger.bits",
-        "global_mean", "lgs_score.a", "lgs_score.b", "distance_vector", "kmeans_train"])
+], ids=["train_finger", "train_finger.bits", "global_mean", "lgs_score.a", "lgs_score.b",
+        "distance_vector", "kmeans_train"])
 def test_no_rows_keeps_its_error_at_any_rank(error, call, empty):
     # the at-least-one-row rule answers before the rank rule
     with pytest.raises(error):

@@ -141,7 +141,8 @@ def test_template_names_the_first_failing_minutia_and_field():
 def test_template_needs_a_minutia_array():
     for minutiae in ([], [(1.0, 2.0, 0.0, "T", 5)], np.zeros(3),
                      np.zeros((2, 2), dtype=MINUTIA_DTYPE)):
-        with pytest.raises(FieldOutOfRange, match="MINUTIA_DTYPE"):
+        with pytest.raises(FieldOutOfRange, match=r"^MinutiaTemplate\.minutiae must be a "
+                           r"\('x', 'y', 'theta', 'kind', 'quality'\) array of shape \(None,\)"):
             MinutiaTemplate(minutiae, 10, 10)
 
 
