@@ -246,12 +246,10 @@ def cmd_match(args) -> int:
         if args.kind == "masked":
             masks = np.array([fingers[p[0]].mask for p in pairs], dtype=bool)
             # the reshape gives an empty file its (0, 0) masks
-            values, common = masked_scores(b, a, masks.reshape(a.shape),
-                                           model.config.mask_both)
+            values = masked_scores(b, a, masks.reshape(a.shape), model.config.mask_both)
         else:
-            values, common = intersection_scores(a, b)
-        scores = [MatchScore(v, KIND_INTERSECTION, c)
-                  for v, c in zip(values.tolist(), common.tolist())]
+            values = intersection_scores(a, b)
+        scores = [MatchScore(v, KIND_INTERSECTION) for v in values.tolist()]
     lines = [
         f"{' '.join(pair)} {score.kind} {score.value:.6f}" + (" short" if score.short else "")
         for pair, score in zip(pairs, scores)

@@ -95,7 +95,7 @@ class EmptyScores(FpbitsError):
 class LengthMismatch(FpbitsError):
     """An array argument has the wrong dtype kind, rank or shape, holds NaN or an infinity, or
     disagrees with another in a size they share (two bit-strings of different lengths, say);
-    or an image argument is not a ``GrayImage``."""
+    or a record argument is not of its type (an image not a ``GrayImage``, say)."""
 
 
 class BadLength(FpbitsError):
@@ -119,9 +119,9 @@ def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> list:
 
     ``record`` may instead be a function's arguments by name, its ``locals()``: each goes
     through ``np.asarray`` once (refused when ragged; an empty list takes the spec's kind),
-    comes back as bool, int64 or float64 by its spec and is not frozen, and a None one (an
-    optional argument left out) is skipped. Returns the checked arrays in spec order. A rule
-    of at least one row goes before this call, on ``len``, so ``[]`` meets that rule first."""
+    comes back as bool, int64 or float64 by its spec and is not frozen. Returns the checked
+    arrays in spec order. A rule of at least one row goes before this call, on ``len``, so
+    ``[]`` meets that rule first."""
     kinds, named, arrays = {bool: "b", int: "iu", float: "biuf"}, {}, []
     dtypes = {bool: np.bool_, int: np.int64, float: np.float64}  # of the arguments
     arguments = isinstance(record, dict)
@@ -130,9 +130,6 @@ def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> list:
         array = record[name] if arguments else getattr(record, name)
         what = getattr(kind, "names", None) or kind.__name__  # a structured dtype: its fields
         if arguments:
-            if array is None:
-                arrays.append(array)
-                continue
             try:
                 array = np.asarray(array)
             except ValueError as exc:  # numpy refuses a ragged sequence
@@ -159,6 +156,14 @@ def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> list:
     for array in arrays if freeze and not arguments else ():  # only once every field passed
         array.flags.writeable = False
     return arrays
+
+
+def check_instance(value, cls: type, name: str):
+    """``value``, or ``LengthMismatch`` unless it is a ``cls``: the argument rule of a function
+    that takes a record (a ``GrayImage``, ``BitString`` or ``FingerModel``) in place of arrays."""
+    if not isinstance(value, cls):
+        raise LengthMismatch(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 class ArrayRecord:

@@ -9,8 +9,8 @@ is extracted for a whole impression at once, one row per minutia
 * the minutia descriptor: a rasterized sum of one anisotropic 2-d Gaussian
   bump per neighboring minutia, L2-normalized, sampled over a disc lattice
   shrunk by an area downscale factor;
-* the texture descriptor: the normalized gray image sampled bilinearly over
-  a disc lattice around the minutia.
+* the texture descriptor: the gray image, normalized, sampled bilinearly
+  over a disc lattice around the minutia.
 
 Lattice points are enumerated row-major (by y, then x), and the two lattices
 live in the geometry object so every descriptor in a system shares one
@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import ArrayRecord, LengthMismatch, MalformedHeader, check_arrays
+from .errors import ArrayRecord, LengthMismatch, MalformedHeader, check_arrays, check_instance
 from .template_io import MINUTIA_DTYPE, GrayImage
 
 
@@ -127,10 +127,10 @@ def mbls_matrix(
     A subset moves the pair-block boundaries, so its rows may differ from
     the full matrix's in the last bits.
     """
-    minutiae, refs = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None),
-                                  refs=(int, None))
+    [minutiae] = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None))
     n = len(minutiae)
-    sel = np.arange(n) if refs is None else refs
+    refs = np.arange(n) if refs is None else refs
+    [sel] = check_arrays(locals(), LengthMismatch, refs=(int, None))
     if sel.size and not (-n <= sel.min() and sel.max() < n):
         raise LengthMismatch(f"refs must index {n} minutiae, got {sel.min()}..{sel.max()}")
     x, y = minutiae["x"], minutiae["y"]
@@ -212,9 +212,7 @@ def normalize_image(image: GrayImage) -> np.ndarray:
     own formula on it, so the mean is taken once. Anything but a ``GrayImage``
     raises ``LengthMismatch``.
     """
-    if not isinstance(image, GrayImage):
-        raise LengthMismatch(f"image must be a GrayImage, got {type(image).__name__}")
-    px = image.pixels.astype(np.float64)
+    px = check_instance(image, GrayImage, "image").pixels.astype(np.float64)
     px -= px.mean()
     std = np.sqrt((px * px).sum() / px.size)
     if std == 0.0:
@@ -285,26 +283,24 @@ def _sample_rows(
 
 def tbls_matrix(
     minutiae: np.ndarray,
-    image: np.ndarray,
+    image: GrayImage,
     geometry: StructureGeometry,
 ) -> np.ndarray:
     """Texture descriptors of a whole impression, one row per minutia.
 
     ``minutiae`` is a template's array, or rows of one. Each lattice offset
     is rotated by the minutia's direction and added to its position; the
-    normalized ``image`` is sampled there bilinearly, and off-image samples
-    are 0.0 (see :func:`_sample_rows`). Rows whose disc plus a 1 px margin
-    lies inside the image are sampled first, in blocks that skip the
-    off-grid handling; the rest follow with it. Rows are sampled a few at a
-    time so the temporaries stay in cache.
+    image, normalized here (:func:`normalize_image`), is sampled there
+    bilinearly, and off-image samples are 0.0, its mean (see :func:`_sample_rows`).
+    Rows whose disc plus a 1 px margin lies inside the image are sampled
+    first, in blocks that skip the off-grid handling; the rest follow with
+    it. Rows are sampled a few at a time so the temporaries stay in cache.
     """
-    minutiae, img = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None),
-                                 image=(float, None, None))
-    if img.size == 0:
-        raise LengthMismatch(f"an image needs a pixel to sample, got shape {img.shape}")
+    [minutiae] = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None))
+    img = normalize_image(image)
     n = len(minutiae)
     out = np.empty((n, geometry.n_t), dtype=np.float64)
-    flat = np.ascontiguousarray(img).ravel()
+    flat = img.ravel()
     h, w = img.shape
     x, y = minutiae["x"], minutiae["y"]
     cos, sin = _cos_sin(minutiae["theta"])
@@ -345,9 +341,9 @@ def build_mbls(
 
 
 def extract_tbls(
-    minutiae: np.ndarray, row: int, image: np.ndarray, geometry: StructureGeometry
+    minutiae: np.ndarray, row: int, image: GrayImage, geometry: StructureGeometry
 ) -> np.ndarray:
-    """:func:`tbls_matrix` row of ``minutiae[row]`` in the normalized ``image``."""
+    """:func:`tbls_matrix` row of ``minutiae[row]`` in ``image``."""
     [minutiae] = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None))
     if not -len(minutiae) <= row < len(minutiae):  # as build_mbls' refs rule
         raise LengthMismatch(f"row must index {len(minutiae)} minutiae, got {row}")

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from .bit_training import FingerModel
 from .codebook import BitString
-from .errors import BadLength, EmptyImage, LengthMismatch, check_arrays
+from .errors import BadLength, EmptyImage, LengthMismatch, check_arrays, check_instance
 
 KIND_LGS = "lgs"
 KIND_INTERSECTION = "intersection"
@@ -36,14 +36,12 @@ class MatchScore:
     """One comparison outcome.
 
     ``kind`` is ``"lgs"`` (dissimilarity, >= 0) or ``"intersection"``
-    (similarity in [0, 1]). ``support`` counts the pairs averaged or the
-    common set bits, and ``short`` flags an lgs score built from fewer pairs
-    than the budget asked for.
+    (similarity in [0, 1]). ``short`` flags an lgs score built from fewer
+    pairs than the budget asked for.
     """
 
     value: float
     kind: str
-    support: int
     short: bool = False
 
 
@@ -110,13 +108,7 @@ def lgs_score(
         dist[i, :] = np.inf
         dist[:, j] = np.inf
 
-    value = float(np.mean(picked))
-    return MatchScore(
-        value=value,
-        kind=KIND_LGS,
-        support=len(picked),
-        short=len(picked) < budget,
-    )
+    return MatchScore(float(np.mean(picked)), KIND_LGS, short=len(picked) < budget)
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
@@ -127,7 +119,7 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-def intersection_scores(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def intersection_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Size-normalized common-bit similarity of row ``i`` of ``a`` and ``b``, in [0, 1].
 
     Each value is ``(n_a + n_b) * common / (n_a^2 + n_b^2)``, where
@@ -136,7 +128,7 @@ def intersection_scores(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.nd
     disjoint ones; two empty rows share nothing and score 0.
 
     ``a`` and ``b`` are ``(n, K)`` bool matrices, one string per row.
-    Returns the float64 values and the int64 common-bit counts.
+    Returns the float64 values.
 
     Raises:
         LengthMismatch: row counts or string lengths differ.
@@ -152,7 +144,7 @@ def intersection_scores(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.nd
     den = n_a * n_a + n_b * n_b
     values = np.zeros(a.shape[0], dtype=np.float64)
     np.divide((n_a + n_b) * common, den, out=values, where=den > 0)
-    return values, common
+    return values
 
 
 def masked_scores(
@@ -160,7 +152,7 @@ def masked_scores(
     enrolled: np.ndarray,
     masks: np.ndarray,
     mask_both: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """:func:`intersection_scores` under per-pair masks: ``masks[i]`` gates pair ``i``.
 
     With ``mask_both`` each mask is applied to both strings; without it only
@@ -227,36 +219,41 @@ def fold_compress(bitstring: BitString, length: int) -> BitString:
     Popcount never grows; a string folded to its own length is unchanged.
 
     Raises:
+        LengthMismatch: ``bitstring`` is not a ``BitString``.
         BadLength: ``length`` outside [1, len(bitstring)].
     """
-    out = fold_bits(bitstring.bits[None, :], length)[0]
-    return BitString(out)
+    return BitString(fold_bits(_row(bitstring, "bitstring"), length)[0])
 
 
 # ---------------------------------------------------------------------------
 # one-pair views, kept as API names
 # ---------------------------------------------------------------------------
 
-def _one_pair(values: np.ndarray, common: np.ndarray) -> MatchScore:
-    return MatchScore(
-        value=float(values[0]), kind=KIND_INTERSECTION, support=int(common[0])
-    )
+def _row(string: BitString, name: str) -> np.ndarray:
+    """``string``'s bits as a one-row matrix, or ``LengthMismatch`` unless it is a ``BitString``."""
+    return check_instance(string, BitString, name).bits[None, :]
+
+
+def _one_pair(values: np.ndarray) -> MatchScore:
+    return MatchScore(float(values[0]), KIND_INTERSECTION)
 
 
 def intersection_score(a: BitString, b: BitString) -> MatchScore:
     """:func:`intersection_scores` of one pair.
 
     Raises:
-        LengthMismatch: strings of different lengths.
+        LengthMismatch: strings of different lengths, or a string that is not a ``BitString``.
     """
-    return _one_pair(*intersection_scores(a.bits[None, :], b.bits[None, :]))
+    return _one_pair(intersection_scores(_row(a, "a"), _row(b, "b")))
 
 
 def masked_score(query: BitString, finger: FingerModel, mask_both: bool) -> MatchScore:
     """:func:`masked_scores` of ``query`` against ``finger``'s reference under its mask.
 
     Raises:
-        LengthMismatch: a mask that does not fit the strings.
+        LengthMismatch: a mask that does not fit the strings, a query that is not a
+            ``BitString`` or a finger that is not a ``FingerModel``.
     """
-    return _one_pair(*masked_scores(query.bits[None, :], finger.reference[None, :],
-                                    finger.mask[None, :], mask_both))
+    finger = check_instance(finger, FingerModel, "finger")
+    return _one_pair(masked_scores(_row(query, "query"), finger.reference[None, :],
+                                   finger.mask[None, :], mask_both))

@@ -30,12 +30,7 @@ from .codebook import (
 )
 from .config import PipelineConfig
 from .errors import EmptyImage, EmptyScores, EmptyTrainingSet, ModelMissing
-from .local_structures import (
-    StructureGeometry,
-    mbls_matrix,
-    normalize_image,
-    tbls_matrix,
-)
+from .local_structures import StructureGeometry, mbls_matrix, tbls_matrix
 from .matching import (
     MatchScore,
     fold_bits,
@@ -69,7 +64,7 @@ def raw_structures(
     Row ``i`` of each belongs to ``template.minutiae[i]``.
     """
     mbls = mbls_matrix(template.minutiae, geometry)
-    tbls = tbls_matrix(template.minutiae, normalize_image(image), geometry)
+    tbls = tbls_matrix(template.minutiae, image, geometry)
     return mbls, tbls
 
 
@@ -195,9 +190,7 @@ def train_model(
         return lambda local: mbls_matrix(template.minutiae, geometry, refs=local)
 
     def texture_rows(template, image):
-        return lambda local: tbls_matrix(
-            template.minutiae[local], normalize_image(image), geometry
-        )
+        return lambda local: tbls_matrix(template.minutiae[local], image, geometry)
 
     if verbose:
         print(
@@ -342,7 +335,7 @@ def _fvc_bit_reports(
     reports = []
     for length in lengths:
         bits = grid if length is None else fold_bits(grid, length)
-        values, _ = intersection_scores(bits[pairs[:, 0]], bits[pairs[:, 1]])
+        values = intersection_scores(bits[pairs[:, 0]], bits[pairs[:, 1]])
         reports.append(compute_eer(values[:n_g], values[n_g:]))
     return reports
 
@@ -438,10 +431,8 @@ def evaluate_split(
     i_query = np.cumsum([0] + counts[:-1], dtype=np.int64)[other]
     query = queries[np.concatenate([g_query, i_query])]
     ref = np.concatenate([g_ref, i_ref])
-    plain, _ = intersection_scores(query, references[ref])
-    trained, _ = masked_scores(
-        query, references[ref], masks[ref], model.config.mask_both
-    )
+    plain = intersection_scores(query, references[ref])
+    trained = masked_scores(query, references[ref], masks[ref], model.config.mask_both)
 
     n_g = g_query.size
     return SplitEvaluation(

@@ -126,7 +126,8 @@ def compute_eer(
             numbers, or cannot be made one.
     """
     # numpy takes an iterator for one object: unpack it as the sequence it stands for
-    genuine, impostor = (s if isinstance(s, np.ndarray) else list(s) for s in (genuine, impostor))
+    genuine, impostor = (list(s) if np.iterable(s) and not isinstance(s, np.ndarray) else s
+                         for s in (genuine, impostor))
     g, i = check_arrays(locals(), EmptyScores, genuine=(float, None), impostor=(float, None))
     if g.size == 0 or i.size == 0:
         raise EmptyScores("both genuine and impostor score lists must be non-empty")

@@ -38,6 +38,15 @@ def keyed_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *key])))
 
 
+# fixed settings of every dataset
+MIN_SEPARATION = 10.0  # px between master minutiae
+MARGIN = 24.0  # px kept free of master and inserted minutiae at each image edge
+JITTER_BASE = 0.4  # position noise sigma at the image center
+JITTER_SLOPE = 0.008  # sigma growth per pixel of center distance
+RIDGE_FREQ = 0.1  # cycles per pixel
+RIDGE_AMP = 55.0
+
+
 @dataclass(frozen=True)
 class SynthParams:
     n_subjects: int = 10
@@ -45,16 +54,10 @@ class SynthParams:
     width: int = 256
     height: int = 256
     n_minutiae: int = 40
-    min_separation: float = 10.0
-    margin: float = 24.0
     rotation_deg: float = 15.0
     translation_px: float = 20.0
-    jitter_base: float = 0.4  # position noise sigma at the image center
-    jitter_slope: float = 0.008  # sigma growth per pixel of center distance
     dropout: float = 0.1
     insertion: float = 0.05
-    ridge_freq: float = 0.1  # cycles per pixel
-    ridge_amp: float = 55.0
     noise_std: float = 6.0
     seed: int = 0
 
@@ -62,19 +65,15 @@ class SynthParams:
         # counts, sizes and the seed index arrays and keys, so a float is
         # refused rather than rounded, and a bool is never taken as 0 or 1
         check_record(self, FieldOutOfRange, _SYNTH_RULES)
-        # the image must hold both margins: a second pass, once margin is checked
-        room = max(1.0, 2.0 * self.margin)
-        fits = (("width", "height"), lambda v: v >= room, f">= max(1, 2 * margin) = {room}")
-        check_record(self, FieldOutOfRange, [fits])
 
 
-# every float is finite once its type is checked
+# every float is finite once its type is checked; the image must hold both margins
+_ROOM = max(1.0, 2.0 * MARGIN)
 _SYNTH_RULES = (
     (("n_subjects", "n_impressions", "n_minutiae", "seed"), lambda v: v >= 0, ">= 0"),
-    (("min_separation", "margin", "rotation_deg", "translation_px",
-      "jitter_base", "jitter_slope", "noise_std"),
-     lambda v: v >= 0.0, "finite and >= 0"),
+    (("rotation_deg", "translation_px", "noise_std"), lambda v: v >= 0.0, "finite and >= 0"),
     (("dropout", "insertion"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    (("width", "height"), lambda v: v >= _ROOM, f">= max(1, 2 * margin) = {_ROOM}"),
 )
 
 
@@ -105,10 +104,10 @@ class SubjectMaster(ArrayRecord):
 
 def _sample_positions(rng: np.random.Generator, params: SynthParams) -> np.ndarray:
     """Rejection-sample up to n_minutiae points with a minimum separation."""
-    lo_x, hi_x = params.margin, params.width - params.margin
-    lo_y, hi_y = params.margin, params.height - params.margin
+    lo_x, hi_x = MARGIN, params.width - MARGIN
+    lo_y, hi_y = MARGIN, params.height - MARGIN
     pts: List[Tuple[float, float]] = []
-    min_sq = params.min_separation**2
+    min_sq = MIN_SEPARATION**2
     attempts = 0
     while len(pts) < params.n_minutiae and attempts < params.n_minutiae * 200:
         attempts += 1
@@ -157,7 +156,7 @@ def render_image(
     params: SynthParams,
     rotation: float,
     translation: Tuple[float, float],
-    noise_rng: np.random.Generator | None,
+    noise_rng: np.random.Generator,
     out: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
@@ -168,7 +167,7 @@ def render_image(
     rotates about the image center and then translates, matching the minutia
     transform, so template and texture stay registered. Each output pixel
     samples the analytic master texture where the inverse motion takes it:
-    ``127.5 + ridge_amp * sin(2 pi ridge_freq d)``, with ``d`` the position
+    ``127.5 + RIDGE_AMP * sin(2 pi RIDGE_FREQ d)``, with ``d`` the position
     across the local ridge direction of the orientation field. The image is
     computed a band of rows at a time, in place; the noise is drawn band by
     band from ``noise_rng``, which continues one stream, so the pixels do not
@@ -183,8 +182,7 @@ def render_image(
     c_dx, ms_dx = c * dx, -s * dx
     s_dy, c_dy = (s * dy)[:, None], (c * dy)[:, None]
     field = master.f_field
-    wave = 2.0 * math.pi * params.ridge_freq
-    noisy = noise_rng is not None and params.noise_std > 0.0
+    wave = 2.0 * math.pi * RIDGE_FREQ
 
     rows = scratch.shape[1] // w
     for r0 in range(0, h, rows):
@@ -215,9 +213,9 @@ def render_image(
         xm += ym
         xm *= wave
         np.sin(xm, out=xm)
-        xm *= params.ridge_amp
+        xm *= RIDGE_AMP
         xm += 127.5
-        if noisy:
+        if params.noise_std > 0.0:
             # normal(0, std) is std times these same standard draws
             noise_rng.standard_normal(out=t)
             t *= params.noise_std
@@ -244,14 +242,13 @@ def make_impression(
     params: SynthParams,
     subject_index: int,
     impression_index: int,
-    pixels: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    pixels: np.ndarray,
+    scratch: np.ndarray,
 ) -> Tuple[MinutiaTemplate, GrayImage]:
     """One noisy impression of a subject, fully keyed and named by its indices.
 
     The image is rendered into ``pixels``, a ``(height, width)`` uint8 array,
-    using the band buffers ``scratch`` from ``render_scratch``; each is made
-    here when not given.
+    using the band buffers ``scratch`` from ``render_scratch``.
     """
     rng = keyed_rng(params.seed, _STREAM_IMPRESSION, subject_index, impression_index)
     noise_rng = keyed_rng(params.seed, _STREAM_NOISE, subject_index, impression_index)
@@ -270,7 +267,7 @@ def make_impression(
         if rng.random() < params.dropout:
             continue
         center_dist = math.hypot(x0 - cx, y0 - cy)
-        sigma = params.jitter_base + params.jitter_slope * center_dist
+        sigma = JITTER_BASE + JITTER_SLOPE * center_dist
         x, y = _transform_point(x0, y0, rotation, translation, cx, cy)
         x += float(rng.normal(0.0, sigma))
         y += float(rng.normal(0.0, sigma))
@@ -281,16 +278,12 @@ def make_impression(
 
     n_insert = int(rng.binomial(len(master.minutiae), params.insertion))
     for _ in range(n_insert):
-        x = float(rng.uniform(params.margin, w - params.margin))
-        y = float(rng.uniform(params.margin, h - params.margin))
+        x = float(rng.uniform(MARGIN, w - MARGIN))
+        y = float(rng.uniform(MARGIN, h - MARGIN))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         kind = "T" if rng.random() < 0.5 else "B"
         rows.append((x, y, theta, kind, int(rng.integers(20, 60))))
 
-    if pixels is None:
-        pixels = np.empty((h, w), dtype=np.uint8)
-    if scratch is None:
-        scratch = render_scratch(params)
     render_image(master, params, rotation, translation, noise_rng, pixels, scratch)
     template = MinutiaTemplate(np.array(rows, dtype=MINUTIA_DTYPE), w, h,
                                subject_id(subject_index), impression_id(impression_index))

@@ -17,8 +17,9 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
   ``fpbits.local_structures.mbls_matrix`` must match ``build_mbls`` row by
   row within ``MBLS_TOL`` (its expanded exponent rounds differently).
   ``bilinear_sample`` and ``extract_tbls`` sample one minutia's disc through
-  the off-grid mask; ``tbls_matrix`` must equal ``extract_tbls`` at
-  ``fill = 0.0`` bit for bit.
+  the off-grid mask; ``tbls_matrix`` of a ``GrayImage`` must equal
+  ``extract_tbls`` of its ``normalize_image_oracle`` at ``fill = 0.0`` bit
+  for bit.
 * The per-vector subspace forms: ``project_vector``, ``znorm`` and ``fuse``.
   ``project`` and ``fuse_matrix`` must match them row by row within the
   rounding of a different summation order.
@@ -29,7 +30,7 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
   identical arrays.
 * The one-pair bit scorers ``intersection_score`` and ``masked_score``,
   with their own length checks. ``intersection_scores`` and
-  ``masked_scores`` must give bit-identical values and common-bit counts.
+  ``masked_scores`` must give bit-identical values.
 * The loop form of ``fvc_pairs``. ``fvc_pair_rows`` must list the same
   attempts in the same order.
 * The k-means solver's former implementations: the direct-form k-means++
@@ -108,6 +109,11 @@ from fpbits.subspace_fusion import PcaModel, fuse_matrix, project, train_pca_inp
 from fpbits.synth import (
     _STREAM_IMPRESSION,
     _STREAM_NOISE,
+    JITTER_BASE,
+    JITTER_SLOPE,
+    MARGIN,
+    RIDGE_AMP,
+    RIDGE_FREQ,
     OrientationField,
     SubjectMaster,
     SynthParams,
@@ -398,10 +404,10 @@ def intersection_score(a: BitString, b: BitString) -> MatchScore:
     n_a = a.ones
     n_b = b.ones
     if n_a == 0 and n_b == 0:
-        return MatchScore(value=0.0, kind=KIND_INTERSECTION, support=0)
+        return MatchScore(value=0.0, kind=KIND_INTERSECTION)
     common = int(np.logical_and(a.bits, b.bits).sum())
     value = (n_a + n_b) * common / (n_a * n_a + n_b * n_b)
-    return MatchScore(value=float(value), kind=KIND_INTERSECTION, support=common)
+    return MatchScore(value=float(value), kind=KIND_INTERSECTION)
 
 
 def masked_score(query: BitString, finger: FingerModel, mask_both: bool) -> MatchScore:
@@ -672,12 +678,7 @@ def lgs_score(
             break
 
     value = float(np.mean(picked))
-    return MatchScore(
-        value=value,
-        kind=KIND_LGS,
-        support=len(picked),
-        short=len(picked) < budget,
-    )
+    return MatchScore(value=value, kind=KIND_LGS, short=len(picked) < budget)
 
 
 # ---------------------------------------------------------------------------
@@ -826,17 +827,12 @@ def train_model_oracle(items, config) -> PipelineModel:
     )
 
 
-def ridge_texture(
-    f_field: OrientationField,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    params: SynthParams,
-) -> np.ndarray:
+def ridge_texture(f_field: OrientationField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Analytic master texture value at master-frame coordinates."""
     phi = f_field.at(xs, ys)
     # oscillate across the local ridge direction
     d = -xs * np.sin(phi) + ys * np.cos(phi)
-    return 127.5 + params.ridge_amp * np.sin(2.0 * math.pi * params.ridge_freq * d)
+    return 127.5 + RIDGE_AMP * np.sin(2.0 * math.pi * RIDGE_FREQ * d)
 
 
 def render_image_oracle(
@@ -844,9 +840,9 @@ def render_image_oracle(
     params: SynthParams,
     rotation: float,
     translation: Tuple[float, float],
-    noise_rng: np.random.Generator | None = None,
+    noise_rng: np.random.Generator,
 ) -> GrayImage:
-    """Render the master texture under a rigid motion, optionally with noise."""
+    """Render the master texture under a rigid motion, with noise unless ``noise_std`` is 0."""
     w, h = params.width, params.height
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
@@ -856,8 +852,8 @@ def render_image_oracle(
     c, s = math.cos(rotation), math.sin(rotation)
     xm = c * dx + s * dy + cx
     ym = -s * dx + c * dy + cy
-    values = ridge_texture(master.f_field, xm, ym, params)
-    if noise_rng is not None and params.noise_std > 0.0:
+    values = ridge_texture(master.f_field, xm, ym)
+    if params.noise_std > 0.0:
         values = values + noise_rng.normal(0.0, params.noise_std, size=values.shape)
     return GrayImage(np.clip(np.rint(values), 0, 255).astype(np.uint8))
 
@@ -886,7 +882,7 @@ def make_impression_oracle(
         if rng.random() < params.dropout:
             continue
         center_dist = math.hypot(m.x - cx, m.y - cy)
-        sigma = params.jitter_base + params.jitter_slope * center_dist
+        sigma = JITTER_BASE + JITTER_SLOPE * center_dist
         x, y = _transform_point(m.x, m.y, rotation, translation, cx, cy)
         x += float(rng.normal(0.0, sigma))
         y += float(rng.normal(0.0, sigma))
@@ -898,15 +894,15 @@ def make_impression_oracle(
 
     n_insert = int(rng.binomial(len(master.minutiae), params.insertion))
     for _ in range(n_insert):
-        x = float(rng.uniform(params.margin, w - params.margin))
-        y = float(rng.uniform(params.margin, h - params.margin))
+        x = float(rng.uniform(MARGIN, w - MARGIN))
+        y = float(rng.uniform(MARGIN, h - MARGIN))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         kind = "T" if rng.random() < 0.5 else "B"
         minutiae.append(Minutia(x, y, wrap_angle(theta), kind, int(rng.integers(20, 60))))
 
     template = MinutiaTemplate(minutia_array(minutiae), w, h, subject_id(subject_index),
                                impression_id(impression_index))
-    image = render_image_oracle(master, params, rotation, translation, noise_rng=noise_rng)
+    image = render_image_oracle(master, params, rotation, translation, noise_rng)
     return template, image
 
 

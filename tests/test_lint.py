@@ -38,7 +38,9 @@ checked, not flattened.
 
 Every function the package exports is called from another of its modules or
 named in the benchmark's source, so the public API holds no stage that only
-its own module and the tests reach.
+its own module and the tests reach. Likewise every ``SynthParams`` field is set
+by a ``synth`` flag of the CLI or by the benchmark; a value nothing sets is a
+constant of ``synth.py``.
 """
 
 import ast
@@ -881,3 +883,58 @@ def test_the_check_sees_unreached_exports():
     # shares a function's name do not reach it
     assert unreached_exports(modules, exports, {"benched"}) == [
         ("a.py", "helper"), ("a.py", "reliability"), ("b.py", "caller")]
+
+
+def synth_setters(cli, bench):
+    """The fields that ``cli``'s ``_SYNTH_FLAGS`` entries (their second item) and the keywords
+    of ``SynthParams(...)`` calls in the ``bench`` trees set."""
+    flags = [node.value for node in cli.body if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "_SYNTH_FLAGS" for t in node.targets)]
+    return ({entry.elts[1].value for table in flags for entry in table.elts}
+            | {keyword.arg for tree in bench for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and _call_name(node) == "SynthParams"
+               for keyword in node.keywords})
+
+
+def _fields(tree, name):
+    """The annotated fields of class ``name`` in ``tree``, in order."""
+    [record] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+    return [s.target.id for s in record.body if isinstance(s, ast.AnnAssign)]
+
+
+def test_every_synth_setting_has_a_setter():
+    synth, cli = (ast.parse((SRC / name).read_text(encoding="utf-8"))
+                  for name in ("synth.py", "cli.py"))
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.glob("*.py"))]
+    setters = synth_setters(cli, bench)
+    assert {"n_subjects", "noise_std"} <= setters  # the flag table was read
+    off = [name for name in _fields(synth, "SynthParams") if name not in setters]
+    assert not off, f"SynthParams fields that no flag or benchmark sets: {off}"
+
+
+def test_the_check_sees_unset_synth_fields():
+    cli = ast.parse(
+        "_SYNTH_FLAGS = (\n"
+        "    ('--a', 'a', int, None),\n"
+        ")\n"
+        "OTHER = (('--b', 'b', int, None),)\n"
+    )
+    bench = [ast.parse(
+        "synth.SynthParams(c=1)\n"
+        "SynthParams(**{'d': 1})\n"
+        "Other(e=1)\n"
+    )]
+    synth = ast.parse(
+        "class SynthParams:\n"
+        "    a: int = 1\n"
+        "    b: float = 2.0\n"
+        "    c: int = 0\n"
+        "    d: int = 0\n"
+        "    e: int = 0\n"
+        "    LIMIT = 3\n"
+    )
+    # a table of another name, a keyword spread from a dict and another record's
+    # keyword set nothing
+    setters = synth_setters(cli, bench)
+    assert [name for name in _fields(synth, "SynthParams") if name not in setters] == [
+        "b", "d", "e"]

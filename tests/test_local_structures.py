@@ -323,23 +323,27 @@ def test_bilinear_linear_surface_exact():
 
 
 def test_extract_tbls_gradient_image():
-    # on the plane img(x, y) = x the sample at each rotated offset is known
+    # on the plane img(x, y) = x the sample at each rotated offset is known;
+    # the normalization maps it to the plane (x - mean) / std
     geom = small_geometry()
     ys_g, xs_g = np.mgrid[0:120, 0:120]
-    img = xs_g.astype(np.float64)
+    img = GrayImage(xs_g.astype(np.uint8))
+    mean, std = xs_g.mean(), xs_g.std()
     rng = np.random.default_rng(31)
     for theta in rng.uniform(0, 2 * math.pi, 10):
         ref = Minutia(60.0, 60.0, float(theta))
         got = extract_tbls(minutia_array([ref]), 0, img, geom)
         lat = geom.lattice_t.astype(np.float64)
         c, s = math.cos(ref.theta), math.sin(ref.theta)
-        want = ref.x + lat[:, 0] * c - lat[:, 1] * s
+        want = (ref.x + lat[:, 0] * c - lat[:, 1] * s - mean) / std
         assert np.allclose(got, want, atol=1e-9)
 
 
 def test_extract_tbls_fill_outside():
     geom = small_geometry()
-    img = np.ones((40, 40), dtype=np.float64)
+    pixels = np.zeros((40, 40), dtype=np.uint8)
+    pixels[:, :20] = 2  # normalized: 1.0 on the left half, where the patch lies
+    img = GrayImage(pixels)
     ref = Minutia(2.0, 2.0, 0.0)  # patch sticks far out of the image
     out = extract_tbls(minutia_array([ref]), 0, img, geom)
     assert (out == 0.0).sum() > 0
@@ -401,11 +405,18 @@ def mbls_oracle(minutiae, geom):
     ).reshape(len(minutiae), geom.n_m)
 
 
-def tbls_oracle(minutiae, img, geom):
-    """The oracle's rows at fill 0.0, the normalized image's mean that tbls_matrix uses."""
+def tbls_oracle(minutiae, image, geom):
+    """The oracle's rows in the normalized ``image`` at fill 0.0, its mean, as tbls_matrix
+    samples."""
+    img = oracles.normalize_image_oracle(image)
     return np.array(
         [oracles.extract_tbls(m, img, geom, fill=0.0) for m in minutiae]
     ).reshape(len(minutiae), geom.n_t)
+
+
+def gray(values):
+    """A ``GrayImage`` of real values, taken onto 0..255."""
+    return GrayImage(np.clip(np.rint(128.0 + 40.0 * values), 0, 255).astype(np.uint8))
 
 
 def random_minutiae(rng, n, lo, hi):
@@ -526,7 +537,7 @@ def test_mbls_matrix_dense_template_within_tolerance():
 def test_tbls_matrix_equals_extract_tbls_exactly():
     rng = np.random.default_rng(53)
     geom = default_geometry()
-    img = normalize_image(GrayImage(rng.integers(0, 256, size=(120, 150), dtype=np.uint8)))
+    img = GrayImage(rng.integers(0, 256, size=(120, 150), dtype=np.uint8))
     # inside, straddling every border, on the border lines, and off the image
     minutiae = random_minutiae(rng, 30, -20.0, 160.0) + [
         Minutia(0.0, 0.0, 0.0),
@@ -543,7 +554,7 @@ def test_tbls_matrix_equals_extract_tbls_exactly():
 
 def test_tbls_matrix_edge_cases(monkeypatch):
     geom = small_geometry()
-    img = np.arange(40.0).reshape(40, 1)  # one pixel wide
+    img = GrayImage(np.arange(40, dtype=np.uint8).reshape(40, 1))  # one pixel wide
     assert tbls_matrix(minutia_array([]), img, geom).shape == (0, geom.n_t)
     minutiae = [Minutia(0.0, 10.0, 0.0), Minutia(0.0, 20.0, math.pi / 2), Minutia(0.0, 39.0, 1.0)]
     want = tbls_oracle(minutiae, img, geom)
@@ -575,7 +586,7 @@ def spy_sampled_rows(monkeypatch):
 def test_tbls_matrix_mixed_interior_and_border_rows(monkeypatch, rows_per_block):
     rng = np.random.default_rng(59)
     geom = default_geometry()
-    img = normalize_image(GrayImage(rng.integers(0, 256, size=(140, 170), dtype=np.uint8)))
+    img = GrayImage(rng.integers(0, 256, size=(140, 170), dtype=np.uint8))
     inner = random_minutiae(rng, 7, 45.0, 95.0)
     outer = random_minutiae(rng, 7, -30.0, 30.0)
     # alternate, so every block of the input order holds both kinds
@@ -595,7 +606,7 @@ def test_tbls_matrix_mixed_interior_and_border_rows(monkeypatch, rows_per_block)
 def test_tbls_matrix_rows_follow_input_order():
     rng = np.random.default_rng(61)
     geom = small_geometry()
-    img = rng.normal(size=(60, 80))
+    img = gray(rng.normal(size=(60, 80)))
     minutiae = random_minutiae(rng, 12, -5.0, 85.0)
     want = tbls_matrix(minutia_array(minutiae), img, geom)
     order = rng.permutation(len(minutiae))
@@ -609,7 +620,7 @@ def test_tbls_matrix_interior_margin(monkeypatch):
     # on each of the four edges, at several directions
     geom = small_geometry()
     h, w = 50, 60
-    img = np.random.default_rng(67).normal(size=(h, w))
+    img = gray(np.random.default_rng(67).normal(size=(h, w)))
     reach = geom.config.r_t + 1.0
     mid_x, mid_y = w / 2.0, h / 2.0
     minutiae, expect_interior = [], []
@@ -632,7 +643,7 @@ def test_tbls_matrix_interior_margin(monkeypatch):
 def test_tbls_matrix_one_row_per_block_with_fast_path(monkeypatch):
     rng = np.random.default_rng(71)
     geom = default_geometry()
-    img = rng.normal(size=(130, 160))
+    img = gray(rng.normal(size=(130, 160)))
     minutiae = random_minutiae(rng, 9, -10.0, 170.0) + random_minutiae(rng, 4, 50.0, 80.0)
     want = tbls_oracle(minutiae, img, geom)
     monkeypatch.setattr(local_structures, "_TBLS_BLOCK_ELEMENTS", 1)
@@ -644,7 +655,7 @@ def test_tbls_matrix_one_row_per_block_with_fast_path(monkeypatch):
 
 def test_tbls_matrix_non_finite_positions_fill():
     geom = small_geometry()
-    img = np.random.default_rng(73).normal(size=(60, 60))
+    img = gray(np.random.default_rng(73).normal(size=(60, 60)))
     odd = [
         Minutia(math.nan, 30.0, 0.0),
         Minutia(30.0, math.nan, 1.0),
@@ -723,7 +734,7 @@ def test_matrix_kernels_peak_memory(kernel):
     geom = default_geometry()
     minutiae = random_minutiae(rng, 100, 100.0, 150.0)
     assert mbls_pair_count(minutiae, geom) == 9900
-    img = rng.normal(size=(256, 256))
+    img = gray(rng.normal(size=(256, 256)))
     tracemalloc.start()
     try:
         if kernel == "mbls":

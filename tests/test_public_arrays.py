@@ -17,7 +17,7 @@ from fpbits.config import PipelineConfig
 from fpbits.errors import (EmptyEnrollment, EmptyImage, EmptyScores, EmptyTrainingSet,
                            FpbitsError, LengthMismatch, PoolTooSmall)
 from fpbits.local_structures import StructureGeometry
-from fpbits.template_io import MINUTIA_DTYPE
+from fpbits.template_io import MINUTIA_DTYPE, GrayImage
 
 RNG = np.random.default_rng(131)
 GEOMETRY = StructureGeometry.from_config(PipelineConfig())
@@ -25,7 +25,7 @@ MINUTIAE = np.zeros(6, MINUTIA_DTYPE)
 MINUTIAE["x"] = [12.0, 20.0, 31.0, 40.0, 25.0, 50.0]
 MINUTIAE["y"] = [15.0, 44.0, 30.0, 22.0, 52.0, 35.0]
 MINUTIAE["theta"] = [0.1, 1.2, 2.3, 3.4, 4.5, 5.6]
-IMAGE = RNG.normal(size=(64, 64))
+IMAGE = GrayImage(np.clip(RNG.normal(128.0, 40.0, size=(64, 64)), 0, 255).astype(np.uint8))
 PCA = fpbits.train_pca(RNG.normal(size=(20, 6)), 3)
 BITS = RNG.random((4, 10)) < 0.5
 D = RNG.uniform(0.5, 3.0, size=(6, 5))
@@ -84,8 +84,9 @@ def test_every_exported_array_function_has_a_valid_call():
         function(**args)  # each valid call is valid
 
 
-def _swaps(array):
-    """``(label, value)`` of each wrong value the fuzzer swaps in for ``array``."""
+def _swaps(array, optional=False):
+    """``(label, value)`` of each wrong value the fuzzer swaps in for ``array``; None is one
+    unless the argument is ``optional``, None by default."""
     shape, ragged = array.shape, [[0.0, 1.0], [0.0]]
     swaps = [(f"{rank}-d", np.resize(array, (2,) * rank)) for rank in range(4)
              if rank != array.ndim]
@@ -101,11 +102,11 @@ def _swaps(array):
         ("inf", np.full(shape, np.inf)),
         ("-inf", np.full(shape, -np.inf)),
         ("ragged", ragged),
-    ]
+    ] + ([] if optional else [("None", None)])
 
 
 # swaps no function takes, with those of another rank: each is refused with a typed error
-ALWAYS_REFUSED = {"str", "object", "complex", "fields", "nan", "inf", "-inf", "ragged"}
+ALWAYS_REFUSED = {"str", "object", "complex", "fields", "nan", "inf", "-inf", "ragged", "None"}
 
 
 def _cases():
@@ -118,7 +119,8 @@ def _cases():
                         groups[i] = wrong
                         yield f"{name}.groups[{i}] {label}", function, {**args, arg: groups}, label
             elif isinstance(value, np.ndarray):
-                for label, wrong in _swaps(value):
+                optional = inspect.signature(function).parameters[arg].default is None
+                for label, wrong in _swaps(value, optional):
                     yield f"{name}.{arg} {label}", function, {**args, arg: wrong}, label
 
 
@@ -190,15 +192,45 @@ def test_one_row_views_refuse_a_row_outside_the_impression(row):
 
 
 def test_tbls_refuses_an_image_without_pixels():
-    with pytest.raises(LengthMismatch, match="needs a pixel"):
+    # a GrayImage holds at least one pixel, so such an image is refused as any non-image
+    with pytest.raises(LengthMismatch, match="^image must be a GrayImage, got ndarray$"):
         fpbits.tbls_matrix(MINUTIAE, np.zeros((0, 64)), GEOMETRY)
 
 
-@pytest.mark.parametrize("image", [np.zeros((4, 4)), IMAGE.tolist(), None],
+@pytest.mark.parametrize("image", [np.zeros((4, 4)), IMAGE.pixels.tolist(), None],
                          ids=["array", "list", "None"])
 def test_normalize_image_refuses_anything_but_an_image(image):
     with pytest.raises(LengthMismatch, match="^image must be a GrayImage"):
         fpbits.normalize_image(image)
+
+
+@pytest.mark.parametrize("call", [
+    lambda image: fpbits.tbls_matrix(MINUTIAE, image, GEOMETRY),
+    lambda image: fpbits.extract_tbls(MINUTIAE, 1, image, GEOMETRY),
+], ids=["tbls_matrix", "extract_tbls"])
+@pytest.mark.parametrize("image", [IMAGE.pixels, IMAGE.pixels.tolist(), None],
+                         ids=["array", "list", "None"])
+def test_texture_extractors_refuse_anything_but_an_image(call, image):
+    with pytest.raises(LengthMismatch, match="^image must be a GrayImage"):
+        call(image)
+
+
+STRING = fpbits.BitString(BITS[0])
+FINGER = fpbits.train_finger("f", D[:2, :], BITS[:2, :5], [3, 4], D[0], D[1], 0.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda wrong: fpbits.intersection_score(wrong, STRING),
+    lambda wrong: fpbits.intersection_score(STRING, wrong),
+    lambda wrong: fpbits.masked_score(wrong, FINGER, True),
+    lambda wrong: fpbits.masked_score(fpbits.BitString(BITS[0, :5]), wrong, True),
+    lambda wrong: fpbits.fold_compress(wrong, 4),
+], ids=["intersection_score.a", "intersection_score.b", "masked_score.query",
+        "masked_score.finger", "fold_compress"])
+@pytest.mark.parametrize("wrong", [BITS[0], BITS[0].tolist(), None], ids=["array", "list", "None"])
+def test_record_views_refuse_anything_but_their_record(call, wrong):
+    with pytest.raises(LengthMismatch, match=r"^\w+ must be a (BitString|FingerModel), got "):
+        call(wrong)
 
 
 def train_finger_with(**wrong):

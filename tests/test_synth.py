@@ -49,13 +49,14 @@ def assert_same_dataset(got, want):
 
 
 # (width, height, overrides): the default size with and without noise, sizes
-# whose height is not a whole number of render bands, and a single pixel
+# whose height is not a whole number of render bands, and the smallest size,
+# which just holds both margins
 ORACLE_CASES = {
     "256x256": (256, 256, {}),
     "no-noise": (256, 256, {"noise_std": 0}),
     "300x211": (300, 211, {}),
     "97x61": (97, 61, {}),
-    "1x1": (1, 1, {"margin": 0.0, "n_minutiae": 0}),
+    "48x48": (48, 48, {}),
 }
 
 
@@ -144,12 +145,14 @@ def test_params_reject_non_int_counts_sizes_and_seed(name, value):
 
 SYNTH_MESSAGES = [
     ({"n_subjects": -1}, "n_subjects must be >= 0, got -1"),
-    ({"margin": -1.0}, "margin must be finite and >= 0, got -1.0"),
+    ({"rotation_deg": -1.0}, "rotation_deg must be finite and >= 0, got -1.0"),
     ({"dropout": 1.5}, "dropout must be in [0, 1], got 1.5"),
-    ({"ridge_freq": math.inf}, "ridge_freq must be finite, got inf"),
+    ({"translation_px": math.inf}, "translation_px must be finite, got inf"),
     ({"noise_std": math.nan}, "noise_std must be finite, got nan"),
     ({"width": 40}, "width must be >= max(1, 2 * margin) = 48.0, got 40"),
-    ({"height": 30, "margin": 20}, "height must be >= max(1, 2 * margin) = 40.0, got 30"),
+    ({"height": 30}, "height must be >= max(1, 2 * margin) = 48.0, got 30"),
+    # the room rule comes last, so another bad field is named first
+    ({"width": 40, "dropout": 2.0}, "dropout must be in [0, 1], got 2.0"),
     ({"n_subjects": 2.5}, "n_subjects must be of type int, got 2.5"),
 ]
 
@@ -166,9 +169,8 @@ REAL_FIELD_CASES = [
     ("dropout", True),  # was taken as 1.0: every minutia dropped
     ("noise_std", True),
     ("rotation_deg", "5"),
-    ("ridge_freq", None),
-    ("jitter_base", 10**400),  # an int past float's range
-    ("margin", 10**400),
+    ("insertion", None),
+    ("translation_px", 10**400),  # an int past float's range
 ]
 
 
@@ -205,7 +207,8 @@ def test_impressions_independent_of_generation_order():
     params = small_params()
     items = synth_dataset(params)
     master = make_master(params, 2)
-    template, image = make_impression(master, params, 2, 1)
+    pixels = np.empty((params.height, params.width), dtype=np.uint8)
+    template, image = make_impression(master, params, 2, 1, pixels, render_scratch(params))
     t_ref, i_ref = items[("s003", "02")]
     assert np.array_equal(image.pixels, i_ref.pixels)
     assert template.minutiae.tolist() == t_ref.minutiae.tolist()
@@ -224,14 +227,15 @@ def test_dataset_shape_and_ids():
 
 
 def test_master_minutiae_separated_and_in_margin():
-    params = small_params(n_minutiae=20, min_separation=9.0, margin=20.0)
+    params = small_params(n_minutiae=20)
     master = make_master(params, 0)
     pts = master.minutiae[["x", "y"]].tolist()
+    assert len(pts) == 20
     for i, (x, y) in enumerate(pts):
-        assert 20.0 <= x <= params.width - 20.0
-        assert 20.0 <= y <= params.height - 20.0
+        assert synth.MARGIN <= x <= params.width - synth.MARGIN
+        assert synth.MARGIN <= y <= params.height - synth.MARGIN
         for x2, y2 in pts[i + 1:]:
-            assert math.hypot(x - x2, y - y2) >= 9.0
+            assert math.hypot(x - x2, y - y2) >= synth.MIN_SEPARATION
 
 
 def test_impression_minutiae_inside_image():
@@ -251,9 +255,10 @@ def test_transform_point_identity_motion():
         x, y = _transform_point(m.x, m.y, 0.0, (0.0, 0.0), cx, cy)
         assert math.isclose(x, m.x, abs_tol=1e-9)
         assert math.isclose(y, m.y, abs_tol=1e-9)
-    # no noise: rendering twice is bit-identical
-    image = render(master, params, 0.0, (0.0, 0.0), None)
-    again = render(master, params, 0.0, (0.0, 0.0), None)
+    # no noise: rendering twice, from generators in different states, is bit-identical
+    clean = small_params(noise_std=0.0)
+    image = render(master, clean, 0.0, (0.0, 0.0), keyed_rng(1, 9))
+    again = render(master, clean, 0.0, (0.0, 0.0), keyed_rng(2, 9))
     assert np.array_equal(image, again)
 
 
@@ -273,9 +278,10 @@ def test_transform_point_applies_exact_transform():
 
 
 def test_noise_changes_pixels_only_with_rng():
+    # the same generator draws the noise of a noisy image and nothing for a clean one
     params = small_params(noise_std=6.0)
     master = make_master(params, 0)
-    clean = render(master, params, 0.0, (0.0, 0.0), None)
+    clean = render(master, small_params(noise_std=0.0), 0.0, (0.0, 0.0), keyed_rng(1, 9))
     noisy = render(master, params, 0.0, (0.0, 0.0), keyed_rng(1, 9))
     assert not np.array_equal(clean, noisy)
 
@@ -283,7 +289,7 @@ def test_noise_changes_pixels_only_with_rng():
 def test_params_boundary_values_are_accepted():
     # the image exactly holds both margins; probabilities and spreads at
     # their ends of the range
-    params = small_params(width=48, height=48, margin=24.0, dropout=1.0,
+    params = small_params(width=48, height=48, dropout=1.0,
                           insertion=0.0, noise_std=0.0, rotation_deg=0.0, seed=0)
     items = synth_dataset(params)
     assert all(len(t) == 0 and image.pixels.shape == (48, 48)
