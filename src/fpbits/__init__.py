@@ -12,13 +12,6 @@ from .codebook import (
     BitString,
     Codebook,
     DistanceVector,
-    cardinality_weights,
-    centroid_distances,
-    cluster_cardinalities,
-    distance_vector,
-    encode_bitstring,
-    estimate_radii,
-    global_mean,
     kmeans_train,
 )
 from .config import PipelineConfig, load_config, parse_config, serialize_config
@@ -51,13 +44,7 @@ from .model_store import (
     save_model,
 )
 from .protocol import ProtocolReport, compute_eer, fvc_pair_rows, fvc_pairs
-from .subspace_fusion import (
-    PcaModel,
-    fuse,
-    fuse_matrix,
-    project,
-    train_pca,
-)
+from .subspace_fusion import PcaModel, fuse, project, train_pca
 from .template_io import (
     MINUTIA_DTYPE,
     MINUTIA_KINDS,

@@ -11,6 +11,10 @@ votes for its radius-adjusted nearest clusters, and a vote sets the bit when
 the adjusted distance clears a fixed threshold. The same impression also
 yields a K-length real distance vector (nearest plain distance per cluster)
 used by enrollment-time bit selection.
+
+The records check their arrays and :func:`kmeans_train` its pool. The steps
+after k-means read matrices the pipeline builds from checked records: they
+check nothing, and the package does not export them.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ import numpy as np
 from .errors import (
     ArrayRecord,
     DegeneratePool,
-    EmptyImage,
-    EmptyTrainingSet,
     LengthMismatch,
     MalformedHeader,
     PoolTooSmall,
@@ -111,19 +113,13 @@ def _sq_norms(matrix: np.ndarray) -> np.ndarray:
     return (matrix * matrix).sum(axis=1)
 
 
-def centroid_distances(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Plain Euclidean distance matrix, rows = vectors, columns = clusters (:func:`_distances`)."""
-    return _distances(*check_arrays(locals(), LengthMismatch, matrix=(float, None, "dim"),
-                                    centroids=(float, None, "dim")))
-
-
-def _distances(
+def centroid_distances(
     matrix: np.ndarray,
     centroids: np.ndarray,
     sq_norms: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """:func:`centroid_distances` of checked arrays.
+    """Plain Euclidean distance matrix, rows = vectors, columns = clusters.
 
     ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2``, clipped at 0 against
     rounding, evaluated in place in one ``(n, K)`` array: ``out`` when given.
@@ -225,6 +221,10 @@ def kmeans_train(
 
     ``trace``, when given, receives the objective after every update step;
     it is non-increasing.
+
+    Raises:
+        PoolTooSmall: ``k < 1``, or fewer pool vectors than ``k``.
+        LengthMismatch: ``pool`` is not a finite matrix, or its norms overflow.
     """
     if k < 1:
         raise PoolTooSmall(f"k must be >= 1, got {k}")
@@ -234,14 +234,19 @@ def kmeans_train(
     x = np.ascontiguousarray(x)
     n = x.shape[0]
 
-    sq_norms = _sq_norms(x)
+    with np.errstate(over="ignore"):
+        sq_norms = _sq_norms(x)
+        # a squared distance is at most 2 ||x||^2 + 2 ||c||^2: every sum the fit forms is less
+        bound = 4.0 * (n + 1) * sq_norms.sum()
+    if not np.isfinite(bound):
+        raise LengthMismatch("pool's squared row norms overflow float64")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     centroids = _kmeanspp_init(x, sq_norms, k, rng)
 
     d = np.empty((n, k), dtype=np.float64)  # every iteration's distances
     prev_assign: Optional[np.ndarray] = None
     for _ in range(max_iters):
-        _distances(x, centroids, sq_norms, out=d)
+        centroid_distances(x, centroids, sq_norms, out=d)
         assign = d.argmin(axis=1)  # ties resolve to the smallest index
 
         counts = np.bincount(assign, minlength=k)
@@ -287,7 +292,6 @@ def estimate_radii(d: np.ndarray, n_boundary: int) -> np.ndarray:
     Raises:
         DegeneratePool: some cluster has no external vector at all.
     """
-    [d] = check_arrays(locals(), LengthMismatch, d=(float, None, None))
     assign = d.argmin(axis=1)
     k = d.shape[1]
     radii = np.empty(k, dtype=np.float64)
@@ -307,7 +311,6 @@ def cluster_cardinalities(d: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
     ``d`` is the pool's ``(n, K)`` :func:`centroid_distances` matrix.
     """
-    d, radii = check_arrays(locals(), LengthMismatch, d=(float, None, "K"), radii=(float, "K"))
     adj = d - radii[None, :]
     return np.bincount(adj.argmin(axis=1), minlength=d.shape[1])
 
@@ -318,13 +321,10 @@ def cardinality_weights(cardinalities: np.ndarray) -> np.ndarray:
     When every cluster has the same cardinality there is nothing to rank and
     all weights are 1.
     """
-    [h] = check_arrays(locals(), LengthMismatch, cardinalities=(float, None))
-    if h.size == 0:
-        raise LengthMismatch("cardinality weights need at least one cluster")
-    lo, hi = float(h.min()), float(h.max())
+    lo, hi = float(cardinalities.min()), float(cardinalities.max())
     if hi == lo:
-        return np.ones_like(h)
-    return 1.0 - (h - lo) / (hi - lo)
+        return np.ones(cardinalities.shape)
+    return 1.0 - (cardinalities - lo) / (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,6 @@ def encode_bitstring(
     ``tau_s``, ``top_t`` and ``gate_all``. An impression with no vectors
     maps to the all-zero string.
     """
-    d, radii = check_arrays(locals(), LengthMismatch, d=(float, None, "K"), radii=(float, "K"))
     bits = np.zeros(d.shape[1], dtype=bool)
     adj = d - radii[None, :]
     # ties in adjusted distance nominate the smaller cluster index first
@@ -364,14 +363,9 @@ def encode_bitstring(
 def distance_vector(d: np.ndarray) -> DistanceVector:
     """Nearest plain distance from any of the impression's vectors, per cluster.
 
-    ``d`` is the impression's ``(n, K)`` :func:`centroid_distances` matrix.
-
-    Raises:
-        EmptyImage: the impression produced no fused vectors.
+    ``d`` is the impression's ``(n, K)`` :func:`centroid_distances` matrix,
+    ``n >= 1``.
     """
-    if np.iterable(d) and len(d) == 0:
-        raise EmptyImage("impression has no fused vectors to measure")
-    [d] = check_arrays(locals(), LengthMismatch, d=(float, None, None))
     return DistanceVector(d.min(axis=0))
 
 
@@ -381,16 +375,5 @@ def global_mean(groups: Iterable[np.ndarray]) -> np.ndarray:
     ``groups`` holds one ``(n_f, K)`` distance matrix per finger, a row per
     impression. Each finger contributes its row mean regardless of how many
     impressions it has, so heavily sampled fingers do not dominate.
-
-    Raises:
-        EmptyTrainingSet: no groups, or a group with no rows.
-        LengthMismatch: groups of different widths are mixed.
     """
-    named = {f"groups[{i}]": group for i, group in enumerate(groups)}
-    if not named:
-        raise EmptyTrainingSet("no finger groups supplied")
-    for i, group in enumerate(named.values()):
-        if np.iterable(group) and len(group) == 0:
-            raise EmptyTrainingSet(f"finger group {i} has no distance vectors")
-    groups = check_arrays(named, LengthMismatch, **dict.fromkeys(named, (float, None, "K")))
     return np.mean([rows.mean(axis=0) for rows in groups], axis=0)

@@ -82,6 +82,7 @@ _CONFIG_RULES = (
     (("r_m", "r_t", "sigma_t0", "sigma_t_slope", "sigma_r0", "sigma_r_slope"),
      lambda v: v > 0.0, "> 0"),
     (("downscale_area",), lambda v: v >= 1.0, ">= 1"),
+    (("omega_M", "omega_T"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     (("n_p",), lambda v: v >= 2, ">= 2"),
     (("K", "N_c", "top_t", "kmeans_max_iters", "enroll_size", "min_nL"),
      lambda v: v >= 1, ">= 1"),

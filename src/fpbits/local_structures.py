@@ -129,8 +129,8 @@ def mbls_matrix(
     """
     [minutiae] = check_arrays(locals(), LengthMismatch, minutiae=(MINUTIA_DTYPE, None))
     n = len(minutiae)
-    refs = np.arange(n) if refs is None else refs
-    [sel] = check_arrays(locals(), LengthMismatch, refs=(int, None))
+    sel = (np.arange(n) if refs is None
+           else check_arrays(locals(), LengthMismatch, refs=(int, None))[0])
     if sel.size and not (-n <= sel.min() and sel.max() < n):
         raise LengthMismatch(f"refs must index {n} minutiae, got {sel.min()}..{sel.max()}")
     x, y = minutiae["x"], minutiae["y"]

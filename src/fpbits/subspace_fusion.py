@@ -5,8 +5,9 @@ subspaces (one model per family, same target dimension), z-normalized per
 vector, weighted, and concatenated into a single fused vector per minutia.
 An impression travels as matrices, one row per minutia: :func:`project`
 takes an ``(n, dim)`` matrix and :func:`fuse_matrix` returns the
-``(n, 2 * n_p)`` fused matrix. :func:`fuse` is its one-row view, kept as an
-API name; nothing in the package calls it.
+``(n, 2 * n_p)`` fused matrix of the projections the pipeline has just made,
+unchecked and not exported. :func:`fuse` is its checked one-row view, kept as
+an API name; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -63,13 +64,13 @@ def _top_eigenpairs(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Ritz residuals reach machine precision, and never forms the eigenvectors
     that are thrown away. Its matrix-vector product is BLAS ``dsymv`` on one
     triangle of ``sym``, which reads half the memory of a full product. When
-    ``k`` is a large share of the matrix order, or when Lanczos does not
-    converge, the dense ``eigh`` solves instead.
+    ``k`` is a large share of the matrix order, or when ARPACK fails (say, no
+    convergence, or a zero ``sym``), the dense ``eigh`` solves instead.
     """
     # imported here: scipy.sparse.linalg adds about 0.3 s to the start of
     # every command, and only fitting needs it
     from scipy.linalg import blas
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     m = sym.shape[0]
     if 4 * k < m:
@@ -84,7 +85,7 @@ def _top_eigenpairs(sym: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
         try:
             evals, evecs = eigsh(op, k=k, which="LA", tol=0, v0=v0)
-        except ArpackNoConvergence:
+        except ArpackError:  # ArpackNoConvergence among others
             pass
         else:
             order = np.argsort(evals)[::-1]
@@ -108,6 +109,7 @@ def train_pca(samples: Sequence[np.ndarray] | np.ndarray, n_components: int) -> 
         TooFewSamples: fewer than 2 samples.
         RankDeficient: ``n_components`` exceeds what the samples can span
             (never more than ``min(n_samples - 1, dim)``).
+        LengthMismatch: ``samples`` is not a finite matrix, or its products overflow.
     """
     [x] = check_arrays(locals(), LengthMismatch, samples=(float, None, None))
     return train_pca_inplace(x.copy(), n_components)
@@ -131,16 +133,18 @@ def train_pca_inplace(x: np.ndarray, n_components: int) -> PcaModel:
             f"from {n} samples of dimension {dim}"
         )
 
-    mean = x.mean(axis=0)
-    xc = x
-    xc -= mean  # in place, as the caller allowed
-
-    if n < dim:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean = x.mean(axis=0)
+        xc = x
+        xc -= mean  # in place, as the caller allowed
         # Gram trick: eigenvectors of (Xc Xc^T) map onto covariance
         # eigenvectors through Xc^T, sharing the nonzero spectrum.
-        lead, vecs = _top_eigenpairs(xc @ xc.T, n_components)
-    else:
-        lead, vecs = _top_eigenpairs((xc.T @ xc) / (n - 1), n_components)
+        sym = xc @ xc.T if n < dim else (xc.T @ xc) / (n - 1)
+    # by Cauchy-Schwarz the diagonal bounds every other entry
+    if not np.isfinite(sym.diagonal()).all():
+        raise LengthMismatch("samples' products overflow float64")
+    lead, vecs = _top_eigenpairs(sym, n_components)
+    del sym  # the Gram or covariance matrix does not outlive the eigensolve
     if lead[-1] <= _RANK_TOL * max(lead[0], 1.0):
         raise RankDeficient(
             f"{n_components} components requested but the samples' numerical "
@@ -190,18 +194,12 @@ def fuse_matrix(
 ) -> np.ndarray:
     """Fuse the projected descriptors of a whole impression, row by row.
 
-    Both ``(n, n_p)`` parts are z-normalized row by row, scaled by their
-    fusion weights, and concatenated (minutia part first), so either half
-    of a row can be recovered by position.
-
-    Raises:
-        LengthMismatch: the parts differ in shape, or rows are shorter than 2.
+    Both ``(n, n_p)`` parts, ``n_p >= 2``, are z-normalized row by row, scaled
+    by their fusion weights, and concatenated (minutia part first), so either
+    half of a row can be recovered by position.
     """
-    a, b = check_arrays(locals(), LengthMismatch, minutia_part=(float, "n", "n_p"),
-                        texture_part=(float, "n", "n_p"))
-    if a.shape[1] < 2:
-        raise LengthMismatch(f"z-normalization needs length >= 2, got {a.shape[1]}")
-    return np.concatenate([weight_m * _znorm_rows(a), weight_t * _znorm_rows(b)], axis=1)
+    return np.concatenate([weight_m * _znorm_rows(minutia_part),
+                           weight_t * _znorm_rows(texture_part)], axis=1)
 
 
 def fuse(
@@ -210,5 +208,13 @@ def fuse(
     weight_m: float,
     weight_t: float,
 ) -> np.ndarray:
-    """:func:`fuse_matrix` of one minutia's two projected vectors."""
-    return fuse_matrix([minutia_part], [texture_part], weight_m, weight_t)[0]
+    """:func:`fuse_matrix` of one minutia's two projected vectors.
+
+    Raises:
+        LengthMismatch: the parts are not two 1-d rows of one length >= 2.
+    """
+    a, b = check_arrays(locals(), LengthMismatch, minutia_part=(float, "n_p"),
+                        texture_part=(float, "n_p"))
+    if a.shape[0] < 2:
+        raise LengthMismatch(f"z-normalization needs length >= 2, got {a.shape[0]}")
+    return fuse_matrix(a[None, :], b[None, :], weight_m, weight_t)[0]

@@ -528,6 +528,27 @@ def test_negative_pca_subsample_exits_2_with_one_line(workdir, tmp_path, capsys)
     assert not (tmp_path / "m.fpbm").exists()
 
 
+def test_overflowing_fusion_weight_exits_2_with_one_line(workdir, tmp_path, capsys):
+    # the fused rows' squared norms overflowed in k-means++: an untyped ValueError
+    assert main(["train", "--dataset", workdir["data"], "--out", str(tmp_path / "m.fpbm"),
+                 "--quiet", "--set", "K=16", "--set", "n_p=8", "--set", "omega_M=1e154"]) == 2
+    assert_one_error_line(capsys, "omega_M must be in [0, 1], got 1e+154")
+    assert not (tmp_path / "m.fpbm").exists()
+
+
+def test_one_minutia_impressions_exit_2_with_one_line(tmp_path, capsys):
+    # a lone minutia has no neighbour, so every minutia descriptor row is zero, a
+    # Gram matrix ARPACK refused with an untyped ArpackError
+    data, model = str(tmp_path / "one"), tmp_path / "m.fpbm"
+    assert main(["synth", "--out", data, "--subjects", "6", "--impressions", "4",
+                 "--minutiae", "1", "--dropout", "0", "--insertion", "0", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--dataset", data, "--out", str(model), "--quiet",
+                 "--set", "K=4", "--set", "n_p=2"]) == 2
+    assert_one_error_line(capsys, "2 components requested but the samples' numerical rank")
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("matcher", ["split", "lgs"])
 def test_evaluate_fold_outside_bits_exits_2_with_one_line(workdir, tmp_path, capsys, matcher):
     out_dir = tmp_path / "eval"

@@ -36,6 +36,9 @@ def test_defaults_roundtrip():
         "omega_M = nan",
         "omega_T = nan",
         "omega_T = -inf",
+        "omega_M = 1e154",  # its squares overflow in k-means
+        "omega_M = 1.5",
+        "omega_T = -0.1",
         "tau_s = nan",
         "n_p = 1",
         "K = 0",
@@ -98,9 +101,10 @@ def test_config_valued_parameters_have_no_default(module, func, name):
 def test_boundary_values_are_accepted():
     config = parse_config(
         "downscale_area = 1\nsigma_t_slope = 0.02\nN_c = 1\nkmeans_max_iters = 1\n"
-        "min_nL = 10\nmax_nL = 10"
+        "min_nL = 10\nmax_nL = 10\nomega_M = 0\nomega_T = 1"
     )
     assert config.downscale_area == 1.0 and config.max_nL == config.min_nL
+    assert (config.omega_M, config.omega_T) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("value", ["3", "false", ""])
@@ -257,6 +261,8 @@ RANGE_MESSAGES = {
     "seed = -1": "seed must be >= 0, got -1",
     "pca_subsample = -5": "pca_subsample must be >= 0, got -5",
     "r_t = nan": "r_t must be finite, got nan",
+    "omega_M = 1e154": "omega_M must be in [0, 1], got 1e+154",
+    "omega_T = -0.5": "omega_T must be in [0, 1], got -0.5",
 }
 
 

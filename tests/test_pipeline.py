@@ -1,6 +1,7 @@
 """The matrix paths against the per-minutia and per-pair oracles in ``tests/oracles.py``."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from fpbits.codebook import (
 )
 
 from fpbits.config import PipelineConfig
-from fpbits.errors import EmptyImage, EmptyScores, EmptyTrainingSet, ModelMissing
+from fpbits.errors import EmptyImage, EmptyScores, EmptyTrainingSet, ModelMissing, check_arrays
 from fpbits.local_structures import StructureGeometry, normalize_image
 from fpbits.model_store import load_model, save_model
 from fpbits.matching import fold_compress, lgs_score
@@ -165,6 +166,27 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
         want = encode_bitstring_oracle(vectors, model.codebook, cfg.tau_s, cfg.top_t,
                                        cfg.gate_all)
         assert encode_impression(template, image, model).bits == want, key
+
+
+def test_the_request_path_checks_only_its_inputs(small_run, monkeypatch):
+    # encoding checks the template's minutiae in each extractor and the two records it
+    # returns; every matrix between them is built from those checked records
+    items, model = small_run
+    template, image = items[sorted(items)[0]]
+    checked = []
+
+    def spy(record, error, **fields):
+        owner = (sys._getframe(1).f_code.co_name if isinstance(record, dict)
+                 else type(record).__name__)
+        checked.append((owner, *(name for name in fields if name != "freeze")))
+        return check_arrays(record, error, **fields)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fpbits" and hasattr(module, "check_arrays"):
+            monkeypatch.setattr(module, "check_arrays", spy)
+    encode_impression(template, image, model)
+    assert checked == [("mbls_matrix", "minutiae"), ("tbls_matrix", "minutiae"),
+                       ("BitString", "bits"), ("DistanceVector", "values")]
 
 
 def test_fit_with_oracle_kmeans_saves_identical_bytes(small_run, monkeypatch):

@@ -14,8 +14,8 @@ import pytest
 
 import fpbits
 from fpbits.config import PipelineConfig
-from fpbits.errors import (EmptyEnrollment, EmptyImage, EmptyScores, EmptyTrainingSet,
-                           FpbitsError, LengthMismatch, PoolTooSmall)
+from fpbits.errors import (EmptyEnrollment, EmptyImage, EmptyScores, FpbitsError,
+                           LengthMismatch, PoolTooSmall)
 from fpbits.local_structures import StructureGeometry
 from fpbits.template_io import MINUTIA_DTYPE, GrayImage
 
@@ -36,16 +36,6 @@ VALID_CALLS = {
     "train_finger": (fpbits.train_finger, dict(
         finger_id="f", distances=D[:4], bits=BITS[:, :5], minutia_counts=np.array([3, 4, 5, 6]),
         population_mean=D.mean(axis=0), cluster_weights=D[1] / 3.0, alpha=0.5, beta=1.0)),
-    "cardinality_weights": (fpbits.cardinality_weights,
-                            dict(cardinalities=np.array([3, 1, 2, 0, 4]))),
-    "centroid_distances": (fpbits.centroid_distances,
-                           dict(matrix=RNG.normal(size=(6, 3)), centroids=RNG.normal(size=(5, 3)))),
-    "cluster_cardinalities": (fpbits.cluster_cardinalities, dict(d=D, radii=D[0] / 2.0)),
-    "distance_vector": (fpbits.distance_vector, dict(d=D)),
-    "encode_bitstring": (fpbits.encode_bitstring, dict(d=D, radii=D[0] / 2.0, tau_s=0.0,
-                                                       top_t=2, gate_all=True)),
-    "estimate_radii": (fpbits.estimate_radii, dict(d=D, n_boundary=2)),
-    "global_mean": (fpbits.global_mean, dict(groups=[D[:2], D[2:]])),
     "kmeans_train": (fpbits.kmeans_train, dict(pool=RNG.normal(size=(20, 3)), k=3,
                                                max_iters=5, seed=0)),
     "mbls_matrix": (fpbits.mbls_matrix, dict(minutiae=MINUTIAE, geometry=GEOMETRY,
@@ -64,8 +54,6 @@ VALID_CALLS = {
                                              impostor=np.array([0.1, 0.2, 0.3]))),
     "fuse": (fpbits.fuse, dict(minutia_part=D[0], texture_part=D[1], weight_m=0.6,
                                weight_t=0.4)),
-    "fuse_matrix": (fpbits.fuse_matrix, dict(minutia_part=D[:3], texture_part=D[3:],
-                                             weight_m=0.6, weight_t=0.4)),
     "project": (fpbits.project, dict(model=PCA, vectors=RNG.normal(size=(4, 6)))),
     "train_pca": (fpbits.train_pca, dict(samples=RNG.normal(size=(10, 6)), n_components=2)),
 }
@@ -112,13 +100,7 @@ ALWAYS_REFUSED = {"str", "object", "complex", "fields", "nan", "inf", "-inf", "r
 def _cases():
     for name, (function, args) in sorted(VALID_CALLS.items()):
         for arg, value in args.items():
-            if name == "global_mean":  # a list of groups: swap each group in turn
-                for i, group in enumerate(value):
-                    for label, wrong in _swaps(group):
-                        groups = list(value)
-                        groups[i] = wrong
-                        yield f"{name}.groups[{i}] {label}", function, {**args, arg: groups}, label
-            elif isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 optional = inspect.signature(function).parameters[arg].default is None
                 for label, wrong in _swaps(value, optional):
                     yield f"{name}.{arg} {label}", function, {**args, arg: wrong}, label
@@ -149,8 +131,6 @@ def test_fuzz_public_array_api_zero_untyped():
 def test_array_likes_keep_working():
     # lists give the bytes the arrays give
     def listed(value):
-        if isinstance(value, list):  # global_mean's groups
-            return [listed(v) for v in value]
         plain = isinstance(value, np.ndarray) and value.dtype.names is None
         return value.tolist() if plain else value
 
@@ -246,7 +226,6 @@ def train_finger_with(**wrong):
     ("object bits", lambda: train_finger_with(bits=BITS[:, :5].astype(object))),
     ("2-d mean", lambda: train_finger_with(population_mean=D[:1])),  # would broadcast
     ("2-d weights", lambda: train_finger_with(cluster_weights=D[:2])),
-    ("1-d group", lambda: fpbits.global_mean([D[0]])),
 ])
 def test_narrowed_arguments_are_refused_not_cast(name, call):
     with pytest.raises(LengthMismatch):
@@ -259,13 +238,10 @@ def test_narrowed_arguments_are_refused_not_cast(name, call):
     (EmptyEnrollment, lambda e: fpbits.train_finger("f", e, e, e, D[0], D[1], 0.5, 1.0)),
     (EmptyEnrollment, lambda e: fpbits.train_finger("f", D[:4], e, [3, 4, 5, 6], D[0], D[1],
                                                     0.5, 1.0)),
-    (EmptyTrainingSet, lambda e: fpbits.global_mean([D, e])),
     (EmptyImage, lambda e: fpbits.lgs_score(e, D, **PAIR_ARGS)),
     (EmptyImage, lambda e: fpbits.lgs_score(D, e, **PAIR_ARGS)),
-    (EmptyImage, lambda e: fpbits.distance_vector(e)),
     (PoolTooSmall, lambda e: fpbits.kmeans_train(e, 2, 5, 0)),
-], ids=["train_finger", "train_finger.bits", "global_mean", "lgs_score.a", "lgs_score.b",
-        "distance_vector", "kmeans_train"])
+], ids=["train_finger", "train_finger.bits", "lgs_score.a", "lgs_score.b", "kmeans_train"])
 def test_no_rows_keeps_its_error_at_any_rank(error, call, empty):
     # the at-least-one-row rule answers before the rank rule
     with pytest.raises(error):

@@ -201,6 +201,10 @@ def test_fuse_layout_and_weights():
 def test_fuse_length_mismatch():
     with pytest.raises(LengthMismatch):
         fuse(np.zeros(5), np.zeros(6), *WEIGHTS)
+    with pytest.raises(LengthMismatch, match=r"^minutia_part must be a float array of shape"):
+        fuse(np.zeros((1, 5)), np.zeros((1, 5)), *WEIGHTS)  # rows, not 1-d parts
+    with pytest.raises(LengthMismatch, match="^z-normalization needs length >= 2, got 1$"):
+        fuse(np.zeros(1), np.zeros(1), *WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +338,22 @@ def test_lanczos_no_convergence_falls_back_to_dense(eigsh_calls):
     assert_matches_dense(model, x, 10)
 
 
+@pytest.mark.parametrize("n, dim", [(24, 50), (60, 40)])  # Gram and covariance branches
+def test_zero_samples_fall_back_to_dense_and_are_rank_deficient(eigsh_calls, n, dim):
+    # ARPACK refuses a zero matrix (it maps the start vector to zero) with an
+    # ArpackError that is not ArpackNoConvergence; the dense solve finds rank 0
+    with pytest.raises(RankDeficient, match="numerical rank is lower"):
+        train_pca(np.zeros((n, dim)), 2)
+    assert eigsh_calls["calls"] == 1
+
+
+@pytest.mark.parametrize("n_samples", [12, 80])  # Gram and covariance branches
+def test_train_pca_refuses_samples_whose_products_overflow(n_samples):
+    x = np.random.default_rng(71).normal(size=(n_samples, 30)) * 1e200
+    with pytest.raises(LengthMismatch, match="^samples' products overflow float64$"):
+        train_pca(x, 2)
+
+
 def test_small_matrix_takes_dense_path(eigsh_calls):
     x = spectrum_samples(np.random.default_rng(127), 30, 90, rank=10)
     model = train_pca(x, 8)  # Gram order 30 <= 4 * 8
@@ -396,12 +416,3 @@ def test_fuse_matrix_matches_fuse_rows():
     assert np.allclose(got, want, rtol=0.0, atol=1e-14)
     assert not got[4, :6].any() and not got[7, 6:].any()
     assert fuse_matrix(np.zeros((0, 6)), np.zeros((0, 6)), *WEIGHTS).shape == (0, 12)
-
-
-def test_fuse_matrix_shape_errors():
-    with pytest.raises(LengthMismatch):
-        fuse_matrix(np.zeros((3, 5)), np.zeros((3, 6)), *WEIGHTS)
-    with pytest.raises(LengthMismatch):
-        fuse_matrix(np.zeros((3, 5)), np.zeros((2, 5)), *WEIGHTS)
-    with pytest.raises(LengthMismatch):
-        fuse_matrix(np.zeros((3, 1)), np.zeros((3, 1)), *WEIGHTS)
