@@ -201,10 +201,6 @@ def test_fuse_layout_and_weights():
 def test_fuse_length_mismatch():
     with pytest.raises(LengthMismatch):
         fuse(np.zeros(5), np.zeros(6), *WEIGHTS)
-    with pytest.raises(LengthMismatch, match=r"^minutia_part must be a float array of shape"):
-        fuse(np.zeros((1, 5)), np.zeros((1, 5)), *WEIGHTS)  # rows, not 1-d parts
-    with pytest.raises(LengthMismatch, match="^z-normalization needs length >= 2, got 1$"):
-        fuse(np.zeros(1), np.zeros(1), *WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +412,14 @@ def test_fuse_matrix_matches_fuse_rows():
     assert np.allclose(got, want, rtol=0.0, atol=1e-14)
     assert not got[4, :6].any() and not got[7, 6:].any()
     assert fuse_matrix(np.zeros((0, 6)), np.zeros((0, 6)), *WEIGHTS).shape == (0, 12)
+
+
+def test_fuse_matrix_shape_errors():
+    # fuse_matrix is fed only the pipeline's own projections and checks
+    # nothing; its shape rules are applied at the door, by the fuse view
+    with pytest.raises(LengthMismatch, match=r"^minutia_part must be a float array of shape"):
+        fuse(np.zeros((1, 5)), np.zeros((1, 5)), *WEIGHTS)  # rows, not 1-d parts
+    with pytest.raises(LengthMismatch, match=r"^texture_part must be a float array of shape"):
+        fuse(np.zeros(5), np.zeros((2, 5)), *WEIGHTS)
+    with pytest.raises(LengthMismatch, match="^z-normalization needs length >= 2, got 1$"):
+        fuse(np.zeros(1), np.zeros(1), *WEIGHTS)
