@@ -113,7 +113,7 @@ def train_finger(
     Row ``i`` of the ``(n, K)`` ``distances`` and ``bits`` and
     ``minutia_counts[i]`` describe enrollment impression ``i``, and
     ``population_mean`` and ``cluster_weights`` hold one value per cluster;
-    any other shapes raise ``LengthMismatch``.
+    any other shapes raise ``LengthMismatch``, as does a power that overflows float64.
     """
     if any(np.iterable(a) and len(a) == 0 for a in (distances, bits, minutia_counts)):
         raise EmptyEnrollment(f"finger {finger_id!r} has no enrollment samples")
@@ -121,7 +121,12 @@ def train_finger(
         locals(), LengthMismatch, distances=(float, "n", "K"), bits=(bool, "n", "K"),
         minutia_counts=(float, "n"), population_mean=(float, "K"),
         cluster_weights=(float, "K"))
-    power = weights * _interclass_variance(d, mu)
+    # a clipped deviation's overflow is harmless; any other leaves power non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = weights * _interclass_variance(d, mu)
+    if not np.isfinite(power).all():
+        raise LengthMismatch("cluster_weights times the spread of distances below "
+                             "population_mean overflows float64")
     rel = b.mean(axis=0)
     n_mean = float(np.mean(counts))
     return FingerModel(

@@ -158,6 +158,15 @@ def check_arrays(record, error: type, *, freeze: bool = True, **fields) -> list:
     return arrays
 
 
+def check_squares(error: type, scale: float, **arrays) -> None:
+    """``error`` naming the first of ``arrays`` whose sum of squares times ``scale`` overflows."""
+    for name, array in arrays.items():
+        with np.errstate(over="ignore"):
+            bound = scale * np.vdot(array, array)
+        if not np.isfinite(bound):
+            raise error(f"{name}'s squares overflow float64")
+
+
 def check_instance(value, cls: type, name: str):
     """``value``, or ``LengthMismatch`` unless it is a ``cls``: the argument rule of a function
     that takes a record (a ``GrayImage``, ``BitString`` or ``FingerModel``) in place of arrays."""

@@ -136,9 +136,10 @@ def mbls_matrix(
     x, y = minutiae["x"], minutiae["y"]
     cos, sin = _cos_sin(minutiae["theta"])
     out = np.zeros((sel.size, geometry.n_m), dtype=np.float64)
-    dx = x[None, :] - x[sel, None]
-    dy = y[None, :] - y[sel, None]
-    rho = np.hypot(dx, dy)
+    with np.errstate(over="ignore"):  # a separation that overflows is out of range
+        dx = x[None, :] - x[sel, None]
+        dy = y[None, :] - y[sel, None]
+        rho = np.hypot(dx, dy)
     near = rho <= geometry.config.r_m
     near[np.arange(sel.size), sel] = False  # a minutia is not its own neighbor
     row, nbr = np.nonzero(near)  # grouped by output row, neighbors in order

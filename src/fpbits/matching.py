@@ -25,7 +25,8 @@ import numpy as np
 
 from .bit_training import FingerModel
 from .codebook import BitString
-from .errors import BadLength, EmptyImage, LengthMismatch, check_arrays, check_instance
+from .errors import (BadLength, EmptyImage, LengthMismatch, check_arrays, check_instance,
+                     check_squares)
 
 KIND_LGS = "lgs"
 KIND_INTERSECTION = "intersection"
@@ -86,7 +87,7 @@ def lgs_score(
 
     Raises:
         EmptyImage: either side has no vectors.
-        LengthMismatch: the two sides' vector lengths differ.
+        LengthMismatch: the two sides' vector lengths differ, or their squares overflow.
     """
     if any(np.iterable(v) and len(v) == 0 for v in (vectors_a, vectors_b)):
         raise EmptyImage("an impression with no fused vectors has no lgs score")
@@ -94,6 +95,8 @@ def lgs_score(
                         vectors_b=(float, None, "dim"))
     if a.size == 0 or b.size == 0:  # vectors of length 0
         raise EmptyImage("an impression with no fused vectors has no lgs score")
+    # a squared distance is at most 2 ||a_i||^2 + 2 ||b_j||^2
+    check_squares(LengthMismatch, 4.0, vectors_a=a, vectors_b=b)
     n_a, n_b = a.shape[0], b.shape[0]
     budget = _pair_budget(n_a, n_b, min_pairs, max_pairs, midpoint, steepness)
 

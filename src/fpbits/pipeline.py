@@ -54,20 +54,6 @@ DatasetDict = Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]]
 _STREAM_PCA_SUBSAMPLE = 101
 
 
-def raw_structures(
-    template: MinutiaTemplate,
-    image: GrayImage,
-    geometry: StructureGeometry,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Descriptors of both families, pre-projection: ``(n, n_m)`` and ``(n, n_t)``.
-
-    Row ``i`` of each belongs to ``template.minutiae[i]``.
-    """
-    mbls = mbls_matrix(template.minutiae, geometry)
-    tbls = tbls_matrix(template.minutiae, image, geometry)
-    return mbls, tbls
-
-
 def _require_minutiae(template: MinutiaTemplate) -> None:
     """``EmptyImage`` naming the impression unless its template has minutiae."""
     if len(template) == 0:
@@ -86,13 +72,14 @@ def fused_vectors(
     """
     _require_minutiae(template)
     cfg = model.config
-    mbls, tbls = raw_structures(template, image, model.geometry)
-    # project()'s product without its argument scan: the rows come from a checked
-    # template and image, and one more pass over the texture rows (about 1.6 MB at
-    # paper defaults) costs about 2% of a request
-    proj_m = np.ascontiguousarray(mbls - model.pca_m.mean) @ model.pca_m.basis
-    proj_t = np.ascontiguousarray(tbls - model.pca_t.mean) @ model.pca_t.basis
-    return fuse_matrix(proj_m, proj_t, cfg.omega_M, cfg.omega_T)
+    mbls = mbls_matrix(template.minutiae, model.geometry)
+    tbls = tbls_matrix(template.minutiae, image, model.geometry)
+    # project()'s product without its argument scan or its centred copy: the
+    # rows are fresh C-ordered matrices from a checked template and image
+    mbls -= model.pca_m.mean
+    tbls -= model.pca_t.mean
+    return fuse_matrix(mbls @ model.pca_m.basis, tbls @ model.pca_t.basis,
+                       cfg.omega_M, cfg.omega_T)
 
 
 def _subsample_rows(n_rows: int, cap: int, seed: int) -> np.ndarray:
@@ -109,47 +96,46 @@ def _subsample_rows(n_rows: int, cap: int, seed: int) -> np.ndarray:
 
 
 def _fit_family(
-    segments: Sequence[Tuple[int, Callable[[np.ndarray], np.ndarray]]],
+    rows_of: Callable[[int, np.ndarray], np.ndarray],
+    counts: Sequence[int],
     dim: int,
     config: PipelineConfig,
 ) -> Tuple[PcaModel, np.ndarray]:
     """Fit one descriptor family's subspace and project every one of its rows.
 
-    The family's rows come in ``segments``, one per impression: ``(n,
-    rows_at)`` holds ``n`` consecutive rows, and ``rows_at(local)`` returns
-    the ``(len(local), dim)`` rows at the local indices ``local``. Each row
-    is computed once. Pass 1 computes the subsample's rows straight into the
-    fit matrix, which the fit centres in place and which is kept. Pass 2
-    gathers each segment's centred rows, its kept subsample rows and its
-    other rows minus the mean, and projects them as one product, as
-    :func:`project` does: ``encode``'s projections bit for bit, save that
-    with a cap, minutia rows from ``mbls_matrix(refs=...)`` can differ in
-    their last bits (within 1e-12). Memory is the fit matrix, the fit's
-    Gram or covariance matrix and one segment.
+    Impression ``i`` holds ``counts[i]`` consecutive rows, and ``rows_of(i,
+    local)`` returns its ``(len(local), dim)`` rows at the local indices
+    ``local``. Each row is computed once. Pass 1 computes the subsample's
+    rows straight into the fit matrix, which the fit centres in place and
+    which is kept. Pass 2 gathers each impression's centred rows, its kept
+    subsample rows and its other rows minus the mean, and projects them as
+    one product, as :func:`project` does: ``encode``'s projections bit for
+    bit, save that with a cap, minutia rows from ``mbls_matrix(refs=...)``
+    can differ in their last bits (within 1e-12). Memory is the fit matrix,
+    the fit's Gram or covariance matrix and one impression's rows.
     """
-    sizes = [n for n, _ in segments]
-    starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    starts = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
     n_rows = int(starts[-1])
     sub = _subsample_rows(n_rows, config.pca_subsample, config.seed)
-    # segment i's subsample rows are x[pos[i]:pos[i + 1]]
+    # impression i's subsample rows are x[pos[i]:pos[i + 1]]
     pos = np.searchsorted(sub, starts)
 
     x = np.empty((sub.size, dim), dtype=np.float64)
-    for (_, rows_at), lo, a, b in zip(segments, starts, pos[:-1], pos[1:]):
+    for i, (lo, a, b) in enumerate(zip(starts, pos[:-1], pos[1:])):
         if b > a:
-            x[a:b] = rows_at(sub[a:b] - lo)
+            x[a:b] = rows_of(i, sub[a:b] - lo)
     pca = train_pca_inplace(x, config.n_p)
 
     in_sub = np.zeros(n_rows, dtype=bool)
     in_sub[sub] = True
-    buf = np.empty((max(sizes, default=0), dim), dtype=np.float64)
+    buf = np.empty((max(counts, default=0), dim), dtype=np.float64)
     out = np.empty((n_rows, config.n_p), dtype=np.float64)
-    for (n, rows_at), lo, a, b in zip(segments, starts, pos[:-1], pos[1:]):
+    for i, (n, lo, a, b) in enumerate(zip(counts, starts, pos[:-1], pos[1:])):
         if b - a == n:
             rows = x[a:b]
         else:
             mine = in_sub[lo : lo + n]
-            fresh = rows_at(np.flatnonzero(~mine))
+            fresh = rows_of(i, np.flatnonzero(~mine))
             fresh -= pca.mean
             rows = buf[:n]
             rows[mine] = x[a:b]
@@ -181,16 +167,10 @@ def train_model(
         raise EmptyTrainingSet("training dataset is empty")
     geometry = StructureGeometry.from_config(config)
     keys = sorted(items.keys())
-    for key in keys:
-        _require_minutiae(items[key][0])
-    counts = [len(items[key][0]) for key in keys]
-
-    # one impression's rows of either family at the given minutia indices
-    def minutia_rows(template, _):
-        return lambda local: mbls_matrix(template.minutiae, geometry, refs=local)
-
-    def texture_rows(template, image):
-        return lambda local: tbls_matrix(template.minutiae[local], image, geometry)
+    templates = [items[key][0] for key in keys]
+    for template in templates:
+        _require_minutiae(template)
+    counts = [len(template) for template in templates]
 
     if verbose:
         print(
@@ -201,14 +181,12 @@ def train_model(
     # the minutia fit matrix alive, and before the minutia fit has left its
     # freed matrices resident in the heap, which lowers the peak RSS
     pca_t, proj_t = _fit_family(
-        [(n, texture_rows(*items[key])) for key, n in zip(keys, counts)],
-        geometry.n_t,
-        config,
+        lambda i, local: tbls_matrix(templates[i].minutiae[local], items[keys[i]][1], geometry),
+        counts, geometry.n_t, config,
     )
     pca_m, proj_m = _fit_family(
-        [(n, minutia_rows(*items[key])) for key, n in zip(keys, counts)],
-        geometry.n_m,
-        config,
+        lambda i, local: mbls_matrix(templates[i].minutiae, geometry, refs=local),
+        counts, geometry.n_m, config,
     )
     fused = fuse_matrix(proj_m, proj_t, config.omega_M, config.omega_T)
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ArrayRecord, LengthMismatch, MalformedHeader, RankDeficient,
-                     TooFewSamples, check_arrays)
+                     TooFewSamples, check_arrays, check_squares)
 
 _RANK_TOL = 1e-10
 # seed of the Lanczos start vector; a fixed start makes every fit repeat
@@ -211,10 +211,12 @@ def fuse(
     """:func:`fuse_matrix` of one minutia's two projected vectors.
 
     Raises:
-        LengthMismatch: the parts are not two 1-d rows of one length >= 2.
+        LengthMismatch: the parts are not two 1-d rows of one length >= 2, or overflow.
     """
     a, b = check_arrays(locals(), LengthMismatch, minutia_part=(float, "n_p"),
                         texture_part=(float, "n_p"))
     if a.shape[0] < 2:
         raise LengthMismatch(f"z-normalization needs length >= 2, got {a.shape[0]}")
+    # a centred value is at most twice the largest, and its square sums no larger
+    check_squares(LengthMismatch, 4.0, minutia_part=a, texture_part=b)
     return fuse_matrix(a[None, :], b[None, :], weight_m, weight_t)[0]

@@ -89,7 +89,7 @@ from fpbits.errors import (
     LengthMismatch,
     PoolTooSmall,
 )
-from fpbits.local_structures import StructureGeometry
+from fpbits.local_structures import StructureGeometry, mbls_matrix, tbls_matrix
 from fpbits.matching import KIND_INTERSECTION, KIND_LGS, MatchScore, _pair_budget
 from fpbits.model_store import PipelineModel
 from fpbits.pipeline import (
@@ -97,7 +97,6 @@ from fpbits.pipeline import (
     DatasetDict,
     _grid_keys,
     fused_vectors,
-    raw_structures,
 )
 from fpbits.protocol import (
     Pair,
@@ -784,7 +783,8 @@ def train_model_oracle(items, config) -> PipelineModel:
     bounds = np.concatenate([[0], np.cumsum(counts)])
     for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
         template, image = items[key]
-        m_matrix[lo:hi], t_matrix[lo:hi] = raw_structures(template, image, geometry)
+        m_matrix[lo:hi] = mbls_matrix(template.minutiae, geometry)
+        t_matrix[lo:hi] = tbls_matrix(template.minutiae, image, geometry)
 
     def project_each(pca, matrix):
         # one product per impression, as encode_impression forms it

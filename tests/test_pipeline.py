@@ -21,7 +21,12 @@ from fpbits.codebook import (
 
 from fpbits.config import PipelineConfig
 from fpbits.errors import EmptyImage, EmptyScores, EmptyTrainingSet, ModelMissing, check_arrays
-from fpbits.local_structures import StructureGeometry, normalize_image
+from fpbits.local_structures import (
+    StructureGeometry,
+    mbls_matrix,
+    normalize_image,
+    tbls_matrix,
+)
 from fpbits.model_store import load_model, save_model
 from fpbits.matching import fold_compress, lgs_score
 from fpbits.pipeline import (
@@ -36,7 +41,6 @@ from fpbits.pipeline import (
     evaluate_split,
     fused_vectors,
     lgs_scores,
-    raw_structures,
     train_model,
 )
 from fpbits.protocol import compute_eer
@@ -116,10 +120,11 @@ def test_reloaded_model_encodes_identically(small_run):
         assert fitted.bits == loaded.bits
 
 
-def test_raw_structures_match_oracles(small_run):
+def test_extractors_match_oracles(small_run):
     items, model = small_run
     template, image = items[sorted(items)[0]]
-    mbls, tbls = raw_structures(template, image, model.geometry)
+    mbls = mbls_matrix(template.minutiae, model.geometry)
+    tbls = tbls_matrix(template.minutiae, image, model.geometry)
     norm = normalize_image(image)
     ms = minutia_objects(template.minutiae)
     want_m = np.array([build_mbls(m, ms, model.geometry) for m in ms])
@@ -133,11 +138,11 @@ def test_fused_matrix_matches_per_row_project_and_fuse(small_run):
     cfg = model.config
     for key in sorted(items)[:4]:
         template, image = items[key]
-        mbls, tbls = raw_structures(template, image, model.geometry)
         want = np.array([
             fuse(project_vector(model.pca_m, m), project_vector(model.pca_t, t),
                  cfg.omega_M, cfg.omega_T)
-            for m, t in zip(mbls, tbls)
+            for m, t in zip(mbls_matrix(template.minutiae, model.geometry),
+                            tbls_matrix(template.minutiae, image, model.geometry))
         ])
         got = fused_vectors(template, image, model)
         assert got.shape == (len(template), 2 * cfg.n_p)
@@ -317,9 +322,10 @@ def encode_projections(items, model):
     """``encode``'s projected rows of both families, in fit order."""
     rows_m, rows_t = [], []
     for key in sorted(items):
-        mbls, tbls = raw_structures(*items[key], model.geometry)
-        rows_m.append(project(model.pca_m, mbls))
-        rows_t.append(project(model.pca_t, tbls))
+        template, image = items[key]
+        rows_m.append(project(model.pca_m, mbls_matrix(template.minutiae, model.geometry)))
+        rows_t.append(project(model.pca_t, tbls_matrix(template.minutiae, image,
+                                                       model.geometry)))
     return np.concatenate(rows_m), np.concatenate(rows_t)
 
 
@@ -338,6 +344,33 @@ def test_capped_fit_projects_texture_rows_bit_for_bit(capped_run, monkeypatch):
     assert np.array_equal(proj_t.view(np.uint64), want_t.view(np.uint64))
     # minutia rows of a reference subset may differ in their last bits
     assert np.max(np.abs(proj_m - want_m)) <= MBLS_TOL
+
+
+@pytest.mark.parametrize("run", ["small_run", "capped_run"])
+def test_the_fit_asks_for_every_row_once_per_family(run, request, monkeypatch):
+    items, config = request.getfixturevalue(run)
+    config = getattr(config, "config", config)  # small_run holds a fitted model
+    by_minutiae = {id(t.minutiae): key for key, (t, _) in items.items()}
+    by_image = {id(image): key for key, (_, image) in items.items()}
+    refs_asked = {key: [] for key in items}
+    texture_rows = dict.fromkeys(items, 0)
+    mbls, tbls = pipeline.mbls_matrix, pipeline.tbls_matrix
+
+    def count_mbls(minutiae, geometry, refs=None):
+        local = range(len(minutiae)) if refs is None else np.asarray(refs).tolist()
+        refs_asked[by_minutiae[id(minutiae)]].extend(local)
+        return mbls(minutiae, geometry, refs=refs)
+
+    def count_tbls(minutiae, image, geometry):
+        texture_rows[by_image[id(image)]] += len(minutiae)
+        return tbls(minutiae, image, geometry)
+
+    monkeypatch.setattr(pipeline, "mbls_matrix", count_mbls)
+    monkeypatch.setattr(pipeline, "tbls_matrix", count_tbls)
+    train_model(items, config)
+    for key, (template, _) in items.items():
+        assert sorted(refs_asked[key]) == list(range(len(template))), key
+        assert texture_rows[key] == len(template), key
 
 
 def fit_peak_bytes(fit, items, config):
@@ -421,9 +454,8 @@ def test_empty_impression_is_named_before_extraction(small_run, monkeypatch):
     def extract(*args, **kwargs):
         raise AssertionError("an empty impression reached extraction")
 
-    # encode and lgs extract through raw_structures, train through the two
-    # matrix builders
-    for extractor in ("raw_structures", "mbls_matrix", "tbls_matrix"):
+    # encode, lgs and train all extract through the two matrix builders
+    for extractor in ("mbls_matrix", "tbls_matrix"):
         monkeypatch.setattr(pipeline, extractor, extract)
     with_empty = {**items, sorted(items)[0]: (empty, image)}
     name = f"{template.subject_id}/{template.impression_id}"

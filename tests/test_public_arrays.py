@@ -78,6 +78,13 @@ def _swaps(array, optional=False):
     shape, ragged = array.shape, [[0.0, 1.0], [0.0]]
     swaps = [(f"{rank}-d", np.resize(array, (2,) * rank)) for rank in range(4)
              if rank != array.ndim]
+    if array.dtype.kind == "f":  # finite values whose squares, sums or spreads overflow
+        swaps += [("1e200", np.full(shape, 1e200)),
+                  ("±1e200", np.resize([1e200, -1e200], shape))]
+    if array.dtype == MINUTIA_DTYPE:  # finite positions whose separations overflow
+        far = array.copy()
+        far["x"] = far["y"] = np.resize([1e308, -1e308], shape)
+        swaps.append(("±1e308 positions", far))
     return swaps + [
         ("empty", array[:0]),
         ("longer", np.resize(array, (shape[0] + 1,) + shape[1:])),
@@ -230,6 +237,34 @@ def train_finger_with(**wrong):
 def test_narrowed_arguments_are_refused_not_cast(name, call):
     with pytest.raises(LengthMismatch):
         call()
+
+
+ALTERNATING = np.resize([1e200, -1e200], 5)
+
+
+@pytest.mark.parametrize("argument, call", [
+    ("vectors_a", lambda: fpbits.lgs_score(np.resize([1e154, -1e154], (5, 4)), D[:, :4],
+                                           **PAIR_ARGS)),
+    ("vectors_b", lambda: fpbits.lgs_score(D[:, :4], np.full((5, 4), 1e154), **PAIR_ARGS)),
+    ("minutia_part", lambda: fpbits.fuse(ALTERNATING, D[1], 0.6, 0.4)),
+    ("texture_part", lambda: fpbits.fuse(D[0], ALTERNATING, 0.6, 0.4)),
+    ("population_mean", lambda: train_finger_with(population_mean=np.full(5, 1e200))),
+    ("cluster_weights", lambda: train_finger_with(cluster_weights=np.full(5, 1e300),
+                                                  population_mean=D.mean(axis=0) + 1e5)),
+], ids=["lgs_score.a", "lgs_score.b", "fuse.m", "fuse.t", "train_finger.mean",
+        "train_finger.weights"])
+def test_finite_arguments_that_overflow_are_refused(argument, call):
+    with pytest.raises(LengthMismatch, match=argument):
+        call()
+
+
+def test_mbls_separations_that_overflow_are_out_of_range():
+    far = MINUTIAE.copy()
+    far["x"] = far["y"] = np.resize([1e308, -1e308], len(far))
+    rows = fpbits.mbls_matrix(far, GEOMETRY)
+    # two groups of coincident minutiae: each minutia is a neighbour within its group only
+    assert np.array_equal(rows[::2], fpbits.mbls_matrix(far[::2], GEOMETRY))
+    assert np.array_equal(rows[1::2], fpbits.mbls_matrix(far[1::2], GEOMETRY))
 
 
 @pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros((0, 5)), np.zeros((0, 5, 1))],
