@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .errors import MalformedHeader
 from .template_io import read_text
 
@@ -88,6 +90,11 @@ _CONFIG_RULES = (
      lambda v: v >= 1, ">= 1"),
     (("seed", "pca_subsample"), lambda v: v >= 0, ">= 0"),
 )
+
+
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent deterministic generator for one (seed, purpose, ...) key."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *key])))
 
 
 def check_fields(values: Mapping, kinds: Mapping[str, type], error: type, rules=()) -> dict:

@@ -28,7 +28,7 @@ from .codebook import (
     global_mean,
     kmeans_train,
 )
-from .config import PipelineConfig
+from .config import PipelineConfig, keyed_rng
 from .errors import EmptyImage, EmptyScores, EmptyTrainingSet, ModelMissing
 from .local_structures import StructureGeometry, mbls_matrix, tbls_matrix
 from .matching import (
@@ -46,7 +46,6 @@ from .subspace_fusion import (
     fuse_matrix,
     train_pca_inplace,
 )
-from .synth import keyed_rng
 from .template_io import GrayImage, MinutiaTemplate
 
 DatasetDict = Dict[Tuple[str, str], Tuple[MinutiaTemplate, GrayImage]]
@@ -383,36 +382,28 @@ def evaluate_split(
     split = split_keys(encoded, model.config.enroll_size)
     if not split:
         raise EmptyScores("no subjects to enroll and verify")
-    subjects = sorted(split.keys())
-    fingers = []  # in subject order
-    for s in subjects:
-        enroll_keys, held_out = split[s]
-        if not enroll_keys or not held_out:
-            raise EmptyTrainingSet(
-                f"subject {s!r} lacks impressions for an enroll/test split"
-            )
+    fingers, test_keys, firsts = [], [], []  # in subject order
+    for s, (enroll_keys, held_out) in sorted(split.items()):
+        if not held_out:  # enroll_size >= 1: every subject has enroll keys
+            raise EmptyTrainingSet(f"subject {s!r} lacks impressions for an enroll/test split")
         fingers.append(enroll_subject(s, [encoded[k] for k in enroll_keys], model))
+        firsts.append(len(test_keys))
+        test_keys += held_out
 
-    n_s = len(subjects)
-    # fingers enrolled under one model share its K
-    references = np.array([finger.reference for finger in fingers])
-    masks = np.array([finger.mask for finger in fingers])
-    test_keys = [key for s in subjects for key in split[s][1]]
-    queries = stack_bits([encoded[key].bits for key in test_keys])
-    counts = [len(split[s][1]) for s in subjects]
-    # genuine: every held-out impression against its own subject's reference
-    g_query = np.arange(len(test_keys))
-    g_ref = np.repeat(np.arange(n_s), counts)
+    # genuine: every held-out impression against its own subject's reference;
     # impostor: reference s against every other subject t's first held-out
     # impression, s-major as the attempts are listed
+    n_s, n_g = len(fingers), len(test_keys)
     i_ref, other = np.nonzero(~np.eye(n_s, dtype=bool))
-    i_query = np.cumsum([0] + counts[:-1], dtype=np.int64)[other]
-    query = queries[np.concatenate([g_query, i_query])]
-    ref = np.concatenate([g_ref, i_ref])
-    plain = intersection_scores(query, references[ref])
-    trained = masked_scores(query, references[ref], masks[ref], model.config.mask_both)
+    query = np.concatenate([np.arange(n_g), np.asarray(firsts)[other]])
+    ref = np.concatenate([np.repeat(np.arange(n_s), np.diff(firsts + [n_g])), i_ref])
+    queries = stack_bits([encoded[key].bits for key in test_keys])[query]
+    # fingers enrolled under one model share its K
+    references = np.array([finger.reference for finger in fingers])[ref]
+    masks = np.array([finger.mask for finger in fingers])[ref]
+    plain = intersection_scores(queries, references)
+    trained = masked_scores(queries, references, masks, model.config.mask_both)
 
-    n_g = g_query.size
     return SplitEvaluation(
         trained=compute_eer(trained[:n_g], trained[n_g:]),
         untrained=compute_eer(plain[:n_g], plain[n_g:]),

@@ -85,11 +85,12 @@ def _operating_points(
 
 
 def _hull_eer(points: np.ndarray) -> float:
-    """Diagonal crossing of the lower convex hull of (FAR, FRR) points."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
+    """Diagonal crossing of the lower convex hull of unique (FAR, FRR) points in lexsort order.
+
+    From FAR 0 on or above the diagonal to (1, 0) below it, the hull meets the
+    diagonal at a vertex or first crosses it downward; no other case can run."""
     hull: List[np.ndarray] = []
-    for p in pts:
+    for p in points:
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
@@ -104,11 +105,9 @@ def _hull_eer(points: np.ndarray) -> float:
         db = b[1] - b[0]
         if da == 0.0:
             return float(a[0])
-        if (da > 0.0 > db) or (da < 0.0 < db):
+        if da > 0.0 > db:
             t = da / (da - db)
             return float(a[0] + t * (b[0] - a[0]))
-    # hull ends exactly on the diagonal
-    return float(hull[-1][0])
 
 
 def compute_eer(

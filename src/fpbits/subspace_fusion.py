@@ -139,7 +139,9 @@ def train_pca_inplace(x: np.ndarray, n_components: int) -> PcaModel:
         xc -= mean  # in place, as the caller allowed
         # Gram trick: eigenvectors of (Xc Xc^T) map onto covariance
         # eigenvectors through Xc^T, sharing the nonzero spectrum.
-        sym = xc @ xc.T if n < dim else (xc.T @ xc) / (n - 1)
+        sym = xc @ xc.T if n < dim else xc.T @ xc
+        if n >= dim:
+            sym /= n - 1  # in place: one (dim, dim) matrix, not two
     # by Cauchy-Schwarz the diagonal bounds every other entry
     if not np.isfinite(sym.diagonal()).all():
         raise LengthMismatch("samples' products overflow float64")

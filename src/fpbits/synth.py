@@ -24,18 +24,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .config import check_record
+from .config import check_record, keyed_rng
 from .errors import ArrayRecord, FieldOutOfRange
 from .template_io import MINUTIA_DTYPE, GrayImage, MinutiaTemplate
 
 _STREAM_MASTER = 1
 _STREAM_IMPRESSION = 2
 _STREAM_NOISE = 3
-
-
-def keyed_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent deterministic generator for one (seed, purpose, ...) key."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *key])))
 
 
 # fixed settings of every dataset

@@ -12,6 +12,9 @@ exempt.
 A name with one leading underscore belongs to its module: no other package
 module imports it or reads it as ``module._name``.
 
+Only ``cli`` imports ``synth``: the fit, the request and the evaluation load
+no renderer, and the synthetic data reaches them as a dataset.
+
 A template's minutiae are one structured array, read by column. Only
 ``template_io``, which parses and writes them one text line each, and
 ``synth``, which draws them one at a time, iterate over them in Python.
@@ -196,6 +199,48 @@ def test_the_check_sees_private_reads():
         (12, "codebook._sq_norms"),
         (13, "pipeline._split_keys"),
     ]
+
+
+def synth_imports(tree):
+    """Line of each import of the package's ``synth`` module in ``tree``.
+
+    Seen are ``from .synth import ...``, ``from . import synth``, their
+    ``fpbits`` spellings and ``import fpbits.synth``, at any depth.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            if source in (".synth", "fpbits.synth") or (
+                    source in (".", "fpbits") and any(a.name == "synth" for a in node.names)):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name == "fpbits.synth" for a in node.names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_cli_imports_synth(path):
+    lines = synth_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert path.name == "cli.py" or not lines, f"{path.name}: imports synth at lines {lines}"
+
+
+def test_the_check_sees_synth_imports():
+    tree = ast.parse(
+        "from .synth import keyed_rng\n"
+        "from . import codebook, synth as s\n"
+        "from fpbits.synth import SynthParams\n"
+        "from fpbits import synth\n"
+        "import fpbits.synth\n"
+        "from .config import keyed_rng, synth\n"
+        "import synth\n"
+        "from numpy import synth\n"
+        "def f():\n"
+        "    from .synth import render\n"
+        "    return render\n"
+    )
+    # a name of another module, or another package's synth, is not the module
+    assert synth_imports(tree) == [1, 2, 3, 4, 5, 10]
 
 
 # builtins that iterate over an argument

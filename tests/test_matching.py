@@ -172,8 +172,10 @@ def test_lgs_identical_sets_score_zero():
 def test_lgs_empty_side():
     a = np.zeros((0, 3))
     b = np.ones((2, 3))
-    for x, y in ((a, b), (b, a), (a, a)):
-        with pytest.raises(EmptyImage):
+    c = np.zeros((3, 0))  # rows, but vectors of length 0
+    for x, y in ((a, b), (b, a), (a, a), (c, c[:2])):
+        with pytest.raises(EmptyImage, match="^an impression with no fused vectors has no lgs "
+                                             "score$"):
             lgs_score(x, y, **pair_args())
 
 

@@ -41,6 +41,7 @@ from fpbits.pipeline import (
     evaluate_split,
     fused_vectors,
     lgs_scores,
+    split_keys,
     train_model,
 )
 from fpbits.protocol import compute_eer
@@ -417,6 +418,11 @@ def test_empty_and_single_minutia_impressions(small_run):
     assert enc.n_minutiae == 1 and len(enc.distances) == model.codebook.k
 
 
+def test_fit_refuses_an_empty_dataset(small_run):
+    with pytest.raises(EmptyTrainingSet, match="^training dataset is empty$"):
+        train_model({}, small_run[1].config)
+
+
 @pytest.mark.parametrize("keep", [0, 1, 3, None])
 def test_sliced_template_encodes_like_its_text(small_run, keep):
     # the benchmark's sparse captures keep the first minutiae of a template
@@ -578,6 +584,19 @@ def test_split_matches_pair_loop(encoded_run, mask_both, enroll_size):
     assert_same_report(got.untrained, plain)
     assert got.n_genuine == trained.genuine_scores.size
     assert got.n_impostor == trained.impostor_scores.size
+
+
+def test_split_refuses_no_subjects_and_a_subject_with_nothing_held_out(encoded_run):
+    encoded, model = encoded_run
+    with pytest.raises(EmptyScores, match="^no subjects to enroll and verify$"):
+        evaluate_split({}, model)
+    # the second subject keeps only the impressions that enroll it
+    subject = sorted({key[0] for key in encoded})[1]
+    held_out = split_keys(encoded, model.config.enroll_size)[subject][1]
+    short = {key: e for key, e in encoded.items() if key not in held_out}
+    with pytest.raises(EmptyTrainingSet, match=f"^subject {subject!r} lacks impressions for an "
+                                               "enroll/test split$"):
+        evaluate_split(short, model)
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,19 @@ def test_eer_interpolated_crossing():
 
 def test_eer_against_pairwise_oracle():
     rng = np.random.default_rng(181)
+    cases = []
     for trial in range(40):
         n_g = int(rng.integers(1, 15))
         n_i = int(rng.integers(1, 15))
         g = np.round(rng.normal(0.6, 0.25, n_g), 2)
         im = np.round(rng.normal(0.4, 0.25, n_i), 2)
-        dissimilarity = trial % 2 == 0
+        cases.append((g, im, trial % 2 == 0))
+    # a set inverted under either polarity, and an all-equal set
+    low, high = np.array([0.1, 0.2, 0.2, 0.4]), np.array([0.3, 0.8, 0.9])
+    cases += [(g, im, dissimilarity) for g, im in
+              [(low, high), (high, low), (np.full(5, 0.5), np.full(3, 0.5))]
+              for dissimilarity in (False, True)]
+    for g, im, dissimilarity in cases:
         got = compute_eer(g, im, dissimilarity=dissimilarity).eer
         want = pairwise_oracle(g, im, dissimilarity)
         assert abs(got - want) < 1e-12
@@ -221,6 +228,8 @@ def assert_matches_loop(genuine, impostor, dissimilarity):
     sign = -1.0 if dissimilarity else 1.0
     _, corners = protocol._operating_points(sign * g, sign * im)
     assert corners.tobytes() == want_corners.tobytes()
+    # the hull takes the corners as they come: np.unique left them in lexsort order
+    assert np.array_equal(np.lexsort((corners[:, 1], corners[:, 0])), np.arange(len(corners)))
     assert report.eer == protocol._hull_eer(want_corners)
 
 

@@ -1,6 +1,7 @@
 """Subspace training, projection, and descriptor fusion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,26 @@ def test_train_pca_refuses_samples_whose_products_overflow(n_samples):
     x = np.random.default_rng(71).normal(size=(n_samples, 30)) * 1e200
     with pytest.raises(LengthMismatch, match="^samples' products overflow float64$"):
         train_pca(x, 2)
+
+
+def test_covariance_branch_holds_one_matrix(monkeypatch):
+    # dim 180 keeps the covariance under the 256 KiB from which numpy may reuse a
+    # temporary's buffer for `/`: only an in-place division holds one matrix here
+    n, dim = 400, 180
+    x = np.random.default_rng(137).normal(size=(n, dim))
+    real, peaks = subspace_fusion._top_eigenpairs, []
+
+    def spy(sym, k):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return real(sym, k)
+
+    monkeypatch.setattr(subspace_fusion, "_top_eigenpairs", spy)
+    tracemalloc.start()
+    try:
+        train_pca_inplace(x, 2)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 1.5 * dim * dim * 8, peaks
 
 
 def test_small_matrix_takes_dense_path(eigsh_calls):

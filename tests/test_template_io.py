@@ -356,6 +356,8 @@ def test_pgm_errors():
         read_pgm(b"P5\n2 x\n255\n\x00\x00\x00\x00")
     with pytest.raises(MalformedHeader):
         read_pgm(b"P5\n2 2")
+    with pytest.raises(MalformedHeader, match="^bad PGM dimensions 0x4$"):
+        read_pgm(b"P5 0 4 255\n")
     with pytest.raises(DimensionMismatch):
         read_pgm(b"P5\n2 2\n255\n\x00\x00\x00")
 
