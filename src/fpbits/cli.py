@@ -52,6 +52,7 @@ from .template_io import (
     read_pgm,
     read_text,
     serialize_text_template,
+    text_lines,
     write_pgm,
 )
 
@@ -195,8 +196,7 @@ def cmd_enroll(args) -> int:
 
 def _read_pairs(path: str) -> List[Tuple[str, str, str, str]]:
     pairs = []
-    # text mode has already turned every line ending into "\n"
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, raw in enumerate(text_lines(read_text(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

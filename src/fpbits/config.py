@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import MalformedHeader
-from .template_io import read_text
+from .template_io import read_text, text_lines
 
 MAX_LATTICE_RADIUS = 128  # px of whole radius, about 51,000 points: see lattice_radii
 
@@ -153,7 +153,7 @@ def parse_config(text: str, base: Optional[PipelineConfig] = None) -> PipelineCo
         PipelineConfig()
     )
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

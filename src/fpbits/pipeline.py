@@ -291,30 +291,20 @@ def evaluate_fvc_bits(
     encoded: Dict[Tuple[str, str], EncodedImpression],
     fold_to: Optional[int] = None,
 ) -> ProtocolReport:
-    """Competition pairing over per-impression bit-strings (similarity)."""
-    return _fvc_bit_reports(encoded, [fold_to])[0]
+    """Competition pairing over per-impression bit-strings (similarity).
 
-
-def _fvc_bit_reports(
-    encoded: Dict[Tuple[str, str], EncodedImpression],
-    lengths: Sequence[Optional[int]],
-) -> List[ProtocolReport]:
-    """One competition-pairing report per fold length (``None``: unfolded).
-
-    The grid's strings form one subject-major bit matrix; every length
-    scores all genuine and impostor attempts in one batch call.
+    The grid's strings, folded unless ``fold_to`` is ``None``, form one
+    subject-major matrix; all attempts are scored in one batch call.
     """
     keys, n_subjects, n_impressions = _grid_keys(encoded)
     genuine, impostor = fvc_pair_rows(n_subjects, n_impressions)
-    grid = stack_bits([encoded[key].bits for key in keys])
+    bits = stack_bits([encoded[key].bits for key in keys])
+    if fold_to is not None:
+        bits = fold_bits(bits, fold_to)
     pairs = np.concatenate([genuine, impostor])
+    values = intersection_scores(bits[pairs[:, 0]], bits[pairs[:, 1]])
     n_g = genuine.shape[0]
-    reports = []
-    for length in lengths:
-        bits = grid if length is None else fold_bits(grid, length)
-        values = intersection_scores(bits[pairs[:, 0]], bits[pairs[:, 1]])
-        reports.append(compute_eer(values[:n_g], values[n_g:]))
-    return reports
+    return compute_eer(values[:n_g], values[n_g:])
 
 
 def lgs_scores(
@@ -417,8 +407,7 @@ def compression_sweep(
     lengths: Sequence[int],
 ) -> List[Tuple[int, float]]:
     """Bit-string matcher EER at each folded length (competition pairing)."""
-    reports = _fvc_bit_reports(encoded, lengths)
-    return [(length, report.eer) for length, report in zip(lengths, reports)]
+    return [(length, evaluate_fvc_bits(encoded, length).eer) for length in lengths]
 
 
 def _grid_keys(mapping: Dict[Tuple[str, str], object]):

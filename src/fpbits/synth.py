@@ -82,13 +82,22 @@ class OrientationField(ArrayRecord):
     phases: np.ndarray  # (2,)
 
     def at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        out = np.full(np.broadcast(x, y).shape, self.base, dtype=np.float64)
-        for k in range(2):
-            arg = 2.0 * math.pi * (self.freqs[k, 0] * x + self.freqs[k, 1] * y)
-            out = out + self.amps[k] * np.sin(arg + self.phases[k])
+        out, t, u = (np.empty(np.broadcast(x, y).shape) for _ in range(3))
+        self._into(x, y, out, t, u)
         return out
+
+    def _into(self, x, y, out: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
+        """Write the field at ``(x, y)`` into ``out``; ``t`` and ``u`` are scratch of its shape."""
+        out.fill(self.base)
+        for k in range(2):
+            np.multiply(self.freqs[k, 0], x, out=t)
+            np.multiply(self.freqs[k, 1], y, out=u)
+            t += u
+            t *= 2.0 * math.pi
+            t += self.phases[k]
+            np.sin(t, out=t)
+            t *= self.amps[k]
+            out += t
 
 
 @dataclass(eq=False)
@@ -176,7 +185,6 @@ def render_image(
     dy = np.arange(h, dtype=np.float64) - cy - translation[1]
     c_dx, ms_dx = c * dx, -s * dx
     s_dy, c_dy = (s * dy)[:, None], (c * dy)[:, None]
-    field = master.f_field
     wave = 2.0 * math.pi * RIDGE_FREQ
 
     rows = scratch.shape[1] // w
@@ -188,17 +196,7 @@ def render_image(
         xm += cx
         np.add(ms_dx, c_dy[r0:r1], out=ym)
         ym += cy
-        # orientation field: base plus two slow waves
-        phi.fill(field.base)
-        for k in range(2):
-            np.multiply(field.freqs[k, 0], xm, out=t)
-            np.multiply(field.freqs[k, 1], ym, out=u)
-            t += u
-            t *= 2.0 * math.pi
-            t += field.phases[k]
-            np.sin(t, out=t)
-            t *= field.amps[k]
-            phi += t
+        master.f_field._into(xm, ym, phi, t, u)
         # oscillate across the local ridge direction
         np.sin(phi, out=t)
         np.cos(phi, out=phi)

@@ -164,8 +164,18 @@ def read_text(path: str) -> str:
         text = read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"{path}: not UTF-8 text: {exc.reason}") from None
-    # universal newlines: "\r\n" and a lone "\r" end a line as "\n" does
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    """``text`` with each "\\r\\n" and lone "\\r" made the "\\n" that text mode reads."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def text_lines(text: str) -> List[str]:
+    """``str.splitlines``, but only "\\n", "\\r\\n" and "\\r" end a line, as in :func:`read_text`."""
+    lines = _universal_newlines(text).split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def parse_text_template(
@@ -191,7 +201,7 @@ def parse_text_template(
         FieldOutOfRange: a coordinate, kind or quality violates its range.
         AngleUnparseable: a direction field is not a finite number.
     """
-    lines = text.splitlines()
+    lines = text_lines(text)
     if not lines:
         raise MalformedHeader("empty input")
 

@@ -53,6 +53,14 @@ itself. The public one-row views in ``fpbits`` (``build_mbls``,
   extracts every impression's fused matrix in sorted key order, then scores
   each attempt through ``lgs_match``, the config-bound ``lgs_score``.
   ``fpbits.pipeline.evaluate_fvc_lgs`` must give identical score arrays.
+* The per-length bit evaluation: ``fvc_bit_reports_oracle`` stacks the
+  grid's strings once and folds and scores them at each length in turn.
+  ``fpbits.pipeline.evaluate_fvc_bits`` must give an identical report at
+  every length, and ``compression_sweep`` its EERs.
+* The orientation field as ``render_image`` wrote it inline:
+  ``orientation_field_oracle``. ``OrientationField.at`` and the routine
+  ``render_image`` calls on its band buffers must give identical arrays;
+  ``ridge_texture``, and so ``render_image_oracle``, reads the field here.
 * The vector-taking codebook statistics ``estimate_radii``,
   ``cluster_cardinalities``, ``encode_bitstring`` and ``distance_vector``,
   each computing its own distance matrix, and the sorted-greedy
@@ -90,11 +98,20 @@ from fpbits.errors import (
     PoolTooSmall,
 )
 from fpbits.local_structures import StructureGeometry, mbls_matrix, tbls_matrix
-from fpbits.matching import KIND_INTERSECTION, KIND_LGS, MatchScore, _pair_budget
+from fpbits.matching import (
+    KIND_INTERSECTION,
+    KIND_LGS,
+    MatchScore,
+    _pair_budget,
+    fold_bits,
+    intersection_scores,
+    stack_bits,
+)
 from fpbits.model_store import PipelineModel
 from fpbits.pipeline import (
     _STREAM_PCA_SUBSAMPLE,
     DatasetDict,
+    EncodedImpression,
     _grid_keys,
     fused_vectors,
 )
@@ -827,9 +844,28 @@ def train_model_oracle(items, config) -> PipelineModel:
     )
 
 
+def orientation_field_oracle(
+    field: OrientationField, xm: np.ndarray, ym: np.ndarray
+) -> np.ndarray:
+    """The field at ``(xm, ym)``: base plus two slow waves, as ``render_image`` had it inline."""
+    phi = np.empty(np.broadcast(xm, ym).shape)
+    t, u = np.empty_like(phi), np.empty_like(phi)
+    phi.fill(field.base)
+    for k in range(2):
+        np.multiply(field.freqs[k, 0], xm, out=t)
+        np.multiply(field.freqs[k, 1], ym, out=u)
+        t += u
+        t *= 2.0 * math.pi
+        t += field.phases[k]
+        np.sin(t, out=t)
+        t *= field.amps[k]
+        phi += t
+    return phi
+
+
 def ridge_texture(f_field: OrientationField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Analytic master texture value at master-frame coordinates."""
-    phi = f_field.at(xs, ys)
+    phi = orientation_field_oracle(f_field, xs, ys)
     # oscillate across the local ridge direction
     d = -xs * np.sin(phi) + ys * np.cos(phi)
     return 127.5 + RIDGE_AMP * np.sin(2.0 * math.pi * RIDGE_FREQ * d)
@@ -950,3 +986,25 @@ def evaluate_fvc_lgs_oracle(
     genuine = [score(a, b) for a, b in genuine_rows.tolist()]
     impostor = [score(a, b) for a, b in impostor_rows.tolist()]
     return compute_eer(genuine, impostor, dissimilarity=True)
+
+
+def fvc_bit_reports_oracle(
+    encoded: Dict[Tuple[str, str], EncodedImpression],
+    lengths: Sequence[Optional[int]],
+) -> List[ProtocolReport]:
+    """One competition-pairing report per fold length (``None``: unfolded).
+
+    The grid's strings form one subject-major bit matrix; every length
+    scores all genuine and impostor attempts in one batch call.
+    """
+    keys, n_subjects, n_impressions = _grid_keys(encoded)
+    genuine, impostor = fvc_pair_rows(n_subjects, n_impressions)
+    grid = stack_bits([encoded[key].bits for key in keys])
+    pairs = np.concatenate([genuine, impostor])
+    n_g = genuine.shape[0]
+    reports = []
+    for length in lengths:
+        bits = grid if length is None else fold_bits(grid, length)
+        values = intersection_scores(bits[pairs[:, 0]], bits[pairs[:, 1]])
+        reports.append(compute_eer(values[:n_g], values[n_g:]))
+    return reports

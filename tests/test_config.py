@@ -220,6 +220,17 @@ def test_radii_over_the_lattice_bound_are_refused_before_any_lattice_is_built(mo
     assert built == []
 
 
+# the line breaks str.splitlines takes besides "\n", "\r\n" and "\r"
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=[f"U+{ord(b):04X}" for b in OTHER_BREAKS])
+def test_config_lines_end_only_where_read_text_ends_them(brk):
+    assert parse_config(f"K = 7\n# note{brk}break\r\nn_p = 5\r") == PipelineConfig(K=7, n_p=5)
+    with pytest.raises(MalformedHeader, match="^config line 3: bad value 'x' for 'K'$"):
+        parse_config(f"n_p = 5\n# note{brk}break\nK = x\n")
+
+
 def test_load_config_rejects_non_utf8(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_bytes(b"r_m = 8\xff0\n")

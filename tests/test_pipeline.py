@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,7 @@ from oracles import (
     evaluate_fvc_lgs_oracle,
     extract_tbls,
     fuse,
+    fvc_bit_reports_oracle,
     fvc_pairs,
     global_mean,
     interclass_variance,
@@ -172,6 +174,41 @@ def test_encode_impression_matches_per_minutia_oracle_path(small_run):
         want = encode_bitstring_oracle(vectors, model.codebook, cfg.tau_s, cfg.top_t,
                                        cfg.gate_all)
         assert encode_impression(template, image, model).bits == want, key
+
+
+def test_encode_impression_is_reentrant(small_run):
+    # two threads encode different impressions at once, each a few times over
+    # so their calls overlap; every result equals the serial call's
+    items, model = small_run
+    keys = sorted(items)
+    serial = {key: encode_impression(*items[key], model) for key in keys}
+    halves = [keys[0::2], keys[1::2]]
+    results = [[], []]
+    start = threading.Barrier(2)
+
+    def work(side):
+        start.wait()
+        for _ in range(3):
+            results[side] += [(key, encode_impression(*items[key], model))
+                              for key in halves[side]]
+
+    threads = [threading.Thread(target=work, args=(side,)) for side in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(r) for r in results] == [3 * len(h) for h in halves]
+    for key, got in results[0] + results[1]:
+        want = serial[key]
+        assert got.bits == want.bits, key
+        assert got.distances.values.tobytes() == want.distances.values.tobytes(), key
+        assert got.n_minutiae == want.n_minutiae, key
 
 
 def test_the_request_path_checks_only_its_inputs(small_run, monkeypatch):
@@ -550,9 +587,27 @@ def test_fvc_bits_and_sweep_match_pair_loop_on_random_grid(k):
         assert_same_report(
             evaluate_fvc_bits(encoded, fold_to=length), loop_fvc_bits(encoded, length)
         )
+    assert_same_sweep(encoded, lengths)
+
+
+def assert_same_sweep(encoded, lengths):
+    """Each length's report, and the sweep's EERs, equal the per-length loop's."""
+    reports = fvc_bit_reports_oracle(encoded, [None] + lengths)
+    assert_same_report(evaluate_fvc_bits(encoded), reports[0])
+    for length, report in zip(lengths, reports[1:]):
+        assert_same_report(evaluate_fvc_bits(encoded, length), report)
     assert compression_sweep(encoded, lengths) == [
-        (length, loop_fvc_bits(encoded, length).eer) for length in lengths
+        (length, report.eer) for length, report in zip(lengths, reports[1:])
     ]
+
+
+def test_sweep_checks_the_grid_only_when_it_has_a_length():
+    bits = BitString(np.ones(8, dtype=bool))
+    encoded = {key: EncodedImpression(bits, DistanceVector(np.zeros(8)), 3)
+               for key in [("s1", "1"), ("s1", "2"), ("s2", "1")]}
+    with pytest.raises(EmptyTrainingSet, match="missing impression '2' of 's2'"):
+        compression_sweep(encoded, [4])
+    assert compression_sweep(encoded, []) == []
 
 
 @pytest.fixture(scope="module")
@@ -565,10 +620,7 @@ def test_fvc_bits_and_sweep_match_pair_loop_on_encodings(encoded_run):
     encoded, model = encoded_run
     k = model.codebook.k
     assert_same_report(evaluate_fvc_bits(encoded), loop_fvc_bits(encoded))
-    lengths = [k, k // 2, 5]
-    assert compression_sweep(encoded, lengths) == [
-        (length, loop_fvc_bits(encoded, length).eer) for length in lengths
-    ]
+    assert_same_sweep(encoded, [k, k // 2, 5])
 
 
 @pytest.mark.parametrize("mask_both", [True, False])

@@ -20,7 +20,12 @@ from fpbits.synth import (
     render_scratch,
     synth_dataset,
 )
-from oracles import minutia_objects, render_image_oracle, synth_dataset_oracle
+from oracles import (
+    minutia_objects,
+    orientation_field_oracle,
+    render_image_oracle,
+    synth_dataset_oracle,
+)
 from test_perfbench_names import traced_names
 
 
@@ -79,6 +84,32 @@ def test_renderer_matches_oracle_under_motion(monkeypatch, band_elements):
         want = render_image_oracle(master, params, rotation, translation, keyed_rng(3, 4))
         got = render(master, params, rotation, translation, keyed_rng(3, 4))
         assert np.array_equal(got, want.pixels)
+
+
+def test_field_routine_matches_inline_oracle_on_full_bands():
+    # the band buffers render_image hands the routine, and at()'s fresh arrays,
+    # against the field code render_image wrote inline, over whole 256x256 images
+    params = SynthParams(n_subjects=4)
+    scratch = render_scratch(params)
+    rows = scratch.shape[1] // params.width
+    xs, ys = np.meshgrid(np.arange(256.0), np.arange(256.0))
+    for s in range(params.n_subjects):
+        master = make_master(params, s)
+        field = master.f_field
+        for rotation in (0.0, 0.3):
+            c, sn = math.cos(rotation), math.sin(rotation)
+            xm, ym = c * xs + sn * ys - 9.5, -sn * xs + c * ys + 4.25
+            want = orientation_field_oracle(field, xm, ym)
+            assert np.array_equal(field.at(xm, ym), want)
+            for r0 in range(0, 256, rows):
+                band = slice(r0, r0 + rows)
+                x_b, y_b, phi, t, u = (b.reshape(rows, params.width) for b in scratch)
+                x_b[...], y_b[...] = xm[band], ym[band]
+                field._into(x_b, y_b, phi, t, u)
+                assert np.array_equal(phi, want[band])
+        # make_master reads the field one point at a time
+        for x, y in master.minutiae[["x", "y"]].tolist():
+            assert float(field.at(x, y)) == float(orientation_field_oracle(field, x, y))
 
 
 @pytest.mark.parametrize("workers", [1, 3])

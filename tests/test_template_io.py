@@ -27,6 +27,7 @@ from fpbits.template_io import (
     read_pgm,
     read_text,
     serialize_text_template,
+    text_lines,
     write_pgm,
 )
 from oracles import wrap_angle
@@ -321,6 +322,31 @@ def test_text_record_errors_carry_line_numbers():
         with pytest.raises(FieldOutOfRange) as e:
             parse_text_template(f"FPT 1 100 100\n5 5 0 T 50\n{line}\n")
         assert e.value.line == 3
+
+
+# the line breaks str.splitlines takes besides "\n", "\r\n" and "\r"
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=[f"U+{ord(b):04X}" for b in OTHER_BREAKS])
+def test_text_lines_end_only_where_read_text_ends_them(brk):
+    assert parse_text_template(f"FPT 1 100 100\n# note{brk}break\n5 5 0 T 50\n").minutiae.size == 1
+    with pytest.raises(FieldOutOfRange) as e:
+        parse_text_template(f"FPT 1 100 100\n# note{brk}break\n500 5 0 T 50\n")
+    assert e.value.line == 3
+    assert text_lines(f"a{brk}b\r\nc\rd\n\ne\n") == [f"a{brk}b", "c", "d", "", "e"]
+
+
+def test_text_lines_keep_the_splitlines_ends():
+    assert text_lines("") == []
+    assert text_lines("\n") == [""]
+    assert text_lines("a") == text_lines("a\n") == text_lines("a\r") == ["a"]
+    assert text_lines("a\n\n") == ["a", ""]
+    with pytest.raises(MalformedHeader, match="^empty input$"):
+        parse_text_template("")
+    with pytest.raises(FieldOutOfRange) as e:
+        parse_text_template("FPT 1 100 100\r\n# ok\r500 5 0 T 50\r")
+    assert e.value.line == 3
 
 
 def test_text_ids_pass_through():
