@@ -587,11 +587,14 @@ def test_fvc_bits_and_sweep_match_pair_loop_on_random_grid(k):
         assert_same_report(
             evaluate_fvc_bits(encoded, fold_to=length), loop_fvc_bits(encoded, length)
         )
-    assert_same_sweep(encoded, lengths)
+    assert compression_sweep(encoded, lengths) == [
+        (length, loop_fvc_bits(encoded, length).eer) for length in lengths
+    ]
+    assert_same_as_former_sweep(encoded, lengths)
 
 
-def assert_same_sweep(encoded, lengths):
-    """Each length's report, and the sweep's EERs, equal the per-length loop's."""
+def assert_same_as_former_sweep(encoded, lengths):
+    """Each length's report, and the sweep's EERs, equal the former per-length loop's."""
     reports = fvc_bit_reports_oracle(encoded, [None] + lengths)
     assert_same_report(evaluate_fvc_bits(encoded), reports[0])
     for length, report in zip(lengths, reports[1:]):
@@ -620,7 +623,15 @@ def test_fvc_bits_and_sweep_match_pair_loop_on_encodings(encoded_run):
     encoded, model = encoded_run
     k = model.codebook.k
     assert_same_report(evaluate_fvc_bits(encoded), loop_fvc_bits(encoded))
-    assert_same_sweep(encoded, [k, k // 2, 5])
+    lengths = [k, k // 2, 5]
+    for length in lengths:
+        assert_same_report(
+            evaluate_fvc_bits(encoded, fold_to=length), loop_fvc_bits(encoded, length)
+        )
+    assert compression_sweep(encoded, lengths) == [
+        (length, loop_fvc_bits(encoded, length).eer) for length in lengths
+    ]
+    assert_same_as_former_sweep(encoded, lengths)
 
 
 @pytest.mark.parametrize("mask_both", [True, False])
