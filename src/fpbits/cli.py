@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .matching import (
 from .model_store import (
     load_bitstring,
     load_finger,
-    load_model_file,
+    load_model,
     save_bitstring,
     save_finger,
     save_model,
@@ -74,25 +74,36 @@ def _make_out_dir(out_dir: str, *subdirs: str) -> None:
         raise ModelMissing(f"cannot create {out_dir!r}: {exc.strerror or exc}") from None
 
 
+def _path(directory: str, ext: str, *ids: str) -> str:
+    """The file of ``ids`` in ``directory``: ``<subject>_<impression><ext>``, or
+    ``<subject><ext>`` for a finger. The one place the naming rule is formatted."""
+    return os.path.join(directory, "_".join(ids) + ext)
+
+
+def _listed(directory: str, ext: str, what: str) -> Iterator[Tuple[Tuple[str, str], str]]:
+    """``((subject, impression), path)`` of each ``<ext>`` file in ``directory``, by name;
+    the subject ends at the last ``_``. An unlistable directory or a name without both
+    parts raises ``ModelMissing``. The one place the naming rule is parsed."""
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise ModelMissing(f"cannot list {directory!r}: {exc.strerror or exc}") from None
+    for name in names:
+        if name.endswith(ext):
+            sid, _, iid = name[: -len(ext)].rpartition("_")
+            if not sid or not iid:
+                raise ModelMissing(f"{what} filename {name!r} is not <subject>_<impression>{ext}")
+            yield (sid, iid), os.path.join(directory, name)
+
+
 def save_dataset(items: pipeline.DatasetDict, out_dir: str) -> None:
     tdir = os.path.join(out_dir, TEMPLATE_DIR)
     idir = os.path.join(out_dir, IMAGE_DIR)
     _make_out_dir(out_dir, TEMPLATE_DIR, IMAGE_DIR)
-    for (sid, iid), (template, image) in sorted(items.items()):
-        stem = f"{sid}_{iid}"
-        write_file_atomic(
-            os.path.join(tdir, stem + ".fpt"),
-            serialize_text_template(template).encode("ascii"),
-        )
-        write_file_atomic(os.path.join(idir, stem + ".pgm"), write_pgm(image))
-
-
-def _split_stem(name: str, ext: str, what: str) -> Tuple[str, str]:
-    """``(subject, impression)`` from a ``<subject>_<impression><ext>`` filename."""
-    sid, _, iid = name[: -len(ext)].rpartition("_")
-    if not sid or not iid:
-        raise ModelMissing(f"{what} filename {name!r} is not <subject>_<impression>{ext}")
-    return sid, iid
+    for key, (template, image) in sorted(items.items()):
+        write_file_atomic(_path(tdir, ".fpt", *key),
+                          serialize_text_template(template).encode("ascii"))
+        write_file_atomic(_path(idir, ".pgm", *key), write_pgm(image))
 
 
 def load_dataset(root: str) -> pipeline.DatasetDict:
@@ -103,16 +114,12 @@ def load_dataset(root: str) -> pipeline.DatasetDict:
             f"dataset {root!r} must contain {TEMPLATE_DIR}/ and {IMAGE_DIR}/"
         )
     items: pipeline.DatasetDict = {}
-    for name in sorted(os.listdir(tdir)):
-        if not name.endswith(".fpt"):
-            continue
-        sid, iid = _split_stem(name, ".fpt", "template")
-        image_path = os.path.join(idir, f"{sid}_{iid}.pgm")
+    for (sid, iid), path in _listed(tdir, ".fpt", "template"):
+        name = os.path.basename(path)
+        image_path = _path(idir, ".pgm", sid, iid)
         if not os.path.exists(image_path):
             raise ModelMissing(f"image {image_path!r} missing for template {name!r}")
-        template = parse_text_template(
-            read_text(os.path.join(tdir, name)), subject_id=sid, impression_id=iid
-        )
+        template = parse_text_template(read_text(path), subject_id=sid, impression_id=iid)
         image = read_pgm(read_bytes(image_path))
         if (template.width, template.height) != (image.width, image.height):
             raise DimensionMismatch(
@@ -162,19 +169,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    model = load_model_file(args.model)
+    model = load_model(read_bytes(args.model))
     items = load_dataset(args.dataset)
     encoded = pipeline.encode_dataset(items, model)
     _make_out_dir(args.out_dir)
-    for (sid, iid), enc in sorted(encoded.items()):
-        path = os.path.join(args.out_dir, f"{sid}_{iid}.fpbs")
-        write_file_atomic(path, save_bitstring(enc.bits))
+    for key, enc in sorted(encoded.items()):
+        write_file_atomic(_path(args.out_dir, ".fpbs", *key), save_bitstring(enc.bits))
     print(f"wrote {len(encoded)} bit-strings under {args.out_dir}")
     return 0
 
 
 def cmd_enroll(args) -> int:
-    model = load_model_file(args.model)
+    model = load_model(read_bytes(args.model))
     items = load_dataset(args.dataset)
     # only the enrollment impressions are encoded; the rest are test data
     fingers = {
@@ -189,7 +195,7 @@ def cmd_enroll(args) -> int:
 
     _make_out_dir(args.out_dir)
     for sid, finger in fingers.items():
-        write_file_atomic(os.path.join(args.out_dir, f"{sid}.fpfm"), save_finger(finger))
+        write_file_atomic(_path(args.out_dir, ".fpfm", sid), save_finger(finger))
     print(f"enrolled {len(fingers)} fingers under {args.out_dir}")
     return 0
 
@@ -210,30 +216,25 @@ def _read_pairs(path: str) -> List[Tuple[str, str, str, str]]:
 
 
 def _load_bits_dir(path: str) -> Dict[Tuple[str, str], BitString]:
-    out: Dict[Tuple[str, str], BitString] = {}
     if not os.path.isdir(path):
         raise ModelMissing(f"bit-string directory {path!r} does not exist")
-    for name in sorted(os.listdir(path)):
-        if not name.endswith(".fpbs"):
-            continue
-        sid, iid = _split_stem(name, ".fpbs", "bit-string")
-        out[(sid, iid)] = load_bitstring(read_bytes(os.path.join(path, name)))
-    return out
+    return {key: load_bitstring(read_bytes(file))
+            for key, file in _listed(path, ".fpbs", "bit-string")}
 
 
 def cmd_match(args) -> int:
     pairs = _read_pairs(args.pairs)
     if args.kind == "lgs":
-        model = load_model_file(args.model)
+        model = load_model(read_bytes(args.model))
         keyed = [((sa, ia), (sb, ib)) for sa, ia, sb, ib in pairs]
         scores = pipeline.lgs_scores(load_dataset(args.dataset), model, keyed)
     else:
         bits = _load_bits_dir(args.bits_dir)
         if args.kind == "masked":  # side a names the enrolled finger, side b the query
-            model = load_model_file(args.model)
+            model = load_model(read_bytes(args.model))
             fingers = {}  # one load per finger, in file order
             for sa in dict.fromkeys(p[0] for p in pairs):
-                path = os.path.join(args.fingers_dir, f"{sa}.fpfm")
+                path = _path(args.fingers_dir, ".fpfm", sa)
                 fingers[sa] = finger = load_finger(read_bytes(path))
                 if finger.finger_id != sa:
                     raise ModelMissing(f"{path!r} holds finger {finger.finger_id!r}, not {sa!r}")
@@ -255,13 +256,19 @@ def cmd_match(args) -> int:
         for pair, score in zip(pairs, scores)
     ]
 
-    text = "".join(line + "\n" for line in lines)  # no pairs: no output
-    if args.out:  # ids are UTF-8, as the pairs file is read
-        write_file_atomic(args.out, text.encode("utf-8"))
-        print(f"wrote {len(lines)} scores to {args.out}")
+    # no pairs: no output
+    _write_text(args.out, "".join(line + "\n" for line in lines), f"{len(lines)} scores")
+    return 0
+
+
+def _write_text(out: Optional[str], text: str, what: str) -> None:
+    """``text`` to ``--out`` as UTF-8 (the pairs file's encoding) and a ``wrote`` line,
+    or else to stdout."""
+    if out:
+        write_file_atomic(out, text.encode("utf-8"))
+        print(f"wrote {what} to {out}")
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _get(bits: Dict[Tuple[str, str], BitString], sid: str, iid: str) -> BitString:
@@ -273,7 +280,7 @@ def _get(bits: Dict[Tuple[str, str], BitString], sid: str, iid: str) -> BitStrin
 def cmd_evaluate(args) -> int:
     if args.fold is not None and args.matcher != "bits":
         raise BadLength(f"--fold applies only to --matcher bits, not {args.matcher}")
-    model = load_model_file(args.model)
+    model = load_model(read_bytes(args.model))
     if args.fold is not None:
         check_fold_length(args.fold, model.codebook.k)
     items = load_dataset(args.dataset)
@@ -346,19 +353,14 @@ def _fold_lengths(text: str) -> List[int]:
 
 def cmd_compress(args) -> int:
     lengths = _fold_lengths(args.lengths)
-    model = load_model_file(args.model)
+    model = load_model(read_bytes(args.model))
     for length in lengths:
         check_fold_length(length, model.codebook.k)
     items = load_dataset(args.dataset)
     encoded = pipeline.encode_dataset(items, model)
     sweep = pipeline.compression_sweep(encoded, lengths)
     rows = ["length,eer"] + [f"{length},{eer:.6f}" for length, eer in sweep]
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        write_file_atomic(args.out, text.encode("ascii"))
-        print(f"wrote {len(sweep)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(rows) + "\n", f"{len(sweep)} rows")
     return 0
 
 
@@ -366,7 +368,7 @@ def cmd_inspect(args) -> int:
     if not (args.model or args.bits or args.finger):
         raise ModelMissing("nothing to inspect; pass --model, --bits, or --finger")
     if args.model:
-        model = load_model_file(args.model)
+        model = load_model(read_bytes(args.model))
         cb = model.codebook
         print(f"model: {args.model}")
         print(f"  clusters K: {cb.k}")
@@ -377,7 +379,7 @@ def cmd_inspect(args) -> int:
         print(f"  cardinalities: min={cb.cardinalities.min()} "
               f"max={cb.cardinalities.max()}")
         print("  config:")
-        for line in serialize_config(model.config).strip().splitlines():
+        for line in text_lines(serialize_config(model.config)):
             print(f"    {line}")
     if args.bits:
         bs = load_bitstring(read_bytes(args.bits))

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .local_structures import StructureGeometry
 from .subspace_fusion import PcaModel
-from .template_io import read_bytes
 
 MODEL_MAGIC = b"FPBM"
 BITS_MAGIC = b"FPBS"
@@ -262,11 +261,6 @@ def load_model(data: bytes) -> PipelineModel:
         population_mean=arrays["global_mean"],
     )
     return _resaves(data, model, save_model)
-
-
-def load_model_file(path: str) -> PipelineModel:
-    """:func:`load_model` of a file; an unreadable path raises ``ModelMissing``."""
-    return load_model(read_bytes(path))
 
 
 # ---------------------------------------------------------------------------

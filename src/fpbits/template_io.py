@@ -154,27 +154,21 @@ def read_bytes(path: str) -> bytes:
 
 
 def read_text(path: str) -> str:
-    """The UTF-8 text of a file, line endings as text mode reads them.
+    """The UTF-8 text of a file, decoded and nothing more: :func:`text_lines` ends its lines.
 
     Raises:
         ModelMissing: the file cannot be read (see :func:`read_bytes`).
         MalformedHeader: the file is not UTF-8; the message names it.
     """
     try:
-        text = read_bytes(path).decode("utf-8")
+        return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"{path}: not UTF-8 text: {exc.reason}") from None
-    return _universal_newlines(text)
-
-
-def _universal_newlines(text: str) -> str:
-    """``text`` with each "\\r\\n" and lone "\\r" made the "\\n" that text mode reads."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def text_lines(text: str) -> List[str]:
-    """``str.splitlines``, but only "\\n", "\\r\\n" and "\\r" end a line, as in :func:`read_text`."""
-    lines = _universal_newlines(text).split("\n")
+    """``str.splitlines``, but only "\\n", "\\r\\n" and "\\r" end a line, as text mode reads them."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return lines[:-1] if lines[-1] == "" else lines
 
 

@@ -19,7 +19,7 @@ from fpbits.matching import fold_compress
 from fpbits.model_store import (
     load_bitstring,
     load_finger,
-    load_model_file,
+    load_model,
     save_bitstring,
     save_finger,
 )
@@ -27,6 +27,7 @@ from fpbits.synth import SynthParams, synth_dataset
 from fpbits.template_io import (
     GrayImage,
     parse_text_template,
+    read_bytes,
     read_pgm,
     read_text,
     serialize_text_template,
@@ -69,7 +70,7 @@ def enrolled_only_model(workdir):
         "--set", "K=16", "--set", "n_p=8", "--set", "N_c=20", "--set", "enroll_size=2",
         "--set", "mask_both=false",
     ]) == 0
-    assert load_model_file(model).config.mask_both is False
+    assert load_model(read_bytes(model)).config.mask_both is False
     return model
 
 
@@ -96,7 +97,7 @@ def test_dataset_roundtrip(tmp_path):
 
 
 def test_train_applies_overrides(workdir):
-    model = load_model_file(workdir["model"])
+    model = load_model(read_bytes(workdir["model"]))
     assert model.codebook.k == 16
     assert model.config.n_p == 8
     assert model.config.enroll_size == 2
@@ -115,7 +116,7 @@ def test_enroll_output(workdir):
 
 def test_enroll_encodes_only_the_enrollment_impressions(workdir, tmp_path, monkeypatch):
     items = load_dataset(workdir["data"])
-    model = load_model_file(workdir["model"])
+    model = load_model(read_bytes(workdir["model"]))
     # the fingers as enrolled from the whole encoded grid
     encoded = pipeline.encode_dataset(items, model)
     split = pipeline.split_keys(encoded, model.config.enroll_size)
@@ -934,6 +935,56 @@ def test_bits_filename_without_impression_exits_2(workdir, tmp_path, capsys):
     assert_one_error_line(capsys, "foo.fpbs")
     with pytest.raises(FpbitsError, match="foo.fpbs"):
         cli._load_bits_dir(bits)
+
+
+def test_the_cli_reads_back_the_names_it_writes(workdir, tmp_path, capsys):
+    # workdir as synth wrote it, and a copy whose subject s002 is named a_b
+    items = {("a_b" if sid == "s002" else sid, iid): value
+             for (sid, iid), value in load_dataset(workdir["data"]).items()}
+    renamed = {name: str(tmp_path / name) for name in ("data", "bits", "fingers")}
+    save_dataset(items, renamed["data"])
+    for command, out in (("encode", "bits"), ("enroll", "fingers")):
+        assert main([command, "--dataset", renamed["data"], "--model", workdir["model"],
+                     "--out-dir", renamed[out]]) == 0
+    synth_keys = set(synth_dataset(SynthParams(n_subjects=3, n_impressions=4, width=128,
+                                               height=128, n_minutiae=12, seed=9)))
+    for paths, keys in ((workdir, synth_keys), (renamed, set(items))):
+        assert set(load_dataset(paths["data"])) == keys
+        assert set(cli._load_bits_dir(paths["bits"])) == keys
+        # every enrolled finger is found under its subject's name, against every string
+        subjects = sorted({sid for sid, _ in keys})
+        pairs = _pairs(tmp_path, "".join(f"{finger} x {sid} {iid}\n" for finger in subjects
+                                         for sid, iid in sorted(keys)))
+        capsys.readouterr()
+        assert main(["match", "--kind", "masked", "--pairs", pairs, "--model", workdir["model"],
+                     "--bits-dir", paths["bits"], "--fingers-dir", paths["fingers"]]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(subjects) * len(keys)
+    assert "a_b" in subjects
+
+
+# root ignores directory permissions, so os.listdir is patched rather than chmod'ed
+@pytest.mark.parametrize("command", ["train", "match --kind bits"])
+def test_unlistable_directory_exits_2_with_one_line(workdir, tmp_path, capsys, monkeypatch,
+                                                    command):
+    if command == "train":
+        directory = os.path.join(workdir["data"], "templates")
+        argv = ["train", "--dataset", workdir["data"], "--out", str(tmp_path / "m.fpbm"),
+                "--quiet"]
+    else:
+        directory = workdir["bits"]
+        argv = ["match", "--kind", "bits", "--pairs", _pairs(tmp_path, "s001 01 s001 02\n"),
+                "--bits-dir", directory]
+    listdir = os.listdir
+
+    def refusing(path="."):  # as os.listdir refuses a directory without read permission
+        if os.path.abspath(path) == os.path.abspath(directory):
+            raise PermissionError(13, "Permission denied", path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", refusing)
+    assert main(argv) == 2
+    assert_one_error_line(capsys, f"cannot list {directory!r}: Permission denied")
+    assert os.listdir(tmp_path) == ([] if command == "train" else ["pairs.txt"])
 
 
 # ---------------------------------------------------------------------------

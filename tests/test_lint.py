@@ -29,9 +29,12 @@ Every deliberate failure is typed: a ``raise`` re-raises, or raises an
 ``FpbitsError`` of ``errors.py``, or the type a helper is handed (``error``)
 or that it caught (``type(exc)``).
 
-Every container loader of ``model_store`` but the file reader ``load_model_file``
-ends in ``return _resaves(...)`` and returns nothing else, so each file it takes
-re-saves to its own bytes.
+Every container loader of ``model_store`` ends in ``return _resaves(...)`` and
+returns nothing else, so each file it takes re-saves to its own bytes. A command
+reads a file's bytes itself and hands them to the loader.
+
+One function ends text lines, ``template_io.text_lines``: no other code calls
+``.splitlines(`` or spells a carriage return.
 
 Every function the package exports with a parameter annotated ``np.ndarray``
 calls ``errors.check_arrays``, or is a one-row view: its docstring and one
@@ -704,12 +707,11 @@ def _returns_resaved(node):
 
 
 def loaders_off_the_resave(tree):
-    """``(line, name)`` of each module-level ``load_*`` function but ``load_model_file``
-    whose last statement is not ``return _resaves(...)``, or that returns anything else."""
+    """``(line, name)`` of each module-level ``load_*`` function whose last statement
+    is not ``return _resaves(...)``, or that returns anything else."""
     found = []
     for node in tree.body:
         if (isinstance(node, ast.FunctionDef) and node.name.startswith("load_")
-                and node.name != "load_model_file"
                 and not (_returns_resaved(node.body[-1]) and all(
                     _returns_resaved(r) for r in ast.walk(node) if isinstance(r, ast.Return)))):
             found.append((node.lineno, node.name))
@@ -747,7 +749,8 @@ def test_the_check_sees_loaders_off_the_resave():
         "    def load_g(self, data):\n"
         "        return G(data)\n"
     )
-    assert loaders_off_the_resave(tree) == [(3, "load_b"), (5, "load_c"), (9, "load_d")]
+    assert loaders_off_the_resave(tree) == [
+        (3, "load_b"), (5, "load_c"), (9, "load_d"), (11, "load_model_file")]
 
 
 def _exports():
@@ -983,3 +986,45 @@ def test_the_check_sees_unset_synth_fields():
     setters = synth_setters(cli, bench)
     assert [name for name in _fields(synth, "SynthParams") if name not in setters] == [
         "b", "d", "e"]
+
+
+def line_rule_copies(tree, home=None):
+    """``(line, what)`` of each ``.splitlines(`` call and each string constant holding a
+    carriage return, outside the module-level function named ``home``."""
+    skip = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == home
+            for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Call) and _call_name(node) == "splitlines":
+            found.append((node.lineno, "splitlines"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "\r" in node.value:
+            found.append((node.lineno, repr(node.value)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_text_lines_ends_lines(path):
+    home = "text_lines" if path.name == "template_io.py" else None
+    found = line_rule_copies(ast.parse(path.read_text(encoding="utf-8")), home)
+    assert not found, f"{path.name}: lines ended outside template_io.text_lines: {found}"
+
+
+def test_the_check_sees_line_rule_copies():
+    source = (
+        "def text_lines(text):\n"
+        "    return text.replace('\\r\\n', '\\n').split('\\n')\n"
+        "def f(text):\n"
+        "    return text.strip().splitlines()\n"
+        "def g(text):\n"
+        "    return text.split('\\x0d')\n"
+        "x = f'{g}\\r'\n"
+        "y = str.splitlines, '\\\\r'\n"
+        "class C:\n"
+        "    def text_lines(self, text):\n"
+        "        return text.splitlines()\n"
+    )
+    copies = [(4, "splitlines"), (6, "'\\r'"), (7, "'\\r'"), (11, "splitlines")]
+    assert line_rule_copies(ast.parse(source), "text_lines") == copies
+    assert line_rule_copies(ast.parse(source)) == sorted(copies + [(2, "'\\r\\n'")])

@@ -30,7 +30,6 @@ from fpbits.model_store import (
     load_bitstring,
     load_finger,
     load_model,
-    load_model_file,
     save_bitstring,
     save_finger,
     save_model,
@@ -45,6 +44,7 @@ from fpbits.template_io import (
     GrayImage,
     MinutiaTemplate,
     parse_text_template,
+    read_bytes,
     read_pgm,
     serialize_text_template,
     write_pgm,
@@ -101,7 +101,7 @@ def test_model_file_io(tmp_path):
     path = str(tmp_path / "model.fpbm")
     write_file_atomic(path, save_model(model))
     assert not os.path.exists(path + ".tmp")
-    back = load_model_file(path)
+    back = load_model(read_bytes(path))
     assert back.codebook.k == model.codebook.k
 
 

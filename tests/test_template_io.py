@@ -388,11 +388,25 @@ def test_pgm_errors():
         read_pgm(b"P5\n2 2\n255\n\x00\x00\x00")
 
 
-def test_read_text_line_endings_as_text_mode(tmp_path):
+# "\r\n", "\r" and "\n" end lines; a form feed and U+2028 do not
+MIXED_ENDINGS = b"a\r\nb\rc\n\r\n\xc3\xa9\r\x0cd\xe2\x80\xa8e\r"
+
+
+def test_text_lines_of_read_text_are_the_text_mode_lines(tmp_path):
     path = tmp_path / "mixed.txt"
-    path.write_bytes(b"a\r\nb\rc\n\r\n\xc3\xa9\r")
+    path.write_bytes(MIXED_ENDINGS)
     with open(path, "r", encoding="utf-8") as fh:
-        assert read_text(str(path)) == fh.read() == "a\nb\nc\n\n\u00e9\n"
+        want = [line[:-1] if line.endswith("\n") else line for line in fh]
+    assert text_lines(read_text(str(path))) == want == [
+        "a", "b", "c", "", "\u00e9", "\x0cd\u2028e"]
+
+
+def test_read_text_only_decodes(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(MIXED_ENDINGS)
+    text = read_text(str(path))
+    assert text == MIXED_ENDINGS.decode("utf-8")
+    assert text.count("\r") == 5 and text.endswith("e\r")
 
 
 @pytest.mark.parametrize("how", ["missing", "directory"])
